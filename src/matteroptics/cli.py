@@ -19,6 +19,7 @@ configuration error, 2 physics-guard failure or flagged points.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import sys
@@ -64,6 +65,7 @@ from .optics import (
     medium_response,
     polarizability,
 )
+from . import propagate
 from .propagate import (
     PropagationConfig,
     init_gaussian,
@@ -570,7 +572,9 @@ def cmd_propagate(args) -> int:
     last_good = {"index": 0, "state": state}
 
     def observer(index: int, current) -> None:
-        if index % 64 == 0:  # survived the propagator's finite check
+        # survived the propagator's finite check (read at call time, so
+        # the two can never disagree)
+        if index % propagate._FINITE_CHECK_INTERVAL == 0:
             last_good["index"] = index
             last_good["state"] = current
         if index in snap_at:
@@ -771,10 +775,16 @@ def cmd_sweep(args) -> int:
     return 0 if all(r.valid() for r in rows) else 2
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on first use and shared: parse_args leaves the parser as it
+    # found it, and building it costs far more than one parse.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # --help (0) or usage error (1)
         code = exc.code
         return int(code) if code is not None else 0

@@ -14,6 +14,15 @@ which the atoms only collect a position-dependent phase.
 The 3D density seen by the potential is |psi|^2 / transverse_area; an
 infinite transverse_area is the dilute-tracer convention (exactly zero
 density, finite field).
+
+propagate_through_laser builds the step-invariant arrays once per
+transit rather than once per step: the grid positions, the kinetic
+phase exp(-i hbar dt k^2/2m) of the run's fixed dt, and (inside the
+standing_wave_intensity closure) the cos^2(n k_L y) pattern, so only the
+scalar envelope Omega_0^2 exp(-z^2/w_L^2) is evaluated per half-step.
+Each step computes |psi|^2/transverse_area once and uses it for both the
+adiabatic guard and the first potential half-step. A bare step() call
+builds the same arrays itself; every result is bit-for-bit the same.
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ import numpy as np
 from .errors import ConfigurationError, NumericsError, ParameterError, PhysicsGuardError
 from .models import ModelKind, effective_potential
 from .optics import adiabatically_valid
-from .serialize import csv_num
 from .units import HBAR, PhysicalParams
 
 logger = logging.getLogger(__name__)
@@ -36,6 +44,10 @@ logger = logging.getLogger(__name__)
 # Non-finite values are scanned for every this many steps, not every
 # step; a full scan per step would double the cost of cheap phase steps.
 _FINITE_CHECK_INTERVAL = 64
+
+# write_state_csv formats this many rows per write; each cell as csv_num.
+_CSV_BLOCK_ROWS = 2048
+_CSV_ROW = "%.9g,%.9g,%.9g,%.9g\n"
 
 
 @dataclass(frozen=True)
@@ -132,13 +144,24 @@ def standing_wave_intensity(params: PhysicalParams) -> Callable[[np.ndarray, flo
     """|Omega(y, z)|^2 of the Gaussian-envelope standing wave.
 
     |Omega|^2 = Omega_0^2 exp(-z^2/w_L^2) cos^2(n k_L y).
+
+    The cos^2 pattern is cached on the identity of the last y array
+    passed in, so a caller that reuses one position array (as
+    propagate_through_laser does) pays for it once; y must not be
+    modified in place between calls.
     """
     omega0_sq = params.rabi_peak**2
     inv_wl_sq = 1.0 / params.w_l**2
     nk = params.harmonic * params.k_l
+    cache = (None, None)  # (y, cos^2(nk y)), replaced as one tuple
 
     def profile(y: np.ndarray, z: float) -> np.ndarray:
-        return omega0_sq * math.exp(-(z * z) * inv_wl_sq) * np.cos(nk * y) ** 2
+        nonlocal cache
+        cached_y, pattern = cache
+        if cached_y is not y:
+            pattern = np.cos(nk * y) ** 2
+            cache = (y, pattern)
+        return omega0_sq * math.exp(-(z * z) * inv_wl_sq) * pattern
 
     return profile
 
@@ -197,48 +220,77 @@ def _rabi_sq(config: PropagationConfig, y: np.ndarray, z: float):
 
 def _half_potential_phase(
     psi: np.ndarray,
+    density: np.ndarray | None,
     y: np.ndarray,
     z: float,
     dt: float,
     config: PropagationConfig,
     params: PhysicalParams,
 ) -> np.ndarray:
+    # density, when given, must be |psi|^2 / transverse_area of this psi
     rabi_sq = _rabi_sq(config, y, z)
     if np.ndim(rabi_sq) == 0 and float(rabi_sq) == 0.0:
         return psi  # no laser: free phase of zero
-    density = np.abs(psi) ** 2 / config.transverse_area
+    if density is None:
+        density = np.abs(psi) ** 2 / config.transverse_area
     v_over_hbar = effective_potential(config.model, rabi_sq, density, params) / HBAR
     return psi * np.exp(-0.5j * dt * v_over_hbar)
 
 
-def step(state: WaveState, config: PropagationConfig, params: PhysicalParams) -> WaveState:
+def _step_invariants(grid: Grid1D, config: PropagationConfig, params: PhysicalParams):
+    """(positions, kinetic phase) for steps of config.dt on this grid.
+
+    The kinetic phase is None when the kinetic term is off.
+    """
+    kinetic_phase = None
+    if config.kinetic_enabled:
+        k = grid.wavenumbers()
+        kinetic_phase = np.exp(-0.5j * HBAR * config.dt / params.mass * k * k)
+    return grid.points(), kinetic_phase
+
+
+def step(
+    state: WaveState,
+    config: PropagationConfig,
+    params: PhysicalParams,
+    invariants: tuple[np.ndarray, np.ndarray | None] | None = None,
+) -> WaveState:
     """One Strang step: half potential, kinetic, half potential.
 
     Potential halves use the laser at the interval's two endpoint times
     and the instantaneous |psi|^2; the kinetic phase is exact in the
     spectral basis and skipped entirely when kinetic_enabled is false.
+    `invariants` lets a caller that takes many steps on one grid with
+    one config pass the arrays built by _step_invariants once; without
+    it they are built here.
     """
     if config.dt is None:
         raise ConfigurationError("config.dt must be set for raw stepping")
+    if invariants is None:
+        invariants = _step_invariants(state.grid, config, params)
+    y, kinetic_phase = invariants
     dt = config.dt
-    y = state.grid.points()
     t0 = state.time
     t1 = t0 + dt
 
+    density = None
     if config.enforce_adiabatic and params.gamma > 0.0:
-        peak_density = float(np.max(np.abs(state.amplitude) ** 2)) / config.transverse_area
+        # max(x / A) == max(x) / A exactly, so this array also serves
+        # as the first half-step's density
+        density = np.abs(state.amplitude) ** 2 / config.transverse_area
+        peak_density = float(np.max(density))
         if not adiabatically_valid(params, peak_density):
             raise PhysicsGuardError(
                 "adiabatic elimination invalid at peak density "
                 f"{peak_density:.3e}; pass enforce_adiabatic=False to override"
             )
 
-    psi = _half_potential_phase(state.amplitude, y, params.v_g * t0, dt, config, params)
-    if config.kinetic_enabled:
-        k = state.grid.wavenumbers()
-        kinetic_phase = np.exp(-0.5j * HBAR * dt / params.mass * k * k)
+    psi = _half_potential_phase(
+        state.amplitude, density, y, params.v_g * t0, dt, config, params
+    )
+    if kinetic_phase is not None:
         psi = np.fft.ifft(np.fft.fft(psi) * kinetic_phase)
-    psi = _half_potential_phase(psi, y, params.v_g * t1, dt, config, params)
+    psi = _half_potential_phase(psi, None, y, params.v_g * t1, dt, config, params)
     return WaveState(grid=state.grid, amplitude=psi, time=t1)
 
 
@@ -263,11 +315,12 @@ def propagate_through_laser(
     if profile is None:
         profile = standing_wave_intensity(params)
     run_config = replace(config, dt=dt, laser_profile=profile)
+    invariants = _step_invariants(state.grid, run_config, params)
 
     t_entry = -z_half / params.v_g
     working = WaveState(grid=state.grid, amplitude=state.amplitude, time=t_entry)
     for i in range(config.n_steps):
-        working = step(working, run_config, params)
+        working = step(working, run_config, params, invariants)
         if (i + 1) % _FINITE_CHECK_INTERVAL == 0 or i + 1 == config.n_steps:
             if not np.all(np.isfinite(working.amplitude.view(np.float64))):
                 raise NumericsError(
@@ -336,12 +389,23 @@ def momentum_spectrum(state: WaveState, k_unit: float, q_max: int):
 
 
 def write_state_csv(state: WaveState, transverse_area: float, fh) -> None:
-    """Snapshot columns: y_cm, re_psi, im_psi, density."""
+    """Snapshot columns: y_cm, re_psi, im_psi, density.
+
+    Cells follow serialize.csv_num: 9 significant digits, -0.0 written
+    as 0, infinities as inf/-inf, and NaN raises ValueError before
+    anything is written.
+    """
     y = state.grid.points()
+    amp = state.amplitude
     dens = state.density(transverse_area)
+    if np.isnan(amp).any() or np.isnan(dens).any():
+        raise ValueError("NaN is not serializable")
     fh.write("y_cm,re_psi,im_psi,density\n")
-    for i in range(state.grid.n_points):
-        fh.write(
-            f"{csv_num(y[i])},{csv_num(state.amplitude[i].real)},"
-            f"{csv_num(state.amplitude[i].imag)},{csv_num(dens[i])}\n"
-        )
+    # Blocks of rows keep the Python floats and strings of one format
+    # call small next to the arrays of a large grid.
+    for lo in range(0, state.grid.n_points, _CSV_BLOCK_ROWS):
+        hi = lo + _CSV_BLOCK_ROWS
+        cols = [y[lo:hi], amp.real[lo:hi], amp.imag[lo:hi], dens[lo:hi]]
+        # -0.0 + 0.0 == +0.0 folds negative zero; other values are unchanged
+        cells = (np.stack(cols, axis=1) + 0.0).ravel().tolist()
+        fh.write(_CSV_ROW * (len(cells) // 4) % tuple(cells))

@@ -1,12 +1,14 @@
 """End-to-end command-line behavior through main(argv)."""
 
+import io
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from matteroptics import characteristic_volume
+from matteroptics import characteristic_volume, cli, propagate
 from matteroptics.cli import main
 from matteroptics.diffraction import analytic_orders
 from matteroptics.errors import NumericsError
@@ -65,6 +67,30 @@ class TestTopLevel:
         code, _, err = run(capsys, "optics", "--params", "/nonexistent/x.params")
         assert code == 1
         assert "i/o error" in err
+
+    def test_parser_is_built_once_and_reused(self, capsys, tmp_path, monkeypatch):
+        path = write_params(tmp_path, make_params())
+        calls = [
+            ("optics", "--params", path),
+            ("validity", "--params", path, "--format", "json"),
+            ("optics", "--bogus"),  # usage error, exit 1
+            ("diffract", "--params", path, "--q-max", "3"),
+            ("--version",),
+            ("optics", "--params", path, "--format", "json"),
+        ]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert [r[0] for r in fresh] == [0, 2, 1, 0, 0, 0]  # validity flags a check
+
+        cli._parser.cache_clear()
+        builds = []
+        real_build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
+        shared = [run(capsys, *argv) for argv in calls]
+        assert shared == fresh
+        assert len(builds) == 1
 
 
 class TestOptics:
@@ -304,6 +330,37 @@ class TestPropagate:
         assert "step 128" in err
         assert os.path.exists(f"{prefix}_state_lastgood.csv")
         assert not os.path.exists(f"{prefix}_report.csv")
+
+    def test_rescued_state_follows_the_finite_check_interval(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # A field poisoned at step 9 is caught by the check at step 9; the
+        # rescue must hold step 6, the last state that passed a check.
+        path, _ = self._params_path(tmp_path)
+        prefix = str(tmp_path / "bad")
+        monkeypatch.setattr(propagate, "_FINITE_CHECK_INTERVAL", 3)
+        real_step = propagate.step
+        states = []
+
+        def poisoned_step(state, config, params, invariants=None):
+            out = real_step(state, config, params, invariants)
+            if len(states) == 8:
+                out = propagate.WaveState(out.grid, out.amplitude * np.nan, out.time)
+            states.append(out)
+            return out
+
+        monkeypatch.setattr(propagate, "step", poisoned_step)
+        code, _, err = run(
+            capsys, "propagate", "--params", path, "--out", prefix,
+            "--grid-points", "1024", "--box-lambdas", "32", "--steps", "16",
+        )
+        assert code == 2
+        assert "after step 9" in err
+        assert "(step 6)" in err
+        expected = io.StringIO()
+        propagate.write_state_csv(states[5], math.inf, expected)
+        with open(f"{prefix}_state_lastgood.csv", encoding="utf-8") as fh:
+            assert fh.read() == expected.getvalue()
 
 
 class TestBloch:

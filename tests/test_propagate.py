@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,9 +25,11 @@ from matteroptics.propagate import (
     step,
     write_state_csv,
 )
+from matteroptics.models import ModelKind, effective_potential
+from matteroptics.serialize import csv_num
 from matteroptics.units import HBAR, detuning
 
-from conftest import make_params
+from conftest import make_params, with_v0rho
 
 
 def _grid(n=256, length=1.0):
@@ -240,6 +243,126 @@ class TestPropagateThroughLaser:
         assert math.isfinite(err.value.time)
 
 
+def test_standing_wave_cache_follows_the_position_array():
+    p = make_params()
+    profile = standing_wave_intensity(p)
+    y1 = np.linspace(-1.0e-4, 1.0e-4, 33)
+    y2 = y1 + 1.0e-5
+    z = 0.3 * p.w_l
+    for y in (y1, y1, y2, y1.copy(), y2):
+        # the uncached formula, in its original operation order
+        direct = (
+            p.rabi_peak**2 * math.exp(-(z * z) * (1.0 / p.w_l**2))
+            * np.cos(p.harmonic * p.k_l * y) ** 2
+        )
+        assert np.array_equal(profile(y, z), direct)
+
+
+def _transit_setup(config, params):
+    z_half = 4.0 * params.w_l
+    dt = 2.0 * z_half / params.v_g / config.n_steps
+    profile = config.laser_profile or standing_wave_intensity(params)
+    return dt, profile, -z_half / params.v_g
+
+
+def _bare_step_transit(state, config, params):
+    # propagate_through_laser spelled out as bare step() calls, each of
+    # which builds its own positions, cos^2 pattern and kinetic phase
+    dt, profile, t_entry = _transit_setup(config, params)
+    run_config = replace(config, dt=dt, laser_profile=profile)
+    working = WaveState(grid=state.grid, amplitude=state.amplitude, time=t_entry)
+    for _ in range(config.n_steps):
+        working = step(working, run_config, params)
+    return working.amplitude
+
+
+def _textbook_transit(state, config, params):
+    # the Strang scheme written out with no shared helper: every array is
+    # rebuilt where it is used, and each half-step reads its own |psi|^2
+    dt, profile, t = _transit_setup(config, params)
+    g = state.grid
+
+    def half(psi, z):
+        density = np.abs(psi) ** 2 / config.transverse_area
+        v = effective_potential(config.model, profile(g.points(), z), density, params)
+        return psi * np.exp(-0.5j * dt * (v / HBAR))
+
+    psi = state.amplitude
+    for _ in range(config.n_steps):
+        psi = half(psi, params.v_g * t)
+        if config.kinetic_enabled:
+            k = g.wavenumbers()
+            kinetic = np.exp(-0.5j * HBAR * dt / params.mass * k * k)
+            psi = np.fft.ifft(np.fft.fft(psi) * kinetic)
+        t = t + dt
+        psi = half(psi, params.v_g * t)
+    return psi
+
+
+class TestHoistedTransitIsBitExact:
+    N_STEPS = 24
+
+    def _dense(self):
+        p = with_v0rho(make_params(), 0.3)
+        g = _grid(512, 8.0 * p.w_y)
+        return p, init_gaussian(g, p.rho_0, p.w_y, 1.0), 1.0
+
+    def _dilute(self):
+        p = make_params()
+        g = _grid(512, 8.0 * p.w_y)
+        return p, init_gaussian(g, 0.0, p.w_y, math.inf), math.inf
+
+    def _check(self, p, s, config):
+        seen = []
+        out = propagate_through_laser(
+            s, config, p,
+            observer=lambda i, st: seen.append((st, st.amplitude.copy())),
+        )
+        ref = _bare_step_transit(s, config, p)
+        assert np.array_equal(out.amplitude, ref)
+        assert np.array_equal(out.amplitude, _textbook_transit(s, config, p))
+        assert len(seen) == config.n_steps
+        for st, copy in seen:  # nothing handed to the observer was touched later
+            assert np.array_equal(st.amplitude, copy)
+        assert np.array_equal(seen[-1][1], ref)
+
+    @pytest.mark.parametrize("kinetic", [True, False])
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_dense_every_model(self, kinetic, model):
+        p, s, area = self._dense()
+        cfg = PropagationConfig(
+            dt=None, n_steps=self.N_STEPS, kinetic_enabled=kinetic,
+            model=model, transverse_area=area,
+        )
+        before = s.amplitude.copy()
+        self._check(p, s, cfg)
+        assert np.array_equal(s.amplitude, before)
+
+    @pytest.mark.parametrize("kinetic", [True, False])
+    def test_dilute(self, kinetic):
+        p, s, area = self._dilute()
+        cfg = PropagationConfig(
+            dt=None, n_steps=self.N_STEPS, kinetic_enabled=kinetic,
+            transverse_area=area,
+        )
+        self._check(p, s, cfg)
+
+    def test_custom_profile_is_called_every_half_step(self):
+        p, s, area = self._dense()
+        calls = []
+
+        def profile(y, z):
+            calls.append(z)
+            return p.rabi_peak**2 * np.exp(-(z / p.w_l) ** 2) * np.sin(3.0e4 * y) ** 2
+
+        cfg = PropagationConfig(
+            dt=None, n_steps=self.N_STEPS, laser_profile=profile, transverse_area=area,
+        )
+        self._check(p, s, cfg)
+        # once per half-step in each of the three runs; no output is reused
+        assert len(calls) == 6 * self.N_STEPS
+
+
 class TestMomentumSpectrum:
     def _order_state(self, q, m=16, n=256):
         g = _grid(n, 1.0)
@@ -301,3 +424,53 @@ def test_write_state_csv_shape():
     cells = lines[1].split(",")
     assert len(cells) == 4
     assert float(cells[0]) == -0.5
+
+
+def _per_row_csv(state, transverse_area):
+    # the row-at-a-time writer the vectorized one must match byte for byte
+    y = state.grid.points()
+    dens = state.density(transverse_area)
+    rows = ["y_cm,re_psi,im_psi,density\n"]
+    for i in range(state.grid.n_points):
+        rows.append(
+            f"{csv_num(y[i])},{csv_num(state.amplitude[i].real)},"
+            f"{csv_num(state.amplitude[i].imag)},{csv_num(dens[i])}\n"
+        )
+    return "".join(rows)
+
+
+@pytest.mark.parametrize("block_rows", [5, 64, 2048])
+def test_write_state_csv_matches_per_row_csv_num(block_rows, monkeypatch):
+    monkeypatch.setattr("matteroptics.propagate._CSV_BLOCK_ROWS", block_rows)
+    g = _grid(64, 1.0)  # y = 0 is grid point 32
+    rng = np.random.default_rng(7)
+    scale = 10.0 ** rng.uniform(-150, 150, 64)
+    amp = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) * scale
+    amp[0] = complex(-0.0, 0.0)
+    amp[1] = complex(0.0, -0.0)
+    amp[2] = complex(-0.0, -0.0)
+    amp[3] = complex(5e-324, -5e-324)  # subnormal: density underflows to 0
+    amp[4] = complex(math.inf, -1.0)
+    amp[5] = complex(-2.5, -math.inf)
+    amp[6] = complex(1.0 / 3.0, -123456789.123)
+    finite = amp.copy()
+    finite[4:6] = 1.0  # inf / inf would be a NaN density
+    cases = [(amp, 1.0), (amp, 3.0), (finite, math.inf)]
+    for values, area in cases:
+        s = WaveState(grid=g, amplitude=values)
+        buf = io.StringIO()
+        write_state_csv(s, area, buf)
+        assert buf.getvalue() == _per_row_csv(s, area)
+        lines = buf.getvalue().splitlines()
+        assert lines[1:4] == ["-0.5,0,0,0", "-0.484375,0,0,0", "-0.46875,0,0,0"]
+        assert lines[33].startswith("0,")
+        assert ",-0," not in buf.getvalue()
+
+
+def test_write_state_csv_rejects_nan():
+    g = _grid(16, 1.0)
+    amp = np.ones(16, dtype=complex)
+    amp[5] = complex(1.0, math.nan)
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="NaN"):
+        write_state_csv(WaveState(grid=g, amplitude=amp), 1.0, buf)
