@@ -35,9 +35,9 @@ from .diffraction import (
     DiffractionPattern,
     analytic_orders,
     commensurate_grid,
-    density_sweep,
     diffraction_angles,
     effective_wavelength,
+    evaluate_routes,
     numeric_orders,
     pattern_discrepancy,
     phase_profile,
@@ -58,9 +58,11 @@ from .errors import (
 from .models import (
     ModelKind,
     RamanNathParams,
+    RegimeCheck,
     characteristic_volume,
     effective_potential,
     raman_nath_params,
+    regime_checks,
     significant_density,
 )
 from .optics import (
@@ -119,6 +121,7 @@ __all__ = [
     "PoleError",
     "PropagationConfig",
     "RamanNathParams",
+    "RegimeCheck",
     "SingularDetuningError",
     "SteadyStateError",
     "SweepError",
@@ -136,11 +139,11 @@ __all__ = [
     "commensurate_grid",
     "contact_interaction_bound",
     "convert_units",
-    "density_sweep",
     "detuning",
     "diffraction_angles",
     "effective_potential",
     "effective_wavelength",
+    "evaluate_routes",
     "init_gaussian",
     "integrate",
     "local_detuning",
@@ -161,6 +164,7 @@ __all__ = [
     "raman_nath_params",
     "read_param_file",
     "refractive_index_sq",
+    "regime_checks",
     "run_sweep",
     "significant_density",
     "standing_wave_intensity",

@@ -25,6 +25,8 @@ import math
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import __version__
 from .bloch import (
     BlochRates,
@@ -36,13 +38,11 @@ from .bloch import (
     write_trajectory_csv,
 )
 from .diffraction import (
-    analytic_orders,
+    ROUTES,
     commensurate_grid,
     diffraction_angles,
     effective_wavelength,
-    numeric_orders,
-    pattern_discrepancy,
-    propagator_orders,
+    evaluate_routes,
 )
 from .errors import (
     ConfigurationError,
@@ -54,11 +54,14 @@ from .errors import (
 )
 from .models import (
     ModelKind,
+    RegimeCheck,
     characteristic_volume,
     raman_nath_params,
+    regime_checks,
     significant_density,
 )
 from .optics import (
+    COLLISION_BOUND_MIN,
     adiabatic_validity,
     contact_interaction_bound,
     local_detuning,
@@ -85,8 +88,6 @@ from .units import (
 )
 
 _CM3_TO_M3 = 1.0e-6  # volume factor for si-system echoes of alpha and V0
-
-_PATH_CHOICES = ("analytic", "numeric", "propagator", "all")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, help="override rho_0 (declared units)")
     p.add_argument(
         "--paths",
-        choices=_PATH_CHOICES,
+        choices=(*ROUTES, "all"),
         default="analytic",
         help="which evaluation paths to run",
     )
@@ -294,9 +295,9 @@ def _grid_capacity(n_points: int, box_lambdas: float) -> int:
     return (n_points - half_periods) // (2 * half_periods)
 
 
-def _auto_q_max(tau: float, args, grid_paths: bool) -> int:
+def _auto_q_max(tau: float, args, paths: tuple[str, ...]) -> int:
     q = math.ceil(abs(tau)) + 30
-    if grid_paths:
+    if "numeric" in paths or "propagator" in paths:
         q = min(q, max(_grid_capacity(args.grid_points, args.box_lambdas), 0))
     return q
 
@@ -375,57 +376,25 @@ def cmd_validity(args) -> int:
     p = pf.params
     density = _density_from_args(args, pf)
 
-    checks: list[tuple[str, float | None, float, bool, str]] = []
-
-    def add(name, threshold, fn):
-        try:
-            value = fn()
-            checks.append((name, value, threshold, value >= threshold, ""))
-        except MatterOpticsError as exc:
-            checks.append((name, None, threshold, False, str(exc)))
-
-    add("adiabatic_ratio", 10.0, lambda: adiabatic_validity(p, density))
-    add(
-        "pole_distance",
-        0.1,
-        lambda: min(
-            abs(1.0 + characteristic_volume(p) * density),
-            abs(1.0 + 2.0 * characteristic_volume(p) * density),
-        ),
-    )
-    add(
-        "packet_broadness",
-        10.0,
-        lambda: p.w_y * p.harmonic * p.k_l / (2.0 * math.pi),
-    )
-    add(
-        "collision_bound",
-        10.0,
+    checks = regime_checks(p, density)
+    checks["collision_bound"] = RegimeCheck.evaluate(
+        COLLISION_BOUND_MIN,
         lambda: contact_interaction_bound(_default_saturation(args, pf), p),
     )
 
-    all_ok = all(ok for _, _, _, ok, _ in checks)
+    all_ok = all(c.ok for c in checks.values())
     if args.format == "json":
         report = {
             "units": pf.units,
             "density": density if pf.units == "cgs" else density / _CM3_TO_M3,
-            "checks": [
-                {
-                    "name": name,
-                    "value": value,
-                    "threshold": threshold,
-                    "ok": ok,
-                    "error": err or None,
-                }
-                for name, value, threshold, ok, err in checks
-            ],
+            "checks": [{"name": name, **c._asdict()} for name, c in checks.items()],
             "all_ok": all_ok,
             "meta": _meta(args, "validity"),
         }
         _emit(json_dumps(report) + "\n", args)
     else:
         lines = ["check,value,threshold,ok,error"]
-        for name, value, threshold, ok, err in checks:
+        for name, (value, threshold, ok, err) in checks.items():
             cell = csv_num(value) if value is not None else ""
             safe = f'"{err.replace(chr(34), chr(34) * 2)}"' if err else ""
             lines.append(
@@ -437,12 +406,12 @@ def cmd_validity(args) -> int:
 
 def _selected_paths(raw: str) -> tuple[str, ...]:
     if raw == "all":
-        return ("analytic", "numeric", "propagator")
+        return ROUTES
     parts = tuple(s.strip() for s in raw.split(",") if s.strip())
-    bad = [s for s in parts if s not in ("analytic", "numeric", "propagator")]
+    bad = [s for s in parts if s not in ROUTES]
     if bad or not parts:
         raise ParameterError(
-            f"invalid path selection {raw!r}; use analytic, numeric, propagator or all"
+            f"invalid path selection {raw!r}; use {', '.join(ROUTES)} or all"
         )
     return parts
 
@@ -454,32 +423,17 @@ def cmd_diffract(args) -> int:
     if density != p.rho_0:
         p = replace(p, rho_0=density)
     paths = _selected_paths(args.paths)
-    rn = raman_nath_params(p)
-    grid_paths = "numeric" in paths or "propagator" in paths
-    q_max = args.q_max if args.q_max is not None else _auto_q_max(rn.tau, args, grid_paths)
-
-    patterns = {}
-    if "analytic" in paths:
-        patterns["analytic"] = analytic_orders(rn.tau, q_max)
-    if grid_paths:
-        grid = commensurate_grid(p, args.grid_points, args.box_lambdas)
-        if "numeric" in paths:
-            patterns["numeric"] = numeric_orders(p, rn, grid, q_max)
-        if "propagator" in paths:
-            patterns["propagator"] = propagator_orders(
-                p, grid, q_max, z_steps=args.steps, model=ModelKind.from_name(args.model)
-            )
+    q_max = args.q_max
+    if q_max is None:
+        q_max = _auto_q_max(raman_nath_params(p).tau, args, paths)
+    rn, patterns, discrepancy = evaluate_routes(
+        p, paths, q_max, args.grid_points, args.box_lambdas, args.steps,
+        model=ModelKind.from_name(args.model),
+    )
     angles = diffraction_angles(p, q_max)
-
-    names = [n for n in ("analytic", "numeric", "propagator") if n in patterns]
-    discrepancy = None
-    if len(names) > 1:
-        discrepancy = 0.0
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                discrepancy = max(
-                    discrepancy, pattern_discrepancy(patterns[a], patterns[b])
-                )
+    names = list(patterns)
+    if len(names) == 1:
+        discrepancy = None  # nothing to compare a single route with
 
     if args.format == "json":
         report = {
@@ -562,6 +516,14 @@ def cmd_propagate(args) -> int:
         return f"{args.out}_state_{index:06d}.csv"
 
     def write_snapshot(index: int, snap) -> None:
+        # A field that turned non-finite between the propagator's finite
+        # checks takes the rescue path below instead of reaching a file.
+        if not np.isfinite(snap.amplitude).all():
+            raise NumericsError(
+                f"non-finite amplitude at snapshot step {index} (t = {snap.time!r} s)",
+                step=index,
+                time=snap.time,
+            )
         path = snapshot_path(index)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             write_state_csv(snap, area, fh)
@@ -750,8 +712,7 @@ def cmd_sweep(args) -> int:
             tau = raman_nath_params(pf.params).tau
         except MatterOpticsError:
             tau = 0.0
-        grid_paths = "numeric" in paths or "propagator" in paths
-        q_max = _auto_q_max(tau, args, grid_paths)
+        q_max = _auto_q_max(tau, args, paths)
 
     spec = SweepSpec(
         base=pf.params,

@@ -14,12 +14,20 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, PoleError, SingularDetuningError
+from .errors import MatterOpticsError, ParameterError, PoleError, SingularDetuningError
 from .units import HBAR, PhysicalParams, detuning
-from .optics import EPS_POLE, polarizability
+from .optics import (
+    ADIABATIC_RATIO_MIN,
+    EPS_POLE,
+    PACKET_BROADNESS_MIN,
+    POLE_DISTANCE_MIN,
+    adiabatic_validity,
+    polarizability,
+)
 
 
 class ModelKind(enum.Enum):
@@ -173,3 +181,49 @@ def significant_density(params: PhysicalParams) -> SignificantDensity:
         return SignificantDensity(exact=exact, scaling=None)
     scaling = (abs(detuning(params)) / params.gamma) * params.k_l**3 / math.pi
     return SignificantDensity(exact=exact, scaling=scaling)
+
+
+class RegimeCheck(NamedTuple):
+    """One regime check: ok when value >= threshold.
+
+    A check that could not be evaluated has value None, ok False and
+    the reason in error.
+    """
+
+    value: float | None
+    threshold: float
+    ok: bool
+    error: str | None = None
+
+    @classmethod
+    def evaluate(cls, threshold: float, value_fn: Callable[[], float]) -> "RegimeCheck":
+        try:
+            value = value_fn()
+        except MatterOpticsError as exc:
+            return cls(None, threshold, False, str(exc))
+        return cls(value, threshold, value >= threshold)
+
+
+def regime_checks(params: PhysicalParams, density: float) -> dict[str, RegimeCheck]:
+    """The density-dependent regime checks, by name, in report order.
+
+    adiabatic_ratio   |Delta_l| / gamma at this density
+    pole_distance     min |1 + V0 rho|, |1 + 2 V0 rho|: distance to the
+                      full- and screened-model poles
+    packet_broadness  w_y in units of the standing-wave period 2 pi / (n k_L)
+    """
+
+    def pole_distance() -> float:
+        v0rho = characteristic_volume(params) * density
+        return min(abs(1.0 + v0rho), abs(1.0 + 2.0 * v0rho))
+
+    return {
+        "adiabatic_ratio": RegimeCheck.evaluate(
+            ADIABATIC_RATIO_MIN, lambda: adiabatic_validity(params, density)
+        ),
+        "pole_distance": RegimeCheck.evaluate(POLE_DISTANCE_MIN, pole_distance),
+        "packet_broadness": RegimeCheck.evaluate(
+            PACKET_BROADNESS_MIN,
+            lambda: params.w_y * params.harmonic * params.k_l / (2.0 * math.pi),
+        ),
+    }

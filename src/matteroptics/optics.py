@@ -25,6 +25,14 @@ from .units import HBAR, C_LIGHT, PhysicalParams, detuning
 # instead of returning a huge value that downstream formulas would amplify.
 EPS_POLE = 1e-12
 
+# Regime thresholds, one per check of models.regime_checks and the
+# validity command: a check holds when its value is at least its
+# threshold. They are reported conventions, not hard physics constants.
+ADIABATIC_RATIO_MIN = 10.0  # |Delta_l| / gamma
+POLE_DISTANCE_MIN = 0.1  # min |1 + V0 rho| and |1 + 2 V0 rho|
+PACKET_BROADNESS_MIN = 10.0  # packet width in units of 2 pi / (n k_L)
+COLLISION_BOUND_MIN = 10.0  # contact_interaction_bound
+
 
 @dataclass(frozen=True)
 class MediumResponse:
@@ -132,13 +140,6 @@ def contact_interaction_bound(saturation: float, params: PhysicalParams) -> floa
     return 0.375 * saturation / (params.scattering_length * k_a)
 
 
-def collisions_negligible(
-    saturation: float, params: PhysicalParams, threshold: float = 10.0
-) -> bool:
-    """True when the contact-interaction bound exceeds `threshold`."""
-    return contact_interaction_bound(saturation, params) > threshold
-
-
 def adiabatic_validity(params: PhysicalParams, density: float) -> float:
     """Ratio |Delta_l| / gamma; infinite in the coherent limit gamma = 0."""
     dl = abs(local_detuning(params, density))
@@ -147,11 +148,10 @@ def adiabatic_validity(params: PhysicalParams, density: float) -> float:
     return dl / params.gamma
 
 
-def adiabatically_valid(
-    params: PhysicalParams, density: float, threshold: float = 10.0
-) -> bool:
+def adiabatically_valid(params: PhysicalParams, density: float) -> bool:
     """True when the local detuning dominates spontaneous emission.
 
-    The threshold is a reported convention, not a hard physics constant.
+    Holds when |Delta_l| / gamma >= ADIABATIC_RATIO_MIN, the same rule
+    the regime checks apply.
     """
-    return adiabatic_validity(params, density) > threshold
+    return adiabatic_validity(params, density) >= ADIABATIC_RATIO_MIN

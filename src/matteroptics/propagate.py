@@ -279,6 +279,14 @@ def step(
         # as the first half-step's density
         density = np.abs(state.amplitude) ** 2 / config.transverse_area
         peak_density = float(np.max(density))
+        if not math.isfinite(peak_density):
+            # a field that went non-finite between finite checks is a
+            # numerics failure, not a regime violation
+            raise NumericsError(
+                f"non-finite peak density {peak_density!r} at "
+                f"t = {t0!r} s (z = {params.v_g * t0!r} cm)",
+                time=t0,
+            )
         if not adiabatically_valid(params, peak_density):
             raise PhysicsGuardError(
                 "adiabatic elimination invalid at peak density "

@@ -1,8 +1,9 @@
 """Deterministic single-axis parameter sweeps across the diffraction paths.
 
 Each sweep point rebuilds the full parameter set with one field swapped,
-evaluates the requested diffraction paths, and records cross-path
-discrepancies plus validity flags. Points that fail a physics guard are
+evaluates the requested diffraction paths with diffraction.evaluate_routes
+(the core a diffract run uses), and records the cross-path discrepancy
+plus the models.regime_checks flags. Points that fail a physics guard are
 kept as error rows; only a sweep in which every point fails raises.
 
 Determinism contract: rows are keyed by input index and each point's
@@ -18,27 +19,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
-from .diffraction import (
-    DiffractionPattern,
-    analytic_orders,
-    commensurate_grid,
-    numeric_orders,
-    pattern_discrepancy,
-    propagator_orders,
-)
+from .diffraction import ROUTES, DiffractionPattern, evaluate_routes
 from .errors import ConfigurationError, MatterOpticsError, SweepError
-from .models import characteristic_volume, raman_nath_params
-from .optics import adiabatically_valid
+from .models import regime_checks
 from .serialize import csv_num
 from .units import PhysicalParams, params_to_system
-
-_PATH_ORDER = ("analytic", "numeric", "propagator")
-
-# Validity thresholds. A point is flagged, not rejected: flagged rows
-# still carry numbers, they just fall outside the regime in which the
-# cross-path agreement claims hold.
-_POLE_DISTANCE_MIN = 0.1   # min |1 + V0 rho| and |1 + 2 V0 rho|
-_BROADNESS_MIN = 10.0      # packet width in units of 2 pi / (n k_L)
 
 
 @dataclass(frozen=True)
@@ -67,11 +52,11 @@ class SweepSpec:
         if not all(math.isfinite(v) for v in vals):
             raise ConfigurationError("sweep values must be finite")
         object.__setattr__(self, "values", vals)
-        pth = tuple(p for p in _PATH_ORDER if p in self.paths)
-        unknown = set(self.paths) - set(_PATH_ORDER)
+        pth = tuple(p for p in ROUTES if p in self.paths)
+        unknown = set(self.paths) - set(ROUTES)
         if unknown:
             raise ConfigurationError(
-                f"unknown paths {sorted(unknown)}; choose from {list(_PATH_ORDER)}"
+                f"unknown paths {sorted(unknown)}; choose from {list(ROUTES)}"
             )
         if not pth:
             raise ConfigurationError("at least one path must be selected")
@@ -105,37 +90,19 @@ class SweepRow:
 def _evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
     try:
         point = replace(spec.base, **{spec.axis: value})
-        rn = raman_nath_params(point)
-        patterns: dict[str, DiffractionPattern] = {}
-        if "analytic" in spec.paths:
-            patterns["analytic"] = analytic_orders(rn.tau, spec.q_max)
-        if "numeric" in spec.paths or "propagator" in spec.paths:
-            grid = commensurate_grid(point, spec.grid_points, spec.box_lambdas)
-            if "numeric" in spec.paths:
-                patterns["numeric"] = numeric_orders(point, rn, grid, spec.q_max)
-            if "propagator" in spec.paths:
-                patterns["propagator"] = propagator_orders(
-                    point, grid, spec.q_max, z_steps=spec.z_steps
-                )
-        discrepancy = 0.0
-        names = list(patterns)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                discrepancy = max(
-                    discrepancy, pattern_discrepancy(patterns[a], patterns[b])
-                )
-        v0rho = characteristic_volume(point) * point.rho_0
-        pole_ok = min(abs(1.0 + v0rho), abs(1.0 + 2.0 * v0rho)) >= _POLE_DISTANCE_MIN
-        nk = point.harmonic * point.k_l
-        broadness_ok = point.w_y * nk / (2.0 * math.pi) >= _BROADNESS_MIN
+        rn, patterns, discrepancy = evaluate_routes(
+            point, spec.paths, spec.q_max, spec.grid_points, spec.box_lambdas, spec.z_steps
+        )
+        # flagged, not rejected: a row outside the regime keeps its numbers
+        checks = regime_checks(point, point.rho_0)
         return SweepRow(
             value=value,
             tau=rn.tau,
             patterns=patterns,
             discrepancy=discrepancy,
-            adiabatic_ok=adiabatically_valid(point, point.rho_0),
-            pole_ok=pole_ok,
-            broadness_ok=broadness_ok,
+            adiabatic_ok=checks["adiabatic_ratio"].ok,
+            pole_ok=checks["pole_distance"].ok,
+            broadness_ok=checks["packet_broadness"].ok,
         )
     except MatterOpticsError as exc:
         return SweepRow(

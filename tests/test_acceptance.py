@@ -28,7 +28,6 @@ from matteroptics.cli import main
 from matteroptics.diffraction import (
     analytic_orders,
     commensurate_grid,
-    density_sweep,
     numeric_orders,
     pattern_discrepancy,
     propagator_orders,
@@ -54,6 +53,7 @@ from matteroptics.propagate import (
     propagate_through_laser,
     step,
 )
+from matteroptics.sweep import SweepSpec, run_sweep
 from matteroptics.units import C_LIGHT, HBAR
 
 from conftest import (
@@ -174,26 +174,29 @@ def test_criterion_03_reference_point_cross_validation():
 def test_criterion_04_suppression_and_enhancement():
     # Blue detuning: screening lowers tau, so the undiffracted fraction
     # P0 must grow with density (suppression of the beam splitter).
+    def analytic_sweep(params, densities):
+        spec = SweepSpec(
+            base=params, axis="rho_0", values=tuple(densities),
+            paths=("analytic",), q_max=3,
+        )
+        return run_sweep(spec)
+
     blue = with_g0(make_params(), 1.0)
     v0_blue = characteristic_volume(blue)
-    rows_blue = density_sweep(
-        blue, [x / v0_blue for x in np.linspace(0.0, 1.0, 11)], 3
-    )
+    rows_blue = analytic_sweep(blue, [x / v0_blue for x in np.linspace(0.0, 1.0, 11)])
     assert all(row.error is None for row in rows_blue)
     taus = [row.tau for row in rows_blue]
-    p0s = [row.probabilities[0] for row in rows_blue]
+    p0s = [row.patterns["analytic"].orders[0] for row in rows_blue]
     tau_falls = all(b < a + 1e-12 for a, b in zip(taus, taus[1:])) and taus[-1] < taus[0]
     p0_grows = all(b > a - 1e-12 for a, b in zip(p0s, p0s[1:]))
 
     # Red detuning: |tau| grows with density (enhancement), P0 falls.
     red = with_g0(red_detuned(make_params()), -0.25)
     v0_red = characteristic_volume(red)
-    rows_red = density_sweep(
-        red, [x / v0_red for x in np.linspace(0.0, -0.45, 10)], 3
-    )
+    rows_red = analytic_sweep(red, [x / v0_red for x in np.linspace(0.0, -0.45, 10)])
     assert all(row.error is None for row in rows_red)
     abs_taus = [abs(row.tau) for row in rows_red]
-    p0s_red = [row.probabilities[0] for row in rows_red]
+    p0s_red = [row.patterns["analytic"].orders[0] for row in rows_red]
     tau_grows = (
         all(b > a - 1e-12 for a, b in zip(abs_taus, abs_taus[1:]))
         and abs_taus[-1] > abs_taus[0]

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import pytest
 from matteroptics import characteristic_volume, cli, propagate
 from matteroptics.cli import main
 from matteroptics.diffraction import analytic_orders
-from matteroptics.errors import NumericsError
+from matteroptics.errors import NumericsError, PhysicsGuardError
+from matteroptics.units import detuning
 
 from conftest import (
     make_params,
@@ -184,6 +186,51 @@ class TestValidity:
         assert all(c["ok"] for c in report["checks"])
 
 
+def _gamma_at_ratio_ten(params):
+    """A linewidth at which |Delta| / gamma is exactly 10.0 in floating point."""
+    delta = abs(detuning(params))
+    gamma = delta / 10.0
+    for _ in range(64):
+        ratio = delta / gamma
+        if ratio == 10.0:
+            return gamma
+        gamma = math.nextafter(gamma, math.inf if ratio > 10.0 else 0.0)
+    raise AssertionError("no linewidth gives a ratio of exactly 10")
+
+
+def test_adiabatic_ratio_of_exactly_ten_passes_everywhere(capsys, tmp_path):
+    # validity, the sweep flag and the propagator guard share one rule:
+    # ok when |Delta_l| / gamma >= 10, so exactly 10 passes all three
+    base = make_params()
+    at_ten = replace(base, gamma=_gamma_at_ratio_ten(base))
+    below = replace(at_ten, gamma=math.nextafter(at_ten.gamma, math.inf))
+    grid = propagate.Grid1D(1024, -1.0e-2, 1.0e-2)
+    tracer = propagate.init_gaussian(grid, 0.0, 1.0e-3, math.inf)  # density 0
+    config = propagate.PropagationConfig(
+        dt=1.0e-6, n_steps=1, kinetic_enabled=False, transverse_area=math.inf
+    )
+    for params, ok in ((at_ten, True), (below, False)):
+        path = write_params(tmp_path, params)
+        code, out, _ = run(
+            capsys, "validity", "--params", path, "--saturation", "1.0", "--format", "json"
+        )
+        check = json.loads(out)["checks"][0]
+        assert check["name"] == "adiabatic_ratio"
+        assert (check["value"] == 10.0) is ok and (check["value"] < 10.0) is not ok
+        assert check["ok"] is ok
+        assert code == (0 if ok else 2)
+
+        code, out, _ = run(capsys, "sweep", "--params", path, "--values", "0", "--q-max", "2")
+        assert out.splitlines()[1].split(",")[-4] == ("true" if ok else "false")
+        assert code == (0 if ok else 2)
+
+        if ok:
+            propagate.step(tracer, config, params)
+        else:
+            with pytest.raises(PhysicsGuardError, match="adiabatic"):
+                propagate.step(tracer, config, params)
+
+
 class TestDiffract:
     def test_analytic_csv(self, capsys, tmp_path):
         path = write_params(tmp_path, with_g0(make_params(), 2.0))
@@ -243,6 +290,22 @@ class TestDiffract:
         )
         assert code == 1
         assert "q_max" in err
+
+    def test_diffract_is_a_one_point_sweep(self, capsys, tmp_path):
+        p = with_g0(make_params(), 2.0)
+        path = write_params(tmp_path, p)
+        rho = repr(with_v0rho(p, 0.3).rho_0)
+        grid = ("--q-max", "5", "--grid-points", "1024", "--box-lambdas", "32",
+                "--steps", "64", "--paths", "all", "--format", "json")
+        code, out, _ = run(capsys, "diffract", "--params", path, "--density", rho, *grid)
+        assert code == 0
+        point = json.loads(out)
+        code, out, _ = run(capsys, "sweep", "--params", path, "--values", rho, *grid)
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["tau"] == point["tau"]
+        assert row["orders"] == point["orders"]
+        assert row["discrepancy"] == point["discrepancy"] > 0.0
 
     def test_bad_path_selection(self, capsys, params_file):
         code, _, err = run(
@@ -361,6 +424,63 @@ class TestPropagate:
         propagate.write_state_csv(states[5], math.inf, expected)
         with open(f"{prefix}_state_lastgood.csv", encoding="utf-8") as fh:
             assert fh.read() == expected.getvalue()
+
+
+    def _poison(self, monkeypatch, at_step):
+        """Make step number at_step return a NaN field; returns every state."""
+        real_step = propagate.step
+        states = []
+
+        def poisoned_step(state, config, params, invariants=None):
+            out = real_step(state, config, params, invariants)
+            if len(states) == at_step - 1:
+                out = propagate.WaveState(out.grid, out.amplitude * np.nan, out.time)
+            states.append(out)
+            return out
+
+        monkeypatch.setattr(propagate, "step", poisoned_step)
+        return states
+
+    def test_nan_between_checks_takes_the_rescue_path(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Poisoned at step 7 with checks every 3 steps: step 8's adiabatic
+        # guard sees the NaN first and must report a numerics failure, so
+        # the rescue holds step 6.
+        path, _ = self._params_path(tmp_path)
+        prefix = str(tmp_path / "bad")
+        monkeypatch.setattr(propagate, "_FINITE_CHECK_INTERVAL", 3)
+        states = self._poison(monkeypatch, 7)
+        code, _, err = run(
+            capsys, "propagate", "--params", path, "--out", prefix,
+            "--grid-points", "1024", "--box-lambdas", "32", "--steps", "16",
+        )
+        assert code == 2
+        assert "numerics failure" in err and "physics guard" not in err
+        assert "(step 6)" in err
+        expected = io.StringIO()
+        propagate.write_state_csv(states[5], math.inf, expected)
+        with open(f"{prefix}_state_lastgood.csv", encoding="utf-8") as fh:
+            assert fh.read() == expected.getvalue()
+
+    def test_nan_on_a_snapshot_step_takes_the_rescue_path(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path, _ = self._params_path(tmp_path)
+        prefix = str(tmp_path / "bad")
+        self._poison(monkeypatch, 4)
+        code, _, err = run(
+            capsys, "propagate", "--params", path, "--out", prefix,
+            "--grid-points", "1024", "--box-lambdas", "32",
+            "--steps", "16", "--snapshots", "4",
+        )
+        assert code == 2
+        assert "numerics failure" in err and "snapshot step 4" in err
+        assert "(step 0)" in err
+        assert os.path.exists(f"{prefix}_state_lastgood.csv")
+        assert sorted(os.listdir(tmp_path)) == [
+            "bad_state_000000.csv", "bad_state_lastgood.csv", "p.params",
+        ]
 
 
 class TestBloch:

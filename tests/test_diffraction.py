@@ -6,8 +6,8 @@ silent drift, while the physics tolerances come from the route
 derivations themselves.
 """
 
-import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,19 +16,19 @@ import scipy.special
 from matteroptics.diffraction import (
     DiffractionPattern,
     analytic_orders,
+    ROUTES,
     commensurate_grid,
-    density_sweep,
-    density_sweep_report,
     diffraction_angles,
     effective_wavelength,
+    evaluate_routes,
     numeric_orders,
     pattern_discrepancy,
     phase_profile,
     propagator_orders,
-    write_density_sweep_csv,
 )
 from matteroptics.errors import ConfigurationError, ParameterError, PoleError
 from matteroptics.models import ModelKind, raman_nath_params
+from matteroptics.sweep import SweepSpec, run_sweep, sweep_report
 from matteroptics.units import HBAR
 
 from conftest import make_params, red_detuned, with_g0, with_v0rho, with_wy_lambdas
@@ -289,12 +289,65 @@ class TestPropagatorOrders:
         assert against_bare < 0.05 * against_screened
 
 
+class TestEvaluateRoutes:
+    def test_patterns_match_the_routes_called_directly(self):
+        p = _reference(g0=2.0, v0rho=0.3)
+        rn, patterns, discrepancy = evaluate_routes(
+            p, ("propagator", "analytic", "numeric"), 7, 1024, 32.0, 64
+        )
+        assert rn == raman_nath_params(p)
+        assert tuple(patterns) == ROUTES
+        grid = commensurate_grid(p, 1024, 32.0)
+        direct = {
+            "analytic": analytic_orders(rn.tau, 7),
+            "numeric": numeric_orders(p, rn, grid, 7),
+            "propagator": propagator_orders(p, grid, 7, z_steps=64),
+        }
+        for name in ROUTES:
+            assert patterns[name].orders == direct[name].orders
+        pairs = [(a, b) for i, a in enumerate(ROUTES) for b in ROUTES[i + 1 :]]
+        assert discrepancy == max(
+            pattern_discrepancy(direct[a], direct[b]) for a, b in pairs
+        )
+
+    def test_single_route_has_zero_discrepancy(self):
+        p = _reference(g0=1.0)
+        _, patterns, discrepancy = evaluate_routes(p, ("analytic",), 3, 1024, 32.0, 64)
+        assert list(patterns) == ["analytic"]
+        assert discrepancy == 0.0
+
+    def test_model_reaches_the_propagator(self):
+        p = _reference(g0=1.0, v0rho=0.4)
+        _, patterns, _ = evaluate_routes(
+            p, ("propagator",), 7, 1024, 32.0, 512, model=ModelKind.SINGLE_PARTICLE
+        )
+        grid = commensurate_grid(p, 1024, 32.0)
+        want = propagator_orders(p, grid, 7, z_steps=512, model=ModelKind.SINGLE_PARTICLE)
+        assert patterns["propagator"].orders == want.orders
+
+    def test_guard_raises(self):
+        p = with_g0(red_detuned(make_params()), -1.0)
+        pole = replace(p, rho_0=-1.0 / raman_nath_params(p).v0)
+        with pytest.raises(PoleError):
+            evaluate_routes(pole, ROUTES, 3, 1024, 32.0, 64)
+
+
+def _density_sweep(params, densities, q_max):
+    spec = SweepSpec(
+        base=params, axis="rho_0", values=tuple(densities),
+        paths=("analytic",), q_max=q_max,
+    )
+    return spec, run_sweep(spec)
+
+
 class TestDensitySweep:
+    """The analytic density sweep, run as a one-route run_sweep."""
+
     def test_tau_strictly_decreases_blue(self):
         p = with_g0(make_params(), 1.0)
         rho_star = 1.0 / raman_nath_params(p).v0
         densities = [f * rho_star for f in np.linspace(0.0, 1.0, 11)]
-        rows = density_sweep(p, densities, 5)
+        _, rows = _density_sweep(p, densities, 5)
         taus = [r.tau for r in rows]
         assert all(r.error is None for r in rows)
         assert all(b < a for a, b in zip(taus, taus[1:]))
@@ -302,33 +355,21 @@ class TestDensitySweep:
     def test_pole_point_becomes_error_row(self):
         p = with_g0(red_detuned(make_params()), -1.0)
         rho_pole = -1.0 / raman_nath_params(p).v0
-        rows = density_sweep(p, [0.0, rho_pole, 0.5 * rho_pole], 4)
+        _, rows = _density_sweep(p, [0.0, rho_pole, 0.5 * rho_pole], 4)
         assert rows[0].error is None
-        assert rows[1].error is not None and rows[1].probabilities is None
+        assert rows[1].error is not None and rows[1].patterns is None
         assert rows[2].error is None
 
     def test_invalid_density_becomes_error_row(self):
-        rows = density_sweep(with_g0(make_params(), 1.0), [-5.0], 3)
-        assert rows[0].error is not None
-
-    def test_empty_sweep_rejected(self):
-        with pytest.raises(ConfigurationError, match="nonempty"):
-            density_sweep(make_params(), [], 3)
-
-    def test_csv_layout(self):
-        p = with_g0(red_detuned(make_params()), -1.0)
-        rho_pole = -1.0 / raman_nath_params(p).v0
-        rows = density_sweep(p, [0.0, rho_pole], 3)
-        buf = io.StringIO()
-        write_density_sweep_csv(rows, 3, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "rho_0,tau,P_0,P_1,P_2,P_3"
-        assert all(len(ln.split(",")) == 6 for ln in lines[1:])
-        assert lines[2].split(",")[1] == ""  # pole row keeps blanks
+        _, rows = _density_sweep(with_g0(make_params(), 1.0), [0.0, -5.0], 3)
+        assert rows[0].error is None
+        assert rows[1].error is not None
 
     def test_report_shape(self):
         p = with_g0(make_params(), 1.0)
-        report = density_sweep_report(density_sweep(p, [0.0, 1.0e15], 2))
-        assert set(report[0]) == {"rho_0", "tau", "orders"}
-        assert set(report[0]["orders"]) == {"-2", "-1", "0", "1", "2"}
-        assert report[0]["orders"]["2"] == report[0]["orders"]["-2"]
+        spec, rows = _density_sweep(p, [0.0, 1.0e15], 2)
+        report = sweep_report(spec, rows, {})
+        orders = report["rows"][0]["orders"]["analytic"]
+        assert set(orders) == {"-2", "-1", "0", "1", "2"}
+        assert orders["2"] == orders["-2"]
+        assert orders["1"] == orders["-1"]

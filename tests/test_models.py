@@ -12,9 +12,10 @@ from matteroptics.models import (
     characteristic_volume,
     effective_potential,
     raman_nath_params,
+    regime_checks,
     significant_density,
 )
-from matteroptics.optics import polarizability
+from matteroptics.optics import adiabatic_validity, polarizability
 from matteroptics.units import HBAR, detuning
 
 from conftest import make_params, red_detuned, with_g0, with_v0rho
@@ -175,3 +176,23 @@ def test_significant_density():
         (abs(detuning(p)) / p.gamma) * p.k_l**3 / math.pi, rel=1e-15
     )
     assert significant_density(make_params(gamma=0.0)).scaling is None
+
+
+class TestRegimeChecks:
+    def test_values_thresholds_and_order(self):
+        p = make_params()
+        rho = with_v0rho(p, 0.25).rho_0
+        checks = regime_checks(p, rho)
+        assert list(checks) == ["adiabatic_ratio", "pole_distance", "packet_broadness"]
+        v0rho = characteristic_volume(p) * rho
+        assert checks["adiabatic_ratio"].value == adiabatic_validity(p, rho)
+        assert checks["pole_distance"].value == min(abs(1.0 + v0rho), abs(1.0 + 2.0 * v0rho))
+        assert checks["packet_broadness"].value == pytest.approx(50.0, rel=1e-4)
+        assert [c.threshold for c in checks.values()] == [10.0, 0.1, 10.0]
+        assert all(c.ok and c.error is None for c in checks.values())
+
+    def test_unevaluable_check_is_an_error_entry(self):
+        p = make_params(omega_l=make_params().omega_a)  # zero detuning
+        pole = regime_checks(p, 1.0e12)["pole_distance"]
+        assert pole.value is None and pole.ok is False
+        assert "zero detuning" in pole.error

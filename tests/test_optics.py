@@ -10,7 +10,6 @@ from matteroptics.errors import ParameterError, PoleError, SingularDetuningError
 from matteroptics.optics import (
     adiabatic_validity,
     adiabatically_valid,
-    collisions_negligible,
     contact_interaction_bound,
     local_detuning,
     local_field,
@@ -149,16 +148,6 @@ def test_contact_bound_input_guards():
         contact_interaction_bound(0.0, p)
     with pytest.raises(ParameterError, match="scattering_length"):
         contact_interaction_bound(1.0, make_params(scattering_length=-1.0e-7))
-
-
-def test_collisions_negligible_threshold():
-    p = make_params(
-        scattering_length=1.0e-7,
-        omega_a=1.0e5 * C_LIGHT,
-        omega_l=1.0e5 * C_LIGHT + 1.0e9,
-    )
-    assert collisions_negligible(1.0, p)  # bound 37.5 > 10
-    assert not collisions_negligible(0.01, p)  # bound 0.375
 
 
 def test_adiabatic_validity():
