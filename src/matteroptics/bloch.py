@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
     ConfigurationError,
@@ -88,22 +88,18 @@ def inversion_drive_term(drive: complex, coherence: complex) -> float:
     return (1j * (drive * coherence.conjugate() - drive.conjugate() * coherence)).real
 
 
-def bloch_rhs(
-    state: BlochState, drive: complex, detuning: float, rates: BlochRates
-) -> tuple[complex, float]:
-    """(dR/dt, dW/dt) at the given state."""
-    r = state.coherence
-    w = state.inversion
+def _derivative(r, w, drive, detuning, rates):
+    # (dR/dt, dW/dt) of coherence r and inversion w; bloch_rhs and integrate share it
     dr = (1j * detuning - rates.gamma_t) * r - 0.5j * drive * w
     dw = -rates.gamma_l * (1.0 + w) + 2.0 * (drive.conjugate() * r).imag
     return dr, dw
 
 
-def _as_drive_function(drive) -> Callable[[float], complex]:
-    if callable(drive):
-        return drive
-    value = complex(drive)
-    return lambda t: value
+def bloch_rhs(
+    state: BlochState, drive: complex, detuning: float, rates: BlochRates
+) -> tuple[complex, float]:
+    """(dR/dt, dW/dt) at the given state."""
+    return _derivative(state.coherence, state.inversion, drive, detuning, rates)
 
 
 def integrate(
@@ -130,27 +126,23 @@ def integrate(
             f"dt*max(|detuning|, rates) = {dt * fastest!r} exceeds 0.1; "
             "reduce dt for a resolved trajectory"
         )
-    omega = _as_drive_function(drive)
-
-    def rhs(r, w, t):
-        om = omega(t)
-        dr = (1j * detuning - rates.gamma_t) * r - 0.5j * om * w
-        dw = -rates.gamma_l * (1.0 + w) + 2.0 * (om.conjugate() * r).imag
-        return dr, dw
+    omega = drive if callable(drive) else (lambda t, value=complex(drive): value)
 
     trajectory = [initial]
     r = complex(initial.coherence)
     w = float(initial.inversion)
     t = initial.time
     for i in range(n_steps):
-        if dt * abs(omega(t)) > 0.1:
-            raise ConfigurationError(
-                f"dt*|drive| = {dt * abs(omega(t))!r} exceeds 0.1 at step {i}"
-            )
-        k1r, k1w = rhs(r, w, t)
-        k2r, k2w = rhs(r + 0.5 * dt * k1r, w + 0.5 * dt * k1w, t + 0.5 * dt)
-        k3r, k3w = rhs(r + 0.5 * dt * k2r, w + 0.5 * dt * k2w, t + 0.5 * dt)
-        k4r, k4w = rhs(r + dt * k3r, w + dt * k3w, t + dt)
+        # the drive is sampled once per stage time; stages 2 and 3 share one
+        om0 = omega(t)
+        if dt * abs(om0) > 0.1:
+            raise ConfigurationError(f"dt*|drive| = {dt * abs(om0)!r} exceeds 0.1 at step {i}")
+        om_half = omega(t + 0.5 * dt)
+        om1 = omega(t + dt)
+        k1r, k1w = _derivative(r, w, om0, detuning, rates)
+        k2r, k2w = _derivative(r + 0.5 * dt * k1r, w + 0.5 * dt * k1w, om_half, detuning, rates)
+        k3r, k3w = _derivative(r + 0.5 * dt * k2r, w + 0.5 * dt * k2w, om_half, detuning, rates)
+        k4r, k4w = _derivative(r + dt * k3r, w + dt * k3w, om1, detuning, rates)
         r = r + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         w = w + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
         t = initial.time + (i + 1) * dt

@@ -31,18 +31,22 @@ from . import __version__
 from .bloch import (
     BlochRates,
     BlochState,
-    bloch_rhs,
     integrate,
     local_rabi,
     steady_state,
     write_trajectory_csv,
 )
 from .diffraction import (
+    DEFAULT_BOX_LAMBDAS,
+    DEFAULT_GRID_POINTS,
+    DEFAULT_Z_STEPS,
     ROUTES,
     commensurate_grid,
+    default_q_max,
     diffraction_angles,
     effective_wavelength,
     evaluate_routes,
+    order_spacing,
 )
 from .errors import (
     ConfigurationError,
@@ -56,7 +60,6 @@ from .models import (
     ModelKind,
     RegimeCheck,
     characteristic_volume,
-    raman_nath_params,
     regime_checks,
     significant_density,
 )
@@ -150,14 +153,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="which evaluation paths to run",
     )
     p.add_argument("--q-max", type=int, help="highest order (default: auto)")
-    p.add_argument("--grid-points", type=int, default=4096, help="grid size (power of two)")
+    p.add_argument(
+        "--grid-points", type=int, default=DEFAULT_GRID_POINTS, help="grid size (power of two)"
+    )
     p.add_argument(
         "--box-lambdas",
         type=float,
-        default=128.0,
+        default=DEFAULT_BOX_LAMBDAS,
         help="grid span in effective wavelengths (multiple of 0.5)",
     )
-    p.add_argument("--steps", type=int, default=2048, help="propagator z-steps")
+    p.add_argument("--steps", type=int, default=DEFAULT_Z_STEPS, help="propagator z-steps")
     p.add_argument(
         "--model",
         choices=[k.value for k in ModelKind],
@@ -168,13 +173,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("propagate", help="split-step run through the laser region")
     _add_common(p)
-    p.add_argument("--grid-points", type=int, default=4096)
+    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     p.add_argument(
         "--box-lambdas",
         type=float,
         help="grid span in effective wavelengths (default: fits the packet)",
     )
-    p.add_argument("--steps", type=int, default=2048, help="time steps across the region")
+    p.add_argument(
+        "--steps", type=int, default=DEFAULT_Z_STEPS, help="time steps across the region"
+    )
     p.add_argument(
         "--kinetic",
         action=argparse.BooleanOptionalAction,
@@ -231,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--paths", default="analytic", help="comma list of analytic,numeric,propagator or 'all'"
     )
     p.add_argument("--q-max", type=int, help="highest order (default: auto)")
-    p.add_argument("--grid-points", type=int, default=4096)
-    p.add_argument("--box-lambdas", type=float, default=128.0)
-    p.add_argument("--steps", type=int, default=2048, help="propagator z-steps")
+    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
+    p.add_argument("--box-lambdas", type=float, default=DEFAULT_BOX_LAMBDAS)
+    p.add_argument("--steps", type=int, default=DEFAULT_Z_STEPS, help="propagator z-steps")
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -287,19 +294,6 @@ def _default_saturation(args, pf: ParamFile) -> float:
             "cannot derive the default saturation at zero detuning; pass --saturation"
         )
     return (pf.params.rabi_peak / delta) ** 2
-
-
-def _grid_capacity(n_points: int, box_lambdas: float) -> int:
-    """Highest order that fits the spectral range of a commensurate grid."""
-    half_periods = round(box_lambdas * 2.0)
-    return (n_points - half_periods) // (2 * half_periods)
-
-
-def _auto_q_max(tau: float, args, paths: tuple[str, ...]) -> int:
-    q = math.ceil(abs(tau)) + 30
-    if "numeric" in paths or "propagator" in paths:
-        q = min(q, max(_grid_capacity(args.grid_points, args.box_lambdas), 0))
-    return q
 
 
 def _kv_csv(rows: list[tuple[str, object]], errors: dict[str, str]) -> str:
@@ -425,7 +419,7 @@ def cmd_diffract(args) -> int:
     paths = _selected_paths(args.paths)
     q_max = args.q_max
     if q_max is None:
-        q_max = _auto_q_max(raman_nath_params(p).tau, args, paths)
+        q_max = default_q_max(p, paths, args.grid_points, args.box_lambdas)
     rn, patterns, discrepancy = evaluate_routes(
         p, paths, q_max, args.grid_points, args.box_lambdas, args.steps,
         model=ModelKind.from_name(args.model),
@@ -483,8 +477,10 @@ def cmd_propagate(args) -> int:
     lam = effective_wavelength(p)
     box = args.box_lambdas
     if box is None:
-        # smallest half-period multiple that clears the packet-width guard
-        box = max(128.0, 0.5 * math.ceil(13.0 * p.w_y / lam))
+        # smallest half-period multiple spanning 6.5 w_y: the packet
+        # clears the w_y < length/6 guard, and |psi|^2 at the box edge
+        # is at most e^-10.6 of its peak
+        box = max(DEFAULT_BOX_LAMBDAS, 0.5 * math.ceil(13.0 * p.w_y / lam))
     grid = commensurate_grid(p, args.grid_points, box)
 
     if args.area is None:
@@ -557,16 +553,10 @@ def cmd_propagate(args) -> int:
 
     final_norm = norm(final)
     drift = abs(final_norm / initial_norm - 1.0)
-    k_unit = 2.0 * p.harmonic * p.k_l
-    cap = max(_grid_capacity(args.grid_points, box), 0)
-    if args.q_max is not None:
-        q_max = args.q_max
-    else:
-        try:
-            q_max = min(math.ceil(abs(raman_nath_params(p).tau)) + 30, cap)
-        except MatterOpticsError:
-            q_max = cap
-    pattern = momentum_spectrum(final, k_unit, q_max)
+    q_max = args.q_max
+    if q_max is None:
+        q_max = default_q_max(p, ("propagator",), args.grid_points, box)
+    pattern = momentum_spectrum(final, order_spacing(p), q_max)
     angles = diffraction_angles(p, q_max)
 
     scalars = [
@@ -614,16 +604,15 @@ def cmd_propagate(args) -> int:
 
 def cmd_bloch(args) -> int:
     drive = complex(args.drive_re, args.drive_im)
-    if args.detuning is not None:
-        delta = args.detuning
-    else:
-        if args.params is None:
-            raise ParameterError("provide --detuning or --params to derive it")
-        delta = detuning(_load_params(args).params)
-    if args.density is not None:
-        if args.params is None:
-            raise ParameterError("--density needs --params for the medium constants")
+    pf = None
+    if args.params is not None and (args.detuning is None or args.density is not None):
         pf = _load_params(args)
+    if args.detuning is None and pf is None:
+        raise ParameterError("provide --detuning or --params to derive it")
+    delta = args.detuning if args.detuning is not None else detuning(pf.params)
+    if args.density is not None:
+        if pf is None:
+            raise ParameterError("--density needs --params for the medium constants")
         rho = convert_field(args.density, "rho_0", pf.units, "cgs")
         drive = local_rabi(drive, pf.params, rho, corrected=args.local_field)
 
@@ -705,14 +694,9 @@ def cmd_sweep(args) -> int:
     values = [convert_field(v, args.axis, pf.units, "cgs") for v in raw]
 
     paths = _selected_paths(args.paths)
-    if args.q_max is not None:
-        q_max = args.q_max
-    else:
-        try:
-            tau = raman_nath_params(pf.params).tau
-        except MatterOpticsError:
-            tau = 0.0
-        q_max = _auto_q_max(tau, args, paths)
+    q_max = args.q_max
+    if q_max is None:
+        q_max = default_q_max(pf.params, paths, args.grid_points, args.box_lambdas)
 
     spec = SweepSpec(
         base=pf.params,

@@ -26,15 +26,22 @@ point go through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .bessel import bessel_j_sequence
-from .errors import ConfigurationError, ParameterError, PoleError
+from .errors import ConfigurationError, MatterOpticsError, ParameterError, PoleError
 from .models import ModelKind, RamanNathParams, raman_nath_params
-from .propagate import Grid1D, PropagationConfig, WaveState, momentum_spectrum, propagate_through_laser
+from .propagate import (
+    Grid1D,
+    PropagationConfig,
+    WaveState,
+    momentum_spectrum,
+    order_capacity,
+    propagate_through_laser,
+)
 from .units import HBAR, PhysicalParams
 
 _PROB_SLACK = 1e-9  # roundoff headroom on probabilities and their sum
@@ -43,20 +50,21 @@ _PROB_SLACK = 1e-9  # roundoff headroom on probabilities and their sum
 # discrepancy all follow it.
 ROUTES = ("analytic", "numeric", "propagator")
 
+# The default grid of the grid routes: points, span in effective
+# wavelengths, and propagator z-steps.
+DEFAULT_GRID_POINTS = 4096
+DEFAULT_BOX_LAMBDAS = 128.0
+DEFAULT_Z_STEPS = 2048
+
 
 @dataclass(frozen=True)
 class DiffractionPattern:
-    """Order populations P_q and deflection angles over q in [-q_max, q_max].
+    """Order populations P_q over q in [-q_max, q_max].
 
-    orders must cover a contiguous symmetric range of integers. tau is
-    the series argument when the pattern came from the analytic route,
-    None for grid-extracted patterns. angles may be empty (the series
-    route knows nothing about the beam geometry).
+    orders must cover a contiguous symmetric range of integers.
     """
 
     orders: Mapping[int, float]
-    angles: Mapping[int, float]
-    tau: float | None = None
 
     def __post_init__(self):
         if not self.orders:
@@ -138,7 +146,7 @@ def analytic_orders(tau: float, q_max: int) -> DiffractionPattern:
         p = float(j[q]) ** 2
         orders[q] = p
         orders[-q] = p
-    return DiffractionPattern(orders=orders, angles={}, tau=tau)
+    return DiffractionPattern(orders=orders)
 
 
 def diffraction_angles(params: PhysicalParams, q_max: int) -> dict[int, float]:
@@ -159,9 +167,12 @@ def effective_wavelength(params: PhysicalParams) -> float:
     return 2.0 * math.pi / (params.harmonic * params.k_l)
 
 
-def commensurate_grid(
-    params: PhysicalParams, n_points: int = 4096, box_lambdas: float = 128.0
-) -> Grid1D:
+def order_spacing(params: PhysicalParams) -> float:
+    """2 n k_L: the transverse wavenumber between neighbouring orders, 1/cm."""
+    return 2.0 * params.harmonic * params.k_l
+
+
+def commensurate_grid(params: PhysicalParams, n_points: int, box_lambdas: float) -> Grid1D:
     """Symmetric grid commensurate with the order spacing 2 n k_L.
 
     The box spans box_lambdas effective wavelengths; it must be a whole
@@ -206,16 +217,14 @@ def numeric_orders(
     y = grid.points()
     psi = _packet_amplitude(grid, params) * np.exp(-1j * phase_profile(y, params, rn))
     state = WaveState(grid=grid, amplitude=psi, time=0.0)
-    k_unit = 2.0 * params.harmonic * params.k_l
-    pattern = momentum_spectrum(state, k_unit, q_max)
-    return replace(pattern, angles=diffraction_angles(params, q_max))
+    return momentum_spectrum(state, order_spacing(params), q_max)
 
 
 def propagator_orders(
     params: PhysicalParams,
     grid: Grid1D,
     q_max: int,
-    z_steps: int = 2048,
+    z_steps: int,
     model: ModelKind = ModelKind.FULL,
 ) -> DiffractionPattern:
     """Split-step transit with the kinetic term disabled (beam-splitter regime).
@@ -240,9 +249,31 @@ def propagator_orders(
         transverse_area=area,
     )
     final = propagate_through_laser(state, config, params)
-    k_unit = 2.0 * params.harmonic * params.k_l
-    pattern = momentum_spectrum(final, k_unit, q_max)
-    return replace(pattern, angles=diffraction_angles(params, q_max))
+    return momentum_spectrum(final, order_spacing(params), q_max)
+
+
+def default_q_max(
+    point: PhysicalParams, routes: Sequence[str], grid_points: int, box_lambdas: float
+) -> int:
+    """Highest order reported when none is asked for: ceil(|tau|) + 30.
+
+    tau is taken as 0 when the point has none. When a grid route runs,
+    the result is capped at the grid's capacity (and kept >= 0); a grid
+    that cannot be built is left for the run to reject.
+    """
+    try:
+        tau = raman_nath_params(point).tau
+    except MatterOpticsError:
+        tau = 0.0
+    q_max = math.ceil(abs(tau)) + 30
+    if "numeric" in routes or "propagator" in routes:
+        try:
+            grid = commensurate_grid(point, grid_points, box_lambdas)
+        except ConfigurationError:
+            return q_max
+        _, capacity = order_capacity(grid, order_spacing(point))
+        q_max = min(q_max, max(capacity, 0))
+    return q_max
 
 
 def evaluate_routes(
@@ -272,9 +303,7 @@ def evaluate_routes(
         if "numeric" in selected:
             patterns["numeric"] = numeric_orders(point, rn, grid, q_max)
         if "propagator" in selected:
-            patterns["propagator"] = propagator_orders(
-                point, grid, q_max, z_steps=z_steps, model=model
-            )
+            patterns["propagator"] = propagator_orders(point, grid, q_max, z_steps, model=model)
     discrepancy = 0.0
     for i, a in enumerate(selected):
         for b in selected[i + 1 :]:

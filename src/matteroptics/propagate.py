@@ -345,26 +345,17 @@ def propagate_through_laser(
     )
 
 
-def momentum_spectrum(state: WaveState, k_unit: float, q_max: int):
-    """Diffraction-order probabilities from the spectral power.
-
-    Every spectral mode is assigned to its nearest multiple of k_unit
-    (windows of +-k_unit/2); window powers are normalized by the total
-    power so the sum over all orders is 1. Returns orders |q| <= q_max.
+def order_capacity(grid: Grid1D, k_unit: float) -> tuple[int, int]:
+    """(M, capacity): spectral modes per order and the highest order that fits.
 
     k_unit must align with the discrete modes: k_unit * length / (2 pi)
-    must be an integer M >= 1, and (q_max + 1/2) M must fit inside the
-    Nyquist range.
+    must be an integer M >= 1. Order q's window reaches (q + 1/2) M
+    modes from zero and must stay inside the Nyquist range n/2, so the
+    capacity is floor((n - M) / (2 M)), or -1 when not even order 0 fits.
     """
-    from .diffraction import DiffractionPattern  # deferred: avoids an import cycle
-
-    if q_max < 0:
-        raise ConfigurationError(f"q_max must be nonnegative, got {q_max}")
     if not (k_unit > 0.0 and math.isfinite(k_unit)):
         raise ConfigurationError(f"k_unit must be positive and finite, got {k_unit!r}")
-    n = state.grid.n_points
-    length = state.grid.length
-    m_exact = k_unit * length / (2.0 * math.pi)
+    m_exact = k_unit * grid.length / (2.0 * math.pi)
     m = round(m_exact)
     if m < 1 or abs(m_exact - m) > 1e-9 * max(1.0, m_exact):
         suggested = max(1, round(m_exact)) * 2.0 * math.pi / k_unit
@@ -373,12 +364,29 @@ def momentum_spectrum(state: WaveState, k_unit: float, q_max: int):
             f"= {m_exact!r} must be an integer; nearest compatible length = "
             f"{suggested!r} cm"
         )
-    if (q_max + 0.5) * m > n / 2:
-        q_fit = int((n / 2) / m - 0.5)
+    return m, (grid.n_points - m) // (2 * m)
+
+
+def momentum_spectrum(state: WaveState, k_unit: float, q_max: int):
+    """Diffraction-order probabilities from the spectral power.
+
+    Every spectral mode is assigned to its nearest multiple of k_unit
+    (windows of +-k_unit/2); window powers are normalized by the total
+    power so the sum over all orders is 1. Returns orders |q| <= q_max,
+    which must not exceed the grid's order_capacity.
+    """
+    from .diffraction import DiffractionPattern  # deferred: avoids an import cycle
+
+    if q_max < 0:
+        raise ConfigurationError(f"q_max must be nonnegative, got {q_max}")
+    n = state.grid.n_points
+    m, capacity = order_capacity(state.grid, k_unit)
+    if q_max > capacity:
+        supported = f"q_max <= {capacity}" if capacity >= 0 else "no complete order window"
         raise ConfigurationError(
             f"q_max = {q_max} does not fit in the spectral range: "
-            f"(q_max + 1/2)*{m} must be <= {n // 2}; this grid supports "
-            f"q_max <= {q_fit} (use more grid points for more orders)"
+            f"(q_max + 1/2)*{m} must be <= {n // 2}; this grid supports {supported} "
+            "(use more grid points for more orders)"
         )
 
     power = np.abs(np.fft.fft(state.amplitude)) ** 2
@@ -393,7 +401,7 @@ def momentum_spectrum(state: WaveState, k_unit: float, q_max: int):
     for q in range(-q_max, q_max + 1):
         idx = q - q_lo
         orders[q] = float(sums[idx]) / total if 0 <= idx < len(sums) else 0.0
-    return DiffractionPattern(orders=orders, angles={}, tau=None)
+    return DiffractionPattern(orders=orders)
 
 
 def write_state_csv(state: WaveState, transverse_area: float, fh) -> None:

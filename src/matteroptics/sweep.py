@@ -19,7 +19,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
-from .diffraction import ROUTES, DiffractionPattern, evaluate_routes
+from .diffraction import (
+    DEFAULT_BOX_LAMBDAS,
+    DEFAULT_GRID_POINTS,
+    DEFAULT_Z_STEPS,
+    ROUTES,
+    DiffractionPattern,
+    evaluate_routes,
+)
 from .errors import ConfigurationError, MatterOpticsError, SweepError
 from .models import regime_checks
 from .serialize import csv_num
@@ -35,9 +42,9 @@ class SweepSpec:
     values: tuple[float, ...]
     paths: tuple[str, ...]
     q_max: int
-    grid_points: int = 4096
-    z_steps: int = 2048
-    box_lambdas: float = 128.0
+    grid_points: int = DEFAULT_GRID_POINTS
+    z_steps: int = DEFAULT_Z_STEPS
+    box_lambdas: float = DEFAULT_BOX_LAMBDAS
 
     def __post_init__(self):
         names = {f.name for f in fields(PhysicalParams)}

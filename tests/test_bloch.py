@@ -115,6 +115,53 @@ class TestIntegrateGuards:
             assert s.time == 2.0 + i * 0.01
 
 
+def _rk4_over_rhs(start, drive_at, detuning, rates, dt, n_steps):
+    """Classic RK4 written out over bloch_rhs, one drive sample per stage."""
+    def f(r, w, t):
+        return bloch_rhs(BlochState(coherence=r, inversion=w), drive_at(t), detuning, rates)
+
+    states = [start]
+    r, w, t = complex(start.coherence), float(start.inversion), start.time
+    for i in range(n_steps):
+        k1r, k1w = f(r, w, t)
+        k2r, k2w = f(r + 0.5 * dt * k1r, w + 0.5 * dt * k1w, t + 0.5 * dt)
+        k3r, k3w = f(r + 0.5 * dt * k2r, w + 0.5 * dt * k2w, t + 0.5 * dt)
+        k4r, k4w = f(r + dt * k3r, w + dt * k3w, t + dt)
+        r = r + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        w = w + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        t = start.time + (i + 1) * dt
+        states.append(BlochState(coherence=r, inversion=w, time=t))
+    return states
+
+
+class TestIntegrateIsRK4OverRhs:
+    START = BlochState(coherence=0.1 - 0.2j, inversion=-0.5, time=0.3)
+    RATES = BlochRates(gamma_l=0.05, gamma_t=0.08)
+
+    @pytest.mark.parametrize("constant", [True, False])
+    def test_bit_identical(self, constant):
+        def chirp(t):
+            return complex(math.cos(t), 0.5 * math.sin(2.0 * t))
+
+        drive = 1.3 + 0.4j if constant else chirp
+        drive_at = (lambda t: drive) if constant else chirp
+        got = integrate(self.START, drive, 0.7, self.RATES, 0.01, 3000)
+        want = _rk4_over_rhs(self.START, drive_at, 0.7, self.RATES, 0.01, 3000)
+        assert got == want
+
+    def test_drive_sampled_once_per_stage_time(self):
+        times = []
+
+        def drive(t):
+            times.append(t)
+            return 0.5 + 0.0j
+
+        dt = 0.01
+        integrate(self.START, drive, 0.7, self.RATES, dt, 4)
+        starts = [self.START.time] + [self.START.time + i * dt for i in range(1, 4)]
+        assert times == [x for t in starts for x in (t, t + 0.5 * dt, t + dt)]
+
+
 class TestAgainstClosedForms:
     def test_undriven_relaxation(self):
         rates = BlochRates(gamma_l=1.0, gamma_t=0.3)

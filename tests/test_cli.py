@@ -11,7 +11,14 @@ import pytest
 
 from matteroptics import characteristic_volume, cli, propagate
 from matteroptics.cli import main
-from matteroptics.diffraction import analytic_orders
+from matteroptics.diffraction import (
+    DEFAULT_BOX_LAMBDAS,
+    DEFAULT_GRID_POINTS,
+    DEFAULT_Z_STEPS,
+    analytic_orders,
+    default_q_max,
+)
+from matteroptics.sweep import SweepSpec
 from matteroptics.errors import NumericsError, PhysicsGuardError
 from matteroptics.units import detuning
 
@@ -552,6 +559,32 @@ class TestBloch:
         assert code == 1
         assert "detuning" in err
 
+    @pytest.mark.parametrize(
+        "flags, reads",
+        [
+            (("--density", "0"), 1),
+            (("--density", "0", "--detuning", "0.0"), 1),
+            ((), 1),
+            (("--detuning", "0.0"), 0),
+        ],
+    )
+    def test_params_file_read_at_most_once(self, capsys, tmp_path, monkeypatch, flags, reads):
+        path = write_params(tmp_path, make_params())
+        real = cli.read_param_file
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_param_file", counted)
+        code, _, _ = run(
+            capsys, "bloch", "--params", path, *flags,
+            "--drive-re", "1.0", "--dt", "1e-12", "--steps", "1",
+        )
+        assert code == 0
+        assert len(calls) == reads
+
 
 class TestSweep:
     def test_range_flag_conflict(self, capsys, params_file):
@@ -646,3 +679,85 @@ class TestSweep:
             assert code == 0
             outputs.append(open(out_path, "rb").read())
         assert outputs[0] == outputs[1]
+
+
+def _at_pole(p):
+    """p at V0 rho_0 = -1, where tau does not exist and the rule takes tau = 0."""
+    return replace(p, rho_0=-1.0 / characteristic_volume(p))
+
+
+class TestDefaultQMax:
+    """Without --q-max, diffract, sweep and propagate report diffraction.default_q_max."""
+
+    @pytest.mark.parametrize(
+        "g0, paths, grid, want",
+        [
+            (2.0, "analytic", (), 34),
+            (2.0, "numeric", ("--grid-points", "1024", "--box-lambdas", "32"), 7),
+            (0.7, "numeric", ("--grid-points", "65536", "--box-lambdas", "32"), 32),
+        ],
+    )
+    def test_diffract(self, capsys, tmp_path, g0, paths, grid, want):
+        p = with_g0(make_params(), g0)
+        path = write_params(tmp_path, p)
+        code, out, _ = run(
+            capsys, "diffract", "--params", path, "--paths", paths, *grid, "--format", "json"
+        )
+        assert code == 0
+        n, box = (int(grid[1]), float(grid[3])) if grid else (4096, 128.0)
+        assert json.loads(out)["q_max"] == default_q_max(p, (paths,), n, box) == want
+
+    @pytest.mark.parametrize(
+        "paths, grid, want",
+        [
+            ("analytic", (), 30),
+            ("analytic,numeric", ("--grid-points", "1024", "--box-lambdas", "32"), 7),
+        ],
+    )
+    def test_sweep_takes_tau_zero_at_a_pole_base(self, capsys, tmp_path, paths, grid, want):
+        pole = _at_pole(with_g0(red_detuned(make_params()), -1.0))
+        path = write_params(tmp_path, pole)
+        code, out, _ = run(
+            capsys, "sweep", "--params", path, "--values", "0", "--paths", paths, *grid,
+            "--format", "json",
+        )
+        assert code == 0
+        n, box = (int(grid[1]), float(grid[3])) if grid else (4096, 128.0)
+        routes = tuple(paths.split(","))
+        assert json.loads(out)["spec"]["q_max"] == default_q_max(pole, routes, n, box) == want
+
+    @pytest.mark.parametrize("pole, want", [(False, 7), (True, 30)])
+    def test_propagate(self, capsys, tmp_path, pole, want):
+        # 1024 points over 32 wavelengths hold 7 orders, 4096 points hold 31;
+        # the pole run (single-particle model, no tau) keeps min(30, 31);
+        # gamma = 0 keeps the adiabatic guard, which fails at the pole, off
+        if pole:
+            p = _at_pole(with_wy_lambdas(with_g0(red_detuned(make_params(gamma=0.0)), -0.3), 4.0))
+        else:
+            p = with_wy_lambdas(with_g0(make_params(), 1.0), 4.0)
+        n = "4096" if pole else "1024"
+        path = write_params(tmp_path, p)
+        code, _, _ = run(
+            capsys, "propagate", "--params", path, "--grid-points", n,
+            "--box-lambdas", "32", "--steps", "8", "--no-kinetic", "--model", "single",
+            "--format", "json", "--out", str(tmp_path / "run"),
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "run_report.json").read_text())
+        got = report["scalars"]["q_max"]
+        assert got == default_q_max(p, ("propagator",), int(n), 32.0) == want
+
+    def test_default_grid_is_read_from_diffraction(self):
+        parser = cli.build_parser()
+        for command in ("diffract", "sweep", "propagate"):
+            args = parser.parse_args([command])
+            assert args.grid_points == DEFAULT_GRID_POINTS
+            assert args.steps == DEFAULT_Z_STEPS
+        assert parser.parse_args(["sweep"]).box_lambdas == DEFAULT_BOX_LAMBDAS
+        assert parser.parse_args(["diffract"]).box_lambdas == DEFAULT_BOX_LAMBDAS
+        spec = SweepSpec(
+            base=make_params(), axis="rho_0", values=(0.0,), paths=("analytic",), q_max=1
+        )
+        assert (spec.grid_points, spec.z_steps, spec.box_lambdas) == (
+            DEFAULT_GRID_POINTS, DEFAULT_Z_STEPS, DEFAULT_BOX_LAMBDAS
+        )

@@ -18,16 +18,19 @@ from matteroptics.diffraction import (
     analytic_orders,
     ROUTES,
     commensurate_grid,
+    default_q_max,
     diffraction_angles,
     effective_wavelength,
     evaluate_routes,
     numeric_orders,
+    order_spacing,
     pattern_discrepancy,
     phase_profile,
     propagator_orders,
 )
 from matteroptics.errors import ConfigurationError, ParameterError, PoleError
 from matteroptics.models import ModelKind, raman_nath_params
+from matteroptics.propagate import WaveState, momentum_spectrum, order_capacity
 from matteroptics.sweep import SweepSpec, run_sweep, sweep_report
 from matteroptics.units import HBAR
 
@@ -44,26 +47,26 @@ def _reference(g0=2.0, v0rho=0.0, wy_lambdas=50.0):
 class TestDiffractionPattern:
     def test_contiguity_required(self):
         with pytest.raises(ConfigurationError, match="contiguous"):
-            DiffractionPattern(orders={0: 0.5, 2: 0.5}, angles={})
+            DiffractionPattern(orders={0: 0.5, 2: 0.5})
         with pytest.raises(ConfigurationError, match="contiguous"):
-            DiffractionPattern(orders={0: 0.5, 1: 0.5}, angles={})  # missing -1
+            DiffractionPattern(orders={0: 0.5, 1: 0.5})  # missing -1
 
     def test_probability_bounds(self):
         with pytest.raises(ConfigurationError, match="outside"):
-            DiffractionPattern(orders={-1: 0.0, 0: 1.5, 1: 0.0}, angles={})
+            DiffractionPattern(orders={-1: 0.0, 0: 1.5, 1: 0.0})
         with pytest.raises(ConfigurationError, match="sum"):
-            DiffractionPattern(orders={-1: 0.6, 0: 0.6, 1: 0.6}, angles={})
+            DiffractionPattern(orders={-1: 0.6, 0: 0.6, 1: 0.6})
 
     def test_accessors(self):
-        pat = DiffractionPattern(orders={-1: 0.25, 0: 0.5, 1: 0.2}, angles={})
+        pat = DiffractionPattern(orders={-1: 0.25, 0: 0.5, 1: 0.2})
         assert pat.q_max == 1
         assert pat.total() == pytest.approx(0.95)
         assert pat.folded() == [0.5, 0.2]
 
 
 def test_pattern_discrepancy_union_semantics():
-    a = DiffractionPattern(orders={-1: 0.2, 0: 0.5, 1: 0.2}, angles={})
-    b = DiffractionPattern(orders={0: 0.5}, angles={})
+    a = DiffractionPattern(orders={-1: 0.2, 0: 0.5, 1: 0.2})
+    b = DiffractionPattern(orders={0: 0.5})
     assert pattern_discrepancy(a, b) == pytest.approx(0.2)
     assert pattern_discrepancy(a, a) == 0.0
 
@@ -127,8 +130,6 @@ class TestAnalyticOrders:
         for q in range(-q_max, q_max + 1):
             want = scipy.special.jv(abs(q), abs(tau)) ** 2
             assert pat.orders[q] == pytest.approx(want, abs=1e-14)
-        assert pat.tau == tau
-        assert pat.angles == {}
 
     def test_parity(self):
         pat = analytic_orders(2.7, 10)
@@ -206,6 +207,78 @@ class TestCommensurateGrid:
             commensurate_grid(make_params(), 1024, -4.0)
 
 
+class TestOrderCapacity:
+    """How many orders a commensurate grid holds, and the guard that uses it."""
+
+    @pytest.mark.parametrize(
+        "points, box",
+        [
+            (16, 0.5), (16, 3.5), (16, 4.0), (16, 8.0), (16, 8.5), (256, 8.0),
+            (1024, 32.0), (1024, 32.5), (4096, 128.0), (65536, 325.0), (1024, 1000.0),
+        ],
+    )
+    def test_capacity_is_the_last_order_that_fits(self, points, box):
+        p = make_params()
+        grid = commensurate_grid(p, points, box)
+        m, capacity = order_capacity(grid, order_spacing(p))
+        assert m == round(2.0 * box)  # one order window per standing-wave half-period
+        # order q's window reaches (q + 1/2) M modes; the Nyquist range is n/2
+        fits = [q for q in range(points) if (2 * q + 1) * m <= points]
+        assert capacity == (max(fits) if fits else -1)
+        state = WaveState(grid=grid, amplitude=np.ones(points))
+        if capacity >= 0:
+            assert momentum_spectrum(state, order_spacing(p), capacity).q_max == capacity
+        with pytest.raises(ConfigurationError, match=f"q_max = {capacity + 1} does not fit"):
+            momentum_spectrum(state, order_spacing(p), capacity + 1)
+
+    def test_grid_without_a_complete_window(self):
+        p = make_params()
+        grid = commensurate_grid(p, 16, 8.5)  # 17 modes per order on 16 points
+        state = WaveState(grid=grid, amplitude=np.ones(16))
+        with pytest.raises(ConfigurationError, match="supports no complete order window"):
+            momentum_spectrum(state, order_spacing(p), 0)
+
+    def test_incommensurate_grid_rejected(self):
+        p = make_params()
+        grid = commensurate_grid(p, 1024, 32.0)
+        with pytest.raises(ConfigurationError, match="incommensurate"):
+            order_capacity(grid, 1.01 * order_spacing(p))
+
+
+class TestDefaultQMax:
+    """ceil(|tau|) + 30, capped at the grid's capacity when a grid route runs."""
+
+    def test_series_alone_is_uncapped(self):
+        for g0 in (0.4, 1.3, 2.0):
+            p = _reference(g0=g0)
+            want = math.ceil(abs(raman_nath_params(p).tau)) + 30
+            assert default_q_max(p, ("analytic",), 1024, 32.0) == want
+        assert default_q_max(_reference(g0=2.0), ("analytic",), 1024, 32.0) == 34
+
+    def test_grid_routes_cap_at_capacity(self):
+        p = _reference(g0=2.0)
+        for routes in (("numeric",), ("propagator",), ROUTES):
+            assert default_q_max(p, routes, 1024, 32.0) == 7  # 64 modes per order
+        assert default_q_max(p, ROUTES, 65536, 32.0) == 34  # capacity 511
+        assert default_q_max(p, ROUTES, 16, 16.0) == 0  # capacity -1, floored at 0
+
+    def test_tau_taken_as_zero_without_one(self):
+        p = with_g0(red_detuned(make_params()), -1.0)
+        pole = replace(p, rho_0=-1.0 / raman_nath_params(p).v0)
+        with pytest.raises(PoleError):
+            raman_nath_params(pole)
+        assert default_q_max(pole, ("analytic",), 1024, 32.0) == 30
+        assert default_q_max(pole, ("numeric",), 1024, 32.0) == 7
+        assert default_q_max(pole, ("numeric",), 65536, 32.0) == 30
+
+    def test_unbuildable_grid_is_left_to_the_run(self):
+        p = _reference(g0=2.0)
+        assert default_q_max(p, ("numeric",), 1024, 32.3) == 34
+        assert default_q_max(p, ("numeric",), 100, 32.0) == 34
+        with pytest.raises(ConfigurationError, match="multiple of 0.5"):
+            evaluate_routes(p, ("numeric",), 34, 1024, 32.3, 64)
+
+
 class TestNumericOrders:
     def test_zero_density_agrees_with_series(self):
         p = _reference(g0=2.0)
@@ -215,13 +288,6 @@ class TestNumericOrders:
         assert err < 1e-3
         # measured floor of this geometry; movement means the numerics changed
         assert 1e-5 < err < 6e-5
-
-    def test_angles_attached(self):
-        p = _reference(g0=1.0)
-        rn = raman_nath_params(p)
-        grid = commensurate_grid(p, 1024, 32.0)
-        pat = numeric_orders(p, rn, grid, 5)
-        assert pat.angles == diffraction_angles(p, 5)
 
     def test_agreement_improves_with_packet_width(self):
         # alias-free geometries (box grows with the packet, spectral

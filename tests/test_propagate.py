@@ -391,7 +391,6 @@ class TestMomentumSpectrum:
         s, k_unit = self._order_state(0)
         pat = momentum_spectrum(s, k_unit, 6)
         assert sorted(pat.orders) == list(range(-6, 7))
-        assert pat.tau is None and pat.angles == {}
 
     def test_incommensurate_grid_rejected(self):
         s, k_unit = self._order_state(0)
