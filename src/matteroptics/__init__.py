@@ -21,11 +21,10 @@ file boundary.
 
 __version__ = "0.1.0"
 
-from .bessel import bessel_j, bessel_j_sequence
+from .bessel import bessel_j_sequence
 from .bloch import (
     BlochRates,
     BlochState,
-    adiabatic_excited_fraction,
     bloch_rhs,
     integrate,
     local_rabi,
@@ -129,10 +128,8 @@ __all__ = [
     "SweepSpec",
     "UnitError",
     "WaveState",
-    "adiabatic_excited_fraction",
     "adiabatic_validity",
     "analytic_orders",
-    "bessel_j",
     "bessel_j_sequence",
     "bloch_rhs",
     "characteristic_volume",

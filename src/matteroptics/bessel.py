@@ -86,11 +86,3 @@ def bessel_j_sequence(x: float, q_max: int) -> np.ndarray:
         vals[1::2] *= -1.0
     return vals
 
-
-def bessel_j(x: float, q: int) -> float:
-    """Single value J_q(x); q may be negative (J_{-q} = (-1)^q J_q)."""
-    aq = abs(q)
-    value = float(bessel_j_sequence(x, aq)[aq])
-    if q < 0 and q % 2 != 0:
-        value = -value
-    return value

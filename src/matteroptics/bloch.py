@@ -24,11 +24,9 @@ from .errors import (
     ConfigurationError,
     ParameterError,
     PoleError,
-    SingularDetuningError,
     SteadyStateError,
 )
 from .models import characteristic_volume
-from .optics import local_detuning
 from .serialize import csv_num
 from .units import PhysicalParams
 
@@ -191,26 +189,6 @@ def local_rabi(
             density=density,
         )
     return complex(drive_mac) / denom
-
-
-def adiabatic_excited_fraction(
-    rabi: complex, params: PhysicalParams, density: float
-) -> float:
-    """Excited-state fraction |Omega / (2 (Delta_l + i gamma/2))|^2.
-
-    The population a ground-state atom keeps in the excited level when
-    that level is adiabatically slaved to the drive; small values
-    justify eliminating the excited state from the dynamics.
-    """
-    delta_l = local_detuning(params, density)
-    half_gamma = 0.5 * params.gamma
-    denom_sq = delta_l**2 + half_gamma**2
-    if denom_sq == 0.0:
-        raise SingularDetuningError(
-            "local detuning and linewidth both vanish; the adiabatic "
-            "solution is singular at this density"
-        )
-    return abs(rabi) ** 2 / (4.0 * denom_sq)
 
 
 def write_trajectory_csv(trajectory: Sequence[BlochState], fh) -> None:

@@ -9,11 +9,11 @@ One binary, six subcommands:
   bloch      two-level coherence/inversion trajectory
   sweep      one-axis parameter sweep across the diffraction paths
 
-Every command reads the same flat parameter-file format, understands
---format csv|json, and writes byte-identical output for identical
-configurations: no timestamps, no machine identifiers, run metadata
-confined to the JSON `meta` block. Exit codes: 0 success, 1 usage or
-configuration error, 2 physics-guard failure or flagged points.
+Every command reads the same flat parameter-file format and takes its
+shared flags from one table. Each computes its results once and hands
+them to _emit, the one output path; its docstring states the output
+contract. Exit codes: 0 success, 1 usage or configuration error, 2
+physics-guard failure or flagged points.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .diffraction import (
     DEFAULT_GRID_POINTS,
     DEFAULT_Z_STEPS,
     ROUTES,
+    DiffractionPattern,
     commensurate_grid,
     default_q_max,
     diffraction_angles,
@@ -74,6 +75,7 @@ from .optics import (
 from . import propagate
 from .propagate import (
     PropagationConfig,
+    check_q_max,
     init_gaussian,
     momentum_spectrum,
     norm,
@@ -102,20 +104,99 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--params", metavar="FILE", help="parameter file (key = value)")
-    sub.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="output format"
-    )
-    sub.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-    sub.add_argument(
-        "--units",
+# Every flag, defined once. A key is the flag itself, or "command --flag"
+# for a flag that means something else in that one command.
+_FLAGS = {
+    "--params": dict(metavar="FILE", help="parameter file (key = value)"),
+    "--format": dict(choices=("csv", "json"), default="csv", help="output format"),
+    "--out": dict(metavar="PATH", help="output file (default: stdout)"),
+    "--units": dict(
         choices=("si", "cgs"),
         help="unit system of inputs and echoes; overrides the file's declaration",
-    )
-    sub.add_argument(
-        "--threads", type=int, default=1, help="worker threads for sweep points"
-    )
+    ),
+    "--threads": dict(type=int, default=1, help="worker threads for sweep points"),
+    "--density": dict(type=float, help="override rho_0 (declared units)"),
+    "--saturation": dict(
+        type=float,
+        help="saturation s for the collision bound (default (rabi_peak/detuning)^2)",
+    ),
+    "--q-max": dict(type=int, help="highest order (default: auto)"),
+    "--grid-points": dict(
+        type=int, default=DEFAULT_GRID_POINTS, help="grid size (power of two)"
+    ),
+    "--box-lambdas": dict(
+        type=float, default=DEFAULT_BOX_LAMBDAS,
+        help="grid span in effective wavelengths (multiple of 0.5)",
+    ),
+    "--steps": dict(type=int, default=DEFAULT_Z_STEPS, help="propagator z-steps"),
+    "--model": dict(
+        choices=[k.value for k in ModelKind], default="full",
+        help="effective potential used by the propagator path",
+    ),
+    "diffract --paths": dict(
+        choices=(*ROUTES, "all"), default="analytic", help="which evaluation paths to run"
+    ),
+    "propagate --box-lambdas": dict(
+        type=float, help="grid span in effective wavelengths (default: fits the packet)"
+    ),
+    "--kinetic": dict(
+        action=argparse.BooleanOptionalAction, default=True,
+        help="include the kinetic term (disable for the beam-splitter regime)",
+    ),
+    "--area": dict(type=float, help="transverse area, cm^2 (default 1.0; rho_0=0 runs dilute)"),
+    "--snapshots": dict(type=int, default=0, help="number of evenly spaced state snapshots"),
+    "--drive-re": dict(type=float, default=0.0, help="Re(Omega), rad/s"),
+    "--drive-im": dict(type=float, default=0.0, help="Im(Omega), rad/s"),
+    "--detuning": dict(type=float, help="rad/s (default: from the parameter file)"),
+    "--gamma-l": dict(type=float, default=0.0, help="longitudinal rate, rad/s"),
+    "--gamma-t": dict(type=float, default=0.0, help="transverse rate, rad/s"),
+    "--dt": dict(type=float, required=True, help="step, s"),
+    "bloch --steps": dict(type=int, required=True, help="number of steps"),
+    "--w0": dict(type=float, default=-1.0, help="initial inversion"),
+    "--r0-re": dict(type=float, default=0.0, help="initial Re(R)"),
+    "--r0-im": dict(type=float, default=0.0, help="initial Im(R)"),
+    "bloch --density": dict(type=float, help="medium density for the local-field correction"),
+    "--local-field": dict(
+        action=argparse.BooleanOptionalAction, default=True,
+        help="apply the local-field drive correction when --density is set",
+    ),
+    "--axis": dict(default="rho_0", help="parameter field to sweep"),
+    "--values": dict(help="comma-separated axis values in the declared units"),
+    "--start": dict(type=float, help="linear range start (with --stop/--num)"),
+    "--stop": dict(type=float, help="linear range stop"),
+    "--num": dict(type=int, help="number of points in the linear range"),
+    "sweep --paths": dict(
+        default="analytic", help="comma list of analytic,numeric,propagator or 'all'"
+    ),
+}
+
+# Each command: its help line, then its flags in usage order after the
+# ones every command takes. Command NAME runs cmd_NAME.
+_COMMON = ("--params", "--format", "--out", "--units", "--threads")
+_COMMANDS = {
+    "optics": ("medium response at one density", "--density", "--saturation"),
+    "validity": ("regime checks as a pass/fail table", "--density", "--saturation"),
+    "diffract": (
+        "beam-splitter diffraction orders",
+        "--density", "diffract --paths", "--q-max", "--grid-points", "--box-lambdas",
+        "--steps", "--model",
+    ),
+    "propagate": (
+        "split-step run through the laser region",
+        "--grid-points", "propagate --box-lambdas", "--steps", "--kinetic", "--model",
+        "--area", "--snapshots", "--q-max",
+    ),
+    "bloch": (
+        "two-level coherence/inversion trajectory",
+        "--drive-re", "--drive-im", "--detuning", "--gamma-l", "--gamma-t", "--dt",
+        "bloch --steps", "--w0", "--r0-re", "--r0-im", "bloch --density", "--local-field",
+    ),
+    "sweep": (
+        "one-axis sweep across diffraction paths",
+        "--axis", "--values", "--start", "--stop", "--num", "sweep --paths", "--q-max",
+        "--grid-points", "--box-lambdas", "--steps",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,157 +207,84 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"matteroptics {__version__}")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = subs.add_parser("optics", help="medium response at one density")
-    _add_common(p)
-    p.add_argument("--density", type=float, help="override rho_0 (declared units)")
-    p.add_argument(
-        "--saturation",
-        type=float,
-        help="saturation s for the collision bound (default (rabi_peak/detuning)^2)",
-    )
-    p.set_defaults(func=cmd_optics)
-
-    p = subs.add_parser("validity", help="regime checks as a pass/fail table")
-    _add_common(p)
-    p.add_argument("--density", type=float, help="override rho_0 (declared units)")
-    p.add_argument("--saturation", type=float, help="saturation s (default from params)")
-    p.set_defaults(func=cmd_validity)
-
-    p = subs.add_parser("diffract", help="beam-splitter diffraction orders")
-    _add_common(p)
-    p.add_argument("--density", type=float, help="override rho_0 (declared units)")
-    p.add_argument(
-        "--paths",
-        choices=(*ROUTES, "all"),
-        default="analytic",
-        help="which evaluation paths to run",
-    )
-    p.add_argument("--q-max", type=int, help="highest order (default: auto)")
-    p.add_argument(
-        "--grid-points", type=int, default=DEFAULT_GRID_POINTS, help="grid size (power of two)"
-    )
-    p.add_argument(
-        "--box-lambdas",
-        type=float,
-        default=DEFAULT_BOX_LAMBDAS,
-        help="grid span in effective wavelengths (multiple of 0.5)",
-    )
-    p.add_argument("--steps", type=int, default=DEFAULT_Z_STEPS, help="propagator z-steps")
-    p.add_argument(
-        "--model",
-        choices=[k.value for k in ModelKind],
-        default="full",
-        help="effective potential used by the propagator path",
-    )
-    p.set_defaults(func=cmd_diffract)
-
-    p = subs.add_parser("propagate", help="split-step run through the laser region")
-    _add_common(p)
-    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
-    p.add_argument(
-        "--box-lambdas",
-        type=float,
-        help="grid span in effective wavelengths (default: fits the packet)",
-    )
-    p.add_argument(
-        "--steps", type=int, default=DEFAULT_Z_STEPS, help="time steps across the region"
-    )
-    p.add_argument(
-        "--kinetic",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="include the kinetic term (disable for the beam-splitter regime)",
-    )
-    p.add_argument(
-        "--model", choices=[k.value for k in ModelKind], default="full"
-    )
-    p.add_argument(
-        "--area", type=float, help="transverse area, cm^2 (default 1.0; rho_0=0 runs dilute)"
-    )
-    p.add_argument(
-        "--snapshots", type=int, default=0, help="number of evenly spaced state snapshots"
-    )
-    p.add_argument("--q-max", type=int, help="orders in the final spectrum (default: auto)")
-    p.set_defaults(func=cmd_propagate)
-
-    p = subs.add_parser("bloch", help="two-level coherence/inversion trajectory")
-    _add_common(p)
-    p.add_argument("--drive-re", type=float, default=0.0, help="Re(Omega), rad/s")
-    p.add_argument("--drive-im", type=float, default=0.0, help="Im(Omega), rad/s")
-    p.add_argument(
-        "--detuning", type=float, help="rad/s (default: from the parameter file)"
-    )
-    p.add_argument("--gamma-l", type=float, default=0.0, help="longitudinal rate, rad/s")
-    p.add_argument("--gamma-t", type=float, default=0.0, help="transverse rate, rad/s")
-    p.add_argument("--dt", type=float, required=True, help="step, s")
-    p.add_argument("--steps", type=int, required=True, help="number of steps")
-    p.add_argument("--w0", type=float, default=-1.0, help="initial inversion")
-    p.add_argument("--r0-re", type=float, default=0.0, help="initial Re(R)")
-    p.add_argument("--r0-im", type=float, default=0.0, help="initial Im(R)")
-    p.add_argument(
-        "--density", type=float, help="medium density for the local-field correction"
-    )
-    p.add_argument(
-        "--local-field",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="apply the local-field drive correction when --density is set",
-    )
-    p.set_defaults(func=cmd_bloch)
-
-    p = subs.add_parser("sweep", help="one-axis sweep across diffraction paths")
-    _add_common(p)
-    p.add_argument("--axis", default="rho_0", help="parameter field to sweep")
-    p.add_argument(
-        "--values", help="comma-separated axis values in the declared units"
-    )
-    p.add_argument("--start", type=float, help="linear range start (with --stop/--num)")
-    p.add_argument("--stop", type=float, help="linear range stop")
-    p.add_argument("--num", type=int, help="number of points in the linear range")
-    p.add_argument(
-        "--paths", default="analytic", help="comma list of analytic,numeric,propagator or 'all'"
-    )
-    p.add_argument("--q-max", type=int, help="highest order (default: auto)")
-    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
-    p.add_argument("--box-lambdas", type=float, default=DEFAULT_BOX_LAMBDAS)
-    p.add_argument("--steps", type=int, default=DEFAULT_Z_STEPS, help="propagator z-steps")
-    p.set_defaults(func=cmd_sweep)
-
+    for command, (help_text, *flags) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for key in (*_COMMON, *flags):
+            sub.add_argument(key.split()[-1], **_FLAGS[key])
+        sub.set_defaults(func=globals()[f"cmd_{command}"])
     return parser
 
 
 # ---------------------------------------------------------------- helpers
 
 
+def _emit(args, doc, table, path: str | None = None) -> None:
+    """Write a command's report: the one output path of every command.
+
+    doc() returns the JSON document, table() the CSV text; only the one
+    --format asks for is built. JSON has 17-digit floats and a closing
+    `meta` block (tool, version, command, threads); CSV has 9 digits and
+    no run metadata. Neither holds a timestamp or a machine identifier,
+    so identical configurations write identical bytes. The text goes to
+    path, else to --out, else to stdout.
+    """
+    if args.format == "json":
+        meta = {
+            "tool": "matteroptics",
+            "version": __version__,
+            "command": args.command,
+            "threads": args.threads,
+        }
+        text = json_dumps({**doc(), "meta": meta}) + "\n"
+    else:
+        text = table()
+    _write(path or args.out, text)
+
+
+def _write(path: str | None, text: str) -> None:
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def _csv(*lines: str) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _cell(value) -> str:
+    """One CSV cell: csv_num for a number, empty for None, quoted text."""
+    if isinstance(value, str):
+        return '"' + value.replace('"', '""') + '"'
+    return "" if value is None else csv_num(value)
+
+
+def _captured(write, *data) -> str:
+    """The text that write(*data, fh) writes to fh."""
+    buf = io.StringIO()
+    write(*data, buf)
+    return buf.getvalue()
+
+
+def _by_order(values: dict[int, float]) -> dict[str, float]:
+    """A q-keyed mapping in JSON form: string keys, q ascending."""
+    return {str(q): values[q] for q in sorted(values)}
+
+
+def _order_table(angles: dict[int, float], columns: dict[str, DiffractionPattern]):
+    """CSV lines q,angle_rad,<one column per pattern>, q ascending."""
+    yield "q,angle_rad," + ",".join(columns)
+    for q in sorted(angles):
+        cells = [str(q), csv_num(angles[q])]
+        cells.extend(csv_num(pattern.orders[q]) for pattern in columns.values())
+        yield ",".join(cells)
+
+
 def _load_params(args) -> ParamFile:
     if args.params is None:
         raise ParameterError("--params FILE is required for this command")
     return read_param_file(args.params, units_override=args.units)
-
-
-def _meta(args, command: str) -> dict:
-    # No timestamps and no host identifiers: identical configurations
-    # must produce identical bytes. Tests ignore this block.
-    return {
-        "tool": "matteroptics",
-        "version": __version__,
-        "command": command,
-        "threads": args.threads,
-    }
-
-
-def _emit(text: str, args) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _echo_rows(pf: ParamFile) -> list[tuple[str, float]]:
-    system = pf.units
-    return [(f"input_{k}", v) for k, v in params_to_system(pf.params, system).items()]
 
 
 def _density_from_args(args, pf: ParamFile) -> float:
@@ -296,16 +304,6 @@ def _default_saturation(args, pf: ParamFile) -> float:
     return (pf.params.rabi_peak / delta) ** 2
 
 
-def _kv_csv(rows: list[tuple[str, object]], errors: dict[str, str]) -> str:
-    lines = ["quantity,value,error"]
-    for name, value in rows:
-        lines.append(f"{name},{csv_num(value) if value is not None else ''},")
-    for name, message in errors.items():
-        safe = message.replace('"', '""')
-        lines.append(f'{name},,"{safe}"')
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -317,51 +315,39 @@ def cmd_optics(args) -> int:
     vol = _CM3_TO_M3 if si else 1.0
     dens = 1.0 / _CM3_TO_M3 if si else 1.0
 
-    rows: list[tuple[str, object]] = _echo_rows(pf)
-    rows.append(("density", density * dens))
+    inputs = params_to_system(p, pf.units)
+    quantities = {"density": density * dens}
     errors: dict[str, str] = {}
-
-    def compute(name, fn, scale=1.0):
+    for name, fn, scale in (
+        ("alpha", lambda: polarizability(p), vol),
+        ("chi", lambda: medium_response(p, density).chi, 1.0),
+        ("n_squared", lambda: medium_response(p, density).n_squared, 1.0),
+        ("local_detuning", lambda: local_detuning(p, density), 1.0),
+        ("v0", lambda: characteristic_volume(p), vol),
+        ("v0_rho", lambda: characteristic_volume(p) * density, 1.0),
+        ("adiabatic_ratio", lambda: adiabatic_validity(p, density), 1.0),
+        ("contact_bound",
+         lambda: contact_interaction_bound(_default_saturation(args, pf), p), 1.0),
+        ("significant_density_exact", lambda: significant_density(p).exact, dens),
+        ("significant_density_scaling", lambda: significant_density(p).scaling, dens),
+    ):
         try:
             value = fn()
-            rows.append((name, value if value is None else value * scale))
         except MatterOpticsError as exc:
             errors[name] = str(exc)
+        else:
+            quantities[name] = value if value is None else value * scale
 
-    compute("alpha", lambda: polarizability(p), vol)
-    compute("chi", lambda: medium_response(p, density).chi)
-    compute("n_squared", lambda: medium_response(p, density).n_squared)
-    compute("local_detuning", lambda: local_detuning(p, density))
-    compute("v0", lambda: characteristic_volume(p), vol)
-    compute("v0_rho", lambda: characteristic_volume(p) * density)
-    compute("adiabatic_ratio", lambda: adiabatic_validity(p, density))
-    compute(
-        "contact_bound",
-        lambda: contact_interaction_bound(_default_saturation(args, pf), p),
+    _emit(
+        args,
+        lambda: {"units": pf.units, "input": inputs, "quantities": quantities, "errors": errors},
+        lambda: _csv(
+            "quantity,value,error",
+            *(f"input_{name},{_cell(value)}," for name, value in inputs.items()),
+            *(f"{name},{_cell(value)}," for name, value in quantities.items()),
+            *(f"{name},,{_cell(message)}" for name, message in errors.items()),
+        ),
     )
-
-    def sig(which):
-        def get():
-            s = significant_density(p)
-            value = getattr(s, which)
-            return value if value is None else value * dens
-        return get
-
-    compute("significant_density_exact", sig("exact"))
-    compute("significant_density_scaling", sig("scaling"))
-
-    if args.format == "json":
-        quantities = {name: value for name, value in rows if not name.startswith("input_")}
-        report = {
-            "units": pf.units,
-            "input": params_to_system(p, pf.units),
-            "quantities": quantities,
-            "errors": errors,
-            "meta": _meta(args, "optics"),
-        }
-        _emit(json_dumps(report) + "\n", args)
-    else:
-        _emit(_kv_csv(rows, errors), args)
     return 2 if errors else 0
 
 
@@ -377,24 +363,19 @@ def cmd_validity(args) -> int:
     )
 
     all_ok = all(c.ok for c in checks.values())
-    if args.format == "json":
-        report = {
+    _emit(
+        args,
+        lambda: {
             "units": pf.units,
             "density": density if pf.units == "cgs" else density / _CM3_TO_M3,
             "checks": [{"name": name, **c._asdict()} for name, c in checks.items()],
             "all_ok": all_ok,
-            "meta": _meta(args, "validity"),
-        }
-        _emit(json_dumps(report) + "\n", args)
-    else:
-        lines = ["check,value,threshold,ok,error"]
-        for name, (value, threshold, ok, err) in checks.items():
-            cell = csv_num(value) if value is not None else ""
-            safe = f'"{err.replace(chr(34), chr(34) * 2)}"' if err else ""
-            lines.append(
-                f"{name},{cell},{csv_num(threshold)},{csv_num(ok)},{safe}"
-            )
-        _emit("\n".join(lines) + "\n", args)
+        },
+        lambda: _csv(
+            "check,value,threshold,ok,error",
+            *(",".join([name, *map(_cell, c)]) for name, c in checks.items()),
+        ),
+    )
     return 0 if all_ok else 2
 
 
@@ -419,50 +400,40 @@ def cmd_diffract(args) -> int:
     paths = _selected_paths(args.paths)
     q_max = args.q_max
     if q_max is None:
-        q_max = default_q_max(p, paths, args.grid_points, args.box_lambdas)
+        q_max = default_q_max([p], paths, args.grid_points, args.box_lambdas)
     rn, patterns, discrepancy = evaluate_routes(
         p, paths, q_max, args.grid_points, args.box_lambdas, args.steps,
         model=ModelKind.from_name(args.model),
     )
     angles = diffraction_angles(p, q_max)
-    names = list(patterns)
-    if len(names) == 1:
+    if len(patterns) == 1:
         discrepancy = None  # nothing to compare a single route with
+    v0_rho0 = rn.v0 * p.rho_0
+    sums = {name: pattern.total() for name, pattern in patterns.items()}
 
-    if args.format == "json":
-        report = {
+    _emit(
+        args,
+        lambda: {
             "tau": rn.tau,
             "g0": rn.g0,
             "v0": rn.v0,
-            "v0_rho0": rn.v0 * p.rho_0,
+            "v0_rho0": v0_rho0,
             "q_max": q_max,
-            "paths": names,
-            "sums": {n: patterns[n].total() for n in names},
+            "paths": list(patterns),
+            "sums": sums,
             "discrepancy": discrepancy,
-            "orders": {
-                n: {str(q): patterns[n].orders[q] for q in range(-q_max, q_max + 1)}
-                for n in names
-            },
-            "angles_rad": {str(q): angles[q] for q in range(-q_max, q_max + 1)},
-            "meta": _meta(args, "diffract"),
-        }
-        _emit(json_dumps(report) + "\n", args)
-    else:
-        lines = [
+            "orders": {name: _by_order(pattern.orders) for name, pattern in patterns.items()},
+            "angles_rad": _by_order(angles),
+        },
+        lambda: _csv(
             f"# tau = {csv_num(rn.tau)}",
             f"# g0 = {csv_num(rn.g0)}",
-            f"# v0_rho0 = {csv_num(rn.v0 * p.rho_0)}",
-        ]
-        for n in names:
-            lines.append(f"# sum_{n} = {csv_num(patterns[n].total())}")
-        if discrepancy is not None:
-            lines.append(f"# discrepancy = {csv_num(discrepancy)}")
-        lines.append("q,angle_rad," + ",".join(f"P_{n}" for n in names))
-        for q in range(-q_max, q_max + 1):
-            cells = [str(q), csv_num(angles[q])]
-            cells.extend(csv_num(patterns[n].orders[q]) for n in names)
-            lines.append(",".join(cells))
-        _emit("\n".join(lines) + "\n", args)
+            f"# v0_rho0 = {csv_num(v0_rho0)}",
+            *(f"# sum_{name} = {csv_num(total)}" for name, total in sums.items()),
+            *([] if discrepancy is None else [f"# discrepancy = {csv_num(discrepancy)}"]),
+            *_order_table(angles, {f"P_{name}": pattern for name, pattern in patterns.items()}),
+        ),
+    )
     return 0
 
 
@@ -483,10 +454,9 @@ def cmd_propagate(args) -> int:
         box = max(DEFAULT_BOX_LAMBDAS, 0.5 * math.ceil(13.0 * p.w_y / lam))
     grid = commensurate_grid(p, args.grid_points, box)
 
-    if args.area is None:
+    area = args.area
+    if area is None:
         area = math.inf if p.rho_0 == 0.0 else 1.0
-    else:
-        area = args.area
     state = init_gaussian(grid, p.rho_0, p.w_y, area)
     initial_norm = norm(state)
 
@@ -498,18 +468,15 @@ def cmd_propagate(args) -> int:
         model=model,
         transverse_area=area,
     )
+    q_max = args.q_max
+    if q_max is None:
+        q_max = default_q_max([p], ("propagator",), args.grid_points, box)
+    check_q_max(grid, order_spacing(p), q_max)  # before any step or file
 
-    snap_at = set()
-    if args.snapshots > 0:
-        snap_at = {
-            max(1, round(j * args.steps / args.snapshots))
-            for j in range(1, args.snapshots + 1)
-        }
-
+    snap_at = {
+        max(1, round(j * args.steps / args.snapshots)) for j in range(1, args.snapshots + 1)
+    }
     written: list[str] = []
-
-    def snapshot_path(index: int) -> str:
-        return f"{args.out}_state_{index:06d}.csv"
 
     def write_snapshot(index: int, snap) -> None:
         # A field that turned non-finite between the propagator's finite
@@ -520,7 +487,7 @@ def cmd_propagate(args) -> int:
                 step=index,
                 time=snap.time,
             )
-        path = snapshot_path(index)
+        path = f"{args.out}_state_{index:06d}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             write_state_csv(snap, area, fh)
         written.append(path)
@@ -552,53 +519,42 @@ def cmd_propagate(args) -> int:
         return 2
 
     final_norm = norm(final)
-    drift = abs(final_norm / initial_norm - 1.0)
-    q_max = args.q_max
-    if q_max is None:
-        q_max = default_q_max(p, ("propagator",), args.grid_points, box)
     pattern = momentum_spectrum(final, order_spacing(p), q_max)
     angles = diffraction_angles(p, q_max)
+    scalars = {
+        "initial_norm": initial_norm,
+        "final_norm": final_norm,
+        "norm_drift_rel": abs(final_norm / initial_norm - 1.0),
+        "duration_s": final.time - 0.0,
+        "n_steps": float(args.steps),
+        "grid_points": float(args.grid_points),
+        "box_length_cm": grid.length,
+        "kinetic": args.kinetic,
+        "q_max": float(q_max),
+    }
 
-    scalars = [
-        ("initial_norm", initial_norm),
-        ("final_norm", final_norm),
-        ("norm_drift_rel", drift),
-        ("duration_s", final.time - 0.0),
-        ("n_steps", float(args.steps)),
-        ("grid_points", float(args.grid_points)),
-        ("box_length_cm", grid.length),
-        ("kinetic", args.kinetic),
-        ("q_max", float(q_max)),
-    ]
-
-    if args.format == "json":
-        report = {
-            "scalars": {k: v for k, v in scalars},
+    if args.format == "csv":  # the CSV form keeps the spectrum in a file of its own
+        written.append(f"{args.out}_spectrum.csv")
+        _write(written[-1], _csv(*_order_table(angles, {"P": pattern})))
+    report = f"{args.out}_report.{args.format}"
+    _emit(
+        args,
+        lambda: {
+            "scalars": scalars,
             "model": model.value,
-            "spectrum": {str(q): pattern.orders[q] for q in range(-q_max, q_max + 1)},
-            "angles_rad": {str(q): angles[q] for q in range(-q_max, q_max + 1)},
+            "spectrum": _by_order(pattern.orders),
+            "angles_rad": _by_order(angles),
             "snapshots": written,
-            "meta": _meta(args, "propagate"),
-        }
-        path = f"{args.out}_report.json"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(json_dumps(report) + "\n")
-    else:
-        path = f"{args.out}_report.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            lines = ["quantity,value"]
-            lines.append(f"model,{model.value}")
-            lines.extend(f"{k},{csv_num(v)}" for k, v in scalars)
-            fh.write("\n".join(lines) + "\n")
-        spec_path = f"{args.out}_spectrum.csv"
-        with open(spec_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("q,angle_rad,P\n")
-            for q in range(-q_max, q_max + 1):
-                fh.write(f"{q},{csv_num(angles[q])},{csv_num(pattern.orders[q])}\n")
-        written.append(spec_path)
-    written.append(path)
-    for w in written:
-        print(f"wrote {w}")
+        },
+        lambda: _csv(
+            "quantity,value",
+            f"model,{model.value}",
+            *(f"{name},{csv_num(value)}" for name, value in scalars.items()),
+        ),
+        report,
+    )
+    for path in (*written, report):
+        print(f"wrote {path}")
     return 0
 
 
@@ -623,8 +579,7 @@ def cmd_bloch(args) -> int:
     trajectory = integrate(initial, drive, delta, rates, args.dt, args.steps)
     final = trajectory[-1]
 
-    residual = None
-    target = None
+    residual = target = None
     if rates.gamma_l > 0.0 and rates.gamma_t > 0.0:
         target = steady_state(drive, delta, rates)
         residual = max(
@@ -632,43 +587,28 @@ def cmd_bloch(args) -> int:
             abs(final.inversion - target.inversion),
         )
 
-    if args.format == "json":
-        report = {
+    def doc() -> dict:
+        points = [
+            {"t_s": s.time, "re_R": s.coherence.real, "im_R": s.coherence.imag, "W": s.inversion}
+            for s in trajectory
+        ]
+        return {
             "detuning": delta,
             "drive": {"re": drive.real, "im": drive.imag},
             "rates": {"gamma_l": rates.gamma_l, "gamma_t": rates.gamma_t},
-            "final": {
-                "t_s": final.time,
-                "re_R": final.coherence.real,
-                "im_R": final.coherence.imag,
-                "W": final.inversion,
-            },
-            "steady_state": None
-            if target is None
-            else {
+            "final": points[-1],
+            "steady_state": None if target is None else {
                 "re_R": target.coherence.real,
                 "im_R": target.coherence.imag,
                 "W": target.inversion,
             },
             "steady_state_residual": residual,
-            "trajectory": [
-                {
-                    "t_s": s.time,
-                    "re_R": s.coherence.real,
-                    "im_R": s.coherence.imag,
-                    "W": s.inversion,
-                }
-                for s in trajectory
-            ],
-            "meta": _meta(args, "bloch"),
+            "trajectory": points,
         }
-        _emit(json_dumps(report) + "\n", args)
-    else:
-        buf = io.StringIO()
-        write_trajectory_csv(trajectory, buf)
-        _emit(buf.getvalue(), args)
-        if residual is not None:
-            print(f"steady-state residual: {residual:.3e}", file=sys.stderr)
+
+    _emit(args, doc, lambda: _captured(write_trajectory_csv, trajectory))
+    if residual is not None and args.format == "csv":  # JSON carries it in the report
+        print(f"steady-state residual: {residual:.3e}", file=sys.stderr)
     return 0
 
 
@@ -696,7 +636,13 @@ def cmd_sweep(args) -> int:
     paths = _selected_paths(args.paths)
     q_max = args.q_max
     if q_max is None:
-        q_max = default_q_max(pf.params, paths, args.grid_points, args.box_lambdas)
+        points = []
+        for v in values:
+            try:
+                points.append(replace(pf.params, **{args.axis: v}))
+            except MatterOpticsError:
+                pass  # an invalid point becomes an error row
+        q_max = default_q_max(points, paths, args.grid_points, args.box_lambdas)
 
     spec = SweepSpec(
         base=pf.params,
@@ -709,14 +655,7 @@ def cmd_sweep(args) -> int:
         box_lambdas=args.box_lambdas,
     )
     rows = run_sweep(spec, threads=args.threads)
-
-    if args.format == "json":
-        report = sweep_report(spec, rows, _meta(args, "sweep"))
-        _emit(json_dumps(report) + "\n", args)
-    else:
-        buf = io.StringIO()
-        write_sweep_csv(rows, spec, buf)
-        _emit(buf.getvalue(), args)
+    _emit(args, lambda: sweep_report(spec, rows), lambda: _captured(write_sweep_csv, rows, spec))
     return 0 if all(r.valid() for r in rows) else 2
 
 

@@ -253,25 +253,32 @@ def propagator_orders(
 
 
 def default_q_max(
-    point: PhysicalParams, routes: Sequence[str], grid_points: int, box_lambdas: float
+    points: Sequence[PhysicalParams],
+    routes: Sequence[str],
+    grid_points: int,
+    box_lambdas: float,
 ) -> int:
-    """Highest order reported when none is asked for: ceil(|tau|) + 30.
+    """Highest order reported when none is asked for: ceil(max |tau|) + 30.
 
-    tau is taken as 0 when the point has none. When a grid route runs,
-    the result is capped at the grid's capacity (and kept >= 0); a grid
-    that cannot be built is left for the run to reject.
+    The largest |tau| over the points sets the range; a point without a
+    tau counts as 0. When a grid route runs, the result is capped at the
+    grid's capacity (and kept >= 0). The capacity depends on the grid
+    alone, so the first point's grid stands for all; a grid that cannot
+    be built is left for the run to reject.
     """
-    try:
-        tau = raman_nath_params(point).tau
-    except MatterOpticsError:
-        tau = 0.0
-    q_max = math.ceil(abs(tau)) + 30
-    if "numeric" in routes or "propagator" in routes:
+    tau = 0.0
+    for point in points:
         try:
-            grid = commensurate_grid(point, grid_points, box_lambdas)
+            tau = max(tau, abs(raman_nath_params(point).tau))
+        except MatterOpticsError:
+            pass
+    q_max = math.ceil(tau) + 30
+    if points and ("numeric" in routes or "propagator" in routes):
+        try:
+            grid = commensurate_grid(points[0], grid_points, box_lambdas)
         except ConfigurationError:
             return q_max
-        _, capacity = order_capacity(grid, order_spacing(point))
+        _, capacity = order_capacity(grid, order_spacing(points[0]))
         q_max = min(q_max, max(capacity, 0))
     return q_max
 

@@ -367,28 +367,38 @@ def order_capacity(grid: Grid1D, k_unit: float) -> tuple[int, int]:
     return m, (grid.n_points - m) // (2 * m)
 
 
+def check_q_max(grid: Grid1D, k_unit: float, q_max: int) -> int:
+    """Return M of order_capacity once orders |q| <= q_max are known to fit.
+
+    Raises ConfigurationError for a negative q_max or one above the
+    grid's capacity, so a run can reject before any work what
+    momentum_spectrum would reject after it.
+    """
+    if q_max < 0:
+        raise ConfigurationError(f"q_max must be nonnegative, got {q_max}")
+    m, capacity = order_capacity(grid, k_unit)
+    if q_max > capacity:
+        supported = f"q_max <= {capacity}" if capacity >= 0 else "no complete order window"
+        raise ConfigurationError(
+            f"q_max = {q_max} does not fit in the spectral range: "
+            f"(q_max + 1/2)*{m} must be <= {grid.n_points // 2}; this grid supports "
+            f"{supported} (use more grid points for more orders)"
+        )
+    return m
+
+
 def momentum_spectrum(state: WaveState, k_unit: float, q_max: int):
     """Diffraction-order probabilities from the spectral power.
 
     Every spectral mode is assigned to its nearest multiple of k_unit
     (windows of +-k_unit/2); window powers are normalized by the total
     power so the sum over all orders is 1. Returns orders |q| <= q_max,
-    which must not exceed the grid's order_capacity.
+    which check_q_max must accept.
     """
     from .diffraction import DiffractionPattern  # deferred: avoids an import cycle
 
-    if q_max < 0:
-        raise ConfigurationError(f"q_max must be nonnegative, got {q_max}")
+    m = check_q_max(state.grid, k_unit, q_max)
     n = state.grid.n_points
-    m, capacity = order_capacity(state.grid, k_unit)
-    if q_max > capacity:
-        supported = f"q_max <= {capacity}" if capacity >= 0 else "no complete order window"
-        raise ConfigurationError(
-            f"q_max = {q_max} does not fit in the spectral range: "
-            f"(q_max + 1/2)*{m} must be <= {n // 2}; this grid supports {supported} "
-            "(use more grid points for more orders)"
-        )
-
     power = np.abs(np.fft.fft(state.amplitude)) ** 2
     total = float(np.sum(power))
     if total <= 0.0:

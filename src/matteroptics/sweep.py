@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
@@ -128,14 +129,17 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     """Evaluate every point; rows in input order.
 
     Parallelism is across points only — each point's arithmetic is
-    sequential — so results do not depend on the thread count.
+    sequential — so results do not depend on the thread count. Workers
+    are capped at one per point and one per CPU; with one worker the
+    points run in the calling thread.
     """
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
-    if threads == 1 or len(spec.values) == 1:
+    workers = min(threads, len(spec.values), os.cpu_count() or 1)
+    if workers == 1:
         rows = [_evaluate_point(spec, v) for v in spec.values]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_evaluate_point, spec, v) for v in spec.values]
             rows = [f.result() for f in futures]
     if all(r.error is not None for r in rows):
@@ -176,8 +180,8 @@ def write_sweep_csv(rows: Sequence[SweepRow], spec: SweepSpec, fh) -> None:
         writer.writerow(cells)
 
 
-def sweep_report(spec: SweepSpec, rows: Sequence[SweepRow], meta: dict) -> dict:
-    """JSON-shaped report: spec echo, per-point rows, summary, run meta."""
+def sweep_report(spec: SweepSpec, rows: Sequence[SweepRow]) -> dict:
+    """JSON-shaped report: spec echo, per-point rows, summary."""
     spec_echo = {
         "axis": spec.axis,
         "values": list(spec.values),
@@ -219,4 +223,4 @@ def sweep_report(spec: SweepSpec, rows: Sequence[SweepRow], meta: dict) -> dict:
         "n_failed": sum(1 for r in rows if r.error is not None),
         "max_discrepancy": max(discrepancies) if discrepancies else None,
     }
-    return {"spec": spec_echo, "rows": row_dicts, "summary": summary, "meta": meta}
+    return {"spec": spec_echo, "rows": row_dicts, "summary": summary}

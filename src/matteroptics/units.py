@@ -41,15 +41,11 @@ _UNIT_TABLE: dict[str, tuple[str, float]] = {
     # length -> cm
     "cm": ("length", 1.0),
     "m": ("length", 1.0e2),
-    "mm": ("length", 1.0e-1),
-    "um": ("length", 1.0e-4),
-    "nm": ("length", 1.0e-7),
     # frequency (angular) -> rad/s
     "rad/s": ("frequency", 1.0),
     # wavenumber -> 1/cm
     "1/cm": ("wavenumber", 1.0),
     "1/m": ("wavenumber", 1.0e-2),
-    "1/nm": ("wavenumber", 1.0e7),
     # density -> 1/cm^3
     "1/cm^3": ("density", 1.0),
     "1/m^3": ("density", 1.0e-6),
@@ -62,11 +58,6 @@ _UNIT_TABLE: dict[str, tuple[str, float]] = {
     # dipole moment -> statC*cm
     "statC*cm": ("dipole", 1.0),
     "C*m": ("dipole", _DIPOLE_SI_TO_CGS),
-    # time -> s
-    "s": ("time", 1.0),
-    # energy -> erg
-    "erg": ("energy", 1.0),
-    "J": ("energy", 1.0e7),
 }
 
 

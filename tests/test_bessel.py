@@ -8,7 +8,7 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matteroptics.bessel import bessel_j, bessel_j_sequence
+from matteroptics.bessel import bessel_j_sequence
 from matteroptics.errors import ParameterError
 
 
@@ -30,20 +30,10 @@ def test_negative_argument_parity():
     assert np.array_equal(minus, plus * signs)
 
 
-def test_negative_order_parity():
-    assert bessel_j(2.5, -3) == -bessel_j(2.5, 3)
-    assert bessel_j(2.5, -4) == bessel_j(2.5, 4)
-
-
 def test_zero_argument():
     seq = bessel_j_sequence(0.0, 5)
     assert seq[0] == 1.0
     assert np.all(seq[1:] == 0.0)
-
-
-def test_single_value_matches_sequence():
-    seq = bessel_j_sequence(7.3, 9)
-    assert bessel_j(7.3, 9) == seq[9]
 
 
 @pytest.mark.parametrize("x", [0.5, 2.0, 10.0, 50.0])

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from matteroptics.bloch import (
     BlochRates,
     BlochState,
-    adiabatic_excited_fraction,
     bloch_rhs,
     integrate,
     inversion_drive_term,
@@ -23,7 +22,6 @@ from matteroptics.errors import (
     ConfigurationError,
     ParameterError,
     PoleError,
-    SingularDetuningError,
     SteadyStateError,
 )
 
@@ -257,23 +255,6 @@ class TestLocalRabi:
         with pytest.raises(PoleError) as err:
             local_rabi(1.0, p, p.rho_0)
         assert err.value.density == p.rho_0
-
-
-class TestAdiabaticFraction:
-    def test_quarter_population_at_matched_drive(self):
-        p = make_params(gamma=0.0)
-        delta = p.omega_l - p.omega_a
-        assert adiabatic_excited_fraction(delta, p, 0.0) == pytest.approx(0.25, rel=1e-12)
-
-    def test_linewidth_keeps_it_finite_on_resonance(self):
-        p = make_params(omega_l=3.198e15, omega_a=3.198e15)
-        got = adiabatic_excited_fraction(p.gamma, p, 0.0)
-        assert got == pytest.approx(1.0, rel=1e-12)  # |Omega/(2*gamma/2)|^2
-
-    def test_singular_when_detuning_and_linewidth_vanish(self):
-        p = make_params(omega_l=3.198e15, omega_a=3.198e15, gamma=0.0)
-        with pytest.raises(SingularDetuningError):
-            adiabatic_excited_fraction(1.0, p, 0.0)
 
 
 def test_trajectory_csv_layout():

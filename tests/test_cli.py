@@ -1,5 +1,6 @@
 """End-to-end command-line behavior through main(argv)."""
 
+import csv
 import io
 import json
 import math
@@ -20,6 +21,7 @@ from matteroptics.diffraction import (
 )
 from matteroptics.sweep import SweepSpec
 from matteroptics.errors import NumericsError, PhysicsGuardError
+from matteroptics.serialize import csv_num
 from matteroptics.units import detuning
 
 from conftest import (
@@ -374,6 +376,27 @@ class TestPropagate:
         assert report["scalars"]["kinetic"] is True
         assert report["scalars"]["norm_drift_rel"] < 1e-9
 
+    def test_q_max_is_checked_before_the_transit(self, capsys, tmp_path, monkeypatch):
+        # 4096 points over the auto box (325 wavelengths for a 50-wavelength
+        # packet) hold orders up to 2, so --q-max 3 fails before any step
+        path = write_params(tmp_path, make_params())
+        transits = []
+        monkeypatch.setattr(
+            "matteroptics.cli.propagate_through_laser", lambda *a, **k: transits.append(a)
+        )
+        code, out, err = run(
+            capsys, "propagate", "--params", path, "--out", str(tmp_path / "run"),
+            "--grid-points", "4096", "--q-max", "3", "--snapshots", "2",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: q_max = 3 does not fit in the spectral range: (q_max + 1/2)*651 "
+            "must be <= 2048; this grid supports q_max <= 2 (use more grid points "
+            "for more orders)\n"
+        )
+        assert transits == []
+        assert os.listdir(tmp_path) == ["p.params"]
+
     def test_requires_out_prefix(self, capsys, params_file):
         code, _, err = run(capsys, "propagate", "--params", params_file)
         assert code == 1
@@ -705,26 +728,45 @@ class TestDefaultQMax:
         )
         assert code == 0
         n, box = (int(grid[1]), float(grid[3])) if grid else (4096, 128.0)
-        assert json.loads(out)["q_max"] == default_q_max(p, (paths,), n, box) == want
+        assert json.loads(out)["q_max"] == default_q_max([p], (paths,), n, box) == want
 
     @pytest.mark.parametrize(
         "paths, grid, want",
         [
-            ("analytic", (), 30),
+            ("analytic", (), 32),
             ("analytic,numeric", ("--grid-points", "1024", "--box-lambdas", "32"), 7),
         ],
     )
-    def test_sweep_takes_tau_zero_at_a_pole_base(self, capsys, tmp_path, paths, grid, want):
+    def test_sweep_counts_a_pole_point_as_tau_zero(self, capsys, tmp_path, paths, grid, want):
+        # the range comes from the swept points, not the base: the base sits
+        # at the pole, the pole point counts as tau = 0, the other has |tau| = 2
         pole = _at_pole(with_g0(red_detuned(make_params()), -1.0))
         path = write_params(tmp_path, pole)
         code, out, _ = run(
-            capsys, "sweep", "--params", path, "--values", "0", "--paths", paths, *grid,
-            "--format", "json",
+            capsys, "sweep", "--params", path, "--values", f"{pole.rho_0!r},0",
+            "--paths", paths, *grid, "--format", "json",
         )
-        assert code == 0
+        assert code == 2  # the pole point is an error row
         n, box = (int(grid[1]), float(grid[3])) if grid else (4096, 128.0)
         routes = tuple(paths.split(","))
-        assert json.loads(out)["spec"]["q_max"] == default_q_max(pole, routes, n, box) == want
+        points = [pole, replace(pole, rho_0=0.0)]
+        assert json.loads(out)["spec"]["q_max"] == default_q_max(points, routes, n, box) == want
+
+    def test_sweep_range_covers_every_swept_point(self, capsys, tmp_path):
+        # red g0 = -1 over V0 rho_0 = 0, -0.5, -0.85: tau reaches -88.9, so
+        # the range must reach past it; sized from the base point (q_max 32)
+        # the last row kept 0.242 of its population
+        p = with_g0(red_detuned(make_params()), -1.0)
+        path = write_params(tmp_path, p)
+        values = ",".join(repr(with_v0rho(p, x).rho_0 + 0.0) for x in (0.0, -0.5, -0.85))
+        code, out, _ = run(
+            capsys, "sweep", "--params", path, "--values", values, "--format", "json"
+        )
+        report = json.loads(out)
+        assert report["spec"]["q_max"] == 119
+        for row in report["rows"]:
+            assert sum(row["orders"]["analytic"].values()) >= 1.0 - 1e-9
+        assert report["rows"][2]["tau"] == pytest.approx(-88.9, abs=0.05)
 
     @pytest.mark.parametrize("pole, want", [(False, 7), (True, 30)])
     def test_propagate(self, capsys, tmp_path, pole, want):
@@ -745,7 +787,7 @@ class TestDefaultQMax:
         assert code == 0
         report = json.loads((tmp_path / "run_report.json").read_text())
         got = report["scalars"]["q_max"]
-        assert got == default_q_max(p, ("propagator",), int(n), 32.0) == want
+        assert got == default_q_max([p], ("propagator",), int(n), 32.0) == want
 
     def test_default_grid_is_read_from_diffraction(self):
         parser = cli.build_parser()
@@ -761,3 +803,126 @@ class TestDefaultQMax:
         assert (spec.grid_points, spec.z_steps, spec.box_lambdas) == (
             DEFAULT_GRID_POINTS, DEFAULT_Z_STEPS, DEFAULT_BOX_LAMBDAS
         )
+
+
+def _num(value):
+    """What a CSV cell holds for a JSON value: csv_num, or empty for null."""
+    return "" if value is None else csv_num(value)
+
+
+class TestCsvMatchesJson:
+    """Run with --format csv and json: every CSV number is its JSON value
+    formatted with csv_num."""
+
+    def _both(self, capsys, *argv):
+        texts = {}
+        for fmt in ("csv", "json"):
+            code, texts[fmt], _ = run(capsys, *argv, "--format", fmt)
+            assert code in (0, 2)
+        return texts["csv"], json.loads(texts["json"])
+
+    @pytest.mark.parametrize(
+        "params, units",
+        [(make_params(), "si"), (make_params(omega_l=3.198e15), "cgs")],  # second has errors
+    )
+    def test_optics(self, capsys, tmp_path, params, units):
+        path = write_params(tmp_path, params, units)
+        text, doc = self._both(capsys, "optics", "--params", path, "--density", "3e13")
+        rows = [line.split(",", 2) for line in text.splitlines()[1:]]
+        for name, value, error in rows:
+            if error:
+                assert value == ""
+                assert error == '"' + doc["errors"][name].replace('"', '""') + '"'
+            elif name.startswith("input_"):
+                assert value == _num(doc["input"][name[len("input_"):]])
+            else:
+                assert value == _num(doc["quantities"][name])
+        assert len(rows) == len(doc["input"]) + len(doc["quantities"]) + len(doc["errors"])
+
+    def test_validity(self, capsys, params_file):
+        text, doc = self._both(capsys, "validity", "--params", params_file)
+        lines = text.splitlines()[1:]
+        for line, check in zip(lines, doc["checks"], strict=True):
+            name, value, threshold, ok, _ = line.split(",", 4)
+            assert name == check["name"]
+            assert [value, threshold, ok] == [
+                _num(check["value"]), _num(check["threshold"]), _num(check["ok"]),
+            ]
+
+    def test_diffract(self, capsys, tmp_path):
+        p = with_g0(make_params(), 2.0)
+        path = write_params(tmp_path, p)
+        text, doc = self._both(
+            capsys, "diffract", "--params", path, "--density", repr(with_v0rho(p, 0.2).rho_0),
+            "--paths", "all", "--grid-points", "1024", "--box-lambdas", "32", "--steps", "64",
+        )
+        lines = text.splitlines()
+        comments = dict(line[2:].split(" = ") for line in lines if line.startswith("# "))
+        assert comments == {
+            "tau": _num(doc["tau"]),
+            "g0": _num(doc["g0"]),
+            "v0_rho0": _num(doc["v0_rho0"]),
+            **{f"sum_{n}": _num(doc["sums"][n]) for n in doc["paths"]},
+            "discrepancy": _num(doc["discrepancy"]),
+        }
+        table = [line.split(",") for line in lines if not line.startswith("#")]
+        assert table[0] == ["q", "angle_rad", *(f"P_{n}" for n in doc["paths"])]
+        assert [row[0] for row in table[1:]] == list(doc["angles_rad"])
+        for q, angle, *cells in table[1:]:
+            assert angle == _num(doc["angles_rad"][q])
+            assert cells == [_num(doc["orders"][n][q]) for n in doc["paths"]]
+
+    def test_propagate(self, capsys, tmp_path):
+        p = with_wy_lambdas(with_g0(make_params(), 2.0), 4.0)
+        path = write_params(tmp_path, p)
+        for fmt in ("csv", "json"):
+            code, _, _ = run(
+                capsys, "propagate", "--params", path, "--grid-points", "1024",
+                "--box-lambdas", "32", "--steps", "32", "--q-max", "5",
+                "--format", fmt, "--out", str(tmp_path / fmt),
+            )
+            assert code == 0
+        doc = json.loads((tmp_path / "json_report.json").read_text())
+        report = (tmp_path / "csv_report.csv").read_text().splitlines()
+        assert report[:2] == ["quantity,value", f"model,{doc['model']}"]
+        assert report[2:] == [f"{k},{_num(v)}" for k, v in doc["scalars"].items()]
+        spectrum = (tmp_path / "csv_spectrum.csv").read_text().splitlines()
+        assert spectrum[0] == "q,angle_rad,P"
+        assert spectrum[1:] == [
+            f"{q},{_num(doc['angles_rad'][q])},{_num(P)}" for q, P in doc["spectrum"].items()
+        ]
+
+    def test_bloch(self, capsys):
+        text, doc = self._both(
+            capsys, "bloch", "--drive-re", "1.0", "--drive-im", "0.3", "--detuning", "0.5",
+            "--gamma-l", "0.2", "--gamma-t", "0.3", "--dt", "0.05", "--steps", "40",
+        )
+        lines = text.splitlines()
+        assert lines[0] == "t_s,re_R,im_R,W"
+        assert lines[1:] == [
+            ",".join(_num(s[k]) for k in ("t_s", "re_R", "im_R", "W")) for s in doc["trajectory"]
+        ]
+
+    def test_sweep(self, capsys, tmp_path):
+        p = with_g0(red_detuned(make_params()), -1.0)
+        path = write_params(tmp_path, p)
+        values = f"0,{with_v0rho(p, -0.3).rho_0!r},{_at_pole(p).rho_0!r}"  # last: error row
+        text, doc = self._both(
+            capsys, "sweep", "--params", path, "--values", values, "--q-max", "3",
+            "--paths", "analytic,numeric", "--grid-points", "1024", "--box-lambdas", "32",
+        )
+        table = list(csv.reader(io.StringIO(text)))
+        paths, q_max = doc["spec"]["paths"], doc["spec"]["q_max"]
+        for cells, row in zip(table[1:], doc["rows"], strict=True):
+            if "error" in row:
+                want = [_num(row["value"])] + [""] * (len(cells) - 2) + [row["error"]]
+            else:
+                want = [
+                    _num(row["value"]),
+                    _num(row["tau"]),
+                    *(_num(row["orders"][n][str(q)]) for n in paths for q in range(q_max + 1)),
+                    _num(row["discrepancy"]),
+                    *(_num(f) for f in row["flags"].values()),
+                    "",
+                ]
+            assert cells == want

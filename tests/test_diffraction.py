@@ -252,29 +252,41 @@ class TestDefaultQMax:
         for g0 in (0.4, 1.3, 2.0):
             p = _reference(g0=g0)
             want = math.ceil(abs(raman_nath_params(p).tau)) + 30
-            assert default_q_max(p, ("analytic",), 1024, 32.0) == want
-        assert default_q_max(_reference(g0=2.0), ("analytic",), 1024, 32.0) == 34
+            assert default_q_max([p], ("analytic",), 1024, 32.0) == want
+        assert default_q_max([_reference(g0=2.0)], ("analytic",), 1024, 32.0) == 34
 
     def test_grid_routes_cap_at_capacity(self):
         p = _reference(g0=2.0)
         for routes in (("numeric",), ("propagator",), ROUTES):
-            assert default_q_max(p, routes, 1024, 32.0) == 7  # 64 modes per order
-        assert default_q_max(p, ROUTES, 65536, 32.0) == 34  # capacity 511
-        assert default_q_max(p, ROUTES, 16, 16.0) == 0  # capacity -1, floored at 0
+            assert default_q_max([p], routes, 1024, 32.0) == 7  # 64 modes per order
+        assert default_q_max([p], ROUTES, 65536, 32.0) == 34  # capacity 511
+        assert default_q_max([p], ROUTES, 16, 16.0) == 0  # capacity -1, floored at 0
 
     def test_tau_taken_as_zero_without_one(self):
         p = with_g0(red_detuned(make_params()), -1.0)
         pole = replace(p, rho_0=-1.0 / raman_nath_params(p).v0)
         with pytest.raises(PoleError):
             raman_nath_params(pole)
-        assert default_q_max(pole, ("analytic",), 1024, 32.0) == 30
-        assert default_q_max(pole, ("numeric",), 1024, 32.0) == 7
-        assert default_q_max(pole, ("numeric",), 65536, 32.0) == 30
+        assert default_q_max([pole], ("analytic",), 1024, 32.0) == 30
+        assert default_q_max([pole], ("numeric",), 1024, 32.0) == 7
+        assert default_q_max([pole], ("numeric",), 65536, 32.0) == 30
+
+    def test_largest_tau_over_the_points(self):
+        p = _reference(g0=2.0)
+        denser = _reference(g0=2.0, v0rho=0.3)
+        red = with_g0(red_detuned(make_params()), -1.0)
+        deep = replace(red, rho_0=-0.85 / raman_nath_params(red).v0)
+        pole = replace(red, rho_0=-1.0 / raman_nath_params(red).v0)
+        assert default_q_max([denser, p], ("analytic",), 1024, 32.0) == 34
+        want = math.ceil(abs(raman_nath_params(deep).tau)) + 30
+        assert want == 119  # tau = -88.9
+        assert default_q_max([red, pole, deep], ("analytic",), 1024, 32.0) == want
+        assert default_q_max([], ("numeric",), 1024, 32.0) == 30
 
     def test_unbuildable_grid_is_left_to_the_run(self):
         p = _reference(g0=2.0)
-        assert default_q_max(p, ("numeric",), 1024, 32.3) == 34
-        assert default_q_max(p, ("numeric",), 100, 32.0) == 34
+        assert default_q_max([p], ("numeric",), 1024, 32.3) == 34
+        assert default_q_max([p], ("numeric",), 100, 32.0) == 34
         with pytest.raises(ConfigurationError, match="multiple of 0.5"):
             evaluate_routes(p, ("numeric",), 34, 1024, 32.3, 64)
 
@@ -434,7 +446,7 @@ class TestDensitySweep:
     def test_report_shape(self):
         p = with_g0(make_params(), 1.0)
         spec, rows = _density_sweep(p, [0.0, 1.0e15], 2)
-        report = sweep_report(spec, rows, {})
+        report = sweep_report(spec, rows)
         orders = report["rows"][0]["orders"]["analytic"]
         assert set(orders) == {"-2", "-1", "0", "1", "2"}
         assert orders["2"] == orders["-2"]

@@ -1,9 +1,11 @@
 """Sweep engine: spec validation, threading determinism, flags, output."""
 
 import io
+from concurrent.futures import Future
 
 import pytest
 
+from matteroptics import sweep
 from matteroptics.errors import ConfigurationError, SweepError
 from matteroptics.models import raman_nath_params
 from matteroptics.sweep import SweepRow, SweepSpec, run_sweep, sweep_report, write_sweep_csv
@@ -82,6 +84,40 @@ class TestRunSweep:
     def test_thread_count_guard(self):
         with pytest.raises(ConfigurationError, match="threads"):
             run_sweep(_spec(_blue(), [0.0]), threads=0)
+
+    @pytest.mark.parametrize(
+        "threads, n_values, cpus, workers",
+        [(8, 6, 4, 4), (3, 6, 4, 3), (8, 2, 4, 2), (8, 6, None, 1), (2, 6, 1, 1), (1, 6, 4, 1)],
+    )
+    def test_workers_bounded_by_points_and_cpus(
+        self, monkeypatch, threads, n_values, cpus, workers
+    ):
+        # min(threads, points, CPUs) workers, serial when that is 1; the
+        # fake pool runs each task inline, so no thread is started
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(sweep, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+        base = _blue(g0=1.0)
+        spec = _spec(base, [_rho_for(base, 0.05 * i) for i in range(n_values)])
+        rows = run_sweep(spec, threads=threads)
+        assert pools == ([] if workers == 1 else [workers])
+        assert rows == run_sweep(spec)
 
     def test_cross_path_agreement_recorded(self):
         base = _blue(g0=2.0)
@@ -165,10 +201,8 @@ class TestOutputs:
 
     def test_report_shapes(self):
         rows, spec = self._rows_and_spec()
-        meta = {"command": "sweep"}
-        report = sweep_report(spec, rows, meta)
-        assert set(report) == {"spec", "rows", "summary", "meta"}
-        assert report["meta"] is meta
+        report = sweep_report(spec, rows)
+        assert set(report) == {"spec", "rows", "summary"}
         assert report["spec"]["axis"] == "rho_0"
         assert report["spec"]["paths"] == ["analytic"]
         assert set(report["spec"]["base"]) >= {"mass", "dipole", "rho_0"}

@@ -30,15 +30,11 @@ def test_constants():
 
 def test_exact_conversion_factors():
     assert convert_units(1.0, "m", "cm") == 100.0
-    assert convert_units(1.0, "nm", "cm") == 1.0e-7
-    assert convert_units(1.0, "um", "cm") == 1.0e-4
-    assert convert_units(1.0, "1/nm", "1/cm") == 1.0e7
     assert convert_units(1.0, "1/m", "1/cm") == 1.0e-2
     assert convert_units(1.0, "1/m^3", "1/cm^3") == 1.0e-6
     assert convert_units(1.0, "kg", "g") == 1.0e3
     assert convert_units(1.0, "m/s", "cm/s") == 100.0
     assert convert_units(1.0, "C*m", "statC*cm") == 2.99792458e11
-    assert convert_units(1.0, "J", "erg") == 1.0e7
 
 
 def test_identity_conversion_is_exact():
@@ -59,7 +55,7 @@ def test_unknown_tag_and_dimension_mismatch():
 @given(
     value=st.floats(min_value=1e-12, max_value=1e12),
     tags=st.sampled_from(
-        [("m", "cm"), ("nm", "cm"), ("1/nm", "1/cm"), ("kg", "g"), ("C*m", "statC*cm")]
+        [("m", "cm"), ("1/m", "1/cm"), ("1/m^3", "1/cm^3"), ("kg", "g"), ("C*m", "statC*cm")]
     ),
 )
 def test_round_trip_property(value, tags):
