@@ -52,7 +52,6 @@ from .errors import (
     SingularDetuningError,
     SteadyStateError,
     SweepError,
-    UnitError,
 )
 from .models import (
     ModelKind,
@@ -92,7 +91,6 @@ from .units import (
     HBAR,
     ParamFile,
     PhysicalParams,
-    convert_units,
     detuning,
     params_from_si,
     params_to_system,
@@ -126,7 +124,6 @@ __all__ = [
     "SweepError",
     "SweepRow",
     "SweepSpec",
-    "UnitError",
     "WaveState",
     "adiabatic_validity",
     "analytic_orders",
@@ -135,7 +132,6 @@ __all__ = [
     "characteristic_volume",
     "commensurate_grid",
     "contact_interaction_bound",
-    "convert_units",
     "detuning",
     "diffraction_angles",
     "effective_potential",

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     ConfigurationError,
     ParameterError,
@@ -27,7 +29,8 @@ from .errors import (
     SteadyStateError,
 )
 from .models import characteristic_volume
-from .serialize import csv_num
+from .optics import EPS_POLE
+from .serialize import write_float_table
 from .units import PhysicalParams
 
 # Constructor sanity bound on |W| and |R|. The physical bounds are 1;
@@ -182,7 +185,7 @@ def local_rabi(
     if not corrected or density == 0.0:
         return complex(drive_mac)
     denom = 1.0 + characteristic_volume(params) * density
-    if abs(denom) <= 1e-12:
+    if abs(denom) <= EPS_POLE:
         raise PoleError(
             "local-field denominator 1 + V0*rho vanishes; no steady "
             "local drive exists at this density",
@@ -193,9 +196,8 @@ def local_rabi(
 
 def write_trajectory_csv(trajectory: Sequence[BlochState], fh) -> None:
     """Columns t_s, re_R, im_R, W, one row per stored step."""
-    fh.write("t_s,re_R,im_R,W\n")
-    for s in trajectory:
-        fh.write(
-            f"{csv_num(s.time)},{csv_num(s.coherence.real)},"
-            f"{csv_num(s.coherence.imag)},{csv_num(s.inversion)}\n"
-        )
+    rows = np.array(
+        [(s.time, s.coherence.real, s.coherence.imag, s.inversion) for s in trajectory],
+        dtype=np.float64,
+    ).reshape(-1, 4)
+    write_float_table("t_s,re_R,im_R,W", rows.T, fh)

@@ -86,13 +86,12 @@ from .serialize import csv_num, json_dumps
 from .sweep import SweepSpec, run_sweep, sweep_report, write_sweep_csv
 from .units import (
     ParamFile,
+    convert_dimension,
     convert_field,
     detuning,
     params_to_system,
     read_param_file,
 )
-
-_CM3_TO_M3 = 1.0e-6  # volume factor for si-system echoes of alpha and V0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -311,32 +310,31 @@ def cmd_optics(args) -> int:
     pf = _load_params(args)
     p = pf.params
     density = _density_from_args(args, pf)
-    si = pf.units == "si"
-    vol = _CM3_TO_M3 if si else 1.0
-    dens = 1.0 / _CM3_TO_M3 if si else 1.0
 
     inputs = params_to_system(p, pf.units)
-    quantities = {"density": density * dens}
+    quantities = {"density": convert_field(density, "rho_0", "cgs", pf.units)}
     errors: dict[str, str] = {}
-    for name, fn, scale in (
-        ("alpha", lambda: polarizability(p), vol),
-        ("chi", lambda: medium_response(p, density).chi, 1.0),
-        ("n_squared", lambda: medium_response(p, density).n_squared, 1.0),
-        ("local_detuning", lambda: local_detuning(p, density), 1.0),
-        ("v0", lambda: characteristic_volume(p), vol),
-        ("v0_rho", lambda: characteristic_volume(p) * density, 1.0),
-        ("adiabatic_ratio", lambda: adiabatic_validity(p, density), 1.0),
+    for name, fn, dimension in (
+        ("alpha", lambda: polarizability(p), "volume"),
+        ("chi", lambda: medium_response(p, density).chi, "dimensionless"),
+        ("n_squared", lambda: medium_response(p, density).n_squared, "dimensionless"),
+        ("local_detuning", lambda: local_detuning(p, density), "frequency"),
+        ("v0", lambda: characteristic_volume(p), "volume"),
+        ("v0_rho", lambda: characteristic_volume(p) * density, "dimensionless"),
+        ("adiabatic_ratio", lambda: adiabatic_validity(p, density), "dimensionless"),
         ("contact_bound",
-         lambda: contact_interaction_bound(_default_saturation(args, pf), p), 1.0),
-        ("significant_density_exact", lambda: significant_density(p).exact, dens),
-        ("significant_density_scaling", lambda: significant_density(p).scaling, dens),
+         lambda: contact_interaction_bound(_default_saturation(args, pf), p), "dimensionless"),
+        ("significant_density_exact", lambda: significant_density(p).exact, "density"),
+        ("significant_density_scaling", lambda: significant_density(p).scaling, "density"),
     ):
         try:
             value = fn()
         except MatterOpticsError as exc:
             errors[name] = str(exc)
         else:
-            quantities[name] = value if value is None else value * scale
+            quantities[name] = (
+                value if value is None else convert_dimension(value, dimension, "cgs", pf.units)
+            )
 
     _emit(
         args,
@@ -367,7 +365,7 @@ def cmd_validity(args) -> int:
         args,
         lambda: {
             "units": pf.units,
-            "density": density if pf.units == "cgs" else density / _CM3_TO_M3,
+            "density": convert_field(density, "rho_0", "cgs", pf.units),
             "checks": [{"name": name, **c._asdict()} for name, c in checks.items()],
             "all_ok": all_ok,
         },
@@ -569,7 +567,7 @@ def cmd_bloch(args) -> int:
     if args.density is not None:
         if pf is None:
             raise ParameterError("--density needs --params for the medium constants")
-        rho = convert_field(args.density, "rho_0", pf.units, "cgs")
+        rho = _density_from_args(args, pf)
         drive = local_rabi(drive, pf.params, rho, corrected=args.local_field)
 
     rates = BlochRates(gamma_l=args.gamma_l, gamma_t=args.gamma_t)

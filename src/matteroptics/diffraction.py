@@ -34,6 +34,7 @@ import numpy as np
 from .bessel import bessel_j_sequence
 from .errors import ConfigurationError, MatterOpticsError, ParameterError, PoleError
 from .models import ModelKind, RamanNathParams, raman_nath_params
+from .optics import EPS_POLE
 from .propagate import (
     Grid1D,
     PropagationConfig,
@@ -119,7 +120,7 @@ def phase_profile(y, params: PhysicalParams, rn: RamanNathParams):
     nk = params.harmonic * params.k_l
     local_density_factor = np.exp(-(y * y) / (params.w_y * params.w_y))
     denom = 1.0 + rn.v0 * rn.rho_0 * local_density_factor
-    bad = np.abs(denom) <= 1e-12
+    bad = np.abs(denom) <= EPS_POLE
     if np.any(bad):
         y_bad = float(np.atleast_1d(y)[np.atleast_1d(bad)][0])
         raise PoleError(

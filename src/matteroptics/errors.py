@@ -15,10 +15,6 @@ class ParameterError(MatterOpticsError):
     """Invalid parameter value, unknown key, or malformed parameter file."""
 
 
-class UnitError(ParameterError):
-    """Unit conversion between incompatible dimensions."""
-
-
 class ConfigurationError(MatterOpticsError):
     """Invalid run configuration: grid geometry, step size, commensurability."""
 

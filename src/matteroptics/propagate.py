@@ -37,6 +37,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericsError, ParameterError, PhysicsGuardError
 from .models import ModelKind, effective_potential
 from .optics import adiabatically_valid
+from .serialize import write_float_table
 from .units import HBAR, PhysicalParams
 
 logger = logging.getLogger(__name__)
@@ -44,10 +45,6 @@ logger = logging.getLogger(__name__)
 # Non-finite values are scanned for every this many steps, not every
 # step; a full scan per step would double the cost of cheap phase steps.
 _FINITE_CHECK_INTERVAL = 64
-
-# write_state_csv formats this many rows per write; each cell as csv_num.
-_CSV_BLOCK_ROWS = 2048
-_CSV_ROW = "%.9g,%.9g,%.9g,%.9g\n"
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,6 @@ class PropagationConfig:
     model: ModelKind = ModelKind.FULL
     laser_profile: Callable[[np.ndarray, float], np.ndarray] | None = None
     transverse_area: float = 1.0
-    enforce_adiabatic: bool = True
 
     def __post_init__(self):
         if self.dt is not None and not (self.dt > 0.0 and math.isfinite(self.dt)):
@@ -274,7 +270,7 @@ def step(
     t1 = t0 + dt
 
     density = None
-    if config.enforce_adiabatic and params.gamma > 0.0:
+    if params.gamma > 0.0:
         # max(x / A) == max(x) / A exactly, so this array also serves
         # as the first half-step's density
         density = np.abs(state.amplitude) ** 2 / config.transverse_area
@@ -289,8 +285,7 @@ def step(
             )
         if not adiabatically_valid(params, peak_density):
             raise PhysicsGuardError(
-                "adiabatic elimination invalid at peak density "
-                f"{peak_density:.3e}; pass enforce_adiabatic=False to override"
+                f"adiabatic elimination invalid at peak density {peak_density:.3e}"
             )
 
     psi = _half_potential_phase(
@@ -417,21 +412,12 @@ def momentum_spectrum(state: WaveState, k_unit: float, q_max: int):
 def write_state_csv(state: WaveState, transverse_area: float, fh) -> None:
     """Snapshot columns: y_cm, re_psi, im_psi, density.
 
-    Cells follow serialize.csv_num: 9 significant digits, -0.0 written
-    as 0, infinities as inf/-inf, and NaN raises ValueError before
-    anything is written.
+    Cells follow serialize.write_float_table; NaN raises ValueError
+    before anything is written.
     """
-    y = state.grid.points()
     amp = state.amplitude
-    dens = state.density(transverse_area)
-    if np.isnan(amp).any() or np.isnan(dens).any():
-        raise ValueError("NaN is not serializable")
-    fh.write("y_cm,re_psi,im_psi,density\n")
-    # Blocks of rows keep the Python floats and strings of one format
-    # call small next to the arrays of a large grid.
-    for lo in range(0, state.grid.n_points, _CSV_BLOCK_ROWS):
-        hi = lo + _CSV_BLOCK_ROWS
-        cols = [y[lo:hi], amp.real[lo:hi], amp.imag[lo:hi], dens[lo:hi]]
-        # -0.0 + 0.0 == +0.0 folds negative zero; other values are unchanged
-        cells = (np.stack(cols, axis=1) + 0.0).ravel().tolist()
-        fh.write(_CSV_ROW * (len(cells) // 4) % tuple(cells))
+    write_float_table(
+        "y_cm,re_psi,im_psi,density",
+        (state.grid.points(), amp.real, amp.imag, state.density(transverse_area)),
+        fh,
+    )

@@ -4,7 +4,9 @@ All internal computation uses Gaussian-CGS units: every 4*pi factor in the
 local-field and Clausius-Mossotti formulas is written in Gaussian
 conventions, and porting them to SI invites silent 4*pi*eps0 mistakes.
 SI values are accepted at the boundary (parameter files, CLI) and
-converted exactly once, here.
+converted exactly once, here, through one table: _SI_TO_CGS holds, per
+dimension, the factor taking an SI value to CGS. convert_dimension is
+the one converter over it; convert_field looks up a field's dimension.
 
 Internal units by dimension:
     length      cm
@@ -13,6 +15,7 @@ Internal units by dimension:
     frequency   rad/s
     wavenumber  1/cm
     density     1/cm^3
+    volume      cm^3
     velocity    cm/s
     dipole      statC*cm
     energy      erg
@@ -23,69 +26,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ParameterError, UnitError
+from .errors import ParameterError
 
 # CODATA 2018 exact-definition constants, Gaussian-CGS.
 HBAR = 1.054571817e-27  # erg*s
 C_LIGHT = 2.99792458e10  # cm/s
 
-# 1 C*m of dipole moment in statC*cm (exact: 10*c with c in m/s... the
-# Gaussian charge unit gives 1 C = 2.99792458e9 statC, 1 m = 100 cm).
-_DIPOLE_SI_TO_CGS = 2.99792458e11
-
-
-# Unit tags: tag -> (dimension, factor to the internal CGS unit).
-# The table is exact by definition of the units; round trips are
-# identity to relative 1e-15 because each conversion is one multiply.
-_UNIT_TABLE: dict[str, tuple[str, float]] = {
-    # length -> cm
-    "cm": ("length", 1.0),
-    "m": ("length", 1.0e2),
-    # frequency (angular) -> rad/s
-    "rad/s": ("frequency", 1.0),
-    # wavenumber -> 1/cm
-    "1/cm": ("wavenumber", 1.0),
-    "1/m": ("wavenumber", 1.0e-2),
-    # density -> 1/cm^3
-    "1/cm^3": ("density", 1.0),
-    "1/m^3": ("density", 1.0e-6),
-    # mass -> g
-    "g": ("mass", 1.0),
-    "kg": ("mass", 1.0e3),
-    # velocity -> cm/s
-    "cm/s": ("velocity", 1.0),
-    "m/s": ("velocity", 1.0e2),
-    # dipole moment -> statC*cm
-    "statC*cm": ("dipole", 1.0),
-    "C*m": ("dipole", _DIPOLE_SI_TO_CGS),
+# Dimension -> factor taking its SI unit to its internal CGS unit. The
+# factors are exact by definition of the units; round trips are identity
+# to relative 1e-15 because each conversion is one multiply.
+_SI_TO_CGS: dict[str, float] = {
+    "length": 1.0e2,  # m -> cm
+    "mass": 1.0e3,  # kg -> g
+    "frequency": 1.0,  # rad/s in both systems
+    "wavenumber": 1.0e-2,  # 1/m -> 1/cm
+    "density": 1.0e-6,  # 1/m^3 -> 1/cm^3
+    "volume": 1.0e6,  # m^3 -> cm^3
+    "velocity": 1.0e2,  # m/s -> cm/s
+    # C*m -> statC*cm: 1 C = 2.99792458e9 statC and 1 m = 100 cm
+    "dipole": 2.99792458e11,
+    "dimensionless": 1.0,
 }
 
-
-def convert_units(value: float, from_tag: str, to_tag: str) -> float:
-    """Convert `value` between two unit tags of the same dimension.
-
-    Raises UnitError naming both tags on a dimension mismatch or an
-    unknown tag.
-    """
-    try:
-        dim_from, f_from = _UNIT_TABLE[from_tag]
-    except KeyError:
-        raise UnitError(f"unknown unit tag '{from_tag}'") from None
-    try:
-        dim_to, f_to = _UNIT_TABLE[to_tag]
-    except KeyError:
-        raise UnitError(f"unknown unit tag '{to_tag}'") from None
-    if dim_from != dim_to:
-        raise UnitError(
-            f"cannot convert '{from_tag}' ({dim_from}) to '{to_tag}' ({dim_to})"
-        )
-    if f_from == f_to:
-        return value  # identity conversions are exact
-    return value * (f_from / f_to)
-
-
-# PhysicalParams field -> physical dimension, used to convert whole
-# parameter sets between SI and CGS at the file boundary.
+# PhysicalParams field -> physical dimension; also the parameter file's
+# set of known keys.
 _FIELD_DIMENSION: dict[str, str] = {
     "mass": "mass",
     "dipole": "dipole",
@@ -103,26 +67,35 @@ _FIELD_DIMENSION: dict[str, str] = {
     "delta_shift": "frequency",
 }
 
-# SI unit tag per dimension, for file input declared `units = si`.
-_SI_TAG = {
-    "mass": "kg",
-    "dipole": "C*m",
-    "frequency": "rad/s",
-    "length": "m",
-    "wavenumber": "1/m",
-    "density": "1/m^3",
-    "velocity": "m/s",
-}
 
-_CGS_TAG = {
-    "mass": "g",
-    "dipole": "statC*cm",
-    "frequency": "rad/s",
-    "length": "cm",
-    "wavenumber": "1/cm",
-    "density": "1/cm^3",
-    "velocity": "cm/s",
-}
+def _check_system(units: str) -> None:
+    if units not in ("si", "cgs"):
+        raise ParameterError(f"units must be 'si' or 'cgs', got {units!r}")
+
+
+def convert_dimension(value: float, dimension: str, from_system: str, to_system: str) -> float:
+    """Convert a value of one dimension between the 'si' and 'cgs' systems.
+
+    One multiply: value * factor from SI to CGS, value * (1 / factor)
+    back; a value already in the target system is returned unchanged.
+    """
+    _check_system(from_system)
+    _check_system(to_system)
+    if from_system == to_system:
+        return value
+    factor = _SI_TO_CGS[dimension]
+    return value * factor if from_system == "si" else value * (1.0 / factor)
+
+
+def convert_field(value: float, name: str, from_system: str, to_system: str) -> float:
+    """Convert one named parameter field between the 'si' and 'cgs' systems."""
+    dim = _FIELD_DIMENSION.get(name)
+    if dim is None:
+        raise ParameterError(
+            f"unknown parameter '{name}'; valid names: " + ", ".join(sorted(_FIELD_DIMENSION))
+        )
+    return convert_dimension(value, dim, from_system, to_system)
+
 
 # Fields that must be strictly positive; the rest of the numeric fields
 # are bounded below by zero or unconstrained (delta_shift, and
@@ -210,16 +183,9 @@ def detuning(params: PhysicalParams) -> float:
 
 def params_from_si(si_values: dict[str, float]) -> PhysicalParams:
     """Build PhysicalParams from a dict of field values given in SI units."""
-    converted = {}
-    for name, value in si_values.items():
-        dim = _FIELD_DIMENSION.get(name)
-        if dim is None:
-            raise ParameterError(f"unknown parameter '{name}'")
-        if dim == "dimensionless":
-            converted[name] = value
-        else:
-            converted[name] = convert_units(value, _SI_TAG[dim], _CGS_TAG[dim])
-    return PhysicalParams(**converted)
+    return PhysicalParams(
+        **{name: convert_field(value, name, "si", "cgs") for name, value in si_values.items()}
+    )
 
 
 def params_to_system(params: PhysicalParams, units: str) -> dict[str, float]:
@@ -227,30 +193,10 @@ def params_to_system(params: PhysicalParams, units: str) -> dict[str, float]:
 
     Used to echo inputs back in reports.
     """
-    if units not in ("si", "cgs"):
-        raise ParameterError(f"units must be 'si' or 'cgs', got {units!r}")
-    out = {}
-    for f in fields(PhysicalParams):
-        value = getattr(params, f.name)
-        dim = _FIELD_DIMENSION[f.name]
-        if units == "si" and dim != "dimensionless":
-            value = convert_units(value, _CGS_TAG[dim], _SI_TAG[dim])
-        out[f.name] = value
-    return out
-
-
-def convert_field(value: float, name: str, from_system: str, to_system: str) -> float:
-    """Convert one named parameter field between the 'si' and 'cgs' systems."""
-    for system in (from_system, to_system):
-        if system not in ("si", "cgs"):
-            raise ParameterError(f"units must be 'si' or 'cgs', got {system!r}")
-    dim = _FIELD_DIMENSION.get(name)
-    if dim is None:
-        raise ParameterError(f"unknown parameter '{name}'")
-    if dim == "dimensionless" or from_system == to_system:
-        return value
-    tags = {"si": _SI_TAG, "cgs": _CGS_TAG}
-    return convert_units(value, tags[from_system][dim], tags[to_system][dim])
+    return {
+        f.name: convert_field(getattr(params, f.name), f.name, "cgs", units)
+        for f in fields(PhysicalParams)
+    }
 
 
 @dataclass(frozen=True)
@@ -302,8 +248,7 @@ def parse_param_file(text: str, units_override: str | None = None) -> ParamFile:
             ) from None
 
     if units_override is not None:
-        if units_override not in ("si", "cgs"):
-            raise ParameterError(f"units must be 'si' or 'cgs', got {units_override!r}")
+        _check_system(units_override)
         units = units_override
     if units is None:
         raise ParameterError("missing 'units = si | cgs' declaration")

@@ -24,6 +24,7 @@ from matteroptics.errors import (
     PoleError,
     SteadyStateError,
 )
+from matteroptics.serialize import csv_num
 
 from conftest import make_params, red_detuned, with_v0rho
 
@@ -266,3 +267,21 @@ def test_trajectory_csv_layout():
     assert len(lines) == 5
     assert lines[1] == "0,0,0,-1"
     assert all(len(ln.split(",")) == 4 for ln in lines)
+
+
+def test_trajectory_csv_matches_per_row_csv_num():
+    # the row-at-a-time writer the block writer must match byte for byte
+    traj = integrate(GROUND, 0.7 - 0.2j, 0.3, BlochRates(0.05, 0.1), dt=0.01, n_steps=40)
+    traj = [
+        BlochState(coherence=complex(-0.0, -0.0), inversion=-0.0, time=-0.0),
+        BlochState(coherence=1e-300 - 1.0 / 3.0j, inversion=5e-324, time=1),
+        *traj,
+    ]
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf)
+    want = "t_s,re_R,im_R,W\n" + "".join(
+        f"{csv_num(s.time)},{csv_num(s.coherence.real)},"
+        f"{csv_num(s.coherence.imag)},{csv_num(s.inversion)}\n"
+        for s in traj
+    )
+    assert buf.getvalue() == want

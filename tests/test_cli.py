@@ -153,6 +153,20 @@ class TestOptics:
             cgs["significant_density_exact"] * 1.0e6, rel=1e-9
         )
 
+    def test_density_echo_matches_validity(self, capsys, tmp_path):
+        # 1.637e22 / m^3 does not survive a multiply by 1e-6 and a divide
+        # by 1e-6 unchanged; both commands echo through the same converter
+        path = write_params(tmp_path, make_params(), units="si")
+        echoes = {}
+        for command in ("optics", "validity"):
+            _, out, _ = run(
+                capsys, command, "--params", path, "--format", "json",
+                "--density", "1.637e22", "--saturation", "1.0",
+            )
+            report = json.loads(out)
+            echoes[command] = report.get("quantities", report)["density"]
+        assert echoes["optics"] == echoes["validity"]
+
     def test_zero_detuning_reports_errors(self, capsys, tmp_path):
         path = write_params(tmp_path, make_params(omega_l=3.198e15))
         code, out, _ = run(capsys, "optics", "--params", path)
@@ -628,6 +642,13 @@ class TestSweep:
         )
         assert code == 1
         assert "could not parse" in err
+
+    def test_unknown_axis_names_the_valid_ones(self, capsys, params_file):
+        code, _, err = run(
+            capsys, "sweep", "--params", params_file, "--axis", "bogus", "--values", "0"
+        )
+        assert code == 1
+        assert "bogus" in err and "rho_0" in err and "w_y" in err
 
     def test_valid_point_exits_zero(self, capsys, tmp_path):
         path = write_params(tmp_path, with_g0(make_params(), 1.0))

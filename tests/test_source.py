@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import matteroptics
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "matteroptics"
 
 
@@ -46,3 +48,10 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_root_exports_resolve():
+    # a stale __all__ entry breaks `from matteroptics import *`
+    missing = [name for name in matteroptics.__all__ if not hasattr(matteroptics, name)]
+    assert missing == []
+    assert len(set(matteroptics.__all__)) == len(matteroptics.__all__)

@@ -1,18 +1,19 @@
 """Unit table, parameter validation, and the parameter-file format."""
 
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matteroptics.errors import ParameterError, UnitError
+from matteroptics.errors import ParameterError
 from matteroptics.units import (
     C_LIGHT,
     HBAR,
     PhysicalParams,
+    convert_dimension,
     convert_field,
-    convert_units,
     detuning,
     params_from_si,
     params_to_system,
@@ -28,39 +29,48 @@ def test_constants():
     assert C_LIGHT == 2.99792458e10
 
 
+# Every SI-unit field, one per dimension, plus the volume of alpha and V0.
+_SI_FACTORS = {
+    "w_y": 100.0,  # m -> cm
+    "k_l": 1.0e-2,  # 1/m -> 1/cm
+    "rho_0": 1.0e-6,  # 1/m^3 -> 1/cm^3
+    "mass": 1.0e3,  # kg -> g
+    "v_g": 100.0,  # m/s -> cm/s
+    "dipole": 2.99792458e11,  # C*m -> statC*cm
+    "omega_a": 1.0,  # rad/s in both systems
+    "harmonic": 1.0,  # dimensionless
+}
+
+
+def _convert(value, name, from_system, to_system):
+    if name == "volume":
+        return convert_dimension(value, "volume", from_system, to_system)
+    return convert_field(value, name, from_system, to_system)
+
+
 def test_exact_conversion_factors():
-    assert convert_units(1.0, "m", "cm") == 100.0
-    assert convert_units(1.0, "1/m", "1/cm") == 1.0e-2
-    assert convert_units(1.0, "1/m^3", "1/cm^3") == 1.0e-6
-    assert convert_units(1.0, "kg", "g") == 1.0e3
-    assert convert_units(1.0, "m/s", "cm/s") == 100.0
-    assert convert_units(1.0, "C*m", "statC*cm") == 2.99792458e11
+    for name, factor in {**_SI_FACTORS, "volume": 1.0e6}.items():
+        assert _convert(1.0, name, "si", "cgs") == factor, name
+    # the one volume factor serves both directions of the alpha and V0 echoes
+    assert convert_dimension(1.0, "volume", "cgs", "si") == 1.0e-6
 
 
 def test_identity_conversion_is_exact():
     ugly = 0.1234567890123456789
-    assert convert_units(ugly, "cm", "cm") == ugly
-    assert convert_units(ugly, "rad/s", "rad/s") == ugly
-
-
-def test_unknown_tag_and_dimension_mismatch():
-    with pytest.raises(UnitError, match="unknown unit tag"):
-        convert_units(1.0, "furlong", "cm")
-    with pytest.raises(UnitError, match="unknown unit tag"):
-        convert_units(1.0, "cm", "parsec")
-    with pytest.raises(UnitError, match="cannot convert"):
-        convert_units(1.0, "cm", "g")
+    for name in (*_SI_FACTORS, "volume"):
+        for system in ("si", "cgs"):
+            assert _convert(ugly, name, system, system) == ugly, name
+    assert convert_field(ugly, "omega_a", "si", "cgs") == ugly
+    assert convert_field(ugly, "harmonic", "cgs", "si") == ugly
 
 
 @given(
     value=st.floats(min_value=1e-12, max_value=1e12),
-    tags=st.sampled_from(
-        [("m", "cm"), ("1/m", "1/cm"), ("1/m^3", "1/cm^3"), ("kg", "g"), ("C*m", "statC*cm")]
-    ),
+    name=st.sampled_from([*_SI_FACTORS, "volume"]),
 )
-def test_round_trip_property(value, tags):
-    there = convert_units(value, tags[0], tags[1])
-    back = convert_units(there, tags[1], tags[0])
+def test_round_trip_property(value, name):
+    there = _convert(value, name, "si", "cgs")
+    back = _convert(there, name, "cgs", "si")
     assert back == pytest.approx(value, rel=1e-15)
 
 
@@ -135,8 +145,10 @@ def test_convert_field():
     assert convert_field(1.0, "rho_0", "si", "cgs") == 1.0e-6
     assert convert_field(2.5, "harmonic", "si", "cgs") == 2.5
     assert convert_field(3.0, "w_y", "cgs", "cgs") == 3.0
-    with pytest.raises(ParameterError, match="unknown parameter"):
+    with pytest.raises(ParameterError) as err:
         convert_field(1.0, "wingspan", "si", "cgs")
+    names = ", ".join(sorted(f.name for f in fields(PhysicalParams)))
+    assert str(err.value) == f"unknown parameter 'wingspan'; valid names: {names}"
     with pytest.raises(ParameterError, match="units"):
         convert_field(1.0, "rho_0", "si", "imperial")
 
