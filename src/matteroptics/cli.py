@@ -504,7 +504,9 @@ def cmd_propagate(args) -> int:
             write_snapshot(index, current)
 
     try:
-        final = propagate_through_laser(state, config, p, observer=observer)
+        final = propagate_through_laser(
+            state, config, p, observer=observer, observe_steps=snap_at
+        )
     except NumericsError as exc:
         rescue = f"{args.out}_state_lastgood.csv"
         with open(rescue, "w", encoding="utf-8", newline="") as fh:

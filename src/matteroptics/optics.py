@@ -148,10 +148,19 @@ def adiabatic_validity(params: PhysicalParams, density: float) -> float:
     return dl / params.gamma
 
 
-def adiabatically_valid(params: PhysicalParams, density: float) -> bool:
-    """True when the local detuning dominates spontaneous emission.
+def weakest_adiabatic_ratio(
+    params: PhysicalParams, rho_lo: float, rho_hi: float
+) -> tuple[float, float]:
+    """(ratio, density): the smallest |Delta_l| / gamma over [rho_lo, rho_hi].
 
-    Holds when |Delta_l| / gamma >= ADIABATIC_RATIO_MIN, the same rule
-    the regime checks apply.
+    Delta_l is linear in the density, so its smallest magnitude lies at
+    one end of the range, or is 0 where Delta_l changes sign inside it.
+    Blue of resonance that is the low end (the packet's wings), red of it
+    the high end (the peak). The ratio is infinite when gamma = 0.
     """
-    return adiabatic_validity(params, density) >= ADIABATIC_RATIO_MIN
+    lo, hi = local_detuning(params, rho_lo), local_detuning(params, rho_hi)
+    if lo * hi < 0.0:
+        at = rho_lo + (rho_hi - rho_lo) * lo / (lo - hi)
+        return (0.0 if params.gamma > 0.0 else math.inf), at
+    at = rho_lo if abs(lo) <= abs(hi) else rho_hi
+    return adiabatic_validity(params, at), at

@@ -420,7 +420,7 @@ class TestPropagate:
         path, _ = self._params_path(tmp_path)
         prefix = str(tmp_path / "bad")
 
-        def fake(state, config, params, observer=None):
+        def fake(state, config, params, observer=None, observe_steps=()):
             observer(64, state)
             observer(128, state)
             raise NumericsError(
@@ -449,8 +449,8 @@ class TestPropagate:
         real_step = propagate.step
         states = []
 
-        def poisoned_step(state, config, params, invariants=None):
-            out = real_step(state, config, params, invariants)
+        def poisoned_step(state, config, params, invariants=None, **halves):
+            out = real_step(state, config, params, invariants, **halves)
             if len(states) == 8:
                 out = propagate.WaveState(out.grid, out.amplitude * np.nan, out.time)
             states.append(out)
@@ -475,8 +475,8 @@ class TestPropagate:
         real_step = propagate.step
         states = []
 
-        def poisoned_step(state, config, params, invariants=None):
-            out = real_step(state, config, params, invariants)
+        def poisoned_step(state, config, params, invariants=None, **halves):
+            out = real_step(state, config, params, invariants, **halves)
             if len(states) == at_step - 1:
                 out = propagate.WaveState(out.grid, out.amplitude * np.nan, out.time)
             states.append(out)

@@ -1,6 +1,7 @@
 """Medium response: polarizability, local field, refractive index, bounds."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from matteroptics.errors import ParameterError, PoleError, SingularDetuningError
 from matteroptics.optics import (
     adiabatic_validity,
-    adiabatically_valid,
     contact_interaction_bound,
     local_detuning,
     local_field,
@@ -18,6 +18,7 @@ from matteroptics.optics import (
     polarization,
     refractive_index_sq,
     susceptibility,
+    weakest_adiabatic_ratio,
 )
 from matteroptics.units import HBAR, C_LIGHT, detuning
 
@@ -156,9 +157,20 @@ def test_adiabatic_validity():
         abs(detuning(p)) / p.gamma, rel=1e-12
     )
     assert adiabatic_validity(make_params(gamma=0.0), 0.0) == math.inf
-    assert adiabatically_valid(p, 0.0)  # ratio is about 103 here
-    sloppy = make_params(gamma=abs(detuning(p)))
-    assert not adiabatically_valid(sloppy, 0.0)  # ratio 1 fails the default 10
+
+
+def test_weakest_adiabatic_ratio_over_a_density_range():
+    p = make_params()  # blue: Delta_l grows with rho, the low end is weakest
+    rho = 0.3 / abs(FOUR_PI_3 * polarizability(p))
+    assert weakest_adiabatic_ratio(p, 0.0, rho) == (adiabatic_validity(p, 0.0), 0.0)
+    red = red_detuned(p)  # red: |Delta_l| shrinks with rho, the high end is weakest
+    assert weakest_adiabatic_ratio(red, 0.0, rho) == (adiabatic_validity(red, rho), rho)
+    # past the red pole Delta_l changes sign: the ratio is 0 where it vanishes
+    pole = abs(detuning(red)) * HBAR / (FOUR_PI_3 * red.dipole**2)
+    ratio, at = weakest_adiabatic_ratio(red, 0.0, 2.0 * pole)
+    assert ratio == 0.0
+    assert at == pytest.approx(pole, rel=1e-12)
+    assert weakest_adiabatic_ratio(replace(red, gamma=0.0), 0.0, 2.0 * pole)[0] == math.inf
 
 
 @given(

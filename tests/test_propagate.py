@@ -196,24 +196,48 @@ def test_adiabatic_guard_in_step():
     g = _grid(64, 1.0)
     s = WaveState(grid=g, amplitude=np.ones(64))
     cfg = PropagationConfig(dt=1.0e-9, n_steps=1, transverse_area=1.0)
-    guard = r"^adiabatic elimination invalid at peak density 1\.000e\+00$"
+    guard = r"^adiabatic elimination invalid: \|Delta_l\|/gamma = 1 < 10 at density 1\.000e\+00$"
     with pytest.raises(PhysicsGuardError, match=guard):
         step(s, cfg, noisy)
 
 
+def test_adiabatic_guard_checks_the_packet_wings():
+    # Blue of resonance Delta_l = Delta (1 + V0 rho) grows with the density,
+    # so the wings are the weakest point: ratio 8 there, 10.4 at the peak.
+    p = with_v0rho(make_params(), 0.3)
+    p = replace(p, gamma=abs(detuning(p)) / 8.0)
+    g = _grid(512, 8.0 * p.w_y)
+    s = init_gaussian(g, p.rho_0, p.w_y, 1.0)
+    wing = float(np.min(s.density(1.0)))
+    guard = (
+        r"^adiabatic elimination invalid: \|Delta_l\|/gamma = 8 < 10 "
+        rf"at density {wing:.3e}$".replace("+", r"\+")
+    )
+    cfg = PropagationConfig(dt=None, n_steps=16, kinetic_enabled=False)
+    with pytest.raises(PhysicsGuardError, match=guard):
+        propagate_through_laser(s, cfg, p)
+
+
 class TestPropagateThroughLaser:
-    def test_clock_and_observer(self):
+    def test_clock_and_observer(self, monkeypatch):
+        # the observer sees the finite-check steps, the asked-for steps and
+        # the last step, in order, and nothing in between
+        monkeypatch.setattr("matteroptics.propagate._FINITE_CHECK_INTERVAL", 8)
         p = make_params()
         g = _grid(256, 8.0 * p.w_l)
         s = init_gaussian(g, 0.0, p.w_l, math.inf)
         seen = []
         cfg = PropagationConfig(
-            dt=None, n_steps=32, kinetic_enabled=False, transverse_area=math.inf
+            dt=None, n_steps=30, kinetic_enabled=False, transverse_area=math.inf
         )
         out = propagate_through_laser(
-            s, cfg, p, observer=lambda i, st: seen.append(i)
+            s, cfg, p, observer=lambda i, st: seen.append((i, st.time)),
+            observe_steps={3, 8, 20},
         )
-        assert seen == list(range(1, 33))
+        assert [i for i, _ in seen] == [3, 8, 16, 20, 24, 30]
+        dt = 8.0 * p.w_l / p.v_g / 30
+        for i, t in seen:
+            assert t == pytest.approx(-4.0 * p.w_l / p.v_g + i * dt, rel=1e-12)
         assert out.time == s.time + 8.0 * p.w_l / p.v_g
 
     def test_nan_abort_carries_diagnostics(self):
@@ -273,9 +297,16 @@ def _bare_step_transit(state, config, params):
     return working.amplitude
 
 
+def _kinetic_stage(psi, g, dt, params):
+    k = g.wavenumbers()
+    kinetic = np.exp(-0.5j * HBAR * dt / params.mass * k * k)
+    return np.fft.ifft(np.fft.fft(psi) * kinetic)
+
+
 def _textbook_transit(state, config, params):
-    # the Strang scheme written out with no shared helper: every array is
-    # rebuilt where it is used, and each half-step reads its own |psi|^2
+    # the unmerged Strang scheme written out with no helper from the
+    # package: every array is rebuilt where it is used, and each half-step
+    # reads its own |psi|^2
     dt, profile, t = _transit_setup(config, params)
     g = state.grid
 
@@ -288,16 +319,48 @@ def _textbook_transit(state, config, params):
     for _ in range(config.n_steps):
         psi = half(psi, params.v_g * t)
         if config.kinetic_enabled:
-            k = g.wavenumbers()
-            kinetic = np.exp(-0.5j * HBAR * dt / params.mass * k * k)
-            psi = np.fft.ifft(np.fft.fft(psi) * kinetic)
+            psi = _kinetic_stage(psi, g, dt, params)
         t = t + dt
         psi = half(psi, params.v_g * t)
     return psi
 
 
+def _fsal_transit(state, config, params, split_steps):
+    # first-same-as-last Strang written out with no helper from the
+    # package: the opening half once, then one full-step phase per step,
+    # split into two halves after each step in split_steps. Each step
+    # reads |psi|^2 once, and again after the kinetic stage. Returns the
+    # real states after the split steps, by step number.
+    dt, profile, t = _transit_setup(config, params)
+    g = state.grid
+
+    def phase(psi, density, z, span):
+        v = effective_potential(config.model, profile(g.points(), z), density, params)
+        return psi * np.exp(-1j * span * (v / HBAR))
+
+    psi, opening, real = state.amplitude, True, {}
+    for index in range(1, config.n_steps + 1):
+        density = np.abs(psi) ** 2 / config.transverse_area
+        if opening:
+            psi = phase(psi, density, params.v_g * t, 0.5 * dt)
+        if config.kinetic_enabled:
+            psi = _kinetic_stage(psi, g, dt, params)
+            density = np.abs(psi) ** 2 / config.transverse_area
+        t = t + dt
+        opening = index in split_steps
+        psi = phase(psi, density, params.v_g * t, 0.5 * dt if opening else dt)
+        if opening:
+            real[index] = psi
+    return real
+
+
 class TestHoistedTransitIsBitExact:
+    """The transit is first-same-as-last Strang, bit for bit as written out
+    in _fsal_transit, and within roundoff of step-by-step Strang."""
+
     N_STEPS = 24
+    OBSERVED = (5, 11)  # interior split points; the last step splits too
+    ROUNDOFF = 1e-13  # of max|psi|: the merged phases against the unmerged halves
 
     def _dense(self):
         p = with_v0rho(make_params(), 0.3)
@@ -313,15 +376,23 @@ class TestHoistedTransitIsBitExact:
         seen = []
         out = propagate_through_laser(
             s, config, p,
-            observer=lambda i, st: seen.append((st, st.amplitude.copy())),
+            observer=lambda i, st: seen.append((i, st, st.amplitude.copy())),
+            observe_steps=self.OBSERVED,
         )
-        ref = _bare_step_transit(s, config, p)
-        assert np.array_equal(out.amplitude, ref)
-        assert np.array_equal(out.amplitude, _textbook_transit(s, config, p))
-        assert len(seen) == config.n_steps
-        for st, copy in seen:  # nothing handed to the observer was touched later
+        real = _fsal_transit(s, config, p, {*self.OBSERVED, config.n_steps})
+        assert np.array_equal(out.amplitude, real[config.n_steps])
+        assert [i for i, _, _ in seen] == [*self.OBSERVED, config.n_steps]
+        for i, st, copy in seen:  # nothing handed to the observer was touched later
             assert np.array_equal(st.amplitude, copy)
-        assert np.array_equal(seen[-1][1], ref)
+            assert np.array_equal(copy, real[i])
+
+        strang = _textbook_transit(s, config, p)
+        assert np.max(np.abs(out.amplitude - strang)) <= self.ROUNDOFF * np.max(np.abs(strang))
+        # split at every step, the transit is the chain of bare steps
+        every = propagate_through_laser(
+            s, config, p, observe_steps=range(1, config.n_steps + 1)
+        )
+        assert np.array_equal(every.amplitude, _bare_step_transit(s, config, p))
 
     @pytest.mark.parametrize("kinetic", [True, False])
     @pytest.mark.parametrize("model", list(ModelKind))
@@ -345,6 +416,8 @@ class TestHoistedTransitIsBitExact:
         self._check(p, s, cfg)
 
     def test_custom_profile_is_called_every_half_step(self):
+        # once per potential phase: the opening half, one merged phase per
+        # step, and one more half after each interior split point
         p, s, area = self._dense()
         calls = []
 
@@ -355,9 +428,19 @@ class TestHoistedTransitIsBitExact:
         cfg = PropagationConfig(
             dt=None, n_steps=self.N_STEPS, laser_profile=profile, transverse_area=area,
         )
+        propagate_through_laser(s, cfg, p, observe_steps=self.OBSERVED)
+        assert len(calls) == self.N_STEPS + 1 + len(self.OBSERVED)
+        dt, _, t = _transit_setup(cfg, p)
+        ends = [t]
+        for _ in range(self.N_STEPS):
+            ends.append(ends[-1] + dt)
+        expected = [p.v_g * ends[0]]
+        for index in range(1, self.N_STEPS + 1):
+            expected.append(p.v_g * ends[index])
+            if index in self.OBSERVED:
+                expected.append(p.v_g * ends[index])
+        assert calls == expected
         self._check(p, s, cfg)
-        # once per half-step in each of the three runs; no output is reused
-        assert len(calls) == 6 * self.N_STEPS
 
 
 class TestMomentumSpectrum:
