@@ -232,8 +232,13 @@ def propagator_orders(
 
     Starts from the same packet as numeric_orders, carried through the
     laser region by the propagator instead of by the closed-form phase
-    integral. The two must agree to the z-quadrature error of the pulse
-    envelope, a parts-in-1e7 effect at the default step count.
+    integral. With |psi| frozen, the propagator weights the whole transit
+    by one density-dependent potential at |Omega|^2 = 1, sums the laser
+    profile over the z-steps by the trapezoid rule (one profile
+    evaluation per potential phase), and applies the phase only at its
+    finite checks and the last step. The two must agree to the
+    z-quadrature error of the pulse envelope, a parts-in-1e7 effect at
+    the default step count.
     """
     if params.rho_0 == 0.0:
         area = math.inf  # dilute tracer: finite field, exactly zero density

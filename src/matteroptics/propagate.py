@@ -15,28 +15,38 @@ The 3D density seen by the potential is |psi|^2 / transverse_area; an
 infinite transverse_area is the dilute-tracer convention (exactly zero
 density, finite field).
 
-propagate_through_laser chains the steps in the first-same-as-last form
-of Strang splitting (Bao, Jin & Markowich, J. Comput. Phys. 187, 2003).
-A potential phase leaves |psi| unchanged, so the closing half of one
-step and the opening half of the next see the same z and the same
-density: the transit applies the opening half once, then one full-step
-phase per step, and splits that phase back into two halves only where a
-real state is needed (the finite checks, the observed steps and the last
-step). That halves the complex exponentials of a transit. The merged
-transit differs from step-by-step Strang by roundoff only, which grows
-with the step count: over the four models, kinetic on and off, dense
-and dilute, max|difference| / max|psi| measured at most 5e-15 on
-512 points in 24 steps (the tests bound it by 1e-13) and 4.3e-14 on
-4096 points in 2048 steps (V0 rho_0 = 0.3, kinetic off, where the
-order populations moved by at most 4.2e-16).
+The potential phase is deferred between the points where a real state
+is needed. A potential phase is exp(-i span V/hbar), and every model's
+V is exactly linear in |Omega|^2, so while |psi| is fixed all the phases
+commute and sum to exp(-i drive * weight): drive is the sum of
+span * |Omega|^2(y, z) over the phases, in units of dt, and
+weight = dt V(rho, |Omega|^2 = 1)/hbar is evaluated, with the adiabatic
+guard, once per fresh density rho = |psi|^2/transverse_area. A step can
+return a merged state, which already holds the next step's opening half
+(the first-same-as-last form of Strang splitting, Bao, Jin & Markowich,
+J. Comput. Phys. 187, 2003) and may still owe the phase. The phase
+is exponentiated only where the field itself is needed. With the
+kinetic term on that is once per step, for the next FFT. With it off,
+it is only where propagate_through_laser needs a real state: the finite
+checks, the observed steps and the last step. In between, a step calls
+the laser profile and adds one |Omega|^2 array to drive, and a transit
+takes one density, one potential evaluation and one complex exponential
+per real state. The laser profile is still called once per potential
+phase, so a kinetic-free transit stays a z-trapezoid of the drive,
+independent of the closed-form phase mask.
+
+The deferred transit differs from step-by-step Strang by roundoff only,
+which grows with the step count: over the four models, kinetic on and
+off, dense and dilute, max|difference| / max|psi| measured at most
+5.1e-15 on 512 points in 24 steps (the tests bound it by 1e-13) and
+3.9e-14 on 4096 points in 2048 steps (V0 rho_0 = 0.3, kinetic off,
+where the order populations moved by at most 6.7e-16).
 
 The step-invariant arrays are built once per transit: the grid
 positions, the kinetic phase exp(-i hbar dt k^2/2m) of the run's fixed
 dt, and (inside the standing_wave_intensity closure) the cos^2(n k_L y)
 pattern, so only the scalar envelope Omega_0^2 exp(-z^2/w_L^2) is
-evaluated per phase. Each step computes |psi|^2/transverse_area once
-for the adiabatic guard, the opening phase and, with the kinetic term
-off, the closing phase.
+evaluated per phase.
 """
 
 from __future__ import annotations
@@ -116,6 +126,14 @@ class WaveState:
         if not amp.any():
             raise ConfigurationError("field is identically zero (norm must be positive)")
         self.amplitude = amp
+
+    @classmethod
+    def _unchecked(cls, grid: Grid1D, amplitude: np.ndarray, time: float) -> "WaveState":
+        """A state whose complex128 amplitude of the grid's length is known
+        nonzero, such as a step's result: skips the validation pass."""
+        state = cls.__new__(cls)
+        state.grid, state.amplitude, state.time = grid, amplitude, time
+        return state
 
     def density(self, transverse_area: float) -> np.ndarray:
         """3D density profile |psi|^2 / transverse_area, 1/cm^3."""
@@ -222,32 +240,6 @@ def norm(state: WaveState) -> float:
     return float(np.sum(np.abs(state.amplitude) ** 2)) * state.grid.spacing
 
 
-def _rabi_sq(config: PropagationConfig, y: np.ndarray, z: float):
-    if config.laser_profile is None:
-        return 0.0
-    return config.laser_profile(y, z)
-
-
-def _potential_phase(
-    psi: np.ndarray,
-    density: np.ndarray | None,
-    y: np.ndarray,
-    z: float,
-    span: float,
-    config: PropagationConfig,
-    params: PhysicalParams,
-) -> np.ndarray:
-    """psi times exp(-i span V(z) / hbar); span is half a step or a whole one."""
-    # density, when given, must be |psi|^2 / transverse_area of this psi
-    rabi_sq = _rabi_sq(config, y, z)
-    if np.ndim(rabi_sq) == 0 and float(rabi_sq) == 0.0:
-        return psi  # no laser: free phase of zero
-    if density is None:
-        density = np.abs(psi) ** 2 / config.transverse_area
-    v_over_hbar = effective_potential(config.model, rabi_sq, density, params) / HBAR
-    return psi * np.exp(-1j * span * v_over_hbar)
-
-
 def _step_invariants(grid: Grid1D, config: PropagationConfig, params: PhysicalParams):
     """(positions, kinetic phase) for steps of config.dt on this grid.
 
@@ -279,15 +271,60 @@ def _check_adiabatic(density: np.ndarray, t: float, params: PhysicalParams) -> N
         )
 
 
+def _weight(
+    psi: np.ndarray, t: float, config: PropagationConfig, params: PhysicalParams
+) -> np.ndarray | None:
+    """dt V(|Omega|^2 = 1) / hbar at the density of psi, once it passed the guard.
+
+    effective_potential is exactly linear in |Omega|^2 for every model
+    (checked to a few ulp in the tests), so until |psi| changes every
+    potential phase is drive * weight with this one weight. None when
+    there is no laser.
+    """
+    density = (psi.real**2 + psi.imag**2) / config.transverse_area
+    if params.gamma > 0.0:
+        _check_adiabatic(density, t, params)
+    if config.laser_profile is None:
+        return None
+    return effective_potential(config.model, 1.0, density, params) * (config.dt / HBAR)
+
+
+def _settle(psi: np.ndarray, drive, weight: np.ndarray | None) -> np.ndarray:
+    """psi times exp(-i drive weight): the pending potential phase applied."""
+    if weight is None:
+        return psi
+    return psi * np.exp(-1j * (drive * weight))
+
+
+@dataclass(slots=True)
+class _Merged:
+    """The field between two real states; see step(merge_next=True).
+
+    With the kinetic term off, the field at `time` is
+    amplitude * exp(-i drive * weight): drive sums |Omega|^2 over the
+    potential phases taken since the last real state, in units of dt (1
+    for a full-step phase, 1/2 for a half), and weight is _weight of
+    amplitude. The next step takes drive over and adds to it in place.
+    With the kinetic term on, or without a laser, both are None. Either
+    way the next step's opening half is already in the state, pending in
+    drive or applied to amplitude.
+    """
+
+    grid: Grid1D
+    amplitude: np.ndarray
+    time: float
+    drive: np.ndarray | None
+    weight: np.ndarray | None
+
+
 def step(
-    state: WaveState,
+    state: WaveState | _Merged,
     config: PropagationConfig,
     params: PhysicalParams,
     invariants: tuple[np.ndarray, np.ndarray | None] | None = None,
     *,
-    opening: bool = True,
     merge_next: bool = False,
-) -> WaveState:
+) -> WaveState | _Merged:
     """One Strang step: half potential, kinetic, half potential.
 
     Potential halves use the laser at the interval's two endpoint times
@@ -297,39 +334,49 @@ def step(
     one config pass the arrays built by _step_invariants once; without
     it they are built here.
 
-    A caller that chains steps merges adjacent halves (first same as
-    last): opening=False leaves out the opening half, which the previous
-    step already applied, and merge_next=True ends with the full-step
-    phase at the end time, this step's closing half and the next step's
-    opening half at once. A state returned with merge_next=True is not
-    the field at its time; it must go on to a step with opening=False.
-    The defaults are one full Strang step.
+    A caller that chains steps merges the potential phases (see the
+    module docstring): merge_next=True takes this step's closing half
+    and the next step's opening half as one full-step phase and returns
+    a _Merged state, which is not the field at its time and must go on
+    to a step with the same config and invariants. Given a _Merged
+    state, a step takes its opening half as already there. The default
+    returns a real WaveState, so bare steps from a real state are full
+    Strang steps.
     """
     if config.dt is None:
         raise ConfigurationError("config.dt must be set for raw stepping")
     if invariants is None:
         invariants = _step_invariants(state.grid, config, params)
     y, kinetic_phase = invariants
-    dt = config.dt
+    profile = config.laser_profile
     t0 = state.time
-    t1 = t0 + dt
-
-    # a potential phase leaves |psi| unchanged, so this one density
-    # serves the guard, the opening phase and, with the kinetic term
-    # off, the closing phase
-    density = np.abs(state.amplitude) ** 2 / config.transverse_area
-    if params.gamma > 0.0:
-        _check_adiabatic(density, t0, params)
+    t1 = t0 + config.dt
 
     psi = state.amplitude
-    if opening:
-        psi = _potential_phase(psi, density, y, params.v_g * t0, 0.5 * dt, config, params)
+    if isinstance(state, _Merged):
+        drive, weight = state.drive, state.weight
+    else:
+        weight = _weight(psi, t0, config, params)
+        drive = None if profile is None else 0.5 * profile(y, params.v_g * t0)
     if kinetic_phase is not None:
-        psi = np.fft.ifft(np.fft.fft(psi) * kinetic_phase)
-        density = None  # the kinetic stage moves |psi|
-    closing = dt if merge_next else 0.5 * dt
-    psi = _potential_phase(psi, density, y, params.v_g * t1, closing, config, params)
-    return WaveState(grid=state.grid, amplitude=psi, time=t1)
+        psi = np.fft.ifft(np.fft.fft(_settle(psi, drive, weight)) * kinetic_phase)
+        weight = _weight(psi, t1, config, params)  # the kinetic stage moved |psi|
+    if profile is not None:
+        closing = profile(y, params.v_g * t1)
+        if not merge_next:
+            closing = 0.5 * closing
+        if kinetic_phase is None:
+            drive += closing  # |psi| unchanged: one more term of the same weight
+        else:
+            drive = closing
+    if merge_next and kinetic_phase is None:
+        return _Merged(state.grid, psi, t1, drive, weight)
+    # with the kinetic term on, the next step's FFT needs the phase at once;
+    # applying it here keeps drive and weight out of the state between steps
+    psi = _settle(psi, drive, weight)
+    if merge_next:
+        return _Merged(state.grid, psi, t1, None, None)
+    return WaveState._unchecked(state.grid, psi, t1)
 
 
 def propagate_through_laser(
@@ -346,12 +393,12 @@ def propagate_through_laser(
     envelope integral below 1e-7 of its value. Returns the far-zone
     state with its clock advanced by the crossing duration.
 
-    Steps are chained first-same-as-last (see the module docstring), so
-    the field is a real state only at the steps where the merged phase
-    is split: every _FINITE_CHECK_INTERVAL-th step, which is scanned for
+    The potential phase is deferred between real states (see the module
+    docstring), so the field is a real state only after the steps that
+    need one: every _FINITE_CHECK_INTERVAL-th step, which is scanned for
     non-finite values, each step in `observe_steps`, and the last step.
     `observer` is called with (step_index, state) after exactly those
-    steps, in order, and never sees a merged state. The split steps, not
+    steps, in order, and never sees a merged state. The real steps, not
     the observer, decide the arithmetic: the same observe_steps give the
     same bits with or without an observer.
     """
@@ -365,16 +412,12 @@ def propagate_through_laser(
     invariants = _step_invariants(state.grid, run_config, params)
 
     t_entry = -z_half / params.v_g
-    working = WaveState(grid=state.grid, amplitude=state.amplitude, time=t_entry)
+    working = WaveState._unchecked(state.grid, state.amplitude, t_entry)
     last = config.n_steps
-    opening = True
     for index in range(1, last + 1):
         checked = index % _FINITE_CHECK_INTERVAL == 0 or index == last
         split = checked or index in observe_steps
-        working = step(
-            working, run_config, params, invariants, opening=opening, merge_next=not split
-        )
-        opening = split
+        working = step(working, run_config, params, invariants, merge_next=not split)
         if checked and not np.all(np.isfinite(working.amplitude.view(np.float64))):
             raise NumericsError(
                 f"non-finite amplitude after step {index} "
@@ -385,9 +428,7 @@ def propagate_through_laser(
         if split and observer is not None:
             observer(index, working)
     logger.debug("crossed laser region in %d steps, dt = %.3e s", config.n_steps, dt)
-    return WaveState(
-        grid=working.grid, amplitude=working.amplitude, time=state.time + duration
-    )
+    return WaveState._unchecked(working.grid, working.amplitude, state.time + duration)
 
 
 def order_capacity(grid: Grid1D, k_unit: float) -> tuple[int, int]:

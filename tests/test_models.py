@@ -78,6 +78,25 @@ class TestEffectivePotential:
             u3 = effective_potential(kind, 3.0e15, p.rho_0, p)
             assert u3 == pytest.approx(3.0 * u1, rel=1e-15)
 
+    @pytest.mark.parametrize("red", [False, True])
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_unit_intensity_weight_scales_to_a_few_ulp(self, kind, red):
+        # The propagator evaluates the potential once at |Omega|^2 = 1 per
+        # density and scales it by every |Omega|^2 of the transit, so the two
+        # orders of evaluation must agree to roundoff, on array densities,
+        # up to within 1e-6 of each model's pole (red) or V0 rho = 0.99 (blue).
+        p = red_detuned(make_params()) if red else make_params()
+        v0 = characteristic_volume(p)
+        reach = 0.5 if red and kind is ModelKind.WALLIS_TYPE else 1.0  # red poles: V0 rho = -1/2, -1
+        x = np.concatenate([np.linspace(0.0, 0.99 * reach, 97), reach - np.logspace(-2, -6, 31)])
+        rho = x / abs(v0)
+        rng = np.random.default_rng(3)
+        rabi_sq = p.rabi_peak**2 * rng.uniform(0.0, 2.0, rho.size)
+        rabi_sq[:3] = (0.0, 1.0, p.rabi_peak**2)
+        scaled = rabi_sq * effective_potential(kind, 1.0, rho, p)
+        direct = effective_potential(kind, rabi_sq, rho, p)
+        assert np.all(np.abs(scaled - direct) <= 4.0 * np.finfo(float).eps * np.abs(direct))
+
     def test_array_broadcast_matches_scalars(self):
         p = make_params()
         rho = np.array([0.0, 1.0e15, 5.0e15, 2.0e16])

@@ -25,11 +25,12 @@ from matteroptics.propagate import (
     step,
     write_state_csv,
 )
+from matteroptics.diffraction import commensurate_grid, order_spacing
 from matteroptics.models import ModelKind, effective_potential
 from matteroptics.serialize import csv_num
 from matteroptics.units import HBAR, detuning
 
-from conftest import make_params, with_v0rho
+from conftest import make_params, with_v0rho, with_wy_lambdas
 
 
 def _grid(n=256, length=1.0):
@@ -264,6 +265,28 @@ class TestPropagateThroughLaser:
         assert math.isfinite(err.value.time)
 
 
+@pytest.mark.parametrize("kinetic", [True, False])
+def test_transit_builds_no_validated_state_per_step(kinetic, monkeypatch):
+    # a step's result is known complex, of the grid's length and nonzero;
+    # re-checking it would cost a conversion and a scan per step
+    p = make_params()
+    s = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l, math.inf)
+    checked = []
+    original = WaveState.__post_init__
+
+    def counting(self):
+        checked.append(self.time)
+        original(self)
+
+    monkeypatch.setattr(WaveState, "__post_init__", counting)
+    cfg = PropagationConfig(
+        dt=None, n_steps=100, kinetic_enabled=kinetic, transverse_area=math.inf
+    )
+    out = propagate_through_laser(s, cfg, p, observe_steps={10, 20})
+    assert checked == []
+    assert out.amplitude.dtype == np.complex128
+
+
 def test_standing_wave_cache_follows_the_position_array():
     p = make_params()
     profile = standing_wave_intensity(p)
@@ -325,38 +348,46 @@ def _textbook_transit(state, config, params):
     return psi
 
 
-def _fsal_transit(state, config, params, split_steps):
-    # first-same-as-last Strang written out with no helper from the
-    # package: the opening half once, then one full-step phase per step,
-    # split into two halves after each step in split_steps. Each step
-    # reads |psi|^2 once, and again after the kinetic stage. Returns the
-    # real states after the split steps, by step number.
+def _deferred_transit(state, config, params, split_steps):
+    # the deferred-phase transit written out with no helper from the
+    # package. Between two fresh densities each potential phase only adds
+    # span/dt * |Omega|^2 to a drive; one weight dt V(rho, |Omega|^2 = 1)/hbar
+    # per fresh density turns it into the phase, applied before each
+    # kinetic stage and after each step in split_steps. Returns the real
+    # states after the split steps, by step number.
     dt, profile, t = _transit_setup(config, params)
     g = state.grid
 
-    def phase(psi, density, z, span):
-        v = effective_potential(config.model, profile(g.points(), z), density, params)
-        return psi * np.exp(-1j * span * (v / HBAR))
+    def weight(psi):
+        density = (psi.real**2 + psi.imag**2) / config.transverse_area
+        return effective_potential(config.model, 1.0, density, params) * (dt / HBAR)
 
-    psi, opening, real = state.amplitude, True, {}
+    def settle(psi, drive, w):
+        return psi * np.exp(-1j * (drive * w))
+
+    psi, drive, real = state.amplitude, None, {}
     for index in range(1, config.n_steps + 1):
-        density = np.abs(psi) ** 2 / config.transverse_area
-        if opening:
-            psi = phase(psi, density, params.v_g * t, 0.5 * dt)
+        if drive is None:  # a real state: fresh density, opening half
+            w = weight(psi)
+            drive = 0.5 * profile(g.points(), params.v_g * t)
         if config.kinetic_enabled:
-            psi = _kinetic_stage(psi, g, dt, params)
-            density = np.abs(psi) ** 2 / config.transverse_area
+            psi = _kinetic_stage(settle(psi, drive, w), g, dt, params)
+            w = weight(psi)
+            drive = 0.0
         t = t + dt
-        opening = index in split_steps
-        psi = phase(psi, density, params.v_g * t, 0.5 * dt if opening else dt)
-        if opening:
+        closing = profile(g.points(), params.v_g * t)
+        if index in split_steps:
+            psi = settle(psi, drive + 0.5 * closing, w)
+            drive = None
             real[index] = psi
+        else:
+            drive = drive + closing
     return real
 
 
 class TestHoistedTransitIsBitExact:
-    """The transit is first-same-as-last Strang, bit for bit as written out
-    in _fsal_transit, and within roundoff of step-by-step Strang."""
+    """The transit is the deferred-phase scheme, bit for bit as written out
+    in _deferred_transit, and within roundoff of step-by-step Strang."""
 
     N_STEPS = 24
     OBSERVED = (5, 11)  # interior split points; the last step splits too
@@ -379,7 +410,7 @@ class TestHoistedTransitIsBitExact:
             observer=lambda i, st: seen.append((i, st, st.amplitude.copy())),
             observe_steps=self.OBSERVED,
         )
-        real = _fsal_transit(s, config, p, {*self.OBSERVED, config.n_steps})
+        real = _deferred_transit(s, config, p, {*self.OBSERVED, config.n_steps})
         assert np.array_equal(out.amplitude, real[config.n_steps])
         assert [i for i, _, _ in seen] == [*self.OBSERVED, config.n_steps]
         for i, st, copy in seen:  # nothing handed to the observer was touched later
@@ -441,6 +472,20 @@ class TestHoistedTransitIsBitExact:
                 expected.append(p.v_g * ends[index])
         assert calls == expected
         self._check(p, s, cfg)
+
+    def test_long_kinetic_off_transit_moves_orders_by_roundoff(self):
+        # the beam-splitter transit at benchmark size: 64 steps of drive
+        # pile up between real states, and the orders still agree with the
+        # unmerged scheme to roundoff (measured 6.7e-16)
+        p = with_v0rho(with_wy_lambdas(make_params(), 20.0), 0.3)
+        g = commensurate_grid(p, 4096, 128.0)
+        s = init_gaussian(g, p.rho_0, p.w_y, 1.0)
+        cfg = PropagationConfig(dt=None, n_steps=2048, kinetic_enabled=False)
+        out = propagate_through_laser(s, cfg, p)
+        strang = WaveState(grid=g, amplitude=_textbook_transit(s, cfg, p))
+        merged = momentum_spectrum(out, order_spacing(p), 7).orders
+        unmerged = momentum_spectrum(strang, order_spacing(p), 7).orders
+        assert max(abs(merged[q] - unmerged[q]) for q in merged) <= 1e-14
 
 
 class TestMomentumSpectrum:

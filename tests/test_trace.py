@@ -10,9 +10,11 @@ models.effective_potential, with one propagate.step call per z-step.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from matteroptics import characteristic_volume, cli, propagate
 
-from conftest import make_params, params_file_text, with_wy_lambdas
+from conftest import make_params, params_file_text, with_v0rho, with_wy_lambdas
 
 _TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -24,31 +26,71 @@ def _load_tracer():
     return module
 
 
-def test_traced_sweep_keeps_the_span_chain(tmp_path, capsys):
-    tracer = _load_tracer()
-    params = with_wy_lambdas(make_params(), 10.5)
-    path = tmp_path / "p.params"
-    path.write_text(params_file_text(params), encoding="utf-8")
-    dense = 0.3 / characteristic_volume(params)
-    z_steps, points = 16, 2
+def _traced_main(tracer, argv, capsys):
+    """cli.main(argv) with the tracer installed; returns (exit code, spans)."""
     original_step = propagate.step
-
     tr = tracer.Tracer()
     tr.install()
     try:
-        code = cli.main([  # looked up after install, as the benchmark does
-            "sweep", "--params", str(path), "--axis", "rho_0",
-            "--values", f"0,{dense!r}", "--paths", "all", "--grid-points", "256",
-            "--box-lambdas", "32", "--steps", str(z_steps), "--q-max", "1",
-            "--threads", "1", "--out", str(tmp_path / "sweep.csv"),
-        ])
+        code = cli.main(argv)  # looked up after install, as the benchmark does
     finally:
         tr.remove()
     capsys.readouterr()
+    assert propagate.step is original_step and not hasattr(cli.main, "__wrapped__")
+    return code, tr.spans
+
+
+def _params_path(tmp_path, params):
+    path = tmp_path / "p.params"
+    path.write_text(params_file_text(params), encoding="utf-8")
+    return str(path)
+
+
+def test_traced_sweep_keeps_the_span_chain(tmp_path, capsys):
+    tracer = _load_tracer()
+    params = with_wy_lambdas(make_params(), 10.5)
+    path = _params_path(tmp_path, params)
+    dense = 0.3 / characteristic_volume(params)
+    z_steps, points = 16, 2
+    code, spans = _traced_main(tracer, [
+        "sweep", "--params", path, "--axis", "rho_0",
+        "--values", f"0,{dense!r}", "--paths", "all", "--grid-points", "256",
+        "--box-lambdas", "32", "--steps", str(z_steps), "--q-max", "1",
+        "--threads", "1", "--out", str(tmp_path / "sweep.csv"),
+    ], capsys)
 
     assert code == 0
-    assert propagate.step is original_step and not hasattr(cli.main, "__wrapped__")
-    assert tracer.nesting_errors(tr.spans, True) == []
-    steps = [s for s in tr.spans if s[tracer.NAME] == "propagate.step"]
+    assert tracer.nesting_errors(spans, True) == []
+    steps = [s for s in spans if s[tracer.NAME] == "propagate.step"]
     assert len(steps) == z_steps * points
     assert all(s[tracer.COUNT] == 256 for s in steps)
+
+
+@pytest.mark.parametrize("kinetic", [False, True])
+def test_traced_propagate_evaluates_the_potential_per_fresh_density(
+    kinetic, tmp_path, capsys
+):
+    # 150 steps with two snapshots: real states after the finite checks at
+    # steps 64 and 128, the snapshot at 75 and the last step. With the
+    # kinetic term off |psi| changes only where the field is made real, so
+    # the potential is evaluated once per real state that starts a stretch:
+    # the entry state and the three interior ones. With it on, every step
+    # adds the density after its kinetic stage.
+    tracer = _load_tracer()
+    path = _params_path(tmp_path, with_v0rho(with_wy_lambdas(make_params(), 4.0), 0.3))
+    z_steps, interior_real = 150, 3
+    code, spans = _traced_main(tracer, [
+        "propagate", "--params", path, "--grid-points", "256",
+        "--box-lambdas", "32", "--steps", str(z_steps), "--q-max", "1",
+        "--snapshots", "2", "--kinetic" if kinetic else "--no-kinetic",
+        "--out", str(tmp_path / "run"),
+    ], capsys)
+
+    assert code == 0
+    assert tracer.nesting_errors(spans, False) == []
+    steps = [s for s in spans if s[tracer.NAME] == "propagate.step"]
+    assert len(steps) == z_steps
+    potentials = [s for s in spans if s[tracer.NAME] == "models.effective_potential"]
+    assert all(spans[s[tracer.PARENT]][tracer.NAME] == "propagate.step" for s in potentials)
+    expected = 1 + interior_real + (z_steps if kinetic else 0)
+    assert len(potentials) == expected
