@@ -68,7 +68,6 @@ from .optics import (
     adiabatic_validity,
     contact_interaction_bound,
     local_detuning,
-    local_field,
     medium_response,
     polarizability,
     refractive_index_sq,
@@ -140,7 +139,6 @@ __all__ = [
     "init_gaussian",
     "integrate",
     "local_detuning",
-    "local_field",
     "local_rabi",
     "medium_response",
     "momentum_spectrum",

@@ -22,14 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    ParameterError,
-    PoleError,
-    SteadyStateError,
-)
+from .errors import ConfigurationError, ParameterError, SteadyStateError
 from .models import characteristic_volume
-from .optics import EPS_POLE
+from .optics import check_pole
 from .serialize import write_float_table
 from .units import PhysicalParams
 
@@ -76,17 +71,6 @@ class BlochRates:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ParameterError(f"{name} must be finite and >= 0, got {v!r}")
-
-
-def inversion_drive_term(drive: complex, coherence: complex) -> float:
-    """Field-coherence beat driving the inversion, in product form.
-
-    i*(Omega*conj(R) - conj(Omega)*R) == 2*Im[conj(Omega)*R]; the left
-    side is how the beat appears when written in raising/lowering
-    components, the right side is the compact form used in bloch_rhs.
-    Kept separate so the equivalence stays independently testable.
-    """
-    return (1j * (drive * coherence.conjugate() - drive.conjugate() * coherence)).real
 
 
 def _derivative(r, w, drive, detuning, rates):
@@ -185,13 +169,7 @@ def local_rabi(
     if not corrected or density == 0.0:
         return complex(drive_mac)
     denom = 1.0 + characteristic_volume(params) * density
-    if abs(denom) <= EPS_POLE:
-        raise PoleError(
-            "local-field denominator 1 + V0*rho vanishes; no steady "
-            "local drive exists at this density",
-            density=density,
-        )
-    return complex(drive_mac) / denom
+    return complex(drive_mac) / check_pole(denom, density, "local-field")
 
 
 def write_trajectory_csv(trajectory: Sequence[BlochState], fh) -> None:

@@ -86,6 +86,7 @@ from .serialize import csv_num, json_dumps
 from .sweep import SweepSpec, run_sweep, sweep_report, write_sweep_csv
 from .units import (
     ParamFile,
+    PhysicalParams,
     convert_dimension,
     convert_field,
     detuning,
@@ -286,10 +287,11 @@ def _load_params(args) -> ParamFile:
     return read_param_file(args.params, units_override=args.units)
 
 
-def _density_from_args(args, pf: ParamFile) -> float:
+def _params_at_density(args, pf: ParamFile) -> PhysicalParams:
+    """The file's parameters with --density as rho_0, checked like the file's value."""
     if args.density is None:
-        return pf.params.rho_0
-    return convert_field(args.density, "rho_0", pf.units, "cgs")
+        return pf.params
+    return replace(pf.params, rho_0=convert_field(args.density, "rho_0", pf.units, "cgs"))
 
 
 def _default_saturation(args, pf: ParamFile) -> float:
@@ -309,7 +311,7 @@ def _default_saturation(args, pf: ParamFile) -> float:
 def cmd_optics(args) -> int:
     pf = _load_params(args)
     p = pf.params
-    density = _density_from_args(args, pf)
+    density = _params_at_density(args, pf).rho_0
 
     inputs = params_to_system(p, pf.units)
     quantities = {"density": convert_field(density, "rho_0", "cgs", pf.units)}
@@ -352,7 +354,7 @@ def cmd_optics(args) -> int:
 def cmd_validity(args) -> int:
     pf = _load_params(args)
     p = pf.params
-    density = _density_from_args(args, pf)
+    density = _params_at_density(args, pf).rho_0
 
     checks = regime_checks(p, density)
     checks["collision_bound"] = RegimeCheck.evaluate(
@@ -390,11 +392,7 @@ def _selected_paths(raw: str) -> tuple[str, ...]:
 
 
 def cmd_diffract(args) -> int:
-    pf = _load_params(args)
-    p = pf.params
-    density = _density_from_args(args, pf)
-    if density != p.rho_0:
-        p = replace(p, rho_0=density)
+    p = _params_at_density(args, _load_params(args))
     paths = _selected_paths(args.paths)
     q_max = args.q_max
     if q_max is None:
@@ -569,7 +567,7 @@ def cmd_bloch(args) -> int:
     if args.density is not None:
         if pf is None:
             raise ParameterError("--density needs --params for the medium constants")
-        rho = _density_from_args(args, pf)
+        rho = _params_at_density(args, pf).rho_0
         drive = local_rabi(drive, pf.params, rho, corrected=args.local_field)
 
     rates = BlochRates(gamma_l=args.gamma_l, gamma_t=args.gamma_t)

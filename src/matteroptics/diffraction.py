@@ -32,9 +32,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bessel import bessel_j_sequence
-from .errors import ConfigurationError, MatterOpticsError, ParameterError, PoleError
+from .errors import ConfigurationError, MatterOpticsError, ParameterError
 from .models import ModelKind, RamanNathParams, raman_nath_params
-from .optics import EPS_POLE
+from .optics import check_pole
 from .propagate import (
     Grid1D,
     PropagationConfig,
@@ -119,15 +119,11 @@ def phase_profile(y, params: PhysicalParams, rn: RamanNathParams):
     scalar_in = y.ndim == 0
     nk = params.harmonic * params.k_l
     local_density_factor = np.exp(-(y * y) / (params.w_y * params.w_y))
-    denom = 1.0 + rn.v0 * rn.rho_0 * local_density_factor
-    bad = np.abs(denom) <= EPS_POLE
-    if np.any(bad):
-        y_bad = float(np.atleast_1d(y)[np.atleast_1d(bad)][0])
-        raise PoleError(
-            f"local detuning passes through zero at y = {y_bad!r} cm "
-            f"(V0*rho(y) = -1); phase profile undefined there",
-            density=rn.rho_0 * math.exp(-(y_bad / params.w_y) ** 2),
-        )
+    denom = check_pole(
+        1.0 + rn.v0 * rn.rho_0 * local_density_factor,
+        rn.rho_0 * local_density_factor,
+        "phase-profile",
+    )
     phi = 4.0 * rn.g0 * np.cos(nk * y) ** 2 / denom**2
     return float(phi) if scalar_in else phi
 

@@ -30,7 +30,8 @@ class SingularDetuningError(PhysicsGuardError):
 class PoleError(PhysicsGuardError):
     """Denominator of a medium-response formula within guard distance of zero.
 
-    Carries the density at which the pole was hit when known.
+    Carries the density nearest the pole, 1/cm^3; optics.check_pole is
+    the one place that raises it.
     """
 
     def __init__(self, message: str, density: float | None = None):

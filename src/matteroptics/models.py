@@ -6,26 +6,28 @@ correction. All four coincide at zero density. Potentials are returned
 as energies (erg); division by hbar happens at the propagator boundary.
 
 The spontaneous emission rate is set to zero inside these potentials:
-they are the real, coherent-regime forms.
+they are the real, coherent-regime forms. The screened forms and the
+beam-splitter scalars guard their denominators through
+optics.check_pole, the package's one pole guard.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import MatterOpticsError, ParameterError, PoleError, SingularDetuningError
+from .errors import MatterOpticsError, ParameterError, SingularDetuningError
 from .units import HBAR, PhysicalParams, detuning
 from .optics import (
     ADIABATIC_RATIO_MIN,
-    EPS_POLE,
     PACKET_BROADNESS_MIN,
     POLE_DISTANCE_MIN,
     adiabatic_validity,
+    check_pole,
     polarizability,
 )
 
@@ -51,28 +53,18 @@ class ModelKind(enum.Enum):
 class RamanNathParams:
     """Scalar beam-splitter parameters (V0, g0, tau) at peak density rho_0.
 
-    tau = 2*g0/(1 + v0*rho_0)^2 by definition; construction recomputes the
-    identity and rejects inconsistent values.
+    tau = 2*g0/(1 + v0*rho_0)^2 is derived at construction, so it always
+    matches the other three; the beam-splitter pole raises PoleError.
     """
 
     v0: float  # cm^3
     g0: float
-    tau: float
-    rho_0: float  # 1/cm^3, the peak density tau was evaluated at
+    rho_0: float  # 1/cm^3, the peak density tau is evaluated at
+    tau: float = field(init=False)
 
     def __post_init__(self):
-        denom = 1.0 + self.v0 * self.rho_0
-        if abs(denom) <= EPS_POLE:
-            raise PoleError(
-                f"|1 + V0*rho_0| = {abs(denom):.3e} at the beam-splitter pole",
-                density=self.rho_0,
-            )
-        tau_check = 2.0 * self.g0 / denom**2
-        scale = max(abs(self.tau), abs(tau_check))
-        if scale > 0.0 and abs(self.tau - tau_check) > 1e-15 * scale:
-            raise ParameterError(
-                f"inconsistent tau: got {self.tau!r}, identity gives {tau_check!r}"
-            )
+        denom = check_pole(1.0 + self.v0 * self.rho_0, self.rho_0, "beam-splitter")
+        object.__setattr__(self, "tau", 2.0 * self.g0 / denom**2)
 
 
 def characteristic_volume(params: PhysicalParams) -> float:
@@ -85,16 +77,6 @@ def characteristic_volume(params: PhysicalParams) -> float:
     if delta == 0.0:
         raise SingularDetuningError("characteristic volume undefined at zero detuning")
     return (4.0 * math.pi / 3.0) * params.dipole**2 / (HBAR * delta)
-
-
-def _guard_denominator(denom, density, label: str) -> None:
-    # Works for scalars and arrays; reports the density closest to the pole.
-    mag = np.abs(denom)
-    amin = float(np.min(mag))
-    if amin <= EPS_POLE:
-        rho = np.broadcast_to(np.asarray(density, dtype=float), np.shape(mag))
-        at = float(rho.reshape(-1)[int(np.argmin(mag))]) if rho.size else None
-        raise PoleError(f"{label} pole: |denominator| = {amin:.3e}", density=at)
 
 
 def effective_potential(kind: ModelKind, rabi_sq, density, params: PhysicalParams):
@@ -121,8 +103,7 @@ def effective_potential(kind: ModelKind, rabi_sq, density, params: PhysicalParam
         out = HBAR * rabi / (4.0 * delta)
     elif kind is ModelKind.FULL:
         v0 = characteristic_volume(params)
-        denom = 1.0 + v0 * rho
-        _guard_denominator(denom, rho, "full-model")
+        denom = check_pole(1.0 + v0 * rho, rho, "full-model")
         out = HBAR * rabi / (4.0 * delta * denom**2)
     elif kind is ModelKind.GROSS_PITAEVSKII_TYPE:
         out = (rabi / delta) * (
@@ -130,8 +111,7 @@ def effective_potential(kind: ModelKind, rabi_sq, density, params: PhysicalParam
         )
     elif kind is ModelKind.WALLIS_TYPE:
         alpha = polarizability(params)
-        denom = 1.0 - (8.0 * math.pi / 3.0) * alpha * rho
-        _guard_denominator(denom, rho, "screened-model")
+        denom = check_pole(1.0 - (8.0 * math.pi / 3.0) * alpha * rho, rho, "screened-model")
         out = (HBAR / 4.0) * rabi / (delta * denom)
     else:
         raise ParameterError(f"unknown model kind {kind!r}")
@@ -146,19 +126,10 @@ def raman_nath_params(params: PhysicalParams) -> RamanNathParams:
     accumulated phase scale; tau = 2 g0 / (1 + V0 rho_0)^2 is the
     Bessel-series argument at peak density.
     """
+    v0 = characteristic_volume(params)  # raises at zero detuning
     delta = detuning(params)
-    if delta == 0.0:
-        raise SingularDetuningError("beam-splitter parameters undefined at zero detuning")
-    v0 = characteristic_volume(params)
-    denom = 1.0 + v0 * params.rho_0
-    if abs(denom) <= EPS_POLE:
-        raise PoleError(
-            f"|1 + V0*rho_0| = {abs(denom):.3e} at the beam-splitter pole",
-            density=params.rho_0,
-        )
     g0 = params.rabi_peak**2 * params.w_l * math.sqrt(math.pi) / (16.0 * delta * params.v_g)
-    tau = 2.0 * g0 / denom**2
-    return RamanNathParams(v0=v0, g0=g0, tau=tau, rho_0=params.rho_0)
+    return RamanNathParams(v0=v0, g0=g0, rho_0=params.rho_0)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,19 @@ n^2 = (1 + (8*pi/3) alpha*rho) / (1 - (4*pi/3) alpha*rho).
 Every function takes density as an explicit argument so it can be mapped
 over spatial density profiles. All functions are pure: same inputs give
 bit-identical outputs.
+
+check_pole is the one guard on every local-field denominator in the
+package (1 - (4*pi/3) alpha rho here, 1 + V0 rho and its relatives in
+models, diffraction and bloch): each formula keeps its own arithmetic
+and hands its denominator to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ParameterError, PoleError, SingularDetuningError
 from .units import HBAR, C_LIGHT, PhysicalParams, detuning
@@ -62,18 +69,36 @@ def polarizability(params: PhysicalParams) -> float:
     return -params.dipole**2 / (HBAR * delta)
 
 
+def check_pole(denominator, density, label: str):
+    """Return denominator, or raise PoleError where |denominator| <= EPS_POLE.
+
+    denominator and density are floats, or arrays that broadcast
+    together; for arrays the error reports the density nearest the pole.
+    Floats take a plain path with no numpy call.
+    """
+    if isinstance(denominator, float):
+        d, i = abs(denominator), None
+    else:
+        mag = np.abs(denominator)
+        i = int(np.argmin(mag))
+        d = float(mag.flat[i])
+    if d <= EPS_POLE:
+        at = float(density if i is None else np.broadcast_to(density, mag.shape).flat[i])
+        raise PoleError(f"{label} pole: |denominator| = {d:.3e} at density {at:.3e}", density=at)
+    return denominator
+
+
+def _clausius_mossotti(alpha: float, density: float) -> tuple[float, float]:
+    # (x, 1 - x) with x = (4*pi/3) alpha rho, the denominator guarded
+    x = (4.0 * math.pi / 3.0) * alpha * density
+    return x, check_pole(1.0 - x, density, "Clausius-Mossotti")
+
+
 def susceptibility(alpha: float, density: float) -> float:
     """Lorentz-Lorenz susceptibility chi = alpha*rho / (1 - (4*pi/3) alpha*rho)."""
     if density == 0.0:
         return 0.0  # not -0.0, which alpha*density would give for alpha < 0
-    x = (4.0 * math.pi / 3.0) * alpha * density
-    denom = 1.0 - x
-    if abs(denom) <= EPS_POLE:
-        raise PoleError(
-            f"Clausius-Mossotti pole: |1 - (4*pi/3) alpha rho| = {abs(denom):.3e}",
-            density=density,
-        )
-    return alpha * density / denom
+    return alpha * density / _clausius_mossotti(alpha, density)[1]
 
 
 def refractive_index_sq(alpha: float, density: float) -> float:
@@ -82,13 +107,7 @@ def refractive_index_sq(alpha: float, density: float) -> float:
     Satisfies n^2 = 1 + 4*pi*chi to relative 1e-12 wherever both are
     defined, and n^2 = 1 exactly at zero density.
     """
-    x = (4.0 * math.pi / 3.0) * alpha * density
-    denom = 1.0 - x
-    if abs(denom) <= EPS_POLE:
-        raise PoleError(
-            f"Clausius-Mossotti pole: |1 - (4*pi/3) alpha rho| = {abs(denom):.3e}",
-            density=density,
-        )
+    x, denom = _clausius_mossotti(alpha, density)
     return (1.0 + 2.0 * x) / denom
 
 
@@ -99,16 +118,6 @@ def local_detuning(params: PhysicalParams, density: float) -> float:
     Delta * (1 + V0*rho) with V0 the characteristic volume.
     """
     return detuning(params) + (4.0 * math.pi / 3.0) * params.dipole**2 * density / HBAR
-
-
-def local_field(e_mac: complex, polarization: complex) -> complex:
-    """Lorentz-Lorenz local field E_loc = E_mac + (4*pi/3) P."""
-    return e_mac + (4.0 * math.pi / 3.0) * polarization
-
-
-def polarization(chi: float, e_mac: complex) -> complex:
-    """Positive-frequency polarization amplitude P+ = chi * E_mac+."""
-    return chi * e_mac
 
 
 def medium_response(params: PhysicalParams, density: float) -> MediumResponse:
@@ -130,7 +139,7 @@ def contact_interaction_bound(saturation: float, params: PhysicalParams) -> floa
     A large bound means ground-state collisions are negligible next to the
     light-induced dipole-dipole interaction.
     """
-    if saturation <= 0.0:
+    if not saturation > 0.0:
         raise ParameterError(f"saturation must be positive, got {saturation!r}")
     if params.scattering_length <= 0.0:
         raise ParameterError(

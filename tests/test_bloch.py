@@ -5,15 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from matteroptics.bloch import (
     BlochRates,
     BlochState,
     bloch_rhs,
     integrate,
-    inversion_drive_term,
     local_rabi,
     steady_state,
     write_trajectory_csv,
@@ -59,23 +56,6 @@ class TestStateAndRates:
             BlochRates(gamma_l=0.0, gamma_t=math.nan)
 
 
-_COMPONENT = st.floats(
-    min_value=-1e8, max_value=1e8, allow_nan=False, allow_infinity=False
-)
-
-
-@given(_COMPONENT, _COMPONENT, _COMPONENT, _COMPONENT)
-def test_drive_term_forms_identical(a, b, c, d):
-    # the raising/lowering form and the compact 2 Im form differ only
-    # by algebra whose floating-point roundings cancel term by term,
-    # so the two evaluations must agree bit for bit
-    drive = complex(a, b)
-    coherence = complex(c, d)
-    assert inversion_drive_term(drive, coherence) == 2.0 * (
-        drive.conjugate() * coherence
-    ).imag
-
-
 def test_rhs_matches_written_equations():
     state = BlochState(coherence=0.21 - 0.13j, inversion=-0.35)
     drive = 0.9 + 0.4j
@@ -84,7 +64,10 @@ def test_rhs_matches_written_equations():
     dr, dw = bloch_rhs(state, drive, detuning, rates)
     r, w = state.coherence, state.inversion
     assert dr == (1j * detuning - rates.gamma_t) * r - 0.5j * drive * w
-    assert dw == -rates.gamma_l * (1.0 + w) + inversion_drive_term(drive, r)
+    # the field-coherence beat as written in raising/lowering components,
+    # i (Omega conj(R) - conj(Omega) R), equals 2 Im[conj(Omega) R]
+    beat = (1j * (drive * r.conjugate() - drive.conjugate() * r)).real
+    assert dw == -rates.gamma_l * (1.0 + w) + beat
 
 
 class TestIntegrateGuards:

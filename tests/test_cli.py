@@ -209,6 +209,52 @@ class TestValidity:
         assert all(c["ok"] for c in report["checks"])
 
 
+class TestInvalidOverrides:
+    """--density and --saturation go through the same rules as the file."""
+
+    EXTRA = {
+        "optics": (),
+        "validity": (),
+        "bloch": ("--drive-re", "1.0", "--detuning", "0.1", "--dt", "0.01", "--steps", "4"),
+        "diffract": ("--paths", "analytic", "--q-max", "3"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("value, rule", [("nan", "finite"), ("-1", "nonnegative")])
+    @pytest.mark.parametrize("command", sorted(EXTRA))
+    def test_density_is_validated_as_rho_0(self, capsys, params_file, command, value, rule, fmt):
+        code, out, err = run(
+            capsys, command, "--params", params_file, "--density", value,
+            *self.EXTRA[command], "--format", fmt,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: rho_0 must be {rule}, got ")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["optics", "validity"])
+    def test_nan_saturation_is_an_errored_entry(self, capsys, params_file, command, fmt):
+        code, out, err = run(
+            capsys, command, "--params", params_file, "--saturation", "nan", "--format", fmt
+        )
+        assert code == 2
+        assert err == ""
+        message = "saturation must be positive, got nan"
+        if fmt == "json":
+            doc = json.loads(out)
+            if command == "optics":
+                assert doc["errors"]["contact_bound"] == message
+                assert "contact_bound" not in doc["quantities"]
+            else:
+                check = doc["checks"][-1]
+                assert check["name"] == "collision_bound"
+                assert (check["value"], check["ok"], check["error"]) == (None, False, message)
+        elif command == "optics":
+            assert f'contact_bound,,"{message}"' in out.splitlines()
+        else:
+            assert f'collision_bound,,10,false,"{message}"' in out.splitlines()
+
+
 def _gamma_at_ratio_ten(params):
     """A linewidth at which |Delta| / gamma is exactly 10.0 in floating point."""
     delta = abs(detuning(params))

@@ -181,10 +181,11 @@ class TestRamanNathParams:
         with pytest.raises(PoleError):
             raman_nath_params(p)
 
-    def test_constructor_rejects_inconsistent_tau(self):
-        with pytest.raises(ParameterError, match="inconsistent tau"):
-            RamanNathParams(v0=1.0e-17, g0=2.0, tau=1.0, rho_0=0.0)
-        RamanNathParams(v0=1.0e-17, g0=2.0, tau=4.0, rho_0=0.0)  # consistent
+    def test_constructor_derives_tau(self):
+        rn = RamanNathParams(v0=1.0e-17, g0=2.0, rho_0=2.0e16)
+        assert rn.tau == 2.0 * 2.0 / (1.0 + 1.0e-17 * 2.0e16) ** 2
+        with pytest.raises(TypeError):
+            RamanNathParams(v0=1.0e-17, g0=2.0, rho_0=0.0, tau=4.0)
 
 
 def test_significant_density():

@@ -3,26 +3,34 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from matteroptics.bloch import local_rabi
+from matteroptics.diffraction import phase_profile
 from matteroptics.errors import ParameterError, PoleError, SingularDetuningError
+from matteroptics.models import (
+    ModelKind,
+    characteristic_volume,
+    effective_potential,
+    raman_nath_params,
+)
 from matteroptics.optics import (
+    EPS_POLE,
     adiabatic_validity,
     contact_interaction_bound,
     local_detuning,
-    local_field,
     medium_response,
     polarizability,
-    polarization,
     refractive_index_sq,
     susceptibility,
     weakest_adiabatic_ratio,
 )
 from matteroptics.units import HBAR, C_LIGHT, detuning
 
-from conftest import make_params, red_detuned
+from conftest import make_params, red_detuned, with_g0, with_v0rho
 
 FOUR_PI_3 = 4.0 * math.pi / 3.0
 
@@ -94,14 +102,14 @@ def test_pole_guard_boundary():
 
 
 def test_local_field_closes_to_screening_factor():
-    # E_loc = E_mac + (4 pi/3) P and P = chi E_mac give
-    # E_loc/E_mac = 1/(1 - (4 pi/3) alpha rho)
-    alpha = polarizability(make_params())
-    rho = 2.0e16
-    chi = susceptibility(alpha, rho)
-    e_loc = local_field(1.0 + 0.0j, polarization(chi, 1.0 + 0.0j))
-    assert e_loc.real == pytest.approx(1.0 / (1.0 - FOUR_PI_3 * alpha * rho), rel=1e-12)
-    assert e_loc.imag == 0.0
+    # E_loc = E_mac + (4 pi/3) P with P = chi E_mac: the local drive of
+    # bloch is the macroscopic one times 1 + (4 pi/3) chi, both signs
+    for p in (make_params(), red_detuned(make_params())):
+        alpha = polarizability(p)
+        rho = 0.3 / abs(FOUR_PI_3 * alpha)
+        got = local_rabi(1.0 + 0.0j, p, rho)
+        assert got == pytest.approx(1.0 + FOUR_PI_3 * susceptibility(alpha, rho), rel=1e-12)
+        assert got.imag == 0.0
 
 
 def test_local_detuning_shift():
@@ -145,8 +153,9 @@ def test_contact_bound_scales_linearly_in_saturation():
 
 def test_contact_bound_input_guards():
     p = make_params()
-    with pytest.raises(ParameterError, match="saturation"):
-        contact_interaction_bound(0.0, p)
+    for saturation in (0.0, -1.0, math.nan):
+        with pytest.raises(ParameterError, match="saturation"):
+            contact_interaction_bound(saturation, p)
     with pytest.raises(ParameterError, match="scattering_length"):
         contact_interaction_bound(1.0, make_params(scattering_length=-1.0e-7))
 
@@ -184,3 +193,76 @@ def test_index_identity_property(rho_frac, red):
     n_sq = refractive_index_sq(alpha, rho)
     chi = susceptibility(alpha, rho)
     assert n_sq == pytest.approx(1.0 + 4.0 * math.pi * chi, rel=1e-10)
+
+
+def _red_pole():
+    """Red-detuned point and the density where 1 + V0 rho vanishes."""
+    p = red_detuned(make_params())
+    return p, -1.0 / characteristic_volume(p)
+
+
+def _susceptibility_pole():
+    p, rho = _red_pole()  # 1 - (4 pi/3) alpha rho = 1 + V0 rho
+    return lambda: susceptibility(polarizability(p), rho), rho
+
+
+def _refractive_index_pole():
+    p, rho = _red_pole()
+    return lambda: refractive_index_sq(polarizability(p), rho), rho
+
+
+def _potential_pole(kind, frac, array):
+    # the FULL pole sits at V0 rho = -1, the WALLIS one at V0 rho = -1/2
+    p, rho = _red_pole()
+    rho *= frac
+    density = np.array([0.0, 0.5 * rho, rho, 1.0e10]) if array else rho
+    return lambda: effective_potential(kind, 1.0, density, p), rho
+
+
+def _raman_nath_pole():
+    p = with_v0rho(red_detuned(make_params()), -1.0)
+    return lambda: raman_nath_params(p), p.rho_0
+
+
+def _phase_profile_pole(array):
+    # V0 rho_0 = -1.2 at the peak: the local denominator crosses zero on
+    # the packet shoulder, where the density has decayed to 1/|V0|
+    p = with_v0rho(with_g0(red_detuned(make_params()), -1.0), -1.2)
+    rn = raman_nath_params(p)
+    y_pole = p.w_y * math.sqrt(math.log(1.2))
+    y = np.array([0.0, 0.5 * y_pole, y_pole, 2.0 * y_pole]) if array else y_pole
+    return lambda: phase_profile(y, p, rn), 1.0 / abs(rn.v0)
+
+
+def _local_rabi_pole():
+    p, rho = _red_pole()
+    return lambda: local_rabi(1.0, p, rho), rho
+
+
+POLE_SITES = {
+    "Clausius-Mossotti/susceptibility": _susceptibility_pole,
+    "Clausius-Mossotti/refractive_index_sq": _refractive_index_pole,
+    "full-model/scalar": lambda: _potential_pole(ModelKind.FULL, 1.0, False),
+    "full-model/array": lambda: _potential_pole(ModelKind.FULL, 1.0, True),
+    "screened-model/scalar": lambda: _potential_pole(ModelKind.WALLIS_TYPE, 0.5, False),
+    "screened-model/array": lambda: _potential_pole(ModelKind.WALLIS_TYPE, 0.5, True),
+    "beam-splitter/raman_nath_params": _raman_nath_pole,
+    "phase-profile/scalar": lambda: _phase_profile_pole(False),
+    "phase-profile/array": lambda: _phase_profile_pole(True),
+    "local-field/local_rabi": _local_rabi_pole,
+}
+
+
+@pytest.mark.parametrize("site", sorted(POLE_SITES))
+def test_every_pole_site_reports_the_nearest_density(site):
+    call, rho_pole = POLE_SITES[site]()
+    with pytest.raises(PoleError) as err:
+        call()
+    at = err.value.density
+    assert at == pytest.approx(rho_pole, rel=1e-6)
+    # one message format: "<label> pole: |denominator| = <d> at density <rho>"
+    message = str(err.value)
+    prefix = f"{site.split('/')[0]} pole: |denominator| = "
+    suffix = f" at density {at:.3e}"
+    assert message.startswith(prefix) and message.endswith(suffix)
+    assert float(message[len(prefix):-len(suffix)]) <= EPS_POLE

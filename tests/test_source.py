@@ -50,6 +50,59 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def pole_guard_sites(source: str) -> set[str]:
+    """Functions that compare EPS_POLE or raise PoleError(...), by name.
+
+    Module-level code counts as '<module>'.
+    """
+    sites = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        compares_eps = isinstance(node, ast.Compare) and any(
+            isinstance(n, ast.Name) and n.id == "EPS_POLE" for n in ast.walk(node)
+        )
+        raises_pole = isinstance(node, ast.Call) and "PoleError" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        )
+        if compares_eps or raises_pole:
+            sites.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_guard_site_checker():
+    source = (
+        "def guard(d):\n"
+        "    if abs(d) <= EPS_POLE:\n"
+        "        raise PoleError('x')\n"
+        "def other(d):\n"
+        "    return d if EPS_POLE < d else None\n"
+        "err = PoleError('y')\n"
+        "def third():\n"
+        "    return errors.PoleError('z')\n"
+        "def unrelated(d):\n"
+        "    return d <= 1e-12\n"
+    )
+    assert pole_guard_sites(source) == {"guard", "other", "<module>", "third"}
+
+
+def test_one_pole_guard():
+    # every local-field denominator goes through optics.check_pole, so a
+    # new formula cannot grow a guard, a threshold or a message of its own
+    sites = {
+        f"{path.stem}.{site}"
+        for path in PACKAGE.glob("*.py")
+        for site in pole_guard_sites(path.read_text(encoding="utf-8"))
+    }
+    assert sites == {"optics.check_pole"}
+
+
 def test_root_exports_resolve():
     # a stale __all__ entry breaks `from matteroptics import *`
     missing = [name for name in matteroptics.__all__ if not hasattr(matteroptics, name)]
