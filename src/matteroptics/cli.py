@@ -288,10 +288,11 @@ def _load_params(args) -> ParamFile:
 
 
 def _params_at_density(args, pf: ParamFile) -> PhysicalParams:
-    """The file's parameters with --density as rho_0, checked like the file's value."""
+    """The file's parameters with --density as rho_0, checked by the rho_0 rule as typed."""
     if args.density is None:
         return pf.params
-    return replace(pf.params, rho_0=convert_field(args.density, "rho_0", pf.units, "cgs"))
+    typed = replace(pf.params, rho_0=args.density)
+    return replace(pf.params, rho_0=convert_field(typed.rho_0, "rho_0", pf.units, "cgs"))
 
 
 def _default_saturation(args, pf: ParamFile) -> float:

@@ -30,7 +30,7 @@ class SingularDetuningError(PhysicsGuardError):
 class PoleError(PhysicsGuardError):
     """Denominator of a medium-response formula within guard distance of zero.
 
-    Carries the density nearest the pole, 1/cm^3; optics.check_pole is
+    Carries the density of the pole, 1/cm^3; optics.check_pole is
     the one place that raises it.
     """
 

@@ -26,9 +26,10 @@ from .optics import (
     ADIABATIC_RATIO_MIN,
     PACKET_BROADNESS_MIN,
     POLE_DISTANCE_MIN,
-    adiabatic_validity,
     check_pole,
     polarizability,
+    smallest_magnitude,
+    weakest_adiabatic_ratio,
 )
 
 
@@ -178,23 +179,33 @@ class RegimeCheck(NamedTuple):
 def regime_checks(params: PhysicalParams, density: float) -> dict[str, RegimeCheck]:
     """The density-dependent regime checks, by name, in report order.
 
-    adiabatic_ratio   |Delta_l| / gamma at this density
-    pole_distance     min |1 + V0 rho|, |1 + 2 V0 rho|: distance to the
-                      full- and screened-model poles
-    packet_broadness  w_y in units of the standing-wave period 2 pi / (n k_L)
+    adiabatic_ratio         |Delta_l| / gamma at this density
+    pole_distance           min |1 + V0 rho|, |1 + 2 V0 rho|: distance to the
+                            full- and screened-model poles
+    packet_broadness        w_y in units of the standing-wave period 2 pi / (n k_L)
+    adiabatic_ratio_packet  the smallest adiabatic_ratio over [0, density]
+    pole_distance_packet    the smallest pole_distance over [0, density]
+
+    [0, density] is the packet's density range, as the propagator's guard sees it.
     """
 
-    def pole_distance() -> float:
-        v0rho = characteristic_volume(params) * density
-        return min(abs(1.0 + v0rho), abs(1.0 + 2.0 * v0rho))
+    def ratio(rho_lo: float) -> float:
+        return weakest_adiabatic_ratio(params, rho_lo, density)[0]
+
+    def distance(rho_lo: float) -> float:
+        v0 = characteristic_volume(params)
+        return min(
+            smallest_magnitude(1.0 + k * v0 * rho_lo, 1.0 + k * v0 * density, rho_lo, density)[0]
+            for k in (1.0, 2.0)
+        )
 
     return {
-        "adiabatic_ratio": RegimeCheck.evaluate(
-            ADIABATIC_RATIO_MIN, lambda: adiabatic_validity(params, density)
-        ),
-        "pole_distance": RegimeCheck.evaluate(POLE_DISTANCE_MIN, pole_distance),
+        "adiabatic_ratio": RegimeCheck.evaluate(ADIABATIC_RATIO_MIN, lambda: ratio(density)),
+        "pole_distance": RegimeCheck.evaluate(POLE_DISTANCE_MIN, lambda: distance(density)),
         "packet_broadness": RegimeCheck.evaluate(
             PACKET_BROADNESS_MIN,
             lambda: params.w_y * params.harmonic * params.k_l / (2.0 * math.pi),
         ),
+        "adiabatic_ratio_packet": RegimeCheck.evaluate(ADIABATIC_RATIO_MIN, lambda: ratio(0.0)),
+        "pole_distance_packet": RegimeCheck.evaluate(POLE_DISTANCE_MIN, lambda: distance(0.0)),
     }

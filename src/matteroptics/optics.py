@@ -13,7 +13,9 @@ bit-identical outputs.
 check_pole is the one guard on every local-field denominator in the
 package (1 - (4*pi/3) alpha rho here, 1 + V0 rho and its relatives in
 models, diffraction and bloch): each formula keeps its own arithmetic
-and hands its denominator to it.
+and hands its denominator to it, which must be affine in the density
+passed with it, as every local-field factor is. smallest_magnitude is
+the range rule it shares with check_adiabatic and the regime checks.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ParameterError, PoleError, SingularDetuningError
+from .errors import ParameterError, PhysicsGuardError, PoleError, SingularDetuningError
 from .units import HBAR, C_LIGHT, PhysicalParams, detuning
 
 # Guard distance on medium-response denominators. The natural scale of
@@ -69,23 +69,52 @@ def polarizability(params: PhysicalParams) -> float:
     return -params.dipole**2 / (HBAR * delta)
 
 
+def smallest_magnitude(lo: float, hi: float, rho_lo: float, rho_hi: float) -> tuple[float, float]:
+    """(min |f|, density) over [rho_lo, rho_hi] of f affine in the density.
+
+    lo and hi are f at rho_lo and rho_hi. An affine f is monotone, so its
+    smallest magnitude lies at one end of the range, or is 0 at the root
+    where f changes sign inside it.
+    """
+    if min(lo, hi) < 0.0 < max(lo, hi):
+        return 0.0, rho_lo + (rho_hi - rho_lo) * lo / (lo - hi)
+    if abs(lo) <= abs(hi):
+        return abs(lo), rho_lo
+    return abs(hi), rho_hi
+
+
 def check_pole(denominator, density, label: str):
     """Return denominator, or raise PoleError where |denominator| <= EPS_POLE.
 
-    denominator and density are floats, or arrays that broadcast
-    together; for arrays the error reports the density nearest the pole.
-    Floats take a plain path with no numpy call.
+    denominator and density are floats, or arrays of one shape. An array
+    is guarded over the density range it spans, so a root between samples
+    raises and is reported at its density. Floats take a plain path with
+    no numpy call.
     """
     if isinstance(denominator, float):
-        d, i = abs(denominator), None
+        d, at = abs(denominator), float(density)
     else:
-        mag = np.abs(denominator)
-        i = int(np.argmin(mag))
-        d = float(mag.flat[i])
+        i, j = int(density.argmin()), int(density.argmax())
+        d, at = smallest_magnitude(
+            float(denominator.flat[i]), float(denominator.flat[j]),
+            float(density.flat[i]), float(density.flat[j]),
+        )
     if d <= EPS_POLE:
-        at = float(density if i is None else np.broadcast_to(density, mag.shape).flat[i])
         raise PoleError(f"{label} pole: |denominator| = {d:.3e} at density {at:.3e}", density=at)
     return denominator
+
+
+def check_adiabatic(params: PhysicalParams, rho_lo: float, rho_hi: float) -> None:
+    """Raise PhysicsGuardError where |Delta_l| / gamma < ADIABATIC_RATIO_MIN on [rho_lo, rho_hi].
+
+    The one adiabatic guard, as check_pole is the one pole guard.
+    """
+    ratio, at = weakest_adiabatic_ratio(params, rho_lo, rho_hi)
+    if ratio < ADIABATIC_RATIO_MIN:
+        raise PhysicsGuardError(
+            f"adiabatic elimination invalid: |Delta_l|/gamma = {ratio:.3g} "
+            f"< {ADIABATIC_RATIO_MIN:g} at density {at:.3e}"
+        )
 
 
 def _clausius_mossotti(alpha: float, density: float) -> tuple[float, float]:
@@ -151,10 +180,7 @@ def contact_interaction_bound(saturation: float, params: PhysicalParams) -> floa
 
 def adiabatic_validity(params: PhysicalParams, density: float) -> float:
     """Ratio |Delta_l| / gamma; infinite in the coherent limit gamma = 0."""
-    dl = abs(local_detuning(params, density))
-    if params.gamma == 0.0:
-        return math.inf
-    return dl / params.gamma
+    return weakest_adiabatic_ratio(params, density, density)[0]
 
 
 def weakest_adiabatic_ratio(
@@ -162,14 +188,10 @@ def weakest_adiabatic_ratio(
 ) -> tuple[float, float]:
     """(ratio, density): the smallest |Delta_l| / gamma over [rho_lo, rho_hi].
 
-    Delta_l is linear in the density, so its smallest magnitude lies at
-    one end of the range, or is 0 where Delta_l changes sign inside it.
     Blue of resonance that is the low end (the packet's wings), red of it
     the high end (the peak). The ratio is infinite when gamma = 0.
     """
-    lo, hi = local_detuning(params, rho_lo), local_detuning(params, rho_hi)
-    if lo * hi < 0.0:
-        at = rho_lo + (rho_hi - rho_lo) * lo / (lo - hi)
-        return (0.0 if params.gamma > 0.0 else math.inf), at
-    at = rho_lo if abs(lo) <= abs(hi) else rho_hi
-    return adiabatic_validity(params, at), at
+    dl, at = smallest_magnitude(
+        local_detuning(params, rho_lo), local_detuning(params, rho_hi), rho_lo, rho_hi
+    )
+    return (dl / params.gamma if params.gamma > 0.0 else math.inf), at

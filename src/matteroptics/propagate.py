@@ -58,9 +58,9 @@ from typing import Callable, Collection
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericsError, ParameterError, PhysicsGuardError
+from .errors import ConfigurationError, NumericsError, ParameterError
 from .models import ModelKind, effective_potential
-from .optics import ADIABATIC_RATIO_MIN, weakest_adiabatic_ratio
+from .optics import check_adiabatic
 from .serialize import write_float_table
 from .units import HBAR, PhysicalParams
 
@@ -252,25 +252,6 @@ def _step_invariants(grid: Grid1D, config: PropagationConfig, params: PhysicalPa
     return grid.points(), kinetic_phase
 
 
-def _check_adiabatic(density: np.ndarray, t: float, params: PhysicalParams) -> None:
-    """Reject a step whose density range leaves |Delta_l| / gamma too small."""
-    rho_lo, rho_hi = float(np.min(density)), float(np.max(density))
-    if not math.isfinite(rho_hi):
-        # a field that went non-finite between finite checks is a
-        # numerics failure, not a regime violation
-        raise NumericsError(
-            f"non-finite peak density {rho_hi!r} at "
-            f"t = {t!r} s (z = {params.v_g * t!r} cm)",
-            time=t,
-        )
-    ratio, at = weakest_adiabatic_ratio(params, rho_lo, rho_hi)
-    if ratio < ADIABATIC_RATIO_MIN:
-        raise PhysicsGuardError(
-            f"adiabatic elimination invalid: |Delta_l|/gamma = {ratio:.3g} "
-            f"< {ADIABATIC_RATIO_MIN:g} at density {at:.3e}"
-        )
-
-
 def _weight(
     psi: np.ndarray, t: float, config: PropagationConfig, params: PhysicalParams
 ) -> np.ndarray | None:
@@ -283,7 +264,16 @@ def _weight(
     """
     density = (psi.real**2 + psi.imag**2) / config.transverse_area
     if params.gamma > 0.0:
-        _check_adiabatic(density, t, params)
+        rho_lo, rho_hi = float(np.min(density)), float(np.max(density))
+        if not math.isfinite(rho_hi):
+            # a field that went non-finite between finite checks is a
+            # numerics failure, not a regime violation
+            raise NumericsError(
+                f"non-finite peak density {rho_hi!r} at "
+                f"t = {t!r} s (z = {params.v_g * t!r} cm)",
+                time=t,
+            )
+        check_adiabatic(params, rho_lo, rho_hi)
     if config.laser_profile is None:
         return None
     return effective_potential(config.model, 1.0, density, params) * (config.dt / HBAR)

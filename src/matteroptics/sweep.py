@@ -29,7 +29,7 @@ from .diffraction import (
     evaluate_routes,
 )
 from .errors import ConfigurationError, MatterOpticsError, SweepError
-from .models import regime_checks
+from .models import RegimeCheck, regime_checks
 from .serialize import csv_num
 from .units import PhysicalParams, params_to_system
 
@@ -73,26 +73,31 @@ class SweepSpec:
             raise ConfigurationError(f"q_max must be nonnegative, got {self.q_max}")
 
 
+# (regime check, CSV column, JSON flag key) of each flag a sweep row reports
+_FLAGS = (
+    ("adiabatic_ratio", "adiabatic_ok", "adiabatic"),
+    ("pole_distance", "pole_ok", "pole_distance"),
+    ("packet_broadness", "broadness_ok", "w_y_broadness"),
+)
+
+
 @dataclass(frozen=True)
 class SweepRow:
-    """One evaluated point; error rows keep every numeric field None."""
+    """One evaluated point; error rows keep every numeric field and checks None."""
 
     value: float
     tau: float | None
     patterns: Mapping[str, DiffractionPattern] | None
     discrepancy: float | None
-    adiabatic_ok: bool | None
-    pole_ok: bool | None
-    broadness_ok: bool | None
+    checks: Mapping[str, RegimeCheck] | None
     error: str | None = None
 
+    def flags(self) -> list[bool]:
+        """The ok bits of the _FLAGS checks, in table order."""
+        return [self.checks[name].ok for name, _, _ in _FLAGS]
+
     def valid(self) -> bool:
-        return (
-            self.error is None
-            and bool(self.adiabatic_ok)
-            and bool(self.pole_ok)
-            and bool(self.broadness_ok)
-        )
+        return self.error is None and all(self.flags())
 
 
 def _evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
@@ -103,26 +108,9 @@ def _evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
         )
         # flagged, not rejected: a row outside the regime keeps its numbers
         checks = regime_checks(point, point.rho_0)
-        return SweepRow(
-            value=value,
-            tau=rn.tau,
-            patterns=patterns,
-            discrepancy=discrepancy,
-            adiabatic_ok=checks["adiabatic_ratio"].ok,
-            pole_ok=checks["pole_distance"].ok,
-            broadness_ok=checks["packet_broadness"].ok,
-        )
+        return SweepRow(value, rn.tau, patterns, discrepancy, checks)
     except MatterOpticsError as exc:
-        return SweepRow(
-            value=value,
-            tau=None,
-            patterns=None,
-            discrepancy=None,
-            adiabatic_ok=None,
-            pole_ok=None,
-            broadness_ok=None,
-            error=str(exc),
-        )
+        return SweepRow(value, None, None, None, None, error=str(exc))
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
@@ -150,33 +138,24 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     return rows
 
 
-def _flag_cell(flag: bool | None) -> str:
-    return "" if flag is None else ("true" if flag else "false")
-
-
 def write_sweep_csv(rows: Sequence[SweepRow], spec: SweepSpec, fh) -> None:
     """Flattened rows: axis value, tau, per-path folded orders, checks."""
     writer = csv.writer(fh, lineterminator="\n")
     header = [spec.axis, "tau"]
     for path in spec.paths:
         header.extend(f"{path}_P_{q}" for q in range(spec.q_max + 1))
-    header.extend(["discrepancy", "adiabatic_ok", "pole_ok", "broadness_ok", "error"])
+    header.extend(["discrepancy", *(column for _, column, _ in _FLAGS), "error"])
     writer.writerow(header)
     for row in rows:
-        cells = [csv_num(row.value)]
-        if row.error is not None:
-            cells.append("")
-            cells.extend("" for _ in range(len(spec.paths) * (spec.q_max + 1)))
-            cells.append("")
-        else:
-            cells.append(csv_num(row.tau))
-            for path in spec.paths:
-                cells.extend(csv_num(p) for p in row.patterns[path].folded())
-            cells.append(csv_num(row.discrepancy))
-        cells.extend(
-            _flag_cell(f) for f in (row.adiabatic_ok, row.pole_ok, row.broadness_ok)
-        )
-        cells.append(row.error or "")
+        if row.error is not None:  # blank between the value and the error
+            writer.writerow([csv_num(row.value), *[""] * (len(header) - 2), row.error])
+            continue
+        cells = [csv_num(row.value), csv_num(row.tau)]
+        for path in spec.paths:
+            cells.extend(csv_num(p) for p in row.patterns[path].folded())
+        cells.append(csv_num(row.discrepancy))
+        cells.extend("true" if ok else "false" for ok in row.flags())
+        cells.append("")
         writer.writerow(cells)
 
 
@@ -208,11 +187,7 @@ def sweep_report(spec: SweepSpec, rows: Sequence[SweepRow]) -> dict:
                 "tau": row.tau,
                 "orders": orders,
                 "discrepancy": row.discrepancy,
-                "flags": {
-                    "adiabatic": row.adiabatic_ok,
-                    "pole_distance": row.pole_ok,
-                    "w_y_broadness": row.broadness_ok,
-                },
+                "flags": {key: flag for (_, _, key), flag in zip(_FLAGS, row.flags())},
             }
         )
     valid_count = sum(1 for r in rows if r.valid())

@@ -204,7 +204,8 @@ class TestValidity:
         assert report["all_ok"] is True
         names = [c["name"] for c in report["checks"]]
         assert names == [
-            "adiabatic_ratio", "pole_distance", "packet_broadness", "collision_bound",
+            "adiabatic_ratio", "pole_distance", "packet_broadness",
+            "adiabatic_ratio_packet", "pole_distance_packet", "collision_bound",
         ]
         assert all(c["ok"] for c in report["checks"])
 
@@ -231,6 +232,16 @@ class TestInvalidOverrides:
         assert out == ""
         assert err.startswith(f"error: rho_0 must be {rule}, got ")
 
+    @pytest.mark.parametrize("command", ["optics", "validity", "diffract"])
+    def test_si_density_is_reported_as_typed(self, capsys, tmp_path, command):
+        # -1 per m^3 is -1e-6 per cm^3; the error names the value typed
+        path = write_params(tmp_path, make_params(), units="si")
+        code, out, err = run(
+            capsys, command, "--params", path, "--density", "-1", *self.EXTRA[command]
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: rho_0 must be nonnegative, got -1.0\n"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command", ["optics", "validity"])
     def test_nan_saturation_is_an_errored_entry(self, capsys, params_file, command, fmt):
@@ -253,6 +264,58 @@ class TestInvalidOverrides:
             assert f'contact_bound,,"{message}"' in out.splitlines()
         else:
             assert f'collision_bound,,10,false,"{message}"' in out.splitlines()
+
+
+class TestPacketRange:
+    """validity's packet rows and the guards cover the density range [0, rho_0]."""
+
+    # the README's sodium file, 1 GHz red of resonance, at V0 rho_0 = -1.2:
+    # the peak is 0.2 from the pole, but 1 + V0 rho crosses zero on the
+    # packet's shoulder, at rho = 1/|V0|
+    RED = make_params(omega_l=3.198e15 - 6.2831853e9)
+    RED_DENSITY = "4.789e16"
+
+    def test_red_validity_flags_the_pole_inside_the_packet(self, capsys, tmp_path):
+        path = write_params(tmp_path, self.RED)
+        code, out, _ = run(
+            capsys, "validity", "--params", path, "--density", self.RED_DENSITY,
+            "--saturation", "1.0",
+        )
+        assert code == 2
+        rows = {line.split(",")[0]: line.split(",")[1:] for line in out.splitlines()[1:]}
+        assert rows["adiabatic_ratio"] == ["20.5921906", "10", "true", ""]
+        assert rows["pole_distance"] == ["0.199918284", "0.1", "true", ""]
+        assert rows["adiabatic_ratio_packet"] == ["0", "10", "false", ""]
+        assert rows["pole_distance_packet"] == ["0", "0.1", "false", ""]
+
+    def test_red_numeric_diffraction_hits_the_pole(self, capsys, tmp_path):
+        path = write_params(tmp_path, self.RED)
+        code, out, err = run(
+            capsys, "diffract", "--params", path, "--density", self.RED_DENSITY,
+            "--paths", "numeric", "--q-max", "3", "--grid-points", "16384",
+            "--box-lambdas", "512",
+        )
+        assert (code, out) == (2, "")
+        v0 = characteristic_volume(self.RED)
+        prefix = "physics guard: phase-profile pole: |denominator| = 0.000e+00 at density "
+        assert err == f"{prefix}{-1.0 / v0:.3e}\n"
+
+    def test_blue_wings_bind_the_adiabatic_ratio(self, capsys, tmp_path):
+        # gamma = |Delta|/8 at V0 rho_0 = 0.3: 8 * 1.3 = 10.4 at the peak,
+        # 8 in the wings, where the propagator's guard also rejects
+        base = make_params()
+        p = with_v0rho(replace(base, gamma=abs(detuning(base)) / 8.0), 0.3)
+        path = write_params(tmp_path, p)
+        code, out, _ = run(
+            capsys, "validity", "--params", path, "--saturation", "1.0", "--format", "json"
+        )
+        assert code == 2
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["adiabatic_ratio"]["value"] == pytest.approx(10.4, rel=1e-12)
+        assert checks["adiabatic_ratio"]["ok"] is True
+        assert checks["adiabatic_ratio_packet"]["value"] == pytest.approx(8.0, rel=1e-12)
+        assert checks["adiabatic_ratio_packet"]["ok"] is False
+        assert checks["pole_distance_packet"]["ok"] is True
 
 
 def _gamma_at_ratio_ten(params):

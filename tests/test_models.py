@@ -203,12 +203,18 @@ class TestRegimeChecks:
         p = make_params()
         rho = with_v0rho(p, 0.25).rho_0
         checks = regime_checks(p, rho)
-        assert list(checks) == ["adiabatic_ratio", "pole_distance", "packet_broadness"]
+        assert list(checks) == [
+            "adiabatic_ratio", "pole_distance", "packet_broadness",
+            "adiabatic_ratio_packet", "pole_distance_packet",
+        ]
         v0rho = characteristic_volume(p) * rho
         assert checks["adiabatic_ratio"].value == adiabatic_validity(p, rho)
         assert checks["pole_distance"].value == min(abs(1.0 + v0rho), abs(1.0 + 2.0 * v0rho))
         assert checks["packet_broadness"].value == pytest.approx(50.0, rel=1e-4)
-        assert [c.threshold for c in checks.values()] == [10.0, 0.1, 10.0]
+        # blue of resonance both factors grow with rho: the packet's wings bind
+        assert checks["adiabatic_ratio_packet"].value == adiabatic_validity(p, 0.0)
+        assert checks["pole_distance_packet"].value == 1.0
+        assert [c.threshold for c in checks.values()] == [10.0, 0.1, 10.0, 10.0, 0.1]
         assert all(c.ok and c.error is None for c in checks.values())
 
     def test_unevaluable_check_is_an_error_entry(self):

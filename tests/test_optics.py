@@ -20,11 +20,13 @@ from matteroptics.models import (
 from matteroptics.optics import (
     EPS_POLE,
     adiabatic_validity,
+    check_pole,
     contact_interaction_bound,
     local_detuning,
     medium_response,
     polarizability,
     refractive_index_sq,
+    smallest_magnitude,
     susceptibility,
     weakest_adiabatic_ratio,
 )
@@ -168,7 +170,14 @@ def test_adiabatic_validity():
     assert adiabatic_validity(make_params(gamma=0.0), 0.0) == math.inf
 
 
-def test_weakest_adiabatic_ratio_over_a_density_range():
+def test_smallest_magnitude_over_a_density_range():
+    # an affine factor is smallest at an end of the range, or 0 at its root
+    assert smallest_magnitude(2.0, 3.0, 0.0, 1.0) == (2.0, 0.0)
+    assert smallest_magnitude(-3.0, -2.0, 0.0, 1.0) == (2.0, 1.0)
+    assert smallest_magnitude(1.0, -3.0, 0.0, 4.0) == (0.0, 1.0)
+    assert smallest_magnitude(0.0, -3.0, 0.0, 4.0) == (0.0, 0.0)
+    assert smallest_magnitude(-0.5, -0.5, 2.0, 2.0) == (0.5, 2.0)
+    # the adiabatic ratio takes the rule over Delta_l
     p = make_params()  # blue: Delta_l grows with rho, the low end is weakest
     rho = 0.3 / abs(FOUR_PI_3 * polarizability(p))
     assert weakest_adiabatic_ratio(p, 0.0, rho) == (adiabatic_validity(p, 0.0), 0.0)
@@ -180,6 +189,28 @@ def test_weakest_adiabatic_ratio_over_a_density_range():
     assert ratio == 0.0
     assert at == pytest.approx(pole, rel=1e-12)
     assert weakest_adiabatic_ratio(replace(red, gamma=0.0), 0.0, 2.0 * pole)[0] == math.inf
+
+
+@given(
+    a=st.floats(min_value=-2.0, max_value=2.0),
+    b=st.floats(min_value=-4.0, max_value=4.0),
+    rho=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
+    scale=st.sampled_from([1.0, 1.0e16]),
+)
+def test_check_pole_raises_exactly_on_the_density_range(a, b, rho, scale):
+    # denominator a + b rho / scale over density samples rho: the guard
+    # covers [min rho, max rho], not only the samples
+    density = np.array(rho) * scale
+    denominator = a + (b / scale) * density
+    ends = denominator[[density.argmin(), density.argmax()]]
+    root_inside = ends.min() <= 0.0 <= ends.max()
+    if root_inside or np.abs(ends).min() <= EPS_POLE:
+        with pytest.raises(PoleError) as err:
+            check_pole(denominator, density, "test")
+        assert density.min() <= err.value.density <= density.max()
+        assert abs(a + (b / scale) * err.value.density) <= 1e-12 * (1.0 + abs(b))
+    else:
+        assert check_pole(denominator, density, "test") is denominator
 
 
 @given(
@@ -211,11 +242,12 @@ def _refractive_index_pole():
     return lambda: refractive_index_sq(polarizability(p), rho), rho
 
 
-def _potential_pole(kind, frac, array):
-    # the FULL pole sits at V0 rho = -1, the WALLIS one at V0 rho = -1/2
+def _potential_pole(kind, frac, samples=None):
+    # the FULL pole sits at V0 rho = -1, the WALLIS one at V0 rho = -1/2;
+    # samples, in units of the pole density, make the density an array
     p, rho = _red_pole()
     rho *= frac
-    density = np.array([0.0, 0.5 * rho, rho, 1.0e10]) if array else rho
+    density = rho if samples is None else np.array(samples) * rho
     return lambda: effective_potential(kind, 1.0, density, p), rho
 
 
@@ -224,13 +256,14 @@ def _raman_nath_pole():
     return lambda: raman_nath_params(p), p.rho_0
 
 
-def _phase_profile_pole(array):
+def _phase_profile_pole(samples=None):
     # V0 rho_0 = -1.2 at the peak: the local denominator crosses zero on
-    # the packet shoulder, where the density has decayed to 1/|V0|
+    # the packet shoulder, where the density has decayed to 1/|V0|;
+    # samples, in units of that position, make y an array
     p = with_v0rho(with_g0(red_detuned(make_params()), -1.0), -1.2)
     rn = raman_nath_params(p)
     y_pole = p.w_y * math.sqrt(math.log(1.2))
-    y = np.array([0.0, 0.5 * y_pole, y_pole, 2.0 * y_pole]) if array else y_pole
+    y = y_pole if samples is None else np.array(samples) * y_pole
     return lambda: phase_profile(y, p, rn), 1.0 / abs(rn.v0)
 
 
@@ -239,16 +272,25 @@ def _local_rabi_pole():
     return lambda: local_rabi(1.0, p, rho), rho
 
 
+# array samples in units of the pole density: one on the pole, and a
+# set whose pole lies between two samples, none of them near it
+ON_POLE = [0.0, 0.5, 1.0, 0.25]
+STRADDLE = [0.0, 0.6, 1.3, 0.2]
+
 POLE_SITES = {
     "Clausius-Mossotti/susceptibility": _susceptibility_pole,
     "Clausius-Mossotti/refractive_index_sq": _refractive_index_pole,
-    "full-model/scalar": lambda: _potential_pole(ModelKind.FULL, 1.0, False),
-    "full-model/array": lambda: _potential_pole(ModelKind.FULL, 1.0, True),
-    "screened-model/scalar": lambda: _potential_pole(ModelKind.WALLIS_TYPE, 0.5, False),
-    "screened-model/array": lambda: _potential_pole(ModelKind.WALLIS_TYPE, 0.5, True),
+    "full-model/scalar": lambda: _potential_pole(ModelKind.FULL, 1.0),
+    "full-model/array": lambda: _potential_pole(ModelKind.FULL, 1.0, ON_POLE),
+    "full-model/between-samples": lambda: _potential_pole(ModelKind.FULL, 1.0, STRADDLE),
+    "screened-model/scalar": lambda: _potential_pole(ModelKind.WALLIS_TYPE, 0.5),
+    "screened-model/array": lambda: _potential_pole(ModelKind.WALLIS_TYPE, 0.5, ON_POLE),
+    "screened-model/between-samples":
+        lambda: _potential_pole(ModelKind.WALLIS_TYPE, 0.5, STRADDLE),
     "beam-splitter/raman_nath_params": _raman_nath_pole,
-    "phase-profile/scalar": lambda: _phase_profile_pole(False),
-    "phase-profile/array": lambda: _phase_profile_pole(True),
+    "phase-profile/scalar": _phase_profile_pole,
+    "phase-profile/array": lambda: _phase_profile_pole([0.0, 0.5, 1.0, 2.0]),
+    "phase-profile/between-samples": lambda: _phase_profile_pole([0.0, 0.7, 1.6, 2.0]),
     "local-field/local_rabi": _local_rabi_pole,
 }
 

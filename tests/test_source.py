@@ -50,8 +50,8 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def pole_guard_sites(source: str) -> set[str]:
-    """Functions that compare EPS_POLE or raise PoleError(...), by name.
+def guard_sites(source: str, constant: str, error: str | None = None) -> set[str]:
+    """Functions that compare `constant` or raise `error`(...), by name.
 
     Module-level code counts as '<module>'.
     """
@@ -60,14 +60,14 @@ def pole_guard_sites(source: str) -> set[str]:
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        compares_eps = isinstance(node, ast.Compare) and any(
-            isinstance(n, ast.Name) and n.id == "EPS_POLE" for n in ast.walk(node)
+        compares = isinstance(node, ast.Compare) and any(
+            isinstance(n, ast.Name) and n.id == constant for n in ast.walk(node)
         )
-        raises_pole = isinstance(node, ast.Call) and "PoleError" in (
+        raises = error is not None and isinstance(node, ast.Call) and error in (
             getattr(node.func, "id", None),
             getattr(node.func, "attr", None),
         )
-        if compares_eps or raises_pole:
+        if compares or raises:
             sites.add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -89,18 +89,29 @@ def test_guard_site_checker():
         "def unrelated(d):\n"
         "    return d <= 1e-12\n"
     )
-    assert pole_guard_sites(source) == {"guard", "other", "<module>", "third"}
+    assert guard_sites(source, "EPS_POLE", "PoleError") == {"guard", "other", "<module>", "third"}
+    assert guard_sites(source, "EPS_POLE") == {"guard", "other"}
+
+
+def package_guard_sites(constant: str, error: str | None = None) -> set[str]:
+    return {
+        f"{path.stem}.{site}"
+        for path in PACKAGE.glob("*.py")
+        for site in guard_sites(path.read_text(encoding="utf-8"), constant, error)
+    }
 
 
 def test_one_pole_guard():
     # every local-field denominator goes through optics.check_pole, so a
     # new formula cannot grow a guard, a threshold or a message of its own
-    sites = {
-        f"{path.stem}.{site}"
-        for path in PACKAGE.glob("*.py")
-        for site in pole_guard_sites(path.read_text(encoding="utf-8"))
-    }
-    assert sites == {"optics.check_pole"}
+    assert package_guard_sites("EPS_POLE", "PoleError") == {"optics.check_pole"}
+
+
+def test_one_adiabatic_guard():
+    # the propagator and any later caller reject a density range through
+    # optics.check_adiabatic; the regime checks report the threshold
+    # through RegimeCheck, which compares no named constant
+    assert package_guard_sites("ADIABATIC_RATIO_MIN") == {"optics.check_adiabatic"}
 
 
 def test_root_exports_resolve():

@@ -7,7 +7,7 @@ import pytest
 
 from matteroptics import sweep
 from matteroptics.errors import ConfigurationError, SweepError
-from matteroptics.models import raman_nath_params
+from matteroptics.models import RegimeCheck, raman_nath_params
 from matteroptics.sweep import SweepRow, SweepSpec, run_sweep, sweep_report, write_sweep_csv
 
 from conftest import make_params, red_detuned, with_g0, with_v0rho, with_wy_lambdas
@@ -152,27 +152,27 @@ class TestFlags:
         base = with_g0(red_detuned(make_params()), -1.0)
         row = run_sweep(_spec(base, [_rho_for(base, -0.475)]))[0]
         assert row.error is None
-        assert row.pole_ok is False
-        assert row.adiabatic_ok is True
-        assert row.broadness_ok is True
+        assert row.checks["pole_distance"].ok is False
+        assert row.checks["adiabatic_ratio"].ok is True
+        assert row.checks["packet_broadness"].ok is True
         assert not row.valid()
 
     def test_narrow_packet_flagged(self):
         base = with_wy_lambdas(_blue(g0=1.0), 5.0)
         row = run_sweep(_spec(base, [0.0]))[0]
-        assert row.broadness_ok is False
+        assert row.checks["packet_broadness"].ok is False
         assert not row.valid()
 
     def test_slow_decay_flagged(self):
         base = make_params(gamma=6.2831853e9)  # linewidth ~ detuning
         row = run_sweep(_spec(base, [0.0]))[0]
-        assert row.adiabatic_ok is False
+        assert row.checks["adiabatic_ratio"].ok is False
         assert not row.valid()
 
     def test_clean_point_is_valid(self):
         row = run_sweep(_spec(_blue(g0=1.0), [0.0]))[0]
         assert row.valid()
-        assert (row.adiabatic_ok, row.pole_ok, row.broadness_ok) == (True, True, True)
+        assert all(check.ok for check in row.checks.values())
 
 
 class TestOutputs:
@@ -219,16 +219,18 @@ class TestOutputs:
 
 
 def test_row_validity_requires_all_flags():
-    def row(**kw):
-        fields = dict(
-            value=0.0, tau=1.0, patterns={}, discrepancy=0.0,
-            adiabatic_ok=True, pole_ok=True, broadness_ok=True, error=None,
-        )
-        fields.update(kw)
-        return SweepRow(**fields)
+    names = ("adiabatic_ratio", "pole_distance", "packet_broadness",
+             "adiabatic_ratio_packet", "pole_distance_packet")
+
+    def row(error=None, failing=None):
+        checks = {name: RegimeCheck(1.0, 0.0, name != failing) for name in names}
+        return SweepRow(0.0, 1.0, {}, 0.0, checks, error=error)
 
     assert row().valid()
-    assert not row(adiabatic_ok=False).valid()
-    assert not row(pole_ok=False).valid()
-    assert not row(broadness_ok=False).valid()
+    assert not row(failing="adiabatic_ratio").valid()
+    assert not row(failing="pole_distance").valid()
+    assert not row(failing="packet_broadness").valid()
     assert not row(error="boom").valid()
+    # the packet-wide entries are reported by validity, not flagged per row
+    assert row(failing="adiabatic_ratio_packet").valid()
+    assert row(failing="pole_distance_packet").valid()
