@@ -75,12 +75,14 @@ from .optics import (
 )
 from .propagate import (
     Grid1D,
+    Laser,
     PropagationConfig,
     WaveState,
     init_gaussian,
     momentum_spectrum,
     norm,
     propagate_through_laser,
+    standing_wave,
     standing_wave_intensity,
     step,
 )
@@ -106,6 +108,7 @@ __all__ = [
     "ConfigurationError",
     "DiffractionPattern",
     "Grid1D",
+    "Laser",
     "MatterOpticsError",
     "MediumResponse",
     "ModelKind",
@@ -158,6 +161,7 @@ __all__ = [
     "regime_checks",
     "run_sweep",
     "significant_density",
+    "standing_wave",
     "standing_wave_intensity",
     "steady_state",
     "step",

@@ -465,6 +465,11 @@ def cmd_propagate(args) -> int:
         model=model,
         transverse_area=area,
     )
+    if args.snapshots > args.steps:  # evenly spaced snapshots need distinct steps
+        raise ConfigurationError(
+            f"--snapshots must not exceed --steps, got --snapshots {args.snapshots} "
+            f"> --steps {args.steps}"
+        )
     q_max = args.q_max
     if q_max is None:
         q_max = default_q_max([p], ("propagator",), args.grid_points, box)

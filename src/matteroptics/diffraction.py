@@ -229,9 +229,9 @@ def propagator_orders(
     Starts from the same packet as numeric_orders, carried through the
     laser region by the propagator instead of by the closed-form phase
     integral. With |psi| frozen, the propagator weights the whole transit
-    by one density-dependent potential at |Omega|^2 = 1, sums the laser
-    profile over the z-steps by the trapezoid rule (one profile
-    evaluation per potential phase), and applies the phase only at its
+    by one density-dependent potential at |Omega|^2 = cos^2(n k_L y),
+    sums the pulse envelope, sampled once at the z-step endpoints, by
+    the trapezoid rule as scalars, and applies the phase only at its
     finite checks and the last step. The two must agree to the
     z-quadrature error of the pulse envelope, a parts-in-1e7 effect at
     the default step count.

@@ -15,44 +15,45 @@ The 3D density seen by the potential is |psi|^2 / transverse_area; an
 infinite transverse_area is the dilute-tracer convention (exactly zero
 density, finite field).
 
-The potential phase is deferred between the points where a real state
-is needed. A potential phase is exp(-i span V/hbar), and every model's
-V is exactly linear in |Omega|^2, so while |psi| is fixed all the phases
-commute and sum to exp(-i drive * weight): drive is the sum of
-span * |Omega|^2(y, z) over the phases, in units of dt, and
-weight = dt V(rho, |Omega|^2 = 1)/hbar is evaluated, with the adiabatic
-guard, once per fresh density rho = |psi|^2/transverse_area. A step can
-return a merged state, which already holds the next step's opening half
-(the first-same-as-last form of Strang splitting, Bao, Jin & Markowich,
-J. Comput. Phys. 187, 2003) and may still owe the phase. The phase
-is exponentiated only where the field itself is needed. With the
-kinetic term on that is once per step, for the next FFT. With it off,
-it is only where propagate_through_laser needs a real state: the finite
-checks, the observed steps and the last step. In between, a step calls
-the laser profile and adds one |Omega|^2 array to drive, and a transit
-takes one density, one potential evaluation and one complex exponential
-per real state. The laser profile is still called once per potential
-phase, so a kinetic-free transit stays a z-trapezoid of the drive,
-independent of the closed-form phase mask.
+The laser is kept as its two factors, |Omega|^2(y, z) = E(z) P(y): for
+the standing wave, E = Omega_0^2 exp(-z^2/w_L^2) and P = cos^2(n k_L y).
+Every model's V is exactly linear in |Omega|^2, so the pattern goes into
+one weight per fresh density, weight = dt V(rho, P)/hbar, with the
+adiabatic guard, and while |psi| is fixed all the potential phases
+commute and sum to exp(-i drive * weight). drive is then a scalar: the
+trapezoid sum of E over the phases since the last real state, in units
+of dt. A transit evaluates P once, on the grid, and E once, at its N + 1
+endpoint times.
 
-The deferred transit differs from step-by-step Strang by roundoff only,
+With the kinetic term on, the phase is applied around every kinetic
+stage, so there is one step per z-step. A chained step returns a merged
+state, which already holds the next step's opening half (the
+first-same-as-last form of Strang splitting, Bao, Jin & Markowich,
+J. Comput. Phys. 187, 2003). With it off, one step covers a whole
+stretch between the points where propagate_through_laser needs a real
+state (the finite checks, the observed steps and the last step): one
+density, one potential evaluation, one slice sum of E and one complex
+exponential per stretch. The sum over E samples keeps a kinetic-free
+transit a z-trapezoid of the envelope, independent of the closed-form
+phase mask.
+
+The stretch transit differs from step-by-step Strang by roundoff only,
 which grows with the step count: over the four models, kinetic on and
 off, dense and dilute, max|difference| / max|psi| measured at most
-5.1e-15 on 512 points in 24 steps (the tests bound it by 1e-13) and
-3.9e-14 on 4096 points in 2048 steps (V0 rho_0 = 0.3, kinetic off,
-where the order populations moved by at most 6.7e-16).
+4.7e-15 on 512 points in 24 steps (the tests bound it by 1e-13) and
+4.0e-14 on 4096 points in 2048 steps (V0 rho_0 = 0.3, kinetic off,
+where the order populations moved by at most 6.9e-16).
 
-The step-invariant arrays are built once per transit: the grid
-positions, the kinetic phase exp(-i hbar dt k^2/2m) of the run's fixed
-dt, and (inside the standing_wave_intensity closure) the cos^2(n k_L y)
-pattern, so only the scalar envelope Omega_0^2 exp(-z^2/w_L^2) is
-evaluated per phase.
+The step-invariant arrays are built once per transit: the pattern P on
+the grid and the kinetic phase exp(-i hbar dt k^2/2m) of the run's
+fixed dt.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Collection
 
@@ -66,8 +67,10 @@ from .units import HBAR, PhysicalParams
 
 logger = logging.getLogger(__name__)
 
-# Non-finite values are scanned for every this many steps, not every
-# step; a full scan per step would double the cost of cheap phase steps.
+# The transit makes the field real and scans it for non-finite values
+# every this many steps, not every step: with the kinetic term off a
+# stretch between real states costs one exponential however long it is,
+# and a scan per step would cost more than the stretch itself.
 _FINITE_CHECK_INTERVAL = 64
 
 
@@ -141,20 +144,34 @@ class WaveState:
 
 
 @dataclass(frozen=True)
+class Laser:
+    """|Omega(y, z)|^2 = envelope(z) * pattern(y), kept as its two factors.
+
+    envelope maps an array of z (cm) to the longitudinal factor in
+    rad^2/s^2; pattern maps the grid positions y (cm) to the
+    dimensionless transverse factor.
+    """
+
+    envelope: Callable[[np.ndarray], np.ndarray]
+    pattern: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
 class PropagationConfig:
     """Time-stepping configuration.
 
     dt may be None when the run is driven by propagate_through_laser,
     which derives the step from its z-window; raw step() needs it set.
-    laser_profile maps (y array, z) -> |Omega|^2 (rad^2/s^2); None means
-    no laser (zero potential).
+    laser_profile is the factored laser. None means no laser (zero
+    potential) for a bare step, and the params' standing wave for a
+    transit.
     """
 
     dt: float | None
     n_steps: int
     kinetic_enabled: bool = True
     model: ModelKind = ModelKind.FULL
-    laser_profile: Callable[[np.ndarray, float], np.ndarray] | None = None
+    laser_profile: Laser | None = None
     transverse_area: float = 1.0
 
     def __post_init__(self):
@@ -168,28 +185,32 @@ class PropagationConfig:
             )
 
 
-def standing_wave_intensity(params: PhysicalParams) -> Callable[[np.ndarray, float], np.ndarray]:
-    """|Omega(y, z)|^2 of the Gaussian-envelope standing wave.
+def standing_wave(params: PhysicalParams) -> Laser:
+    """The Gaussian-envelope standing wave, factored.
 
-    |Omega|^2 = Omega_0^2 exp(-z^2/w_L^2) cos^2(n k_L y).
-
-    The cos^2 pattern is cached on the identity of the last y array
-    passed in, so a caller that reuses one position array (as
-    propagate_through_laser does) pays for it once; y must not be
-    modified in place between calls.
+    E(z) = Omega_0^2 exp(-z^2/w_L^2) and P(y) = cos^2(n k_L y).
     """
     omega0_sq = params.rabi_peak**2
     inv_wl_sq = 1.0 / params.w_l**2
     nk = params.harmonic * params.k_l
-    cache = (None, None)  # (y, cos^2(nk y)), replaced as one tuple
+    return Laser(
+        envelope=lambda z: omega0_sq * np.exp(-(z * z) * inv_wl_sq),
+        pattern=lambda y: np.cos(nk * y) ** 2,
+    )
+
+
+def standing_wave_intensity(params: PhysicalParams) -> Callable[[np.ndarray, float], np.ndarray]:
+    """|Omega(y, z)|^2 = E(z) P(y) of standing_wave(params) at one z.
+
+    E is taken with math.exp at the scalar z; the transit's array
+    envelope uses numpy's exp, which can differ from it in the last bit.
+    """
+    omega0_sq = params.rabi_peak**2
+    inv_wl_sq = 1.0 / params.w_l**2
+    pattern = standing_wave(params).pattern
 
     def profile(y: np.ndarray, z: float) -> np.ndarray:
-        nonlocal cache
-        cached_y, pattern = cache
-        if cached_y is not y:
-            pattern = np.cos(nk * y) ** 2
-            cache = (y, pattern)
-        return omega0_sq * math.exp(-(z * z) * inv_wl_sq) * pattern
+        return omega0_sq * math.exp(-(z * z) * inv_wl_sq) * pattern(y)
 
     return profile
 
@@ -241,26 +262,33 @@ def norm(state: WaveState) -> float:
 
 
 def _step_invariants(grid: Grid1D, config: PropagationConfig, params: PhysicalParams):
-    """(positions, kinetic phase) for steps of config.dt on this grid.
+    """(laser pattern, kinetic phase) for steps of config.dt on this grid.
 
-    The kinetic phase is None when the kinetic term is off.
+    The pattern is None without a laser, the kinetic phase when the
+    kinetic term is off.
     """
+    laser = config.laser_profile
+    pattern = None if laser is None else laser.pattern(grid.points())
     kinetic_phase = None
     if config.kinetic_enabled:
         k = grid.wavenumbers()
         kinetic_phase = np.exp(-0.5j * HBAR * config.dt / params.mass * k * k)
-    return grid.points(), kinetic_phase
+    return pattern, kinetic_phase
 
 
 def _weight(
-    psi: np.ndarray, t: float, config: PropagationConfig, params: PhysicalParams
+    psi: np.ndarray,
+    t: float,
+    pattern: np.ndarray | None,
+    config: PropagationConfig,
+    params: PhysicalParams,
 ) -> np.ndarray | None:
-    """dt V(|Omega|^2 = 1) / hbar at the density of psi, once it passed the guard.
+    """dt V(|Omega|^2 = pattern) / hbar at the density of psi, once it passed the guard.
 
     effective_potential is exactly linear in |Omega|^2 for every model
     (checked to a few ulp in the tests), so until |psi| changes every
-    potential phase is drive * weight with this one weight. None when
-    there is no laser.
+    potential phase is drive * weight with this one weight and a scalar
+    drive. None when there is no laser.
     """
     density = (psi.real**2 + psi.imag**2) / config.transverse_area
     if params.gamma > 0.0:
@@ -274,12 +302,12 @@ def _weight(
                 time=t,
             )
         check_adiabatic(params, rho_lo, rho_hi)
-    if config.laser_profile is None:
+    if pattern is None:
         return None
-    return effective_potential(config.model, 1.0, density, params) * (config.dt / HBAR)
+    return effective_potential(config.model, pattern, density, params) * (config.dt / HBAR)
 
 
-def _settle(psi: np.ndarray, drive, weight: np.ndarray | None) -> np.ndarray:
+def _settle(psi: np.ndarray, drive: float, weight: np.ndarray | None) -> np.ndarray:
     """psi times exp(-i drive weight): the pending potential phase applied."""
     if weight is None:
         return psi
@@ -288,84 +316,79 @@ def _settle(psi: np.ndarray, drive, weight: np.ndarray | None) -> np.ndarray:
 
 @dataclass(slots=True)
 class _Merged:
-    """The field between two real states; see step(merge_next=True).
-
-    With the kinetic term off, the field at `time` is
-    amplitude * exp(-i drive * weight): drive sums |Omega|^2 over the
-    potential phases taken since the last real state, in units of dt (1
-    for a full-step phase, 1/2 for a half), and weight is _weight of
-    amplitude. The next step takes drive over and adds to it in place.
-    With the kinetic term on, or without a laser, both are None. Either
-    way the next step's opening half is already in the state, pending in
-    drive or applied to amplitude.
-    """
+    """The field at `time` with the next step's opening half already
+    applied; see step(merge_next=True)."""
 
     grid: Grid1D
     amplitude: np.ndarray
     time: float
-    drive: np.ndarray | None
-    weight: np.ndarray | None
 
 
 def step(
     state: WaveState | _Merged,
     config: PropagationConfig,
     params: PhysicalParams,
-    invariants: tuple[np.ndarray, np.ndarray | None] | None = None,
+    invariants: tuple[np.ndarray | None, np.ndarray | None] | None = None,
     *,
+    envelope: np.ndarray | None = None,
     merge_next: bool = False,
 ) -> WaveState | _Merged:
-    """One Strang step: half potential, kinetic, half potential.
+    """One Strang step, half potential, kinetic, half potential; or, with
+    the kinetic term off, a stretch of such steps.
 
-    Potential halves use the laser at the interval's two endpoint times
-    and the instantaneous |psi|^2; the kinetic phase is exact in the
-    spectral basis and skipped entirely when kinetic_enabled is false.
-    `invariants` lets a caller that takes many steps on one grid with
-    one config pass the arrays built by _step_invariants once; without
-    it they are built here.
+    `envelope` holds the laser envelope E at the endpoint times t0,
+    t0 + dt, ..., t0 + k dt of the k z-steps the call covers; without it
+    E is evaluated here at t0 and t0 + dt, and k = 1. With the kinetic
+    term off the k steps' potential phases commute, so they are applied
+    as one, the trapezoid sum of E times the weight of the state's
+    density. With it on, k must be 1, and the kinetic phase is exact in
+    the spectral basis. `invariants` lets a caller that takes many steps
+    on one grid with one config pass the arrays built by
+    _step_invariants once; without it they are built here.
 
-    A caller that chains steps merges the potential phases (see the
-    module docstring): merge_next=True takes this step's closing half
-    and the next step's opening half as one full-step phase and returns
-    a _Merged state, which is not the field at its time and must go on
-    to a step with the same config and invariants. Given a _Merged
-    state, a step takes its opening half as already there. The default
-    returns a real WaveState, so bare steps from a real state are full
-    Strang steps.
+    A caller that chains steps merges the potential phases:
+    merge_next=True takes this step's closing half and the next step's
+    opening half as one full-step phase and returns a _Merged state,
+    which is not the field at its time and must go on to a step with the
+    same config and invariants. Given a _Merged state, a step takes its
+    opening half as already there. The default returns a real
+    WaveState, so bare steps from a real state are full Strang steps.
     """
     if config.dt is None:
         raise ConfigurationError("config.dt must be set for raw stepping")
     if invariants is None:
         invariants = _step_invariants(state.grid, config, params)
-    y, kinetic_phase = invariants
-    profile = config.laser_profile
+    pattern, kinetic_phase = invariants
     t0 = state.time
-    t1 = t0 + config.dt
+    if envelope is None:
+        laser = config.laser_profile
+        ends = params.v_g * np.array([t0, t0 + config.dt])
+        envelope = np.zeros(2) if laser is None else laser.envelope(ends)
+    spans = len(envelope) - 1
+    if spans < 1 or (spans > 1 and kinetic_phase is not None):
+        raise ConfigurationError(
+            "a step covers one z-step, or with the kinetic term off one or "
+            f"more; got {spans}"
+        )
+    t1 = t0 + spans * config.dt
 
     psi = state.amplitude
-    if isinstance(state, _Merged):
-        drive, weight = state.drive, state.weight
-    else:
-        weight = _weight(psi, t0, config, params)
-        drive = None if profile is None else 0.5 * profile(y, params.v_g * t0)
+    merged = isinstance(state, _Merged)  # its opening half is in psi already
     if kinetic_phase is not None:
-        psi = np.fft.ifft(np.fft.fft(_settle(psi, drive, weight)) * kinetic_phase)
-        weight = _weight(psi, t1, config, params)  # the kinetic stage moved |psi|
-    if profile is not None:
-        closing = profile(y, params.v_g * t1)
-        if not merge_next:
-            closing = 0.5 * closing
-        if kinetic_phase is None:
-            drive += closing  # |psi| unchanged: one more term of the same weight
-        else:
-            drive = closing
-    if merge_next and kinetic_phase is None:
-        return _Merged(state.grid, psi, t1, drive, weight)
-    # with the kinetic term on, the next step's FFT needs the phase at once;
-    # applying it here keeps drive and weight out of the state between steps
+        if not merged:
+            psi = _settle(psi, 0.5 * envelope[0], _weight(psi, t0, pattern, config, params))
+        psi = np.fft.ifft(np.fft.fft(psi) * kinetic_phase)
+        # the kinetic stage moved |psi|
+        drive, weight = 0.0, _weight(psi, t1, pattern, config, params)
+    else:
+        drive = 0.0 if merged else 0.5 * envelope[0]
+        weight = _weight(psi, t0, pattern, config, params)
+    if spans > 1:
+        drive += float(np.sum(envelope[1:-1]))
+    drive += envelope[-1] if merge_next else 0.5 * envelope[-1]
     psi = _settle(psi, drive, weight)
     if merge_next:
-        return _Merged(state.grid, psi, t1, None, None)
+        return _Merged(state.grid, psi, t1)
     return WaveState._unchecked(state.grid, psi, t1)
 
 
@@ -383,41 +406,57 @@ def propagate_through_laser(
     envelope integral below 1e-7 of its value. Returns the far-zone
     state with its clock advanced by the crossing duration.
 
-    The potential phase is deferred between real states (see the module
-    docstring), so the field is a real state only after the steps that
-    need one: every _FINITE_CHECK_INTERVAL-th step, which is scanned for
-    non-finite values, each step in `observe_steps`, and the last step.
-    `observer` is called with (step_index, state) after exactly those
-    steps, in order, and never sees a merged state. The real steps, not
-    the observer, decide the arithmetic: the same observe_steps give the
+    The field is a real state only after the steps that need one (see
+    the module docstring): every _FINITE_CHECK_INTERVAL-th step, which
+    is scanned for non-finite values, each step in `observe_steps`,
+    which must lie in 1..n_steps, and the last step. `observer` is
+    called with (step_index, state) after exactly those steps, in
+    order, and never sees a merged state. The real steps, not the
+    observer, decide the arithmetic: the same observe_steps give the
     same bits with or without an observer.
     """
+    last = config.n_steps
+    observed = {operator.index(i) for i in observe_steps}  # TypeError for a non-integer
+    outside = sorted(i for i in observed if not 1 <= i <= last)
+    if outside:
+        raise ConfigurationError(f"observe_steps must lie in 1..{last}, got {outside}")
     z_half = 4.0 * params.w_l
     duration = 2.0 * z_half / params.v_g
-    dt = duration / config.n_steps
-    profile = config.laser_profile
-    if profile is None:
-        profile = standing_wave_intensity(params)
-    run_config = replace(config, dt=dt, laser_profile=profile)
+    dt = duration / last
+    laser = config.laser_profile
+    if laser is None:
+        laser = standing_wave(params)
+    run_config = replace(config, dt=dt, laser_profile=laser)
     invariants = _step_invariants(state.grid, run_config, params)
-
     t_entry = -z_half / params.v_g
+    envelope = laser.envelope(params.v_g * (t_entry + dt * np.arange(last + 1)))
+
+    real = {*range(_FINITE_CHECK_INTERVAL, last, _FINITE_CHECK_INTERVAL), *observed, last}
     working = WaveState._unchecked(state.grid, state.amplitude, t_entry)
-    last = config.n_steps
-    for index in range(1, last + 1):
-        checked = index % _FINITE_CHECK_INTERVAL == 0 or index == last
-        split = checked or index in observe_steps
-        working = step(working, run_config, params, invariants, merge_next=not split)
-        if checked and not np.all(np.isfinite(working.amplitude.view(np.float64))):
+    start = 0
+    # one step per z-step with the kinetic term on, one per stretch up to
+    # the next real state with it off
+    for index in range(1, last + 1) if config.kinetic_enabled else sorted(real):
+        split = index in real
+        working = step(
+            working, run_config, params, invariants,
+            envelope=envelope[start : index + 1], merge_next=not split,
+        )
+        start = index
+        if not split:
+            continue
+        if (index % _FINITE_CHECK_INTERVAL == 0 or index == last) and not np.all(
+            np.isfinite(working.amplitude.view(np.float64))
+        ):
             raise NumericsError(
                 f"non-finite amplitude after step {index} "
                 f"(t = {working.time!r} s, z = {params.v_g * working.time!r} cm)",
                 step=index,
                 time=working.time,
             )
-        if split and observer is not None:
+        if observer is not None:
             observer(index, working)
-    logger.debug("crossed laser region in %d steps, dt = %.3e s", config.n_steps, dt)
+    logger.debug("crossed laser region in %d steps, dt = %.3e s", last, dt)
     return WaveState._unchecked(working.grid, working.amplitude, state.time + duration)
 
 

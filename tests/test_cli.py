@@ -525,6 +525,34 @@ class TestPropagate:
         assert code == 1
         assert "--out" in err
 
+    @pytest.mark.parametrize("snapshots, message", [
+        ("-1", "error: --snapshots must be >= 0, got -1\n"),
+        ("16", "error: --snapshots must not exceed --steps, got --snapshots 16 > --steps 8\n"),
+    ])
+    def test_snapshot_count_outside_the_steps_is_rejected(
+        self, capsys, tmp_path, snapshots, message
+    ):
+        # 16 snapshots of 8 steps would collapse onto 8 distinct steps
+        path, _ = self._params_path(tmp_path)
+        code, out, err = run(
+            capsys, "propagate", "--params", path, "--out", str(tmp_path / "run"),
+            "--grid-points", "1024", "--box-lambdas", "32", "--steps", "8",
+            "--snapshots", snapshots,
+        )
+        assert (code, out, err) == (1, "", message)
+        assert os.listdir(tmp_path) == ["p.params"]
+
+    def test_one_snapshot_per_step(self, capsys, tmp_path):
+        path, _ = self._params_path(tmp_path)
+        code, _, _ = run(
+            capsys, "propagate", "--params", path, "--out", str(tmp_path / "run"),
+            "--grid-points", "1024", "--box-lambdas", "32", "--steps", "8",
+            "--snapshots", "8",
+        )
+        assert code == 0
+        snaps = sorted(f for f in os.listdir(tmp_path) if "_state_" in f)
+        assert snaps == [f"run_state_{i:06d}.csv" for i in range(9)]
+
     def test_numerics_failure_rescues_last_state(self, capsys, tmp_path, monkeypatch):
         path, _ = self._params_path(tmp_path)
         prefix = str(tmp_path / "bad")

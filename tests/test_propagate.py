@@ -13,14 +13,17 @@ from matteroptics.errors import (
     ParameterError,
     PhysicsGuardError,
 )
+from matteroptics import propagate
 from matteroptics.propagate import (
     Grid1D,
+    Laser,
     PropagationConfig,
     WaveState,
     init_gaussian,
     momentum_spectrum,
     norm,
     propagate_through_laser,
+    standing_wave,
     standing_wave_intensity,
     step,
     write_state_csv,
@@ -109,6 +112,23 @@ def test_standing_wave_intensity():
     assert away[0] == pytest.approx(p.rabi_peak**2 * math.exp(-1.0), rel=1e-14)
 
 
+def test_standing_wave_factors():
+    # E(z) over an array of z and P(y) over the grid; their product is
+    # the (y, z) intensity to the last bit of the exponential
+    p = make_params()
+    laser = standing_wave(p)
+    z = np.array([0.0, p.w_l, -2.0 * p.w_l])
+    assert np.allclose(
+        laser.envelope(z), p.rabi_peak**2 * np.array([1.0, math.exp(-1.0), math.exp(-4.0)]),
+        rtol=1e-15, atol=0.0,
+    )
+    y = np.linspace(-1.0e-4, 1.0e-4, 33)
+    assert np.array_equal(laser.pattern(y), np.cos(p.harmonic * p.k_l * y) ** 2)
+    profile = standing_wave_intensity(p)
+    for zi, ei in zip(z, laser.envelope(z)):
+        assert np.allclose(profile(y, zi), ei * laser.pattern(y), rtol=4e-16, atol=0.0)
+
+
 class TestInitGaussian:
     def test_peak_and_density(self):
         g = _grid(256, 1.0)
@@ -168,28 +188,51 @@ def test_free_plane_wave_phase_is_exact():
     assert np.max(np.abs(s.amplitude - expected)) < 1e-12
 
 
+def _flat_laser(omega_sq):
+    return Laser(
+        envelope=lambda z: omega_sq * np.ones_like(z), pattern=lambda y: np.ones_like(y)
+    )
+
+
 def test_constant_drive_accumulates_trapezoid_phase():
     # kinetic off, z-independent drive: n steps of two half kicks apply
-    # exactly exp(-i V T / hbar), and the modulus cannot move
+    # exactly exp(-i V T / hbar), and the modulus cannot move; so does
+    # one step over the whole stretch of n z-steps
     p = make_params()
     g = _grid(128, 1.0)
     psi0 = np.exp(-(g.points() ** 2) / 0.02)
-    s = WaveState(grid=g, amplitude=psi0.copy())
     omega_sq = p.rabi_peak**2
     dt, n_steps = 1.0e-6, 128
     cfg = PropagationConfig(
         dt=dt,
         n_steps=1,
         kinetic_enabled=False,
-        laser_profile=lambda y, z: omega_sq * np.ones_like(y),
+        laser_profile=_flat_laser(omega_sq),
         transverse_area=math.inf,
     )
+    s = WaveState(grid=g, amplitude=psi0.copy())
     for _ in range(n_steps):
         s = step(s, cfg, p)
+    stretch = step(
+        WaveState(grid=g, amplitude=psi0.copy()), cfg, p,
+        envelope=np.full(n_steps + 1, omega_sq),
+    )
     v_over_hbar = omega_sq / (4.0 * detuning(p))
     expected = psi0 * np.exp(-1j * v_over_hbar * dt * n_steps)
-    assert np.max(np.abs(s.amplitude - expected)) < 1e-12 * np.max(np.abs(psi0))
-    assert np.max(np.abs(np.abs(s.amplitude) - np.abs(psi0))) < 1e-12
+    for out in (s, stretch):
+        assert out.time == pytest.approx(n_steps * dt, rel=1e-12)
+        assert np.max(np.abs(out.amplitude - expected)) < 1e-12 * np.max(np.abs(psi0))
+        assert np.max(np.abs(np.abs(out.amplitude) - np.abs(psi0))) < 1e-12
+
+
+def test_a_kinetic_step_covers_one_z_step():
+    p = make_params()
+    g = _grid(64, 1.0)
+    s = WaveState(grid=g, amplitude=np.ones(64))
+    cfg = PropagationConfig(dt=1.0e-6, n_steps=1, laser_profile=_flat_laser(1.0))
+    for envelope in (np.ones(3), np.ones(1)):
+        with pytest.raises(ConfigurationError, match="z-step"):
+            step(s, cfg, p, envelope=envelope)
 
 
 def test_adiabatic_guard_in_step():
@@ -246,23 +289,89 @@ class TestPropagateThroughLaser:
         g = _grid(256, 8.0 * p.w_l)
         s = init_gaussian(g, 0.0, p.w_l, math.inf)
 
-        def poisoned(y, z):
-            base = np.ones_like(y) * p.rabi_peak**2
-            if z > 2.0 * p.w_l:  # goes bad three quarters of the way through
-                return base * np.nan
-            return base
+        def poisoned(z):
+            # goes bad three quarters of the way through
+            return np.where(z > 2.0 * p.w_l, np.nan, p.rabi_peak**2)
 
         cfg = PropagationConfig(
             dt=None,
             n_steps=256,
             kinetic_enabled=False,
-            laser_profile=poisoned,
+            laser_profile=Laser(envelope=poisoned, pattern=np.ones_like),
             transverse_area=math.inf,
         )
         with pytest.raises(NumericsError, match="non-finite") as err:
             propagate_through_laser(s, cfg, p)
         assert err.value.step is not None and err.value.step % 64 == 0
         assert math.isfinite(err.value.time)
+
+    @pytest.mark.parametrize("outside", [0, -1, 31])
+    def test_observe_steps_outside_the_transit_are_rejected(self, outside):
+        p = make_params()
+        s = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l, math.inf)
+        cfg = PropagationConfig(
+            dt=None, n_steps=30, kinetic_enabled=False, transverse_area=math.inf
+        )
+        with pytest.raises(
+            ConfigurationError, match=rf"^observe_steps must lie in 1\.\.30, got \[{outside}\]$"
+        ):
+            propagate_through_laser(s, cfg, p, observe_steps={1, outside, 30})
+
+    def test_observe_steps_must_be_integers(self):
+        p = make_params()
+        s = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l, math.inf)
+        for kinetic in (True, False):
+            cfg = PropagationConfig(
+                dt=None, n_steps=30, kinetic_enabled=kinetic, transverse_area=math.inf
+            )
+            with pytest.raises(TypeError, match="integer"):
+                propagate_through_laser(s, cfg, p, observe_steps={2.5})
+            seen = []
+            propagate_through_laser(
+                s, cfg, p, observer=lambda i, st: seen.append(i),
+                observe_steps=np.array([3, 20]),
+            )
+            assert seen == [3, 20, 30] and all(type(i) is int for i in seen)
+
+    def test_kinetic_off_transit_steps_once_per_stretch(self, monkeypatch):
+        # 2048 z-steps: P once, E once at the 2049 endpoint times, and one
+        # step per real state, the 32 finite checks and two observed steps
+        p = make_params()
+        g = _grid(256, 8.0 * p.w_l)
+        s = init_gaussian(g, 0.0, p.w_l, math.inf)
+        laser = standing_wave(p)
+        envelopes, patterns, stretches = [], [], []
+
+        def envelope(z):
+            envelopes.append(z)
+            return laser.envelope(z)
+
+        def pattern(y):
+            patterns.append(y)
+            return laser.pattern(y)
+
+        real_step = propagate.step
+
+        def counting_step(state, *args, envelope=None, **kwargs):
+            stretches.append(len(envelope) - 1)
+            return real_step(state, *args, envelope=envelope, **kwargs)
+
+        monkeypatch.setattr(propagate, "step", counting_step)
+        n_steps, observed = 2048, (100, 1000)
+        cfg = PropagationConfig(
+            dt=None, n_steps=n_steps, kinetic_enabled=False,
+            laser_profile=Laser(envelope=envelope, pattern=pattern),
+            transverse_area=math.inf,
+        )
+        seen = []
+        propagate_through_laser(
+            s, cfg, p, observer=lambda i, st: seen.append(i), observe_steps=observed
+        )
+        assert len(envelopes) == 1 and envelopes[0].shape == (n_steps + 1,)
+        assert len(patterns) == 1 and np.array_equal(patterns[0], g.points())
+        real = sorted({*range(64, n_steps + 1, 64), *observed})
+        assert seen == real and len(real) == 34
+        assert stretches == list(np.diff([0, *real]))
 
 
 @pytest.mark.parametrize("kinetic", [True, False])
@@ -287,14 +396,14 @@ def test_transit_builds_no_validated_state_per_step(kinetic, monkeypatch):
     assert out.amplitude.dtype == np.complex128
 
 
-def test_standing_wave_cache_follows_the_position_array():
+def test_standing_wave_intensity_is_the_written_out_formula():
     p = make_params()
     profile = standing_wave_intensity(p)
     y1 = np.linspace(-1.0e-4, 1.0e-4, 33)
     y2 = y1 + 1.0e-5
     z = 0.3 * p.w_l
-    for y in (y1, y1, y2, y1.copy(), y2):
-        # the uncached formula, in its original operation order
+    for y in (y1, y2):
+        # the formula in its original operation order
         direct = (
             p.rabi_peak**2 * math.exp(-(z * z) * (1.0 / p.w_l**2))
             * np.cos(p.harmonic * p.k_l * y) ** 2
@@ -303,20 +412,23 @@ def test_standing_wave_cache_follows_the_position_array():
 
 
 def _transit_setup(config, params):
+    # (dt, laser, entry time, envelope at the N + 1 endpoint times)
     z_half = 4.0 * params.w_l
     dt = 2.0 * z_half / params.v_g / config.n_steps
-    profile = config.laser_profile or standing_wave_intensity(params)
-    return dt, profile, -z_half / params.v_g
+    laser = config.laser_profile or standing_wave(params)
+    t_entry = -z_half / params.v_g
+    times = t_entry + dt * np.arange(config.n_steps + 1)
+    return dt, laser, t_entry, laser.envelope(params.v_g * times)
 
 
 def _bare_step_transit(state, config, params):
-    # propagate_through_laser spelled out as bare step() calls, each of
-    # which builds its own positions, cos^2 pattern and kinetic phase
-    dt, profile, t_entry = _transit_setup(config, params)
-    run_config = replace(config, dt=dt, laser_profile=profile)
+    # propagate_through_laser spelled out as bare step() calls over one
+    # z-step each, each of which builds its own pattern and kinetic phase
+    dt, laser, t_entry, envelope = _transit_setup(config, params)
+    run_config = replace(config, dt=dt, laser_profile=laser)
     working = WaveState(grid=state.grid, amplitude=state.amplitude, time=t_entry)
-    for _ in range(config.n_steps):
-        working = step(working, run_config, params)
+    for index in range(1, config.n_steps + 1):
+        working = step(working, run_config, params, envelope=envelope[index - 1 : index + 1])
     return working.amplitude
 
 
@@ -328,60 +440,62 @@ def _kinetic_stage(psi, g, dt, params):
 
 def _textbook_transit(state, config, params):
     # the unmerged Strang scheme written out with no helper from the
-    # package: every array is rebuilt where it is used, and each half-step
-    # reads its own |psi|^2
-    dt, profile, t = _transit_setup(config, params)
+    # package: |Omega|^2 = E P is rebuilt for every half-step, and each
+    # half-step reads its own |psi|^2
+    dt, laser, _, envelope = _transit_setup(config, params)
     g = state.grid
 
-    def half(psi, z):
+    def half(psi, e):
         density = np.abs(psi) ** 2 / config.transverse_area
-        v = effective_potential(config.model, profile(g.points(), z), density, params)
+        v = effective_potential(config.model, e * laser.pattern(g.points()), density, params)
         return psi * np.exp(-0.5j * dt * (v / HBAR))
 
     psi = state.amplitude
-    for _ in range(config.n_steps):
-        psi = half(psi, params.v_g * t)
+    for index in range(1, config.n_steps + 1):
+        psi = half(psi, envelope[index - 1])
         if config.kinetic_enabled:
             psi = _kinetic_stage(psi, g, dt, params)
-        t = t + dt
-        psi = half(psi, params.v_g * t)
+        psi = half(psi, envelope[index])
     return psi
 
 
 def _deferred_transit(state, config, params, split_steps):
-    # the deferred-phase transit written out with no helper from the
-    # package. Between two fresh densities each potential phase only adds
-    # span/dt * |Omega|^2 to a drive; one weight dt V(rho, |Omega|^2 = 1)/hbar
-    # per fresh density turns it into the phase, applied before each
-    # kinetic stage and after each step in split_steps. Returns the real
-    # states after the split steps, by step number.
-    dt, profile, t = _transit_setup(config, params)
+    # the stretch transit written out with no helper from the package.
+    # One weight dt V(rho, P)/hbar per fresh density carries the pattern;
+    # the potential phases since it sum the envelope as a scalar
+    # trapezoid drive. With the kinetic term off one phase covers the
+    # whole stretch up to the next split step; with it on the phase is
+    # applied around each kinetic stage, a full closing phase merging
+    # into the next step's opening half between split steps. Returns the
+    # real states after the split steps, by step number.
+    dt, laser, _, envelope = _transit_setup(config, params)
     g = state.grid
+    pattern = laser.pattern(g.points())
 
     def weight(psi):
         density = (psi.real**2 + psi.imag**2) / config.transverse_area
-        return effective_potential(config.model, 1.0, density, params) * (dt / HBAR)
+        return effective_potential(config.model, pattern, density, params) * (dt / HBAR)
 
     def settle(psi, drive, w):
         return psi * np.exp(-1j * (drive * w))
 
-    psi, drive, real = state.amplitude, None, {}
-    for index in range(1, config.n_steps + 1):
-        if drive is None:  # a real state: fresh density, opening half
-            w = weight(psi)
-            drive = 0.5 * profile(g.points(), params.v_g * t)
+    stops = range(1, config.n_steps + 1) if config.kinetic_enabled else sorted(split_steps)
+    psi, real, start, fresh = state.amplitude, {}, 0, True
+    for index in stops:
+        drive = 0.5 * envelope[start] if fresh else 0.0
         if config.kinetic_enabled:
-            psi = _kinetic_stage(settle(psi, drive, w), g, dt, params)
-            w = weight(psi)
+            if fresh:
+                psi = settle(psi, drive, weight(psi))
+            psi = _kinetic_stage(psi, g, dt, params)
             drive = 0.0
-        t = t + dt
-        closing = profile(g.points(), params.v_g * t)
-        if index in split_steps:
-            psi = settle(psi, drive + 0.5 * closing, w)
-            drive = None
+        w = weight(psi)
+        if index - start > 1:
+            drive += float(np.sum(envelope[start + 1 : index]))
+        fresh = index in split_steps
+        psi = settle(psi, drive + (0.5 * envelope[index] if fresh else envelope[index]), w)
+        if fresh:
             real[index] = psi
-        else:
-            drive = drive + closing
+        start = index
     return real
 
 
@@ -446,32 +560,33 @@ class TestHoistedTransitIsBitExact:
         )
         self._check(p, s, cfg)
 
-    def test_custom_profile_is_called_every_half_step(self):
-        # once per potential phase: the opening half, one merged phase per
-        # step, and one more half after each interior split point
+    def test_custom_laser_is_sampled_once_per_transit(self):
+        # the envelope once, at the N + 1 endpoint z of the z-steps, and the
+        # pattern once, on the grid, whatever the kinetic term does
         p, s, area = self._dense()
-        calls = []
+        for kinetic in (True, False):
+            envelopes, patterns = [], []
 
-        def profile(y, z):
-            calls.append(z)
-            return p.rabi_peak**2 * np.exp(-(z / p.w_l) ** 2) * np.sin(3.0e4 * y) ** 2
+            def envelope(z):
+                envelopes.append(z.copy())
+                return p.rabi_peak**2 * np.exp(-(z / p.w_l) ** 2)
 
-        cfg = PropagationConfig(
-            dt=None, n_steps=self.N_STEPS, laser_profile=profile, transverse_area=area,
-        )
-        propagate_through_laser(s, cfg, p, observe_steps=self.OBSERVED)
-        assert len(calls) == self.N_STEPS + 1 + len(self.OBSERVED)
-        dt, _, t = _transit_setup(cfg, p)
-        ends = [t]
-        for _ in range(self.N_STEPS):
-            ends.append(ends[-1] + dt)
-        expected = [p.v_g * ends[0]]
-        for index in range(1, self.N_STEPS + 1):
-            expected.append(p.v_g * ends[index])
-            if index in self.OBSERVED:
-                expected.append(p.v_g * ends[index])
-        assert calls == expected
-        self._check(p, s, cfg)
+            def pattern(y):
+                patterns.append(y.copy())
+                return np.sin(3.0e4 * y) ** 2
+
+            cfg = PropagationConfig(
+                dt=None, n_steps=self.N_STEPS, kinetic_enabled=kinetic,
+                laser_profile=Laser(envelope=envelope, pattern=pattern),
+                transverse_area=area,
+            )
+            propagate_through_laser(s, cfg, p, observe_steps=self.OBSERVED)
+            assert len(envelopes) == 1 and len(patterns) == 1
+            dt, _, t_entry, _ = _transit_setup(cfg, p)
+            z_ends = p.v_g * (t_entry + dt * np.arange(self.N_STEPS + 1))
+            assert np.array_equal(envelopes[0], z_ends)
+            assert np.array_equal(patterns[0], s.grid.points())
+            self._check(p, s, cfg)
 
     def test_long_kinetic_off_transit_moves_orders_by_roundoff(self):
         # the beam-splitter transit at benchmark size: 64 steps of drive

@@ -4,7 +4,9 @@ perfbench/tracer.py patches the package's functions from outside and
 checks that a three-route sweep nests its spans as cli.main >
 sweep.run_sweep > diffraction.propagator_orders >
 propagate.propagate_through_laser > propagate.step >
-models.effective_potential, with one propagate.step call per z-step.
+models.effective_potential. A transit calls propagate.step once per
+z-step with the kinetic term on, and once per stretch between real
+states with it off.
 """
 
 import importlib.util
@@ -51,7 +53,9 @@ def test_traced_sweep_keeps_the_span_chain(tmp_path, capsys):
     params = with_wy_lambdas(make_params(), 10.5)
     path = _params_path(tmp_path, params)
     dense = 0.3 / characteristic_volume(params)
-    z_steps, points = 16, 2
+    # the propagator route runs kinetic-free: 16 z-steps are one stretch,
+    # ended by the last step's real state
+    z_steps, points, stretches = 16, 2, 1
     code, spans = _traced_main(tracer, [
         "sweep", "--params", path, "--axis", "rho_0",
         "--values", f"0,{dense!r}", "--paths", "all", "--grid-points", "256",
@@ -62,7 +66,7 @@ def test_traced_sweep_keeps_the_span_chain(tmp_path, capsys):
     assert code == 0
     assert tracer.nesting_errors(spans, True) == []
     steps = [s for s in spans if s[tracer.NAME] == "propagate.step"]
-    assert len(steps) == z_steps * points
+    assert len(steps) == stretches * points
     assert all(s[tracer.COUNT] == 256 for s in steps)
 
 
@@ -72,10 +76,12 @@ def test_traced_propagate_evaluates_the_potential_per_fresh_density(
 ):
     # 150 steps with two snapshots: real states after the finite checks at
     # steps 64 and 128, the snapshot at 75 and the last step. With the
-    # kinetic term off |psi| changes only where the field is made real, so
-    # the potential is evaluated once per real state that starts a stretch:
-    # the entry state and the three interior ones. With it on, every step
-    # adds the density after its kinetic stage.
+    # kinetic term off one step covers each of the four stretches up to
+    # them, and |psi| changes only where the field is made real, so the
+    # potential is evaluated once per real state that starts a stretch:
+    # the entry state and the three interior ones. With it on, there is
+    # one step per z-step, and every step adds the density after its
+    # kinetic stage.
     tracer = _load_tracer()
     path = _params_path(tmp_path, with_v0rho(with_wy_lambdas(make_params(), 4.0), 0.3))
     z_steps, interior_real = 150, 3
@@ -89,7 +95,7 @@ def test_traced_propagate_evaluates_the_potential_per_fresh_density(
     assert code == 0
     assert tracer.nesting_errors(spans, False) == []
     steps = [s for s in spans if s[tracer.NAME] == "propagate.step"]
-    assert len(steps) == z_steps
+    assert len(steps) == (z_steps if kinetic else 1 + interior_real)
     potentials = [s for s in spans if s[tracer.NAME] == "models.effective_potential"]
     assert all(spans[s[tracer.PARENT]][tracer.NAME] == "propagate.step" for s in potentials)
     expected = 1 + interior_real + (z_steps if kinetic else 0)
