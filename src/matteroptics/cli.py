@@ -25,8 +25,6 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__
 from .bloch import (
     BlochRates,
@@ -72,7 +70,6 @@ from .optics import (
     medium_response,
     polarizability,
 )
-from . import propagate
 from .propagate import (
     PropagationConfig,
     check_q_max,
@@ -104,6 +101,16 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _thread_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 # Every flag, defined once. A key is the flag itself, or "command --flag"
 # for a flag that means something else in that one command.
 _FLAGS = {
@@ -114,7 +121,7 @@ _FLAGS = {
         choices=("si", "cgs"),
         help="unit system of inputs and echoes; overrides the file's declaration",
     ),
-    "--threads": dict(type=int, default=1, help="worker threads for sweep points"),
+    "--threads": dict(type=_thread_count, default=1, help="worker threads for sweep points"),
     "--density": dict(type=float, help="override rho_0 (declared units)"),
     "--saturation": dict(
         type=float,
@@ -480,44 +487,29 @@ def cmd_propagate(args) -> int:
     }
     written: list[str] = []
 
-    def write_snapshot(index: int, snap) -> None:
-        # A field that turned non-finite between the propagator's finite
-        # checks takes the rescue path below instead of reaching a file.
-        if not np.isfinite(snap.amplitude).all():
-            raise NumericsError(
-                f"non-finite amplitude at snapshot step {index} (t = {snap.time!r} s)",
-                step=index,
-                time=snap.time,
-            )
-        path = f"{args.out}_state_{index:06d}.csv"
+    def write_snapshot(tag: str, snap) -> None:
+        path = f"{args.out}_state_{tag}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             write_state_csv(snap, area, fh)
         written.append(path)
 
     if args.snapshots > 0:
-        write_snapshot(0, state)
-    last_good = {"index": 0, "state": state}
+        write_snapshot("000000", state)
 
     def observer(index: int, current) -> None:
-        # survived the propagator's finite check (read at call time, so
-        # the two can never disagree)
-        if index % propagate._FINITE_CHECK_INTERVAL == 0:
-            last_good["index"] = index
-            last_good["state"] = current
         if index in snap_at:
-            write_snapshot(index, current)
+            write_snapshot(f"{index:06d}", current)
 
     try:
         final = propagate_through_laser(
             state, config, p, observer=observer, observe_steps=snap_at
         )
     except NumericsError as exc:
-        rescue = f"{args.out}_state_lastgood.csv"
-        with open(rescue, "w", encoding="utf-8", newline="") as fh:
-            write_state_csv(last_good["state"], area, fh)
+        good_index, good_state = exc.last_good
+        write_snapshot("lastgood", good_state)
         print(
-            f"numerics failure: {exc}; last finite state (step {last_good['index']}) "
-            f"written to {rescue}",
+            f"numerics failure: {exc}; last finite state (step {good_index}) "
+            f"written to {written[-1]}",
             file=sys.stderr,
         )
         return 2

@@ -50,6 +50,7 @@ class NumericsError(MatterOpticsError):
         super().__init__(message)
         self.step = step
         self.time = time
+        self.last_good = None  # (step, last finite state), set by the transit
 
 
 class SweepError(MatterOpticsError):

@@ -30,12 +30,12 @@ stage, so there is one step per z-step. A chained step returns a merged
 state, which already holds the next step's opening half (the
 first-same-as-last form of Strang splitting, Bao, Jin & Markowich,
 J. Comput. Phys. 187, 2003). With it off, one step covers a whole
-stretch between the points where propagate_through_laser needs a real
-state (the finite checks, the observed steps and the last step): one
-density, one potential evaluation, one slice sum of E and one complex
-exponential per stretch. The sum over E samples keeps a kinetic-free
-transit a z-trapezoid of the envelope, independent of the closed-form
-phase mask.
+stretch between the real states propagate_through_laser scans for
+non-finite values (every 64th step, the observed steps, the last step):
+one density, one potential evaluation, one slice sum of E and one
+complex exponential per stretch. The sum over E samples keeps a
+kinetic-free transit a z-trapezoid of the envelope, independent of the
+closed-form phase mask.
 
 The stretch transit differs from step-by-step Strang by roundoff only,
 which grows with the step count: over the four models, kinetic on and
@@ -67,10 +67,10 @@ from .units import HBAR, PhysicalParams
 
 logger = logging.getLogger(__name__)
 
-# The transit makes the field real and scans it for non-finite values
-# every this many steps, not every step: with the kinetic term off a
-# stretch between real states costs one exponential however long it is,
-# and a scan per step would cost more than the stretch itself.
+# The transit makes the field real every this many steps, besides each
+# observed step and the last, and every real state is scanned for
+# non-finite values. Not every step: with the kinetic term off a stretch
+# costs one exponential however long it is, less than a scan.
 _FINITE_CHECK_INTERVAL = 64
 
 
@@ -291,17 +291,17 @@ def _weight(
     drive. None when there is no laser.
     """
     density = (psi.real**2 + psi.imag**2) / config.transverse_area
+    rho_hi = float(np.max(density))
+    if not math.isfinite(rho_hi):
+        # a field that went non-finite between finite scans is a numerics
+        # failure, not a regime violation or a pole
+        raise NumericsError(
+            f"non-finite peak density {rho_hi!r} at "
+            f"t = {t!r} s (z = {params.v_g * t!r} cm)",
+            time=t,
+        )
     if params.gamma > 0.0:
-        rho_lo, rho_hi = float(np.min(density)), float(np.max(density))
-        if not math.isfinite(rho_hi):
-            # a field that went non-finite between finite checks is a
-            # numerics failure, not a regime violation
-            raise NumericsError(
-                f"non-finite peak density {rho_hi!r} at "
-                f"t = {t!r} s (z = {params.v_g * t!r} cm)",
-                time=t,
-            )
-        check_adiabatic(params, rho_lo, rho_hi)
+        check_adiabatic(params, float(np.min(density)), rho_hi)
     if pattern is None:
         return None
     return effective_potential(config.model, pattern, density, params) * (config.dt / HBAR)
@@ -407,13 +407,15 @@ def propagate_through_laser(
     state with its clock advanced by the crossing duration.
 
     The field is a real state only after the steps that need one (see
-    the module docstring): every _FINITE_CHECK_INTERVAL-th step, which
-    is scanned for non-finite values, each step in `observe_steps`,
-    which must lie in 1..n_steps, and the last step. `observer` is
-    called with (step_index, state) after exactly those steps, in
-    order, and never sees a merged state. The real steps, not the
-    observer, decide the arithmetic: the same observe_steps give the
-    same bits with or without an observer.
+    the module docstring): every _FINITE_CHECK_INTERVAL-th step, each
+    step in `observe_steps`, which must lie in 1..n_steps, and the last
+    step. Each is scanned for non-finite values, then `observer` is
+    called with (step_index, state), in order; it never sees a merged
+    or non-finite state. The real steps, not the observer, decide the
+    arithmetic: the same observe_steps give the same bits with or
+    without an observer. A NumericsError leaves with last_good =
+    (step_index, state), the last real state that passed the scan, or
+    (0, the entry state).
     """
     last = config.n_steps
     observed = {operator.index(i) for i in observe_steps}  # TypeError for a non-integer
@@ -434,28 +436,32 @@ def propagate_through_laser(
     real = {*range(_FINITE_CHECK_INTERVAL, last, _FINITE_CHECK_INTERVAL), *observed, last}
     working = WaveState._unchecked(state.grid, state.amplitude, t_entry)
     start = 0
-    # one step per z-step with the kinetic term on, one per stretch up to
-    # the next real state with it off
-    for index in range(1, last + 1) if config.kinetic_enabled else sorted(real):
-        split = index in real
-        working = step(
-            working, run_config, params, invariants,
-            envelope=envelope[start : index + 1], merge_next=not split,
-        )
-        start = index
-        if not split:
-            continue
-        if (index % _FINITE_CHECK_INTERVAL == 0 or index == last) and not np.all(
-            np.isfinite(working.amplitude.view(np.float64))
-        ):
-            raise NumericsError(
-                f"non-finite amplitude after step {index} "
-                f"(t = {working.time!r} s, z = {params.v_g * working.time!r} cm)",
-                step=index,
-                time=working.time,
+    last_good = (0, state)
+    try:
+        # one step per z-step with the kinetic term on, one per stretch up
+        # to the next real state with it off
+        for index in range(1, last + 1) if config.kinetic_enabled else sorted(real):
+            split = index in real
+            working = step(
+                working, run_config, params, invariants,
+                envelope=envelope[start : index + 1], merge_next=not split,
             )
-        if observer is not None:
-            observer(index, working)
+            start = index
+            if not split:
+                continue
+            if not np.all(np.isfinite(working.amplitude.view(np.float64))):
+                raise NumericsError(
+                    f"non-finite amplitude after step {index} "
+                    f"(t = {working.time!r} s, z = {params.v_g * working.time!r} cm)",
+                    step=index,
+                    time=working.time,
+                )
+            last_good = (index, working)
+            if observer is not None:
+                observer(index, working)
+    except NumericsError as exc:
+        exc.last_good = last_good
+        raise
     logger.debug("crossed laser region in %d steps, dt = %.3e s", last, dt)
     return WaveState._unchecked(working.grid, working.amplitude, state.time + duration)
 

@@ -79,6 +79,32 @@ class TestTopLevel:
         assert code == 1
         assert "i/o error" in err
 
+    @pytest.mark.parametrize("threads, message", [
+        ("0", "must be >= 1, got 0"),
+        ("-3", "must be >= 1, got -3"),
+        ("two", "invalid int value: 'two'"),
+    ])
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_threads_below_one_are_a_usage_error(
+        self, capsys, params_file, tmp_path, command, threads, message
+    ):
+        # rejected as the flag is parsed, on every command, before any work
+        needed = {
+            "propagate": ["--out", str(tmp_path / "run")],
+            "bloch": ["--dt", "1e-9", "--steps", "1"],
+            "sweep": ["--values", "0"],
+        }
+        code, out, err = run(
+            capsys, command, "--params", params_file, "--format", "json",
+            "--threads", threads, *needed.get(command, []),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage: matteroptics {command} ")
+        assert err.endswith(
+            f"matteroptics {command}: error: argument --threads: {message}\n"
+        )
+        assert os.listdir(tmp_path) == ["ref.params"]
+
     def test_parser_is_built_once_and_reused(self, capsys, tmp_path, monkeypatch):
         path = write_params(tmp_path, make_params())
         calls = [
@@ -554,15 +580,16 @@ class TestPropagate:
         assert snaps == [f"run_state_{i:06d}.csv" for i in range(9)]
 
     def test_numerics_failure_rescues_last_state(self, capsys, tmp_path, monkeypatch):
+        # the rescue writes the state the error carries, whatever it is
         path, _ = self._params_path(tmp_path)
         prefix = str(tmp_path / "bad")
+        carried = []
 
         def fake(state, config, params, observer=None, observe_steps=()):
-            observer(64, state)
-            observer(128, state)
-            raise NumericsError(
-                "non-finite amplitude after step 128", step=128, time=1.0
-            )
+            carried.append(propagate.WaveState(state.grid, 0.5 * state.amplitude, 1.0))
+            exc = NumericsError("non-finite amplitude after step 192", step=192, time=1.0)
+            exc.last_good = (128, carried[0])
+            raise exc
 
         monkeypatch.setattr("matteroptics.cli.propagate_through_laser", fake)
         code, _, err = run(
@@ -571,8 +598,11 @@ class TestPropagate:
         )
         assert code == 2
         assert "numerics failure" in err
-        assert "step 128" in err
-        assert os.path.exists(f"{prefix}_state_lastgood.csv")
+        assert "(step 128)" in err
+        expected = io.StringIO()
+        propagate.write_state_csv(carried[0], math.inf, expected)
+        with open(f"{prefix}_state_lastgood.csv", encoding="utf-8") as fh:
+            assert fh.read() == expected.getvalue()
         assert not os.path.exists(f"{prefix}_report.csv")
 
     def test_rescued_state_follows_the_finite_check_interval(
@@ -656,12 +686,34 @@ class TestPropagate:
             "--steps", "16", "--snapshots", "4",
         )
         assert code == 2
-        assert "numerics failure" in err and "snapshot step 4" in err
+        assert "numerics failure" in err and "after step 4" in err
         assert "(step 0)" in err
         assert os.path.exists(f"{prefix}_state_lastgood.csv")
         assert sorted(os.listdir(tmp_path)) == [
             "bad_state_000000.csv", "bad_state_lastgood.csv", "p.params",
         ]
+
+    def test_a_finite_snapshot_is_a_rescue_point(self, capsys, tmp_path, monkeypatch):
+        # Poisoned at step 12 of 16 with snapshots at 8 and 16: step 13's
+        # density check fails, and the rescue is the step-8 snapshot.
+        path, _ = self._params_path(tmp_path)
+        prefix = str(tmp_path / "bad")
+        self._poison(monkeypatch, 12)
+        code, _, err = run(
+            capsys, "propagate", "--params", path, "--out", prefix,
+            "--grid-points", "1024", "--box-lambdas", "32",
+            "--steps", "16", "--snapshots", "2",
+        )
+        assert code == 2
+        assert "numerics failure" in err and "(step 8)" in err
+        assert sorted(os.listdir(tmp_path)) == [
+            "bad_state_000000.csv", "bad_state_000008.csv", "bad_state_lastgood.csv",
+            "p.params",
+        ]
+        with open(f"{prefix}_state_000008.csv", encoding="utf-8") as snap, open(
+            f"{prefix}_state_lastgood.csv", encoding="utf-8"
+        ) as rescue:
+            assert rescue.read() == snap.read()
 
 
 class TestBloch:

@@ -33,7 +33,7 @@ from matteroptics.models import ModelKind, effective_potential
 from matteroptics.serialize import csv_num
 from matteroptics.units import HBAR, detuning
 
-from conftest import make_params, with_v0rho, with_wy_lambdas
+from conftest import make_params, red_detuned, with_v0rho, with_wy_lambdas
 
 
 def _grid(n=256, length=1.0):
@@ -262,6 +262,23 @@ def test_adiabatic_guard_checks_the_packet_wings():
         propagate_through_laser(s, cfg, p)
 
 
+@pytest.mark.parametrize("red", [False, True], ids=["blue", "red"])
+@pytest.mark.parametrize("gamma", [0.0, 6.1e7], ids=["gamma0", "gamma_pos"])
+def test_non_finite_density_is_a_numerics_failure_for_every_gamma(gamma, red):
+    # without the check at gamma = 0 a blue step returned a non-finite
+    # field and a red one hit the pole guard with a NaN density
+    p = make_params(gamma=gamma)
+    if red:
+        p = red_detuned(p)
+    amp = np.ones(64, dtype=np.complex128)
+    amp[5] = np.inf
+    flat = Laser(envelope=lambda z: np.full(np.shape(z), p.rabi_peak**2), pattern=np.ones_like)
+    cfg = PropagationConfig(dt=1.0e-9, n_steps=1, kinetic_enabled=False, laser_profile=flat)
+    with pytest.raises(NumericsError, match=r"^non-finite peak density inf at t = 0\.0 s") as err:
+        step(WaveState(grid=_grid(64, 1.0), amplitude=amp), cfg, p)
+    assert err.value.last_good is None  # a bare step has no last good state
+
+
 class TestPropagateThroughLaser:
     def test_clock_and_observer(self, monkeypatch):
         # the observer sees the finite-check steps, the asked-for steps and
@@ -304,6 +321,68 @@ class TestPropagateThroughLaser:
             propagate_through_laser(s, cfg, p)
         assert err.value.step is not None and err.value.step % 64 == 0
         assert math.isfinite(err.value.time)
+
+    def _tracer_run(self, laser, kinetic, n_steps, state=None, **kwargs):
+        p = make_params()
+        if state is None:
+            state = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l, math.inf)
+        cfg = PropagationConfig(
+            dt=None, n_steps=n_steps, kinetic_enabled=kinetic, laser_profile=laser,
+            transverse_area=math.inf,
+        )
+        return propagate_through_laser(state, cfg, p, **kwargs)
+
+    def test_scan_failure_carries_the_last_good_state(self):
+        # the envelope turns NaN past z = 3 w_L, inside the stretch from
+        # step 192 to 256, so the scan at 256 fails and 192 is the last good
+        p = make_params()
+        flat = Laser(envelope=lambda z: np.full(np.shape(z), p.rabi_peak**2), pattern=np.ones_like)
+        poisoned = Laser(
+            envelope=lambda z: np.where(z > 3.0 * p.w_l, np.nan, p.rabi_peak**2),
+            pattern=np.ones_like,
+        )
+        clean = {}
+        self._tracer_run(flat, False, 256, observer=lambda i, st: clean.setdefault(i, st))
+        with pytest.raises(NumericsError, match="^non-finite amplitude after step 256") as err:
+            self._tracer_run(poisoned, False, 256)
+        index, good = err.value.last_good
+        assert index == 192
+        assert np.array_equal(good.amplitude, clean[192].amplitude)
+        assert good.time == clean[192].time
+
+    def test_density_failure_carries_the_last_good_state(self, monkeypatch):
+        # kinetic on, real states every 3 steps: a NaN made by step 7 is
+        # caught by step 8's density check inside step, not by a scan
+        monkeypatch.setattr(propagate, "_FINITE_CHECK_INTERVAL", 3)
+        laser = standing_wave(make_params())
+        clean = {}
+        self._tracer_run(laser, True, 16, observer=lambda i, st: clean.setdefault(i, st))
+        real_step = propagate.step
+        calls = []
+
+        def poisoned_step(state, config, params, invariants=None, **kwargs):
+            out = real_step(state, config, params, invariants, **kwargs)
+            calls.append(out)
+            if len(calls) == 7:
+                out = WaveState(out.grid, out.amplitude * np.nan, out.time)
+            return out
+
+        monkeypatch.setattr(propagate, "step", poisoned_step)
+        with pytest.raises(NumericsError, match="^non-finite peak density nan") as err:
+            self._tracer_run(laser, True, 16)
+        assert len(calls) == 7 and err.value.step is None
+        index, good = err.value.last_good
+        assert index == 6
+        assert np.array_equal(good.amplitude, clean[6].amplitude)
+
+    def test_no_real_state_passed_leaves_the_entry_state(self):
+        p = make_params()
+        entry = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l, math.inf)
+        poisoned = Laser(envelope=lambda z: np.full(np.shape(z), np.nan), pattern=np.ones_like)
+        with pytest.raises(NumericsError, match="after step 16") as err:
+            self._tracer_run(poisoned, False, 16, state=entry)
+        index, good = err.value.last_good
+        assert index == 0 and good is entry
 
     @pytest.mark.parametrize("outside", [0, -1, 31])
     def test_observe_steps_outside_the_transit_are_rejected(self, outside):

@@ -50,7 +50,49 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def guard_sites(source: str, constant: str, error: str | None = None) -> set[str]:
+def private_module_reads(source: str, modules: set[str]) -> list[str]:
+    """Reads of a `_`-prefixed attribute of a module in `modules` bound by
+    `from . import X`, as 'X._name (line N)'. Dunder names are not private."""
+    tree = ast.parse(source)
+    bound = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+        if alias.name in modules
+    }
+    return [
+        f"{node.value.id}.{node.attr} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in bound
+        and node.attr.startswith("_")
+        and not node.attr.endswith("__")
+    ]
+
+
+def test_private_read_checker():
+    source = (
+        "from . import a, b as bee, __version__\n"
+        "from .c import d\n"
+        "x = a._hidden + bee._other + a.public + a.__name__\n"
+        "y = d._fine + c._unbound + __version__._x\n"
+    )
+    assert private_module_reads(source, {"a", "b", "c"}) == [
+        "a._hidden (line 3)", "bee._other (line 3)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_names(path):
+    # a module's private names are its own; another module that needs one
+    # needs it made public, or the decision moved to its owner
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    assert private_module_reads(path.read_text(encoding="utf-8"), modules) == []
+
+
+def guard_sites(source: str, constant: str | None, error: str | None = None) -> set[str]:
     """Functions that compare `constant` or raise `error`(...), by name.
 
     Module-level code counts as '<module>'.
@@ -60,7 +102,7 @@ def guard_sites(source: str, constant: str, error: str | None = None) -> set[str
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        compares = isinstance(node, ast.Compare) and any(
+        compares = constant is not None and isinstance(node, ast.Compare) and any(
             isinstance(n, ast.Name) and n.id == constant for n in ast.walk(node)
         )
         raises = error is not None and isinstance(node, ast.Call) and error in (
@@ -91,9 +133,10 @@ def test_guard_site_checker():
     )
     assert guard_sites(source, "EPS_POLE", "PoleError") == {"guard", "other", "<module>", "third"}
     assert guard_sites(source, "EPS_POLE") == {"guard", "other"}
+    assert guard_sites(source, None, "PoleError") == {"guard", "<module>", "third"}
 
 
-def package_guard_sites(constant: str, error: str | None = None) -> set[str]:
+def package_guard_sites(constant: str | None, error: str | None = None) -> set[str]:
     return {
         f"{path.stem}.{site}"
         for path in PACKAGE.glob("*.py")
@@ -112,6 +155,15 @@ def test_one_adiabatic_guard():
     # optics.check_adiabatic; the regime checks report the threshold
     # through RegimeCheck, which compares no named constant
     assert package_guard_sites("ADIABATIC_RATIO_MIN") == {"optics.check_adiabatic"}
+
+
+def test_one_owner_of_numerics_failures():
+    # the transit scans its real states and step checks each fresh
+    # density; a caller reads the last good state off the error instead
+    # of scanning again
+    assert package_guard_sites(None, "NumericsError") == {
+        "propagate._weight", "propagate.propagate_through_laser",
+    }
 
 
 def test_root_exports_resolve():
