@@ -25,6 +25,7 @@ from .bessel import bessel_j_sequence
 from .bloch import (
     BlochRates,
     BlochState,
+    BlochTrajectory,
     bloch_rhs,
     integrate,
     local_rabi,
@@ -105,6 +106,7 @@ __all__ = [
     "HBAR",
     "BlochRates",
     "BlochState",
+    "BlochTrajectory",
     "ConfigurationError",
     "DiffractionPattern",
     "Grid1D",

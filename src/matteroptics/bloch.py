@@ -12,13 +12,20 @@ Undamped, the Bloch-vector length W^2 + 4|R|^2 is a constant of the
 motion. Time stepping is classic fourth-order Runge-Kutta on plain
 scalars: the validated regime keeps dt * rates <= 0.1, where an
 explicit stepper is accurate, deterministic and trivially portable.
+
+integrate returns a BlochTrajectory: the times, coherences and
+inversions as columns, read as a sequence of BlochState. Only the entry
+and exit states are built as validated BlochState objects (others on
+request); each step checks |W| and |R| against the constructor's bound,
+which also rejects a non-finite state, and hands a state that fails to
+the constructor for its message. The writers read the columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +42,7 @@ from .units import PhysicalParams
 # inexact. Acceptance-grade bound checks live with the integration
 # tests, at tolerances matched to the step size used.
 _BOUND_SLACK = 1e-3
+_BOUND = 1.0 + _BOUND_SLACK
 
 
 @dataclass(frozen=True)
@@ -49,9 +57,9 @@ class BlochState:
         w = self.inversion
         if not (math.isfinite(w) and math.isfinite(abs(self.coherence))):
             raise ParameterError("Bloch state must be finite")
-        if abs(w) > 1.0 + _BOUND_SLACK:
+        if abs(w) > _BOUND:
             raise ParameterError(f"inversion {w!r} outside [-1, 1]")
-        if abs(self.coherence) > 1.0 + _BOUND_SLACK:
+        if abs(self.coherence) > _BOUND:
             raise ParameterError(f"|coherence| = {abs(self.coherence)!r} exceeds 1")
 
     def vector_length_sq(self) -> float:
@@ -87,6 +95,50 @@ def bloch_rhs(
     return _derivative(state.coherence, state.inversion, drive, detuning, rates)
 
 
+class BlochTrajectory(Sequence[BlochState]):
+    """Stored states of one integration, kept as columns.
+
+    times, coherence and inversion hold one entry per stored state, the
+    entry state first. Indexing and iteration give BlochState objects:
+    the entry and exit states as built once, the others validated on
+    request. Equal to any sequence of equal states, a list included.
+    """
+
+    def __init__(self, times, coherence, inversion, first: BlochState, last: BlochState):
+        self.times = times
+        self.coherence = coherence
+        self.inversion = inversion
+        self._first = first
+        self._last = last
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self.times)
+        i = index + n if index < 0 else index
+        if not 0 <= i < n:
+            raise IndexError("trajectory index out of range")
+        if i == 0:
+            return self._first
+        if i == n - 1:
+            return self._last
+        return BlochState(self.coherence[i], self.inversion[i], self.times[i])
+
+    def __iter__(self) -> Iterator[BlochState]:
+        yield self._first
+        for i in range(1, len(self.times) - 1):
+            yield BlochState(self.coherence[i], self.inversion[i], self.times[i])
+        yield self._last
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 def integrate(
     initial: BlochState,
     drive,
@@ -94,17 +146,24 @@ def integrate(
     rates: BlochRates,
     dt: float,
     n_steps: int,
-) -> list[BlochState]:
+) -> BlochTrajectory:
     """RK4 trajectory of n_steps states after the initial one.
 
-    drive is a complex constant or a function t -> complex. Requires
-    dt * max(|detuning|, |drive|, gamma_l, gamma_t) <= 0.1, checked
-    upfront for the rates and per step for the sampled drive.
+    drive is a complex constant or a function t -> complex. Requires a
+    finite detuning and dt * max(|detuning|, |drive|, gamma_l, gamma_t)
+    <= 0.1, checked upfront for the detuning and the rates and per step
+    for the sampled drive, which must be finite. The states are stored
+    as columns (see BlochTrajectory). In place of a BlochState per step,
+    each step checks |W| and |R| against the constructor's bound; the
+    first state that fails is handed to the constructor, which raises
+    its ParameterError at that step.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ConfigurationError(f"dt must be positive and finite, got {dt!r}")
     if n_steps < 1:
         raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
+    if not math.isfinite(detuning):
+        raise ParameterError(f"detuning must be finite, got {detuning!r}")
     fastest = max(abs(detuning), rates.gamma_l, rates.gamma_t)
     if dt * fastest > 0.1:
         raise ConfigurationError(
@@ -113,15 +172,17 @@ def integrate(
         )
     omega = drive if callable(drive) else (lambda t, value=complex(drive): value)
 
-    trajectory = [initial]
     r = complex(initial.coherence)
     w = float(initial.inversion)
     t = initial.time
+    times = [t]
+    coherence = [initial.coherence]
+    inversion = [initial.inversion]
     for i in range(n_steps):
         # the drive is sampled once per stage time; stages 2 and 3 share one
         om0 = omega(t)
-        if dt * abs(om0) > 0.1:
-            raise ConfigurationError(f"dt*|drive| = {dt * abs(om0)!r} exceeds 0.1 at step {i}")
+        if not dt * abs(om0) <= 0.1:
+            _reject_drive(om0, dt, i)
         om_half = omega(t + 0.5 * dt)
         om1 = omega(t + dt)
         k1r, k1w = _derivative(r, w, om0, detuning, rates)
@@ -131,8 +192,24 @@ def integrate(
         r = r + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         w = w + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
         t = initial.time + (i + 1) * dt
-        trajectory.append(BlochState(coherence=r, inversion=w, time=t))
-    return trajectory
+        # False for a NaN or an infinity too, exactly where BlochState raises
+        if not (abs(w) <= _BOUND and abs(r) <= _BOUND):
+            for sample in (om_half, om1):
+                if not math.isfinite(abs(sample)):
+                    _reject_drive(sample, dt, i)
+            BlochState(coherence=r, inversion=w, time=t)
+        times.append(t)
+        coherence.append(r)
+        inversion.append(w)
+    last = BlochState(coherence=r, inversion=w, time=t)
+    return BlochTrajectory(times, coherence, inversion, initial, last)
+
+
+def _reject_drive(sample: complex, dt: float, step: int):
+    # a drive sample integrate cannot step over: non-finite or unresolved
+    if not math.isfinite(abs(sample)):
+        raise ParameterError(f"drive must be finite, got {sample!r} at step {step}")
+    raise ConfigurationError(f"dt*|drive| = {dt * abs(sample)!r} exceeds 0.1 at step {step}")
 
 
 def steady_state(drive: complex, detuning: float, rates: BlochRates) -> BlochState:
@@ -174,8 +251,12 @@ def local_rabi(
 
 def write_trajectory_csv(trajectory: Sequence[BlochState], fh) -> None:
     """Columns t_s, re_R, im_R, W, one row per stored step."""
-    rows = np.array(
-        [(s.time, s.coherence.real, s.coherence.imag, s.inversion) for s in trajectory],
-        dtype=np.float64,
-    ).reshape(-1, 4)
-    write_float_table("t_s,re_R,im_R,W", rows.T, fh)
+    if isinstance(trajectory, BlochTrajectory):
+        t, r, w = trajectory.times, trajectory.coherence, trajectory.inversion
+    else:
+        t = [s.time for s in trajectory]
+        r = [s.coherence for s in trajectory]
+        w = [s.inversion for s in trajectory]
+    r = np.array(r, dtype=np.complex128)
+    columns = [np.array(t, dtype=np.float64), r.real, r.imag, np.array(w, dtype=np.float64)]
+    write_float_table("t_s,re_R,im_R,W", columns, fh)

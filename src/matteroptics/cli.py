@@ -585,8 +585,8 @@ def cmd_bloch(args) -> int:
 
     def doc() -> dict:
         points = [
-            {"t_s": s.time, "re_R": s.coherence.real, "im_R": s.coherence.imag, "W": s.inversion}
-            for s in trajectory
+            {"t_s": t, "re_R": r.real, "im_R": r.imag, "W": w}
+            for t, r, w in zip(trajectory.times, trajectory.coherence, trajectory.inversion)
         ]
         return {
             "detuning": delta,

@@ -6,18 +6,29 @@ separator is always '.', fields are ','-separated, files end with a
 trailing newline, and nothing here depends on locale or wall-clock time.
 Infinities serialize as "inf"/"-inf" strings; NaN is rejected because no
 computation in this package may silently produce one.
+
+A list of flat rows (dicts that share one key order and hold only
+finite floats, such as a Bloch trajectory) is formatted through one row
+template with the same 17-digit "%.17g" contract, -0.0 folded by adding
+0.0; any other list, and any row with an infinity or a NaN, takes the
+general per-value path, so both give the same bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from typing import Sequence
 
 import numpy as np
 
 # write_float_table formats this many rows per write.
 _CSV_BLOCK_ROWS = 2048
+
+# Printable ASCII but the quote and the backslash: json.dumps (ensure_ascii)
+# escapes nothing else, so such a key is quoted as it stands.
+_PLAIN_KEY = re.compile(r'[ !#-\[\]-~]*')
 
 
 def csv_num(x: float) -> str:
@@ -74,6 +85,34 @@ def _json_scalar(x) -> str:
     raise TypeError(f"not JSON-serializable: {type(x).__name__}")
 
 
+def _json_key(k) -> str:
+    k = str(k)
+    return f'"{k}"' if _PLAIN_KEY.fullmatch(k) else json.dumps(k)
+
+
+def _float_rows(rows, level: int) -> str | None:
+    """rows as json_dumps formats them at level, or None off the fast path.
+
+    The fast path takes a list of non-empty dicts that share one key
+    order and hold only exact, finite floats; the rows then differ only
+    in their numbers, so one "%.17g" template formats them all.
+    """
+    if set(map(type, rows)) != {dict} or len(set(map(tuple, rows))) != 1:
+        return None
+    keys = tuple(rows[0])
+    cells = [v for row in rows for v in row.values()]
+    if not keys or set(map(type, cells)) != {float} or not all(map(math.isfinite, cells)):
+        return None
+    inner = "  " * (level + 1)
+    fields = ",\n".join(
+        f"{inner}  {_json_key(k).replace('%', '%%')}: %.17g" for k in keys
+    )
+    row = f"{inner}{{\n{fields}\n{inner}}}"
+    # -0.0 + 0.0 == +0.0 folds negative zero; other values are unchanged
+    body = ",\n".join([row] * len(rows)) % tuple([v + 0.0 for v in cells])
+    return "[\n" + body + "\n" + "  " * level + "]"
+
+
 def json_dumps(obj, _level: int = 0) -> str:
     """Serialize nested dict/list/scalar data with 17-digit floats.
 
@@ -86,13 +125,16 @@ def json_dumps(obj, _level: int = 0) -> str:
         if not obj:
             return "{}"
         items = [
-            f"{inner}{json.dumps(str(k))}: {json_dumps(v, _level + 1)}"
+            f"{inner}{_json_key(k)}: {json_dumps(v, _level + 1)}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        fast = _float_rows(obj, _level)
+        if fast is not None:
+            return fast
         items = [f"{inner}{json_dumps(v, _level + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     return _json_scalar(obj)

@@ -2,6 +2,7 @@
 
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from matteroptics.bloch import (
     BlochRates,
     BlochState,
+    BlochTrajectory,
     bloch_rhs,
     integrate,
     local_rabi,
@@ -142,6 +144,114 @@ class TestIntegrateIsRK4OverRhs:
         integrate(self.START, drive, 0.7, self.RATES, dt, 4)
         starts = [self.START.time] + [self.START.time + i * dt for i in range(1, 4)]
         assert times == [x for t in starts for x in (t, t + 0.5 * dt, t + dt)]
+
+
+def _first_invalid_state_message(start, drive_at, detuning, rates, dt, n_steps):
+    """ParameterError text of the first step state BlochState rejects, and its step.
+
+    RK4 over bloch_rhs as in _rk4_over_rhs, with unchecked stage states,
+    so only the stored states meet the constructor, one per step.
+    """
+    def f(r, w, t):
+        return bloch_rhs(SimpleNamespace(coherence=r, inversion=w), drive_at(t), detuning, rates)
+
+    r, w, t = complex(start.coherence), float(start.inversion), start.time
+    for i in range(n_steps):
+        k1r, k1w = f(r, w, t)
+        k2r, k2w = f(r + 0.5 * dt * k1r, w + 0.5 * dt * k1w, t + 0.5 * dt)
+        k3r, k3w = f(r + 0.5 * dt * k2r, w + 0.5 * dt * k2w, t + 0.5 * dt)
+        k4r, k4w = f(r + dt * k3r, w + dt * k3w, t + dt)
+        r = r + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        w = w + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        t = start.time + (i + 1) * dt
+        try:
+            BlochState(coherence=r, inversion=w, time=t)
+        except ParameterError as exc:
+            return str(exc), i
+    return None, None
+
+
+class TestColumnTrajectory:
+    START = BlochState(coherence=0.1 - 0.2j, inversion=-0.5, time=0.3)
+    RATES = BlochRates(gamma_l=0.05, gamma_t=0.08)
+
+    def test_builds_no_validated_state_per_step(self, monkeypatch):
+        # the stored states are checked against the bound in the loop;
+        # a BlochState per step would cost half of each RK4 step
+        built = []
+        original = BlochState.__post_init__
+
+        def counting(self):
+            built.append(self.time)
+            original(self)
+
+        monkeypatch.setattr(BlochState, "__post_init__", counting)
+        traj = integrate(self.START, 1.3 + 0.4j, 0.7, self.RATES, 0.01, 100)
+        assert built == [traj.times[-1]]  # the exit state, once
+        assert traj[0] is self.START and traj[-1] is traj[-1]
+        assert len(built) == 1  # reading either end builds nothing more
+
+    def test_columns_and_sequence_view(self):
+        traj = integrate(self.START, 1.3 + 0.4j, 0.7, self.RATES, 0.01, 5)
+        assert isinstance(traj, BlochTrajectory)
+        states = list(traj)
+        assert len(traj) == len(states) == 6
+        assert [s.time for s in states] == traj.times
+        assert [s.coherence for s in states] == traj.coherence
+        assert [s.inversion for s in states] == traj.inversion
+        assert traj == states and states == traj
+        assert [traj[i] for i in range(-6, 6)] == states + states
+        assert traj[1:4] == states[1:4]
+        assert traj != states[:-1]
+        with pytest.raises(IndexError):
+            traj[6]
+        with pytest.raises(IndexError):
+            traj[-7]
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_bound_violation_raises_the_constructors_message_at_its_step(self, k):
+        dt = 0.01
+        kick = self.START.time + k * dt + 0.5 * dt
+        sampled = []
+
+        def drive(t):
+            # resolved at every step start; a spike at step k's half stage,
+            # which only the stored state's bound check can see
+            sampled.append(t)
+            return 1e4 if abs(t - kick) < 0.25 * dt else 0.5
+
+        want, step = _first_invalid_state_message(self.START, drive, 0.7, self.RATES, dt, 20)
+        assert step == k and want is not None
+        sampled.clear()
+        with pytest.raises(ParameterError) as err:
+            integrate(self.START, drive, 0.7, self.RATES, dt, 20)
+        assert str(err.value) == want
+        assert max(sampled) <= self.START.time + (k + 1) * dt + 1e-12
+
+    def test_non_finite_detuning_rejected_before_any_step(self):
+        sampled = []
+
+        def drive(t):
+            sampled.append(t)
+            return 0.5
+
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match="detuning must be finite"):
+                integrate(self.START, drive, bad, self.RATES, 0.01, 10)
+        assert sampled == []
+
+    @pytest.mark.parametrize("stage, step", [(0.0, 2), (0.5, 3), (1.0, 3)])
+    def test_non_finite_drive_sample_named_at_its_step(self, stage, step):
+        # a sample at a step's end time is also the next step's start;
+        # the step that ends there meets it first
+        dt = 0.01
+        bad = self.START.time + 3 * dt + stage * dt
+
+        def drive(t):
+            return math.nan if abs(t - bad) < 0.25 * dt else 0.5
+
+        with pytest.raises(ParameterError, match=f"drive must be finite, got nan at step {step}$"):
+            integrate(self.START, drive, 0.7, self.RATES, dt, 10)
 
 
 class TestAgainstClosedForms:

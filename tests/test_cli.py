@@ -780,6 +780,23 @@ class TestBloch:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--detuning", "nan"), "error: detuning must be finite, got nan\n"),
+            (
+                ("--drive-re", "nan", "--detuning", "0.1"),
+                "error: drive must be finite, got (nan+0j) at step 0\n",
+            ),
+        ],
+        ids=["detuning", "drive"],
+    )
+    def test_non_finite_input_is_named(self, capsys, flags, named):
+        code, out, err = run(capsys, "bloch", *flags, "--dt", "0.01", "--steps", "5")
+        assert code == 1
+        assert out == ""
+        assert err == named
+
     def test_needs_a_detuning_source(self, capsys):
         code, _, err = run(capsys, "bloch", "--dt", "0.1", "--steps", "1")
         assert code == 1

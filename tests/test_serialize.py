@@ -1,9 +1,14 @@
 """Serialization contract: digits, sign folding, and byte stability."""
 
+import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from matteroptics import serialize
 from matteroptics.serialize import csv_num, json_dumps
 
 
@@ -68,3 +73,137 @@ class TestJsonDumps:
     def test_byte_stability(self):
         payload = {"values": [0.1, 0.2, 0.3], "name": "run", "n": 3}
         assert json_dumps(payload) == json_dumps(payload)
+
+
+# The recursive per-value formatter that json_dumps was before it gained
+# the row template, copied verbatim but for the two function names. Every
+# input must give the same text, or the same error, through both.
+
+
+def _reference_scalar(x) -> str:
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return repr(x)
+    if isinstance(x, float):
+        if math.isnan(x):
+            raise ValueError("NaN is not serializable")
+        if math.isinf(x):
+            return '"inf"' if x > 0 else '"-inf"'
+        if x == 0:
+            return "0"  # fold -0.0 into 0
+        return format(x, ".17g")
+    if isinstance(x, str):
+        return json.dumps(x)  # stdlib handles escaping
+    raise TypeError(f"not JSON-serializable: {type(x).__name__}")
+
+
+def _reference_dumps(obj, _level: int = 0) -> str:
+    """Serialize nested dict/list/scalar data with 17-digit floats.
+
+    Dict insertion order is preserved, so identical inputs give
+    byte-identical output.
+    """
+    pad = "  " * _level
+    inner = "  " * (_level + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{inner}{json.dumps(str(k))}: {_reference_dumps(v, _level + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{inner}{_reference_dumps(v, _level + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    return _reference_scalar(obj)
+
+
+def _outcome(dumps, obj):
+    try:
+        return dumps(obj)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+KEYS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(
+        ["t_s", "W", 'say "hi"', "back\\slash", "tab\tnew\nline", "\x00\x1f\x7f",
+         "ünïcödé", "λ_L", "%s", "100%", "%%", "", " "]
+    ),
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SPECIAL = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     math.inf, -math.inf, math.nan]
+)
+NOT_A_FLOAT = st.one_of(
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.none(),
+    FINITE.map(np.float64),
+    st.tuples(FINITE, FINITE),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def documents(draw):
+    """A list of flat float rows, one row possibly spoilt, at some depth."""
+    keys = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
+    rows = [
+        {k: draw(FINITE) for k in keys}
+        for _ in range(draw(st.integers(min_value=1, max_value=30)))
+    ]
+    row = rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+    key = draw(st.sampled_from(keys))
+    spoil = draw(st.sampled_from(["none", "special", "other", "reorder", "missing", "extra"]))
+    if spoil == "special":
+        row[key] = draw(SPECIAL)
+    elif spoil == "other":
+        row[key] = draw(NOT_A_FLOAT)
+    elif spoil == "reorder":
+        value = row.pop(key)
+        row[key] = value
+    elif spoil == "missing":
+        del row[key]
+    elif spoil == "extra":
+        row[draw(KEYS)] = draw(FINITE)
+    doc = rows
+    for wrap in draw(st.lists(st.sampled_from(["list", "dict"]), max_size=3)):
+        doc = [doc, 1.5] if wrap == "list" else {"rows": doc, "n": len(rows)}
+    return doc
+
+
+class TestRowTemplateMatchesThePerValuePath:
+    @settings(max_examples=400, deadline=None)
+    @given(documents())
+    def test_same_text_or_error(self, doc):
+        assert _outcome(json_dumps, doc) == _outcome(_reference_dumps, doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(KEYS, st.one_of(FINITE, SPECIAL, NOT_A_FLOAT), max_size=4))
+    def test_dict_keys_quote_as_json_does(self, doc):
+        assert _outcome(json_dumps, doc) == _outcome(_reference_dumps, doc)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_length(self, n):
+        rows = [{"t_s": i * 0.02, "re_R": -0.0, "im_R": 1.0 / (i + 3), "W": -1.0} for i in range(n)]
+        assert json_dumps({"trajectory": rows}) == _reference_dumps({"trajectory": rows})
+
+    def test_flat_float_rows_take_the_template(self, monkeypatch):
+        # the differential tests above would pass with no fast path at all
+        rows = [{"t_s": 0.5 * i, "W": -0.0} for i in range(5)]
+        want = _reference_dumps(rows)
+
+        def per_value(x):
+            raise AssertionError("row formatted value by value")
+
+        monkeypatch.setattr(serialize, "_json_scalar", per_value)
+        assert json_dumps(rows) == want

@@ -166,6 +166,18 @@ def test_one_owner_of_numerics_failures():
     }
 
 
+def test_each_float_format_has_one_owner():
+    # CSV's 9 digits and JSON's 17 are serialize's contract; a writer that
+    # formats its own floats could drift from it (sign folding, inf, NaN)
+    owners = {
+        (literal, path.name)
+        for path in PACKAGE.glob("*.py")
+        for literal in (".17g", ".9g")
+        if literal in path.read_text(encoding="utf-8")
+    }
+    assert owners == {(".17g", "serialize.py"), (".9g", "serialize.py")}
+
+
 def test_root_exports_resolve():
     # a stale __all__ entry breaks `from matteroptics import *`
     missing = [name for name in matteroptics.__all__ if not hasattr(matteroptics, name)]
