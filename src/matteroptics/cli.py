@@ -38,7 +38,6 @@ from .diffraction import (
     DEFAULT_BOX_LAMBDAS,
     DEFAULT_GRID_POINTS,
     DEFAULT_Z_STEPS,
-    ROUTES,
     DiffractionPattern,
     commensurate_grid,
     default_q_max,
@@ -46,6 +45,7 @@ from .diffraction import (
     effective_wavelength,
     evaluate_routes,
     order_spacing,
+    select_routes,
 )
 from .errors import (
     ConfigurationError,
@@ -57,13 +57,11 @@ from .errors import (
 )
 from .models import (
     ModelKind,
-    RegimeCheck,
     characteristic_volume,
     regime_checks,
     significant_density,
 )
 from .optics import (
-    COLLISION_BOUND_MIN,
     adiabatic_validity,
     contact_interaction_bound,
     local_detuning,
@@ -79,7 +77,7 @@ from .propagate import (
     propagate_through_laser,
     write_state_csv,
 )
-from .serialize import csv_num, json_dumps
+from .serialize import by_order, csv_num, json_dumps
 from .sweep import SweepSpec, run_sweep, sweep_report, write_sweep_csv
 from .units import (
     ParamFile,
@@ -140,9 +138,7 @@ _FLAGS = {
         choices=[k.value for k in ModelKind], default="full",
         help="effective potential used by the propagator path",
     ),
-    "diffract --paths": dict(
-        choices=(*ROUTES, "all"), default="analytic", help="which evaluation paths to run"
-    ),
+    "--paths": dict(default="analytic", help="comma list of analytic,numeric,propagator or 'all'"),
     "propagate --box-lambdas": dict(
         type=float, help="grid span in effective wavelengths (default: fits the packet)"
     ),
@@ -172,9 +168,6 @@ _FLAGS = {
     "--start": dict(type=float, help="linear range start (with --stop/--num)"),
     "--stop": dict(type=float, help="linear range stop"),
     "--num": dict(type=int, help="number of points in the linear range"),
-    "sweep --paths": dict(
-        default="analytic", help="comma list of analytic,numeric,propagator or 'all'"
-    ),
 }
 
 # Each command: its help line, then its flags in usage order after the
@@ -185,7 +178,7 @@ _COMMANDS = {
     "validity": ("regime checks as a pass/fail table", "--density", "--saturation"),
     "diffract": (
         "beam-splitter diffraction orders",
-        "--density", "diffract --paths", "--q-max", "--grid-points", "--box-lambdas",
+        "--density", "--paths", "--q-max", "--grid-points", "--box-lambdas",
         "--steps", "--model",
     ),
     "propagate": (
@@ -200,7 +193,7 @@ _COMMANDS = {
     ),
     "sweep": (
         "one-axis sweep across diffraction paths",
-        "--axis", "--values", "--start", "--stop", "--num", "sweep --paths", "--q-max",
+        "--axis", "--values", "--start", "--stop", "--num", "--paths", "--q-max",
         "--grid-points", "--box-lambdas", "--steps",
     ),
 }
@@ -274,11 +267,6 @@ def _captured(write, *data) -> str:
     return buf.getvalue()
 
 
-def _by_order(values: dict[int, float]) -> dict[str, float]:
-    """A q-keyed mapping in JSON form: string keys, q ascending."""
-    return {str(q): values[q] for q in sorted(values)}
-
-
 def _order_table(angles: dict[int, float], columns: dict[str, DiffractionPattern]):
     """CSV lines q,angle_rad,<one column per pattern>, q ascending."""
     yield "q,angle_rad," + ",".join(columns)
@@ -302,17 +290,6 @@ def _params_at_density(args, pf: ParamFile) -> PhysicalParams:
     return replace(pf.params, rho_0=convert_field(typed.rho_0, "rho_0", pf.units, "cgs"))
 
 
-def _default_saturation(args, pf: ParamFile) -> float:
-    if args.saturation is not None:
-        return args.saturation
-    delta = detuning(pf.params)
-    if delta == 0.0:
-        raise ParameterError(
-            "cannot derive the default saturation at zero detuning; pass --saturation"
-        )
-    return (pf.params.rabi_peak / delta) ** 2
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -332,8 +309,7 @@ def cmd_optics(args) -> int:
         ("v0", lambda: characteristic_volume(p), "volume"),
         ("v0_rho", lambda: characteristic_volume(p) * density, "dimensionless"),
         ("adiabatic_ratio", lambda: adiabatic_validity(p, density), "dimensionless"),
-        ("contact_bound",
-         lambda: contact_interaction_bound(_default_saturation(args, pf), p), "dimensionless"),
+        ("contact_bound", lambda: contact_interaction_bound(args.saturation, p), "dimensionless"),
         ("significant_density_exact", lambda: significant_density(p).exact, "density"),
         ("significant_density_scaling", lambda: significant_density(p).scaling, "density"),
     ):
@@ -361,15 +337,8 @@ def cmd_optics(args) -> int:
 
 def cmd_validity(args) -> int:
     pf = _load_params(args)
-    p = pf.params
     density = _params_at_density(args, pf).rho_0
-
-    checks = regime_checks(p, density)
-    checks["collision_bound"] = RegimeCheck.evaluate(
-        COLLISION_BOUND_MIN,
-        lambda: contact_interaction_bound(_default_saturation(args, pf), p),
-    )
-
+    checks = regime_checks(pf.params, density, args.saturation)
     all_ok = all(c.ok for c in checks.values())
     _emit(
         args,
@@ -387,21 +356,9 @@ def cmd_validity(args) -> int:
     return 0 if all_ok else 2
 
 
-def _selected_paths(raw: str) -> tuple[str, ...]:
-    if raw == "all":
-        return ROUTES
-    parts = tuple(s.strip() for s in raw.split(",") if s.strip())
-    bad = [s for s in parts if s not in ROUTES]
-    if bad or not parts:
-        raise ParameterError(
-            f"invalid path selection {raw!r}; use {', '.join(ROUTES)} or all"
-        )
-    return parts
-
-
 def cmd_diffract(args) -> int:
     p = _params_at_density(args, _load_params(args))
-    paths = _selected_paths(args.paths)
+    paths = select_routes(args.paths)
     q_max = args.q_max
     if q_max is None:
         q_max = default_q_max([p], paths, args.grid_points, args.box_lambdas)
@@ -426,8 +383,8 @@ def cmd_diffract(args) -> int:
             "paths": list(patterns),
             "sums": sums,
             "discrepancy": discrepancy,
-            "orders": {name: _by_order(pattern.orders) for name, pattern in patterns.items()},
-            "angles_rad": _by_order(angles),
+            "orders": {name: by_order(pattern.orders) for name, pattern in patterns.items()},
+            "angles_rad": by_order(angles),
         },
         lambda: _csv(
             f"# tau = {csv_num(rn.tau)}",
@@ -538,8 +495,8 @@ def cmd_propagate(args) -> int:
         lambda: {
             "scalars": scalars,
             "model": model.value,
-            "spectrum": _by_order(pattern.orders),
-            "angles_rad": _by_order(angles),
+            "spectrum": by_order(pattern.orders),
+            "angles_rad": by_order(angles),
             "snapshots": written,
         },
         lambda: _csv(
@@ -569,6 +526,9 @@ def cmd_bloch(args) -> int:
         drive = local_rabi(drive, pf.params, rho, corrected=args.local_field)
 
     rates = BlochRates(gamma_l=args.gamma_l, gamma_t=args.gamma_t)
+    for flag, value in (("--w0", args.w0), ("--r0-re", args.r0_re), ("--r0-im", args.r0_im)):
+        if not math.isfinite(value):  # the state's own check cannot name the flag
+            raise ParameterError(f"{flag} must be finite, got {value!r}")
     initial = BlochState(
         coherence=complex(args.r0_re, args.r0_im), inversion=args.w0, time=0.0
     )
@@ -629,25 +589,11 @@ def cmd_sweep(args) -> int:
         raise ParameterError("sweep needs --values or all of --start/--stop/--num")
     values = [convert_field(v, args.axis, pf.units, "cgs") for v in raw]
 
-    paths = _selected_paths(args.paths)
-    q_max = args.q_max
-    if q_max is None:
-        points = []
-        for v in values:
-            try:
-                points.append(replace(pf.params, **{args.axis: v}))
-            except MatterOpticsError:
-                pass  # an invalid point becomes an error row
-        q_max = default_q_max(points, paths, args.grid_points, args.box_lambdas)
-
+    # the selection is checked here so that a bad one is reported before
+    # the spec's own checks; the spec sizes the order range when no --q-max
     spec = SweepSpec(
-        base=pf.params,
-        axis=args.axis,
-        values=tuple(values),
-        paths=paths,
-        q_max=q_max,
-        grid_points=args.grid_points,
-        z_steps=args.steps,
+        base=pf.params, axis=args.axis, values=values, paths=select_routes(args.paths),
+        q_max=args.q_max, grid_points=args.grid_points, z_steps=args.steps,
         box_lambdas=args.box_lambdas,
     )
     rows = run_sweep(spec, threads=args.threads)

@@ -20,7 +20,8 @@ routes that grows with |V0 rho0|; the gap is reported, never hidden.
 
 evaluate_routes runs any subset of the routes at one parameter point
 and measures their largest pairwise gap; a diffract run and every sweep
-point go through it.
+point go through it. select_routes is the one reader of a route
+selection ("all", a comma list or a sequence of names).
 """
 
 from __future__ import annotations
@@ -56,6 +57,22 @@ ROUTES = ("analytic", "numeric", "propagator")
 DEFAULT_GRID_POINTS = 4096
 DEFAULT_BOX_LAMBDAS = 128.0
 DEFAULT_Z_STEPS = 2048
+
+
+def select_routes(selection: str | Sequence[str]) -> tuple[str, ...]:
+    """The routes named by "all", a comma list or a sequence of names, in ROUTES order.
+
+    An unknown name or an empty selection raises ConfigurationError.
+    """
+    if selection == "all":
+        return ROUTES
+    names = selection.split(",") if isinstance(selection, str) else selection
+    names = {name.strip() for name in names if name.strip()}
+    if not names or not names <= set(ROUTES):
+        raise ConfigurationError(
+            f"invalid path selection {selection!r}; use {', '.join(ROUTES)} or all"
+        )
+    return tuple(r for r in ROUTES if r in names)
 
 
 @dataclass(frozen=True)
@@ -287,7 +304,7 @@ def default_q_max(
 
 def evaluate_routes(
     point: PhysicalParams,
-    routes: Sequence[str],
+    routes: str | Sequence[str],
     q_max: int,
     grid_points: int,
     box_lambdas: float,
@@ -299,11 +316,12 @@ def evaluate_routes(
     Returns (rn, patterns, discrepancy): the beam-splitter scalars, one
     pattern per selected route keyed in ROUTES order, and the largest
     pattern_discrepancy over all pairs of routes (0 for a single route).
-    The grid routes share one commensurate grid; `model` selects the
-    propagator's potential. Guard and configuration errors propagate.
+    routes is any selection select_routes takes. The grid routes share
+    one commensurate grid; `model` selects the propagator's potential.
+    Guard and configuration errors propagate.
     """
+    selected = select_routes(routes)
     rn = raman_nath_params(point)
-    selected = [r for r in ROUTES if r in routes]
     patterns: dict[str, DiffractionPattern] = {}
     if "analytic" in selected:
         patterns["analytic"] = analytic_orders(rn.tau, q_max)

@@ -24,9 +24,11 @@ from .errors import MatterOpticsError, ParameterError, SingularDetuningError
 from .units import HBAR, PhysicalParams, detuning
 from .optics import (
     ADIABATIC_RATIO_MIN,
+    COLLISION_BOUND_MIN,
     PACKET_BROADNESS_MIN,
     POLE_DISTANCE_MIN,
     check_pole,
+    contact_interaction_bound,
     polarizability,
     smallest_magnitude,
     weakest_adiabatic_ratio,
@@ -176,8 +178,10 @@ class RegimeCheck(NamedTuple):
         return cls(value, threshold, value >= threshold)
 
 
-def regime_checks(params: PhysicalParams, density: float) -> dict[str, RegimeCheck]:
-    """The density-dependent regime checks, by name, in report order.
+def regime_checks(
+    params: PhysicalParams, density: float, saturation: float | None = None
+) -> dict[str, RegimeCheck]:
+    """The regime checks, by name, in report order.
 
     adiabatic_ratio         |Delta_l| / gamma at this density
     pole_distance           min |1 + V0 rho|, |1 + 2 V0 rho|: distance to the
@@ -185,8 +189,11 @@ def regime_checks(params: PhysicalParams, density: float) -> dict[str, RegimeChe
     packet_broadness        w_y in units of the standing-wave period 2 pi / (n k_L)
     adiabatic_ratio_packet  the smallest adiabatic_ratio over [0, density]
     pole_distance_packet    the smallest pole_distance over [0, density]
+    collision_bound         optics.contact_interaction_bound at `saturation`,
+                            by default (rabi_peak / Delta)^2; density-free
 
     [0, density] is the packet's density range, as the propagator's guard sees it.
+    A check that cannot be evaluated (zero detuning, say) is an error entry.
     """
 
     def ratio(rho_lo: float) -> float:
@@ -208,4 +215,7 @@ def regime_checks(params: PhysicalParams, density: float) -> dict[str, RegimeChe
         ),
         "adiabatic_ratio_packet": RegimeCheck.evaluate(ADIABATIC_RATIO_MIN, lambda: ratio(0.0)),
         "pole_distance_packet": RegimeCheck.evaluate(POLE_DISTANCE_MIN, lambda: distance(0.0)),
+        "collision_bound": RegimeCheck.evaluate(
+            COLLISION_BOUND_MIN, lambda: contact_interaction_bound(saturation, params)
+        ),
     }

@@ -32,9 +32,9 @@ from .units import HBAR, C_LIGHT, PhysicalParams, detuning
 # instead of returning a huge value that downstream formulas would amplify.
 EPS_POLE = 1e-12
 
-# Regime thresholds, one per check of models.regime_checks and the
-# validity command: a check holds when its value is at least its
-# threshold. They are reported conventions, not hard physics constants.
+# Regime thresholds, one per check of models.regime_checks: a check
+# holds when its value is at least its threshold. They are reported
+# conventions, not hard physics constants.
 ADIABATIC_RATIO_MIN = 10.0  # |Delta_l| / gamma
 POLE_DISTANCE_MIN = 0.1  # min |1 + V0 rho| and |1 + 2 V0 rho|
 PACKET_BROADNESS_MIN = 10.0  # packet width in units of 2 pi / (n k_L)
@@ -161,13 +161,21 @@ def medium_response(params: PhysicalParams, density: float) -> MediumResponse:
     )
 
 
-def contact_interaction_bound(saturation: float, params: PhysicalParams) -> float:
+def contact_interaction_bound(saturation: float | None, params: PhysicalParams) -> float:
     """Lower bound (3/8) s / (a_s * k_a) on the dipole-to-collision energy ratio.
 
-    s is the saturation |Omega/Delta|^2 of the transition and k_a = omega_a/c.
+    s is the saturation |Omega/Delta|^2 of the transition and k_a = omega_a/c;
+    saturation None takes the peak value (rabi_peak / Delta)^2.
     A large bound means ground-state collisions are negligible next to the
     light-induced dipole-dipole interaction.
     """
+    if saturation is None:
+        delta = detuning(params)
+        if delta == 0.0:
+            raise ParameterError(
+                "cannot derive the default saturation at zero detuning; pass --saturation"
+            )
+        saturation = (params.rabi_peak / delta) ** 2
     if not saturation > 0.0:
         raise ParameterError(f"saturation must be positive, got {saturation!r}")
     if params.scattering_length <= 0.0:

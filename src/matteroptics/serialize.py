@@ -45,6 +45,11 @@ def csv_num(x: float) -> str:
     return format(x, ".9g")
 
 
+def by_order(values: dict[int, float]) -> dict[str, float]:
+    """A q-keyed mapping in JSON form: string keys, q ascending."""
+    return {str(q): values[q] for q in sorted(values)}
+
+
 def write_float_table(header: str, columns: Sequence[np.ndarray], fh) -> None:
     """Write a header line, then one CSV row per index of the float64 columns.
 

@@ -24,25 +24,27 @@ from .diffraction import (
     DEFAULT_BOX_LAMBDAS,
     DEFAULT_GRID_POINTS,
     DEFAULT_Z_STEPS,
-    ROUTES,
     DiffractionPattern,
+    default_q_max,
     evaluate_routes,
+    select_routes,
 )
 from .errors import ConfigurationError, MatterOpticsError, SweepError
 from .models import RegimeCheck, regime_checks
-from .serialize import csv_num
+from .serialize import by_order, csv_num
 from .units import PhysicalParams, params_to_system
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep: one axis, ordered values, chosen paths."""
+    """What to sweep: one axis, ordered values, chosen paths (any select_routes
+    selection), and q_max, by default default_q_max over the swept points."""
 
     base: PhysicalParams
     axis: str
     values: tuple[float, ...]
     paths: tuple[str, ...]
-    q_max: int
+    q_max: int | None = None
     grid_points: int = DEFAULT_GRID_POINTS
     z_steps: int = DEFAULT_Z_STEPS
     box_lambdas: float = DEFAULT_BOX_LAMBDAS
@@ -60,17 +62,22 @@ class SweepSpec:
         if not all(math.isfinite(v) for v in vals):
             raise ConfigurationError("sweep values must be finite")
         object.__setattr__(self, "values", vals)
-        pth = tuple(p for p in ROUTES if p in self.paths)
-        unknown = set(self.paths) - set(ROUTES)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown paths {sorted(unknown)}; choose from {list(ROUTES)}"
-            )
-        if not pth:
-            raise ConfigurationError("at least one path must be selected")
-        object.__setattr__(self, "paths", pth)
+        object.__setattr__(self, "paths", select_routes(self.paths))
+        if self.q_max is None:
+            points = []
+            for value in vals:
+                try:
+                    points.append(self.point(value))
+                except MatterOpticsError:
+                    pass  # an invalid point becomes an error row
+            q_max = default_q_max(points, self.paths, self.grid_points, self.box_lambdas)
+            object.__setattr__(self, "q_max", q_max)
         if self.q_max < 0:
             raise ConfigurationError(f"q_max must be nonnegative, got {self.q_max}")
+
+    def point(self, value: float) -> PhysicalParams:
+        """The base parameters with the axis set to value."""
+        return replace(self.base, **{self.axis: value})
 
 
 # (regime check, CSV column, JSON flag key) of each flag a sweep row reports
@@ -102,7 +109,7 @@ class SweepRow:
 
 def _evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
     try:
-        point = replace(spec.base, **{spec.axis: value})
+        point = spec.point(value)
         rn, patterns, discrepancy = evaluate_routes(
             point, spec.paths, spec.q_max, spec.grid_points, spec.box_lambdas, spec.z_steps
         )
@@ -177,15 +184,11 @@ def sweep_report(spec: SweepSpec, rows: Sequence[SweepRow]) -> dict:
         if row.error is not None:
             row_dicts.append({"value": row.value, "error": row.error})
             continue
-        orders = {}
-        for path in spec.paths:
-            pat = row.patterns[path]
-            orders[path] = {str(q): pat.orders[q] for q in sorted(pat.orders)}
         row_dicts.append(
             {
                 "value": row.value,
                 "tau": row.tau,
-                "orders": orders,
+                "orders": {path: by_order(row.patterns[path].orders) for path in spec.paths},
                 "discrepancy": row.discrepancy,
                 "flags": {key: flag for (_, _, key), flag in zip(_FLAGS, row.flags())},
             }

@@ -204,9 +204,15 @@ class TestOptics:
 
 
 class TestValidity:
+    NAMES = [
+        "adiabatic_ratio", "pole_distance", "packet_broadness",
+        "adiabatic_ratio_packet", "pole_distance_packet", "collision_bound",
+    ]
+
     def test_default_saturation_fails_collisions(self, capsys, params_file):
         code, out, _ = run(capsys, "validity", "--params", params_file)
         assert code == 2
+        assert [l.split(",")[0] for l in out.splitlines()] == ["check", *self.NAMES]
         rows = {l.split(",")[0]: l.split(",") for l in out.splitlines()[1:]}
         assert rows["collision_bound"][3] == "false"
         assert rows["adiabatic_ratio"][3] == "true"
@@ -229,11 +235,24 @@ class TestValidity:
         report = json.loads(out)
         assert report["all_ok"] is True
         names = [c["name"] for c in report["checks"]]
-        assert names == [
-            "adiabatic_ratio", "pole_distance", "packet_broadness",
-            "adiabatic_ratio_packet", "pole_distance_packet", "collision_bound",
-        ]
+        assert names == self.NAMES
         assert all(c["ok"] for c in report["checks"])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_zero_detuning_default_saturation_is_an_error_entry(self, capsys, tmp_path, fmt):
+        path = write_params(tmp_path, make_params(omega_l=3.198e15))
+        code, out, err = run(capsys, "validity", "--params", path, "--format", fmt)
+        assert (code, err) == (2, "")
+        message = "cannot derive the default saturation at zero detuning; pass --saturation"
+        if fmt == "json":
+            checks = json.loads(out)["checks"]
+            assert [c["name"] for c in checks] == self.NAMES
+            assert checks[-1] == {
+                "name": "collision_bound", "value": None, "threshold": 10.0,
+                "ok": False, "error": message,
+            }
+        else:
+            assert out.splitlines()[-1] == f'collision_bound,,10,false,"{message}"'
 
 
 class TestInvalidOverrides:
@@ -465,11 +484,38 @@ class TestDiffract:
         assert row["orders"] == point["orders"]
         assert row["discrepancy"] == point["discrepancy"] > 0.0
 
-    def test_bad_path_selection(self, capsys, params_file):
-        code, _, err = run(
-            capsys, "diffract", "--params", params_file, "--paths", "magic"
+    @pytest.mark.parametrize("command", ["diffract", "sweep"])
+    @pytest.mark.parametrize("selection", ["magic", "analytic,Numeric", ",", ""])
+    def test_bad_path_selection(self, capsys, params_file, command, selection):
+        code, out, err = run(
+            capsys, command, "--params", params_file, "--values", "0", "--paths", selection
+        ) if command == "sweep" else run(
+            capsys, command, "--params", params_file, "--paths", selection
         )
-        assert code == 1
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: invalid path selection {selection!r}; "
+            "use analytic, numeric, propagator or all\n"
+        )
+
+    def test_diffract_takes_a_comma_list_as_sweep_does(self, capsys, tmp_path):
+        p = with_g0(make_params(), 2.0)
+        path = write_params(tmp_path, p)
+        rho = repr(with_v0rho(p, 0.3).rho_0)
+        grid = ("--grid-points", "1024", "--box-lambdas", "32",
+                "--paths", "numeric, analytic", "--format", "json")
+        code, out, _ = run(capsys, "diffract", "--params", path, "--density", rho, *grid)
+        assert code == 0
+        point = json.loads(out)
+        assert point["paths"] == ["analytic", "numeric"]
+        code, out, _ = run(capsys, "sweep", "--params", path, "--values", rho, *grid)
+        assert code == 0
+        report = json.loads(out)
+        assert report["spec"]["q_max"] == point["q_max"] == 7
+        row = report["rows"][0]
+        assert row["tau"] == point["tau"]
+        assert row["orders"] == point["orders"]
+        assert row["discrepancy"] == point["discrepancy"] > 0.0
 
 
 class TestPropagate:
@@ -788,8 +834,11 @@ class TestBloch:
                 ("--drive-re", "nan", "--detuning", "0.1"),
                 "error: drive must be finite, got (nan+0j) at step 0\n",
             ),
+            (("--detuning", "0.1", "--w0", "nan"), "error: --w0 must be finite, got nan\n"),
+            (("--detuning", "0.1", "--r0-re", "inf"), "error: --r0-re must be finite, got inf\n"),
+            (("--detuning", "0.1", "--r0-im=-inf"), "error: --r0-im must be finite, got -inf\n"),
         ],
-        ids=["detuning", "drive"],
+        ids=["detuning", "drive", "w0", "r0-re", "r0-im"],
     )
     def test_non_finite_input_is_named(self, capsys, flags, named):
         code, out, err = run(capsys, "bloch", *flags, "--dt", "0.01", "--steps", "5")

@@ -27,6 +27,7 @@ from matteroptics.diffraction import (
     pattern_discrepancy,
     phase_profile,
     propagator_orders,
+    select_routes,
 )
 from matteroptics.errors import ConfigurationError, ParameterError, PoleError
 from matteroptics.models import ModelKind, raman_nath_params
@@ -408,6 +409,47 @@ class TestEvaluateRoutes:
         pole = replace(p, rho_0=-1.0 / raman_nath_params(p).v0)
         with pytest.raises(PoleError):
             evaluate_routes(pole, ROUTES, 3, 1024, 32.0, 64)
+
+    @pytest.mark.parametrize(
+        "routes", [["Numeric"], [], ["analytic", "bessel"], "", "magic", "all,analytic"]
+    )
+    def test_unknown_or_empty_selection_raises(self, routes):
+        with pytest.raises(ConfigurationError, match="invalid path selection"):
+            evaluate_routes(_reference(g0=1.0), routes, 3, 1024, 32.0, 64)
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            ("numeric", ["numeric"]),
+            ("propagator,analytic", ["propagator", "analytic"]),
+            (" numeric , analytic ,", ["numeric", "analytic"]),
+        ],
+    )
+    def test_string_means_its_comma_list(self, text, names):
+        p = _reference(g0=1.0, v0rho=0.2)
+        by_text = evaluate_routes(p, text, 3, 1024, 32.0, 64)
+        by_list = evaluate_routes(p, names, 3, 1024, 32.0, 64)
+        assert list(by_text[1]) == [r for r in ROUTES if r in names]
+        assert by_text[0] == by_list[0] and by_text[2] == by_list[2]
+        assert {k: v.orders for k, v in by_text[1].items()} == {
+            k: v.orders for k, v in by_list[1].items()
+        }
+
+
+class TestSelectRoutes:
+    def test_all_and_canonical_order(self):
+        assert select_routes("all") == ROUTES
+        assert select_routes(("propagator", "analytic")) == ("analytic", "propagator")
+        assert select_routes("propagator,analytic,propagator") == ("analytic", "propagator")
+        assert select_routes(ROUTES) == ROUTES
+
+    @pytest.mark.parametrize("selection", ["", ",", " ", (), ("all",), ("analytic", "Analytic")])
+    def test_rejects(self, selection):
+        with pytest.raises(ConfigurationError) as info:
+            select_routes(selection)
+        assert str(info.value) == (
+            f"invalid path selection {selection!r}; use analytic, numeric, propagator or all"
+        )
 
 
 def _density_sweep(params, densities, q_max):

@@ -15,7 +15,7 @@ from matteroptics.models import (
     regime_checks,
     significant_density,
 )
-from matteroptics.optics import adiabatic_validity, polarizability
+from matteroptics.optics import adiabatic_validity, contact_interaction_bound, polarizability
 from matteroptics.units import HBAR, detuning
 
 from conftest import make_params, red_detuned, with_g0, with_v0rho
@@ -202,10 +202,10 @@ class TestRegimeChecks:
     def test_values_thresholds_and_order(self):
         p = make_params()
         rho = with_v0rho(p, 0.25).rho_0
-        checks = regime_checks(p, rho)
+        checks = regime_checks(p, rho, saturation=1.0)
         assert list(checks) == [
             "adiabatic_ratio", "pole_distance", "packet_broadness",
-            "adiabatic_ratio_packet", "pole_distance_packet",
+            "adiabatic_ratio_packet", "pole_distance_packet", "collision_bound",
         ]
         v0rho = characteristic_volume(p) * rho
         assert checks["adiabatic_ratio"].value == adiabatic_validity(p, rho)
@@ -214,7 +214,8 @@ class TestRegimeChecks:
         # blue of resonance both factors grow with rho: the packet's wings bind
         assert checks["adiabatic_ratio_packet"].value == adiabatic_validity(p, 0.0)
         assert checks["pole_distance_packet"].value == 1.0
-        assert [c.threshold for c in checks.values()] == [10.0, 0.1, 10.0, 10.0, 0.1]
+        assert checks["collision_bound"].value == contact_interaction_bound(1.0, p)
+        assert [c.threshold for c in checks.values()] == [10.0, 0.1, 10.0, 10.0, 0.1, 10.0]
         assert all(c.ok and c.error is None for c in checks.values())
 
     def test_unevaluable_check_is_an_error_entry(self):
@@ -222,3 +223,19 @@ class TestRegimeChecks:
         pole = regime_checks(p, 1.0e12)["pole_distance"]
         assert pole.value is None and pole.ok is False
         assert "zero detuning" in pole.error
+
+    def test_collision_bound_takes_the_default_saturation(self):
+        p = make_params()
+        default = (p.rabi_peak / detuning(p)) ** 2
+        check = regime_checks(p, 0.0)["collision_bound"]
+        assert check.value == contact_interaction_bound(default, p)
+        assert check.ok is False  # as validity reports for these parameters
+        assert regime_checks(p, 0.0, saturation=1.0)["collision_bound"].ok is True
+
+    def test_default_saturation_at_zero_detuning_is_an_error_entry(self):
+        p = make_params(omega_l=make_params().omega_a)
+        check = regime_checks(p, 0.0)["collision_bound"]
+        assert (check.value, check.ok) == (None, False)
+        assert check.error == (
+            "cannot derive the default saturation at zero detuning; pass --saturation"
+        )

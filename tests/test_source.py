@@ -157,6 +157,27 @@ def test_one_adiabatic_guard():
     assert package_guard_sites("ADIABATIC_RATIO_MIN") == {"optics.check_adiabatic"}
 
 
+def test_one_home_of_the_regime_checks():
+    # validity, the sweep flags and any later reader take their checks
+    # from models.regime_checks, so a check cannot be evaluated beside it
+    # with a threshold or a default of its own
+    assert package_guard_sites(None, "evaluate") == {"models.regime_checks"}
+
+
+def test_one_route_selector():
+    # every route selection goes through diffraction.select_routes: no
+    # other function checks names against ROUTES, and no other module
+    # reads it
+    assert package_guard_sites("ROUTES") == {"diffraction.select_routes"}
+    readers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "ROUTES"
+    }
+    assert readers == {"diffraction.py"}
+
+
 def test_one_owner_of_numerics_failures():
     # the transit scans its real states and step checks each fresh
     # density; a caller reads the last good state off the error instead

@@ -2,10 +2,12 @@
 
 import io
 from concurrent.futures import Future
+from dataclasses import replace
 
 import pytest
 
 from matteroptics import sweep
+from matteroptics.diffraction import ROUTES, default_q_max
 from matteroptics.errors import ConfigurationError, SweepError
 from matteroptics.models import RegimeCheck, raman_nath_params
 from matteroptics.sweep import SweepRow, SweepSpec, run_sweep, sweep_report, write_sweep_csv
@@ -48,10 +50,29 @@ class TestSweepSpec:
         assert spec.paths == ("analytic", "numeric", "propagator")
 
     def test_path_guards(self):
-        with pytest.raises(ConfigurationError, match="unknown paths"):
+        with pytest.raises(ConfigurationError, match="invalid path selection"):
             _spec(_blue(), [0.0], paths=("analytic", "bessel"))
-        with pytest.raises(ConfigurationError, match="at least one path"):
+        with pytest.raises(ConfigurationError, match="invalid path selection"):
             _spec(_blue(), [0.0], paths=())
+
+    def test_paths_take_a_selection_string(self):
+        spec = SweepSpec(_blue(), "rho_0", (0.0,), "numeric, analytic", 3)
+        assert spec.paths == ("analytic", "numeric")
+        assert SweepSpec(_blue(), "rho_0", (0.0,), "all", 3).paths == ROUTES
+
+    def test_q_max_defaults_to_the_range_over_the_swept_points(self):
+        # red g0 = -1 over V0 rho_0 = 0, -0.5, -0.85: tau reaches -88.9
+        base = with_g0(red_detuned(make_params()), -1.0)
+        values = [_rho_for(base, x) + 0.0 for x in (0.0, -0.5, -0.85)]
+        spec = _spec(base, values, q_max=None)
+        points = [replace(base, rho_0=v) for v in values]
+        assert spec.q_max == default_q_max(points, ("analytic",), 4096, 128.0) == 119
+        assert [spec.point(v) for v in values] == points
+
+    def test_default_q_max_skips_a_value_that_forms_no_point(self):
+        base = _blue(g0=2.0)
+        spec = _spec(base, [-1.0, 0.0], q_max=None)  # rho_0 = -1 is no point
+        assert spec.q_max == default_q_max([base], ("analytic",), 4096, 128.0) == 34
 
     def test_q_max_guard(self):
         with pytest.raises(ConfigurationError, match="q_max"):
@@ -172,7 +193,17 @@ class TestFlags:
     def test_clean_point_is_valid(self):
         row = run_sweep(_spec(_blue(g0=1.0), [0.0]))[0]
         assert row.valid()
-        assert all(check.ok for check in row.checks.values())
+        assert row.flags() == [True, True, True]
+
+    def test_flags_ignore_collision_bound(self):
+        # at the default saturation (rabi_peak/Delta)^2 the collision check
+        # fails for these parameters; no sweep flag reads it
+        row = run_sweep(_spec(_blue(g0=1.0), [0.0]))[0]
+        assert row.checks["collision_bound"].ok is False
+        assert row.valid()
+        buf = io.StringIO()
+        write_sweep_csv([row], _spec(_blue(g0=1.0), [0.0]), buf)
+        assert "collision" not in buf.getvalue()
 
 
 class TestOutputs:
