@@ -487,10 +487,9 @@ class TestDiffract:
     @pytest.mark.parametrize("command", ["diffract", "sweep"])
     @pytest.mark.parametrize("selection", ["magic", "analytic,Numeric", ",", ""])
     def test_bad_path_selection(self, capsys, params_file, command, selection):
+        values = ("--values", "0") if command == "sweep" else ()
         code, out, err = run(
-            capsys, command, "--params", params_file, "--values", "0", "--paths", selection
-        ) if command == "sweep" else run(
-            capsys, command, "--params", params_file, "--paths", selection
+            capsys, command, "--params", params_file, *values, "--paths", selection
         )
         assert (code, out) == (1, "")
         assert err == (

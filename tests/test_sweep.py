@@ -194,13 +194,9 @@ class TestFlags:
         row = run_sweep(_spec(_blue(g0=1.0), [0.0]))[0]
         assert row.valid()
         assert row.flags() == [True, True, True]
-
-    def test_flags_ignore_collision_bound(self):
         # at the default saturation (rabi_peak/Delta)^2 the collision check
-        # fails for these parameters; no sweep flag reads it
-        row = run_sweep(_spec(_blue(g0=1.0), [0.0]))[0]
+        # fails for these parameters; no sweep flag or CSV column reads it
         assert row.checks["collision_bound"].ok is False
-        assert row.valid()
         buf = io.StringIO()
         write_sweep_csv([row], _spec(_blue(g0=1.0), [0.0]), buf)
         assert "collision" not in buf.getvalue()
