@@ -53,6 +53,7 @@ from .errors import (
     SingularDetuningError,
     SteadyStateError,
     SweepError,
+    SweepGuardError,
 )
 from .models import (
     ModelKind,
@@ -126,6 +127,7 @@ __all__ = [
     "SingularDetuningError",
     "SteadyStateError",
     "SweepError",
+    "SweepGuardError",
     "SweepRow",
     "SweepSpec",
     "WaveState",

@@ -526,12 +526,18 @@ def cmd_bloch(args) -> int:
         drive = local_rabi(drive, pf.params, rho, corrected=args.local_field)
 
     rates = BlochRates(gamma_l=args.gamma_l, gamma_t=args.gamma_t)
+    # the state's own checks cannot name the flags: check each value for
+    # finiteness, then each part of the state alone against its range
     for flag, value in (("--w0", args.w0), ("--r0-re", args.r0_re), ("--r0-im", args.r0_im)):
-        if not math.isfinite(value):  # the state's own check cannot name the flag
+        if not math.isfinite(value):
             raise ParameterError(f"{flag} must be finite, got {value!r}")
-    initial = BlochState(
-        coherence=complex(args.r0_re, args.r0_im), inversion=args.w0, time=0.0
-    )
+    coherence = complex(args.r0_re, args.r0_im)
+    for flags, part in (("--w0", (0j, args.w0)), ("--r0-re/--r0-im", (coherence, 0.0))):
+        try:
+            BlochState(*part)
+        except ParameterError as exc:
+            raise ParameterError(f"{flags}: {exc}") from None
+    initial = BlochState(coherence=coherence, inversion=args.w0, time=0.0)
     trajectory = integrate(initial, drive, delta, rates, args.dt, args.steps)
     final = trajectory[-1]
 
@@ -616,12 +622,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(code) if code is not None else 0
     try:
         return args.func(args)
+    except PhysicsGuardError as exc:  # before SweepError: SweepGuardError is both
+        print(f"physics guard: {exc}", file=sys.stderr)
+        return 2
     except (ParameterError, ConfigurationError, SweepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except PhysicsGuardError as exc:
-        print(f"physics guard: {exc}", file=sys.stderr)
-        return 2
     except NumericsError as exc:
         print(f"numerics failure: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,17 @@ the denominator (1 + V0 rho(y))^2 varies across the packet, so the
 series evaluated at the peak tau acquires a real gap against the grid
 routes that grows with |V0 rho0|; the gap is reported, never hidden.
 
+The two grid routes are not independent of each other. With the kinetic
+term off, |psi| is frozen and the whole transit is one potential phase
+on the same grid, density and pattern as the mask. The mask integrates
+the envelope exactly (sqrt(pi) w_L); the propagator sums it by the
+trapezoid rule over z in [-4 w_L, 4 w_L]. So the mask-vs-propagator gap
+(1.1e-8 at the reference point of acceptance criterion 03) measures that
+z-quadrature and nothing else: no kinetic physics, and no error the two
+routes share, such as aliasing or a truncated box. Independent checks
+on the grid routes are the ROADMAP's open items 2 (a profile-resolved
+series on Gauss-Hermite nodes) and 11 (a coupled-mode momentum route).
+
 evaluate_routes runs any subset of the routes at one parameter point
 and measures their largest pairwise gap; a diffract run and every sweep
 point go through it. select_routes is the one reader of a route
@@ -248,10 +259,10 @@ def propagator_orders(
     integral. With |psi| frozen, the propagator weights the whole transit
     by one density-dependent potential at |Omega|^2 = cos^2(n k_L y),
     sums the pulse envelope, sampled once at the z-step endpoints, by
-    the trapezoid rule as scalars, and applies the phase only at its
-    finite checks and the last step. The two must agree to the
-    z-quadrature error of the pulse envelope, a parts-in-1e7 effect at
-    the default step count.
+    the trapezoid rule as a scalar, and applies the phase once, in one
+    step and one exponential, after checking the sum and the phase for
+    non-finite values. The two must agree to the z-quadrature error of
+    the pulse envelope, a parts-in-1e7 effect at the default step count.
     """
     if params.rho_0 == 0.0:
         area = math.inf  # dilute tracer: finite field, exactly zero density

@@ -55,3 +55,7 @@ class NumericsError(MatterOpticsError):
 
 class SweepError(MatterOpticsError):
     """Every sweep point failed; message lists the per-point reasons."""
+
+
+class SweepGuardError(SweepError, PhysicsGuardError):
+    """Every sweep point failed a physics guard, so the sweep failed one."""

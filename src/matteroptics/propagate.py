@@ -25,24 +25,29 @@ trapezoid sum of E over the phases since the last real state, in units
 of dt. A transit evaluates P once, on the grid, and E once, at its N + 1
 endpoint times.
 
-With the kinetic term on, the phase is applied around every kinetic
-stage, so there is one step per z-step. A chained step returns a merged
-state, which already holds the next step's opening half (the
-first-same-as-last form of Strang splitting, Bao, Jin & Markowich,
-J. Comput. Phys. 187, 2003). With it off, one step covers a whole
-stretch between the real states propagate_through_laser scans for
-non-finite values (every 64th step, the observed steps, the last step):
-one density, one potential evaluation, one slice sum of E and one
-complex exponential per stretch. The sum over E samples keeps a
-kinetic-free transit a z-trapezoid of the envelope, independent of the
-closed-form phase mask.
+propagate_through_laser makes the field real, and scans it for
+non-finite values, only where a real state is needed: after each
+observed step, after the last step and, with the kinetic term on, after
+every 64th step. With the kinetic term on, the phase is applied around
+every kinetic stage, so there is one step per z-step. A chained step
+returns a merged state, which already holds the next step's opening
+half (the first-same-as-last form of Strang splitting, Bao, Jin &
+Markowich, J. Comput. Phys. 187, 2003). With it off, one step covers a
+whole stretch between real states: one density, one potential
+evaluation, one slice sum of E and one complex exponential per stretch.
+A transit with no observer is then a single step. Its drive and its
+phase drive * weight are checked for non-finite values before the
+exponential. The sum over E samples keeps a kinetic-free transit a
+z-trapezoid of the envelope over the window; the closed-form phase mask
+takes the exact integral sqrt(pi) w_L, so for the full model the two
+differ by that quadrature, truncated tails included, and nothing else.
 
 The stretch transit differs from step-by-step Strang by roundoff only,
 which grows with the step count: over the four models, kinetic on and
 off, dense and dilute, max|difference| / max|psi| measured at most
 4.7e-15 on 512 points in 24 steps (the tests bound it by 1e-13) and
-4.0e-14 on 4096 points in 2048 steps (V0 rho_0 = 0.3, kinetic off,
-where the order populations moved by at most 6.9e-16).
+4.1e-14 on 4096 points in 2048 steps as one stretch (V0 rho_0 = 0.3,
+kinetic off, where the order populations moved by at most 8.0e-16).
 
 The step-invariant arrays are built once per transit: the pattern P on
 the grid and the kinetic phase exp(-i hbar dt k^2/2m) of the run's
@@ -67,10 +72,11 @@ from .units import HBAR, PhysicalParams
 
 logger = logging.getLogger(__name__)
 
-# The transit makes the field real every this many steps, besides each
-# observed step and the last, and every real state is scanned for
-# non-finite values. Not every step: with the kinetic term off a stretch
-# costs one exponential however long it is, less than a scan.
+# With the kinetic term on, the transit also makes the field real every
+# this many steps, besides each observed step and the last, and every
+# real state is scanned for non-finite values. With it off there is no
+# such interval: |psi| is frozen, a stretch costs one exponential however
+# long it is, and its drive and phase are checked before that.
 _FINITE_CHECK_INTERVAL = 64
 
 
@@ -282,6 +288,7 @@ def _weight(
     pattern: np.ndarray | None,
     config: PropagationConfig,
     params: PhysicalParams,
+    drive: float | None = None,
 ) -> np.ndarray | None:
     """dt V(|Omega|^2 = pattern) / hbar at the density of psi, once it passed the guard.
 
@@ -289,6 +296,11 @@ def _weight(
     (checked to a few ulp in the tests), so until |psi| changes every
     potential phase is drive * weight with this one weight and a scalar
     drive. None when there is no laser.
+
+    Given the drive of a kinetic-off stretch, the phase drive * weight
+    must be finite too: the stretch applies it in one exponential, so a
+    non-finite phase is reported here, before it, and not only by the
+    scan of the state after it.
     """
     density = (psi.real**2 + psi.imag**2) / config.transverse_area
     rho_hi = float(np.max(density))
@@ -304,7 +316,16 @@ def _weight(
         check_adiabatic(params, float(np.min(density)), rho_hi)
     if pattern is None:
         return None
-    return effective_potential(config.model, pattern, density, params) * (config.dt / HBAR)
+    weight = effective_potential(config.model, pattern, density, params) * (config.dt / HBAR)
+    if drive is not None:
+        phase = float(drive * np.max(np.abs(weight)))
+        if not math.isfinite(phase):
+            raise NumericsError(
+                f"non-finite potential phase {phase!r} over the stretch from "
+                f"t = {t!r} s (z = {params.v_g * t!r} cm)",
+                time=t,
+            )
+    return weight
 
 
 def _settle(psi: np.ndarray, drive: float, weight: np.ndarray | None) -> np.ndarray:
@@ -341,7 +362,8 @@ def step(
     E is evaluated here at t0 and t0 + dt, and k = 1. With the kinetic
     term off the k steps' potential phases commute, so they are applied
     as one, the trapezoid sum of E times the weight of the state's
-    density. With it on, k must be 1, and the kinetic phase is exact in
+    density, which _weight checks for non-finite values before the
+    exponential. With it on, k must be 1, and the kinetic phase is exact in
     the spectral basis. `invariants` lets a caller that takes many steps
     on one grid with one config pass the arrays built by
     _step_invariants once; without it they are built here.
@@ -374,18 +396,17 @@ def step(
 
     psi = state.amplitude
     merged = isinstance(state, _Merged)  # its opening half is in psi already
+    closing = envelope[-1] if merge_next else 0.5 * envelope[-1]
     if kinetic_phase is not None:
         if not merged:
             psi = _settle(psi, 0.5 * envelope[0], _weight(psi, t0, pattern, config, params))
         psi = np.fft.ifft(np.fft.fft(psi) * kinetic_phase)
         # the kinetic stage moved |psi|
-        drive, weight = 0.0, _weight(psi, t1, pattern, config, params)
+        drive, weight = closing, _weight(psi, t1, pattern, config, params)
     else:
-        drive = 0.0 if merged else 0.5 * envelope[0]
-        weight = _weight(psi, t0, pattern, config, params)
-    if spans > 1:
-        drive += float(np.sum(envelope[1:-1]))
-    drive += envelope[-1] if merge_next else 0.5 * envelope[-1]
+        drive = (0.0 if merged else 0.5 * envelope[0]) + float(np.sum(envelope[1:-1]))
+        drive += closing
+        weight = _weight(psi, t0, pattern, config, params, drive=drive)
     psi = _settle(psi, drive, weight)
     if merge_next:
         return _Merged(state.grid, psi, t1)
@@ -407,15 +428,19 @@ def propagate_through_laser(
     state with its clock advanced by the crossing duration.
 
     The field is a real state only after the steps that need one (see
-    the module docstring): every _FINITE_CHECK_INTERVAL-th step, each
-    step in `observe_steps`, which must lie in 1..n_steps, and the last
-    step. Each is scanned for non-finite values, then `observer` is
-    called with (step_index, state), in order; it never sees a merged
-    or non-finite state. The real steps, not the observer, decide the
+    the module docstring): each step in `observe_steps`, which must lie
+    in 1..n_steps, the last step and, with the kinetic term on only,
+    every _FINITE_CHECK_INTERVAL-th step. Each is scanned for non-finite
+    values, then `observer` is called with (step_index, state), in
+    order; it never sees a merged or non-finite state. With the kinetic
+    term off, each stretch up to a real state is one step, whose drive
+    is checked here and whose phase is checked in _weight, both before
+    its exponential. The real steps, not the observer, decide the
     arithmetic: the same observe_steps give the same bits with or
     without an observer. A NumericsError leaves with last_good =
     (step_index, state), the last real state that passed the scan, or
-    (0, the entry state).
+    (0, the entry state); with the kinetic term off that is the last
+    observed state before the failing stretch, or the entry state.
     """
     last = config.n_steps
     observed = {operator.index(i) for i in observe_steps}  # TypeError for a non-integer
@@ -433,7 +458,9 @@ def propagate_through_laser(
     t_entry = -z_half / params.v_g
     envelope = laser.envelope(params.v_g * (t_entry + dt * np.arange(last + 1)))
 
-    real = {*range(_FINITE_CHECK_INTERVAL, last, _FINITE_CHECK_INTERVAL), *observed, last}
+    real = {*observed, last}
+    if config.kinetic_enabled:
+        real.update(range(_FINITE_CHECK_INTERVAL, last, _FINITE_CHECK_INTERVAL))
     working = WaveState._unchecked(state.grid, state.amplitude, t_entry)
     start = 0
     last_good = (0, state)
@@ -442,9 +469,19 @@ def propagate_through_laser(
         # to the next real state with it off
         for index in range(1, last + 1) if config.kinetic_enabled else sorted(real):
             split = index in real
+            stretch = envelope[start : index + 1]
+            if not config.kinetic_enabled and not math.isfinite(float(np.sum(stretch))):
+                # the stretch's phases go into one exponential: check its
+                # drive before it, not only the state after it
+                raise NumericsError(
+                    f"non-finite laser drive over steps {start + 1}..{index} "
+                    f"(from t = {working.time!r} s, z = {params.v_g * working.time!r} cm)",
+                    step=index,
+                    time=working.time,
+                )
             working = step(
                 working, run_config, params, invariants,
-                envelope=envelope[start : index + 1], merge_next=not split,
+                envelope=stretch, merge_next=not split,
             )
             start = index
             if not split:

@@ -29,7 +29,13 @@ from .diffraction import (
     evaluate_routes,
     select_routes,
 )
-from .errors import ConfigurationError, MatterOpticsError, SweepError
+from .errors import (
+    ConfigurationError,
+    MatterOpticsError,
+    PhysicsGuardError,
+    SweepError,
+    SweepGuardError,
+)
 from .models import RegimeCheck, regime_checks
 from .serialize import by_order, csv_num
 from .units import PhysicalParams, params_to_system
@@ -90,7 +96,10 @@ _FLAGS = (
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One evaluated point; error rows keep every numeric field and checks None."""
+    """One evaluated point; error rows keep every numeric field and checks None.
+
+    guard tells whether an error row's error was a physics guard.
+    """
 
     value: float
     tau: float | None
@@ -98,6 +107,7 @@ class SweepRow:
     discrepancy: float | None
     checks: Mapping[str, RegimeCheck] | None
     error: str | None = None
+    guard: bool = False
 
     def flags(self) -> list[bool]:
         """The ok bits of the _FLAGS checks, in table order."""
@@ -117,7 +127,8 @@ def _evaluate_point(spec: SweepSpec, value: float) -> SweepRow:
         checks = regime_checks(point, point.rho_0)
         return SweepRow(value, rn.tau, patterns, discrepancy, checks)
     except MatterOpticsError as exc:
-        return SweepRow(value, None, None, None, None, error=str(exc))
+        guard = isinstance(exc, PhysicsGuardError)
+        return SweepRow(value, None, None, None, None, error=str(exc), guard=guard)
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
@@ -126,7 +137,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     Parallelism is across points only — each point's arithmetic is
     sequential — so results do not depend on the thread count. Workers
     are capped at one per point and one per CPU; with one worker the
-    points run in the calling thread.
+    points run in the calling thread. When every point fails, raises
+    SweepGuardError if each failed a physics guard, SweepError otherwise.
     """
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
@@ -141,7 +153,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
         reasons = "; ".join(
             f"{spec.axis}={csv_num(r.value)}: {r.error}" for r in rows
         )
-        raise SweepError(f"every sweep point failed: {reasons}")
+        error = SweepGuardError if all(r.guard for r in rows) else SweepError
+        raise error(f"every sweep point failed: {reasons}")
     return rows
 
 

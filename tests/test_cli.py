@@ -760,6 +760,41 @@ class TestPropagate:
         ) as rescue:
             assert rescue.read() == snap.read()
 
+    def test_non_finite_kinetic_off_stretch_rescues_the_last_snapshot(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # kinetic off, snapshots at 8 and 16 of 16 steps: an envelope that
+        # turns NaN past z = 0 fails the stretch from step 9 to 16 before
+        # its exponential, and the rescue is the step-8 snapshot
+        path, _ = self._params_path(tmp_path)
+        prefix = str(tmp_path / "bad")
+        real_wave = propagate.standing_wave
+
+        def poisoned_wave(params):
+            laser = real_wave(params)
+            return propagate.Laser(
+                envelope=lambda z: np.where(z > 0.0, np.nan, laser.envelope(z)),
+                pattern=laser.pattern,
+            )
+
+        monkeypatch.setattr(propagate, "standing_wave", poisoned_wave)
+        code, _, err = run(
+            capsys, "propagate", "--params", path, "--out", prefix, "--no-kinetic",
+            "--grid-points", "1024", "--box-lambdas", "32",
+            "--steps", "16", "--snapshots", "2",
+        )
+        assert code == 2
+        assert "numerics failure: non-finite laser drive over steps 9..16 " in err
+        assert "(step 8)" in err
+        assert sorted(os.listdir(tmp_path)) == [
+            "bad_state_000000.csv", "bad_state_000008.csv", "bad_state_lastgood.csv",
+            "p.params",
+        ]
+        with open(f"{prefix}_state_000008.csv", encoding="utf-8") as snap, open(
+            f"{prefix}_state_lastgood.csv", encoding="utf-8"
+        ) as rescue:
+            assert rescue.read() == snap.read()
+
 
 class TestBloch:
     def test_pi_pulse_inverts(self, capsys):
@@ -845,6 +880,26 @@ class TestBloch:
         assert out == ""
         assert err == named
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--w0", "2"), "error: --w0: inversion 2.0 outside [-1, 1]\n"),
+            (("--w0=-1.5",), "error: --w0: inversion -1.5 outside [-1, 1]\n"),
+            (
+                ("--r0-re", "0.9", "--r0-im", "0.9"),
+                f"error: --r0-re/--r0-im: |coherence| = {abs(0.9 + 0.9j)!r} exceeds 1\n",
+            ),
+        ],
+        ids=["w0", "w0-negative", "r0"],
+    )
+    def test_out_of_range_state_is_named(self, capsys, flags, named):
+        code, out, err = run(
+            capsys, "bloch", "--detuning", "0.1", *flags, "--dt", "0.01", "--steps", "5"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == named
+
     def test_needs_a_detuning_source(self, capsys):
         code, _, err = run(capsys, "bloch", "--dt", "0.1", "--steps", "1")
         assert code == 1
@@ -903,6 +958,33 @@ class TestSweep:
         )
         assert code == 1
         assert "bogus" in err and "rho_0" in err and "w_y" in err
+
+    def test_every_point_failing_a_guard_exits_two(self, capsys, tmp_path):
+        # as diffract does on the same point
+        p = make_params()
+        path = write_params(tmp_path, replace(p, omega_l=p.omega_a))
+        code, out, err = run(capsys, "sweep", "--params", path, "--values", "0")
+        assert code == 2 and out == ""
+        assert err == (
+            "physics guard: every sweep point failed: rho_0=0: "
+            "characteristic volume undefined at zero detuning\n"
+        )
+        code, _, err = run(capsys, "diffract", "--params", path)
+        assert code == 2
+        assert err == "physics guard: characteristic volume undefined at zero detuning\n"
+
+    def test_every_point_failing_otherwise_is_a_usage_error(self, capsys, tmp_path):
+        # a negative density is a parameter error at one point and a guard
+        # failure (zero detuning) at the other: not every reason is a guard
+        p = make_params()
+        path = write_params(tmp_path, replace(p, omega_l=p.omega_a))
+        code, _, err = run(capsys, "sweep", "--params", path, "--values=-1,0")
+        assert code == 1
+        assert err.startswith("error: every sweep point failed: rho_0=-1: ")
+        path = write_params(tmp_path, with_g0(make_params(), 1.0))
+        code, _, err = run(capsys, "sweep", "--params", path, "--values=-1,-2")
+        assert code == 1
+        assert err.startswith("error: every sweep point failed: rho_0=-1: ")
 
     def test_valid_point_exits_zero(self, capsys, tmp_path):
         path = write_params(tmp_path, with_g0(make_params(), 1.0))

@@ -280,10 +280,9 @@ def test_non_finite_density_is_a_numerics_failure_for_every_gamma(gamma, red):
 
 
 class TestPropagateThroughLaser:
-    def test_clock_and_observer(self, monkeypatch):
-        # the observer sees the finite-check steps, the asked-for steps and
-        # the last step, in order, and nothing in between
-        monkeypatch.setattr("matteroptics.propagate._FINITE_CHECK_INTERVAL", 8)
+    def test_clock_and_observer(self):
+        # the observer sees the asked-for steps and the last step, in order,
+        # and nothing in between
         p = make_params()
         g = _grid(256, 8.0 * p.w_l)
         s = init_gaussian(g, 0.0, p.w_l, math.inf)
@@ -293,7 +292,7 @@ class TestPropagateThroughLaser:
         )
         out = propagate_through_laser(
             s, cfg, p, observer=lambda i, st: seen.append((i, st.time)),
-            observe_steps={3, 8, 20},
+            observe_steps={3, 8, 16, 20, 24},
         )
         assert [i for i, _ in seen] == [3, 8, 16, 20, 24, 30]
         dt = 8.0 * p.w_l / p.v_g / 30
@@ -301,14 +300,34 @@ class TestPropagateThroughLaser:
             assert t == pytest.approx(-4.0 * p.w_l / p.v_g + i * dt, rel=1e-12)
         assert out.time == s.time + 8.0 * p.w_l / p.v_g
 
+    def test_finite_checks_are_real_states_with_the_kinetic_term_only(self, monkeypatch):
+        # checks every 8 steps: the kinetic-on observer sees them between
+        # the asked-for steps; a kinetic-off transit makes no state real
+        # for them
+        monkeypatch.setattr("matteroptics.propagate._FINITE_CHECK_INTERVAL", 8)
+        p = make_params()
+        s = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l, math.inf)
+        for kinetic, expected in ((True, [3, 8, 16, 20, 24, 30]), (False, [3, 8, 20, 30])):
+            seen = []
+            cfg = PropagationConfig(
+                dt=None, n_steps=30, kinetic_enabled=kinetic, transverse_area=math.inf
+            )
+            propagate_through_laser(
+                s, cfg, p, observer=lambda i, st: seen.append(i), observe_steps={3, 8, 20}
+            )
+            assert seen == expected
+
     def test_nan_abort_carries_diagnostics(self):
+        # kinetic off, observed every 64 steps: the drive of the stretch
+        # from 192 to 256 is checked before its exponential, and the error
+        # names it
         p = make_params()
         g = _grid(256, 8.0 * p.w_l)
         s = init_gaussian(g, 0.0, p.w_l, math.inf)
 
         def poisoned(z):
-            # goes bad three quarters of the way through
-            return np.where(z > 2.0 * p.w_l, np.nan, p.rabi_peak**2)
+            # goes bad after step 208 of 256
+            return np.where(z > 2.5 * p.w_l, np.nan, p.rabi_peak**2)
 
         cfg = PropagationConfig(
             dt=None,
@@ -317,8 +336,10 @@ class TestPropagateThroughLaser:
             laser_profile=Laser(envelope=poisoned, pattern=np.ones_like),
             transverse_area=math.inf,
         )
-        with pytest.raises(NumericsError, match="non-finite") as err:
-            propagate_through_laser(s, cfg, p)
+        with pytest.raises(
+            NumericsError, match=r"^non-finite laser drive over steps 193\.\.256 "
+        ) as err:
+            propagate_through_laser(s, cfg, p, observe_steps={64, 128, 192})
         assert err.value.step is not None and err.value.step % 64 == 0
         assert math.isfinite(err.value.time)
 
@@ -332,19 +353,31 @@ class TestPropagateThroughLaser:
         )
         return propagate_through_laser(state, cfg, p, **kwargs)
 
-    def test_scan_failure_carries_the_last_good_state(self):
-        # the envelope turns NaN past z = 3 w_L, inside the stretch from
-        # step 192 to 256, so the scan at 256 fails and 192 is the last good
+    def test_scan_failure_carries_the_last_good_state(self, monkeypatch):
+        # kinetic off, observed every 64 steps: the stretch from step 192
+        # to 256 comes back NaN, so the scan at 256 fails and 192 is the
+        # last good
         p = make_params()
         flat = Laser(envelope=lambda z: np.full(np.shape(z), p.rabi_peak**2), pattern=np.ones_like)
-        poisoned = Laser(
-            envelope=lambda z: np.where(z > 3.0 * p.w_l, np.nan, p.rabi_peak**2),
-            pattern=np.ones_like,
-        )
+        observed = {64, 128, 192}
         clean = {}
-        self._tracer_run(flat, False, 256, observer=lambda i, st: clean.setdefault(i, st))
+        self._tracer_run(
+            flat, False, 256, observer=lambda i, st: clean.setdefault(i, st),
+            observe_steps=observed,
+        )
+        real_step = propagate.step
+        calls = []
+
+        def poisoned_step(state, config, params, invariants=None, **kwargs):
+            out = real_step(state, config, params, invariants, **kwargs)
+            calls.append(out)
+            if len(calls) == 4:
+                out = WaveState(out.grid, out.amplitude * np.nan, out.time)
+            return out
+
+        monkeypatch.setattr(propagate, "step", poisoned_step)
         with pytest.raises(NumericsError, match="^non-finite amplitude after step 256") as err:
-            self._tracer_run(poisoned, False, 256)
+            self._tracer_run(flat, False, 256, observe_steps=observed)
         index, good = err.value.last_good
         assert index == 192
         assert np.array_equal(good.amplitude, clean[192].amplitude)
@@ -379,8 +412,51 @@ class TestPropagateThroughLaser:
         p = make_params()
         entry = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l, math.inf)
         poisoned = Laser(envelope=lambda z: np.full(np.shape(z), np.nan), pattern=np.ones_like)
-        with pytest.raises(NumericsError, match="after step 16") as err:
+        with pytest.raises(NumericsError, match=r"over steps 1\.\.16 ") as err:
             self._tracer_run(poisoned, False, 16, state=entry)
+        index, good = err.value.last_good
+        assert index == 0 and good is entry
+
+    def test_poisoned_drive_leaves_the_last_observed_state(self):
+        # kinetic off, the real states are the observed steps and the last:
+        # an envelope that turns NaN past z = 0 fails the stretch from step
+        # 601 to 2048 before its exponential, and the last good state is
+        # the one at observed step 600, as a clean run gives it
+        p = make_params()
+        flat = Laser(envelope=lambda z: np.full(np.shape(z), p.rabi_peak**2), pattern=np.ones_like)
+        poisoned = Laser(
+            envelope=lambda z: np.where(z > 0.0, np.nan, p.rabi_peak**2),
+            pattern=np.ones_like,
+        )
+        observed = (300, 600)
+        clean = {}
+        self._tracer_run(
+            flat, False, 2048, observer=lambda i, st: clean.setdefault(i, st),
+            observe_steps=observed,
+        )
+        seen = []
+        with pytest.raises(
+            NumericsError, match=r"^non-finite laser drive over steps 601\.\.2048 "
+        ) as err:
+            self._tracer_run(
+                poisoned, False, 2048, observer=lambda i, st: seen.append(i),
+                observe_steps=observed,
+            )
+        assert seen == [300, 600] and err.value.step == 2048
+        index, good = err.value.last_good
+        assert index == 600
+        assert np.array_equal(good.amplitude, clean[600].amplitude)
+        assert good.time == clean[600].time
+
+    def test_non_finite_phase_is_caught_before_the_exponential(self):
+        # a finite drive on a NaN pattern: the stretch's phase is checked
+        # where its weight is made, and the entry state is the last good
+        p = make_params()
+        entry = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l, math.inf)
+        flat = lambda z: np.full(np.shape(z), p.rabi_peak**2)
+        poisoned = Laser(envelope=flat, pattern=lambda y: np.where(y > 0.0, np.nan, 1.0))
+        with pytest.raises(NumericsError, match="^non-finite potential phase nan") as err:
+            self._tracer_run(poisoned, False, 2048, state=entry)
         index, good = err.value.last_good
         assert index == 0 and good is entry
 
@@ -414,7 +490,7 @@ class TestPropagateThroughLaser:
 
     def test_kinetic_off_transit_steps_once_per_stretch(self, monkeypatch):
         # 2048 z-steps: P once, E once at the 2049 endpoint times, and one
-        # step per real state, the 32 finite checks and two observed steps
+        # step per real state, the two observed steps and the last
         p = make_params()
         g = _grid(256, 8.0 * p.w_l)
         s = init_gaussian(g, 0.0, p.w_l, math.inf)
@@ -448,9 +524,31 @@ class TestPropagateThroughLaser:
         )
         assert len(envelopes) == 1 and envelopes[0].shape == (n_steps + 1,)
         assert len(patterns) == 1 and np.array_equal(patterns[0], g.points())
-        real = sorted({*range(64, n_steps + 1, 64), *observed})
-        assert seen == real and len(real) == 34
-        assert stretches == list(np.diff([0, *real]))
+        assert seen == [100, 1000, n_steps]
+        assert stretches == [100, 900, 1048]
+
+    def test_unobserved_kinetic_off_transit_is_one_step(self, monkeypatch):
+        # the beam-splitter transit: 2048 z-steps and no observer make one
+        # step, one potential evaluation and so one exponential
+        p = with_v0rho(make_params(), 0.3)
+        s = init_gaussian(_grid(256, 8.0 * p.w_y), p.rho_0, p.w_y, 1.0)
+        steps, potentials = [], []
+        real_step = propagate.step
+
+        def counting_step(state, *args, **kwargs):
+            steps.append(len(kwargs["envelope"]) - 1)
+            return real_step(state, *args, **kwargs)
+
+        def counting_potential(*args):
+            potentials.append(args)
+            return effective_potential(*args)
+
+        monkeypatch.setattr(propagate, "step", counting_step)
+        monkeypatch.setattr(propagate, "effective_potential", counting_potential)
+        cfg = PropagationConfig(dt=None, n_steps=2048, kinetic_enabled=False)
+        propagate_through_laser(s, cfg, p)
+        assert steps == [2048]
+        assert len(potentials) == 1
 
 
 @pytest.mark.parametrize("kinetic", [True, False])
@@ -668,9 +766,9 @@ class TestHoistedTransitIsBitExact:
             self._check(p, s, cfg)
 
     def test_long_kinetic_off_transit_moves_orders_by_roundoff(self):
-        # the beam-splitter transit at benchmark size: 64 steps of drive
-        # pile up between real states, and the orders still agree with the
-        # unmerged scheme to roundoff (measured 6.7e-16)
+        # the beam-splitter transit at benchmark size: all 2048 steps of
+        # drive pile up into one phase, and the orders still agree with the
+        # unmerged scheme to roundoff (measured 8.0e-16)
         p = with_v0rho(with_wy_lambdas(make_params(), 20.0), 0.3)
         g = commensurate_grid(p, 4096, 128.0)
         s = init_gaussian(g, p.rho_0, p.w_y, 1.0)

@@ -8,7 +8,12 @@ import pytest
 
 from matteroptics import sweep
 from matteroptics.diffraction import ROUTES, default_q_max
-from matteroptics.errors import ConfigurationError, SweepError
+from matteroptics.errors import (
+    ConfigurationError,
+    PhysicsGuardError,
+    SweepError,
+    SweepGuardError,
+)
 from matteroptics.models import RegimeCheck, raman_nath_params
 from matteroptics.sweep import SweepRow, SweepSpec, run_sweep, sweep_report, write_sweep_csv
 
@@ -99,8 +104,20 @@ class TestRunSweep:
         assert rows[2].error is None
 
     def test_all_points_failing_raises(self):
-        with pytest.raises(SweepError, match="every sweep point failed"):
+        with pytest.raises(SweepError, match="every sweep point failed") as err:
             run_sweep(_spec(_blue(), [-1.0, -2.0]))
+        assert not isinstance(err.value, PhysicsGuardError)
+
+    def test_all_points_failing_a_guard_raises_a_guard(self):
+        base = _blue()
+        resonant = replace(base, omega_l=base.omega_a)
+        with pytest.raises(SweepGuardError, match="every sweep point failed") as err:
+            run_sweep(_spec(resonant, [0.0, 1.0e12]))
+        assert isinstance(err.value, PhysicsGuardError)
+        # a parameter error among the reasons keeps it a plain SweepError
+        with pytest.raises(SweepError, match="every sweep point failed") as err:
+            run_sweep(_spec(resonant, [-1.0, 0.0]))
+        assert not isinstance(err.value, PhysicsGuardError)
 
     def test_thread_count_guard(self):
         with pytest.raises(ConfigurationError, match="threads"):

@@ -6,7 +6,7 @@ sweep.run_sweep > diffraction.propagator_orders >
 propagate.propagate_through_laser > propagate.step >
 models.effective_potential. A transit calls propagate.step once per
 z-step with the kinetic term on, and once per stretch between real
-states with it off.
+states (the observed steps and the last) with it off.
 """
 
 import importlib.util
@@ -74,17 +74,17 @@ def test_traced_sweep_keeps_the_span_chain(tmp_path, capsys):
 def test_traced_propagate_evaluates_the_potential_per_fresh_density(
     kinetic, tmp_path, capsys
 ):
-    # 150 steps with two snapshots: real states after the finite checks at
-    # steps 64 and 128, the snapshot at 75 and the last step. With the
-    # kinetic term off one step covers each of the four stretches up to
-    # them, and |psi| changes only where the field is made real, so the
-    # potential is evaluated once per real state that starts a stretch:
-    # the entry state and the three interior ones. With it on, there is
-    # one step per z-step, and every step adds the density after its
-    # kinetic stage.
+    # 150 steps with two snapshots, at 75 and at the last step. With the
+    # kinetic term off those are the only real states: one step covers
+    # each of the two stretches up to them, and |psi| changes only where
+    # the field is made real, so the potential is evaluated once per real
+    # state that starts a stretch, the entry state and the one at 75.
+    # With it on, the finite checks at 64 and 128 are real states too,
+    # there is one step per z-step, and every step adds the density after
+    # its kinetic stage.
     tracer = _load_tracer()
     path = _params_path(tmp_path, with_v0rho(with_wy_lambdas(make_params(), 4.0), 0.3))
-    z_steps, interior_real = 150, 3
+    z_steps, interior_real = 150, 3 if kinetic else 1
     code, spans = _traced_main(tracer, [
         "propagate", "--params", path, "--grid-points", "256",
         "--box-lambdas", "32", "--steps", str(z_steps), "--q-max", "1",
