@@ -14,18 +14,17 @@ scalars: the validated regime keeps dt * rates <= 0.1, where an
 explicit stepper is accurate, deterministic and trivially portable.
 
 integrate returns a BlochTrajectory: the times, coherences and
-inversions as columns, read as a sequence of BlochState. Only the entry
-and exit states are built as validated BlochState objects (others on
-request); each step checks |W| and |R| against the constructor's bound,
-which also rejects a non-finite state, and hands a state that fails to
-the constructor for its message. The writers read the columns.
+inversions as columns, one entry per stored state, and the exit state
+as a validated BlochState. No per-step state object is built; each step
+checks |W| and |R| against the constructor's bound, which also rejects
+a non-finite state, and hands a state that fails to the constructor for
+its message. The writers read the columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -62,10 +61,6 @@ class BlochState:
         if abs(self.coherence) > _BOUND:
             raise ParameterError(f"|coherence| = {abs(self.coherence)!r} exceeds 1")
 
-    def vector_length_sq(self) -> float:
-        """W^2 + 4|R|^2, conserved when both rates vanish."""
-        return self.inversion**2 + 4.0 * abs(self.coherence) ** 2
-
 
 @dataclass(frozen=True)
 class BlochRates:
@@ -81,62 +76,28 @@ class BlochRates:
                 raise ParameterError(f"{name} must be finite and >= 0, got {v!r}")
 
 
-def _derivative(r, w, drive, detuning, rates):
-    # (dR/dt, dW/dt) of coherence r and inversion w; bloch_rhs and integrate share it
-    dr = (1j * detuning - rates.gamma_t) * r - 0.5j * drive * w
-    dw = -rates.gamma_l * (1.0 + w) + 2.0 * (drive.conjugate() * r).imag
+def bloch_rhs(
+    coherence: complex, inversion: float, drive: complex, detuning: float, rates: BlochRates
+) -> tuple[complex, float]:
+    """(dR/dt, dW/dt) at coherence R and inversion W."""
+    dr = (1j * detuning - rates.gamma_t) * coherence - 0.5j * drive * inversion
+    dw = -rates.gamma_l * (1.0 + inversion) + 2.0 * (drive.conjugate() * coherence).imag
     return dr, dw
 
 
-def bloch_rhs(
-    state: BlochState, drive: complex, detuning: float, rates: BlochRates
-) -> tuple[complex, float]:
-    """(dR/dt, dW/dt) at the given state."""
-    return _derivative(state.coherence, state.inversion, drive, detuning, rates)
-
-
-class BlochTrajectory(Sequence[BlochState]):
-    """Stored states of one integration, kept as columns.
+@dataclass(frozen=True)
+class BlochTrajectory:
+    """Stored states of one integration as columns, and the exit state.
 
     times, coherence and inversion hold one entry per stored state, the
-    entry state first. Indexing and iteration give BlochState objects:
-    the entry and exit states as built once, the others validated on
-    request. Equal to any sequence of equal states, a list included.
+    entry state first; final is the last of them as a BlochState, which
+    its constructor validated.
     """
 
-    def __init__(self, times, coherence, inversion, first: BlochState, last: BlochState):
-        self.times = times
-        self.coherence = coherence
-        self.inversion = inversion
-        self._first = first
-        self._last = last
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        n = len(self.times)
-        i = index + n if index < 0 else index
-        if not 0 <= i < n:
-            raise IndexError("trajectory index out of range")
-        if i == 0:
-            return self._first
-        if i == n - 1:
-            return self._last
-        return BlochState(self.coherence[i], self.inversion[i], self.times[i])
-
-    def __iter__(self) -> Iterator[BlochState]:
-        yield self._first
-        for i in range(1, len(self.times) - 1):
-            yield BlochState(self.coherence[i], self.inversion[i], self.times[i])
-        yield self._last
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+    times: list[float]
+    coherence: list[complex]
+    inversion: list[float]
+    final: BlochState
 
 
 def integrate(
@@ -152,11 +113,12 @@ def integrate(
     drive is a complex constant or a function t -> complex. Requires a
     finite detuning and dt * max(|detuning|, |drive|, gamma_l, gamma_t)
     <= 0.1, checked upfront for the detuning and the rates and per step
-    for the sampled drive, which must be finite. The states are stored
-    as columns (see BlochTrajectory). In place of a BlochState per step,
-    each step checks |W| and |R| against the constructor's bound; the
-    first state that fails is handed to the constructor, which raises
-    its ParameterError at that step.
+    for the sampled drive, which must be finite. Returns the stored
+    states as columns, the initial one first, and the exit state as
+    .final (see BlochTrajectory). In place of a BlochState per step, each
+    step checks |W| and |R| against the constructor's bound; the first
+    state that fails is handed to the constructor, which raises its
+    ParameterError at that step.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ConfigurationError(f"dt must be positive and finite, got {dt!r}")
@@ -185,10 +147,10 @@ def integrate(
             _reject_drive(om0, dt, i)
         om_half = omega(t + 0.5 * dt)
         om1 = omega(t + dt)
-        k1r, k1w = _derivative(r, w, om0, detuning, rates)
-        k2r, k2w = _derivative(r + 0.5 * dt * k1r, w + 0.5 * dt * k1w, om_half, detuning, rates)
-        k3r, k3w = _derivative(r + 0.5 * dt * k2r, w + 0.5 * dt * k2w, om_half, detuning, rates)
-        k4r, k4w = _derivative(r + dt * k3r, w + dt * k3w, om1, detuning, rates)
+        k1r, k1w = bloch_rhs(r, w, om0, detuning, rates)
+        k2r, k2w = bloch_rhs(r + 0.5 * dt * k1r, w + 0.5 * dt * k1w, om_half, detuning, rates)
+        k3r, k3w = bloch_rhs(r + 0.5 * dt * k2r, w + 0.5 * dt * k2w, om_half, detuning, rates)
+        k4r, k4w = bloch_rhs(r + dt * k3r, w + dt * k3w, om1, detuning, rates)
         r = r + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         w = w + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
         t = initial.time + (i + 1) * dt
@@ -201,8 +163,8 @@ def integrate(
         times.append(t)
         coherence.append(r)
         inversion.append(w)
-    last = BlochState(coherence=r, inversion=w, time=t)
-    return BlochTrajectory(times, coherence, inversion, initial, last)
+    final = BlochState(coherence=r, inversion=w, time=t)
+    return BlochTrajectory(times, coherence, inversion, final)
 
 
 def _reject_drive(sample: complex, dt: float, step: int):
@@ -249,14 +211,9 @@ def local_rabi(
     return complex(drive_mac) / check_pole(denom, density, "local-field")
 
 
-def write_trajectory_csv(trajectory: Sequence[BlochState], fh) -> None:
+def write_trajectory_csv(trajectory: BlochTrajectory, fh) -> None:
     """Columns t_s, re_R, im_R, W, one row per stored step."""
-    if isinstance(trajectory, BlochTrajectory):
-        t, r, w = trajectory.times, trajectory.coherence, trajectory.inversion
-    else:
-        t = [s.time for s in trajectory]
-        r = [s.coherence for s in trajectory]
-        w = [s.inversion for s in trajectory]
-    r = np.array(r, dtype=np.complex128)
-    columns = [np.array(t, dtype=np.float64), r.real, r.imag, np.array(w, dtype=np.float64)]
-    write_float_table("t_s,re_R,im_R,W", columns, fh)
+    t = np.array(trajectory.times, dtype=np.float64)
+    r = np.array(trajectory.coherence, dtype=np.complex128)
+    w = np.array(trajectory.inversion, dtype=np.float64)
+    write_float_table("t_s,re_R,im_R,W", (t, r.real, r.imag, w), fh)

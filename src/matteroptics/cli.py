@@ -22,6 +22,7 @@ import argparse
 import functools
 import io
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -91,7 +92,15 @@ from .units import (
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage errors exit with code 1, not 2."""
+    """argparse parser whose usage errors exit with code 1, not 2, and
+    which reads every token of "-" then a digit or "." as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -N and -N.N for negative numbers, so
+        # --detuning -5e-1 or --values -1e9,0 would be flags; no flag of
+        # ours starts with a digit or "."
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -423,7 +432,6 @@ def cmd_propagate(args) -> int:
 
     model = ModelKind.from_name(args.model)
     config = PropagationConfig(
-        dt=None,
         n_steps=args.steps,
         kinetic_enabled=args.kinetic,
         model=model,
@@ -539,7 +547,7 @@ def cmd_bloch(args) -> int:
             raise ParameterError(f"{flags}: {exc}") from None
     initial = BlochState(coherence=coherence, inversion=args.w0, time=0.0)
     trajectory = integrate(initial, drive, delta, rates, args.dt, args.steps)
-    final = trajectory[-1]
+    final = trajectory.final
 
     residual = target = None
     if rates.gamma_l > 0.0 and rates.gamma_t > 0.0:

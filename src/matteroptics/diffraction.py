@@ -272,7 +272,6 @@ def propagator_orders(
         amplitude = math.sqrt(params.rho_0 * area) * _packet_amplitude(grid, params)
     state = WaveState(grid=grid, amplitude=amplitude, time=0.0)
     config = PropagationConfig(
-        dt=None,
         n_steps=z_steps,
         kinetic_enabled=False,
         model=model,

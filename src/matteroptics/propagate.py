@@ -49,9 +49,13 @@ off, dense and dilute, max|difference| / max|psi| measured at most
 4.1e-14 on 4096 points in 2048 steps as one stretch (V0 rho_0 = 0.3,
 kinetic off, where the order populations moved by at most 8.0e-16).
 
-The step-invariant arrays are built once per transit: the pattern P on
-the grid and the kinetic phase exp(-i hbar dt k^2/2m) of the run's
-fixed dt.
+PropagationConfig describes a transit: step count, kinetic switch,
+model, laser and transverse area. The transit derives dt from its
+z-window [-4 w_L, +4 w_L] and the step count, samples E once, and hands
+step the dt and the envelope samples of each call; a laser_profile of
+None is the params' standing wave everywhere. The step-invariant arrays
+are built once per transit: the pattern P on the grid and the kinetic
+phase exp(-i hbar dt k^2/2m) of that dt.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from __future__ import annotations
 import logging
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Collection
 
 import numpy as np
@@ -164,16 +168,13 @@ class Laser:
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    """Time-stepping configuration.
+    """What a transit through the laser does, not how finely it is sliced
+    in time: the z-window and n_steps fix dt.
 
-    dt may be None when the run is driven by propagate_through_laser,
-    which derives the step from its z-window; raw step() needs it set.
-    laser_profile is the factored laser. None means no laser (zero
-    potential) for a bare step, and the params' standing wave for a
-    transit.
+    laser_profile is the factored laser; None means the params' standing
+    wave, for a transit and a bare step alike.
     """
 
-    dt: float | None
     n_steps: int
     kinetic_enabled: bool = True
     model: ModelKind = ModelKind.FULL
@@ -181,8 +182,6 @@ class PropagationConfig:
     transverse_area: float = 1.0
 
     def __post_init__(self):
-        if self.dt is not None and not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ConfigurationError(f"dt must be positive and finite, got {self.dt!r}")
         if self.n_steps < 1:
             raise ConfigurationError(f"n_steps must be >= 1, got {self.n_steps}")
         if not self.transverse_area > 0.0:  # inf is allowed, NaN/<=0 is not
@@ -267,35 +266,41 @@ def norm(state: WaveState) -> float:
     return float(np.sum(np.abs(state.amplitude) ** 2)) * state.grid.spacing
 
 
-def _step_invariants(grid: Grid1D, config: PropagationConfig, params: PhysicalParams):
-    """(laser pattern, kinetic phase) for steps of config.dt on this grid.
+def _laser(config: PropagationConfig, params: PhysicalParams) -> Laser:
+    """config.laser_profile, or the params' standing wave when it is None."""
+    return config.laser_profile or standing_wave(params)
 
-    The pattern is None without a laser, the kinetic phase when the
-    kinetic term is off.
+
+def _step_invariants(
+    grid: Grid1D, dt: float, config: PropagationConfig, params: PhysicalParams
+):
+    """(laser pattern P on the grid, kinetic phase exp(-i hbar dt k^2/2m)).
+
+    The kinetic phase is None when the kinetic term is off.
     """
-    laser = config.laser_profile
-    pattern = None if laser is None else laser.pattern(grid.points())
+    pattern = _laser(config, params).pattern(grid.points())
     kinetic_phase = None
     if config.kinetic_enabled:
         k = grid.wavenumbers()
-        kinetic_phase = np.exp(-0.5j * HBAR * config.dt / params.mass * k * k)
+        kinetic_phase = np.exp(-0.5j * HBAR * dt / params.mass * k * k)
     return pattern, kinetic_phase
 
 
 def _weight(
     psi: np.ndarray,
     t: float,
-    pattern: np.ndarray | None,
+    pattern: np.ndarray,
+    dt: float,
     config: PropagationConfig,
     params: PhysicalParams,
     drive: float | None = None,
-) -> np.ndarray | None:
+) -> np.ndarray:
     """dt V(|Omega|^2 = pattern) / hbar at the density of psi, once it passed the guard.
 
     effective_potential is exactly linear in |Omega|^2 for every model
     (checked to a few ulp in the tests), so until |psi| changes every
     potential phase is drive * weight with this one weight and a scalar
-    drive. None when there is no laser.
+    drive.
 
     Given the drive of a kinetic-off stretch, the phase drive * weight
     must be finite too: the stretch applies it in one exponential, so a
@@ -314,9 +319,7 @@ def _weight(
         )
     if params.gamma > 0.0:
         check_adiabatic(params, float(np.min(density)), rho_hi)
-    if pattern is None:
-        return None
-    weight = effective_potential(config.model, pattern, density, params) * (config.dt / HBAR)
+    weight = effective_potential(config.model, pattern, density, params) * (dt / HBAR)
     if drive is not None:
         phase = float(drive * np.max(np.abs(weight)))
         if not math.isfinite(phase):
@@ -328,10 +331,8 @@ def _weight(
     return weight
 
 
-def _settle(psi: np.ndarray, drive: float, weight: np.ndarray | None) -> np.ndarray:
+def _settle(psi: np.ndarray, drive: float, weight: np.ndarray) -> np.ndarray:
     """psi times exp(-i drive weight): the pending potential phase applied."""
-    if weight is None:
-        return psi
     return psi * np.exp(-1j * (drive * weight))
 
 
@@ -347,66 +348,64 @@ class _Merged:
 
 def step(
     state: WaveState | _Merged,
+    dt: float,
     config: PropagationConfig,
     params: PhysicalParams,
-    invariants: tuple[np.ndarray | None, np.ndarray | None] | None = None,
+    invariants: tuple[np.ndarray, np.ndarray | None] | None = None,
     *,
-    envelope: np.ndarray | None = None,
+    envelope: np.ndarray,
     merge_next: bool = False,
 ) -> WaveState | _Merged:
-    """One Strang step, half potential, kinetic, half potential; or, with
-    the kinetic term off, a stretch of such steps.
+    """One Strang step of dt, half potential, kinetic, half potential; or,
+    with the kinetic term off, a stretch of such steps.
 
     `envelope` holds the laser envelope E at the endpoint times t0,
-    t0 + dt, ..., t0 + k dt of the k z-steps the call covers; without it
-    E is evaluated here at t0 and t0 + dt, and k = 1. With the kinetic
-    term off the k steps' potential phases commute, so they are applied
-    as one, the trapezoid sum of E times the weight of the state's
-    density, which _weight checks for non-finite values before the
-    exponential. With it on, k must be 1, and the kinetic phase is exact in
-    the spectral basis. `invariants` lets a caller that takes many steps
-    on one grid with one config pass the arrays built by
-    _step_invariants once; without it they are built here.
+    t0 + dt, ..., t0 + k dt of the k z-steps the call covers; the
+    caller samples it, as propagate_through_laser does once per transit,
+    and an all-zero envelope turns the potential off. The pattern is the
+    config's laser, or the params' standing wave when it is None.
+    With the kinetic term off the k steps' potential phases commute, so
+    they are applied as one, the trapezoid sum of E times the weight of
+    the state's density, which _weight checks for non-finite values
+    before the exponential. With it on, k must be 1, and the kinetic
+    phase is exact in the spectral basis. `invariants` lets a caller
+    that takes many steps of one dt on one grid with one config pass the
+    arrays built by _step_invariants once; without it they are built
+    here.
 
     A caller that chains steps merges the potential phases:
     merge_next=True takes this step's closing half and the next step's
     opening half as one full-step phase and returns a _Merged state,
     which is not the field at its time and must go on to a step with the
-    same config and invariants. Given a _Merged state, a step takes its
-    opening half as already there. The default returns a real
+    same dt, config and invariants. Given a _Merged state, a step takes
+    its opening half as already there. The default returns a real
     WaveState, so bare steps from a real state are full Strang steps.
     """
-    if config.dt is None:
-        raise ConfigurationError("config.dt must be set for raw stepping")
     if invariants is None:
-        invariants = _step_invariants(state.grid, config, params)
+        invariants = _step_invariants(state.grid, dt, config, params)
     pattern, kinetic_phase = invariants
-    t0 = state.time
-    if envelope is None:
-        laser = config.laser_profile
-        ends = params.v_g * np.array([t0, t0 + config.dt])
-        envelope = np.zeros(2) if laser is None else laser.envelope(ends)
     spans = len(envelope) - 1
-    if spans < 1 or (spans > 1 and kinetic_phase is not None):
+    if spans < 1 or (spans > 1 and config.kinetic_enabled):
         raise ConfigurationError(
             "a step covers one z-step, or with the kinetic term off one or "
             f"more; got {spans}"
         )
-    t1 = t0 + spans * config.dt
+    t0 = state.time
+    t1 = t0 + spans * dt
 
     psi = state.amplitude
     merged = isinstance(state, _Merged)  # its opening half is in psi already
     closing = envelope[-1] if merge_next else 0.5 * envelope[-1]
-    if kinetic_phase is not None:
+    if config.kinetic_enabled:
         if not merged:
-            psi = _settle(psi, 0.5 * envelope[0], _weight(psi, t0, pattern, config, params))
+            psi = _settle(psi, 0.5 * envelope[0], _weight(psi, t0, pattern, dt, config, params))
         psi = np.fft.ifft(np.fft.fft(psi) * kinetic_phase)
         # the kinetic stage moved |psi|
-        drive, weight = closing, _weight(psi, t1, pattern, config, params)
+        drive, weight = closing, _weight(psi, t1, pattern, dt, config, params)
     else:
         drive = (0.0 if merged else 0.5 * envelope[0]) + float(np.sum(envelope[1:-1]))
         drive += closing
-        weight = _weight(psi, t0, pattern, config, params, drive=drive)
+        weight = _weight(psi, t0, pattern, dt, config, params, drive=drive)
     psi = _settle(psi, drive, weight)
     if merge_next:
         return _Merged(state.grid, psi, t1)
@@ -450,13 +449,9 @@ def propagate_through_laser(
     z_half = 4.0 * params.w_l
     duration = 2.0 * z_half / params.v_g
     dt = duration / last
-    laser = config.laser_profile
-    if laser is None:
-        laser = standing_wave(params)
-    run_config = replace(config, dt=dt, laser_profile=laser)
-    invariants = _step_invariants(state.grid, run_config, params)
+    invariants = _step_invariants(state.grid, dt, config, params)
     t_entry = -z_half / params.v_g
-    envelope = laser.envelope(params.v_g * (t_entry + dt * np.arange(last + 1)))
+    envelope = _laser(config, params).envelope(params.v_g * (t_entry + dt * np.arange(last + 1)))
 
     real = {*observed, last}
     if config.kinetic_enabled:
@@ -480,7 +475,7 @@ def propagate_through_laser(
                     time=working.time,
                 )
             working = step(
-                working, run_config, params, invariants,
+                working, dt, config, params, invariants,
                 envelope=stretch, merge_next=not split,
             )
             start = index

@@ -2,8 +2,7 @@
 
 import io
 import math
-from types import SimpleNamespace
-
+from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
@@ -46,10 +45,6 @@ class TestStateAndRates:
         with pytest.raises(ParameterError, match="finite"):
             BlochState(coherence=0.0, inversion=math.inf)
 
-    def test_vector_length(self):
-        s = BlochState(coherence=0.3 - 0.4j, inversion=0.5)
-        assert s.vector_length_sq() == pytest.approx(0.25 + 4.0 * 0.25, rel=1e-15)
-
     def test_rates_guards(self):
         BlochRates(gamma_l=0.0, gamma_t=0.0)
         with pytest.raises(ParameterError, match="gamma_l"):
@@ -59,12 +54,11 @@ class TestStateAndRates:
 
 
 def test_rhs_matches_written_equations():
-    state = BlochState(coherence=0.21 - 0.13j, inversion=-0.35)
+    r, w = 0.21 - 0.13j, -0.35
     drive = 0.9 + 0.4j
     detuning = 1.7
     rates = BlochRates(gamma_l=0.8, gamma_t=1.3)
-    dr, dw = bloch_rhs(state, drive, detuning, rates)
-    r, w = state.coherence, state.inversion
+    dr, dw = bloch_rhs(r, w, drive, detuning, rates)
     assert dr == (1j * detuning - rates.gamma_t) * r - 0.5j * drive * w
     # the field-coherence beat as written in raising/lowering components,
     # i (Omega conj(R) - conj(Omega) R), equals 2 Im[conj(Omega) R]
@@ -93,18 +87,20 @@ class TestIntegrateGuards:
     def test_trajectory_layout(self):
         start = BlochState(coherence=0.1j, inversion=-0.9, time=2.0)
         traj = integrate(start, 0.05, 0.3, NO_DAMPING, dt=0.01, n_steps=7)
-        assert len(traj) == 8
-        assert traj[0] is start
-        for i, s in enumerate(traj[1:], start=1):
-            assert s.time == 2.0 + i * 0.01
+        assert len(traj.times) == len(traj.coherence) == len(traj.inversion) == 8
+        assert (traj.times[0], traj.coherence[0], traj.inversion[0]) == (2.0, 0.1j, -0.9)
+        for i, t in enumerate(traj.times[1:], start=1):
+            assert t == 2.0 + i * 0.01
+        assert traj.final == BlochState(traj.coherence[-1], traj.inversion[-1], traj.times[-1])
 
 
 def _rk4_over_rhs(start, drive_at, detuning, rates, dt, n_steps):
-    """Classic RK4 written out over bloch_rhs, one drive sample per stage."""
+    """Classic RK4 written out over bloch_rhs, one drive sample per stage;
+    the stored states as (times, coherences, inversions) columns."""
     def f(r, w, t):
-        return bloch_rhs(BlochState(coherence=r, inversion=w), drive_at(t), detuning, rates)
+        return bloch_rhs(r, w, drive_at(t), detuning, rates)
 
-    states = [start]
+    times, coherence, inversion = [start.time], [start.coherence], [start.inversion]
     r, w, t = complex(start.coherence), float(start.inversion), start.time
     for i in range(n_steps):
         k1r, k1w = f(r, w, t)
@@ -114,8 +110,10 @@ def _rk4_over_rhs(start, drive_at, detuning, rates, dt, n_steps):
         r = r + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         w = w + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
         t = start.time + (i + 1) * dt
-        states.append(BlochState(coherence=r, inversion=w, time=t))
-    return states
+        times.append(t)
+        coherence.append(r)
+        inversion.append(w)
+    return times, coherence, inversion
 
 
 class TestIntegrateIsRK4OverRhs:
@@ -130,8 +128,11 @@ class TestIntegrateIsRK4OverRhs:
         drive = 1.3 + 0.4j if constant else chirp
         drive_at = (lambda t: drive) if constant else chirp
         got = integrate(self.START, drive, 0.7, self.RATES, 0.01, 3000)
-        want = _rk4_over_rhs(self.START, drive_at, 0.7, self.RATES, 0.01, 3000)
-        assert got == want
+        times, coherence, inversion = _rk4_over_rhs(
+            self.START, drive_at, 0.7, self.RATES, 0.01, 3000
+        )
+        assert (got.times, got.coherence, got.inversion) == (times, coherence, inversion)
+        assert got.final == BlochState(coherence[-1], inversion[-1], times[-1])
 
     def test_drive_sampled_once_per_stage_time(self):
         times = []
@@ -153,7 +154,7 @@ def _first_invalid_state_message(start, drive_at, detuning, rates, dt, n_steps):
     so only the stored states meet the constructor, one per step.
     """
     def f(r, w, t):
-        return bloch_rhs(SimpleNamespace(coherence=r, inversion=w), drive_at(t), detuning, rates)
+        return bloch_rhs(r, w, drive_at(t), detuning, rates)
 
     r, w, t = complex(start.coherence), float(start.inversion), start.time
     for i in range(n_steps):
@@ -188,25 +189,21 @@ class TestColumnTrajectory:
         monkeypatch.setattr(BlochState, "__post_init__", counting)
         traj = integrate(self.START, 1.3 + 0.4j, 0.7, self.RATES, 0.01, 100)
         assert built == [traj.times[-1]]  # the exit state, once
-        assert traj[0] is self.START and traj[-1] is traj[-1]
-        assert len(built) == 1  # reading either end builds nothing more
+        assert traj.final.time == traj.times[-1]
+        assert len(built) == 1  # reading it builds nothing more
 
-    def test_columns_and_sequence_view(self):
+    def test_columns_and_final(self):
         traj = integrate(self.START, 1.3 + 0.4j, 0.7, self.RATES, 0.01, 5)
         assert isinstance(traj, BlochTrajectory)
-        states = list(traj)
-        assert len(traj) == len(states) == 6
-        assert [s.time for s in states] == traj.times
-        assert [s.coherence for s in states] == traj.coherence
-        assert [s.inversion for s in states] == traj.inversion
-        assert traj == states and states == traj
-        assert [traj[i] for i in range(-6, 6)] == states + states
-        assert traj[1:4] == states[1:4]
-        assert traj != states[:-1]
-        with pytest.raises(IndexError):
-            traj[6]
-        with pytest.raises(IndexError):
-            traj[-7]
+        assert len(traj.times) == len(traj.coherence) == len(traj.inversion) == 6
+        assert traj.times[0] == self.START.time
+        assert traj.final == BlochState(traj.coherence[-1], traj.inversion[-1], traj.times[-1])
+        # columns, not a sequence of states
+        for name in ("__getitem__", "__iter__", "__len__"):
+            assert not hasattr(traj, name)
+        assert traj != [self.START]
+        with pytest.raises(FrozenInstanceError):
+            traj.final = self.START
 
     @pytest.mark.parametrize("k", [0, 1, 5])
     def test_bound_violation_raises_the_constructors_message_at_its_step(self, k):
@@ -260,23 +257,23 @@ class TestAgainstClosedForms:
         start = BlochState(coherence=0.2 + 0.1j, inversion=-0.4)
         detuning = 1.0
         traj = integrate(start, 0.0, detuning, rates, dt=0.01, n_steps=500)
-        for s in traj:
-            w_exact = -1.0 + (1.0 + start.inversion) * math.exp(-rates.gamma_l * s.time)
-            r_exact = start.coherence * np.exp((1j * detuning - rates.gamma_t) * s.time)
-            assert abs(s.inversion - w_exact) < 1e-8
-            assert abs(s.coherence - r_exact) < 1e-8
+        for t, r, w in zip(traj.times, traj.coherence, traj.inversion):
+            w_exact = -1.0 + (1.0 + start.inversion) * math.exp(-rates.gamma_l * t)
+            r_exact = start.coherence * np.exp((1j * detuning - rates.gamma_t) * t)
+            assert abs(w - w_exact) < 1e-8
+            assert abs(r - r_exact) < 1e-8
 
     def test_resonant_rabi_cycles(self):
         omega = 2.0 * math.pi
         dt = 1.0 / 128.0  # omega*dt ~ 0.049
         traj = integrate(GROUND, omega, 0.0, NO_DAMPING, dt=dt, n_steps=384)
-        for s in traj:
-            assert abs(s.inversion + math.cos(omega * s.time)) < 3e-6
-            assert abs(s.coherence - 0.5j * math.sin(omega * s.time)) < 3e-6
+        for t, r, w in zip(traj.times, traj.coherence, traj.inversion):
+            assert abs(w + math.cos(omega * t)) < 3e-6
+            assert abs(r - 0.5j * math.sin(omega * t)) < 3e-6
 
     def test_undamped_length_frozen(self):
         traj = integrate(GROUND, 1.0, 0.7, NO_DAMPING, dt=0.01, n_steps=2000)
-        lengths = [s.vector_length_sq() for s in traj]
+        lengths = [w**2 + 4.0 * abs(r) ** 2 for r, w in zip(traj.coherence, traj.inversion)]
         assert max(abs(l - 1.0) for l in lengths) < 1e-9
 
     def test_fourth_order_convergence(self):
@@ -285,7 +282,7 @@ class TestAgainstClosedForms:
         for level in range(6):
             n = 20 * 2**level
             dt = horizon / n
-            final = integrate(GROUND, omega, 0.0, NO_DAMPING, dt=dt, n_steps=n)[-1]
+            final = integrate(GROUND, omega, 0.0, NO_DAMPING, dt=dt, n_steps=n).final
             errs.append(abs(final.inversion + math.cos(omega * horizon)))
             dts.append(dt)
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
@@ -297,7 +294,7 @@ class TestSteadyState:
 
     def test_fixed_point_residual(self):
         ss = steady_state(0.9 + 0.4j, 0.75, self.RATES)
-        dr, dw = bloch_rhs(ss, 0.9 + 0.4j, 0.75, self.RATES)
+        dr, dw = bloch_rhs(ss.coherence, ss.inversion, 0.9 + 0.4j, 0.75, self.RATES)
         assert abs(dr) <= 1e-12
         assert abs(dw) <= 1e-12
 
@@ -323,7 +320,7 @@ class TestSteadyState:
     def test_integration_relaxes_onto_it(self):
         drive, detuning = 1.2 - 0.5j, 0.75
         ss = steady_state(drive, detuning, self.RATES)
-        final = integrate(GROUND, drive, detuning, self.RATES, dt=0.01, n_steps=4000)[-1]
+        final = integrate(GROUND, drive, detuning, self.RATES, dt=0.01, n_steps=4000).final
         assert abs(final.coherence - ss.coherence) < 1e-8
         assert abs(final.inversion - ss.inversion) < 1e-8
 
@@ -364,17 +361,16 @@ def test_trajectory_csv_layout():
 
 def test_trajectory_csv_matches_per_row_csv_num():
     # the row-at-a-time writer the block writer must match byte for byte
-    traj = integrate(GROUND, 0.7 - 0.2j, 0.3, BlochRates(0.05, 0.1), dt=0.01, n_steps=40)
-    traj = [
-        BlochState(coherence=complex(-0.0, -0.0), inversion=-0.0, time=-0.0),
-        BlochState(coherence=1e-300 - 1.0 / 3.0j, inversion=5e-324, time=1),
-        *traj,
-    ]
+    run = integrate(GROUND, 0.7 - 0.2j, 0.3, BlochRates(0.05, 0.1), dt=0.01, n_steps=40)
+    # two edge rows ahead of the run: signed zeros, a tiny real part, a subnormal
+    times = [-0.0, 1, *run.times]
+    coherence = [complex(-0.0, -0.0), 1e-300 - 1.0 / 3.0j, *run.coherence]
+    inversion = [-0.0, 5e-324, *run.inversion]
+    traj = BlochTrajectory(times, coherence, inversion, run.final)
     buf = io.StringIO()
     write_trajectory_csv(traj, buf)
     want = "t_s,re_R,im_R,W\n" + "".join(
-        f"{csv_num(s.time)},{csv_num(s.coherence.real)},"
-        f"{csv_num(s.coherence.imag)},{csv_num(s.inversion)}\n"
-        for s in traj
+        f"{csv_num(t)},{csv_num(r.real)},{csv_num(r.imag)},{csv_num(w)}\n"
+        for t, r, w in zip(times, coherence, inversion)
     )
     assert buf.getvalue() == want

@@ -69,6 +69,24 @@ class TestTopLevel:
         code, _, err = run(capsys, "optics", "--bogus")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("bloch", "--detuning", "-5e-1", "--dt", "0.01", "--steps", "3"),
+        ("bloch", "--detuning", "0.5", "--drive-re", "-1e-1", "--dt", "0.01", "--steps", "3"),
+        ("bloch", "--detuning", "-5E-1", "--dt", "0.01", "--steps", "3"),
+        ("sweep", "--axis", "delta_shift", "--values", "-1e9,0", "--q-max", "2"),
+    ])
+    def test_negative_values_in_any_notation_are_values(self, capsys, params_file, argv):
+        # argparse alone reads only -N and -N.N as numbers, so these were
+        # taken for flags; the attached --flag=value form gives the same bytes
+        command, *rest = argv
+        code, out, err = run(capsys, command, "--params", params_file, *rest)
+        assert (code, err) == (0, "") and out
+        i = next(i for i, token in enumerate(rest) if token[:2] in ("-5", "-1"))
+        attached = [*rest[: i - 1], f"{rest[i - 1]}={rest[i]}", *rest[i + 1 :]]
+        assert run(capsys, command, "--params", params_file, *attached) == (code, out, err)
+        code, _, err = run(capsys, command, "--params", params_file, *rest, "--bogus")
+        assert code == 1 and "unrecognized arguments: --bogus" in err
+
     def test_missing_params(self, capsys):
         code, _, err = run(capsys, "optics")
         assert code == 1
@@ -384,7 +402,7 @@ def test_adiabatic_ratio_of_exactly_ten_passes_everywhere(capsys, tmp_path):
     grid = propagate.Grid1D(1024, -1.0e-2, 1.0e-2)
     tracer = propagate.init_gaussian(grid, 0.0, 1.0e-3, math.inf)  # density 0
     config = propagate.PropagationConfig(
-        dt=1.0e-6, n_steps=1, kinetic_enabled=False, transverse_area=math.inf
+        n_steps=1, kinetic_enabled=False, transverse_area=math.inf
     )
     for params, ok in ((at_ten, True), (below, False)):
         path = write_params(tmp_path, params)
@@ -401,11 +419,12 @@ def test_adiabatic_ratio_of_exactly_ten_passes_everywhere(capsys, tmp_path):
         assert out.splitlines()[1].split(",")[-4] == ("true" if ok else "false")
         assert code == (0 if ok else 2)
 
+        envelope = np.zeros(2)
         if ok:
-            propagate.step(tracer, config, params)
+            propagate.step(tracer, 1.0e-6, config, params, envelope=envelope)
         else:
             with pytest.raises(PhysicsGuardError, match="adiabatic"):
-                propagate.step(tracer, config, params)
+                propagate.step(tracer, 1.0e-6, config, params, envelope=envelope)
 
 
 class TestDiffract:
@@ -661,8 +680,8 @@ class TestPropagate:
         real_step = propagate.step
         states = []
 
-        def poisoned_step(state, config, params, invariants=None, **halves):
-            out = real_step(state, config, params, invariants, **halves)
+        def poisoned_step(state, dt, config, params, invariants=None, **halves):
+            out = real_step(state, dt, config, params, invariants, **halves)
             if len(states) == 8:
                 out = propagate.WaveState(out.grid, out.amplitude * np.nan, out.time)
             states.append(out)
@@ -687,8 +706,8 @@ class TestPropagate:
         real_step = propagate.step
         states = []
 
-        def poisoned_step(state, config, params, invariants=None, **halves):
-            out = real_step(state, config, params, invariants, **halves)
+        def poisoned_step(state, dt, config, params, invariants=None, **halves):
+            out = real_step(state, dt, config, params, invariants, **halves)
             if len(states) == at_step - 1:
                 out = propagate.WaveState(out.grid, out.amplitude * np.nan, out.time)
             states.append(out)

@@ -2,7 +2,7 @@
 
 import io
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -86,18 +86,20 @@ class TestWaveState:
 
 class TestPropagationConfig:
     def test_guards(self):
-        with pytest.raises(ConfigurationError, match="dt"):
-            PropagationConfig(dt=-1.0, n_steps=1)
         with pytest.raises(ConfigurationError, match="n_steps"):
-            PropagationConfig(dt=1.0, n_steps=0)
+            PropagationConfig(n_steps=0)
         with pytest.raises(ConfigurationError, match="transverse_area"):
-            PropagationConfig(dt=1.0, n_steps=1, transverse_area=0.0)
+            PropagationConfig(n_steps=1, transverse_area=0.0)
         with pytest.raises(ConfigurationError, match="transverse_area"):
-            PropagationConfig(dt=1.0, n_steps=1, transverse_area=math.nan)
+            PropagationConfig(n_steps=1, transverse_area=math.nan)
 
-    def test_dt_none_and_infinite_area_allowed(self):
-        cfg = PropagationConfig(dt=None, n_steps=4, transverse_area=math.inf)
-        assert cfg.dt is None
+    def test_infinite_area_allowed(self):
+        cfg = PropagationConfig(n_steps=4, transverse_area=math.inf)
+        assert cfg.transverse_area == math.inf
+        # a transit, not a time step: the window and n_steps fix dt
+        assert [f.name for f in fields(cfg)] == [
+            "n_steps", "kinetic_enabled", "model", "laser_profile", "transverse_area",
+        ]
 
 
 def test_standing_wave_intensity():
@@ -165,14 +167,6 @@ def test_norm_matches_gaussian_integral():
     assert norm(s) == pytest.approx(2.0e14 * w_y * math.sqrt(math.pi), rel=1e-6)
 
 
-def test_step_requires_dt():
-    g = _grid(64)
-    s = WaveState(grid=g, amplitude=np.ones(64))
-    cfg = PropagationConfig(dt=None, n_steps=1)
-    with pytest.raises(ConfigurationError, match="dt"):
-        step(s, cfg, make_params())
-
-
 def test_free_plane_wave_phase_is_exact():
     p = make_params()
     g = _grid(256, 1.0)
@@ -181,9 +175,9 @@ def test_free_plane_wave_phase_is_exact():
     s = WaveState(grid=g, amplitude=psi0.copy())
     dt = 1.0e-6
     n_steps = 100
-    cfg = PropagationConfig(dt=dt, n_steps=1, transverse_area=math.inf)
+    cfg = PropagationConfig(n_steps=1, transverse_area=math.inf)
     for _ in range(n_steps):
-        s = step(s, cfg, p)
+        s = step(s, dt, cfg, p, envelope=np.zeros(2))  # laser off
     expected = psi0 * np.exp(-0.5j * HBAR * k * k * dt * n_steps / p.mass)
     assert np.max(np.abs(s.amplitude - expected)) < 1e-12
 
@@ -204,7 +198,6 @@ def test_constant_drive_accumulates_trapezoid_phase():
     omega_sq = p.rabi_peak**2
     dt, n_steps = 1.0e-6, 128
     cfg = PropagationConfig(
-        dt=dt,
         n_steps=1,
         kinetic_enabled=False,
         laser_profile=_flat_laser(omega_sq),
@@ -212,9 +205,9 @@ def test_constant_drive_accumulates_trapezoid_phase():
     )
     s = WaveState(grid=g, amplitude=psi0.copy())
     for _ in range(n_steps):
-        s = step(s, cfg, p)
+        s = step(s, dt, cfg, p, envelope=np.full(2, omega_sq))
     stretch = step(
-        WaveState(grid=g, amplitude=psi0.copy()), cfg, p,
+        WaveState(grid=g, amplitude=psi0.copy()), dt, cfg, p,
         envelope=np.full(n_steps + 1, omega_sq),
     )
     v_over_hbar = omega_sq / (4.0 * detuning(p))
@@ -229,20 +222,20 @@ def test_a_kinetic_step_covers_one_z_step():
     p = make_params()
     g = _grid(64, 1.0)
     s = WaveState(grid=g, amplitude=np.ones(64))
-    cfg = PropagationConfig(dt=1.0e-6, n_steps=1, laser_profile=_flat_laser(1.0))
+    cfg = PropagationConfig(n_steps=1, laser_profile=_flat_laser(1.0))
     for envelope in (np.ones(3), np.ones(1)):
         with pytest.raises(ConfigurationError, match="z-step"):
-            step(s, cfg, p, envelope=envelope)
+            step(s, 1.0e-6, cfg, p, envelope=envelope)
 
 
 def test_adiabatic_guard_in_step():
     noisy = make_params(gamma=abs(detuning(make_params())))  # ratio 1, far below 10
     g = _grid(64, 1.0)
     s = WaveState(grid=g, amplitude=np.ones(64))
-    cfg = PropagationConfig(dt=1.0e-9, n_steps=1, transverse_area=1.0)
+    cfg = PropagationConfig(n_steps=1, transverse_area=1.0)
     guard = r"^adiabatic elimination invalid: \|Delta_l\|/gamma = 1 < 10 at density 1\.000e\+00$"
     with pytest.raises(PhysicsGuardError, match=guard):
-        step(s, cfg, noisy)
+        step(s, 1.0e-9, cfg, noisy, envelope=np.zeros(2))
 
 
 def test_adiabatic_guard_checks_the_packet_wings():
@@ -257,7 +250,7 @@ def test_adiabatic_guard_checks_the_packet_wings():
         r"^adiabatic elimination invalid: \|Delta_l\|/gamma = 8 < 10 "
         rf"at density {wing:.3e}$".replace("+", r"\+")
     )
-    cfg = PropagationConfig(dt=None, n_steps=16, kinetic_enabled=False)
+    cfg = PropagationConfig(n_steps=16, kinetic_enabled=False)
     with pytest.raises(PhysicsGuardError, match=guard):
         propagate_through_laser(s, cfg, p)
 
@@ -273,9 +266,12 @@ def test_non_finite_density_is_a_numerics_failure_for_every_gamma(gamma, red):
     amp = np.ones(64, dtype=np.complex128)
     amp[5] = np.inf
     flat = Laser(envelope=lambda z: np.full(np.shape(z), p.rabi_peak**2), pattern=np.ones_like)
-    cfg = PropagationConfig(dt=1.0e-9, n_steps=1, kinetic_enabled=False, laser_profile=flat)
+    cfg = PropagationConfig(n_steps=1, kinetic_enabled=False, laser_profile=flat)
     with pytest.raises(NumericsError, match=r"^non-finite peak density inf at t = 0\.0 s") as err:
-        step(WaveState(grid=_grid(64, 1.0), amplitude=amp), cfg, p)
+        step(
+            WaveState(grid=_grid(64, 1.0), amplitude=amp), 1.0e-9, cfg, p,
+            envelope=np.full(2, p.rabi_peak**2),
+        )
     assert err.value.last_good is None  # a bare step has no last good state
 
 
@@ -288,7 +284,7 @@ class TestPropagateThroughLaser:
         s = init_gaussian(g, 0.0, p.w_l, math.inf)
         seen = []
         cfg = PropagationConfig(
-            dt=None, n_steps=30, kinetic_enabled=False, transverse_area=math.inf
+            n_steps=30, kinetic_enabled=False, transverse_area=math.inf
         )
         out = propagate_through_laser(
             s, cfg, p, observer=lambda i, st: seen.append((i, st.time)),
@@ -310,7 +306,7 @@ class TestPropagateThroughLaser:
         for kinetic, expected in ((True, [3, 8, 16, 20, 24, 30]), (False, [3, 8, 20, 30])):
             seen = []
             cfg = PropagationConfig(
-                dt=None, n_steps=30, kinetic_enabled=kinetic, transverse_area=math.inf
+                n_steps=30, kinetic_enabled=kinetic, transverse_area=math.inf
             )
             propagate_through_laser(
                 s, cfg, p, observer=lambda i, st: seen.append(i), observe_steps={3, 8, 20}
@@ -330,7 +326,6 @@ class TestPropagateThroughLaser:
             return np.where(z > 2.5 * p.w_l, np.nan, p.rabi_peak**2)
 
         cfg = PropagationConfig(
-            dt=None,
             n_steps=256,
             kinetic_enabled=False,
             laser_profile=Laser(envelope=poisoned, pattern=np.ones_like),
@@ -348,7 +343,7 @@ class TestPropagateThroughLaser:
         if state is None:
             state = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l, math.inf)
         cfg = PropagationConfig(
-            dt=None, n_steps=n_steps, kinetic_enabled=kinetic, laser_profile=laser,
+            n_steps=n_steps, kinetic_enabled=kinetic, laser_profile=laser,
             transverse_area=math.inf,
         )
         return propagate_through_laser(state, cfg, p, **kwargs)
@@ -368,8 +363,8 @@ class TestPropagateThroughLaser:
         real_step = propagate.step
         calls = []
 
-        def poisoned_step(state, config, params, invariants=None, **kwargs):
-            out = real_step(state, config, params, invariants, **kwargs)
+        def poisoned_step(state, dt, config, params, invariants=None, **kwargs):
+            out = real_step(state, dt, config, params, invariants, **kwargs)
             calls.append(out)
             if len(calls) == 4:
                 out = WaveState(out.grid, out.amplitude * np.nan, out.time)
@@ -393,8 +388,8 @@ class TestPropagateThroughLaser:
         real_step = propagate.step
         calls = []
 
-        def poisoned_step(state, config, params, invariants=None, **kwargs):
-            out = real_step(state, config, params, invariants, **kwargs)
+        def poisoned_step(state, dt, config, params, invariants=None, **kwargs):
+            out = real_step(state, dt, config, params, invariants, **kwargs)
             calls.append(out)
             if len(calls) == 7:
                 out = WaveState(out.grid, out.amplitude * np.nan, out.time)
@@ -465,7 +460,7 @@ class TestPropagateThroughLaser:
         p = make_params()
         s = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l, math.inf)
         cfg = PropagationConfig(
-            dt=None, n_steps=30, kinetic_enabled=False, transverse_area=math.inf
+            n_steps=30, kinetic_enabled=False, transverse_area=math.inf
         )
         with pytest.raises(
             ConfigurationError, match=rf"^observe_steps must lie in 1\.\.30, got \[{outside}\]$"
@@ -477,7 +472,7 @@ class TestPropagateThroughLaser:
         s = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l, math.inf)
         for kinetic in (True, False):
             cfg = PropagationConfig(
-                dt=None, n_steps=30, kinetic_enabled=kinetic, transverse_area=math.inf
+                n_steps=30, kinetic_enabled=kinetic, transverse_area=math.inf
             )
             with pytest.raises(TypeError, match="integer"):
                 propagate_through_laser(s, cfg, p, observe_steps={2.5})
@@ -514,7 +509,7 @@ class TestPropagateThroughLaser:
         monkeypatch.setattr(propagate, "step", counting_step)
         n_steps, observed = 2048, (100, 1000)
         cfg = PropagationConfig(
-            dt=None, n_steps=n_steps, kinetic_enabled=False,
+            n_steps=n_steps, kinetic_enabled=False,
             laser_profile=Laser(envelope=envelope, pattern=pattern),
             transverse_area=math.inf,
         )
@@ -545,7 +540,7 @@ class TestPropagateThroughLaser:
 
         monkeypatch.setattr(propagate, "step", counting_step)
         monkeypatch.setattr(propagate, "effective_potential", counting_potential)
-        cfg = PropagationConfig(dt=None, n_steps=2048, kinetic_enabled=False)
+        cfg = PropagationConfig(n_steps=2048, kinetic_enabled=False)
         propagate_through_laser(s, cfg, p)
         assert steps == [2048]
         assert len(potentials) == 1
@@ -566,7 +561,7 @@ def test_transit_builds_no_validated_state_per_step(kinetic, monkeypatch):
 
     monkeypatch.setattr(WaveState, "__post_init__", counting)
     cfg = PropagationConfig(
-        dt=None, n_steps=100, kinetic_enabled=kinetic, transverse_area=math.inf
+        n_steps=100, kinetic_enabled=kinetic, transverse_area=math.inf
     )
     out = propagate_through_laser(s, cfg, p, observe_steps={10, 20})
     assert checked == []
@@ -600,12 +595,13 @@ def _transit_setup(config, params):
 
 def _bare_step_transit(state, config, params):
     # propagate_through_laser spelled out as bare step() calls over one
-    # z-step each, each of which builds its own pattern and kinetic phase
-    dt, laser, t_entry, envelope = _transit_setup(config, params)
-    run_config = replace(config, dt=dt, laser_profile=laser)
+    # z-step each, given the transit's own config, so a laser_profile of
+    # None is the params' standing wave here too; each step builds its own
+    # pattern and kinetic phase
+    dt, _, t_entry, envelope = _transit_setup(config, params)
     working = WaveState(grid=state.grid, amplitude=state.amplitude, time=t_entry)
     for index in range(1, config.n_steps + 1):
-        working = step(working, run_config, params, envelope=envelope[index - 1 : index + 1])
+        working = step(working, dt, config, params, envelope=envelope[index - 1 : index + 1])
     return working.amplitude
 
 
@@ -721,7 +717,7 @@ class TestHoistedTransitIsBitExact:
     def test_dense_every_model(self, kinetic, model):
         p, s, area = self._dense()
         cfg = PropagationConfig(
-            dt=None, n_steps=self.N_STEPS, kinetic_enabled=kinetic,
+            n_steps=self.N_STEPS, kinetic_enabled=kinetic,
             model=model, transverse_area=area,
         )
         before = s.amplitude.copy()
@@ -732,7 +728,7 @@ class TestHoistedTransitIsBitExact:
     def test_dilute(self, kinetic):
         p, s, area = self._dilute()
         cfg = PropagationConfig(
-            dt=None, n_steps=self.N_STEPS, kinetic_enabled=kinetic,
+            n_steps=self.N_STEPS, kinetic_enabled=kinetic,
             transverse_area=area,
         )
         self._check(p, s, cfg)
@@ -753,7 +749,7 @@ class TestHoistedTransitIsBitExact:
                 return np.sin(3.0e4 * y) ** 2
 
             cfg = PropagationConfig(
-                dt=None, n_steps=self.N_STEPS, kinetic_enabled=kinetic,
+                n_steps=self.N_STEPS, kinetic_enabled=kinetic,
                 laser_profile=Laser(envelope=envelope, pattern=pattern),
                 transverse_area=area,
             )
@@ -772,7 +768,7 @@ class TestHoistedTransitIsBitExact:
         p = with_v0rho(with_wy_lambdas(make_params(), 20.0), 0.3)
         g = commensurate_grid(p, 4096, 128.0)
         s = init_gaussian(g, p.rho_0, p.w_y, 1.0)
-        cfg = PropagationConfig(dt=None, n_steps=2048, kinetic_enabled=False)
+        cfg = PropagationConfig(n_steps=2048, kinetic_enabled=False)
         out = propagate_through_laser(s, cfg, p)
         strang = WaveState(grid=g, amplitude=_textbook_transit(s, cfg, p))
         merged = momentum_spectrum(out, order_spacing(p), 7).orders

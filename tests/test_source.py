@@ -1,6 +1,8 @@
 """Static checks on the package source."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import matteroptics
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "matteroptics"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -204,3 +207,55 @@ def test_root_exports_resolve():
     missing = [name for name in matteroptics.__all__ if not hasattr(matteroptics, name)]
     assert missing == []
     assert len(set(matteroptics.__all__)) == len(matteroptics.__all__)
+
+
+def loaded_names(source: str) -> set[str]:
+    """Every name and attribute name the module reads (loads)."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_loaded_names_checker():
+    source = (
+        "from .a import b, c\n"
+        "x = b(1)\n"
+        "y.attr = c.method()\n"
+        "def unused(): pass\n"
+    )
+    assert loaded_names(source) == {"b", "c", "method", "y"}
+
+
+def public_api():
+    """Every name in matteroptics.__all__, and Class.method for every public
+    method (function, classmethod, staticmethod or property) of a public class."""
+    for name in matteroptics.__all__:
+        yield name
+        obj = getattr(matteroptics, name)
+        if isinstance(obj, type):
+            for attr, value in vars(obj).items():
+                method = inspect.isfunction(value) or isinstance(
+                    value, (classmethod, staticmethod, property)
+                )
+                if method and not attr.startswith("_"):
+                    yield f"{name}.{attr}"
+
+
+def test_public_api_has_a_reader_outside_the_tests():
+    # a public name only the tests read is surface to keep up for nobody:
+    # the package itself (not its re-exports) or the benchmark, whose
+    # tracer names its targets as strings, must read it
+    read = set().union(*(
+        loaded_names(path.read_text(encoding="utf-8"))
+        for path in PACKAGE.glob("*.py")
+        if path.name != "__init__.py"
+    ))
+    perfbench = "\n".join(path.read_text(encoding="utf-8") for path in PERFBENCH.glob("*.py"))
+    unread = [
+        name for name in public_api()
+        if name.rpartition(".")[2] not in read
+        and not re.search(rf"\b{re.escape(name.rpartition('.')[2])}\b", perfbench)
+    ]
+    assert unread == []
