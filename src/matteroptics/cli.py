@@ -545,6 +545,11 @@ def cmd_bloch(args) -> int:
             BlochState(*part)
         except ParameterError as exc:
             raise ParameterError(f"{flags}: {exc}") from None
+    # each part may be in range while the whole lies outside the Bloch
+    # sphere; 1e-12 forgives the roundoff of squaring a point on it
+    length = args.w0**2 + 4.0 * abs(coherence) ** 2
+    if length > 1.0 + 1e-12:
+        raise ParameterError(f"--w0/--r0-re/--r0-im: W0^2 + 4|R0|^2 = {length!r} exceeds 1")
     initial = BlochState(coherence=coherence, inversion=args.w0, time=0.0)
     trajectory = integrate(initial, drive, delta, rates, args.dt, args.steps)
     final = trajectory.final
@@ -558,9 +563,11 @@ def cmd_bloch(args) -> int:
         )
 
     def doc() -> dict:
+        r = trajectory.coherence
+        columns = (trajectory.times, r.real, r.imag, trajectory.inversion)
         points = [
-            {"t_s": t, "re_R": r.real, "im_R": r.imag, "W": w}
-            for t, r, w in zip(trajectory.times, trajectory.coherence, trajectory.inversion)
+            {"t_s": t, "re_R": x, "im_R": y, "W": w}
+            for t, x, y, w in zip(*(c.tolist() for c in columns))
         ]
         return {
             "detuning": delta,

@@ -130,7 +130,7 @@ class PhysicalParams:
         omega_l: laser frequency, rad/s
         rabi_peak: peak Rabi frequency, rad/s
         k_l: laser wave number, 1/cm
-        harmonic: effective refractive index multiplying k_l, dimensionless
+        harmonic: constant index n of the standing wave cos^2(n k_l y), dimensionless
         w_l: laser Gaussian envelope width, cm
         v_g: atomic-beam group velocity, cm/s
         rho_0: peak atomic density, 1/cm^3

@@ -919,6 +919,44 @@ class TestBloch:
         assert out == ""
         assert err == named
 
+    @pytest.mark.parametrize(
+        "flags, length",
+        [
+            (("--w0", "0.5", "--r0-re", "0.5"), "1.25"),
+            (("--r0-im", "0.1"), repr(1.0 + 4.0 * 0.1**2)),
+            (
+                ("--w0=-0.8", "--r0-re", "0.3", "--r0-im", "0.1"),
+                repr(0.8**2 + 4.0 * abs(0.3 + 0.1j) ** 2),
+            ),
+        ],
+        ids=["w0-and-r0-re", "default-w0", "all-three"],
+    )
+    def test_start_off_the_bloch_sphere_is_named(self, capsys, flags, length):
+        # each part is within its own range, but W0^2 + 4|R0|^2 > 1
+        code, out, err = run(
+            capsys, "bloch", "--detuning", "0.5", "--drive-re", "1", *flags,
+            "--dt", "0.1", "--steps", "400",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --w0/--r0-re/--r0-im: W0^2 + 4|R0|^2 = {length} exceeds 1\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--w0", "0.6", "--r0-re", "0.4"),
+            ("--w0", "0.8", "--r0-im=-0.3"),
+            ("--w0", "0", "--r0-re", "0.5"),
+        ],
+    )
+    def test_start_on_the_bloch_sphere_runs(self, capsys, flags):
+        code, out, _ = run(
+            capsys, "bloch", "--detuning", "0.5", "--drive-re", "1", *flags,
+            "--dt", "0.1", "--steps", "4",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 6
+
     def test_needs_a_detuning_source(self, capsys):
         code, _, err = run(capsys, "bloch", "--dt", "0.1", "--steps", "1")
         assert code == 1
