@@ -54,7 +54,6 @@ from .errors import (
     NumericsError,
     ParameterError,
     PhysicsGuardError,
-    SweepError,
 )
 from .models import (
     ModelKind,
@@ -521,9 +520,7 @@ def cmd_propagate(args) -> int:
 
 def cmd_bloch(args) -> int:
     drive = complex(args.drive_re, args.drive_im)
-    pf = None
-    if args.params is not None and (args.detuning is None or args.density is not None):
-        pf = _load_params(args)
+    pf = _load_params(args) if args.params is not None else None
     if args.detuning is None and pf is None:
         raise ParameterError("provide --detuning or --params to derive it")
     delta = args.detuning if args.detuning is not None else detuning(pf.params)
@@ -637,12 +634,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(code) if code is not None else 0
     try:
         return args.func(args)
-    except PhysicsGuardError as exc:  # before SweepError: SweepGuardError is both
+    except PhysicsGuardError as exc:  # first, so a SweepGuardError exits 2
         print(f"physics guard: {exc}", file=sys.stderr)
         return 2
-    except (ParameterError, ConfigurationError, SweepError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericsError as exc:
         print(f"numerics failure: {exc}", file=sys.stderr)
         return 2

@@ -175,10 +175,15 @@ def analytic_orders(tau: float, q_max: int) -> DiffractionPattern:
 
 
 def diffraction_angles(params: PhysicalParams, q_max: int) -> dict[int, float]:
-    """Deflection angle per order: alpha_q = atan(q n hbar k_L / (m v_g))."""
+    """Deflection angle per order: alpha_q = atan(q hbar K / (m v_g)).
+
+    K = order_spacing(params) = 2 n k_L is the transverse wavenumber of
+    one order, the kick of the cos^2(n k_L y) grating, so order q's angle
+    is that of the momenta momentum_spectrum bins into order q.
+    """
     if q_max < 0:
         raise ConfigurationError(f"q_max must be nonnegative, got {q_max}")
-    unit = params.harmonic * HBAR * params.k_l / (params.mass * params.v_g)
+    unit = HBAR * order_spacing(params) / (params.mass * params.v_g)
     angles = {0: 0.0}
     for q in range(1, q_max + 1):
         a = math.atan(q * unit)

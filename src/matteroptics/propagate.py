@@ -28,19 +28,22 @@ endpoint times.
 propagate_through_laser makes the field real, and scans it for
 non-finite values, only where a real state is needed: after each
 observed step, after the last step and, with the kinetic term on, after
-every 64th step. With the kinetic term on, the phase is applied around
-every kinetic stage, so there is one step per z-step. A chained step
-returns a merged state, which already holds the next step's opening
-half (the first-same-as-last form of Strang splitting, Bao, Jin &
-Markowich, J. Comput. Phys. 187, 2003). With it off, one step covers a
-whole stretch between real states: one density, one potential
-evaluation, one slice sum of E and one complex exponential per stretch.
-A transit with no observer is then a single step. Its drive and its
-phase drive * weight are checked for non-finite values before the
-exponential. The sum over E samples keeps a kinetic-free transit a
-z-trapezoid of the envelope over the window; the closed-form phase mask
-takes the exact integral sqrt(pi) w_L, so for the full model the two
-differ by that quadrature, truncated tails included, and nothing else.
+every 64th step. One step carries the real state at the start of a
+stretch to the real state at its end, in both modes. With the kinetic
+term on it takes the opening half phase at the entry density, then per
+z-step the kinetic stage and one phase at the fresh density: a full
+phase between z-steps, where one step's closing half and the next one's
+opening half merge (the first-same-as-last form of Strang splitting,
+Bao, Jin & Markowich, J. Comput. Phys. 187, 2003), and the closing half
+at the end. With it off, |psi| is frozen over the stretch: one density,
+one potential evaluation, one slice sum of E and one complex
+exponential. A transit with no observer is then a single step. Its
+drive and its phase drive * weight are checked for non-finite values
+before the exponential. The sum over E samples keeps a kinetic-free
+transit a z-trapezoid of the envelope over the window; the closed-form
+phase mask takes the exact integral sqrt(pi) w_L, so for the full model
+the two differ by that quadrature, truncated tails included, and
+nothing else.
 
 The stretch transit differs from step-by-step Strang by roundoff only,
 which grows with the step count: over the four models, kinetic on and
@@ -52,7 +55,7 @@ kinetic off, where the order populations moved by at most 8.0e-16).
 PropagationConfig describes a transit: step count, kinetic switch,
 model, laser and transverse area. The transit derives dt from its
 z-window [-4 w_L, +4 w_L] and the step count, samples E once, and hands
-step the dt and the envelope samples of each call; a laser_profile of
+step the dt and the envelope samples of each stretch; a laser_profile of
 None is the params' standing wave everywhere. The step-invariant arrays
 are built once per transit: the pattern P on the grid and the kinetic
 phase exp(-i hbar dt k^2/2m) of that dt.
@@ -77,10 +80,11 @@ from .units import HBAR, PhysicalParams
 logger = logging.getLogger(__name__)
 
 # With the kinetic term on, the transit also makes the field real every
-# this many steps, besides each observed step and the last, and every
-# real state is scanned for non-finite values. With it off there is no
-# such interval: |psi| is frozen, a stretch costs one exponential however
-# long it is, and its drive and phase are checked before that.
+# this many z-steps, besides each observed step and the last, so no
+# stretch runs longer unscanned; every real state is scanned for
+# non-finite values. With it off there is no such interval: |psi| is
+# frozen, a stretch costs one exponential however long it is, and its
+# drive and phase are checked before that.
 _FINITE_CHECK_INTERVAL = 64
 
 
@@ -336,80 +340,56 @@ def _settle(psi: np.ndarray, drive: float, weight: np.ndarray) -> np.ndarray:
     return psi * np.exp(-1j * (drive * weight))
 
 
-@dataclass(slots=True)
-class _Merged:
-    """The field at `time` with the next step's opening half already
-    applied; see step(merge_next=True)."""
-
-    grid: Grid1D
-    amplitude: np.ndarray
-    time: float
-
-
 def step(
-    state: WaveState | _Merged,
+    state: WaveState,
     dt: float,
     config: PropagationConfig,
     params: PhysicalParams,
     invariants: tuple[np.ndarray, np.ndarray | None] | None = None,
     *,
     envelope: np.ndarray,
-    merge_next: bool = False,
-) -> WaveState | _Merged:
-    """One Strang step of dt, half potential, kinetic, half potential; or,
-    with the kinetic term off, a stretch of such steps.
+) -> WaveState:
+    """Carry a real state over the k >= 1 z-steps of one stretch of dt each
+    to the real state at its end: k Strang steps of half potential,
+    kinetic, half potential.
 
     `envelope` holds the laser envelope E at the endpoint times t0,
-    t0 + dt, ..., t0 + k dt of the k z-steps the call covers; the
-    caller samples it, as propagate_through_laser does once per transit,
-    and an all-zero envelope turns the potential off. The pattern is the
-    config's laser, or the params' standing wave when it is None.
-    With the kinetic term off the k steps' potential phases commute, so
-    they are applied as one, the trapezoid sum of E times the weight of
-    the state's density, which _weight checks for non-finite values
-    before the exponential. With it on, k must be 1, and the kinetic
-    phase is exact in the spectral basis. `invariants` lets a caller
-    that takes many steps of one dt on one grid with one config pass the
-    arrays built by _step_invariants once; without it they are built
-    here.
-
-    A caller that chains steps merges the potential phases:
-    merge_next=True takes this step's closing half and the next step's
-    opening half as one full-step phase and returns a _Merged state,
-    which is not the field at its time and must go on to a step with the
-    same dt, config and invariants. Given a _Merged state, a step takes
-    its opening half as already there. The default returns a real
-    WaveState, so bare steps from a real state are full Strang steps.
+    t0 + dt, ..., t0 + k dt of the stretch; the caller samples it, as
+    propagate_through_laser does once per transit, and an all-zero
+    envelope turns the potential off. The pattern is the config's laser,
+    or the params' standing wave when it is None. With the kinetic term
+    on, the opening half phase is taken at the entry density; then each
+    z-step takes its kinetic stage, exact in the spectral basis, and one
+    phase at the fresh density: the full phase between z-steps, where one
+    step's closing half and the next one's opening half merge, and the
+    closing half at the end. With it off the k steps' potential phases
+    commute, so they are applied as one, the trapezoid sum of E times the
+    weight of the state's density, which _weight checks for non-finite
+    values before the exponential. `invariants` lets a caller that takes
+    many stretches of one dt on one grid with one config pass the arrays
+    built by _step_invariants once; without it they are built here.
     """
     if invariants is None:
         invariants = _step_invariants(state.grid, dt, config, params)
     pattern, kinetic_phase = invariants
     spans = len(envelope) - 1
-    if spans < 1 or (spans > 1 and config.kinetic_enabled):
-        raise ConfigurationError(
-            "a step covers one z-step, or with the kinetic term off one or "
-            f"more; got {spans}"
-        )
-    t0 = state.time
-    t1 = t0 + spans * dt
-
+    if spans < 1:
+        raise ConfigurationError(f"a step covers one or more z-steps, got {spans}")
+    t = state.time
     psi = state.amplitude
-    merged = isinstance(state, _Merged)  # its opening half is in psi already
-    closing = envelope[-1] if merge_next else 0.5 * envelope[-1]
     if config.kinetic_enabled:
-        if not merged:
-            psi = _settle(psi, 0.5 * envelope[0], _weight(psi, t0, pattern, dt, config, params))
-        psi = np.fft.ifft(np.fft.fft(psi) * kinetic_phase)
-        # the kinetic stage moved |psi|
-        drive, weight = closing, _weight(psi, t1, pattern, dt, config, params)
+        psi = _settle(psi, 0.5 * envelope[0], _weight(psi, t, pattern, dt, config, params))
+        for j in range(1, spans + 1):
+            psi = np.fft.ifft(np.fft.fft(psi) * kinetic_phase)
+            t += dt
+            # the kinetic stage moved |psi|
+            drive = envelope[j] if j < spans else 0.5 * envelope[j]
+            psi = _settle(psi, drive, _weight(psi, t, pattern, dt, config, params))
     else:
-        drive = (0.0 if merged else 0.5 * envelope[0]) + float(np.sum(envelope[1:-1]))
-        drive += closing
-        weight = _weight(psi, t0, pattern, dt, config, params, drive=drive)
-    psi = _settle(psi, drive, weight)
-    if merge_next:
-        return _Merged(state.grid, psi, t1)
-    return WaveState._unchecked(state.grid, psi, t1)
+        drive = 0.5 * envelope[0] + float(np.sum(envelope[1:-1])) + 0.5 * envelope[-1]
+        psi = _settle(psi, drive, _weight(psi, t, pattern, dt, config, params, drive=drive))
+        t += spans * dt
+    return WaveState._unchecked(state.grid, psi, t)
 
 
 def propagate_through_laser(
@@ -426,20 +406,21 @@ def propagate_through_laser(
     envelope integral below 1e-7 of its value. Returns the far-zone
     state with its clock advanced by the crossing duration.
 
-    The field is a real state only after the steps that need one (see
+    The field is a real state only after the z-steps that need one (see
     the module docstring): each step in `observe_steps`, which must lie
     in 1..n_steps, the last step and, with the kinetic term on only,
-    every _FINITE_CHECK_INTERVAL-th step. Each is scanned for non-finite
-    values, then `observer` is called with (step_index, state), in
-    order; it never sees a merged or non-finite state. With the kinetic
-    term off, each stretch up to a real state is one step, whose drive
-    is checked here and whose phase is checked in _weight, both before
-    its exponential. The real steps, not the observer, decide the
-    arithmetic: the same observe_steps give the same bits with or
-    without an observer. A NumericsError leaves with last_good =
-    (step_index, state), the last real state that passed the scan, or
-    (0, the entry state); with the kinetic term off that is the last
-    observed state before the failing stretch, or the entry state.
+    every _FINITE_CHECK_INTERVAL-th step. One step() call carries each
+    real state over the stretch to the next, in both modes. Each real
+    state is scanned for non-finite values, then `observer` is called
+    with (step_index, state), in order; it never sees a non-finite
+    state. With the kinetic term off, a stretch's drive is checked here
+    and its phase in _weight, both before its one exponential. The real
+    states, not the observer, decide the arithmetic: the same
+    observe_steps give the same bits with or without an observer. A
+    NumericsError leaves with last_good = (step_index, state), the last
+    real state that passed the scan, or (0, the entry state); with the
+    kinetic term off that is the last observed state before the failing
+    stretch, or the entry state.
     """
     last = config.n_steps
     observed = {operator.index(i) for i in observe_steps}  # TypeError for a non-integer
@@ -460,10 +441,7 @@ def propagate_through_laser(
     start = 0
     last_good = (0, state)
     try:
-        # one step per z-step with the kinetic term on, one per stretch up
-        # to the next real state with it off
-        for index in range(1, last + 1) if config.kinetic_enabled else sorted(real):
-            split = index in real
+        for index in sorted(real):
             stretch = envelope[start : index + 1]
             if not config.kinetic_enabled and not math.isfinite(float(np.sum(stretch))):
                 # the stretch's phases go into one exponential: check its
@@ -474,13 +452,8 @@ def propagate_through_laser(
                     step=index,
                     time=working.time,
                 )
-            working = step(
-                working, dt, config, params, invariants,
-                envelope=stretch, merge_next=not split,
-            )
+            working = step(working, dt, config, params, invariants, envelope=stretch)
             start = index
-            if not split:
-                continue
             if not np.all(np.isfinite(working.amplitude.view(np.float64))):
                 raise NumericsError(
                     f"non-finite amplitude after step {index} "

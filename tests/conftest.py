@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -20,6 +21,7 @@ from matteroptics import (
     detuning,
     effective_wavelength,
     params_to_system,
+    propagate,
 )
 
 settings.register_profile(
@@ -94,6 +96,35 @@ def params_file_text(params: PhysicalParams, units: str = "cgs") -> str:
     lines = [f"units = {units}"]
     lines.extend(f"{k} = {format(v, '.17g')}" for k, v in vals.items())
     return "\n".join(lines) + "\n"
+
+
+def poison_z_step(monkeypatch, at_step: int, real_steps) -> dict:
+    """Make a kinetic-on transit's field NaN after z-step at_step.
+
+    A kinetic-on step opens its stretch with a half phase, then applies
+    one phase per z-step, each a propagate._settle call; a new stretch
+    opens after each of the transit's `real_steps`. Returns the field
+    after each z-step, by step number, as far as the transit got.
+    """
+    real_settle = propagate._settle
+    fields = {}
+    z_step, opening = 0, True
+
+    def settle(psi, drive, weight):
+        nonlocal z_step, opening
+        out = real_settle(psi, drive, weight)
+        if opening:  # a stretch's opening half
+            opening = False
+            return out
+        z_step += 1
+        if z_step == at_step:
+            out = out * np.nan
+        fields[z_step] = out
+        opening = z_step in real_steps
+        return out
+
+    monkeypatch.setattr(propagate, "_settle", settle)
+    return fields
 
 
 @pytest.fixture()

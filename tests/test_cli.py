@@ -17,6 +17,7 @@ from matteroptics.diffraction import (
     DEFAULT_GRID_POINTS,
     DEFAULT_Z_STEPS,
     analytic_orders,
+    commensurate_grid,
     default_q_max,
 )
 from matteroptics.sweep import SweepSpec
@@ -27,6 +28,7 @@ from matteroptics.units import detuning
 from conftest import (
     make_params,
     params_file_text,
+    poison_z_step,
     red_detuned,
     with_g0,
     with_v0rho,
@@ -674,20 +676,10 @@ class TestPropagate:
     ):
         # A field poisoned at step 9 is caught by the check at step 9; the
         # rescue must hold step 6, the last state that passed a check.
-        path, _ = self._params_path(tmp_path)
+        path, p = self._params_path(tmp_path)
         prefix = str(tmp_path / "bad")
         monkeypatch.setattr(propagate, "_FINITE_CHECK_INTERVAL", 3)
-        real_step = propagate.step
-        states = []
-
-        def poisoned_step(state, dt, config, params, invariants=None, **halves):
-            out = real_step(state, dt, config, params, invariants, **halves)
-            if len(states) == 8:
-                out = propagate.WaveState(out.grid, out.amplitude * np.nan, out.time)
-            states.append(out)
-            return out
-
-        monkeypatch.setattr(propagate, "step", poisoned_step)
+        fields = poison_z_step(monkeypatch, 9, {3, 6, 9, 12, 15, 16})
         code, _, err = run(
             capsys, "propagate", "--params", path, "--out", prefix,
             "--grid-points", "1024", "--box-lambdas", "32", "--steps", "16",
@@ -695,26 +687,16 @@ class TestPropagate:
         assert code == 2
         assert "after step 9" in err
         assert "(step 6)" in err
+        self._assert_rescue(prefix, p, fields[6])
+
+    @staticmethod
+    def _assert_rescue(prefix, p, field):
+        """The rescue file holds `field` on the run's grid."""
+        grid = commensurate_grid(p, 1024, 32.0)
         expected = io.StringIO()
-        propagate.write_state_csv(states[5], math.inf, expected)
+        propagate.write_state_csv(propagate.WaveState(grid, field), math.inf, expected)
         with open(f"{prefix}_state_lastgood.csv", encoding="utf-8") as fh:
             assert fh.read() == expected.getvalue()
-
-
-    def _poison(self, monkeypatch, at_step):
-        """Make step number at_step return a NaN field; returns every state."""
-        real_step = propagate.step
-        states = []
-
-        def poisoned_step(state, dt, config, params, invariants=None, **halves):
-            out = real_step(state, dt, config, params, invariants, **halves)
-            if len(states) == at_step - 1:
-                out = propagate.WaveState(out.grid, out.amplitude * np.nan, out.time)
-            states.append(out)
-            return out
-
-        monkeypatch.setattr(propagate, "step", poisoned_step)
-        return states
 
     def test_nan_between_checks_takes_the_rescue_path(
         self, capsys, tmp_path, monkeypatch
@@ -722,10 +704,10 @@ class TestPropagate:
         # Poisoned at step 7 with checks every 3 steps: step 8's adiabatic
         # guard sees the NaN first and must report a numerics failure, so
         # the rescue holds step 6.
-        path, _ = self._params_path(tmp_path)
+        path, p = self._params_path(tmp_path)
         prefix = str(tmp_path / "bad")
         monkeypatch.setattr(propagate, "_FINITE_CHECK_INTERVAL", 3)
-        states = self._poison(monkeypatch, 7)
+        fields = poison_z_step(monkeypatch, 7, {3, 6, 9, 12, 15, 16})
         code, _, err = run(
             capsys, "propagate", "--params", path, "--out", prefix,
             "--grid-points", "1024", "--box-lambdas", "32", "--steps", "16",
@@ -733,17 +715,14 @@ class TestPropagate:
         assert code == 2
         assert "numerics failure" in err and "physics guard" not in err
         assert "(step 6)" in err
-        expected = io.StringIO()
-        propagate.write_state_csv(states[5], math.inf, expected)
-        with open(f"{prefix}_state_lastgood.csv", encoding="utf-8") as fh:
-            assert fh.read() == expected.getvalue()
+        self._assert_rescue(prefix, p, fields[6])
 
     def test_nan_on_a_snapshot_step_takes_the_rescue_path(
         self, capsys, tmp_path, monkeypatch
     ):
         path, _ = self._params_path(tmp_path)
         prefix = str(tmp_path / "bad")
-        self._poison(monkeypatch, 4)
+        poison_z_step(monkeypatch, 4, {4, 8, 12, 16})  # the snapshot steps
         code, _, err = run(
             capsys, "propagate", "--params", path, "--out", prefix,
             "--grid-points", "1024", "--box-lambdas", "32",
@@ -762,7 +741,7 @@ class TestPropagate:
         # density check fails, and the rescue is the step-8 snapshot.
         path, _ = self._params_path(tmp_path)
         prefix = str(tmp_path / "bad")
-        self._poison(monkeypatch, 12)
+        poison_z_step(monkeypatch, 12, {8, 16})  # the snapshot steps
         code, _, err = run(
             capsys, "propagate", "--params", path, "--out", prefix,
             "--grid-points", "1024", "--box-lambdas", "32",
@@ -963,15 +942,10 @@ class TestBloch:
         assert "detuning" in err
 
     @pytest.mark.parametrize(
-        "flags, reads",
-        [
-            (("--density", "0"), 1),
-            (("--density", "0", "--detuning", "0.0"), 1),
-            ((), 1),
-            (("--detuning", "0.0"), 0),
-        ],
+        "flags",
+        [("--density", "0"), ("--density", "0", "--detuning", "0.0"), (), ("--detuning", "0.0")],
     )
-    def test_params_file_read_at_most_once(self, capsys, tmp_path, monkeypatch, flags, reads):
+    def test_params_file_read_exactly_once(self, capsys, tmp_path, monkeypatch, flags):
         path = write_params(tmp_path, make_params())
         real = cli.read_param_file
         calls = []
@@ -986,7 +960,18 @@ class TestBloch:
             "--drive-re", "1.0", "--dt", "1e-12", "--steps", "1",
         )
         assert code == 0
-        assert len(calls) == reads
+        assert len(calls) == 1
+
+    def test_a_given_params_file_is_read_with_a_detuning(self, capsys, tmp_path):
+        # --detuning leaves the file's constants unused, but a file named
+        # on the command line is still read, so a missing one is an error
+        missing = str(tmp_path / "missing.params")
+        code, out, err = run(
+            capsys, "bloch", "--params", missing, "--detuning", "0.1",
+            "--dt", "0.01", "--steps", "5",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("i/o error: ") and "missing.params" in err
 
 
 class TestSweep:

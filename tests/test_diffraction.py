@@ -150,9 +150,23 @@ class TestDiffractionAngles:
     def test_momentum_ratio_inverts_exactly(self):
         p = make_params()
         angles = diffraction_angles(p, 7)
-        scale = p.mass * p.v_g / (p.harmonic * HBAR * p.k_l)
+        scale = p.mass * p.v_g / (HBAR * order_spacing(p))
         for q in range(-7, 8):
             assert math.tan(angles[q]) * scale == pytest.approx(q, abs=1e-14)
+
+    @pytest.mark.parametrize("harmonic", [1.0, 1.5])
+    def test_angle_is_that_of_the_binned_order(self, harmonic):
+        # a plane wave at order q's wavenumber is binned into order q, and
+        # its momentum hbar k over m v_g is tan alpha_q
+        p = make_params(harmonic=harmonic)
+        g = commensurate_grid(p, 1024, 32.0)
+        angles = diffraction_angles(p, 3)
+        for q in range(-3, 4):
+            k = q * order_spacing(p)
+            wave = WaveState(grid=g, amplitude=np.exp(1j * k * g.points()))
+            orders = momentum_spectrum(wave, order_spacing(p), 3).orders
+            assert orders[q] == pytest.approx(1.0, abs=1e-12)
+            assert math.tan(angles[q]) == pytest.approx(HBAR * k / (p.mass * p.v_g), rel=1e-14)
 
     def test_zero_order_is_plus_zero(self):
         angles = diffraction_angles(make_params(), 3)
@@ -160,11 +174,13 @@ class TestDiffractionAngles:
         assert math.copysign(1.0, angles[0]) == 1.0
 
     def test_small_angle_regime(self):
+        # one order is 2 hbar k_L, 0.059 rad at the reference point: the
+        # small-angle form holds to 1% up to q = 2
         p = make_params()
-        unit = p.harmonic * HBAR * p.k_l / (p.mass * p.v_g)
-        assert unit == pytest.approx(0.0295, rel=0.02)
-        angles = diffraction_angles(p, 5)
-        for q in range(1, 6):
+        unit = HBAR * order_spacing(p) / (p.mass * p.v_g)
+        assert unit == pytest.approx(0.0589, rel=0.02)
+        angles = diffraction_angles(p, 2)
+        for q in range(1, 3):
             arg = q * unit
             assert arg < 0.17
             assert abs(angles[q] - arg) <= 0.01 * arg

@@ -33,7 +33,7 @@ from matteroptics.models import ModelKind, effective_potential
 from matteroptics.serialize import csv_num
 from matteroptics.units import HBAR, detuning
 
-from conftest import make_params, red_detuned, with_v0rho, with_wy_lambdas
+from conftest import make_params, poison_z_step, red_detuned, with_v0rho, with_wy_lambdas
 
 
 def _grid(n=256, length=1.0):
@@ -218,13 +218,15 @@ def test_constant_drive_accumulates_trapezoid_phase():
         assert np.max(np.abs(np.abs(out.amplitude) - np.abs(psi0))) < 1e-12
 
 
-def test_a_kinetic_step_covers_one_z_step():
+@pytest.mark.parametrize("kinetic", [True, False])
+def test_a_step_needs_two_envelope_samples(kinetic):
+    # the samples are the endpoints of the z-steps a step covers, and a
+    # step covers at least one
     p = make_params()
-    g = _grid(64, 1.0)
-    s = WaveState(grid=g, amplitude=np.ones(64))
-    cfg = PropagationConfig(n_steps=1, laser_profile=_flat_laser(1.0))
-    for envelope in (np.ones(3), np.ones(1)):
-        with pytest.raises(ConfigurationError, match="z-step"):
+    s = WaveState(grid=_grid(64, 1.0), amplitude=np.ones(64))
+    cfg = PropagationConfig(n_steps=1, kinetic_enabled=kinetic, laser_profile=_flat_laser(1.0))
+    for envelope in (np.ones(1), np.ones(0)):
+        with pytest.raises(ConfigurationError, match="one or more z-steps"):
             step(s, 1.0e-6, cfg, p, envelope=envelope)
 
 
@@ -379,26 +381,17 @@ class TestPropagateThroughLaser:
         assert good.time == clean[192].time
 
     def test_density_failure_carries_the_last_good_state(self, monkeypatch):
-        # kinetic on, real states every 3 steps: a NaN made by step 7 is
-        # caught by step 8's density check inside step, not by a scan
+        # kinetic on, real states every 3 steps: a NaN made by z-step 7 is
+        # caught by z-step 8's density check inside the step over 6..9,
+        # not by a scan
         monkeypatch.setattr(propagate, "_FINITE_CHECK_INTERVAL", 3)
         laser = standing_wave(make_params())
         clean = {}
         self._tracer_run(laser, True, 16, observer=lambda i, st: clean.setdefault(i, st))
-        real_step = propagate.step
-        calls = []
-
-        def poisoned_step(state, dt, config, params, invariants=None, **kwargs):
-            out = real_step(state, dt, config, params, invariants, **kwargs)
-            calls.append(out)
-            if len(calls) == 7:
-                out = WaveState(out.grid, out.amplitude * np.nan, out.time)
-            return out
-
-        monkeypatch.setattr(propagate, "step", poisoned_step)
+        fields = poison_z_step(monkeypatch, 7, {3, 6, 9, 12, 15, 16})
         with pytest.raises(NumericsError, match="^non-finite peak density nan") as err:
             self._tracer_run(laser, True, 16)
-        assert len(calls) == 7 and err.value.step is None
+        assert sorted(fields) == list(range(1, 8)) and err.value.step is None
         index, good = err.value.last_good
         assert index == 6
         assert np.array_equal(good.amplitude, clean[6].amplitude)
@@ -774,6 +767,22 @@ class TestHoistedTransitIsBitExact:
         merged = momentum_spectrum(out, order_spacing(p), 7).orders
         unmerged = momentum_spectrum(strang, order_spacing(p), 7).orders
         assert max(abs(merged[q] - unmerged[q]) for q in merged) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [1, 3, 24])
+def test_a_kinetic_step_is_the_deferred_transit_over_its_stretch(k):
+    # one kinetic-on step over k z-steps, bit for bit the written-out
+    # scheme with a real state only at the end
+    p = with_v0rho(make_params(), 0.3)
+    entry = init_gaussian(_grid(512, 8.0 * p.w_y), p.rho_0, p.w_y, 1.0)
+    cfg = PropagationConfig(n_steps=k, kinetic_enabled=True)
+    dt, _, t_entry, envelope = _transit_setup(cfg, p)
+    out = step(
+        WaveState(grid=entry.grid, amplitude=entry.amplitude, time=t_entry), dt, cfg, p,
+        envelope=envelope,
+    )
+    assert np.array_equal(out.amplitude, _deferred_transit(entry, cfg, p, {k})[k])
+    assert out.time == pytest.approx(t_entry + k * dt, rel=1e-12)
 
 
 class TestMomentumSpectrum:

@@ -5,8 +5,9 @@ checks that a three-route sweep nests its spans as cli.main >
 sweep.run_sweep > diffraction.propagator_orders >
 propagate.propagate_through_laser > propagate.step >
 models.effective_potential. A transit calls propagate.step once per
-z-step with the kinetic term on, and once per stretch between real
-states (the observed steps and the last) with it off.
+stretch between real states, with the kinetic term on or off: the
+observed steps and the last, and with the kinetic term on also the
+finite checks.
 """
 
 import importlib.util
@@ -75,13 +76,11 @@ def test_traced_propagate_evaluates_the_potential_per_fresh_density(
     kinetic, tmp_path, capsys
 ):
     # 150 steps with two snapshots, at 75 and at the last step. With the
-    # kinetic term off those are the only real states: one step covers
-    # each of the two stretches up to them, and |psi| changes only where
-    # the field is made real, so the potential is evaluated once per real
-    # state that starts a stretch, the entry state and the one at 75.
-    # With it on, the finite checks at 64 and 128 are real states too,
-    # there is one step per z-step, and every step adds the density after
-    # its kinetic stage.
+    # kinetic term off those are the only real states, and with it on the
+    # finite checks at 64 and 128 are real states too; one step covers
+    # each stretch up to a real state. The potential is evaluated once per
+    # real state that starts a stretch, and with the kinetic term on once
+    # more per z-step, at the density after its kinetic stage.
     tracer = _load_tracer()
     path = _params_path(tmp_path, with_v0rho(with_wy_lambdas(make_params(), 4.0), 0.3))
     z_steps, interior_real = 150, 3 if kinetic else 1
@@ -95,7 +94,7 @@ def test_traced_propagate_evaluates_the_potential_per_fresh_density(
     assert code == 0
     assert tracer.nesting_errors(spans, False) == []
     steps = [s for s in spans if s[tracer.NAME] == "propagate.step"]
-    assert len(steps) == (z_steps if kinetic else 1 + interior_real)
+    assert len(steps) == 1 + interior_real
     potentials = [s for s in spans if s[tracer.NAME] == "models.effective_potential"]
     assert all(spans[s[tracer.PARENT]][tracer.NAME] == "propagate.step" for s in potentials)
     expected = 1 + interior_real + (z_steps if kinetic else 0)
