@@ -67,7 +67,6 @@ from .models import (
 )
 from .optics import (
     MediumResponse,
-    adiabatic_validity,
     contact_interaction_bound,
     local_detuning,
     medium_response,
@@ -95,7 +94,6 @@ from .units import (
     ParamFile,
     PhysicalParams,
     detuning,
-    params_from_si,
     params_to_system,
     parse_param_file,
     read_param_file,
@@ -131,7 +129,6 @@ __all__ = [
     "SweepRow",
     "SweepSpec",
     "WaveState",
-    "adiabatic_validity",
     "analytic_orders",
     "bessel_j_sequence",
     "bloch_rhs",
@@ -151,7 +148,6 @@ __all__ = [
     "momentum_spectrum",
     "norm",
     "numeric_orders",
-    "params_from_si",
     "params_to_system",
     "parse_param_file",
     "pattern_discrepancy",

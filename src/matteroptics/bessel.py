@@ -58,12 +58,7 @@ def bessel_j_sequence(x: float, q_max: int) -> np.ndarray:
         raise ParameterError(f"argument must be finite, got {x!r}")
 
     ax = abs(x)
-    if ax == 0.0:
-        out = np.zeros(q_max + 1)
-        out[0] = 1.0
-        return out
-
-    if ax < _SERIES_CUTOFF:
+    if ax < _SERIES_CUTOFF:  # exactly [1, 0, ...] at x = 0 and -0.0
         vals = _sequence_small(ax, q_max)
         if x < 0.0:
             vals[1::2] *= -1.0

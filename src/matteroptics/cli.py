@@ -62,11 +62,11 @@ from .models import (
     significant_density,
 )
 from .optics import (
-    adiabatic_validity,
     contact_interaction_bound,
     local_detuning,
     medium_response,
     polarizability,
+    weakest_adiabatic_ratio,
 )
 from .propagate import (
     PropagationConfig,
@@ -316,7 +316,8 @@ def cmd_optics(args) -> int:
         ("local_detuning", lambda: local_detuning(p, density), "frequency"),
         ("v0", lambda: characteristic_volume(p), "volume"),
         ("v0_rho", lambda: characteristic_volume(p) * density, "dimensionless"),
-        ("adiabatic_ratio", lambda: adiabatic_validity(p, density), "dimensionless"),
+        ("adiabatic_ratio", lambda: weakest_adiabatic_ratio(p, density, density)[0],
+         "dimensionless"),
         ("contact_bound", lambda: contact_interaction_bound(args.saturation, p), "dimensionless"),
         ("significant_density_exact", lambda: significant_density(p).exact, "density"),
         ("significant_density_scaling", lambda: significant_density(p).scaling, "density"),
@@ -372,7 +373,7 @@ def cmd_diffract(args) -> int:
         q_max = default_q_max([p], paths, args.grid_points, args.box_lambdas)
     rn, patterns, discrepancy = evaluate_routes(
         p, paths, q_max, args.grid_points, args.box_lambdas, args.steps,
-        model=ModelKind.from_name(args.model),
+        model=ModelKind(args.model),
     )
     angles = diffraction_angles(p, q_max)
     if len(patterns) == 1:
@@ -429,7 +430,7 @@ def cmd_propagate(args) -> int:
     state = init_gaussian(grid, p.rho_0, p.w_y, area)
     initial_norm = norm(state)
 
-    model = ModelKind.from_name(args.model)
+    model = ModelKind(args.model)
     config = PropagationConfig(
         n_steps=args.steps,
         kinetic_enabled=args.kinetic,

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import MatterOpticsError, ParameterError, SingularDetuningError
-from .units import HBAR, PhysicalParams, detuning
+from .units import HBAR, PhysicalParams, checked_power, detuning
 from .optics import (
     ADIABATIC_RATIO_MIN,
     COLLISION_BOUND_MIN,
@@ -43,14 +43,6 @@ class ModelKind(enum.Enum):
     GROSS_PITAEVSKII_TYPE = "gp"
     WALLIS_TYPE = "wallis"
 
-    @classmethod
-    def from_name(cls, name: str) -> "ModelKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        valid = ", ".join(k.value for k in cls)
-        raise ParameterError(f"unknown model '{name}'; expected one of: {valid}")
-
 
 @dataclass(frozen=True)
 class RamanNathParams:
@@ -67,7 +59,10 @@ class RamanNathParams:
 
     def __post_init__(self):
         denom = check_pole(1.0 + self.v0 * self.rho_0, self.rho_0, "beam-splitter")
-        object.__setattr__(self, "tau", 2.0 * self.g0 / denom**2)
+        tau = 2.0 * self.g0 / checked_power(denom, 2, "1 + V0 rho_0")
+        if not math.isfinite(tau):
+            raise ParameterError(f"tau = 2 g0 / (1 + V0 rho_0)^2 is not finite: g0 = {self.g0!r}")
+        object.__setattr__(self, "tau", tau)
 
 
 def characteristic_volume(params: PhysicalParams) -> float:
@@ -79,7 +74,7 @@ def characteristic_volume(params: PhysicalParams) -> float:
     delta = detuning(params)
     if delta == 0.0:
         raise SingularDetuningError("characteristic volume undefined at zero detuning")
-    return (4.0 * math.pi / 3.0) * params.dipole**2 / (HBAR * delta)
+    return (4.0 * math.pi / 3.0) * checked_power(params.dipole, 2, "dipole") / (HBAR * delta)
 
 
 def effective_potential(kind: ModelKind, rabi_sq, density, params: PhysicalParams):
@@ -109,9 +104,8 @@ def effective_potential(kind: ModelKind, rabi_sq, density, params: PhysicalParam
         denom = check_pole(1.0 + v0 * rho, rho, "full-model")
         out = HBAR * rabi / (4.0 * delta * denom**2)
     elif kind is ModelKind.GROSS_PITAEVSKII_TYPE:
-        out = (rabi / delta) * (
-            HBAR / 4.0 - (2.0 * math.pi / 3.0) * (params.dipole**2 / delta) * rho
-        )
+        d_sq = checked_power(params.dipole, 2, "dipole")
+        out = (rabi / delta) * (HBAR / 4.0 - (2.0 * math.pi / 3.0) * (d_sq / delta) * rho)
     elif kind is ModelKind.WALLIS_TYPE:
         alpha = polarizability(params)
         denom = check_pole(1.0 - (8.0 * math.pi / 3.0) * alpha * rho, rho, "screened-model")
@@ -131,7 +125,8 @@ def raman_nath_params(params: PhysicalParams) -> RamanNathParams:
     """
     v0 = characteristic_volume(params)  # raises at zero detuning
     delta = detuning(params)
-    g0 = params.rabi_peak**2 * params.w_l * math.sqrt(math.pi) / (16.0 * delta * params.v_g)
+    rabi_sq = checked_power(params.rabi_peak, 2, "rabi_peak")
+    g0 = rabi_sq * params.w_l * math.sqrt(math.pi) / (16.0 * delta * params.v_g)
     return RamanNathParams(v0=v0, g0=g0, rho_0=params.rho_0)
 
 
@@ -153,7 +148,8 @@ def significant_density(params: PhysicalParams) -> SignificantDensity:
     exact = 1.0 / abs(v0)
     if params.gamma == 0.0:
         return SignificantDensity(exact=exact, scaling=None)
-    scaling = (abs(detuning(params)) / params.gamma) * params.k_l**3 / math.pi
+    k_l_cubed = checked_power(params.k_l, 3, "k_l")
+    scaling = (abs(detuning(params)) / params.gamma) * k_l_cubed / math.pi
     return SignificantDensity(exact=exact, scaling=scaling)
 
 

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError, PhysicsGuardError, PoleError, SingularDetuningError
-from .units import HBAR, C_LIGHT, PhysicalParams, detuning
+from .units import HBAR, C_LIGHT, PhysicalParams, checked_power, detuning
 
 # Guard distance on medium-response denominators. The natural scale of
 # each denominator is 1 (its zero-density value), so the absolute and
@@ -66,7 +66,7 @@ def polarizability(params: PhysicalParams) -> float:
     delta = detuning(params)
     if delta == 0.0:
         raise SingularDetuningError("polarizability undefined at zero detuning")
-    return -params.dipole**2 / (HBAR * delta)
+    return -checked_power(params.dipole, 2, "dipole") / (HBAR * delta)
 
 
 def smallest_magnitude(lo: float, hi: float, rho_lo: float, rho_hi: float) -> tuple[float, float]:
@@ -146,7 +146,8 @@ def local_detuning(params: PhysicalParams, density: float) -> float:
     The shift is linear in rho with positive slope; equivalently
     Delta * (1 + V0*rho) with V0 the characteristic volume.
     """
-    return detuning(params) + (4.0 * math.pi / 3.0) * params.dipole**2 * density / HBAR
+    d_sq = checked_power(params.dipole, 2, "dipole")
+    return detuning(params) + (4.0 * math.pi / 3.0) * d_sq * density / HBAR
 
 
 def medium_response(params: PhysicalParams, density: float) -> MediumResponse:
@@ -175,7 +176,7 @@ def contact_interaction_bound(saturation: float | None, params: PhysicalParams) 
             raise ParameterError(
                 "cannot derive the default saturation at zero detuning; pass --saturation"
             )
-        saturation = (params.rabi_peak / delta) ** 2
+        saturation = checked_power(params.rabi_peak / delta, 2, "rabi_peak / detuning")
     if not saturation > 0.0:
         raise ParameterError(f"saturation must be positive, got {saturation!r}")
     if params.scattering_length <= 0.0:
@@ -184,11 +185,6 @@ def contact_interaction_bound(saturation: float | None, params: PhysicalParams) 
         )
     k_a = params.omega_a / C_LIGHT
     return 0.375 * saturation / (params.scattering_length * k_a)
-
-
-def adiabatic_validity(params: PhysicalParams, density: float) -> float:
-    """Ratio |Delta_l| / gamma; infinite in the coherent limit gamma = 0."""
-    return weakest_adiabatic_ratio(params, density, density)[0]
 
 
 def weakest_adiabatic_ratio(

@@ -75,7 +75,7 @@ from .errors import ConfigurationError, NumericsError, ParameterError
 from .models import ModelKind, effective_potential
 from .optics import check_adiabatic
 from .serialize import write_float_table
-from .units import HBAR, PhysicalParams
+from .units import HBAR, PhysicalParams, checked_power
 
 logger = logging.getLogger(__name__)
 
@@ -199,8 +199,8 @@ def standing_wave(params: PhysicalParams) -> Laser:
 
     E(z) = Omega_0^2 exp(-z^2/w_L^2) and P(y) = cos^2(n k_L y).
     """
-    omega0_sq = params.rabi_peak**2
-    inv_wl_sq = 1.0 / params.w_l**2
+    omega0_sq = checked_power(params.rabi_peak, 2, "rabi_peak")
+    inv_wl_sq = 1.0 / checked_power(params.w_l, 2, "w_l")
     nk = params.harmonic * params.k_l
     return Laser(
         envelope=lambda z: omega0_sq * np.exp(-(z * z) * inv_wl_sq),
@@ -533,10 +533,8 @@ def momentum_spectrum(state: WaveState, k_unit: float, q_max: int):
     assignment = np.floor(signed_index / m + 0.5).astype(int)
     q_lo = int(assignment.min())
     sums = np.bincount(assignment - q_lo, weights=power)
-    orders = {}
-    for q in range(-q_max, q_max + 1):
-        idx = q - q_lo
-        orders[q] = float(sums[idx]) / total if 0 <= idx < len(sums) else 0.0
+    # check_q_max puts every |q| <= q_max inside the binned range
+    orders = {q: float(sums[q - q_lo]) / total for q in range(-q_max, q_max + 1)}
     return DiffractionPattern(orders=orders)
 
 

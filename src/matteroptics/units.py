@@ -4,9 +4,13 @@ All internal computation uses Gaussian-CGS units: every 4*pi factor in the
 local-field and Clausius-Mossotti formulas is written in Gaussian
 conventions, and porting them to SI invites silent 4*pi*eps0 mistakes.
 SI values are accepted at the boundary (parameter files, CLI) and
-converted exactly once, here, through one table: _SI_TO_CGS holds, per
-dimension, the factor taking an SI value to CGS. convert_dimension is
-the one converter over it; convert_field looks up a field's dimension.
+converted exactly once, here, through two tables. _SI_TO_CGS holds, per
+dimension, the factor taking an SI value to CGS; convert_dimension is
+the one converter over it. _FIELDS is the parameter schema: it maps
+each PhysicalParams field, in field order, to its dimension and its
+lower bound (strictly positive, nonnegative, or none). The file's known
+keys, the range rules of PhysicalParams and convert_field's dimension
+lookup all read it; the required keys are the fields without a default.
 
 Internal units by dimension:
     length      cm
@@ -24,7 +28,7 @@ Internal units by dimension:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import ParameterError
 
@@ -48,24 +52,28 @@ _SI_TO_CGS: dict[str, float] = {
     "dimensionless": 1.0,
 }
 
-# PhysicalParams field -> physical dimension; also the parameter file's
-# set of known keys.
-_FIELD_DIMENSION: dict[str, str] = {
-    "mass": "mass",
-    "dipole": "dipole",
-    "omega_a": "frequency",
-    "gamma": "frequency",
-    "scattering_length": "length",
-    "omega_l": "frequency",
-    "rabi_peak": "frequency",
-    "k_l": "wavenumber",
-    "harmonic": "dimensionless",
-    "w_l": "length",
-    "v_g": "velocity",
-    "rho_0": "density",
-    "w_y": "length",
-    "delta_shift": "frequency",
+# The parameter schema: PhysicalParams field -> (physical dimension,
+# lower bound), in field order. A bound is "positive" (> 0),
+# "nonnegative" (>= 0) or None: delta_shift is signed, and
+# scattering_length is validated where it is used.
+_FIELDS: dict[str, tuple[str, str | None]] = {
+    "mass": ("mass", "positive"),
+    "dipole": ("dipole", "positive"),
+    "omega_a": ("frequency", "positive"),
+    "gamma": ("frequency", "nonnegative"),
+    "scattering_length": ("length", None),
+    "omega_l": ("frequency", "positive"),
+    "rabi_peak": ("frequency", "nonnegative"),
+    "k_l": ("wavenumber", "positive"),
+    "harmonic": ("dimensionless", "positive"),
+    "w_l": ("length", "positive"),
+    "v_g": ("velocity", "positive"),
+    "rho_0": ("density", "nonnegative"),
+    "w_y": ("length", "positive"),
+    "delta_shift": ("frequency", None),
 }
+_POSITIVE_FIELDS = tuple(name for name, (_, bound) in _FIELDS.items() if bound == "positive")
+_NONNEGATIVE_FIELDS = tuple(n for n, (_, bound) in _FIELDS.items() if bound == "nonnegative")
 
 
 def _check_system(units: str) -> None:
@@ -89,29 +97,12 @@ def convert_dimension(value: float, dimension: str, from_system: str, to_system:
 
 def convert_field(value: float, name: str, from_system: str, to_system: str) -> float:
     """Convert one named parameter field between the 'si' and 'cgs' systems."""
-    dim = _FIELD_DIMENSION.get(name)
-    if dim is None:
+    entry = _FIELDS.get(name)
+    if entry is None:
         raise ParameterError(
-            f"unknown parameter '{name}'; valid names: " + ", ".join(sorted(_FIELD_DIMENSION))
+            f"unknown parameter '{name}'; valid names: " + ", ".join(sorted(_FIELDS))
         )
-    return convert_dimension(value, dim, from_system, to_system)
-
-
-# Fields that must be strictly positive; the rest of the numeric fields
-# are bounded below by zero or unconstrained (delta_shift, and
-# scattering_length which is validated where it is used).
-_POSITIVE_FIELDS = (
-    "mass",
-    "dipole",
-    "omega_a",
-    "omega_l",
-    "k_l",
-    "harmonic",
-    "w_l",
-    "v_g",
-    "w_y",
-)
-_NONNEGATIVE_FIELDS = ("gamma", "rabi_peak", "rho_0")
+    return convert_dimension(value, entry[0], from_system, to_system)
 
 
 @dataclass(frozen=True)
@@ -154,12 +145,12 @@ class PhysicalParams:
     delta_shift: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
+        for name in _FIELDS:
+            v = getattr(self, name)
             if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ParameterError(f"{f.name} must be a real number, got {v!r}")
+                raise ParameterError(f"{name} must be a real number, got {v!r}")
             if not math.isfinite(v):
-                raise ParameterError(f"{f.name} must be finite, got {v!r}")
+                raise ParameterError(f"{name} must be finite, got {v!r}")
         for name in _POSITIVE_FIELDS:
             if getattr(self, name) <= 0.0:
                 raise ParameterError(
@@ -172,6 +163,10 @@ class PhysicalParams:
                 )
 
 
+# The parameter file's required keys: the fields without a default.
+_REQUIRED_FIELDS = frozenset(f.name for f in fields(PhysicalParams) if f.default is MISSING)
+
+
 def detuning(params: PhysicalParams) -> float:
     """Laser-atom detuning omega_l - omega_a - delta_shift, rad/s.
 
@@ -181,11 +176,20 @@ def detuning(params: PhysicalParams) -> float:
     return params.omega_l - params.omega_a - params.delta_shift
 
 
-def params_from_si(si_values: dict[str, float]) -> PhysicalParams:
-    """Build PhysicalParams from a dict of field values given in SI units."""
-    return PhysicalParams(
-        **{name: convert_field(value, name, "si", "cgs") for name, value in si_values.items()}
-    )
+def checked_power(value: float, exponent: int, quantity: str) -> float:
+    """value**exponent, or ParameterError naming `quantity` where it overflows.
+
+    A float power beyond the double range raises OverflowError, where a
+    product would give inf; an array power gives inf and never raises.
+    The power is not rewritten as a product, which can differ from it in
+    the last bit.
+    """
+    try:
+        return value**exponent
+    except OverflowError:
+        raise ParameterError(
+            f"{quantity} = {value!r} is out of range: its power {exponent} overflows"
+        ) from None
 
 
 def params_to_system(params: PhysicalParams, units: str) -> dict[str, float]:
@@ -236,7 +240,7 @@ def parse_param_file(text: str, units_override: str | None = None) -> ParamFile:
                 )
             units = value
             continue
-        if key not in _FIELD_DIMENSION:
+        if key not in _FIELDS:
             raise ParameterError(f"line {lineno}: unknown parameter '{key}'")
         if key in raw:
             raise ParameterError(f"line {lineno}: duplicate key '{key}'")
@@ -253,16 +257,13 @@ def parse_param_file(text: str, units_override: str | None = None) -> ParamFile:
     if units is None:
         raise ParameterError("missing 'units = si | cgs' declaration")
 
-    required = set(_FIELD_DIMENSION) - {"delta_shift"}
-    missing = sorted(required - set(raw))
+    missing = sorted(_REQUIRED_FIELDS - set(raw))
     if missing:
         raise ParameterError(f"missing required parameters: {', '.join(missing)}")
 
     if units == "si":
-        params = params_from_si(raw)
-    else:
-        params = PhysicalParams(**raw)
-    return ParamFile(params=params, units=units)
+        raw = {name: convert_field(value, name, "si", "cgs") for name, value in raw.items()}
+    return ParamFile(params=PhysicalParams(**raw), units=units)
 
 
 def read_param_file(path: str, units_override: str | None = None) -> ParamFile:

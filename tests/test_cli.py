@@ -1325,3 +1325,85 @@ class TestCsvMatchesJson:
                     "",
                 ]
             assert cells == want
+
+
+@pytest.mark.parametrize("command", ["diffract", "propagate"])
+def test_unknown_model_is_an_argparse_usage_error(capsys, params_file, tmp_path, command):
+    # argparse's choices are the one check of a model name
+    out = ("--out", str(tmp_path / "run")) if command == "propagate" else ()
+    code, stdout, err = run(
+        capsys, command, "--params", params_file, *out, "--model", "heuristic"
+    )
+    assert (code, stdout) == (1, "")
+    assert "argument --model: invalid choice: 'heuristic'" in err
+    assert os.listdir(tmp_path) == ["ref.params"]  # nothing written
+
+
+class TestHugeInputs:
+    """A finite value whose square or order range overflows the double range
+    ends as an error naming the quantity, not as a traceback."""
+
+    HUGE = "1e+300 is out of range: its power 2 overflows"
+
+    def _path(self, tmp_path, **fields):
+        return write_params(tmp_path, make_params(**fields))
+
+    @pytest.mark.parametrize("field, argv, message", [
+        ("rho_0", ("diffract",), "1 + V0 rho_0 = 2.5"),
+        ("w_l", ("diffract",), "tau = 2 g0 / (1 + V0 rho_0)^2 is not finite: g0 = inf"),
+        ("rabi_peak", ("diffract", "--q-max", "3"), f"rabi_peak = {HUGE}"),
+        ("dipole", ("sweep", "--values", "0,1e16"), f"rho_0=0: dipole = {HUGE}"),
+        ("w_l", ("sweep", "--axis", "w_l", "--values", "1e300"), "g0 = inf"),
+        ("rabi_peak", ("propagate", "--q-max", "3"), f"rabi_peak = {HUGE}"),
+        ("w_l", ("propagate", "--q-max", "3", "--no-kinetic"), f"w_l = {HUGE}"),
+        ("dipole", ("propagate", "--model", "gp", "--q-max", "3"), f"dipole = {HUGE}"),
+        ("dipole", ("bloch", "--density", "1e15", "--dt", "0.01", "--steps", "2"),
+         f"dipole = {HUGE}"),
+    ])
+    def test_an_overflow_is_a_usage_error_naming_it(
+        self, capsys, tmp_path, field, argv, message
+    ):
+        path = self._path(tmp_path, **{field: 1e300})
+        command, *rest = argv
+        if command == "propagate":  # the default box fits the 50-wavelength packet
+            rest = [*rest, "--grid-points", "8192", "--steps", "8", "--out", str(tmp_path / "r")]
+        code, out, err = run(capsys, command, "--params", path, *rest)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_a_huge_density_override_names_the_beam_splitter_factor(self, capsys, params_file):
+        code, _, err = run(capsys, "diffract", "--params", params_file, "--density", "1e200")
+        assert code == 1
+        assert err.startswith("error: 1 + V0 rho_0 = ")
+        assert err.endswith("is out of range: its power 2 overflows\n")
+
+    @pytest.mark.parametrize("field, command, entry, power", [
+        ("dipole", "optics", "alpha", 2),
+        ("rabi_peak", "optics", "contact_bound", 2),
+        ("k_l", "optics", "significant_density_scaling", 3),
+        ("dipole", "validity", "adiabatic_ratio", 2),
+        ("rabi_peak", "validity", "collision_bound", 2),
+    ])
+    def test_a_report_keeps_the_overflow_as_an_error_entry(
+        self, capsys, tmp_path, field, command, entry, power
+    ):
+        path = self._path(tmp_path, **{field: 1e300})
+        code, out, err = run(capsys, command, "--params", path, "--format", "json")
+        assert (code, err) == (2, "")
+        doc = json.loads(out)
+        errors = (
+            doc["errors"] if command == "optics"
+            else {c["name"]: c["error"] for c in doc["checks"] if c["error"]}
+        )
+        assert errors[entry].endswith(f"is out of range: its power {power} overflows")
+
+    def test_a_mixed_sweep_keeps_its_finite_row(self, capsys, params_file):
+        args = ("sweep", "--params", params_file, "--axis", "rho_0", "--paths", "analytic",
+                "--q-max", "3")
+        code, out, err = run(capsys, *args, "--values", "0,1e200")
+        assert (code, err) == (2, "")
+        header, finite, huge = out.splitlines()
+        assert run(capsys, *args, "--values", "0") == (0, f"{header}\n{finite}\n", "")
+        assert huge.startswith("1e+200,,,,,,,,,,1 + V0 rho_0 = ")
+        assert huge.endswith("is out of range: its power 2 overflows")

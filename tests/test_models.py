@@ -15,19 +15,46 @@ from matteroptics.models import (
     regime_checks,
     significant_density,
 )
-from matteroptics.optics import adiabatic_validity, contact_interaction_bound, polarizability
+from matteroptics.optics import contact_interaction_bound, local_detuning, polarizability
 from matteroptics.units import HBAR, detuning
 
 from conftest import make_params, red_detuned, with_g0, with_v0rho
 
 
 def test_model_kind_names():
-    assert ModelKind.from_name("full") is ModelKind.FULL
-    assert ModelKind.from_name("single") is ModelKind.SINGLE_PARTICLE
-    assert ModelKind.from_name("gp") is ModelKind.GROSS_PITAEVSKII_TYPE
-    assert ModelKind.from_name("wallis") is ModelKind.WALLIS_TYPE
-    with pytest.raises(ParameterError, match="unknown model"):
-        ModelKind.from_name("heuristic")
+    assert ModelKind("full") is ModelKind.FULL
+    assert ModelKind("single") is ModelKind.SINGLE_PARTICLE
+    assert ModelKind("gp") is ModelKind.GROSS_PITAEVSKII_TYPE
+    assert ModelKind("wallis") is ModelKind.WALLIS_TYPE
+    with pytest.raises(ValueError, match="'heuristic' is not a valid ModelKind"):
+        ModelKind("heuristic")
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: characteristic_volume(make_params(dipole=1e300)), "dipole = 1e\\+300 "),
+    (lambda: raman_nath_params(make_params(rabi_peak=1e300)), "rabi_peak = 1e\\+300 "),
+    (lambda: RamanNathParams(v0=1.0, g0=1.0, rho_0=1e200), "1 \\+ V0 rho_0 = 1e\\+200 "),
+    (lambda: significant_density(make_params(k_l=1e300)), "k_l = 1e\\+300 .* power 3 "),
+    (
+        lambda: effective_potential(
+            ModelKind.GROSS_PITAEVSKII_TYPE, 1.0, 0.0, make_params(dipole=1e300)
+        ),
+        "dipole = 1e\\+300 ",
+    ),
+    (lambda: raman_nath_params(make_params(w_l=1e300)), "tau = .* not finite: g0 = inf"),
+])
+def test_an_overflow_is_a_parameter_error_naming_the_quantity(call, match):
+    # a float power beyond the double range would raise OverflowError
+    with pytest.raises(ParameterError, match=match):
+        call()
+
+
+def test_regime_checks_report_an_overflow_as_an_error_entry():
+    checks = regime_checks(make_params(dipole=1e300), 0.0, saturation=1.0)
+    for name in ("adiabatic_ratio", "pole_distance"):
+        assert checks[name].value is None and not checks[name].ok
+        assert checks[name].error == "dipole = 1e+300 is out of range: its power 2 overflows"
+    assert checks["packet_broadness"].ok
 
 
 def test_characteristic_volume():
@@ -208,11 +235,11 @@ class TestRegimeChecks:
             "adiabatic_ratio_packet", "pole_distance_packet", "collision_bound",
         ]
         v0rho = characteristic_volume(p) * rho
-        assert checks["adiabatic_ratio"].value == adiabatic_validity(p, rho)
+        assert checks["adiabatic_ratio"].value == abs(local_detuning(p, rho)) / p.gamma
         assert checks["pole_distance"].value == min(abs(1.0 + v0rho), abs(1.0 + 2.0 * v0rho))
         assert checks["packet_broadness"].value == pytest.approx(50.0, rel=1e-4)
         # blue of resonance both factors grow with rho: the packet's wings bind
-        assert checks["adiabatic_ratio_packet"].value == adiabatic_validity(p, 0.0)
+        assert checks["adiabatic_ratio_packet"].value == abs(local_detuning(p, 0.0)) / p.gamma
         assert checks["pole_distance_packet"].value == 1.0
         assert checks["collision_bound"].value == contact_interaction_bound(1.0, p)
         assert [c.threshold for c in checks.values()] == [10.0, 0.1, 10.0, 10.0, 0.1, 10.0]

@@ -19,7 +19,6 @@ from matteroptics.models import (
 )
 from matteroptics.optics import (
     EPS_POLE,
-    adiabatic_validity,
     check_pole,
     contact_interaction_bound,
     local_detuning,
@@ -114,6 +113,19 @@ def test_local_field_closes_to_screening_factor():
         assert got.imag == 0.0
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: polarizability(make_params(dipole=1e300)), "dipole"),
+    (lambda: local_detuning(make_params(dipole=1e300), 0.0), "dipole"),
+    (
+        lambda: contact_interaction_bound(None, make_params(rabi_peak=1e300)),
+        "rabi_peak / detuning",
+    ),
+])
+def test_an_overflowing_square_is_a_parameter_error(call, match):
+    with pytest.raises(ParameterError, match=f"^{match} = .* its power 2 overflows$"):
+        call()
+
+
 def test_local_detuning_shift():
     p = make_params()
     rho = 1.0e16
@@ -163,11 +175,12 @@ def test_contact_bound_input_guards():
 
 
 def test_adiabatic_validity():
+    # the ratio at one density is the range rule over the one-point range
     p = make_params()
-    assert adiabatic_validity(p, 0.0) == pytest.approx(
-        abs(detuning(p)) / p.gamma, rel=1e-12
-    )
-    assert adiabatic_validity(make_params(gamma=0.0), 0.0) == math.inf
+    ratio, at = weakest_adiabatic_ratio(p, 0.0, 0.0)
+    assert (ratio, at) == (abs(local_detuning(p, 0.0)) / p.gamma, 0.0)
+    assert ratio == pytest.approx(abs(detuning(p)) / p.gamma, rel=1e-12)
+    assert weakest_adiabatic_ratio(make_params(gamma=0.0), 0.0, 0.0)[0] == math.inf
 
 
 def test_smallest_magnitude_over_a_density_range():
@@ -180,9 +193,10 @@ def test_smallest_magnitude_over_a_density_range():
     # the adiabatic ratio takes the rule over Delta_l
     p = make_params()  # blue: Delta_l grows with rho, the low end is weakest
     rho = 0.3 / abs(FOUR_PI_3 * polarizability(p))
-    assert weakest_adiabatic_ratio(p, 0.0, rho) == (adiabatic_validity(p, 0.0), 0.0)
+    assert weakest_adiabatic_ratio(p, 0.0, rho) == (abs(local_detuning(p, 0.0)) / p.gamma, 0.0)
     red = red_detuned(p)  # red: |Delta_l| shrinks with rho, the high end is weakest
-    assert weakest_adiabatic_ratio(red, 0.0, rho) == (adiabatic_validity(red, rho), rho)
+    red_peak = abs(local_detuning(red, rho)) / red.gamma
+    assert weakest_adiabatic_ratio(red, 0.0, rho) == (red_peak, rho)
     # past the red pole Delta_l changes sign: the ratio is 0 where it vanishes
     pole = abs(detuning(red)) * HBAR / (FOUR_PI_3 * red.dipole**2)
     ratio, at = weakest_adiabatic_ratio(red, 0.0, 2.0 * pole)

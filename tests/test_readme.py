@@ -11,8 +11,13 @@ import contextlib
 import io
 import re
 import shlex
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
+from matteroptics import PhysicalParams
 from matteroptics.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -63,3 +68,26 @@ def test_readme_examples_print_what_they_show(tmp_path, monkeypatch):
             if line != "...":
                 assert line in output, f"{' '.join(argv)}: missing {line!r}"
 
+
+@pytest.mark.parametrize("field", [f.name for f in fields(PhysicalParams)])
+def test_a_huge_field_ends_every_example_with_an_exit_code(field, tmp_path, monkeypatch):
+    # 1e300 is finite, so the file parses; whatever overflows further on
+    # must end in an exit code and at most one line of message
+    (ini,) = _blocks("ini")
+    text, count = re.subn(rf"^{field} = .*$", f"{field} = 1e300", ini, flags=re.M)
+    assert count == 1
+    (tmp_path / "sodium.params").write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for argv, _ in EXAMPLES:
+        if argv[0] != "matteroptics":
+            continue
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # numpy's overflow warnings
+                code = main(argv[1:])  # an exception here is a traceback
+        message = err.getvalue()
+        assert code in (0, 1, 2), argv
+        assert message.count("\n") <= 1, argv
+        if code == 1:
+            assert message.startswith("error: "), argv

@@ -3,11 +3,13 @@
 import ast
 import inspect
 import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
 import matteroptics
+from matteroptics import units
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "matteroptics"
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
@@ -188,6 +190,21 @@ def test_one_owner_of_numerics_failures():
     assert package_guard_sites(None, "NumericsError") == {
         "propagate._weight", "propagate.propagate_through_laser",
     }
+
+
+def test_one_table_holds_the_parameter_schema():
+    # units._FIELDS owns each field's dimension and lower bound, in field
+    # order; the range rules and the file's known and required keys are
+    # derived from it, so a new field is one table row
+    names = [f.name for f in fields(units.PhysicalParams)]
+    assert list(units._FIELDS) == names
+    assert {dim for dim, _ in units._FIELDS.values()} <= set(units._SI_TO_CGS)
+    bounds = {name: bound for name, (_, bound) in units._FIELDS.items()}
+    assert set(bounds.values()) == {"positive", "nonnegative", None}
+    assert units._POSITIVE_FIELDS == tuple(n for n in names if bounds[n] == "positive")
+    assert units._NONNEGATIVE_FIELDS == tuple(n for n in names if bounds[n] == "nonnegative")
+    required = {f.name for f in fields(units.PhysicalParams) if f.default is MISSING}
+    assert units._REQUIRED_FIELDS == required == set(names) - {"delta_shift"}
 
 
 def test_each_float_format_has_one_owner():

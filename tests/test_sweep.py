@@ -103,6 +103,16 @@ class TestRunSweep:
         assert not rows[1].valid()
         assert rows[2].error is None
 
+    def test_an_overflowing_point_is_an_error_row(self):
+        # a finite density whose (1 + V0 rho_0)^2 overflows fails its own
+        # point only, as a parameter error naming the factor
+        rows = run_sweep(_spec(_blue(), [0.0, 1.0e200]))
+        assert rows[0].error is None and rows[0].valid()
+        assert rows[0].tau == raman_nath_params(_blue()).tau
+        assert rows[1].error.startswith("1 + V0 rho_0 = ")
+        assert rows[1].error.endswith("is out of range: its power 2 overflows")
+        assert not rows[1].guard
+
     def test_all_points_failing_raises(self):
         with pytest.raises(SweepError, match="every sweep point failed") as err:
             run_sweep(_spec(_blue(), [-1.0, -2.0]))

@@ -3,6 +3,7 @@
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,10 +13,10 @@ from matteroptics.units import (
     C_LIGHT,
     HBAR,
     PhysicalParams,
+    checked_power,
     convert_dimension,
     convert_field,
     detuning,
-    params_from_si,
     params_to_system,
     parse_param_file,
     read_param_file,
@@ -117,14 +118,25 @@ def test_detuning_sign_and_shift():
     assert detuning(red) < 0.0
 
 
-def test_params_from_si_matches_field_conversions():
+def test_si_param_file_matches_field_conversions():
     cgs = make_params()
     si_values = params_to_system(cgs, "si")
-    rebuilt = params_from_si(si_values)
-    for name in si_values:
-        got = getattr(rebuilt, name)
-        want = getattr(cgs, name)
-        assert got == pytest.approx(want, rel=1e-14), name
+    pf = parse_param_file(params_file_text(cgs, "si"))
+    assert pf.units == "si"
+    for name, si_value in si_values.items():
+        got = getattr(pf.params, name)
+        assert got == convert_field(si_value, name, "si", "cgs"), name
+        assert got == pytest.approx(getattr(cgs, name), rel=1e-14), name
+
+
+def test_checked_power_names_what_overflows():
+    assert checked_power(3.0, 2, "x") == 3.0**2
+    assert checked_power(-2.0, 3, "x") == -8.0
+    with pytest.raises(ParameterError) as err:
+        checked_power(1e300, 2, "dipole")
+    assert str(err.value) == "dipole = 1e+300 is out of range: its power 2 overflows"
+    with np.errstate(over="ignore"):  # an array power gives inf and does not raise
+        assert checked_power(np.array([1e300]), 2, "dipole")[0] == math.inf
 
 
 def test_params_to_system_factors():
