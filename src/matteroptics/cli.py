@@ -154,7 +154,6 @@ _FLAGS = {
         action=argparse.BooleanOptionalAction, default=True,
         help="include the kinetic term (disable for the beam-splitter regime)",
     ),
-    "--area": dict(type=float, help="transverse area, cm^2 (default 1.0; rho_0=0 runs dilute)"),
     "--snapshots": dict(type=int, default=0, help="number of evenly spaced state snapshots"),
     "--drive-re": dict(type=float, default=0.0, help="Re(Omega), rad/s"),
     "--drive-im": dict(type=float, default=0.0, help="Im(Omega), rad/s"),
@@ -192,7 +191,7 @@ _COMMANDS = {
     "propagate": (
         "split-step run through the laser region",
         "--grid-points", "propagate --box-lambdas", "--steps", "--kinetic", "--model",
-        "--area", "--snapshots", "--q-max",
+        "--snapshots", "--q-max",
     ),
     "bloch": (
         "two-level coherence/inversion trajectory",
@@ -424,19 +423,15 @@ def cmd_propagate(args) -> int:
         box = max(DEFAULT_BOX_LAMBDAS, 0.5 * math.ceil(13.0 * p.w_y / lam))
     grid = commensurate_grid(p, args.grid_points, box)
 
-    area = args.area
-    if area is None:
-        area = math.inf if p.rho_0 == 0.0 else 1.0
-    state = init_gaussian(grid, p.rho_0, p.w_y, area)
+    state = init_gaussian(grid, p.rho_0, p.w_y)
     initial_norm = norm(state)
+    if initial_norm == 0.0:  # the drift is relative to it
+        raise ParameterError(
+            f"rho_0 = {p.rho_0!r} is out of range: the packet's norm underflows to 0"
+        )
 
     model = ModelKind(args.model)
-    config = PropagationConfig(
-        n_steps=args.steps,
-        kinetic_enabled=args.kinetic,
-        model=model,
-        transverse_area=area,
-    )
+    config = PropagationConfig(n_steps=args.steps, kinetic_enabled=args.kinetic, model=model)
     if args.snapshots > args.steps:  # evenly spaced snapshots need distinct steps
         raise ConfigurationError(
             f"--snapshots must not exceed --steps, got --snapshots {args.snapshots} "
@@ -455,7 +450,7 @@ def cmd_propagate(args) -> int:
     def write_snapshot(tag: str, snap) -> None:
         path = f"{args.out}_state_{tag}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            write_state_csv(snap, area, fh)
+            write_state_csv(snap, p.rho_0, fh)
         written.append(path)
 
     if args.snapshots > 0:

@@ -51,8 +51,11 @@ from .propagate import (
     Grid1D,
     PropagationConfig,
     WaveState,
+    check_q_max,
     momentum_spectrum,
     order_capacity,
+    packet_envelope,
+    packet_normalization,
     propagate_through_laser,
 )
 from .units import HBAR, PhysicalParams
@@ -165,6 +168,7 @@ def analytic_orders(tau: float, q_max: int) -> DiffractionPattern:
     """
     if not math.isfinite(tau):
         raise ParameterError(f"tau must be finite, got {tau!r}")
+    check_order_count(q_max, tau)
     j = bessel_j_sequence(abs(tau), q_max)  # J_q(-x)^2 = J_q(x)^2
     orders = {}
     for q in range(q_max + 1):
@@ -222,11 +226,6 @@ def commensurate_grid(params: PhysicalParams, n_points: int, box_lambdas: float)
     return Grid1D(n_points=n_points, y_min=-0.5 * length, y_max=0.5 * length)
 
 
-def _packet_amplitude(grid: Grid1D, params: PhysicalParams) -> np.ndarray:
-    y = grid.points()
-    return np.exp(-(y * y) / (2.0 * params.w_y * params.w_y))
-
-
 def numeric_orders(
     params: PhysicalParams, rn: RamanNathParams, grid: Grid1D, q_max: int
 ) -> DiffractionPattern:
@@ -234,8 +233,8 @@ def numeric_orders(
 
     Samples psi(y) = exp(-y^2/(2 w_y^2)) * exp(-i phi(y)) pointwise and
     extracts order populations from its spectral power. Only relative
-    spectral weights matter here, so the packet is built directly at
-    unit peak amplitude and is allowed to overhang the periodic box.
+    spectral weights matter here, so the packet is packet_envelope, at
+    unit peak amplitude, and is allowed to overhang the periodic box.
     With the grid commensurate to the standing wave, the envelope
     spectrum factors out of every order window identically only when
     tau is uniform across the packet, i.e. at zero density. At finite
@@ -245,7 +244,7 @@ def numeric_orders(
     0.031 in a 128-wavelength box to 0.040 in a 512-wavelength box).
     """
     y = grid.points()
-    psi = _packet_amplitude(grid, params) * np.exp(-1j * phase_profile(y, params, rn))
+    psi = packet_envelope(grid, params.w_y) * np.exp(-1j * phase_profile(y, params, rn))
     state = WaveState(grid=grid, amplitude=psi, time=0.0)
     return momentum_spectrum(state, order_spacing(params), q_max)
 
@@ -259,31 +258,40 @@ def propagator_orders(
 ) -> DiffractionPattern:
     """Split-step transit with the kinetic term disabled (beam-splitter regime).
 
-    Starts from the same packet as numeric_orders, carried through the
-    laser region by the propagator instead of by the closed-form phase
-    integral. With |psi| frozen, the propagator weights the whole transit
-    by one density-dependent potential at |Omega|^2 = cos^2(n k_L y),
-    sums the pulse envelope, sampled once at the z-step endpoints, by
-    the trapezoid rule as a scalar, and applies the phase once, in one
-    step and one exponential, after checking the sum and the phase for
+    Starts from the same packet as numeric_orders, at the peak amplitude
+    of packet_normalization, carried through the laser region by the
+    propagator instead of by the closed-form phase integral. With |psi|
+    frozen, the propagator weights the whole transit by one
+    density-dependent potential at |Omega|^2 = cos^2(n k_L y), sums the
+    pulse envelope, sampled once at the z-step endpoints, by the
+    trapezoid rule as a scalar, and applies the phase once, in one step
+    and one exponential, after checking the sum and the phase for
     non-finite values. The two must agree to the z-quadrature error of
     the pulse envelope, a parts-in-1e7 effect at the default step count.
     """
-    if params.rho_0 == 0.0:
-        area = math.inf  # dilute tracer: finite field, exactly zero density
-        amplitude = _packet_amplitude(grid, params)
-    else:
-        area = 1.0
-        amplitude = math.sqrt(params.rho_0 * area) * _packet_amplitude(grid, params)
-    state = WaveState(grid=grid, amplitude=amplitude, time=0.0)
-    config = PropagationConfig(
-        n_steps=z_steps,
-        kinetic_enabled=False,
-        model=model,
-        transverse_area=area,
-    )
+    peak, _ = packet_normalization(params.rho_0)
+    state = WaveState(grid=grid, amplitude=peak * packet_envelope(grid, params.w_y), time=0.0)
+    config = PropagationConfig(n_steps=z_steps, kinetic_enabled=False, model=model)
     final = propagate_through_laser(state, config, params)
     return momentum_spectrum(final, order_spacing(params), q_max)
+
+
+# The most orders a run may ask for. The analytic route's Bessel row
+# reaches past both q_max and |tau|, at 8 bytes and one Python loop turn
+# per order, and a sweep table has q_max + 1 columns per route.
+MAX_ORDERS = 1_000_000
+
+
+def check_order_count(q_max: int, tau: float | None = None) -> None:
+    """Refuse, before any allocation, more than MAX_ORDERS orders: q_max,
+    or with a tau the Bessel row of the analytic route, max(q_max, |tau|)."""
+    needed = q_max if tau is None else max(q_max, math.ceil(abs(tau)))
+    if needed > MAX_ORDERS:
+        at = "" if tau is None else f" at tau = {tau!r}"
+        raise ConfigurationError(
+            f"{needed:.6g} orders needed{at} (q_max = {q_max:.6g}), more than "
+            f"the ceiling of {MAX_ORDERS}"
+        )
 
 
 def default_q_max(
@@ -298,7 +306,8 @@ def default_q_max(
     tau counts as 0. When a grid route runs, the result is capped at the
     grid's capacity (and kept >= 0). The capacity depends on the grid
     alone, so the first point's grid stands for all; a grid that cannot
-    be built is left for the run to reject.
+    be built is left for the run to reject. A range, or with the analytic
+    route a tau, beyond MAX_ORDERS is refused here.
     """
     tau = 0.0
     for point in points:
@@ -311,9 +320,11 @@ def default_q_max(
         try:
             grid = commensurate_grid(points[0], grid_points, box_lambdas)
         except ConfigurationError:
-            return q_max
-        _, capacity = order_capacity(grid, order_spacing(points[0]))
-        q_max = min(q_max, max(capacity, 0))
+            pass
+        else:
+            _, capacity = order_capacity(grid, order_spacing(points[0]))
+            q_max = min(q_max, max(capacity, 0))
+    check_order_count(q_max, tau if "analytic" in routes else None)
     return q_max
 
 
@@ -332,8 +343,9 @@ def evaluate_routes(
     pattern per selected route keyed in ROUTES order, and the largest
     pattern_discrepancy over all pairs of routes (0 for a single route).
     routes is any selection select_routes takes. The grid routes share
-    one commensurate grid; `model` selects the propagator's potential.
-    Guard and configuration errors propagate.
+    one commensurate grid, which must hold q_max: check_q_max refuses it
+    before any grid route runs. `model` selects the propagator's
+    potential. Guard and configuration errors propagate.
     """
     selected = select_routes(routes)
     rn = raman_nath_params(point)
@@ -342,6 +354,7 @@ def evaluate_routes(
         patterns["analytic"] = analytic_orders(rn.tau, q_max)
     if "numeric" in selected or "propagator" in selected:
         grid = commensurate_grid(point, grid_points, box_lambdas)
+        check_q_max(grid, order_spacing(point), q_max)
         if "numeric" in selected:
             patterns["numeric"] = numeric_orders(point, rn, grid, q_max)
         if "propagator" in selected:

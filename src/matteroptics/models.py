@@ -145,6 +145,11 @@ class SignificantDensity:
 
 def significant_density(params: PhysicalParams) -> SignificantDensity:
     v0 = characteristic_volume(params)
+    if v0 == 0.0:
+        raise ParameterError(
+            f"dipole = {params.dipole!r} is out of range: V0 underflows to 0, "
+            "so the significant density 1/|V0| overflows"
+        )
     exact = 1.0 / abs(v0)
     if params.gamma == 0.0:
         return SignificantDensity(exact=exact, scaling=None)

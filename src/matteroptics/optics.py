@@ -183,8 +183,13 @@ def contact_interaction_bound(saturation: float | None, params: PhysicalParams) 
         raise ParameterError(
             f"scattering_length must be positive here, got {params.scattering_length!r}"
         )
-    k_a = params.omega_a / C_LIGHT
-    return 0.375 * saturation / (params.scattering_length * k_a)
+    a_k = params.scattering_length * (params.omega_a / C_LIGHT)  # k_a = omega_a / c
+    if a_k == 0.0:
+        raise ParameterError(
+            f"a_s k_a underflows to 0: scattering_length = {params.scattering_length!r}, "
+            f"omega_a = {params.omega_a!r}"
+        )
+    return 0.375 * saturation / a_k
 
 
 def weakest_adiabatic_ratio(

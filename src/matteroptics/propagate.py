@@ -11,9 +11,11 @@ With the kinetic term disabled the spectral stage is skipped entirely,
 so the field modulus is frozen to roundoff: the beam-splitter regime in
 which the atoms only collect a position-dependent phase.
 
-The 3D density seen by the potential is |psi|^2 / transverse_area; an
-infinite transverse_area is the dilute-tracer convention (exactly zero
-density, finite field).
+The density the potential sees follows from the peak density rho_0
+alone, through packet_normalization: a packet with rho_0 > 0 has peak
+amplitude sqrt(rho_0) and density |psi|^2, so psi is normalized to the
+density itself; rho_0 = 0 is the dilute tracer, a unit-peak field of
+exactly zero density.
 
 The laser is kept as its two factors, |Omega|^2(y, z) = E(z) P(y): for
 the standing wave, E = Omega_0^2 exp(-z^2/w_L^2) and P = cos^2(n k_L y).
@@ -53,12 +55,12 @@ off, dense and dilute, max|difference| / max|psi| measured at most
 kinetic off, where the order populations moved by at most 8.0e-16).
 
 PropagationConfig describes a transit: step count, kinetic switch,
-model, laser and transverse area. The transit derives dt from its
-z-window [-4 w_L, +4 w_L] and the step count, samples E once, and hands
-step the dt and the envelope samples of each stretch; a laser_profile of
-None is the params' standing wave everywhere. The step-invariant arrays
-are built once per transit: the pattern P on the grid and the kinetic
-phase exp(-i hbar dt k^2/2m) of that dt.
+model and laser. The transit derives dt from its z-window
+[-4 w_L, +4 w_L] and the step count, samples E once, and hands step the
+dt and the envelope samples of each stretch; a laser_profile of None is
+the params' standing wave everywhere. The step-invariant arrays are
+built once per transit: the pattern P on the grid and the kinetic phase
+exp(-i hbar dt k^2/2m) of that dt.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ from .errors import ConfigurationError, NumericsError, ParameterError
 from .models import ModelKind, effective_potential
 from .optics import check_adiabatic
 from .serialize import write_float_table
-from .units import HBAR, PhysicalParams, checked_power
+from .units import HBAR, PhysicalParams, checked_divisor, checked_power
 
 logger = logging.getLogger(__name__)
 
@@ -152,10 +154,6 @@ class WaveState:
         state.grid, state.amplitude, state.time = grid, amplitude, time
         return state
 
-    def density(self, transverse_area: float) -> np.ndarray:
-        """3D density profile |psi|^2 / transverse_area, 1/cm^3."""
-        return np.abs(self.amplitude) ** 2 / transverse_area
-
 
 @dataclass(frozen=True)
 class Laser:
@@ -176,22 +174,18 @@ class PropagationConfig:
     in time: the z-window and n_steps fix dt.
 
     laser_profile is the factored laser; None means the params' standing
-    wave, for a transit and a bare step alike.
+    wave, for a transit and a bare step alike. The density the potential
+    sees is the params' rho_0 rule, packet_normalization, not a setting.
     """
 
     n_steps: int
     kinetic_enabled: bool = True
     model: ModelKind = ModelKind.FULL
     laser_profile: Laser | None = None
-    transverse_area: float = 1.0
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ConfigurationError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not self.transverse_area > 0.0:  # inf is allowed, NaN/<=0 is not
-            raise ConfigurationError(
-                f"transverse_area must be positive, got {self.transverse_area!r}"
-            )
 
 
 def standing_wave(params: PhysicalParams) -> Laser:
@@ -200,7 +194,7 @@ def standing_wave(params: PhysicalParams) -> Laser:
     E(z) = Omega_0^2 exp(-z^2/w_L^2) and P(y) = cos^2(n k_L y).
     """
     omega0_sq = checked_power(params.rabi_peak, 2, "rabi_peak")
-    inv_wl_sq = 1.0 / checked_power(params.w_l, 2, "w_l")
+    inv_wl_sq = 1.0 / checked_divisor(params.w_l, 2, "w_l")
     nk = params.harmonic * params.k_l
     return Laser(
         envelope=lambda z: omega0_sq * np.exp(-(z * z) * inv_wl_sq),
@@ -214,8 +208,8 @@ def standing_wave_intensity(params: PhysicalParams) -> Callable[[np.ndarray, flo
     E is taken with math.exp at the scalar z; the transit's array
     envelope uses numpy's exp, which can differ from it in the last bit.
     """
-    omega0_sq = params.rabi_peak**2
-    inv_wl_sq = 1.0 / params.w_l**2
+    omega0_sq = checked_power(params.rabi_peak, 2, "rabi_peak")
+    inv_wl_sq = 1.0 / checked_divisor(params.w_l, 2, "w_l")
     pattern = standing_wave(params).pattern
 
     def profile(y: np.ndarray, z: float) -> np.ndarray:
@@ -224,15 +218,43 @@ def standing_wave_intensity(params: PhysicalParams) -> Callable[[np.ndarray, flo
     return profile
 
 
-def init_gaussian(
-    grid: Grid1D, rho0: float, w_y: float, transverse_area: float
-) -> WaveState:
-    """Zero-phase Gaussian packet with |psi(y)|^2/transverse_area = rho0 e^{-y^2/w_y^2}.
+def packet_normalization(rho_0: float) -> tuple[float, float]:
+    """(peak amplitude, density per |psi|^2) of a packet of peak density rho_0.
 
-    The packet must satisfy w_y < grid.length/6 so its tails are
-    negligible at the periodic boundary. An infinite transverse_area
-    encodes the dilute-tracer convention and requires rho0 = 0; the
-    envelope then has unit peak amplitude.
+    The one rule that ties psi to the density the potential sees. For
+    rho_0 > 0 the peak is sqrt(rho_0) and the density is |psi|^2 itself
+    (factor 1.0). rho_0 = 0 is the dilute tracer: a unit peak and a
+    density of exactly 0 (factor 0.0), while a non-finite |psi|^2 still
+    gives a NaN density. Multiplying |psi|^2 by the factor gives the bits
+    of dividing it by a transverse area of 1 or of inf.
+    """
+    if rho_0 == 0.0:
+        return 1.0, 0.0
+    if not 0.0 < rho_0 < math.inf:
+        raise ParameterError(f"rho_0 must be finite and nonnegative, got {rho_0!r}")
+    return math.sqrt(rho_0), 1.0
+
+
+def packet_envelope(grid: Grid1D, w_y: float) -> np.ndarray:
+    """exp(-y^2/(2 w_y^2)) on the grid: the packet's shape at unit peak.
+
+    ParameterError where 2 w_y^2 underflows to 0 and would divide the
+    exponent by zero.
+    """
+    width_sq = 2.0 * w_y * w_y
+    if width_sq == 0.0:
+        raise ParameterError(f"w_y = {w_y!r} is out of range: its square underflows to 0")
+    y = grid.points()
+    return np.exp(-(y * y) / width_sq)
+
+
+def init_gaussian(grid: Grid1D, rho0: float, w_y: float) -> WaveState:
+    """Zero-phase Gaussian packet of density rho0 e^{-y^2/w_y^2}.
+
+    packet_envelope scaled to packet_normalization's peak amplitude:
+    sqrt(rho0), or 1 for the dilute tracer rho0 = 0. The packet must
+    satisfy w_y < grid.length/6 so its tails are negligible at the
+    periodic boundary.
     """
     if w_y <= 0.0:
         raise ConfigurationError(f"w_y must be positive, got {w_y!r}")
@@ -241,28 +263,8 @@ def init_gaussian(
             f"packet too wide for the grid: w_y = {w_y!r} but the grid "
             f"spans {grid.length!r}; need w_y < length/6"
         )
-    y = grid.points()
-    envelope = np.exp(-(y * y) / (2.0 * w_y * w_y))
-    if math.isinf(transverse_area):
-        if rho0 != 0.0:
-            raise ConfigurationError(
-                "infinite transverse_area is the zero-density tracer "
-                f"convention and requires rho0 = 0, got {rho0!r}"
-            )
-        peak = 1.0
-    else:
-        if not transverse_area > 0.0:
-            raise ConfigurationError(
-                f"transverse_area must be positive, got {transverse_area!r}"
-            )
-        if rho0 <= 0.0:
-            raise ConfigurationError(
-                "rho0 must be positive for a finite transverse area "
-                "(a zero field has no norm); use transverse_area = inf "
-                "for the zero-density tracer"
-            )
-        peak = math.sqrt(rho0 * transverse_area)
-    return WaveState(grid=grid, amplitude=peak * envelope, time=0.0)
+    peak, _ = packet_normalization(rho0)
+    return WaveState(grid=grid, amplitude=peak * packet_envelope(grid, w_y), time=0.0)
 
 
 def norm(state: WaveState) -> float:
@@ -311,7 +313,7 @@ def _weight(
     non-finite phase is reported here, before it, and not only by the
     scan of the state after it.
     """
-    density = (psi.real**2 + psi.imag**2) / config.transverse_area
+    density = (psi.real**2 + psi.imag**2) * packet_normalization(params.rho_0)[1]
     rho_hi = float(np.max(density))
     if not math.isfinite(rho_hi):
         # a field that went non-finite between finite scans is a numerics
@@ -538,15 +540,16 @@ def momentum_spectrum(state: WaveState, k_unit: float, q_max: int):
     return DiffractionPattern(orders=orders)
 
 
-def write_state_csv(state: WaveState, transverse_area: float, fh) -> None:
+def write_state_csv(state: WaveState, rho_0: float, fh) -> None:
     """Snapshot columns: y_cm, re_psi, im_psi, density.
 
-    Cells follow serialize.write_float_table; NaN raises ValueError
-    before anything is written.
+    The density is packet_normalization's for a packet of peak density
+    rho_0: |psi|^2, or 0 for the dilute tracer. Cells follow
+    serialize.write_float_table; NaN raises ValueError before anything
+    is written.
     """
     amp = state.amplitude
+    density = np.abs(amp) ** 2 * packet_normalization(rho_0)[1]
     write_float_table(
-        "y_cm,re_psi,im_psi,density",
-        (state.grid.points(), amp.real, amp.imag, state.density(transverse_area)),
-        fh,
+        "y_cm,re_psi,im_psi,density", (state.grid.points(), amp.real, amp.imag, density), fh
     )

@@ -25,6 +25,7 @@ from .diffraction import (
     DEFAULT_GRID_POINTS,
     DEFAULT_Z_STEPS,
     DiffractionPattern,
+    check_order_count,
     default_q_max,
     evaluate_routes,
     select_routes,
@@ -80,6 +81,7 @@ class SweepSpec:
             object.__setattr__(self, "q_max", q_max)
         if self.q_max < 0:
             raise ConfigurationError(f"q_max must be nonnegative, got {self.q_max}")
+        check_order_count(self.q_max)  # the table has q_max + 1 columns per route
 
     def point(self, value: float) -> PhysicalParams:
         """The base parameters with the axis set to value."""

@@ -192,6 +192,17 @@ def checked_power(value: float, exponent: int, quantity: str) -> float:
         ) from None
 
 
+def checked_divisor(value: float, exponent: int, quantity: str) -> float:
+    """checked_power's value**exponent for a divisor: ParameterError
+    naming `quantity` also where the power underflows to 0."""
+    power = checked_power(value, exponent, quantity)
+    if power == 0.0:
+        raise ParameterError(
+            f"{quantity} = {value!r} is out of range: its power {exponent} underflows to 0"
+        )
+    return power
+
+
 def params_to_system(params: PhysicalParams, units: str) -> dict[str, float]:
     """Express a parameter set in the declared unit system ('si' or 'cgs').
 

@@ -317,10 +317,8 @@ def test_criterion_08_propagator_quality():
     t0 = time.perf_counter()
     params = with_wy_lambdas(with_g0(make_params(), 2.0), 10)
     grid = commensurate_grid(params, 4096, 128.0)
-    packet = init_gaussian(grid, 0.0, params.w_y, math.inf)
-    config = PropagationConfig(
-        n_steps=10_000, kinetic_enabled=True, transverse_area=math.inf
-    )
+    packet = init_gaussian(grid, 0.0, params.w_y)
+    config = PropagationConfig(n_steps=10_000, kinetic_enabled=True)
 
     # Norm conservation across 1e4 full Strang steps.
     final = propagate_through_laser(packet, config, params)
@@ -329,7 +327,7 @@ def test_criterion_08_propagator_quality():
     # Free plane wave: the spectral kinetic phase is exact per step.
     k = float(grid.wavenumbers()[16])
     psi0 = np.exp(1j * k * grid.points())
-    free = PropagationConfig(n_steps=1, kinetic_enabled=True, transverse_area=math.inf)
+    free = PropagationConfig(n_steps=1, kinetic_enabled=True)
     wave = WaveState(grid=grid, amplitude=psi0, time=0.0)
     dt, n_free = 1e-6, 10_000
     for _ in range(n_free):
@@ -350,10 +348,8 @@ def test_criterion_08_propagator_quality():
 
     # Kinetic term off: a pure phase mask must freeze the modulus.
     dense = with_v0rho(params, 0.3)
-    dense_packet = init_gaussian(grid, dense.rho_0, dense.w_y, 1.0)
-    mask_config = PropagationConfig(
-        n_steps=2048, kinetic_enabled=False, transverse_area=1.0
-    )
+    dense_packet = init_gaussian(grid, dense.rho_0, dense.w_y)
+    mask_config = PropagationConfig(n_steps=2048, kinetic_enabled=False)
     masked = propagate_through_laser(dense_packet, mask_config, dense)
     freeze = float(
         np.max(np.abs(np.abs(masked.amplitude) - np.abs(dense_packet.amplitude)))

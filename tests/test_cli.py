@@ -402,10 +402,8 @@ def test_adiabatic_ratio_of_exactly_ten_passes_everywhere(capsys, tmp_path):
     at_ten = replace(base, gamma=_gamma_at_ratio_ten(base))
     below = replace(at_ten, gamma=math.nextafter(at_ten.gamma, math.inf))
     grid = propagate.Grid1D(1024, -1.0e-2, 1.0e-2)
-    tracer = propagate.init_gaussian(grid, 0.0, 1.0e-3, math.inf)  # density 0
-    config = propagate.PropagationConfig(
-        n_steps=1, kinetic_enabled=False, transverse_area=math.inf
-    )
+    tracer = propagate.init_gaussian(grid, 0.0, 1.0e-3)  # rho_0 = 0: density 0
+    config = propagate.PropagationConfig(n_steps=1, kinetic_enabled=False)
     for params, ok in ((at_ten, True), (below, False)):
         path = write_params(tmp_path, params)
         code, out, _ = run(
@@ -488,6 +486,38 @@ class TestDiffract:
         )
         assert code == 1
         assert "q_max" in err
+
+    def test_capacity_overflow_is_refused_before_the_mask(self, capsys, tmp_path, monkeypatch):
+        # the commensurate grid fixes the capacity, so a q_max above it is
+        # refused before the phase mask is built, with the message that
+        # momentum_spectrum would have given after it
+        path = write_params(tmp_path, with_g0(make_params(), 2.0))
+        masks = []
+        monkeypatch.setattr(
+            "matteroptics.diffraction.numeric_orders", lambda *a: masks.append(a)
+        )
+        code, out, err = run(
+            capsys, "diffract", "--params", path, "--paths", "numeric",
+            "--q-max", "20", "--grid-points", "256", "--box-lambdas", "8",
+        )
+        assert (code, out, masks) == (1, "", [])
+        assert err == (
+            "error: q_max = 20 does not fit in the spectral range: (q_max + 1/2)*16 "
+            "must be <= 128; this grid supports q_max <= 7 (use more grid points "
+            "for more orders)\n"
+        )
+
+    def test_order_count_above_the_ceiling_is_refused(self, capsys, tmp_path, monkeypatch):
+        # v_g = 1e-300 puts tau near 4e302: the analytic route would ask for
+        # a Bessel row of that many orders, with or without --q-max
+        path = write_params(tmp_path, replace(with_g0(make_params(), 2.0), v_g=1e-300))
+        rows = []
+        monkeypatch.setattr("matteroptics.diffraction.bessel_j_sequence", rows.append)
+        for extra in ((), ("--q-max", "3")):
+            code, out, err = run(capsys, "diffract", "--params", path, *extra)
+            assert (code, out, rows) == (1, "", [])
+            assert err.startswith("error: ") and " orders needed at tau = " in err
+            assert err.endswith(", more than the ceiling of 1000000\n")
 
     def test_diffract_is_a_one_point_sweep(self, capsys, tmp_path):
         p = with_g0(make_params(), 2.0)
@@ -647,7 +677,7 @@ class TestPropagate:
 
     def test_numerics_failure_rescues_last_state(self, capsys, tmp_path, monkeypatch):
         # the rescue writes the state the error carries, whatever it is
-        path, _ = self._params_path(tmp_path)
+        path, p = self._params_path(tmp_path)
         prefix = str(tmp_path / "bad")
         carried = []
 
@@ -666,7 +696,7 @@ class TestPropagate:
         assert "numerics failure" in err
         assert "(step 128)" in err
         expected = io.StringIO()
-        propagate.write_state_csv(carried[0], math.inf, expected)
+        propagate.write_state_csv(carried[0], p.rho_0, expected)
         with open(f"{prefix}_state_lastgood.csv", encoding="utf-8") as fh:
             assert fh.read() == expected.getvalue()
         assert not os.path.exists(f"{prefix}_report.csv")
@@ -694,7 +724,7 @@ class TestPropagate:
         """The rescue file holds `field` on the run's grid."""
         grid = commensurate_grid(p, 1024, 32.0)
         expected = io.StringIO()
-        propagate.write_state_csv(propagate.WaveState(grid, field), math.inf, expected)
+        propagate.write_state_csv(propagate.WaveState(grid, field), p.rho_0, expected)
         with open(f"{prefix}_state_lastgood.csv", encoding="utf-8") as fh:
             assert fh.read() == expected.getvalue()
 

@@ -7,12 +7,14 @@ derivations themselves.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.special
 
+from matteroptics import diffraction
 from matteroptics.diffraction import (
     DiffractionPattern,
     analytic_orders,
@@ -144,6 +146,22 @@ class TestAnalyticOrders:
     def test_nonfinite_tau_rejected(self):
         with pytest.raises(ParameterError):
             analytic_orders(math.nan, 5)
+
+    def test_orders_above_the_ceiling_are_refused_before_the_row(self, monkeypatch):
+        # the Bessel row reaches past max(q_max, |tau|); above MAX_ORDERS
+        # nothing is allocated
+        monkeypatch.setattr(diffraction, "MAX_ORDERS", 40)
+        analytic_orders(-40.0, 40)
+        rows = []
+        monkeypatch.setattr(diffraction, "bessel_j_sequence", rows.append)
+        for tau, q_max, needed in ((-40.5, 3, 41), (2.0, 41, 41), (4e302, 0, 4e302)):
+            with pytest.raises(
+                ConfigurationError,
+                match=rf"^{re.escape(f'{needed:.6g}')} orders needed at tau = {re.escape(repr(tau))} "
+                rf"\(q_max = {q_max}\), more than the ceiling of 40$",
+            ):
+                analytic_orders(tau, q_max)
+        assert rows == []
 
 
 class TestDiffractionAngles:
@@ -300,6 +318,22 @@ class TestDefaultQMax:
         assert default_q_max([red, pole, deep], ("analytic",), 1024, 32.0) == want
         assert default_q_max([], ("numeric",), 1024, 32.0) == 30
 
+    def test_range_above_the_ceiling_is_refused(self, monkeypatch):
+        # with the series the range follows tau and is refused above
+        # MAX_ORDERS, as is a tau the series would need too many orders
+        # for; a grid route alone is capped by its grid
+        p = _reference(g0=2.0)  # tau = 4, so the default range is 34
+        monkeypatch.setattr(diffraction, "MAX_ORDERS", 33)
+        with pytest.raises(ConfigurationError, match=r"^34 orders needed at tau = 3\.99"):
+            default_q_max([p], ("analytic",), 1024, 32.0)
+        monkeypatch.setattr(diffraction, "MAX_ORDERS", 7)
+        assert default_q_max([p], ("numeric",), 1024, 32.0) == 7  # capacity, no tau
+        monkeypatch.setattr(diffraction, "MAX_ORDERS", 3)
+        with pytest.raises(ConfigurationError, match=r"^7 orders needed at tau"):
+            default_q_max([p], ROUTES, 1024, 32.0)
+        with pytest.raises(ConfigurationError, match=r"^7 orders needed \(q_max = 7\)"):
+            default_q_max([p], ("numeric",), 1024, 32.0)
+
     def test_unbuildable_grid_is_left_to_the_run(self):
         p = _reference(g0=2.0)
         assert default_q_max([p], ("numeric",), 1024, 32.3) == 34
@@ -419,6 +453,15 @@ class TestEvaluateRoutes:
         grid = commensurate_grid(p, 1024, 32.0)
         want = propagator_orders(p, grid, 7, z_steps=512, model=ModelKind.SINGLE_PARTICLE)
         assert patterns["propagator"].orders == want.orders
+
+    def test_q_max_beyond_the_grid_is_refused_before_a_grid_route(self, monkeypatch):
+        p = _reference(g0=2.0)
+        calls = []
+        monkeypatch.setattr(diffraction, "numeric_orders", lambda *a: calls.append(a))
+        monkeypatch.setattr(diffraction, "propagator_orders", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigurationError, match=r"this grid supports q_max <= 7 "):
+            evaluate_routes(p, ROUTES, 8, 1024, 32.0, 64)
+        assert calls == []
 
     def test_guard_raises(self):
         p = with_g0(red_detuned(make_params()), -1.0)

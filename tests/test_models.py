@@ -42,9 +42,15 @@ def test_model_kind_names():
         "dipole = 1e\\+300 ",
     ),
     (lambda: raman_nath_params(make_params(w_l=1e300)), "tau = .* not finite: g0 = inf"),
+    (
+        lambda: significant_density(make_params(dipole=1e-300)),
+        "^dipole = 1e-300 is out of range: V0 underflows to 0, so the significant "
+        "density 1/\\|V0\\| overflows$",
+    ),
 ])
 def test_an_overflow_is_a_parameter_error_naming_the_quantity(call, match):
-    # a float power beyond the double range would raise OverflowError
+    # a float power beyond the double range would raise OverflowError; a
+    # V0 whose dipole^2 underflows to 0 leaves 1/|V0| beyond it
     with pytest.raises(ParameterError, match=match):
         call()
 

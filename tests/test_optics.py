@@ -172,6 +172,12 @@ def test_contact_bound_input_guards():
             contact_interaction_bound(saturation, p)
     with pytest.raises(ParameterError, match="scattering_length"):
         contact_interaction_bound(1.0, make_params(scattering_length=-1.0e-7))
+    # k_a = omega_a / c underflows to 0, so a_s k_a cannot divide
+    with pytest.raises(
+        ParameterError, match=r"^a_s k_a underflows to 0: scattering_length = 2\.75e-07, "
+        r"omega_a = 5e-324$"
+    ):
+        contact_interaction_bound(1.0, make_params(omega_a=5e-324))
 
 
 def test_adiabatic_validity():

@@ -22,6 +22,7 @@ from matteroptics.propagate import (
     init_gaussian,
     momentum_spectrum,
     norm,
+    packet_normalization,
     propagate_through_laser,
     standing_wave,
     standing_wave_intensity,
@@ -78,27 +79,43 @@ class TestWaveState:
         with pytest.raises(ConfigurationError, match="zero"):
             WaveState(grid=g, amplitude=np.zeros(64))
 
-    def test_density(self):
-        g = _grid(64)
-        s = WaveState(grid=g, amplitude=2.0 * np.ones(64))
-        assert np.allclose(s.density(8.0), 0.5)
+
+class TestPacketNormalization:
+    def test_dense_packet_is_normalized_to_its_density(self):
+        assert packet_normalization(4.0e14) == (math.sqrt(4.0e14), 1.0)
+
+    def test_tracer_has_unit_peak_and_zero_density(self):
+        peak, factor = packet_normalization(0.0)
+        assert (peak, factor) == (1.0, 0.0)
+        assert not math.copysign(1.0, factor) < 0.0
+
+    def test_rejects_a_density_outside_the_range(self):
+        for rho_0 in (-1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError, match="rho_0 must be finite and nonnegative"):
+                packet_normalization(rho_0)
+
+    def test_the_factor_gives_the_bits_of_a_unit_or_infinite_area(self):
+        # |psi|^2 times the factor against |psi|^2 / A at A = 1 and A = inf:
+        # zero, subnormal, huge, inf and NaN alike, so a tracer's NaN
+        # density still reaches the finite check
+        sq = np.array([0.0, 5e-324, 1e-300, 1.0, 1e300, math.inf, math.nan])
+        for rho_0, area in ((2.0e14, 1.0), (0.0, math.inf)):
+            with np.errstate(invalid="ignore"):  # inf * 0 and inf / inf
+                got, old = sq * packet_normalization(rho_0)[1], sq / area
+            assert np.array_equal(got.view(np.int64), old.view(np.int64))
 
 
 class TestPropagationConfig:
     def test_guards(self):
         with pytest.raises(ConfigurationError, match="n_steps"):
             PropagationConfig(n_steps=0)
-        with pytest.raises(ConfigurationError, match="transverse_area"):
-            PropagationConfig(n_steps=1, transverse_area=0.0)
-        with pytest.raises(ConfigurationError, match="transverse_area"):
-            PropagationConfig(n_steps=1, transverse_area=math.nan)
 
-    def test_infinite_area_allowed(self):
-        cfg = PropagationConfig(n_steps=4, transverse_area=math.inf)
-        assert cfg.transverse_area == math.inf
-        # a transit, not a time step: the window and n_steps fix dt
+    def test_fields(self):
+        cfg = PropagationConfig(n_steps=4)
+        # a transit, not a time step: the window and n_steps fix dt; the
+        # density follows rho_0, so no field sets it
         assert [f.name for f in fields(cfg)] == [
-            "n_steps", "kinetic_enabled", "model", "laser_profile", "transverse_area",
+            "n_steps", "kinetic_enabled", "model", "laser_profile",
         ]
 
 
@@ -112,6 +129,15 @@ def test_standing_wave_intensity():
     assert abs(at_focus[1]) < 1e-30 * p.rabi_peak**2  # standing-wave node
     away = profile(y, p.w_l)
     assert away[0] == pytest.approx(p.rabi_peak**2 * math.exp(-1.0), rel=1e-14)
+
+
+def test_standing_wave_refuses_an_underflowing_width():
+    # 1 / w_L^2 with w_L^2 = 0 would be a ZeroDivisionError
+    for build in (standing_wave, standing_wave_intensity):
+        with pytest.raises(
+            ParameterError, match=r"^w_l = 1e-300 is out of range: its power 2 underflows to 0$"
+        ):
+            build(make_params(w_l=1e-300))
 
 
 def test_standing_wave_factors():
@@ -134,36 +160,37 @@ def test_standing_wave_factors():
 class TestInitGaussian:
     def test_peak_and_density(self):
         g = _grid(256, 1.0)
-        s = init_gaussian(g, rho0=4.0e14, w_y=0.05, transverse_area=2.0)
+        s = init_gaussian(g, rho0=4.0e14, w_y=0.05)
         center = 128  # y = 0 lands on a grid point of the symmetric box
         assert g.points()[center] == 0.0
-        assert s.amplitude[center].real == pytest.approx(
-            math.sqrt(4.0e14 * 2.0), rel=1e-15
-        )
-        assert s.density(2.0)[center] == pytest.approx(4.0e14, rel=1e-12)
+        assert s.amplitude[center].real == math.sqrt(4.0e14)
+        assert np.abs(s.amplitude[center]) ** 2 == pytest.approx(4.0e14, rel=1e-15)
 
     def test_width_guard(self):
         g = _grid(256, 1.0)
-        init_gaussian(g, 0.0, 1.0 / 6.5, math.inf)
+        init_gaussian(g, 0.0, 1.0 / 6.5)
         with pytest.raises(ConfigurationError, match="too wide"):
-            init_gaussian(g, 0.0, 1.0 / 6.0, math.inf)
+            init_gaussian(g, 0.0, 1.0 / 6.0)
         with pytest.raises(ConfigurationError, match="w_y"):
-            init_gaussian(g, 0.0, -1.0, math.inf)
+            init_gaussian(g, 0.0, -1.0)
+        # 2 w_y^2 underflows to 0, which would divide the exponent by zero
+        with pytest.raises(
+            ParameterError, match=r"^w_y = 1e-300 is out of range: its square underflows to 0$"
+        ):
+            init_gaussian(g, 0.0, 1e-300)
 
     def test_tracer_convention(self):
         g = _grid(256, 1.0)
-        s = init_gaussian(g, 0.0, 0.05, math.inf)
+        s = init_gaussian(g, 0.0, 0.05)
         assert s.amplitude[128].real == 1.0
-        with pytest.raises(ConfigurationError, match="rho0 = 0"):
-            init_gaussian(g, 1.0e10, 0.05, math.inf)
-        with pytest.raises(ConfigurationError, match="positive"):
-            init_gaussian(g, 0.0, 0.05, 1.0)
+        with pytest.raises(ParameterError, match="rho_0"):
+            init_gaussian(g, -1.0e10, 0.05)
 
 
 def test_norm_matches_gaussian_integral():
     g = _grid(1024, 1.0)
     w_y = 0.05
-    s = init_gaussian(g, 2.0e14, w_y, 1.0)
+    s = init_gaussian(g, 2.0e14, w_y)
     assert norm(s) == pytest.approx(2.0e14 * w_y * math.sqrt(math.pi), rel=1e-6)
 
 
@@ -175,7 +202,7 @@ def test_free_plane_wave_phase_is_exact():
     s = WaveState(grid=g, amplitude=psi0.copy())
     dt = 1.0e-6
     n_steps = 100
-    cfg = PropagationConfig(n_steps=1, transverse_area=math.inf)
+    cfg = PropagationConfig(n_steps=1)
     for _ in range(n_steps):
         s = step(s, dt, cfg, p, envelope=np.zeros(2))  # laser off
     expected = psi0 * np.exp(-0.5j * HBAR * k * k * dt * n_steps / p.mass)
@@ -201,7 +228,6 @@ def test_constant_drive_accumulates_trapezoid_phase():
         n_steps=1,
         kinetic_enabled=False,
         laser_profile=_flat_laser(omega_sq),
-        transverse_area=math.inf,
     )
     s = WaveState(grid=g, amplitude=psi0.copy())
     for _ in range(n_steps):
@@ -231,10 +257,11 @@ def test_a_step_needs_two_envelope_samples(kinetic):
 
 
 def test_adiabatic_guard_in_step():
-    noisy = make_params(gamma=abs(detuning(make_params())))  # ratio 1, far below 10
+    # ratio 1, far below 10; rho_0 > 0, so the density is |psi|^2 = 1
+    noisy = make_params(gamma=abs(detuning(make_params())), rho_0=1.0)
     g = _grid(64, 1.0)
     s = WaveState(grid=g, amplitude=np.ones(64))
-    cfg = PropagationConfig(n_steps=1, transverse_area=1.0)
+    cfg = PropagationConfig(n_steps=1)
     guard = r"^adiabatic elimination invalid: \|Delta_l\|/gamma = 1 < 10 at density 1\.000e\+00$"
     with pytest.raises(PhysicsGuardError, match=guard):
         step(s, 1.0e-9, cfg, noisy, envelope=np.zeros(2))
@@ -246,8 +273,8 @@ def test_adiabatic_guard_checks_the_packet_wings():
     p = with_v0rho(make_params(), 0.3)
     p = replace(p, gamma=abs(detuning(p)) / 8.0)
     g = _grid(512, 8.0 * p.w_y)
-    s = init_gaussian(g, p.rho_0, p.w_y, 1.0)
-    wing = float(np.min(s.density(1.0)))
+    s = init_gaussian(g, p.rho_0, p.w_y)
+    wing = float(np.min(np.abs(s.amplitude) ** 2))
     guard = (
         r"^adiabatic elimination invalid: \|Delta_l\|/gamma = 8 < 10 "
         rf"at density {wing:.3e}$".replace("+", r"\+")
@@ -257,19 +284,22 @@ def test_adiabatic_guard_checks_the_packet_wings():
         propagate_through_laser(s, cfg, p)
 
 
+@pytest.mark.parametrize("rho_0, peak", [(1.0, "inf"), (0.0, "nan")], ids=["dense", "tracer"])
 @pytest.mark.parametrize("red", [False, True], ids=["blue", "red"])
 @pytest.mark.parametrize("gamma", [0.0, 6.1e7], ids=["gamma0", "gamma_pos"])
-def test_non_finite_density_is_a_numerics_failure_for_every_gamma(gamma, red):
+def test_non_finite_density_is_a_numerics_failure_for_every_gamma(gamma, red, rho_0, peak):
     # without the check at gamma = 0 a blue step returned a non-finite
-    # field and a red one hit the pole guard with a NaN density
-    p = make_params(gamma=gamma)
+    # field and a red one hit the pole guard with a NaN density; the
+    # tracer's zero density of an infinite |psi|^2 is NaN, not 0
+    p = make_params(gamma=gamma, rho_0=rho_0)
     if red:
         p = red_detuned(p)
     amp = np.ones(64, dtype=np.complex128)
     amp[5] = np.inf
     flat = Laser(envelope=lambda z: np.full(np.shape(z), p.rabi_peak**2), pattern=np.ones_like)
     cfg = PropagationConfig(n_steps=1, kinetic_enabled=False, laser_profile=flat)
-    with pytest.raises(NumericsError, match=r"^non-finite peak density inf at t = 0\.0 s") as err:
+    pattern = rf"^non-finite peak density {peak} at t = 0\.0 s"
+    with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match=pattern) as err:
         step(
             WaveState(grid=_grid(64, 1.0), amplitude=amp), 1.0e-9, cfg, p,
             envelope=np.full(2, p.rabi_peak**2),
@@ -283,10 +313,10 @@ class TestPropagateThroughLaser:
         # and nothing in between
         p = make_params()
         g = _grid(256, 8.0 * p.w_l)
-        s = init_gaussian(g, 0.0, p.w_l, math.inf)
+        s = init_gaussian(g, 0.0, p.w_l)
         seen = []
         cfg = PropagationConfig(
-            n_steps=30, kinetic_enabled=False, transverse_area=math.inf
+            n_steps=30, kinetic_enabled=False
         )
         out = propagate_through_laser(
             s, cfg, p, observer=lambda i, st: seen.append((i, st.time)),
@@ -304,11 +334,11 @@ class TestPropagateThroughLaser:
         # for them
         monkeypatch.setattr("matteroptics.propagate._FINITE_CHECK_INTERVAL", 8)
         p = make_params()
-        s = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l, math.inf)
+        s = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l)
         for kinetic, expected in ((True, [3, 8, 16, 20, 24, 30]), (False, [3, 8, 20, 30])):
             seen = []
             cfg = PropagationConfig(
-                n_steps=30, kinetic_enabled=kinetic, transverse_area=math.inf
+                n_steps=30, kinetic_enabled=kinetic
             )
             propagate_through_laser(
                 s, cfg, p, observer=lambda i, st: seen.append(i), observe_steps={3, 8, 20}
@@ -321,7 +351,7 @@ class TestPropagateThroughLaser:
         # names it
         p = make_params()
         g = _grid(256, 8.0 * p.w_l)
-        s = init_gaussian(g, 0.0, p.w_l, math.inf)
+        s = init_gaussian(g, 0.0, p.w_l)
 
         def poisoned(z):
             # goes bad after step 208 of 256
@@ -331,7 +361,6 @@ class TestPropagateThroughLaser:
             n_steps=256,
             kinetic_enabled=False,
             laser_profile=Laser(envelope=poisoned, pattern=np.ones_like),
-            transverse_area=math.inf,
         )
         with pytest.raises(
             NumericsError, match=r"^non-finite laser drive over steps 193\.\.256 "
@@ -343,10 +372,9 @@ class TestPropagateThroughLaser:
     def _tracer_run(self, laser, kinetic, n_steps, state=None, **kwargs):
         p = make_params()
         if state is None:
-            state = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l, math.inf)
+            state = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l)
         cfg = PropagationConfig(
             n_steps=n_steps, kinetic_enabled=kinetic, laser_profile=laser,
-            transverse_area=math.inf,
         )
         return propagate_through_laser(state, cfg, p, **kwargs)
 
@@ -398,7 +426,7 @@ class TestPropagateThroughLaser:
 
     def test_no_real_state_passed_leaves_the_entry_state(self):
         p = make_params()
-        entry = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l, math.inf)
+        entry = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l)
         poisoned = Laser(envelope=lambda z: np.full(np.shape(z), np.nan), pattern=np.ones_like)
         with pytest.raises(NumericsError, match=r"over steps 1\.\.16 ") as err:
             self._tracer_run(poisoned, False, 16, state=entry)
@@ -440,7 +468,7 @@ class TestPropagateThroughLaser:
         # a finite drive on a NaN pattern: the stretch's phase is checked
         # where its weight is made, and the entry state is the last good
         p = make_params()
-        entry = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l, math.inf)
+        entry = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l)
         flat = lambda z: np.full(np.shape(z), p.rabi_peak**2)
         poisoned = Laser(envelope=flat, pattern=lambda y: np.where(y > 0.0, np.nan, 1.0))
         with pytest.raises(NumericsError, match="^non-finite potential phase nan") as err:
@@ -451,9 +479,9 @@ class TestPropagateThroughLaser:
     @pytest.mark.parametrize("outside", [0, -1, 31])
     def test_observe_steps_outside_the_transit_are_rejected(self, outside):
         p = make_params()
-        s = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l, math.inf)
+        s = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l)
         cfg = PropagationConfig(
-            n_steps=30, kinetic_enabled=False, transverse_area=math.inf
+            n_steps=30, kinetic_enabled=False
         )
         with pytest.raises(
             ConfigurationError, match=rf"^observe_steps must lie in 1\.\.30, got \[{outside}\]$"
@@ -462,10 +490,10 @@ class TestPropagateThroughLaser:
 
     def test_observe_steps_must_be_integers(self):
         p = make_params()
-        s = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l, math.inf)
+        s = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l)
         for kinetic in (True, False):
             cfg = PropagationConfig(
-                n_steps=30, kinetic_enabled=kinetic, transverse_area=math.inf
+                n_steps=30, kinetic_enabled=kinetic
             )
             with pytest.raises(TypeError, match="integer"):
                 propagate_through_laser(s, cfg, p, observe_steps={2.5})
@@ -481,7 +509,7 @@ class TestPropagateThroughLaser:
         # step per real state, the two observed steps and the last
         p = make_params()
         g = _grid(256, 8.0 * p.w_l)
-        s = init_gaussian(g, 0.0, p.w_l, math.inf)
+        s = init_gaussian(g, 0.0, p.w_l)
         laser = standing_wave(p)
         envelopes, patterns, stretches = [], [], []
 
@@ -504,7 +532,6 @@ class TestPropagateThroughLaser:
         cfg = PropagationConfig(
             n_steps=n_steps, kinetic_enabled=False,
             laser_profile=Laser(envelope=envelope, pattern=pattern),
-            transverse_area=math.inf,
         )
         seen = []
         propagate_through_laser(
@@ -519,7 +546,7 @@ class TestPropagateThroughLaser:
         # the beam-splitter transit: 2048 z-steps and no observer make one
         # step, one potential evaluation and so one exponential
         p = with_v0rho(make_params(), 0.3)
-        s = init_gaussian(_grid(256, 8.0 * p.w_y), p.rho_0, p.w_y, 1.0)
+        s = init_gaussian(_grid(256, 8.0 * p.w_y), p.rho_0, p.w_y)
         steps, potentials = [], []
         real_step = propagate.step
 
@@ -544,7 +571,7 @@ def test_transit_builds_no_validated_state_per_step(kinetic, monkeypatch):
     # a step's result is known complex, of the grid's length and nonzero;
     # re-checking it would cost a conversion and a scan per step
     p = make_params()
-    s = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l, math.inf)
+    s = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l)
     checked = []
     original = WaveState.__post_init__
 
@@ -554,7 +581,7 @@ def test_transit_builds_no_validated_state_per_step(kinetic, monkeypatch):
 
     monkeypatch.setattr(WaveState, "__post_init__", counting)
     cfg = PropagationConfig(
-        n_steps=100, kinetic_enabled=kinetic, transverse_area=math.inf
+        n_steps=100, kinetic_enabled=kinetic
     )
     out = propagate_through_laser(s, cfg, p, observe_steps={10, 20})
     assert checked == []
@@ -574,6 +601,12 @@ def test_standing_wave_intensity_is_the_written_out_formula():
             * np.cos(p.harmonic * p.k_l * y) ** 2
         )
         assert np.array_equal(profile(y, z), direct)
+
+
+def _area(params):
+    # the transverse area the density rule stands for: |psi|^2 / area is
+    # the density of a packet of peak density rho_0, 0 for the tracer
+    return math.inf if params.rho_0 == 0.0 else 1.0
 
 
 def _transit_setup(config, params):
@@ -612,7 +645,7 @@ def _textbook_transit(state, config, params):
     g = state.grid
 
     def half(psi, e):
-        density = np.abs(psi) ** 2 / config.transverse_area
+        density = np.abs(psi) ** 2 / _area(params)
         v = effective_potential(config.model, e * laser.pattern(g.points()), density, params)
         return psi * np.exp(-0.5j * dt * (v / HBAR))
 
@@ -639,7 +672,7 @@ def _deferred_transit(state, config, params, split_steps):
     pattern = laser.pattern(g.points())
 
     def weight(psi):
-        density = (psi.real**2 + psi.imag**2) / config.transverse_area
+        density = (psi.real**2 + psi.imag**2) / _area(params)
         return effective_potential(config.model, pattern, density, params) * (dt / HBAR)
 
     def settle(psi, drive, w):
@@ -676,12 +709,12 @@ class TestHoistedTransitIsBitExact:
     def _dense(self):
         p = with_v0rho(make_params(), 0.3)
         g = _grid(512, 8.0 * p.w_y)
-        return p, init_gaussian(g, p.rho_0, p.w_y, 1.0), 1.0
+        return p, init_gaussian(g, p.rho_0, p.w_y)
 
     def _dilute(self):
         p = make_params()
         g = _grid(512, 8.0 * p.w_y)
-        return p, init_gaussian(g, 0.0, p.w_y, math.inf), math.inf
+        return p, init_gaussian(g, 0.0, p.w_y)
 
     def _check(self, p, s, config):
         seen = []
@@ -708,10 +741,10 @@ class TestHoistedTransitIsBitExact:
     @pytest.mark.parametrize("kinetic", [True, False])
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_dense_every_model(self, kinetic, model):
-        p, s, area = self._dense()
+        p, s = self._dense()
         cfg = PropagationConfig(
             n_steps=self.N_STEPS, kinetic_enabled=kinetic,
-            model=model, transverse_area=area,
+            model=model,
         )
         before = s.amplitude.copy()
         self._check(p, s, cfg)
@@ -719,17 +752,16 @@ class TestHoistedTransitIsBitExact:
 
     @pytest.mark.parametrize("kinetic", [True, False])
     def test_dilute(self, kinetic):
-        p, s, area = self._dilute()
+        p, s = self._dilute()
         cfg = PropagationConfig(
             n_steps=self.N_STEPS, kinetic_enabled=kinetic,
-            transverse_area=area,
         )
         self._check(p, s, cfg)
 
     def test_custom_laser_is_sampled_once_per_transit(self):
         # the envelope once, at the N + 1 endpoint z of the z-steps, and the
         # pattern once, on the grid, whatever the kinetic term does
-        p, s, area = self._dense()
+        p, s = self._dense()
         for kinetic in (True, False):
             envelopes, patterns = [], []
 
@@ -744,7 +776,6 @@ class TestHoistedTransitIsBitExact:
             cfg = PropagationConfig(
                 n_steps=self.N_STEPS, kinetic_enabled=kinetic,
                 laser_profile=Laser(envelope=envelope, pattern=pattern),
-                transverse_area=area,
             )
             propagate_through_laser(s, cfg, p, observe_steps=self.OBSERVED)
             assert len(envelopes) == 1 and len(patterns) == 1
@@ -760,7 +791,7 @@ class TestHoistedTransitIsBitExact:
         # unmerged scheme to roundoff (measured 8.0e-16)
         p = with_v0rho(with_wy_lambdas(make_params(), 20.0), 0.3)
         g = commensurate_grid(p, 4096, 128.0)
-        s = init_gaussian(g, p.rho_0, p.w_y, 1.0)
+        s = init_gaussian(g, p.rho_0, p.w_y)
         cfg = PropagationConfig(n_steps=2048, kinetic_enabled=False)
         out = propagate_through_laser(s, cfg, p)
         strang = WaveState(grid=g, amplitude=_textbook_transit(s, cfg, p))
@@ -774,7 +805,7 @@ def test_a_kinetic_step_is_the_deferred_transit_over_its_stretch(k):
     # one kinetic-on step over k z-steps, bit for bit the written-out
     # scheme with a real state only at the end
     p = with_v0rho(make_params(), 0.3)
-    entry = init_gaussian(_grid(512, 8.0 * p.w_y), p.rho_0, p.w_y, 1.0)
+    entry = init_gaussian(_grid(512, 8.0 * p.w_y), p.rho_0, p.w_y)
     cfg = PropagationConfig(n_steps=k, kinetic_enabled=True)
     dt, _, t_entry, envelope = _transit_setup(cfg, p)
     out = step(
@@ -847,10 +878,10 @@ def test_write_state_csv_shape():
     assert float(cells[0]) == -0.5
 
 
-def _per_row_csv(state, transverse_area):
+def _per_row_csv(state, params):
     # the row-at-a-time writer the vectorized one must match byte for byte
     y = state.grid.points()
-    dens = state.density(transverse_area)
+    dens = np.abs(state.amplitude) ** 2 / _area(params)
     rows = ["y_cm,re_psi,im_psi,density\n"]
     for i in range(state.grid.n_points):
         rows.append(
@@ -876,12 +907,12 @@ def test_write_state_csv_matches_per_row_csv_num(block_rows, monkeypatch):
     amp[6] = complex(1.0 / 3.0, -123456789.123)
     finite = amp.copy()
     finite[4:6] = 1.0  # inf / inf would be a NaN density
-    cases = [(amp, 1.0), (amp, 3.0), (finite, math.inf)]
-    for values, area in cases:
+    cases = [(amp, make_params(rho_0=1.0)), (amp, make_params(rho_0=3.0e14)), (finite, make_params())]
+    for values, p in cases:
         s = WaveState(grid=g, amplitude=values)
         buf = io.StringIO()
-        write_state_csv(s, area, buf)
-        assert buf.getvalue() == _per_row_csv(s, area)
+        write_state_csv(s, p.rho_0, buf)
+        assert buf.getvalue() == _per_row_csv(s, p)
         lines = buf.getvalue().splitlines()
         assert lines[1:4] == ["-0.5,0,0,0", "-0.484375,0,0,0", "-0.46875,0,0,0"]
         assert lines[33].startswith("0,")

@@ -69,25 +69,71 @@ def test_readme_examples_print_what_they_show(tmp_path, monkeypatch):
                 assert line in output, f"{' '.join(argv)}: missing {line!r}"
 
 
-@pytest.mark.parametrize("field", [f.name for f in fields(PhysicalParams)])
-def test_a_huge_field_ends_every_example_with_an_exit_code(field, tmp_path, monkeypatch):
-    # 1e300 is finite, so the file parses; whatever overflows further on
-    # must end in an exit code and at most one line of message
+def _run_with(field, value, tmp_path, monkeypatch):
+    """(argv, code, stdout, stderr) of each command example, run on the
+    README file with `field` set to `value`; an exception is a traceback."""
     (ini,) = _blocks("ini")
-    text, count = re.subn(rf"^{field} = .*$", f"{field} = 1e300", ini, flags=re.M)
+    text, count = re.subn(rf"^{field} = .*$", f"{field} = {value}", ini, flags=re.M)
     assert count == 1
     (tmp_path / "sodium.params").write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     for argv, _ in EXAMPLES:
         if argv[0] != "matteroptics":
             continue
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # numpy's overflow warnings
-                code = main(argv[1:])  # an exception here is a traceback
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv[1:])
         message = err.getvalue()
         assert code in (0, 1, 2), argv
         assert message.count("\n") <= 1, argv
         if code == 1:
             assert message.startswith("error: "), argv
+        yield argv[1], code, out.getvalue(), message
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(PhysicalParams)])
+def test_a_huge_field_ends_every_example_with_an_exit_code(field, tmp_path, monkeypatch):
+    # 1e300 is finite, so the file parses; whatever overflows further on
+    # must end in an exit code and at most one line of message
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy's overflow warnings
+        for _ in _run_with(field, "1e300", tmp_path, monkeypatch):
+            pass
+
+
+# How a field at a tiny value ends the example that divides by it, or by
+# a power or product of it that underflows to 0: (command, exit code,
+# text the message holds). optics reports its failures in the errors
+# column, exit 2.
+_TINY = {
+    ("w_l", "1e-300"): (
+        "propagate", 1, "error: w_l = 1e-300 is out of range: its power 2 underflows to 0"
+    ),
+    ("dipole", "1e-300"): ("optics", 2, '"dipole = 1e-300 is out of range: V0 underflows to 0'),
+    ("w_y", "1e-300"): (
+        "propagate", 1, "error: w_y = 1e-300 is out of range: its square underflows to 0"
+    ),
+    ("v_g", "1e-300"): (
+        "diffract", 1, "orders needed at tau = 1.7751062741615415e+302 (q_max = 3)"
+    ),
+    ("omega_a", "5e-324"): ("optics", 2, '"a_s k_a underflows to 0: scattering_length = '),
+    ("rho_0", "5e-324"): (
+        "propagate", 1, "error: rho_0 = 5e-324 is out of range: the packet's norm underflows"
+    ),
+}
+
+
+@pytest.mark.parametrize("field, value", sorted(_TINY))
+def test_a_tiny_field_ends_every_example_without_a_warning(field, value, tmp_path, monkeypatch):
+    # 1e-300 and 5e-324 are finite too; a square or a product of them
+    # underflows to 0, and a tau divided by one needs more orders than any
+    # run may hold
+    command, expected_code, text = _TINY[field, value]
+    seen = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning is a traceback here
+        for name, code, out, message in _run_with(field, value, tmp_path, monkeypatch):
+            if name == command:
+                seen.append(code)
+                assert text in (out if name == "optics" else message)
+    assert seen == [expected_code]

@@ -1,5 +1,6 @@
 """Static checks on the package source."""
 
+import argparse
 import ast
 import inspect
 import re
@@ -181,6 +182,52 @@ def test_one_route_selector():
         if isinstance(node, ast.Name) and node.id == "ROUTES"
     }
     assert readers == {"diffraction.py"}
+
+
+def test_one_rule_for_the_packet_density():
+    # rho_0 alone fixes the packet's peak amplitude and the density the
+    # potential sees; everything that builds a packet or reads its
+    # density asks packet_normalization, so the two cannot disagree
+    assert package_guard_sites(None, "packet_normalization") == {
+        "propagate._weight", "propagate.write_state_csv", "propagate.init_gaussian",
+        "diffraction.propagator_orders",
+    }
+
+
+def test_one_ceiling_on_the_order_count():
+    assert package_guard_sites("MAX_ORDERS") == {"diffraction.check_order_count"}
+
+
+def cli_args_reads(source: str) -> set[str]:
+    """Every attribute `name` read as args.<name> in the source."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+        and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_cli_args_reads_checker():
+    source = "def f(args):\n    x = args.q_max + args.steps\n    args.out = 1\n    g(other.a)\n"
+    assert cli_args_reads(source) == {"q_max", "steps"}
+
+
+def test_every_flag_is_read_and_listed():
+    # a flag removed from the table but still read, or defined but listed
+    # by no command, would only fail when a user reaches that line
+    from matteroptics import cli
+
+    dests = {
+        argparse.ArgumentParser().add_argument(key.split()[-1], **spec).dest
+        for key, spec in cli._FLAGS.items()
+    }
+    read = cli_args_reads((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert read - dests - {"command", "func"} == set()
+    listed = set(cli._COMMON).union(*(flags for _, *flags in cli._COMMANDS.values()))
+    assert set(cli._FLAGS) - listed == set()
 
 
 def test_one_owner_of_numerics_failures():

@@ -79,9 +79,16 @@ class TestSweepSpec:
         spec = _spec(base, [-1.0, 0.0], q_max=None)  # rho_0 = -1 is no point
         assert spec.q_max == default_q_max([base], ("analytic",), 4096, 128.0) == 34
 
-    def test_q_max_guard(self):
+    def test_q_max_guard(self, monkeypatch):
         with pytest.raises(ConfigurationError, match="q_max"):
             _spec(_blue(), [0.0], q_max=-1)
+        # the table has q_max + 1 columns per route, whatever the points give
+        monkeypatch.setattr("matteroptics.diffraction.MAX_ORDERS", 40)
+        assert _spec(_blue(), [0.0], q_max=40).q_max == 40
+        with pytest.raises(
+            ConfigurationError, match=r"^41 orders needed \(q_max = 41\), more than the ceiling of 40$"
+        ):
+            _spec(_blue(), [0.0], q_max=41)
 
 
 class TestRunSweep:

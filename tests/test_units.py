@@ -13,6 +13,7 @@ from matteroptics.units import (
     C_LIGHT,
     HBAR,
     PhysicalParams,
+    checked_divisor,
     checked_power,
     convert_dimension,
     convert_field,
@@ -137,6 +138,18 @@ def test_checked_power_names_what_overflows():
     assert str(err.value) == "dipole = 1e+300 is out of range: its power 2 overflows"
     with np.errstate(over="ignore"):  # an array power gives inf and does not raise
         assert checked_power(np.array([1e300]), 2, "dipole")[0] == math.inf
+
+
+def test_checked_divisor_names_what_underflows():
+    # the same power as checked_power, bit for bit, and refused where it
+    # would divide by 0
+    for value in (3.0, 1e-150, 7.3e-3):
+        assert checked_divisor(value, 2, "w_l") == checked_power(value, 2, "w_l")
+    with pytest.raises(ParameterError) as err:
+        checked_divisor(1e-300, 2, "w_l")
+    assert str(err.value) == "w_l = 1e-300 is out of range: its power 2 underflows to 0"
+    with pytest.raises(ParameterError, match="overflows"):
+        checked_divisor(1e300, 2, "w_l")
 
 
 def test_params_to_system_factors():
