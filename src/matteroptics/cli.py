@@ -9,22 +9,27 @@ One binary, six subcommands:
   bloch      two-level coherence/inversion trajectory
   sweep      one-axis parameter sweep across the diffraction paths
 
-Every command reads the same flat parameter-file format and takes its
-shared flags from one table. Each computes its results once and hands
-them to _emit, the one output path; its docstring states the output
-contract. Exit codes: 0 success, 1 usage or configuration error, 2
-physics-guard failure or flagged points.
+Every command reads the same flat parameter-file format. Every flag is
+defined once in _FLAGS, and _read_args, the one parser, reads the
+command line against that table alone: the command comes from argv[0]
+and each token is looked up in that command's own flag map. It takes
+the forms argparse takes (--flag value, --flag=value, a unique prefix,
+--no-FLAG for a switch, "-" then a digit or "." as a value, the last of
+a repeated flag) and renders -h/--help from the same table.
+
+Each command computes its results once and hands them to _emit, the
+one output path; its docstring states the output contract. Exit codes:
+0 success, 1 usage or configuration error, 2 physics-guard failure or
+flagged points.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import io
 import math
-import re
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 from . import __version__
 from .bloch import (
@@ -90,35 +95,11 @@ from .units import (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage errors exit with code 1, not 2, and
-    which reads every token of "-" then a digit or "." as a value."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse takes only -N and -N.N for negative numbers, so
-        # --detuning -5e-1 or --values -1e9,0 would be flags; no flag of
-        # ours starts with a digit or "."
-        self._negative_number_matcher = re.compile(r"^-[\d.]")
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        sys.exit(1)
-
-
-def _thread_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
-    return count
-
-
 # Every flag, defined once. A key is the flag itself, or "command --flag"
-# for a flag that means something else in that one command.
+# for a flag that means something else in that one command. An entry may
+# give type (int or float; text otherwise), choices, default, required,
+# min (the least value allowed), negatable (a --no-FLAG form sets
+# False), metavar and help.
 _FLAGS = {
     "--params": dict(metavar="FILE", help="parameter file (key = value)"),
     "--format": dict(choices=("csv", "json"), default="csv", help="output format"),
@@ -127,7 +108,7 @@ _FLAGS = {
         choices=("si", "cgs"),
         help="unit system of inputs and echoes; overrides the file's declaration",
     ),
-    "--threads": dict(type=_thread_count, default=1, help="worker threads for sweep points"),
+    "--threads": dict(type=int, default=1, min=1, help="worker threads for sweep points"),
     "--density": dict(type=float, help="override rho_0 (declared units)"),
     "--saturation": dict(
         type=float,
@@ -151,7 +132,7 @@ _FLAGS = {
         type=float, help="grid span in effective wavelengths (default: fits the packet)"
     ),
     "--kinetic": dict(
-        action=argparse.BooleanOptionalAction, default=True,
+        negatable=True, default=True,
         help="include the kinetic term (disable for the beam-splitter regime)",
     ),
     "--snapshots": dict(type=int, default=0, help="number of evenly spaced state snapshots"),
@@ -167,7 +148,7 @@ _FLAGS = {
     "--r0-im": dict(type=float, default=0.0, help="initial Im(R)"),
     "bloch --density": dict(type=float, help="medium density for the local-field correction"),
     "--local-field": dict(
-        action=argparse.BooleanOptionalAction, default=True,
+        negatable=True, default=True,
         help="apply the local-field drive correction when --density is set",
     ),
     "--axis": dict(default="rho_0", help="parameter field to sweep"),
@@ -205,21 +186,238 @@ _COMMANDS = {
     ),
 }
 
+# ---------------------------------------------------------------- argv reader
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="matteroptics",
-        description="Medium optics, matter-wave diffraction and Bloch dynamics "
-        "for a dense two-level gas in laser light.",
-    )
-    parser.add_argument("--version", action="version", version=f"matteroptics {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for command, (help_text, *flags) in _COMMANDS.items():
-        sub = subs.add_parser(command, help=help_text)
-        for key in (*_COMMON, *flags):
-            sub.add_argument(key.split()[-1], **_FLAGS[key])
-        sub.set_defaults(func=globals()[f"cmd_{command}"])
-    return parser
+_DESCRIPTION = (
+    "Medium optics, matter-wave diffraction and Bloch dynamics for a dense\n"
+    "two-level gas in laser light."
+)
+_HELP = {"help": "show this help message and exit"}
+_VERSION = {"help": "show the program's version number and exit"}
+
+
+class _UsageError(Exception):
+    """A command line the reader refuses; the text is the error message."""
+
+
+def _flag_keys(command: str) -> tuple[str, ...]:
+    return (*_COMMON, *_COMMANDS[command][1:])
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _options(command: str | None) -> dict[str, tuple[str, str | None, dict]]:
+    """Each option string of command -> (name, dest, spec), in argparse's
+    order: -h and --help, then each flag and its --no- form. name is what
+    an error message calls the flag; dest is None for a flag that answers
+    at once. Command None has the program's own flags."""
+    options = {"-h": ("-h/--help", None, _HELP), "--help": ("-h/--help", None, _HELP)}
+    if command is None:
+        options["--version"] = ("--version", None, _VERSION)
+        return options
+    for key in _flag_keys(command):
+        flag = key.split()[-1]
+        spec = _FLAGS[key]
+        if spec.get("negatable"):
+            negation = f"--no-{flag[2:]}"
+            options[flag] = options[negation] = (f"{flag}/{negation}", _dest(flag), spec)
+        else:
+            options[flag] = (flag, _dest(flag), spec)
+    return options
+
+
+# Built once; a command line is read against its command's map alone.
+_OPTIONS = {command: _options(command) for command in (None, *_COMMANDS)}
+
+
+def _lookup(token: str, options: dict):
+    """What token is among options, by argparse's rules: None for a value,
+    else (entry, option string, attached value or None), entry None for
+    a flag options lacks.
+
+    A flag is named whole, as FLAG=VALUE, by a unique prefix of a --flag
+    (a shared prefix is an error), or as -h with text attached. "-" then
+    a digit or ".", "-" alone and text holding a space are values; "--"
+    ends the flags and is itself taken as no flag's value.
+    """
+    entry = options.get(token)
+    if entry is not None:
+        return entry, token, None
+    if token[:1] != "-" or token == "-":
+        return None
+    if token == "--":
+        return None, token, None
+    option, eq, attached = token.partition("=")
+    if eq and option in options:
+        return options[option], option, attached
+    if token[1] == "-":
+        matches = [o for o in options if o.startswith(option)]
+        attached = attached if eq else None
+    else:
+        matches = [token[:2]] if token[:2] in options else []
+        attached = token[2:]
+    if len(matches) > 1:
+        raise _UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return options[matches[0]], matches[0], attached
+    if token[1].isdecimal() or token[1] == "." or " " in token:
+        return None
+    return None, token, None
+
+
+def _value(name: str, spec: dict, text: str):
+    """text read by spec's type and checked against its choices and min."""
+    kind = spec.get("type", str)
+    try:
+        value = kind(text)
+    except ValueError:
+        raise _UsageError(f"argument {name}: invalid {kind.__name__} value: {text!r}") from None
+    choices = spec.get("choices")
+    if choices is not None and value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise _UsageError(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+    if "min" in spec and value < spec["min"]:
+        raise _UsageError(f"argument {name}: must be >= {spec['min']}, got {value}")
+    return value
+
+
+def _read_command(command: str | None, tokens: list[str]):
+    """command's flags in tokens as a namespace, or 0 once -h/--help or
+    --version has answered."""
+    options = _OPTIONS[command]
+    # every token after the first "--" is a value, so no flag names one;
+    # an ambiguous prefix fails before any value is read
+    cut = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_lookup(token, options) for token in tokens[: cut + 1]]
+    kinds += [None] * (len(tokens) - len(kinds))
+    values = {dest: spec.get("default") for _, dest, spec in options.values() if dest}
+    seen: set[str] = set()
+    extras: list[str] = []
+    i = 0
+    while i < len(tokens):
+        kind = kinds[i]
+        i += 1
+        if kind is None or kind[0] is None:  # a value no flag took, or no flag of ours
+            extras.append(tokens[i - 1])
+            continue
+        (name, dest, spec), option, attached = kind
+        if dest is None or spec.get("negatable"):  # takes no value
+            if attached and option == "-h":  # -hh is -h twice
+                attached = attached.lstrip("h") or None
+            if attached is not None:
+                raise _UsageError(f"argument {name}: ignored explicit argument {attached!r}")
+            if spec is _HELP:
+                sys.stdout.write(_help(command))
+                return 0
+            if spec is _VERSION:
+                print(f"matteroptics {__version__}")
+                return 0
+            value = not option.startswith("--no-")
+        elif attached is not None:
+            value = _value(name, spec, attached)
+        elif i < len(tokens) and kinds[i] is None:
+            value = _value(name, spec, tokens[i])
+            i += 1
+        else:
+            raise _UsageError(f"argument {name}: expected one argument")
+        values[dest] = value
+        seen.add(name)
+    missing = [
+        name for name, _, spec in options.values() if spec.get("required") and name not in seen
+    ]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, **values)
+
+
+def _read_args(argv: list[str]):
+    """The namespace of argv's command and flags, or the exit code once
+    -h/--help, --version or a usage error has been answered. A usage
+    error prints the usage, then "<prog>: error: <message>", and is 1."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    try:
+        if command is not None:
+            return _read_command(command, argv[1:])
+        # an empty command line reads as a flag of no program: no command
+        kind = _lookup(argv[0], _OPTIONS[None]) if argv else (None, "", None)
+        if kind is None:
+            listed = ", ".join(map(repr, _COMMANDS))
+            raise _UsageError(
+                f"argument command: invalid choice: {argv[0]!r} (choose from {listed})"
+            )
+        if kind[0] is None:
+            raise _UsageError("the following arguments are required: command")
+        return _read_command(None, argv[:1])  # -h, --help or --version answers
+    except _UsageError as exc:
+        sys.stderr.write(_usage(command))
+        print(f"{_prog(command)}: error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _prog(command: str | None) -> str:
+    return "matteroptics" if command is None else f"matteroptics {command}"
+
+
+def _form(key: str, separator: str) -> str:
+    """How key's flag is written: "--flag METAVAR", or the flag and its
+    --no- form joined by separator."""
+    flag = key.split()[-1]
+    spec = _FLAGS[key]
+    if spec.get("negatable"):
+        return f"{flag}{separator}--no-{flag[2:]}"
+    if "choices" in spec:
+        return f"{flag} {{{','.join(spec['choices'])}}}"
+    return f"{flag} {spec.get('metavar', _dest(flag).upper())}"
+
+
+def _usage(command: str | None) -> str:
+    """The usage of command, or of the program for None, wrapped at 78 columns."""
+    if command is None:
+        parts = ["[-h]", "[--version]", f"{{{','.join(_COMMANDS)}}}", "..."]
+    else:
+        parts = ["[-h]"]
+        for key in _flag_keys(command):
+            form = _form(key, " | ")
+            parts.append(form if _FLAGS[key].get("required") else f"[{form}]")
+    lines = [f"usage: {_prog(command)} {parts[0]}"]
+    for part in parts[1:]:
+        if len(lines[-1]) + 1 + len(part) > 78:
+            lines.append(" " * len(f"usage: {_prog(command)} ") + part)
+        else:
+            lines[-1] += f" {part}"
+    return "\n".join(lines) + "\n"
+
+
+def _help(command: str | None) -> str:
+    """-h's text: the usage, what the program or command does, and a row
+    for each command or flag."""
+    rows = {"-h, --help": _HELP["help"]}
+    if command is None:
+        rows["--version"] = _VERSION["help"]
+        sections = {"commands": {name: text for name, (text, *_) in _COMMANDS.items()}}
+        about = _DESCRIPTION
+    else:
+        for key in _flag_keys(command):
+            spec = _FLAGS[key]
+            note = (
+                " (required)" if spec.get("required")
+                else "" if spec.get("default") is None else f" (default: {spec['default']})"
+            )
+            rows[_form(key, ", ")] = spec["help"] + note
+        sections = {}
+        about = _COMMANDS[command][0]
+    sections["options"] = rows
+    text = f"{_usage(command)}\n{about}\n"
+    for title, entries in sections.items():
+        text += f"\n{title}:\n"
+        for left, right in entries.items():
+            pad = f"\n{'':26}" if len(left) > 22 else " " * (24 - len(left))
+            text += f"  {left}{pad}{right}\n"
+    return text
 
 
 # ---------------------------------------------------------------- helpers
@@ -274,6 +472,21 @@ def _captured(write, *data) -> str:
     return buf.getvalue()
 
 
+def _once(fn, *args):
+    """fn(*args), called now, as a function that returns its value, or
+    raises its MatterOpticsError, at every call."""
+    try:
+        value = fn(*args)
+    except MatterOpticsError as exc:
+        error = exc
+
+        def replay():
+            raise error
+
+        return replay
+    return lambda: value
+
+
 def _order_table(angles: dict[int, float], columns: dict[str, DiffractionPattern]):
     """CSV lines q,angle_rad,<one column per pattern>, q ascending."""
     yield "q,angle_rad," + ",".join(columns)
@@ -308,18 +521,20 @@ def cmd_optics(args) -> int:
     inputs = params_to_system(p, pf.units)
     quantities = {"density": convert_field(density, "rho_0", "cgs", pf.units)}
     errors: dict[str, str] = {}
+    response = _once(medium_response, p, density)  # chi and n_squared read one bundle
+    significant = _once(significant_density, p)
     for name, fn, dimension in (
         ("alpha", lambda: polarizability(p), "volume"),
-        ("chi", lambda: medium_response(p, density).chi, "dimensionless"),
-        ("n_squared", lambda: medium_response(p, density).n_squared, "dimensionless"),
+        ("chi", lambda: response().chi, "dimensionless"),
+        ("n_squared", lambda: response().n_squared, "dimensionless"),
         ("local_detuning", lambda: local_detuning(p, density), "frequency"),
         ("v0", lambda: characteristic_volume(p), "volume"),
         ("v0_rho", lambda: characteristic_volume(p) * density, "dimensionless"),
         ("adiabatic_ratio", lambda: weakest_adiabatic_ratio(p, density, density)[0],
          "dimensionless"),
         ("contact_bound", lambda: contact_interaction_bound(args.saturation, p), "dimensionless"),
-        ("significant_density_exact", lambda: significant_density(p).exact, "density"),
-        ("significant_density_scaling", lambda: significant_density(p).scaling, "density"),
+        ("significant_density_exact", lambda: significant().exact, "density"),
+        ("significant_density_scaling", lambda: significant().scaling, "density"),
     ):
         try:
             value = fn()
@@ -615,21 +830,12 @@ def cmd_sweep(args) -> int:
     return 0 if all(r.valid() for r in rows) else 2
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Built on first use and shared: parse_args leaves the parser as it
-    # found it, and building it costs far more than one parse.
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
+    args = _read_args(sys.argv[1:] if argv is None else argv)
+    if isinstance(args, int):  # -h/--help, --version or a usage error
+        return args
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:  # --help (0) or usage error (1)
-        code = exc.code
-        return int(code) if code is not None else 0
-    try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except PhysicsGuardError as exc:  # first, so a SweepGuardError exits 2
         print(f"physics guard: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError, PhysicsGuardError, PoleError, SingularDetuningError
-from .units import HBAR, C_LIGHT, PhysicalParams, checked_power, detuning
+from .units import HBAR, C_LIGHT, PhysicalParams, checked_divisor, checked_power, detuning
 
 # Guard distance on medium-response denominators. The natural scale of
 # each denominator is 1 (its zero-density value), so the absolute and
@@ -176,7 +176,8 @@ def contact_interaction_bound(saturation: float | None, params: PhysicalParams) 
             raise ParameterError(
                 "cannot derive the default saturation at zero detuning; pass --saturation"
             )
-        saturation = checked_power(params.rabi_peak / delta, 2, "rabi_peak / detuning")
+        # a square that underflows to 0 is refused under the ratio's name
+        saturation = checked_divisor(params.rabi_peak / delta, 2, "rabi_peak / detuning")
     if not saturation > 0.0:
         raise ParameterError(f"saturation must be positive, got {saturation!r}")
     if params.scattering_length <= 0.0:

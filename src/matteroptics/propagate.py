@@ -431,6 +431,11 @@ def propagate_through_laser(
         raise ConfigurationError(f"observe_steps must lie in 1..{last}, got {outside}")
     z_half = 4.0 * params.w_l
     duration = 2.0 * z_half / params.v_g
+    if not math.isfinite(duration):  # before any envelope sample
+        raise ParameterError(
+            f"v_g = {params.v_g!r} is out of range: the transit time 8 w_L / v_g "
+            f"overflows at w_L = {params.w_l!r}"
+        )
     dt = duration / last
     invariants = _step_invariants(state.grid, dt, config, params)
     t_entry = -z_half / params.v_g

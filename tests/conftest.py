@@ -8,7 +8,10 @@ of hardcoding dimensional values.
 
 from __future__ import annotations
 
+import argparse
 import math
+import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -145,3 +148,50 @@ def si_params_file(tmp_path):
     path = tmp_path / "ref_si.params"
     path.write_text(params_file_text(make_params(), "si"), encoding="utf-8")
     return str(path)
+
+
+class OracleParser(argparse.ArgumentParser):
+    """argparse with the two rules cli's reader adds to it: a usage error
+    exits 1, not 2, and every token of "-" then a digit or "." is a value
+    (argparse alone takes only -N and -N.N)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        sys.exit(1)
+
+
+def argparse_kwargs(spec: dict) -> dict:
+    """add_argument's keywords for an entry of cli._FLAGS."""
+    kwargs = {key: value for key, value in spec.items() if key not in ("negatable", "min")}
+    if spec.get("negatable"):
+        kwargs["action"] = argparse.BooleanOptionalAction
+    if "min" in spec:
+
+        def at_least(text, kind=spec["type"], least=spec["min"]):
+            try:
+                value = kind(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"invalid {kind.__name__} value: {text!r}"
+                ) from None
+            if value < least:
+                raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+            return value
+
+        kwargs["type"] = at_least
+    return kwargs
+
+
+def oracle_parser(command: str) -> argparse.ArgumentParser:
+    """An argparse parser of one command's flags, built from cli's tables."""
+    from matteroptics import cli
+
+    parser = OracleParser(prog=f"matteroptics {command}")
+    for key in (*cli._COMMON, *cli._COMMANDS[command][1:]):
+        parser.add_argument(key.split()[-1], **argparse_kwargs(cli._FLAGS[key]))
+    return parser

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import matteroptics
 from matteroptics import characteristic_volume, cli, propagate
 from matteroptics.cli import main
 from matteroptics.diffraction import (
@@ -27,6 +28,7 @@ from matteroptics.units import detuning
 
 from conftest import (
     make_params,
+    oracle_parser,
     params_file_text,
     poison_z_step,
     red_detuned,
@@ -126,6 +128,8 @@ class TestTopLevel:
         assert os.listdir(tmp_path) == ["ref.params"]
 
     def test_parser_is_built_once_and_reused(self, capsys, tmp_path, monkeypatch):
+        # the reader's flag maps are built at import; a call only reads
+        # them, so calls in any order give the same replies
         path = write_params(tmp_path, make_params())
         calls = [
             ("optics", "--params", path),
@@ -135,22 +139,227 @@ class TestTopLevel:
             ("--version",),
             ("optics", "--params", path, "--format", "json"),
         ]
-        fresh = []
-        for argv in calls:
-            cli._parser.cache_clear()
-            fresh.append(run(capsys, *argv))
-        assert [r[0] for r in fresh] == [0, 2, 1, 0, 0, 0]  # validity flags a check
+        built = {command: cli._options(command) for command in cli._OPTIONS}
+        assert cli._OPTIONS == built
+        monkeypatch.setattr(cli, "_options", lambda command: pytest.fail("maps rebuilt"))
+        first = [run(capsys, *argv) for argv in calls]
+        assert [r[0] for r in first] == [0, 2, 1, 0, 0, 0]  # validity flags a check
+        assert [run(capsys, *argv) for argv in reversed(calls)] == first[::-1]
+        assert cli._OPTIONS == built
 
-        cli._parser.cache_clear()
-        builds = []
-        real_build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
-        shared = [run(capsys, *argv) for argv in calls]
-        assert shared == fresh
-        assert len(builds) == 1
+
+def _option_strings(command):
+    """Every option string of command, as argparse registers them."""
+    strings = ["-h", "--help"]
+    for key in (*cli._COMMON, *cli._COMMANDS[command][1:]):
+        flag = key.split()[-1]
+        strings.append(flag)
+        if cli._FLAGS[key].get("negatable"):
+            strings.append(f"--no-{flag[2:]}")
+    return strings
+
+
+def _prefix(option, strings):
+    """The shortest prefix of option, three characters or more, that no
+    other option string starts with."""
+    for n in range(3, len(option)):
+        if not any(s.startswith(option[:n]) for s in strings if s != option):
+            return option[:n]
+    return option
+
+
+def _samples(spec, k):
+    """The k-th value of a flag of spec, as typed: negative-looking ones
+    among them, and text with a space that starts with "-"."""
+    if "choices" in spec:
+        return spec["choices"][k % len(spec["choices"])]
+    kind = spec.get("type")
+    if kind is int:
+        return str(k + 2) if "min" in spec else ("-3", "7", "-1")[k % 3]
+    if kind is float:
+        return ("-5e-1", "-.25", "1E3", "-1e-300", "+2")[k % 5]
+    return ("-1e9,0", "run-1", "-x y", "a=b", "")[k % 5]
+
+
+def _oracle_argvs(command):
+    """Token lists of command's flags in every form argparse reads."""
+    strings = _option_strings(command)
+    flags = [
+        (key.split()[-1], cli._FLAGS[key])
+        for key in (*cli._COMMON, *cli._COMMANDS[command][1:])
+    ]
+    required = [
+        token for flag, spec in flags if spec.get("required")
+        for token in (flag, _samples(spec, 0))
+    ]
+
+    def tokens(k, form):
+        out = []
+        for flag, spec in flags:
+            if spec.get("negatable"):
+                out.append(flag if k % 2 else f"--no-{flag[2:]}")
+                continue
+            value = _samples(spec, k)
+            name = _prefix(flag, strings) if form == "prefix" else flag
+            out.extend([f"{name}={value}"] if form == "attached" else [name, value])
+        return out
+
+    yield required  # every other flag at its default
+    for k in range(4):
+        for form in ("spaced", "attached", "prefix"):
+            yield tokens(k, form)
+    yield tokens(0, "spaced") + tokens(1, "attached")  # the last of a repeat wins
+    yield tokens(2, "prefix") + required
+    for flag, spec in flags:
+        if spec.get("negatable"):
+            no = f"--no-{flag[2:]}"
+            for switches in ([no], [flag], [no, flag], [_prefix(no, strings)],
+                             [_prefix(flag, strings), no]):
+                yield [*required, *switches]
+
+
+def _oracle_errors(command):
+    """(what, tokens) of one usage error of each kind command can make."""
+    strings = _option_strings(command)
+    flags = {
+        key.split()[-1]: cli._FLAGS[key] for key in (*cli._COMMON, *cli._COMMANDS[command][1:])
+    }
+    required = [t for f, s in flags.items() if s.get("required") for t in (f, _samples(s, 0))]
+    typed = {kind: [f for f, s in flags.items() if s.get("type") is kind and "min" not in s]
+             for kind in (int, float)}
+    yield "unknown flag", [*required, "--bogus", "3"]
+    yield "unknown flag with a value", ["--bogus=3", *required]
+    yield "stray value", [*required, "stray"]
+    yield "missing value", [*required, "--params"]
+    yield "missing value before a flag", ["--params", "--format", "json", *required]
+    yield "missing value before --", [*required, "--out", "--", "x"]
+    yield "bad int", [*required, (typed[int] or ["--threads"])[0], "1.5"]
+    yield "bad float", [*required, typed[float][0], "1,5"]
+    yield "empty float", [*required, f"{typed[float][0]}="]
+    yield "bad choice", [*required, "--format", "xml"]
+    yield "bad attached choice", [*required, "--units=SI"]
+    yield "threads 0", [*required, "--threads", "0"]
+    yield "threads -3", [*required, "--threads=-3"]
+    yield "threads two", [*required, "--threads", "two"]
+    yield "value to -h", [*required, "-hx"]
+    yield "value to --help", [*required, "--help=1"]
+    if required:
+        yield "missing required flags", []
+        yield "missing a required flag", required[:2]
+    for flag, spec in flags.items():
+        if spec.get("negatable"):
+            yield "value to a switch", [*required, f"{flag}=yes"]
+    shared = sorted({s[:n] for s in strings if s.startswith("--") for n in range(3, len(s))
+                     if sum(o.startswith(s[:n]) for o in strings) > 1})
+    for prefix in shared[:2]:
+        yield f"ambiguous prefix {prefix}", [*required, prefix, "1"]
+        yield f"ambiguous attached prefix {prefix}", [f"{prefix}=1", *required]
+
+
+def _oracle_reply(capsys, parse, tokens):
+    try:
+        result = parse(tokens)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestReaderMatchesArgparse:
+    """cli's reader against an argparse parser built from the same flag
+    table: the same namespace for every form argparse reads, and the same
+    exit code and error line for every usage error."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_same_namespace(self, capsys, command):
+        oracle = oracle_parser(command)
+        cases = list(_oracle_argvs(command))
+        assert len(cases) >= 15
+        for tokens in cases:
+            want, _, err = _oracle_reply(capsys, oracle.parse_args, tokens)
+            assert err == "", (tokens, err)
+            got = cli._read_args([command, *tokens])
+            assert vars(got) == {"command": command, **vars(want)}, tokens
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_same_usage_errors(self, capsys, command):
+        oracle = oracle_parser(command)
+        kinds = set()
+        for what, tokens in _oracle_errors(command):
+            code, _, want = _oracle_reply(capsys, oracle.parse_args, tokens)
+            assert code == 1, (what, tokens)
+            got = run(capsys, command, *tokens)
+            assert got[:2] == (1, ""), (what, tokens)
+            assert got[2].startswith(f"usage: matteroptics {command} [-h] "), what
+            assert got[2].splitlines()[-1] == want.splitlines()[-1], (what, tokens)
+            assert got[2].splitlines()[-1].startswith(f"matteroptics {command}: error: ")
+            kinds.add(what.split()[0])
+        assert {"unknown", "missing", "bad", "threads"} <= kinds
+        assert ("ambiguous" in kinds) == (command not in ("optics", "validity"))
+
+    @pytest.mark.parametrize("argv", [
+        ("-h",), ("--help",), ("--he",), ("-hh",), ("optics", "-h"), ("bloch", "--help"),
+        ("sweep", "--params", "x", "--he"), ("propagate", "-hh"),
+    ])
+    def test_help_is_rendered_from_the_table(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        command = argv[0] if argv[0] in cli._COMMANDS else None
+        assert out.startswith(f"usage: {cli._prog(command)} [-h] ")
+        if command is None:
+            assert all(f"\n  {name} " in out for name in cli._COMMANDS)
+        else:
+            keys = (*cli._COMMON, *cli._COMMANDS[command][1:])
+            assert all(cli._FLAGS[key]["help"] in out for key in keys)
+
+    @pytest.mark.parametrize("argv, message", [
+        ((), "the following arguments are required: command"),
+        (("--bogus",), "the following arguments are required: command"),
+        (("stats",), "argument command: invalid choice: 'stats' (choose from 'optics', "
+                     "'validity', 'diffract', 'propagate', 'bloch', 'sweep')"),
+        (("--version=1",), "argument --version: ignored explicit argument '1'"),
+    ])
+    def test_program_usage_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: matteroptics [-h] [--version]\n")
+        assert err.splitlines()[-1] == f"matteroptics: error: {message}"
+
+    @pytest.mark.parametrize("argv", [("--version",), ("--vers",)])
+    def test_version(self, capsys, argv):
+        assert run(capsys, *argv) == (0, f"matteroptics {matteroptics.__version__}\n", "")
 
 
 class TestOptics:
+    QUANTITIES = [
+        "alpha", "chi", "n_squared", "local_detuning", "v0", "v0_rho", "adiabatic_ratio",
+        "contact_bound", "significant_density_exact", "significant_density_scaling",
+    ]
+
+    @pytest.mark.parametrize("fields, failing", [
+        ({}, []),
+        ({"dipole": 1e300}, [name for name in QUANTITIES if name != "contact_bound"]),
+    ])
+    def test_one_medium_response_gives_chi_and_n_squared(
+        self, capsys, tmp_path, monkeypatch, fields, failing
+    ):
+        # one bundle per run; a bundle that fails is the error entry of
+        # each quantity read from it, in the table's order
+        calls = []
+        real = cli.medium_response
+        monkeypatch.setattr(cli, "medium_response", lambda *a: calls.append(a) or real(*a))
+        path = write_params(tmp_path, make_params(**fields))
+        code, out, err = run(capsys, "optics", "--params", path, "--density", "3e13",
+                             "--format", "json")
+        assert (code, err, len(calls)) == (2 if failing else 0, "", 1)
+        doc = json.loads(out)
+        assert list(doc["errors"]) == failing
+        assert list(doc["quantities"]) == ["density"] + [
+            name for name in self.QUANTITIES if name not in failing
+        ]
+        if failing:
+            assert doc["errors"]["chi"] == doc["errors"]["n_squared"] == doc["errors"]["alpha"]
+
     def test_csv_dilute(self, capsys, params_file):
         code, out, _ = run(capsys, "optics", "--params", params_file)
         assert code == 0
@@ -1219,13 +1428,13 @@ class TestDefaultQMax:
         assert got == default_q_max([p], ("propagator",), int(n), 32.0) == want
 
     def test_default_grid_is_read_from_diffraction(self):
-        parser = cli.build_parser()
         for command in ("diffract", "sweep", "propagate"):
-            args = parser.parse_args([command])
+            args = cli._read_args([command])
             assert args.grid_points == DEFAULT_GRID_POINTS
             assert args.steps == DEFAULT_Z_STEPS
-        assert parser.parse_args(["sweep"]).box_lambdas == DEFAULT_BOX_LAMBDAS
-        assert parser.parse_args(["diffract"]).box_lambdas == DEFAULT_BOX_LAMBDAS
+        assert cli._read_args(["sweep"]).box_lambdas == DEFAULT_BOX_LAMBDAS
+        assert cli._read_args(["diffract"]).box_lambdas == DEFAULT_BOX_LAMBDAS
+        assert cli._read_args(["propagate"]).box_lambdas is None  # fits the packet
         spec = SweepSpec(
             base=make_params(), axis="rho_0", values=(0.0,), paths=("analytic",), q_max=1
         )
@@ -1359,7 +1568,8 @@ class TestCsvMatchesJson:
 
 @pytest.mark.parametrize("command", ["diffract", "propagate"])
 def test_unknown_model_is_an_argparse_usage_error(capsys, params_file, tmp_path, command):
-    # argparse's choices are the one check of a model name
+    # the flag table's choices are the one check of a model name, worded
+    # as argparse words it
     out = ("--out", str(tmp_path / "run")) if command == "propagate" else ()
     code, stdout, err = run(
         capsys, command, "--params", params_file, *out, "--model", "heuristic"

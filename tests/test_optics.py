@@ -1,6 +1,7 @@
 """Medium response: polarizability, local field, refractive index, bounds."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -163,6 +164,19 @@ def test_contact_bound_scales_linearly_in_saturation():
     p = make_params()
     b1 = contact_interaction_bound(0.01, p)
     assert contact_interaction_bound(0.02, p) == pytest.approx(2.0 * b1, rel=1e-15)
+
+
+def test_an_underflowing_default_saturation_names_its_ratio():
+    # (rabi_peak / Delta)^2 underflows to 0 for a tiny drive; the error
+    # names the ratio, not the zero it became
+    ratio = 1e-300 / detuning(make_params())
+    with pytest.raises(
+        ParameterError,
+        match=rf"^rabi_peak / detuning = {re.escape(repr(ratio))} is out of range: "
+        r"its power 2 underflows to 0$",
+    ):
+        contact_interaction_bound(None, make_params(rabi_peak=1e-300))
+    assert contact_interaction_bound(ratio, make_params()) > 0.0  # as --saturation it is fine
 
 
 def test_contact_bound_input_guards():

@@ -328,6 +328,18 @@ class TestPropagateThroughLaser:
             assert t == pytest.approx(-4.0 * p.w_l / p.v_g + i * dt, rel=1e-12)
         assert out.time == s.time + 8.0 * p.w_l / p.v_g
 
+    def test_an_overflowing_transit_time_names_v_g(self, monkeypatch):
+        # 8 w_L / v_g overflows to inf for a tiny speed: refused before the
+        # envelope is sampled, not left to fail as a numerics error
+        p = make_params(v_g=5e-324)
+        monkeypatch.setattr(propagate, "_laser", lambda *a: pytest.fail("envelope sampled"))
+        s = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l)
+        with pytest.raises(
+            ParameterError, match=r"^v_g = 5e-324 is out of range: the transit time "
+            r"8 w_L / v_g overflows at w_L = 0\.002$",
+        ):
+            propagate_through_laser(s, PropagationConfig(n_steps=4, kinetic_enabled=False), p)
+
     def test_finite_checks_are_real_states_with_the_kinetic_term_only(self, monkeypatch):
         # checks every 8 steps: the kinetic-on observer sees them between
         # the asked-for steps; a kinetic-off transit makes no state real

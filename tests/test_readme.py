@@ -117,6 +117,11 @@ _TINY = {
         "diffract", 1, "orders needed at tau = 1.7751062741615415e+302 (q_max = 3)"
     ),
     ("omega_a", "5e-324"): ("optics", 2, '"a_s k_a underflows to 0: scattering_length = '),
+    ("v_g", "5e-324"): (
+        "propagate", 1, "error: v_g = 5e-324 is out of range: the transit time 8 w_L / v_g "
+        "overflows"
+    ),
+    ("rabi_peak", "1e-300"): ("optics", 2, '"rabi_peak / detuning = 1.59'),
     ("rho_0", "5e-324"): (
         "propagate", 1, "error: rho_0 = 5e-324 is out of range: the packet's norm underflows"
     ),

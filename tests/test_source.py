@@ -12,6 +12,8 @@ import pytest
 import matteroptics
 from matteroptics import units
 
+from conftest import argparse_kwargs
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "matteroptics"
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
@@ -221,13 +223,40 @@ def test_every_flag_is_read_and_listed():
     from matteroptics import cli
 
     dests = {
-        argparse.ArgumentParser().add_argument(key.split()[-1], **spec).dest
+        argparse.ArgumentParser().add_argument(key.split()[-1], **argparse_kwargs(spec)).dest
         for key, spec in cli._FLAGS.items()
     }
     read = cli_args_reads((PACKAGE / "cli.py").read_text(encoding="utf-8"))
-    assert read - dests - {"command", "func"} == set()
+    assert read - dests - {"command"} == set()
     listed = set(cli._COMMON).union(*(flags for _, *flags in cli._COMMANDS.values()))
     assert set(cli._FLAGS) - listed == set()
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level name of every module the source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_modules_checker():
+    source = "import os.path, json as j\nfrom argparse import Namespace\nfrom . import cli\n"
+    assert imported_modules(source) == {"os", "json", "argparse"}
+
+
+def test_the_package_imports_no_argparse():
+    # cli reads the command line against its own flag table; argparse is
+    # only the tests' oracle for that reader
+    importers = [
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if "argparse" in imported_modules(path.read_text(encoding="utf-8"))
+    ]
+    assert importers == []
 
 
 def test_one_owner_of_numerics_failures():
