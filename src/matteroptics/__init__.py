@@ -17,153 +17,112 @@ density dependent. Modules:
 
 All internal numbers are Gaussian-CGS; SI is accepted and echoed at the
 file boundary.
+
+The package root exports every public name, but `import matteroptics`
+loads no module: a name's module is imported the first time the name is
+read (PEP 562), so a caller pays only for the modules it uses.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .bessel import bessel_j_sequence
-from .bloch import (
-    BlochRates,
-    BlochState,
-    BlochTrajectory,
-    bloch_rhs,
-    integrate,
-    local_rabi,
-    steady_state,
-)
-from .diffraction import (
-    DiffractionPattern,
-    analytic_orders,
-    commensurate_grid,
-    diffraction_angles,
-    effective_wavelength,
-    evaluate_routes,
-    numeric_orders,
-    pattern_discrepancy,
-    phase_profile,
-    propagator_orders,
-)
-from .errors import (
-    ConfigurationError,
-    MatterOpticsError,
-    NumericsError,
-    ParameterError,
-    PhysicsGuardError,
-    PoleError,
-    SingularDetuningError,
-    SteadyStateError,
-    SweepError,
-    SweepGuardError,
-)
-from .models import (
-    ModelKind,
-    RamanNathParams,
-    RegimeCheck,
-    characteristic_volume,
-    effective_potential,
-    raman_nath_params,
-    regime_checks,
-    significant_density,
-)
-from .optics import (
-    MediumResponse,
-    contact_interaction_bound,
-    local_detuning,
-    medium_response,
-    polarizability,
-    refractive_index_sq,
-    susceptibility,
-)
-from .propagate import (
-    Grid1D,
-    Laser,
-    PropagationConfig,
-    WaveState,
-    init_gaussian,
-    momentum_spectrum,
-    norm,
-    propagate_through_laser,
-    standing_wave,
-    standing_wave_intensity,
-    step,
-)
-from .sweep import SweepRow, SweepSpec, run_sweep
-from .units import (
-    C_LIGHT,
-    HBAR,
-    ParamFile,
-    PhysicalParams,
-    detuning,
-    params_to_system,
-    parse_param_file,
-    read_param_file,
-)
+# Every exported name, under the module that defines it.
+_EXPORTS = {
+    "bessel": ("bessel_j_sequence",),
+    "bloch": (
+        "BlochRates",
+        "BlochState",
+        "BlochTrajectory",
+        "bloch_rhs",
+        "integrate",
+        "local_rabi",
+        "steady_state",
+    ),
+    "diffraction": (
+        "DiffractionPattern",
+        "analytic_orders",
+        "commensurate_grid",
+        "diffraction_angles",
+        "effective_wavelength",
+        "evaluate_routes",
+        "numeric_orders",
+        "pattern_discrepancy",
+        "phase_profile",
+        "propagator_orders",
+    ),
+    "errors": (
+        "ConfigurationError",
+        "MatterOpticsError",
+        "NumericsError",
+        "ParameterError",
+        "PhysicsGuardError",
+        "PoleError",
+        "SingularDetuningError",
+        "SteadyStateError",
+        "SweepError",
+        "SweepGuardError",
+    ),
+    "models": (
+        "ModelKind",
+        "RamanNathParams",
+        "RegimeCheck",
+        "characteristic_volume",
+        "effective_potential",
+        "raman_nath_params",
+        "regime_checks",
+        "significant_density",
+    ),
+    "optics": (
+        "MediumResponse",
+        "contact_interaction_bound",
+        "local_detuning",
+        "medium_response",
+        "polarizability",
+        "refractive_index_sq",
+        "susceptibility",
+    ),
+    "propagate": (
+        "Grid1D",
+        "Laser",
+        "PropagationConfig",
+        "WaveState",
+        "init_gaussian",
+        "momentum_spectrum",
+        "norm",
+        "propagate_through_laser",
+        "standing_wave",
+        "standing_wave_intensity",
+        "step",
+    ),
+    "sweep": ("SweepRow", "SweepSpec", "run_sweep"),
+    "units": (
+        "C_LIGHT",
+        "HBAR",
+        "ParamFile",
+        "PhysicalParams",
+        "detuning",
+        "params_to_system",
+        "parse_param_file",
+        "read_param_file",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "C_LIGHT",
-    "HBAR",
-    "BlochRates",
-    "BlochState",
-    "BlochTrajectory",
-    "ConfigurationError",
-    "DiffractionPattern",
-    "Grid1D",
-    "Laser",
-    "MatterOpticsError",
-    "MediumResponse",
-    "ModelKind",
-    "NumericsError",
-    "ParamFile",
-    "ParameterError",
-    "PhysicalParams",
-    "PhysicsGuardError",
-    "PoleError",
-    "PropagationConfig",
-    "RamanNathParams",
-    "RegimeCheck",
-    "SingularDetuningError",
-    "SteadyStateError",
-    "SweepError",
-    "SweepGuardError",
-    "SweepRow",
-    "SweepSpec",
-    "WaveState",
-    "analytic_orders",
-    "bessel_j_sequence",
-    "bloch_rhs",
-    "characteristic_volume",
-    "commensurate_grid",
-    "contact_interaction_bound",
-    "detuning",
-    "diffraction_angles",
-    "effective_potential",
-    "effective_wavelength",
-    "evaluate_routes",
-    "init_gaussian",
-    "integrate",
-    "local_detuning",
-    "local_rabi",
-    "medium_response",
-    "momentum_spectrum",
-    "norm",
-    "numeric_orders",
-    "params_to_system",
-    "parse_param_file",
-    "pattern_discrepancy",
-    "phase_profile",
-    "polarizability",
-    "propagate_through_laser",
-    "propagator_orders",
-    "raman_nath_params",
-    "read_param_file",
-    "refractive_index_sq",
-    "regime_checks",
-    "run_sweep",
-    "significant_density",
-    "standing_wave",
-    "standing_wave_intensity",
-    "steady_state",
-    "step",
-    "susceptibility",
-]
+__all__ = ["__version__"]
+__all__.extend(_HOME)
+
+
+def __getattr__(name: str):
+    # Looked up in its module at every read and never stored here, so a
+    # function rebound in its module (a tracer installed, then removed)
+    # is the one the package root hands out.
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

@@ -32,14 +32,6 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 from . import __version__
-from .bloch import (
-    BlochRates,
-    BlochState,
-    integrate,
-    local_rabi,
-    steady_state,
-    write_trajectory_csv,
-)
 from .diffraction import (
     DEFAULT_BOX_LAMBDAS,
     DEFAULT_GRID_POINTS,
@@ -83,7 +75,6 @@ from .propagate import (
     write_state_csv,
 )
 from .serialize import by_order, csv_num, json_dumps
-from .sweep import SweepSpec, run_sweep, sweep_report, write_sweep_csv
 from .units import (
     ParamFile,
     PhysicalParams,
@@ -510,6 +501,14 @@ def _params_at_density(args, pf: ParamFile) -> PhysicalParams:
     return replace(pf.params, rho_0=convert_field(typed.rho_0, "rho_0", pf.units, "cgs"))
 
 
+def _saturation(args) -> float | None:
+    """--saturation, refused when infinite: every collision bound would
+    pass at it. NaN and values <= 0 stay the bound's own error entry."""
+    if args.saturation is not None and math.isinf(args.saturation):
+        raise ParameterError(f"--saturation must be finite, got {args.saturation!r}")
+    return args.saturation
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -517,6 +516,7 @@ def cmd_optics(args) -> int:
     pf = _load_params(args)
     p = pf.params
     density = _params_at_density(args, pf).rho_0
+    saturation = _saturation(args)
 
     inputs = params_to_system(p, pf.units)
     quantities = {"density": convert_field(density, "rho_0", "cgs", pf.units)}
@@ -532,7 +532,7 @@ def cmd_optics(args) -> int:
         ("v0_rho", lambda: characteristic_volume(p) * density, "dimensionless"),
         ("adiabatic_ratio", lambda: weakest_adiabatic_ratio(p, density, density)[0],
          "dimensionless"),
-        ("contact_bound", lambda: contact_interaction_bound(args.saturation, p), "dimensionless"),
+        ("contact_bound", lambda: contact_interaction_bound(saturation, p), "dimensionless"),
         ("significant_density_exact", lambda: significant().exact, "density"),
         ("significant_density_scaling", lambda: significant().scaling, "density"),
     ):
@@ -561,7 +561,7 @@ def cmd_optics(args) -> int:
 def cmd_validity(args) -> int:
     pf = _load_params(args)
     density = _params_at_density(args, pf).rho_0
-    checks = regime_checks(pf.params, density, args.saturation)
+    checks = regime_checks(pf.params, density, _saturation(args))
     all_ok = all(c.ok for c in checks.values())
     _emit(
         args,
@@ -730,6 +730,16 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_bloch(args) -> int:
+    # imported by the one command that uses it, so no other command loads it
+    from .bloch import (
+        BlochRates,
+        BlochState,
+        integrate,
+        local_rabi,
+        steady_state,
+        write_trajectory_csv,
+    )
+
     drive = complex(args.drive_re, args.drive_im)
     pf = _load_params(args) if args.params is not None else None
     if args.detuning is None and pf is None:
@@ -798,6 +808,9 @@ def cmd_bloch(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # imported here, at call time, for the same reason as bloch in cmd_bloch
+    from .sweep import SweepSpec, run_sweep, sweep_report, write_sweep_csv
+
     pf = _load_params(args)
     if args.values is not None:
         if args.start is not None or args.stop is not None or args.num is not None:

@@ -180,6 +180,8 @@ def contact_interaction_bound(saturation: float | None, params: PhysicalParams) 
         saturation = checked_divisor(params.rabi_peak / delta, 2, "rabi_peak / detuning")
     if not saturation > 0.0:
         raise ParameterError(f"saturation must be positive, got {saturation!r}")
+    if math.isinf(saturation):  # every bound would pass at it
+        raise ParameterError(f"saturation must be finite, got {saturation!r}")
     if params.scattering_length <= 0.0:
         raise ParameterError(
             f"scattering_length must be positive here, got {params.scattering_length!r}"

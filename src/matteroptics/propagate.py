@@ -65,7 +65,6 @@ exp(-i hbar dt k^2/2m) of that dt.
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
 from dataclasses import dataclass
@@ -79,7 +78,6 @@ from .optics import check_adiabatic
 from .serialize import write_float_table
 from .units import HBAR, PhysicalParams, checked_divisor, checked_power
 
-logger = logging.getLogger(__name__)
 
 # With the kinetic term on, the transit also makes the field real every
 # this many z-steps, besides each observed step and the last, so no
@@ -88,6 +86,12 @@ logger = logging.getLogger(__name__)
 # frozen, a stretch costs one exponential however long it is, and its
 # drive and phase are checked before that.
 _FINITE_CHECK_INTERVAL = 64
+
+# The fewest grid cells the packet's width w_y may span. At 4 cells its
+# spectrum exp(-(k w_y)^2 / 2) has fallen to exp(-8 pi^2) ~ 6e-35 of its
+# peak at the grid's Nyquist wavenumber pi / spacing, far below roundoff;
+# a narrower packet aliases, and one much narrower than a cell is lost.
+MIN_PACKET_CELLS = 4
 
 
 @dataclass(frozen=True)
@@ -239,11 +243,19 @@ def packet_envelope(grid: Grid1D, w_y: float) -> np.ndarray:
     """exp(-y^2/(2 w_y^2)) on the grid: the packet's shape at unit peak.
 
     ParameterError where 2 w_y^2 underflows to 0 and would divide the
-    exponent by zero.
+    exponent by zero; ConfigurationError where w_y spans fewer than
+    MIN_PACKET_CELLS grid cells, which the grid cannot resolve. Both are
+    decided before any sample is taken.
     """
     width_sq = 2.0 * w_y * w_y
     if width_sq == 0.0:
         raise ParameterError(f"w_y = {w_y!r} is out of range: its square underflows to 0")
+    cells = w_y / grid.spacing
+    if not cells >= MIN_PACKET_CELLS:
+        raise ConfigurationError(
+            f"packet too narrow for the grid: w_y = {w_y!r} cm spans {cells:.3g} cells "
+            f"of {grid.spacing:.3g} cm; need at least {MIN_PACKET_CELLS}"
+        )
     y = grid.points()
     return np.exp(-(y * y) / width_sq)
 
@@ -474,7 +486,6 @@ def propagate_through_laser(
     except NumericsError as exc:
         exc.last_good = last_good
         raise
-    logger.debug("crossed laser region in %d steps, dt = %.3e s", last, dt)
     return WaveState._unchecked(working.grid, working.amplitude, state.time + duration)
 
 

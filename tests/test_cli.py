@@ -516,6 +516,14 @@ class TestInvalidOverrides:
         assert (code, out) == (1, "")
         assert err == "error: rho_0 must be nonnegative, got -1.0\n"
 
+    @pytest.mark.parametrize("value", ["inf", "1e999", "-inf"])
+    @pytest.mark.parametrize("command", ["optics", "validity"])
+    def test_infinite_saturation_is_refused(self, capsys, params_file, command, value):
+        # every collision bound would pass at it
+        code, out, err = run(capsys, command, "--params", params_file, f"--saturation={value}")
+        assert (code, out) == (1, "")
+        assert err == f"error: --saturation must be finite, got {float(value)!r}\n"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command", ["optics", "validity"])
     def test_nan_saturation_is_an_errored_entry(self, capsys, params_file, command, fmt):

@@ -181,7 +181,7 @@ def test_an_underflowing_default_saturation_names_its_ratio():
 
 def test_contact_bound_input_guards():
     p = make_params()
-    for saturation in (0.0, -1.0, math.nan):
+    for saturation in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ParameterError, match="saturation"):
             contact_interaction_bound(saturation, p)
     with pytest.raises(ParameterError, match="scattering_length"):

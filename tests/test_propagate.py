@@ -179,6 +179,19 @@ class TestInitGaussian:
         ):
             init_gaussian(g, 0.0, 1e-300)
 
+    def test_narrow_guard(self, monkeypatch):
+        # w_y must span MIN_PACKET_CELLS grid cells; the check reads only
+        # scalars, so a refused packet takes no sample
+        g = _grid(256, 1.0)
+        cells = propagate.MIN_PACKET_CELLS
+        init_gaussian(g, 0.0, cells * g.spacing)
+        monkeypatch.setattr(Grid1D, "points", lambda self: pytest.fail("sampled"))
+        with pytest.raises(
+            ConfigurationError,
+            match=rf"^packet too narrow for the grid: .* need at least {cells}$",
+        ):
+            init_gaussian(g, 0.0, math.nextafter(cells * g.spacing, 0.0))
+
     def test_tracer_convention(self):
         g = _grid(256, 1.0)
         s = init_gaussian(g, 0.0, 0.05)

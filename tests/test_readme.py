@@ -122,6 +122,11 @@ _TINY = {
         "overflows"
     ),
     ("rabi_peak", "1e-300"): ("optics", 2, '"rabi_peak / detuning = 1.59'),
+    # the standing-wave period outgrows the box, and its grid's cells the packet
+    ("k_l", "1e-300"): ("propagate", 1, "error: packet too narrow for the grid: w_y = 0.0029452"),
+    ("harmonic", "1e-300"): (
+        "propagate", 1, "error: packet too narrow for the grid: w_y = 0.0029452"
+    ),
     ("rho_0", "5e-324"): (
         "propagate", 1, "error: rho_0 = 5e-324 is out of range: the packet's norm underflows"
     ),
