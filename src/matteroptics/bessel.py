@@ -64,15 +64,19 @@ def bessel_j_sequence(x: float, q_max: int) -> np.ndarray:
             vals[1::2] *= -1.0
         return vals
 
+    # The recurrence runs on Python floats, which round each product and
+    # difference exactly as numpy's float64 scalars do, without the cost
+    # of indexing an array; the row becomes one array for the sum.
+    ax = float(ax)
     m = _start_order(ax, q_max)
-    vals = np.zeros(m + 2)
-    vals[m + 1] = 0.0
-    vals[m] = 1e-30  # arbitrary trial scale, fixed by normalization below
+    row = [0.0] * (m + 2)
+    row[m] = 1e-30  # arbitrary trial scale, fixed by normalization below
     for k in range(m, 0, -1):
-        vals[k - 1] = (2.0 * k / ax) * vals[k] - vals[k + 1]
-        if abs(vals[k - 1]) > _RESCALE_LIMIT:
-            vals[k - 1 :] *= _RESCALE_FACTOR
+        row[k - 1] = below = (2.0 * k / ax) * row[k] - row[k + 1]
+        if abs(below) > _RESCALE_LIMIT:
+            row[k - 1 :] = [v * _RESCALE_FACTOR for v in row[k - 1 :]]
 
+    vals = np.array(row)
     norm = vals[0] + 2.0 * vals[2 : m + 1 : 2].sum()
     vals = vals[: q_max + 1] / norm
 

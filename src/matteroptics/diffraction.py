@@ -52,11 +52,13 @@ from .propagate import (
     PropagationConfig,
     WaveState,
     check_q_max,
+    gaussian_profile,
     momentum_spectrum,
     order_capacity,
     packet_envelope,
     packet_normalization,
     propagate_through_laser,
+    standing_wave_pattern,
 )
 from .units import HBAR, PhysicalParams
 
@@ -139,23 +141,32 @@ def phase_profile(y, params: PhysicalParams, rn: RamanNathParams):
     """Accumulated light-shift phase phi(y) after crossing the laser.
 
     phi(y) = 4 g0 cos^2(n k_L y) / (1 + V0 rho0 exp(-y^2/w_y^2))^2.
-    The far-zone field is psi_in(y) * exp(-i phi(y)). Accepts a scalar
-    or an array of positions.
+    The far-zone field is psi_in(y) * exp(-i phi(y)). Accepts a scalar,
+    an array of positions or a Grid1D; on a grid the density profile and
+    the pattern are the grid's memoized arrays, with the same bits as at
+    its points.
     """
     if rn.rho_0 != params.rho_0:
         raise ParameterError(
             f"rn was built for rho_0 = {rn.rho_0!r} but params carry {params.rho_0!r}"
         )
-    y = np.asarray(y, dtype=np.float64)
-    scalar_in = y.ndim == 0
     nk = params.harmonic * params.k_l
-    local_density_factor = np.exp(-(y * y) / (params.w_y * params.w_y))
+    w_sq = params.w_y * params.w_y
+    if isinstance(y, Grid1D):
+        scalar_in = False
+        local_density_factor = gaussian_profile(y, w_sq)
+        pattern = standing_wave_pattern(y, nk)
+    else:
+        y = np.asarray(y, dtype=np.float64)
+        scalar_in = y.ndim == 0
+        local_density_factor = np.exp(-(y * y) / w_sq)
+        pattern = np.cos(nk * y) ** 2
     denom = check_pole(
         1.0 + rn.v0 * rn.rho_0 * local_density_factor,
         rn.rho_0 * local_density_factor,
         "phase-profile",
     )
-    phi = 4.0 * rn.g0 * np.cos(nk * y) ** 2 / denom**2
+    phi = 4.0 * rn.g0 * pattern / denom**2
     return float(phi) if scalar_in else phi
 
 
@@ -242,9 +253,13 @@ def numeric_orders(
     across the packet, and a box that truncates the envelope drops part
     of that mix (a 50-wavelength packet at V0 rho0 = 0.3 moves P_0 from
     0.031 in a 128-wavelength box to 0.040 in a 512-wavelength box).
+
+    The envelope, the density profile and the pattern are the grid's
+    memoized read-only arrays (see propagate), so repeated calls on one
+    grid, such as a sweep's points or the propagator route beside this
+    one, build them once; only phi and what follows are per call.
     """
-    y = grid.points()
-    psi = packet_envelope(grid, params.w_y) * np.exp(-1j * phase_profile(y, params, rn))
+    psi = packet_envelope(grid, params.w_y) * np.exp(-1j * phase_profile(grid, params, rn))
     state = WaveState(grid=grid, amplitude=psi, time=0.0)
     return momentum_spectrum(state, order_spacing(params), q_max)
 

@@ -58,13 +58,25 @@ PropagationConfig describes a transit: step count, kinetic switch,
 model and laser. The transit derives dt from its z-window
 [-4 w_L, +4 w_L] and the step count, samples E once, and hands step the
 dt and the envelope samples of each stretch; a laser_profile of None is
-the params' standing wave everywhere. The step-invariant arrays are
-built once per transit: the pattern P on the grid and the kinetic phase
-exp(-i hbar dt k^2/2m) of that dt.
+the params' standing wave everywhere. The kinetic phase
+exp(-i hbar dt k^2/2m) of that dt is built once per transit.
+
+The arrays that depend on the grid and a scalar or two, not on the
+density, are memoized per key (functools.lru_cache, GRID_MEMO_SIZE
+entries each): the Gaussians exp(-y^2/width_sq) of the packet envelope
+and of the phase mask's density profile, the standing wave's pattern
+cos^2(n k_L y), and momentum_spectrum's mode-to-order bins. The keys are
+the frozen Grid1D and hashable scalars, so equal grids built apart share
+an entry, and a sweep point, a repeated diffract run or the other grid
+route on the same grid reads the arrays the first one built. The grid
+positions themselves are not kept: only these helpers' misses read them.
+Every entry is read-only, so no caller can change what another reads;
+lru_cache is thread-safe, so sweep workers share entries too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -92,6 +104,12 @@ _FINITE_CHECK_INTERVAL = 64
 # peak at the grid's Nyquist wavenumber pi / spacing, far below roundoff;
 # a narrower packet aliases, and one much narrower than a cell is lost.
 MIN_PACKET_CELLS = 4
+
+# Entries each memoized grid helper keeps (see the module docstring). An
+# entry on the routes' default 4096-point grid is 32 KiB; a sweep along
+# an axis that changes the key (w_y, k_l, harmonic) misses at every
+# point and holds at most this many.
+GRID_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -129,6 +147,29 @@ class Grid1D:
     def wavenumbers(self) -> np.ndarray:
         """Angular spatial frequencies of the spectral modes, 1/cm."""
         return 2.0 * math.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=GRID_MEMO_SIZE)
+def gaussian_profile(grid: Grid1D, width_sq: float) -> np.ndarray:
+    """exp(-y^2/width_sq) on the grid, memoized per key and read-only.
+
+    width_sq = 2 w_y^2 is the packet envelope, w_y^2 the density profile
+    of the phase mask.
+    """
+    y = grid.points()
+    return _read_only(np.exp(-(y * y) / width_sq))
+
+
+@functools.lru_cache(maxsize=GRID_MEMO_SIZE)
+def standing_wave_pattern(grid: Grid1D, nk: float) -> np.ndarray:
+    """cos^2(nk y) on the grid, nk = n k_L: the standing wave's transverse
+    pattern P, memoized per key and read-only."""
+    return _read_only(np.cos(nk * grid.points()) ** 2)
 
 
 @dataclass
@@ -240,7 +281,8 @@ def packet_normalization(rho_0: float) -> tuple[float, float]:
 
 
 def packet_envelope(grid: Grid1D, w_y: float) -> np.ndarray:
-    """exp(-y^2/(2 w_y^2)) on the grid: the packet's shape at unit peak.
+    """exp(-y^2/(2 w_y^2)) on the grid: the packet's shape at unit peak,
+    gaussian_profile's shared read-only array.
 
     ParameterError where 2 w_y^2 underflows to 0 and would divide the
     exponent by zero; ConfigurationError where w_y spans fewer than
@@ -256,8 +298,7 @@ def packet_envelope(grid: Grid1D, w_y: float) -> np.ndarray:
             f"packet too narrow for the grid: w_y = {w_y!r} cm spans {cells:.3g} cells "
             f"of {grid.spacing:.3g} cm; need at least {MIN_PACKET_CELLS}"
         )
-    y = grid.points()
-    return np.exp(-(y * y) / width_sq)
+    return gaussian_profile(grid, width_sq)
 
 
 def init_gaussian(grid: Grid1D, rho0: float, w_y: float) -> WaveState:
@@ -294,9 +335,14 @@ def _step_invariants(
 ):
     """(laser pattern P on the grid, kinetic phase exp(-i hbar dt k^2/2m)).
 
-    The kinetic phase is None when the kinetic term is off.
+    P is the memoized standing_wave_pattern when config.laser_profile is
+    None, else the laser's own pattern at the grid points. The kinetic
+    phase is None when the kinetic term is off.
     """
-    pattern = _laser(config, params).pattern(grid.points())
+    if config.laser_profile is None:
+        pattern = standing_wave_pattern(grid, params.harmonic * params.k_l)
+    else:
+        pattern = config.laser_profile.pattern(grid.points())
     kinetic_phase = None
     if config.kinetic_enabled:
         k = grid.wavenumbers()
@@ -531,6 +577,17 @@ def check_q_max(grid: Grid1D, k_unit: float, q_max: int) -> int:
     return m
 
 
+@functools.lru_cache(maxsize=GRID_MEMO_SIZE)
+def order_bins(n_points: int, m: int) -> tuple[np.ndarray, int]:
+    """(bin of each spectral mode, q_lo): mode j in FFT order goes to
+    order floor(j_signed / m + 1/2), stored as its offset from the lowest
+    order q_lo. Memoized per (n_points, M) and read-only."""
+    signed_index = np.fft.fftfreq(n_points, d=1.0 / n_points)  # 0, 1, ..., -n/2, ..., -1
+    assignment = np.floor(signed_index / m + 0.5).astype(int)
+    q_lo = int(assignment.min())
+    return _read_only(assignment - q_lo), q_lo
+
+
 def momentum_spectrum(state: WaveState, k_unit: float, q_max: int):
     """Diffraction-order probabilities from the spectral power.
 
@@ -542,15 +599,12 @@ def momentum_spectrum(state: WaveState, k_unit: float, q_max: int):
     from .diffraction import DiffractionPattern  # deferred: avoids an import cycle
 
     m = check_q_max(state.grid, k_unit, q_max)
-    n = state.grid.n_points
     power = np.abs(np.fft.fft(state.amplitude)) ** 2
     total = float(np.sum(power))
     if total <= 0.0:
         raise ParameterError("zero field has no momentum spectrum")
-    signed_index = np.fft.fftfreq(n, d=1.0 / n)  # 0, 1, ..., -n/2, ..., -1
-    assignment = np.floor(signed_index / m + 0.5).astype(int)
-    q_lo = int(assignment.min())
-    sums = np.bincount(assignment - q_lo, weights=power)
+    bins, q_lo = order_bins(state.grid.n_points, m)
+    sums = np.bincount(bins, weights=power)
     # check_q_max puts every |q| <= q_max inside the binned range
     orders = {q: float(sums[q - q_lo]) / total for q in range(-q_max, q_max + 1)}
     return DiffractionPattern(orders=orders)

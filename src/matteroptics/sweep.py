@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
@@ -148,6 +147,9 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     if workers == 1:
         rows = [_evaluate_point(spec, v) for v in spec.values]
     else:
+        # imported here: it loads threading and logging, which one worker never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_evaluate_point, spec, v) for v in spec.values]
             rows = [f.result() for f in futures]

@@ -101,6 +101,10 @@ def params_file_text(params: PhysicalParams, units: str = "cgs") -> str:
     return "\n".join(lines) + "\n"
 
 
+# Every memoized grid helper of propagate (see its module docstring).
+GRID_MEMOS = (propagate.gaussian_profile, propagate.standing_wave_pattern, propagate.order_bins)
+
+
 def poison_z_step(monkeypatch, at_step: int, real_steps) -> dict:
     """Make a kinetic-on transit's field NaN after z-step at_step.
 

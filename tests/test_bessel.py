@@ -83,3 +83,35 @@ def test_oracle_agreement_property(x):
     got = bessel_j_sequence(x, 8)
     want = scipy.special.jv(np.arange(9), x)
     assert np.max(np.abs(got - want)) < 1e-13
+
+
+# Rows pinned bit for bit, as float.hex. The x = 1e-3 row starts at order
+# 86 with a factor 2k/x up to 1.7e5 per step, so its trial row passes
+# _RESCALE_LIMIT and is rescaled on the way down.
+_PINNED = {
+    (2.0, 7): [
+        "0x1.ca873fb24cef9p-3", "0x1.27487958371f0p-1", "0x1.694d52d747c63p-2",
+        "0x1.081365fc429d0p-3", "0x1.167e3118e12a0p-5", "0x1.cd596393d19fbp-8",
+        "0x1.3b35a4703b39dp-10", "0x1.6ee26290e6df3p-13",
+    ],
+    (-8.16, 7): [
+        "0x1.0f471840a4bb2p-3", "-0x1.0441b92264f6fp-2", "-0x1.1f66da5f9124dp-4",
+        "0x1.277a3fd13e480p-2", "-0x1.22d32ce5cf40dp-3", "-0x1.31d52670de8ccp-3",
+        "0x1.4ccf54e7c04e8p-2", "-0x1.50828f498d695p-2",
+    ],
+}
+_PINNED_RESCALED = {
+    0: "0x1.fffff79c84388p-1", 1: "0x1.0624db0959245p-11", 2: "0x1.0c6f7894120efp-23",
+    30: "0x1.3eff84b9004d8p-437", 59: "0x1.bb77e79afd327p-914", 60: "0x1.e462befdad0a6p-931",
+}
+
+
+@pytest.mark.parametrize("x, q_max", sorted(_PINNED))
+def test_rows_keep_their_bits(x, q_max):
+    assert [float(v).hex() for v in bessel_j_sequence(x, q_max)] == _PINNED[x, q_max]
+
+
+def test_a_rescaled_row_keeps_its_bits():
+    row = bessel_j_sequence(1e-3, 60)
+    assert len(row) == 61
+    assert {q: float(row[q]).hex() for q in _PINNED_RESCALED} == _PINNED_RESCALED

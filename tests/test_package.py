@@ -34,16 +34,22 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(["bloch", "--detuning", "0.1", "--drive-re", "1", "--dt", "0.01", "--steps", "2"])
 assert code == 0
 loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["sweep", "--params", sys.argv[1], "--axis", "rho_0", "--values", "0,1e15",
+                 "--paths", "analytic", "--q-max", "2", "--threads", "1"])
+assert code == 0
+loaded()
 """
 
 
-def test_each_entry_point_loads_only_what_it_uses():
+def test_each_entry_point_loads_only_what_it_uses(params_file):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _PROBE, params_file],
+        env=env, capture_output=True, text=True, check=True,
     )
     steps = [json.loads(line) for line in proc.stdout.splitlines()]
-    root, read_file, cli, bloch = [(set(names), stdlib) for names, stdlib in steps]
+    root, read_file, cli, bloch, sweep = [(set(names), stdlib) for names, stdlib in steps]
     assert root == ({"matteroptics"}, [])
     assert read_file == ({"matteroptics", "matteroptics.units", "matteroptics.errors"}, [])
     names, stdlib = cli
@@ -53,6 +59,10 @@ def test_each_entry_point_loads_only_what_it_uses():
     names, stdlib = bloch
     assert "matteroptics.bloch" in names and "matteroptics.sweep" not in names
     assert stdlib == []
+    names, stdlib = sweep
+    assert "matteroptics.sweep" in names
+    # one worker runs in the calling thread: no pool, so no threading or logging
+    assert stdlib == ["csv"]
 
 
 def test_every_export_is_its_home_modules_object():

@@ -29,12 +29,19 @@ from matteroptics.propagate import (
     step,
     write_state_csv,
 )
-from matteroptics.diffraction import commensurate_grid, order_spacing
-from matteroptics.models import ModelKind, effective_potential
+from matteroptics.diffraction import commensurate_grid, order_spacing, phase_profile
+from matteroptics.models import ModelKind, effective_potential, raman_nath_params
 from matteroptics.serialize import csv_num
 from matteroptics.units import HBAR, detuning
 
-from conftest import make_params, poison_z_step, red_detuned, with_v0rho, with_wy_lambdas
+from conftest import (
+    GRID_MEMOS,
+    make_params,
+    poison_z_step,
+    red_detuned,
+    with_v0rho,
+    with_wy_lambdas,
+)
 
 
 def _grid(n=256, length=1.0):
@@ -887,6 +894,89 @@ class TestMomentumSpectrum:
             momentum_spectrum(s, k_unit, -1)
         with pytest.raises(ConfigurationError, match="k_unit"):
             momentum_spectrum(s, -k_unit, 3)
+
+
+class TestGridMemo:
+    """The grid arrays that do not depend on the density, memoized per key."""
+
+    def _arrays(self, grid, p):
+        nk = p.harmonic * p.k_l
+        m, _ = propagate.order_capacity(grid, order_spacing(p))
+        return {
+            "envelope": propagate.packet_envelope(grid, p.w_y),
+            "density": propagate.gaussian_profile(grid, p.w_y * p.w_y),
+            "pattern": propagate.standing_wave_pattern(grid, nk),
+            "bins": propagate.order_bins(grid.n_points, m)[0],
+        }
+
+    def test_every_helper_returns_a_read_only_array(self):
+        p = make_params()
+        for name, array in self._arrays(commensurate_grid(p, 1024, 32.0), p).items():
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # a packet built from the shared envelope owns its own amplitude
+        state = init_gaussian(commensurate_grid(p, 1024, 32.0), 0.0, with_wy_lambdas(p, 4.0).w_y)
+        assert state.amplitude.flags.writeable
+
+    def test_equal_keys_from_separate_grids_share_one_entry(self):
+        p = make_params()
+        first, second = commensurate_grid(p, 1024, 32.0), commensurate_grid(p, 1024, 32.0)
+        assert first is not second and first == second
+        a, b = self._arrays(first, p), self._arrays(second, p)
+        assert all(a[name] is b[name] for name in a)
+        assert propagate.order_bins(1024, 32)[1] == -16  # q_lo of the mode -n/2
+
+    def test_a_changed_key_misses(self):
+        p = make_params()
+        grid = commensurate_grid(p, 1024, 32.0)
+        base = self._arrays(grid, p)
+        wider = self._arrays(grid, replace(p, w_y=1.5 * p.w_y))
+        assert wider["envelope"] is not base["envelope"]
+        assert wider["density"] is not base["density"]
+        assert wider["pattern"] is base["pattern"]
+        nk = p.harmonic * p.k_l
+        assert propagate.standing_wave_pattern(grid, 2.0 * nk) is not base["pattern"]
+        finer = self._arrays(commensurate_grid(p, 2048, 32.0), p)
+        assert all(finer[name] is not base[name] for name in base)
+
+    def test_each_cache_holds_the_named_number_of_entries(self):
+        # GRID_MEMOS, which the tests clear, lists every cache of the module
+        assert {f for f in vars(propagate).values() if hasattr(f, "cache_info")} == set(GRID_MEMOS)
+        for memo in GRID_MEMOS:
+            assert memo.cache_parameters()["maxsize"] == propagate.GRID_MEMO_SIZE, memo
+
+    def test_memoized_arrays_have_the_bits_of_the_direct_expressions(self):
+        p = with_v0rho(make_params(), 0.3)
+        grid = commensurate_grid(p, 1024, 32.0)
+        y = grid.points()
+        nk = p.harmonic * p.k_l
+        assert propagate.packet_envelope(grid, p.w_y).tobytes() == (
+            np.exp(-(y * y) / (2.0 * p.w_y * p.w_y)).tobytes()
+        )
+        pattern = propagate.standing_wave_pattern(grid, nk)
+        assert pattern.tobytes() == standing_wave(p).pattern(y).tobytes()
+        rn = raman_nath_params(p)
+        assert phase_profile(grid, p, rn).tobytes() == phase_profile(y, p, rn).tobytes()
+        m, _ = propagate.order_capacity(grid, order_spacing(p))
+        bins, q_lo = propagate.order_bins(grid.n_points, m)
+        signed = np.fft.fftfreq(grid.n_points, d=1.0 / grid.n_points)
+        assert np.array_equal(bins + q_lo, np.floor(signed / m + 0.5))
+
+    def test_a_custom_laser_pattern_is_still_called(self):
+        p = make_params()
+        grid = commensurate_grid(p, 1024, 32.0)
+        seen = []
+
+        def pattern(y):
+            seen.append(y)
+            return np.ones_like(y)
+
+        laser = Laser(envelope=standing_wave(p).envelope, pattern=pattern)
+        config = PropagationConfig(n_steps=4, kinetic_enabled=False, laser_profile=laser)
+        state = init_gaussian(grid, 0.0, with_wy_lambdas(p, 4.0).w_y)
+        propagate_through_laser(state, config, p)
+        assert len(seen) == 1 and np.array_equal(seen[0], grid.points())
 
 
 def test_write_state_csv_shape():

@@ -1,12 +1,15 @@
 """Sweep engine: spec validation, threading determinism, flags, output."""
 
+import concurrent.futures
 import io
+import json
 from concurrent.futures import Future
 from dataclasses import replace
 
 import pytest
 
 from matteroptics import sweep
+from matteroptics.cli import main
 from matteroptics.diffraction import ROUTES, default_q_max
 from matteroptics.errors import (
     ConfigurationError,
@@ -17,7 +20,15 @@ from matteroptics.errors import (
 from matteroptics.models import RegimeCheck, raman_nath_params
 from matteroptics.sweep import SweepRow, SweepSpec, run_sweep, sweep_report, write_sweep_csv
 
-from conftest import make_params, red_detuned, with_g0, with_v0rho, with_wy_lambdas
+from conftest import (
+    GRID_MEMOS,
+    make_params,
+    params_file_text,
+    red_detuned,
+    with_g0,
+    with_v0rho,
+    with_wy_lambdas,
+)
 
 
 def _blue(g0=2.0):
@@ -166,7 +177,8 @@ class TestRunSweep:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(sweep, "ThreadPoolExecutor", InlinePool)
+        # run_sweep imports the pool from its module only when it starts one
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
         base = _blue(g0=1.0)
         spec = _spec(base, [_rho_for(base, 0.05 * i) for i in range(n_values)])
@@ -295,3 +307,46 @@ def test_row_validity_requires_all_flags():
     # the packet-wide entries are reported by validity, not flagged per row
     assert row(failing="adiabatic_ratio_packet").valid()
     assert row(failing="pole_distance_packet").valid()
+
+
+class TestMemoizedGrids:
+    """A sweep reads the grid arrays a point before it built; none of its bytes move."""
+
+    def _sweep_json(self, capsys, tmp_path, axis, values, threads):
+        base = with_v0rho(with_wy_lambdas(_blue(g0=1.0), 4.0), 0.2)
+        path = tmp_path / "p.params"
+        path.write_text(params_file_text(base), encoding="utf-8")
+        code = main([
+            "sweep", "--params", str(path), "--axis", axis, "--values", values,
+            "--paths", "all", "--q-max", "3", "--grid-points", "1024", "--box-lambdas", "32",
+            "--steps", "16", "--threads", str(threads), "--format", "json",
+        ])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "axis, values, threads",
+        [
+            ("w_y", "2e-4,2.5e-4,3e-4", 1),  # a new key at every point
+            ("harmonic", "1,2,3", 1),
+            ("k_l", "1e5,1.0667e5,1.2e5", 1),
+            ("rho_0", "0,2e14,4e14,6e14", 2),  # one key for every point
+        ],
+    )
+    def test_the_same_bytes_as_with_every_cache_cleared_before_each_point(
+        self, capsys, tmp_path, monkeypatch, axis, values, threads
+    ):
+        memoized = self._sweep_json(capsys, tmp_path, axis, values, threads)
+        evaluate = sweep.evaluate_routes
+
+        def cold(*args, **kwargs):
+            for memo in GRID_MEMOS:
+                memo.cache_clear()
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "evaluate_routes", cold)
+        assert self._sweep_json(capsys, tmp_path, axis, values, threads) == memoized
+        code, out, _ = memoized
+        rows = json.loads(out)["rows"]
+        assert code in (0, 2)  # 2: a row outside the regime is flagged, not failed
+        assert len(rows) == len(values.split(",")) and all("orders" in row for row in rows)
