@@ -502,11 +502,13 @@ def _params_at_density(args, pf: ParamFile) -> PhysicalParams:
 
 
 def _saturation(args) -> float | None:
-    """--saturation, refused when infinite: every collision bound would
-    pass at it. NaN and values <= 0 stay the bound's own error entry."""
-    if args.saturation is not None and math.isinf(args.saturation):
-        raise ParameterError(f"--saturation must be finite, got {args.saturation!r}")
-    return args.saturation
+    """--saturation, refused outside (0, inf): every collision bound would
+    pass at an infinite one, and none has a value at NaN or at s <= 0."""
+    s = args.saturation
+    if s is not None and not 0.0 < s < math.inf:
+        rule = "finite" if math.isinf(s) else "positive"
+        raise ParameterError(f"--saturation must be {rule}, got {s!r}")
+    return s
 
 
 # ---------------------------------------------------------------- commands

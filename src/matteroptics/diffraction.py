@@ -29,14 +29,19 @@ routes share, such as aliasing or a truncated box. Independent checks
 on the grid routes are the ROADMAP's open items 2 (a profile-resolved
 series on Gauss-Hermite nodes) and 11 (a coupled-mode momentum route).
 
+_ROUTE_TABLE is the one place a route is declared: its name, what it
+needs (the shared grid, or the series' Bessel row out to |tau|) and how
+it runs. ROUTES is its keys; select_routes, the one reader of a route
+selection ("all", a comma list or a sequence of names), default_q_max
+and evaluate_routes read it, and no other code tests a route's name.
 evaluate_routes runs any subset of the routes at one parameter point
 and measures their largest pairwise gap; a diffract run and every sweep
-point go through it. select_routes is the one reader of a route
-selection ("all", a comma list or a sequence of names).
+point go through it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -64,9 +69,18 @@ from .units import HBAR, PhysicalParams
 
 _PROB_SLACK = 1e-9  # roundoff headroom on probabilities and their sum
 
-# Route names in canonical order: patterns, reports and the pairwise
-# discrepancy all follow it.
-ROUTES = ("analytic", "numeric", "propagator")
+# The routes in canonical order, which patterns, reports and the pairwise
+# discrepancy follow. Each maps to what it needs, the shared "grid" or the
+# series' "bessel row" out to |tau|, and how it runs: (point, rn, grid,
+# q_max, z_steps, model) -> pattern. An entry looks its route function up
+# as a module global when it runs, so a function rebound on the module,
+# as by a tracer, is the one called.
+_ROUTE_TABLE = {
+    "analytic": ("bessel row", lambda p, rn, g, q, z, m: analytic_orders(rn.tau, q)),
+    "numeric": ("grid", lambda p, rn, g, q, z, m: numeric_orders(p, rn, g, q)),
+    "propagator": ("grid", lambda p, rn, g, q, z, m: propagator_orders(p, g, q, z, model=m)),
+}
+ROUTES = tuple(_ROUTE_TABLE)
 
 # The default grid of the grid routes: points, span in effective
 # wavelengths, and propagator z-steps.
@@ -131,10 +145,9 @@ class DiffractionPattern:
 
 def pattern_discrepancy(a: DiffractionPattern, b: DiffractionPattern) -> float:
     """max_q |P_q^a - P_q^b| over the union of orders, absent entries = 0."""
-    worst = 0.0
-    for q in set(a.orders) | set(b.orders):
-        worst = max(worst, abs(a.orders.get(q, 0.0) - b.orders.get(q, 0.0)))
-    return worst
+    return max(
+        abs(a.orders.get(q, 0.0) - b.orders.get(q, 0.0)) for q in set(a.orders) | set(b.orders)
+    )
 
 
 def phase_profile(y, params: PhysicalParams, rn: RamanNathParams):
@@ -183,9 +196,7 @@ def analytic_orders(tau: float, q_max: int) -> DiffractionPattern:
     j = bessel_j_sequence(abs(tau), q_max)  # J_q(-x)^2 = J_q(x)^2
     orders = {}
     for q in range(q_max + 1):
-        p = float(j[q]) ** 2
-        orders[q] = p
-        orders[-q] = p
+        orders[q] = orders[-q] = float(j[q]) ** 2
     return DiffractionPattern(orders=orders)
 
 
@@ -311,7 +322,7 @@ def check_order_count(q_max: int, tau: float | None = None) -> None:
 
 def default_q_max(
     points: Sequence[PhysicalParams],
-    routes: Sequence[str],
+    routes: str | Sequence[str],
     grid_points: int,
     box_lambdas: float,
 ) -> int:
@@ -322,7 +333,8 @@ def default_q_max(
     grid's capacity (and kept >= 0). The capacity depends on the grid
     alone, so the first point's grid stands for all; a grid that cannot
     be built is left for the run to reject. A range, or with the analytic
-    route a tau, beyond MAX_ORDERS is refused here.
+    route a tau, beyond MAX_ORDERS is refused here. routes is any
+    selection select_routes takes.
     """
     tau = 0.0
     for point in points:
@@ -331,7 +343,8 @@ def default_q_max(
         except MatterOpticsError:
             pass
     q_max = math.ceil(tau) + 30
-    if points and ("numeric" in routes or "propagator" in routes):
+    needs = {_ROUTE_TABLE[name][0] for name in select_routes(routes)}
+    if points and "grid" in needs:
         try:
             grid = commensurate_grid(points[0], grid_points, box_lambdas)
         except ConfigurationError:
@@ -339,7 +352,7 @@ def default_q_max(
         else:
             _, capacity = order_capacity(grid, order_spacing(points[0]))
             q_max = min(q_max, max(capacity, 0))
-    check_order_count(q_max, tau if "analytic" in routes else None)
+    check_order_count(q_max, tau if "bessel row" in needs else None)
     return q_max
 
 
@@ -357,25 +370,23 @@ def evaluate_routes(
     Returns (rn, patterns, discrepancy): the beam-splitter scalars, one
     pattern per selected route keyed in ROUTES order, and the largest
     pattern_discrepancy over all pairs of routes (0 for a single route).
-    routes is any selection select_routes takes. The grid routes share
-    one commensurate grid, which must hold q_max: check_q_max refuses it
-    before any grid route runs. `model` selects the propagator's
-    potential. Guard and configuration errors propagate.
+    routes is any selection select_routes takes; they run in ROUTES
+    order. The grid routes share one commensurate grid, built on reaching
+    the first of them, so the series runs, and refuses, before it exists.
+    The grid must hold q_max: check_q_max refuses it before any grid route
+    runs. `model` selects the propagator's potential. Guard and
+    configuration errors propagate.
     """
     selected = select_routes(routes)
     rn = raman_nath_params(point)
     patterns: dict[str, DiffractionPattern] = {}
-    if "analytic" in selected:
-        patterns["analytic"] = analytic_orders(rn.tau, q_max)
-    if "numeric" in selected or "propagator" in selected:
-        grid = commensurate_grid(point, grid_points, box_lambdas)
-        check_q_max(grid, order_spacing(point), q_max)
-        if "numeric" in selected:
-            patterns["numeric"] = numeric_orders(point, rn, grid, q_max)
-        if "propagator" in selected:
-            patterns["propagator"] = propagator_orders(point, grid, q_max, z_steps, model=model)
-    discrepancy = 0.0
-    for i, a in enumerate(selected):
-        for b in selected[i + 1 :]:
-            discrepancy = max(discrepancy, pattern_discrepancy(patterns[a], patterns[b]))
+    grid = None
+    for name in selected:
+        need, run = _ROUTE_TABLE[name]
+        if need == "grid" and grid is None:
+            grid = commensurate_grid(point, grid_points, box_lambdas)
+            check_q_max(grid, order_spacing(point), q_max)
+        patterns[name] = run(point, rn, grid, q_max, z_steps, model)
+    pairs = itertools.combinations(patterns.values(), 2)
+    discrepancy = max((pattern_discrepancy(a, b) for a, b in pairs), default=0.0)
     return rn, patterns, discrepancy

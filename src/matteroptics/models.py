@@ -88,7 +88,8 @@ def effective_potential(kind: ModelKind, rabi_sq, density, params: PhysicalParam
     rabi_sq (rad^2/s^2) and density (1/cm^3) may be scalars or numpy
     arrays (broadcast together). Exactly linear in rabi_sq for every
     kind. The two screened kinds error at their denominator poles
-    (reachable for Delta < 0).
+    (reachable for Delta < 0), and FULL with a ParameterError where
+    (1 + V0 rho)^2 overflows, which would make the potential exactly 0.
     """
     delta = detuning(params)
     if delta == 0.0:
@@ -101,8 +102,15 @@ def effective_potential(kind: ModelKind, rabi_sq, density, params: PhysicalParam
         out = HBAR * rabi / (4.0 * delta)
     elif kind is ModelKind.FULL:
         v0 = characteristic_volume(params)
-        denom = check_pole(1.0 + v0 * rho, rho, "full-model")
-        out = HBAR * rabi / (4.0 * delta * denom**2)
+        try:
+            with np.errstate(over="raise"):  # numpy's own flag check: no extra pass
+                denom_sq = check_pole(1.0 + v0 * rho, rho, "full-model") ** 2
+        except FloatingPointError:
+            raise ParameterError(
+                f"rho_0 = {params.rho_0!r} is out of range: the full model's "
+                "(1 + V0 rho)^2 overflows"
+            ) from None
+        out = HBAR * rabi / (4.0 * delta * denom_sq)
     elif kind is ModelKind.GROSS_PITAEVSKII_TYPE:
         d_sq = checked_power(params.dipole, 2, "dipole")
         out = (rabi / delta) * (HBAR / 4.0 - (2.0 * math.pi / 3.0) * (d_sq / delta) * rho)

@@ -525,27 +525,21 @@ class TestInvalidOverrides:
         assert err == f"error: --saturation must be finite, got {float(value)!r}\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "value, rule", [("nan", "positive"), ("0", "positive"), ("-1", "positive"),
+                        ("inf", "finite")],
+    )
     @pytest.mark.parametrize("command", ["optics", "validity"])
-    def test_nan_saturation_is_an_errored_entry(self, capsys, params_file, command, fmt):
+    def test_saturation_outside_the_open_half_line_is_a_usage_error(
+        self, capsys, params_file, command, value, rule, fmt
+    ):
+        # no collision bound has a value at NaN or s <= 0, and every one
+        # would pass at s = inf: one message naming the flag, no table
         code, out, err = run(
-            capsys, command, "--params", params_file, "--saturation", "nan", "--format", fmt
+            capsys, command, "--params", params_file, "--saturation", value, "--format", fmt
         )
-        assert code == 2
-        assert err == ""
-        message = "saturation must be positive, got nan"
-        if fmt == "json":
-            doc = json.loads(out)
-            if command == "optics":
-                assert doc["errors"]["contact_bound"] == message
-                assert "contact_bound" not in doc["quantities"]
-            else:
-                check = doc["checks"][-1]
-                assert check["name"] == "collision_bound"
-                assert (check["value"], check["ok"], check["error"]) == (None, False, message)
-        elif command == "optics":
-            assert f'contact_bound,,"{message}"' in out.splitlines()
-        else:
-            assert f'collision_bound,,10,false,"{message}"' in out.splitlines()
+        assert (code, out) == (1, "")
+        assert err == f"error: --saturation must be {rule}, got {float(value)!r}\n"
 
 
 class TestPacketRange:

@@ -334,6 +334,15 @@ class TestDefaultQMax:
         with pytest.raises(ConfigurationError, match=r"^7 orders needed \(q_max = 7\)"):
             default_q_max([p], ("numeric",), 1024, 32.0)
 
+    def test_routes_are_any_route_selection(self):
+        # the routes are read through select_routes, as evaluate_routes
+        # reads them: "all" and a comma list work, an unknown name is refused
+        p = _reference(g0=2.0)
+        assert default_q_max([p], "all", 1024, 32.0) == default_q_max([p], ROUTES, 1024, 32.0)
+        assert default_q_max([p], "analytic, numeric", 65536, 32.0) == 34
+        with pytest.raises(ConfigurationError, match="^invalid path selection"):
+            default_q_max([p], ("analytic", "bogus"), 1024, 32.0)
+
     def test_unbuildable_grid_is_left_to_the_run(self):
         p = _reference(g0=2.0)
         assert default_q_max([p], ("numeric",), 1024, 32.3) == 34

@@ -1,6 +1,7 @@
 """Effective potentials, their limits, and the beam-splitter scalars."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,20 @@ def test_an_overflow_is_a_parameter_error_naming_the_quantity(call, match):
     # V0 whose dipole^2 underflows to 0 leaves 1/|V0| beyond it
     with pytest.raises(ParameterError, match=match):
         call()
+
+
+@pytest.mark.parametrize("density", [1e300, np.array([0.0, 1e300])])
+def test_the_full_models_overflow_is_a_parameter_error_naming_rho_0(density):
+    # (1 + V0 rho)^2 beyond the double range would make the potential
+    # exactly 0; numpy's overflow flag raises instead, for a scalar and an array
+    params = make_params(rho_0=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = r"^rho_0 = 1e\+300 is out of range: the full model's \(1 \+ V0 rho\)\^2"
+        with pytest.raises(ParameterError, match=message + " overflows$"):
+            effective_potential(ModelKind.FULL, 1.0, density, params)
+        # a density whose square is finite is untouched
+        assert effective_potential(ModelKind.FULL, 1.0, 1e16, params) > 0.0
 
 
 def test_regime_checks_report_an_overflow_as_an_error_entry():

@@ -147,3 +147,52 @@ def test_a_tiny_field_ends_every_example_without_a_warning(field, value, tmp_pat
                 seen.append(code)
                 assert text in (out if name == "optics" else message)
     assert seen == [expected_code]
+
+
+def _main_on_the_readme_file(argv, tmp_path, monkeypatch, **fields):
+    """(exit code, stdout, stderr) of main(argv) beside the README's file,
+    with `fields` set in it; a numpy warning is a traceback here."""
+    (ini,) = _blocks("ini")
+    for field, value in fields.items():
+        ini = re.sub(rf"^{field} = .*$", f"{field} = {value}", ini, flags=re.M)
+    (tmp_path / "sodium.params").write_text(ini, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("kinetic", ["--kinetic", "--no-kinetic"])
+def test_a_huge_density_is_refused_by_the_full_model(kinetic, tmp_path, monkeypatch):
+    # at rho_0 = 1e300, (1 + V0 rho)^2 overflows: the potential would be
+    # exactly 0 and the packet would leave in the zero order
+    code, out, err = _main_on_the_readme_file([
+        "propagate", "--params", "sodium.params", "--grid-points", "4096",
+        "--steps", "64", kinetic, "--q-max", "2", "--out", "dense",
+    ], tmp_path, monkeypatch, rho_0="1e300")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: rho_0 = 1e+300 is out of range: the full model's (1 + V0 rho)^2 overflows\n"
+    )
+    assert list(tmp_path.glob("dense*")) == []
+
+
+@pytest.mark.parametrize("paths, message", [
+    # the series runs first and refuses its Bessel row before the grid exists
+    ("all", "error: 2e+06 orders needed at tau = 3.9999255302072587 (q_max = 2e+06), "
+            "more than the ceiling of 1000000\n"),
+    ("numeric,propagator", "error: q_max = 2000000 does not fit in the spectral range: "
+                           "(q_max + 1/2)*64 must be <= 512; this grid supports q_max <= 7 "
+                           "(use more grid points for more orders)\n"),
+])
+def test_too_many_orders_are_refused_by_the_first_route_to_need_them(
+    paths, message, tmp_path, monkeypatch
+):
+    code, out, err = _main_on_the_readme_file([
+        "diffract", "--params", "sodium.params", "--paths", paths, "--q-max", "2000000",
+        "--grid-points", "1024", "--box-lambdas", "32",
+    ], tmp_path, monkeypatch)
+    assert (code, out, err) == (1, "", message)

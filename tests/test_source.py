@@ -172,6 +172,32 @@ def test_one_home_of_the_regime_checks():
     assert package_guard_sites(None, "evaluate") == {"models.regime_checks"}
 
 
+def name_tests(source: str, names: set[str]) -> list[int]:
+    """Lines that compare a value with in, not in, == or != against a
+    string literal in `names`, alone or inside a literal collection."""
+    tests = (ast.In, ast.NotIn, ast.Eq, ast.NotEq)
+    return sorted({
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, tests) for op in node.ops)
+        and any(isinstance(n, ast.Constant) and n.value in names for n in ast.walk(node))
+    })
+
+
+def test_name_test_checker():
+    source = (
+        'TABLE = {"a": 1, "b": 2}\n'
+        'x = f("a")\n'
+        'if "a" in chosen or y == "b":\n'
+        '    pass\n'
+        'z = k not in ("c", "a")\n'
+        'w = k < "a"\n'
+        'v = need == "grid"\n'
+    )
+    assert name_tests(source, {"a", "b"}) == [3, 5]
+
+
 def test_one_route_selector():
     # every route selection goes through diffraction.select_routes: no
     # other function checks names against ROUTES, and no other module
@@ -184,6 +210,20 @@ def test_one_route_selector():
         if isinstance(node, ast.Name) and node.id == "ROUTES"
     }
     assert readers == {"diffraction.py"}
+    # diffraction's route table is the one place a route's name decides
+    # anything: its keys are no comparison, and no code tests a name
+    from matteroptics import cli
+    from matteroptics.diffraction import ROUTES
+
+    tested = {
+        path.name: lines
+        for path in PACKAGE.glob("*.py")
+        if (lines := name_tests(path.read_text(encoding="utf-8"), set(ROUTES)))
+    }
+    assert tested == {}
+    # a route added to the table cannot be missing from --help
+    help_text = cli._FLAGS["--paths"]["help"]
+    assert re.findall("|".join(ROUTES), help_text) == list(ROUTES)
 
 
 def test_one_rule_for_the_packet_density():

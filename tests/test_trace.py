@@ -71,6 +71,29 @@ def test_traced_sweep_keeps_the_span_chain(tmp_path, capsys):
     assert all(s[tracer.COUNT] == 256 for s in steps)
 
 
+def test_traced_diffract_runs_each_route_once(tmp_path, capsys):
+    # evaluate_routes reaches each route function through the module, so
+    # the tracer's rebinding records one span per route, under cli.main
+    tracer = _load_tracer()
+    path = _params_path(tmp_path, with_v0rho(with_wy_lambdas(make_params(), 10.5), 0.3))
+    code, spans = _traced_main(tracer, [
+        "diffract", "--params", path, "--paths", "all", "--grid-points", "256",
+        "--box-lambdas", "32", "--steps", "16", "--q-max", "1",
+    ], capsys)
+
+    assert code == 0
+    assert tracer.nesting_errors(spans, False) == []
+    routes = [
+        s for s in spans
+        if s[tracer.NAME].startswith("diffraction.") and s[tracer.NAME].endswith("_orders")
+    ]
+    assert sorted(s[tracer.NAME] for s in routes) == [
+        "diffraction.analytic_orders", "diffraction.numeric_orders",
+        "diffraction.propagator_orders",
+    ]
+    assert all(spans[s[tracer.PARENT]][tracer.NAME] == "cli.main" for s in routes)
+
+
 @pytest.mark.parametrize("kinetic", [False, True])
 def test_traced_propagate_evaluates_the_potential_per_fresh_density(
     kinetic, tmp_path, capsys
