@@ -74,7 +74,7 @@ from .propagate import (
     propagate_through_laser,
     write_state_csv,
 )
-from .serialize import by_order, csv_num, json_dumps
+from .serialize import ColumnTable, by_order, csv_num, json_dumps
 from .units import (
     ParamFile,
     PhysicalParams,
@@ -494,11 +494,16 @@ def _load_params(args) -> ParamFile:
 
 
 def _params_at_density(args, pf: ParamFile) -> PhysicalParams:
-    """The file's parameters with --density as rho_0, checked by the rho_0 rule as typed."""
+    """The file's parameters with --density as rho_0, checked by the rho_0 rule as typed.
+
+    Where the unit conversion leaves the typed value as it is (every CGS
+    file), the typed set is the result, and only one set is built.
+    """
     if args.density is None:
         return pf.params
     typed = replace(pf.params, rho_0=args.density)
-    return replace(pf.params, rho_0=convert_field(typed.rho_0, "rho_0", pf.units, "cgs"))
+    rho_0 = convert_field(args.density, "rho_0", pf.units, "cgs")
+    return typed if rho_0 == args.density else replace(pf.params, rho_0=rho_0)
 
 
 def _saturation(args) -> float | None:
@@ -784,16 +789,14 @@ def cmd_bloch(args) -> int:
 
     def doc() -> dict:
         r = trajectory.coherence
-        columns = (trajectory.times, r.real, r.imag, trajectory.inversion)
-        points = [
-            {"t_s": t, "re_R": x, "im_R": y, "W": w}
-            for t, x, y, w in zip(*(c.tolist() for c in columns))
-        ]
+        points = ColumnTable(
+            {"t_s": trajectory.times, "re_R": r.real, "im_R": r.imag, "W": trajectory.inversion}
+        )
         return {
             "detuning": delta,
             "drive": {"re": drive.real, "im": drive.imag},
             "rates": {"gamma_l": rates.gamma_l, "gamma_t": rates.gamma_t},
-            "final": points[-1],
+            "final": {name: float(c[-1]) for name, c in points.columns.items()},
             "steady_state": None if target is None else {
                 "re_R": target.coherence.real,
                 "im_R": target.coherence.imag,

@@ -41,7 +41,9 @@ at the end. With it off, |psi| is frozen over the stretch: one density,
 one potential evaluation, one slice sum of E and one complex
 exponential. A transit with no observer is then a single step. Its
 drive and its phase drive * weight are checked for non-finite values
-before the exponential. The sum over E samples keeps a kinetic-free
+before the exponential. In both modes each stretch checks, once, at its
+entry density, that the largest phase one exponential takes stays
+within MAX_EXPONENT_PHASE. The sum over E samples keeps a kinetic-free
 transit a z-trapezoid of the envelope over the window; the closed-form
 phase mask takes the exact integral sqrt(pi) w_L, so for the full model
 the two differ by that quadrature, truncated tails included, and
@@ -110,6 +112,13 @@ MIN_PACKET_CELLS = 4
 # an axis that changes the key (w_y, k_l, harmonic) misses at every
 # point and holds at most this many.
 GRID_MEMO_SIZE = 8
+
+# The largest potential phase, in rad, that one exponential may take. A
+# double holds a phase of 4e9 rad to ulp(4e9) = 2^-21 ~ 4.8e-7 rad, so
+# exp(-i phi) stays within 1e-6 rad of the phase asked for; far beyond
+# it the rounding error of phi exceeds 2 pi and the factor is noise.
+# Stretches check their phase against it once, at their entry density.
+MAX_EXPONENT_PHASE = 4e9
 
 
 @dataclass(frozen=True)
@@ -366,10 +375,13 @@ def _weight(
     potential phase is drive * weight with this one weight and a scalar
     drive.
 
-    Given the drive of a kinetic-off stretch, the phase drive * weight
-    must be finite too: the stretch applies it in one exponential, so a
-    non-finite phase is reported here, before it, and not only by the
-    scan of the state after it.
+    Given a drive (a kinetic-off stretch's whole sum, or a kinetic-on
+    stretch's largest per-z-step drive), the largest phase that one
+    exponential of the stretch takes, drive * max|weight|, is checked
+    here, before it: a non-finite one is a NumericsError, reported here
+    and not only by the scan of the state after it, and one past
+    MAX_EXPONENT_PHASE, which no double resolves, a ParameterError that
+    names rho_0 and the model.
     """
     density = (psi.real**2 + psi.imag**2) * packet_normalization(params.rho_0)[1]
     rho_hi = float(np.max(density))
@@ -391,6 +403,12 @@ def _weight(
                 f"non-finite potential phase {phase!r} over the stretch from "
                 f"t = {t!r} s (z = {params.v_g * t!r} cm)",
                 time=t,
+            )
+        if abs(phase) > MAX_EXPONENT_PHASE:
+            raise ParameterError(
+                f"rho_0 = {params.rho_0!r} is out of range for the {config.model.value} "
+                f"model: a potential phase of {phase:.3g} rad in one exponential exceeds "
+                f"the {MAX_EXPONENT_PHASE:.0e} rad a double resolves"
             )
     return weight
 
@@ -438,7 +456,11 @@ def step(
     t = state.time
     psi = state.amplitude
     if config.kinetic_enabled:
-        psi = _settle(psi, 0.5 * envelope[0], _weight(psi, t, pattern, dt, config, params))
+        # the largest phase of the stretch is its largest per-z-step drive
+        # times the weight; it is checked once, at the entry density
+        peak = np.max(envelope[1:-1], initial=0.5 * np.maximum(envelope[0], envelope[-1]))
+        weight = _weight(psi, t, pattern, dt, config, params, drive=float(peak))
+        psi = _settle(psi, 0.5 * envelope[0], weight)
         for j in range(1, spans + 1):
             psi = np.fft.ifft(np.fft.fft(psi) * kinetic_phase)
             t += dt

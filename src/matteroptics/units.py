@@ -12,6 +12,14 @@ lower bound (strictly positive, nonnegative, or none). The file's known
 keys, the range rules of PhysicalParams and convert_field's dimension
 lookup all read it; the required keys are the fields without a default.
 
+parse_param_file is memoized on the text and the units override
+(functools.lru_cache, PARAM_MEMO_SIZE entries), so a command that
+reads a file it read before parses it no more: read_param_file still
+reads the file at every call and hands over the text, so an edited file
+is a new key and the memo cannot go stale. The ParamFile it returns is
+frozen and shared read-only; a text that fails is not kept, and raises
+its ParameterError at every call.
+
 Internal units by dimension:
     length      cm
     mass        g
@@ -27,6 +35,7 @@ Internal units by dimension:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, dataclass, fields
 
@@ -214,6 +223,11 @@ def params_to_system(params: PhysicalParams, units: str) -> dict[str, float]:
     }
 
 
+# Parameter texts whose parse parse_param_file keeps; a text is a few
+# hundred bytes.
+PARAM_MEMO_SIZE = 16
+
+
 @dataclass(frozen=True)
 class ParamFile:
     """A parsed parameter file: the CGS parameter set plus the declared system."""
@@ -222,6 +236,7 @@ class ParamFile:
     units: str
 
 
+@functools.lru_cache(maxsize=PARAM_MEMO_SIZE)
 def parse_param_file(text: str, units_override: str | None = None) -> ParamFile:
     """Parse the flat `key = value` parameter format.
 

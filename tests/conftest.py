@@ -25,6 +25,8 @@ from matteroptics import (
     effective_wavelength,
     params_to_system,
     propagate,
+    serialize,
+    units,
 )
 
 settings.register_profile(
@@ -103,6 +105,10 @@ def params_file_text(params: PhysicalParams, units: str = "cgs") -> str:
 
 # Every memoized grid helper of propagate (see its module docstring).
 GRID_MEMOS = (propagate.gaussian_profile, propagate.standing_wave_pattern, propagate.order_bins)
+# Every memo of the package: the grid helpers, the parameter parse of
+# units and the key quoting of serialize; a test that starts cold, as a
+# one-shot process does, clears them all.
+MEMOS = (*GRID_MEMOS, units.parse_param_file, serialize._quoted)
 
 
 def poison_z_step(monkeypatch, at_step: int, real_steps) -> dict:

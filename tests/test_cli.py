@@ -24,9 +24,10 @@ from matteroptics.diffraction import (
 from matteroptics.sweep import SweepSpec
 from matteroptics.errors import NumericsError, PhysicsGuardError
 from matteroptics.serialize import csv_num
-from matteroptics.units import detuning
+from matteroptics.units import convert_field, detuning
 
 from conftest import (
+    MEMOS,
     make_params,
     oracle_parser,
     params_file_text,
@@ -1649,3 +1650,42 @@ class TestHugeInputs:
         assert run(capsys, *args, "--values", "0") == (0, f"{header}\n{finite}\n", "")
         assert huge.startswith("1e+200,,,,,,,,,,1 + V0 rho_0 = ")
         assert huge.endswith("is out of range: its power 2 overflows")
+
+
+@pytest.mark.parametrize("units", ["cgs", "si"])
+def test_every_command_gives_the_bytes_of_a_cold_process(capsys, tmp_path, units):
+    # the parameter parse, the key quoting and the grid arrays are memoized
+    # across calls in one process; clearing every memo before each call, as
+    # a one-shot process starts, moves no byte. An SI file converts the
+    # typed --density, a CGS one keeps it as typed.
+    p = with_v0rho(with_wy_lambdas(with_g0(make_params(), 1.0), 4.0), 0.2)
+    path = write_params(tmp_path, p, units)
+    rho = format(convert_field(p.rho_0, "rho_0", "cgs", units), ".17g")
+    grid = ("--grid-points", "1024", "--box-lambdas", "32", "--steps", "16", "--q-max", "3")
+    commands = [
+        ("optics", "--params", path, "--density", rho, "--format", "json"),
+        ("validity", "--params", path, "--density", rho, "--format", "json"),
+        ("diffract", "--params", path, "--density", rho, "--paths", "all", "--format", "json",
+         *grid),
+        ("sweep", "--params", path, "--axis", "rho_0", "--values", f"0,{rho}", "--paths", "all",
+         "--format", "json", *grid),
+        ("bloch", "--params", path, "--density", rho, "--drive-re", "1.0", "--dt", "1e-12",
+         "--steps", "40", "--gamma-l", "1e9", "--gamma-t", "1e9", "--format", "json"),
+    ]
+
+    def outputs(cold):
+        got = []
+        for argv in commands:
+            if cold:
+                for memo in MEMOS:
+                    memo.cache_clear()
+            got.append(run(capsys, *argv))
+        return got
+
+    cold = outputs(cold=True)
+    # 2: the 4-wavelength packet fails packet_broadness, which validity
+    # and the sweep flag; both still write their report
+    assert [code for code, _, _ in cold] == [0, 2, 0, 2, 0]
+    assert all(out.endswith("}\n") for _, out, _ in cold)
+    assert outputs(cold=False) == cold
+    assert outputs(cold=False) == cold

@@ -508,6 +508,46 @@ class TestPropagateThroughLaser:
         index, good = err.value.last_good
         assert index == 0 and good is entry
 
+    def _ceiling_run(self, kinetic, observe=()):
+        p = make_params()
+        state = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l)
+        cfg = PropagationConfig(n_steps=64, kinetic_enabled=kinetic)
+        return propagate_through_laser(state, cfg, p, observe_steps=observe)
+
+    def test_each_stretch_checks_its_largest_phase_once(self, monkeypatch):
+        # a drive reaches _weight once per stretch, at its entry density:
+        # the whole sum of a kinetic-off stretch, the largest per-z-step
+        # drive of a kinetic-on one, never each z-step's
+        real = propagate._weight
+        drives = []
+
+        def spy(*args, drive=None):
+            if drive is not None:
+                drives.append(drive)
+            return real(*args, drive=drive)
+
+        monkeypatch.setattr(propagate, "_weight", spy)
+        self._ceiling_run(True, observe={16, 32})
+        on = drives[:]
+        drives.clear()
+        self._ceiling_run(False, observe={16, 32})
+        assert len(on) == len(drives) == 3
+        assert all(0.0 < a < b for a, b in zip(on, drives))
+
+    @pytest.mark.parametrize("kinetic", [True, False])
+    def test_a_phase_past_the_ceiling_is_refused(self, monkeypatch, kinetic):
+        monkeypatch.setattr(propagate, "MAX_EXPONENT_PHASE", 1e-3)
+        with pytest.raises(
+            ParameterError,
+            match=r"^rho_0 = 0\.0 is out of range for the full model: a potential phase of "
+            r"\S+ rad in one exponential exceeds the 1e-03 rad a double resolves$",
+        ):
+            self._ceiling_run(kinetic)
+
+    def test_the_ceiling_keeps_a_phase_resolved_to_a_microradian(self):
+        ceiling = propagate.MAX_EXPONENT_PHASE
+        assert np.spacing(ceiling) < 1e-6 < np.spacing(1e3 * ceiling)
+
     @pytest.mark.parametrize("outside", [0, -1, 31])
     def test_observe_steps_outside_the_transit_are_rejected(self, outside):
         p = make_params()

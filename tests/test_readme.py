@@ -9,6 +9,7 @@ lines of a file an earlier example wrote.
 
 import contextlib
 import io
+import json
 import re
 import shlex
 import warnings
@@ -178,6 +179,37 @@ def test_a_huge_density_is_refused_by_the_full_model(kinetic, tmp_path, monkeypa
         "error: rho_0 = 1e+300 is out of range: the full model's (1 + V0 rho)^2 overflows\n"
     )
     assert list(tmp_path.glob("dense*")) == []
+
+
+@pytest.mark.parametrize("kinetic, phase", [("--kinetic", "2.83e+283"), ("--no-kinetic", "4.01e+284")])
+def test_a_huge_density_is_refused_by_the_gp_model(kinetic, phase, tmp_path, monkeypatch):
+    # at rho_0 = 1e300 the gp potential stays finite, but a z-step's phase
+    # (kinetic on) or the one stretch's (off) is far past what a double
+    # resolves mod 2 pi, so the run would report noise as orders
+    code, out, err = _main_on_the_readme_file([
+        "propagate", "--params", "sodium.params", "--grid-points", "4096",
+        "--steps", "64", kinetic, "--q-max", "2", "--model", "gp", "--out", "dense",
+    ], tmp_path, monkeypatch, rho_0="1e300")
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: rho_0 = 1e+300 is out of range for the gp model: a potential phase of "
+        f"{phase} rad in one exponential exceeds the 4e+09 rad a double resolves\n"
+    )
+    assert list(tmp_path.glob("dense*")) == []
+
+
+@pytest.mark.parametrize("kinetic", ["--kinetic", "--no-kinetic"])
+def test_the_wallis_model_keeps_its_own_limit_at_a_huge_density(kinetic, tmp_path, monkeypatch):
+    # its screened potential falls as 1/rho: a phase of about 1e-284 rad
+    # leaves the packet in the zero order, which is that model's limit
+    code, out, err = _main_on_the_readme_file([
+        "propagate", "--params", "sodium.params", "--grid-points", "4096",
+        "--steps", "64", kinetic, "--q-max", "2", "--model", "wallis", "--out", "dense",
+        "--format", "json",
+    ], tmp_path, monkeypatch, rho_0="1e300")
+    assert (code, err) == (0, "")
+    report = json.loads((tmp_path / "dense_report.json").read_text(encoding="utf-8"))
+    assert report["spectrum"]["0"] == pytest.approx(1.0, abs=1e-11)
 
 
 @pytest.mark.parametrize("paths, message", [

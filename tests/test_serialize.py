@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matteroptics import serialize
-from matteroptics.serialize import csv_num, json_dumps
+from matteroptics.serialize import ColumnTable, csv_num, json_dumps
 
 
 class TestCsvNum:
@@ -138,6 +138,9 @@ KEYS = st.one_of(
          "ünïcödé", "λ_L", "%s", "100%", "%%", "", " "]
     ),
 )
+# Dict keys of every type json_dumps takes. It quotes str() of each, so
+# the equal keys True and 1 (or 1.0) must each keep their own text.
+ANY_KEY = st.one_of(KEYS, st.integers(min_value=-3, max_value=3), st.booleans(), st.floats())
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 SPECIAL = st.sampled_from(
     [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
@@ -148,8 +151,11 @@ NOT_A_FLOAT = st.one_of(
     st.integers(min_value=-(2**70), max_value=2**70),
     st.none(),
     FINITE.map(np.float64),
+    SPECIAL.map(np.float64),
     st.tuples(FINITE, FINITE),
     st.text(max_size=3),
+    st.sampled_from(['"', "\\", "\n", "\x1f", "é", "%"]),
+    st.sampled_from([{}, [], (), [[]], {"e": {}}, ((),)]),
 )
 
 
@@ -175,10 +181,33 @@ def documents(draw):
         del row[key]
     elif spoil == "extra":
         row[draw(KEYS)] = draw(FINITE)
-    doc = rows
-    for wrap in draw(st.lists(st.sampled_from(["list", "dict"]), max_size=3)):
-        doc = [doc, 1.5] if wrap == "list" else {"rows": doc, "n": len(rows)}
+    doc = draw(st.sampled_from([list, tuple]))(rows)
+    wraps = st.sampled_from(["list", "tuple", "dict", "empty"])
+    for wrap in draw(st.lists(wraps, max_size=3)):
+        if wrap == "list":
+            doc = [doc, 1.5]
+        elif wrap == "tuple":
+            doc = (np.float64(draw(FINITE)), doc)
+        elif wrap == "dict":
+            doc = {draw(ANY_KEY): len(rows), draw(ANY_KEY): doc}
+        else:
+            doc = {"e": {}, "l": [[], ()], "doc": doc}
     return doc
+
+
+def _table_rows(columns: dict) -> list:
+    """The list of flat dicts that a ColumnTable of these columns stands for."""
+    values = [np.asarray(c).tolist() for c in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
+
+
+@st.composite
+def tables(draw):
+    """The columns of a ColumnTable: 0 to 30 rows of any float cells."""
+    keys = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(min_value=0, max_value=30))
+    cells = st.one_of(FINITE, FINITE, SPECIAL)
+    return {k: np.array([draw(cells) for _ in range(n)], dtype=float) for k in keys}
 
 
 class TestRowTemplateMatchesThePerValuePath:
@@ -188,22 +217,56 @@ class TestRowTemplateMatchesThePerValuePath:
         assert _outcome(json_dumps, doc) == _outcome(_reference_dumps, doc)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.dictionaries(KEYS, st.one_of(FINITE, SPECIAL, NOT_A_FLOAT), max_size=4))
+    @given(st.dictionaries(ANY_KEY, st.one_of(FINITE, SPECIAL, NOT_A_FLOAT), max_size=4))
     def test_dict_keys_quote_as_json_does(self, doc):
         assert _outcome(json_dumps, doc) == _outcome(_reference_dumps, doc)
+
+    @pytest.mark.parametrize("first, second", [(1, True), (True, 1), (1.0, 1), (0, False)])
+    def test_equal_keys_of_other_types_quote_as_their_own_text(self, first, second):
+        # True == 1 and 1.0 == 1: each must keep its own str() in one process
+        for key in (first, second, first):
+            assert json_dumps({key: 0}) == _reference_dumps({key: 0}) == f'{{\n  "{key}": 0\n}}'
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_length(self, n):
         rows = [{"t_s": i * 0.02, "re_R": -0.0, "im_R": 1.0 / (i + 3), "W": -1.0} for i in range(n)]
-        assert json_dumps({"trajectory": rows}) == _reference_dumps({"trajectory": rows})
+        table = ColumnTable({k: np.array([row[k] for row in rows]) for k in rows[0]})
+        want = _reference_dumps({"trajectory": rows})
+        assert json_dumps({"trajectory": rows}) == json_dumps({"trajectory": table}) == want
 
-    def test_flat_float_rows_take_the_template(self, monkeypatch):
-        # the differential tests above would pass with no fast path at all
-        rows = [{"t_s": 0.5 * i, "W": -0.0} for i in range(5)]
-        want = _reference_dumps(rows)
+    @settings(max_examples=300, deadline=None)
+    @given(tables(), st.integers(min_value=0, max_value=2))
+    def test_a_column_table_reads_as_its_rows(self, columns, depth):
+        table, rows = ColumnTable(columns), _table_rows(columns)
+        for _ in range(depth):
+            table, rows = {"rows": table, "n": 1.5}, {"rows": rows, "n": 1.5}
+        assert _outcome(json_dumps, table) == _outcome(_reference_dumps, rows)
+
+    @pytest.mark.parametrize(
+        "cell, text",
+        [(-0.0, "0"), (math.inf, '"inf"'), (-math.inf, '"-inf"'), (math.nan, ValueError)],
+    )
+    def test_a_special_cell(self, cell, text):
+        columns = {"t_s": np.array([0.5, 1.0]), "W": np.array([-1.0, cell])}
+        want = _outcome(_reference_dumps, _table_rows(columns))
+        assert _outcome(json_dumps, ColumnTable(columns)) == want
+        if text is ValueError:
+            assert want == (ValueError, "NaN is not serializable")
+        else:
+            assert want.endswith(f'"W": {text}\n  }}\n]')
+
+    def test_zero_rows(self):
+        table = ColumnTable({"t_s": np.array([]), "W": np.array([])})
+        assert json_dumps({"trajectory": table}) == '{\n  "trajectory": []\n}'
+
+    def test_a_finite_table_takes_the_template(self, monkeypatch):
+        # the differential tests above would pass with no template at all
+        columns = {"t_s": 0.5 * np.arange(5), "100%": np.full(5, -0.0)}
+        want = _reference_dumps(_table_rows(columns))
 
         def per_value(x):
-            raise AssertionError("row formatted value by value")
+            raise AssertionError("cell formatted value by value")
 
         monkeypatch.setattr(serialize, "_json_scalar", per_value)
-        assert json_dumps(rows) == want
+        monkeypatch.setitem(serialize._EXACT_SCALARS, float, per_value)
+        assert json_dumps(ColumnTable(columns)) == want

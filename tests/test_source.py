@@ -2,7 +2,9 @@
 
 import argparse
 import ast
+import importlib
 import inspect
+import pkgutil
 import re
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 import matteroptics
 from matteroptics import units
 
-from conftest import argparse_kwargs
+from conftest import MEMOS, argparse_kwargs
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "matteroptics"
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
@@ -333,6 +335,18 @@ def test_each_float_format_has_one_owner():
         if literal in path.read_text(encoding="utf-8")
     }
     assert owners == {(".17g", "serialize.py"), (".9g", "serialize.py")}
+
+
+def test_every_memo_of_the_package_is_listed():
+    # a test that starts cold clears conftest.MEMOS; a memo missing from it
+    # would carry state from one call to the next unseen
+    caches = {
+        value
+        for module in pkgutil.iter_modules(matteroptics.__path__)
+        for value in vars(importlib.import_module(f"matteroptics.{module.name}")).values()
+        if hasattr(value, "cache_clear")
+    }
+    assert caches == set(MEMOS)
 
 
 def test_root_exports_resolve():

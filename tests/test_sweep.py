@@ -21,7 +21,7 @@ from matteroptics.models import RegimeCheck, raman_nath_params
 from matteroptics.sweep import SweepRow, SweepSpec, run_sweep, sweep_report, write_sweep_csv
 
 from conftest import (
-    GRID_MEMOS,
+    MEMOS,
     make_params,
     params_file_text,
     red_detuned,
@@ -340,7 +340,7 @@ class TestMemoizedGrids:
         evaluate = sweep.evaluate_routes
 
         def cold(*args, **kwargs):
-            for memo in GRID_MEMOS:
+            for memo in MEMOS:
                 memo.cache_clear()
             return evaluate(*args, **kwargs)
 

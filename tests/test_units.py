@@ -1,6 +1,7 @@
 """Unit table, parameter validation, and the parameter-file format."""
 
 import math
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from matteroptics import units
 from matteroptics.errors import ParameterError
 from matteroptics.units import (
     C_LIGHT,
@@ -246,3 +248,43 @@ class TestParamFileFormat:
         path = tmp_path / "p.params"
         path.write_text(params_file_text(make_params(), "cgs"), encoding="utf-8")
         assert read_param_file(str(path)).params == make_params()
+
+
+class TestParseMemo:
+    """parse_param_file is memoized on (text, units_override), never on a path."""
+
+    def test_the_same_text_gives_the_same_object(self, tmp_path):
+        path = tmp_path / "p.params"
+        path.write_text(params_file_text(make_params(), "cgs"), encoding="utf-8")
+        first = read_param_file(str(path))
+        assert read_param_file(str(path)) is first
+        assert parse_param_file(params_file_text(make_params(), "cgs"), None) is first
+
+    def test_a_rewritten_file_is_read_anew(self, tmp_path):
+        # same path, same byte count and the same mtime: only the text differs
+        path = tmp_path / "p.params"
+        old, new = (params_file_text(make_params(rho_0=rho), "cgs") for rho in (1e14, 2e14))
+        assert len(old) == len(new) and old != new
+        path.write_text(old, encoding="utf-8")
+        stamp = os.stat(path).st_mtime_ns
+        assert read_param_file(str(path)).params.rho_0 == 1e14
+        path.write_text(new, encoding="utf-8")
+        os.utime(path, ns=(stamp, stamp))
+        assert read_param_file(str(path)).params.rho_0 == 2e14
+
+    def test_the_units_override_is_part_of_the_key(self):
+        text = params_file_text(make_params(), "cgs")
+        as_cgs, as_si = parse_param_file(text, None), parse_param_file(text, "si")
+        assert (as_cgs.units, as_si.units) == ("cgs", "si")
+        assert as_si.params.w_l == pytest.approx(100.0 * as_cgs.params.w_l, rel=1e-14)
+        assert parse_param_file(text, "si") is as_si
+        assert parse_param_file(text, None) is as_cgs
+
+    def test_a_failing_text_raises_at_every_call(self):
+        text = "units = cgs\nwingspan = 3\n"
+        for _ in range(3):
+            with pytest.raises(ParameterError, match=r"line 2.*wingspan"):
+                parse_param_file(text, None)
+
+    def test_the_memo_holds_the_named_number_of_entries(self):
+        assert parse_param_file.cache_parameters()["maxsize"] == units.PARAM_MEMO_SIZE
