@@ -84,14 +84,12 @@ _EXPORTS = {
     ),
     "propagate": (
         "Grid1D",
-        "Laser",
         "PropagationConfig",
         "WaveState",
         "init_gaussian",
         "momentum_spectrum",
         "norm",
         "propagate_through_laser",
-        "standing_wave",
         "standing_wave_intensity",
         "step",
     ),

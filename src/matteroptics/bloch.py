@@ -55,6 +55,12 @@ _BOUND = 1.0 + _BOUND_SLACK
 # broadcast multiply-sum from the last state of the block before.
 _BLOCK_STEPS = 256
 
+# The most steps integrate may store. The largest single allocation the
+# count sizes is the bloch command's report text, built whole: its JSON
+# takes about 147 B a state, so 2^20 steps write about 147 MiB (CSV 43 B
+# a state). The states themselves are 4 float64 rows, 32 MiB.
+MAX_BLOCH_STEPS = 2**20
+
 
 @dataclass(frozen=True)
 class BlochState:
@@ -122,8 +128,9 @@ def integrate(
 ) -> BlochTrajectory:
     """RK4 trajectory of n_steps states after the initial one, at a constant drive.
 
-    Requires a finite drive and detuning and dt * max(|detuning|,
-    |drive|, gamma_l, gamma_t) <= 0.1, all checked before any step.
+    Requires 1 <= n_steps <= MAX_BLOCH_STEPS, a finite drive and
+    detuning, and dt * max(|detuning|, |drive|, gamma_l, gamma_t) <= 0.1,
+    all checked before any step.
     With a constant drive one classic RK4 step over bloch_rhs is an
     affine map y -> P y + q on y = (Re R, Im R, W); P and q come from
     RK4 steps at the origin and the three unit vectors. The stored
@@ -142,6 +149,10 @@ def integrate(
         raise ConfigurationError(f"dt must be positive and finite, got {dt!r}")
     if n_steps < 1:
         raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
+    if n_steps > MAX_BLOCH_STEPS:
+        raise ConfigurationError(
+            f"n_steps = {n_steps} Bloch steps is more than the ceiling of {MAX_BLOCH_STEPS}"
+        )
     if not math.isfinite(detuning):
         raise ParameterError(f"detuning must be finite, got {detuning!r}")
     fastest = max(abs(detuning), rates.gamma_l, rates.gamma_t)

@@ -814,7 +814,7 @@ def cmd_bloch(args) -> int:
 
 def cmd_sweep(args) -> int:
     # imported here, at call time, for the same reason as bloch in cmd_bloch
-    from .sweep import SweepSpec, run_sweep, sweep_report, write_sweep_csv
+    from .sweep import MAX_SWEEP_POINTS, SweepSpec, run_sweep, sweep_report, write_sweep_csv
 
     pf = _load_params(args)
     if args.values is not None:
@@ -827,6 +827,10 @@ def cmd_sweep(args) -> int:
     elif args.start is not None and args.stop is not None and args.num is not None:
         if args.num < 1:
             raise ParameterError(f"--num must be >= 1, got {args.num}")
+        if args.num > MAX_SWEEP_POINTS:
+            raise ParameterError(
+                f"--num = {args.num} sweep points is more than the ceiling of {MAX_SWEEP_POINTS}"
+            )
         if args.num == 1:
             raw = [args.start]
         else:

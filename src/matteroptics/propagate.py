@@ -17,15 +17,16 @@ amplitude sqrt(rho_0) and density |psi|^2, so psi is normalized to the
 density itself; rho_0 = 0 is the dilute tracer, a unit-peak field of
 exactly zero density.
 
-The laser is kept as its two factors, |Omega|^2(y, z) = E(z) P(y): for
-the standing wave, E = Omega_0^2 exp(-z^2/w_L^2) and P = cos^2(n k_L y).
-Every model's V is exactly linear in |Omega|^2, so the pattern goes into
-one weight per fresh density, weight = dt V(rho, P)/hbar, with the
-adiabatic guard, and while |psi| is fixed all the potential phases
-commute and sum to exp(-i drive * weight). drive is then a scalar: the
-trapezoid sum of E over the phases since the last real state, in units
-of dt. A transit evaluates P once, on the grid, and E once, at its N + 1
-endpoint times.
+The laser is the params' standing wave, kept as its two factors,
+|Omega|^2(y, z) = E(z) P(y): the envelope E = Omega_0^2 exp(-z^2/w_L^2),
+which _envelope evaluates, and the pattern P = cos^2(n k_L y), which
+standing_wave_pattern memoizes. Every model's V is exactly linear in
+|Omega|^2, so the pattern goes into one weight per fresh density,
+weight = dt V(rho, P)/hbar, with the adiabatic guard, and while |psi| is
+fixed all the potential phases commute and sum to exp(-i drive *
+weight). drive is then a scalar: the trapezoid sum of E over the phases
+since the last real state, in units of dt. A transit reads P once, on
+the grid, and E once, at its N + 1 endpoint times.
 
 propagate_through_laser makes the field real, and scans it for
 non-finite values, only where a real state is needed: after each
@@ -56,12 +57,11 @@ off, dense and dilute, max|difference| / max|psi| measured at most
 4.1e-14 on 4096 points in 2048 steps as one stretch (V0 rho_0 = 0.3,
 kinetic off, where the order populations moved by at most 8.0e-16).
 
-PropagationConfig describes a transit: step count, kinetic switch,
-model and laser. The transit derives dt from its z-window
-[-4 w_L, +4 w_L] and the step count, samples E once, and hands step the
-dt and the envelope samples of each stretch; a laser_profile of None is
-the params' standing wave everywhere. The kinetic phase
-exp(-i hbar dt k^2/2m) of that dt is built once per transit.
+PropagationConfig describes a transit: step count, kinetic switch and
+model. The transit derives dt from its z-window [-4 w_L, +4 w_L] and
+the step count, samples E once, and hands step the dt and the envelope
+samples of each stretch. The kinetic phase exp(-i hbar dt k^2/2m) of
+that dt is built once per transit.
 
 The arrays that depend on the grid and a scalar or two, not on the
 density, are memoized per key (functools.lru_cache, GRID_MEMO_SIZE
@@ -120,6 +120,19 @@ GRID_MEMO_SIZE = 8
 # Stretches check their phase against it once, at their entry density.
 MAX_EXPONENT_PHASE = 4e9
 
+# The most grid points a Grid1D may hold: 2^24 points make one complex128
+# field of 16 B x 2^24 = 256 MiB, the largest array a grid sizes (the
+# field, its FFT and its phase factors are complex128, every other
+# per-point array is 8 B a point).
+MAX_GRID_POINTS = 2**24
+
+# The most z-steps a transit may take. The largest single allocation the
+# count sizes is the set of steps a transit makes real when every step
+# is observed (propagate --snapshots equal to --steps): a Python set
+# holds 2^23 ints in a table of 2^24 slots of 16 B, 256 MiB. The z and
+# envelope samples at the N + 1 endpoints are 8 B a step, 64 MiB each.
+MAX_Z_STEPS = 2**23
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -134,6 +147,10 @@ class Grid1D:
         if n < 16 or (n & (n - 1)) != 0:
             raise ConfigurationError(
                 f"n_points must be a power of two >= 16, got {n}"
+            )
+        if n > MAX_GRID_POINTS:
+            raise ConfigurationError(
+                f"n_points = {n} grid points is more than the ceiling of {MAX_GRID_POINTS}"
             )
         if not (math.isfinite(self.y_min) and math.isfinite(self.y_max)):
             raise ConfigurationError("grid bounds must be finite")
@@ -210,64 +227,50 @@ class WaveState:
 
 
 @dataclass(frozen=True)
-class Laser:
-    """|Omega(y, z)|^2 = envelope(z) * pattern(y), kept as its two factors.
-
-    envelope maps an array of z (cm) to the longitudinal factor in
-    rad^2/s^2; pattern maps the grid positions y (cm) to the
-    dimensionless transverse factor.
-    """
-
-    envelope: Callable[[np.ndarray], np.ndarray]
-    pattern: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class PropagationConfig:
     """What a transit through the laser does, not how finely it is sliced
     in time: the z-window and n_steps fix dt.
 
-    laser_profile is the factored laser; None means the params' standing
-    wave, for a transit and a bare step alike. The density the potential
-    sees is the params' rho_0 rule, packet_normalization, not a setting.
+    The laser is the params' standing wave, for a transit and a bare
+    step alike. The density the potential sees is the params' rho_0
+    rule, packet_normalization, not a setting.
     """
 
     n_steps: int
     kinetic_enabled: bool = True
     model: ModelKind = ModelKind.FULL
-    laser_profile: Laser | None = None
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ConfigurationError(f"n_steps must be >= 1, got {self.n_steps}")
+        if self.n_steps > MAX_Z_STEPS:
+            raise ConfigurationError(
+                f"n_steps = {self.n_steps} z-steps is more than the ceiling of {MAX_Z_STEPS}"
+            )
 
 
-def standing_wave(params: PhysicalParams) -> Laser:
-    """The Gaussian-envelope standing wave, factored.
+def _envelope(params: PhysicalParams, z: np.ndarray) -> np.ndarray:
+    """The standing wave's envelope E(z) = Omega_0^2 exp(-z^2/w_L^2) at an
+    array of z (cm), in rad^2/s^2."""
+    omega0_sq = checked_power(params.rabi_peak, 2, "rabi_peak")
+    inv_wl_sq = 1.0 / checked_divisor(params.w_l, 2, "w_l")
+    return omega0_sq * np.exp(-(z * z) * inv_wl_sq)
 
-    E(z) = Omega_0^2 exp(-z^2/w_L^2) and P(y) = cos^2(n k_L y).
+
+def standing_wave_intensity(params: PhysicalParams) -> Callable[[np.ndarray, float], np.ndarray]:
+    """|Omega(y, z)|^2 = E(z) P(y) of the params' standing wave at one z,
+    with P(y) = cos^2(n k_L y).
+
+    E is taken with math.exp at the scalar z; the transit's array
+    envelope, _envelope, uses numpy's exp, which can differ from it in
+    the last bit.
     """
     omega0_sq = checked_power(params.rabi_peak, 2, "rabi_peak")
     inv_wl_sq = 1.0 / checked_divisor(params.w_l, 2, "w_l")
     nk = params.harmonic * params.k_l
-    return Laser(
-        envelope=lambda z: omega0_sq * np.exp(-(z * z) * inv_wl_sq),
-        pattern=lambda y: np.cos(nk * y) ** 2,
-    )
-
-
-def standing_wave_intensity(params: PhysicalParams) -> Callable[[np.ndarray, float], np.ndarray]:
-    """|Omega(y, z)|^2 = E(z) P(y) of standing_wave(params) at one z.
-
-    E is taken with math.exp at the scalar z; the transit's array
-    envelope uses numpy's exp, which can differ from it in the last bit.
-    """
-    omega0_sq = checked_power(params.rabi_peak, 2, "rabi_peak")
-    inv_wl_sq = 1.0 / checked_divisor(params.w_l, 2, "w_l")
-    pattern = standing_wave(params).pattern
 
     def profile(y: np.ndarray, z: float) -> np.ndarray:
-        return omega0_sq * math.exp(-(z * z) * inv_wl_sq) * pattern(y)
+        return omega0_sq * math.exp(-(z * z) * inv_wl_sq) * np.cos(nk * y) ** 2
 
     return profile
 
@@ -334,24 +337,15 @@ def norm(state: WaveState) -> float:
     return float(np.sum(np.abs(state.amplitude) ** 2)) * state.grid.spacing
 
 
-def _laser(config: PropagationConfig, params: PhysicalParams) -> Laser:
-    """config.laser_profile, or the params' standing wave when it is None."""
-    return config.laser_profile or standing_wave(params)
-
-
 def _step_invariants(
     grid: Grid1D, dt: float, config: PropagationConfig, params: PhysicalParams
 ):
     """(laser pattern P on the grid, kinetic phase exp(-i hbar dt k^2/2m)).
 
-    P is the memoized standing_wave_pattern when config.laser_profile is
-    None, else the laser's own pattern at the grid points. The kinetic
-    phase is None when the kinetic term is off.
+    P is the memoized standing_wave_pattern; the kinetic phase is None
+    when the kinetic term is off.
     """
-    if config.laser_profile is None:
-        pattern = standing_wave_pattern(grid, params.harmonic * params.k_l)
-    else:
-        pattern = config.laser_profile.pattern(grid.points())
+    pattern = standing_wave_pattern(grid, params.harmonic * params.k_l)
     kinetic_phase = None
     if config.kinetic_enabled:
         k = grid.wavenumbers()
@@ -434,13 +428,13 @@ def step(
     `envelope` holds the laser envelope E at the endpoint times t0,
     t0 + dt, ..., t0 + k dt of the stretch; the caller samples it, as
     propagate_through_laser does once per transit, and an all-zero
-    envelope turns the potential off. The pattern is the config's laser,
-    or the params' standing wave when it is None. With the kinetic term
-    on, the opening half phase is taken at the entry density; then each
-    z-step takes its kinetic stage, exact in the spectral basis, and one
-    phase at the fresh density: the full phase between z-steps, where one
-    step's closing half and the next one's opening half merge, and the
-    closing half at the end. With it off the k steps' potential phases
+    envelope turns the potential off. The pattern is the params' standing
+    wave, P = cos^2(n k_L y). With the kinetic term on, the opening half
+    phase is taken at the entry density; then each z-step takes its
+    kinetic stage, exact in the spectral basis, and one phase at the
+    fresh density: the full phase between z-steps, where one step's
+    closing half and the next one's opening half merge, and the closing
+    half at the end. With it off the k steps' potential phases
     commute, so they are applied as one, the trapezoid sum of E times the
     weight of the state's density, which _weight checks for non-finite
     values before the exponential. `invariants` lets a caller that takes
@@ -519,7 +513,7 @@ def propagate_through_laser(
     dt = duration / last
     invariants = _step_invariants(state.grid, dt, config, params)
     t_entry = -z_half / params.v_g
-    envelope = _laser(config, params).envelope(params.v_g * (t_entry + dt * np.arange(last + 1)))
+    envelope = _envelope(params, params.v_g * (t_entry + dt * np.arange(last + 1)))
 
     real = {*observed, last}
     if config.kinetic_enabled:

@@ -41,6 +41,14 @@ from .serialize import by_order, csv_num
 from .units import PhysicalParams, params_to_system
 
 
+# The most points a --start/--stop/--num range may hold, checked before
+# its list is built. The largest single allocation the count sizes is
+# the report text, built whole: its JSON takes about 3 KB a point at the
+# README point's default order range, so 2^16 points write about 190
+# MiB. More orders per point are MAX_ORDERS's to bound.
+MAX_SWEEP_POINTS = 2**16
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """What to sweep: one axis, ordered values, chosen paths (any select_routes

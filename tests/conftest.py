@@ -140,6 +140,20 @@ def poison_z_step(monkeypatch, at_step: int, real_steps) -> dict:
     return fields
 
 
+def poison_envelope(monkeypatch, where) -> None:
+    """Make the laser envelope E(z) NaN wherever where(z) holds.
+
+    A transit samples E once, through propagate._envelope, at the N + 1
+    endpoint z of its z-steps; the samples elsewhere keep their bits.
+    """
+    real_envelope = propagate._envelope
+
+    def envelope(params, z):
+        return np.where(where(z), np.nan, real_envelope(params, z))
+
+    monkeypatch.setattr(propagate, "_envelope", envelope)
+
+
 @pytest.fixture()
 def base_params() -> PhysicalParams:
     return make_params()

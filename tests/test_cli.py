@@ -31,6 +31,7 @@ from conftest import (
     make_params,
     oracle_parser,
     params_file_text,
+    poison_envelope,
     poison_z_step,
     red_detuned,
     with_g0,
@@ -1008,16 +1009,7 @@ class TestPropagate:
         # its exponential, and the rescue is the step-8 snapshot
         path, _ = self._params_path(tmp_path)
         prefix = str(tmp_path / "bad")
-        real_wave = propagate.standing_wave
-
-        def poisoned_wave(params):
-            laser = real_wave(params)
-            return propagate.Laser(
-                envelope=lambda z: np.where(z > 0.0, np.nan, laser.envelope(z)),
-                pattern=laser.pattern,
-            )
-
-        monkeypatch.setattr(propagate, "standing_wave", poisoned_wave)
+        poison_envelope(monkeypatch, lambda z: z > 0.0)
         code, _, err = run(
             capsys, "propagate", "--params", path, "--out", prefix, "--no-kinetic",
             "--grid-points", "1024", "--box-lambdas", "32",
@@ -1614,6 +1606,33 @@ class TestHugeInputs:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("module, ceiling, argv, message", [
+        ("propagate", "MAX_GRID_POINTS", ("diffract", "--paths", "numeric", "--grid-points", "32"),
+         "n_points = 32 grid points is more than the ceiling of 16"),
+        ("propagate", "MAX_Z_STEPS", ("diffract", "--paths", "propagator", "--steps", "17"),
+         "n_steps = 17 z-steps is more than the ceiling of 16"),
+        ("propagate", "MAX_Z_STEPS", ("propagate", "--steps", "17", "--snapshots", "17"),
+         "n_steps = 17 z-steps is more than the ceiling of 16"),
+        ("bloch", "MAX_BLOCH_STEPS", ("bloch", "--dt", "0.01", "--steps", "17"),
+         "n_steps = 17 Bloch steps is more than the ceiling of 16"),
+        ("sweep", "MAX_SWEEP_POINTS",
+         ("sweep", "--axis", "rho_0", "--start", "0", "--stop", "1", "--num", "17"),
+         "--num = 17 sweep points is more than the ceiling of 16"),
+    ])
+    def test_a_count_past_its_ceiling_is_refused(
+        self, capsys, tmp_path, monkeypatch, params_file, module, ceiling, argv, message
+    ):
+        # each ceiling lowered to 16 and asked for 17: one error line that
+        # names the count, whatever the real ceiling allows
+        monkeypatch.setattr(f"matteroptics.{module}.{ceiling}", 16)
+        command, *rest = argv
+        if command == "propagate":
+            rest = [*rest, "--out", str(tmp_path / "r")]
+        code, out, err = run(capsys, command, "--params", params_file, *rest)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == ["ref.params"]
 
     def test_a_huge_density_override_names_the_beam_splitter_factor(self, capsys, params_file):
         code, _, err = run(capsys, "diffract", "--params", params_file, "--density", "1e200")

@@ -16,7 +16,6 @@ from matteroptics.errors import (
 from matteroptics import propagate
 from matteroptics.propagate import (
     Grid1D,
-    Laser,
     PropagationConfig,
     WaveState,
     init_gaussian,
@@ -24,7 +23,6 @@ from matteroptics.propagate import (
     norm,
     packet_normalization,
     propagate_through_laser,
-    standing_wave,
     standing_wave_intensity,
     step,
     write_state_csv,
@@ -37,6 +35,7 @@ from matteroptics.units import HBAR, detuning
 from conftest import (
     GRID_MEMOS,
     make_params,
+    poison_envelope,
     poison_z_step,
     red_detuned,
     with_v0rho,
@@ -120,10 +119,9 @@ class TestPropagationConfig:
     def test_fields(self):
         cfg = PropagationConfig(n_steps=4)
         # a transit, not a time step: the window and n_steps fix dt; the
-        # density follows rho_0, so no field sets it
-        assert [f.name for f in fields(cfg)] == [
-            "n_steps", "kinetic_enabled", "model", "laser_profile",
-        ]
+        # density follows rho_0 and the laser is the params' standing
+        # wave, so no field sets either
+        assert [f.name for f in fields(cfg)] == ["n_steps", "kinetic_enabled", "model"]
 
 
 def test_standing_wave_intensity():
@@ -140,28 +138,31 @@ def test_standing_wave_intensity():
 
 def test_standing_wave_refuses_an_underflowing_width():
     # 1 / w_L^2 with w_L^2 = 0 would be a ZeroDivisionError
-    for build in (standing_wave, standing_wave_intensity):
+    p = make_params(w_l=1e-300)
+    for build in (lambda: propagate._envelope(p, np.zeros(1)), lambda: standing_wave_intensity(p)):
         with pytest.raises(
             ParameterError, match=r"^w_l = 1e-300 is out of range: its power 2 underflows to 0$"
         ):
-            build(make_params(w_l=1e-300))
+            build()
 
 
 def test_standing_wave_factors():
     # E(z) over an array of z and P(y) over the grid; their product is
     # the (y, z) intensity to the last bit of the exponential
     p = make_params()
-    laser = standing_wave(p)
     z = np.array([0.0, p.w_l, -2.0 * p.w_l])
+    envelope = propagate._envelope(p, z)
     assert np.allclose(
-        laser.envelope(z), p.rabi_peak**2 * np.array([1.0, math.exp(-1.0), math.exp(-4.0)]),
+        envelope, p.rabi_peak**2 * np.array([1.0, math.exp(-1.0), math.exp(-4.0)]),
         rtol=1e-15, atol=0.0,
     )
-    y = np.linspace(-1.0e-4, 1.0e-4, 33)
-    assert np.array_equal(laser.pattern(y), np.cos(p.harmonic * p.k_l * y) ** 2)
+    grid = Grid1D(n_points=32, y_min=-1.0e-4, y_max=1.0e-4)
+    y = grid.points()
+    pattern = propagate.standing_wave_pattern(grid, p.harmonic * p.k_l)
+    assert np.array_equal(pattern, np.cos(p.harmonic * p.k_l * y) ** 2)
     profile = standing_wave_intensity(p)
-    for zi, ei in zip(z, laser.envelope(z)):
-        assert np.allclose(profile(y, zi), ei * laser.pattern(y), rtol=4e-16, atol=0.0)
+    for zi, ei in zip(z, envelope):
+        assert np.allclose(profile(y, zi), ei * pattern, rtol=4e-16, atol=0.0)
 
 
 class TestInitGaussian:
@@ -229,12 +230,6 @@ def test_free_plane_wave_phase_is_exact():
     assert np.max(np.abs(s.amplitude - expected)) < 1e-12
 
 
-def _flat_laser(omega_sq):
-    return Laser(
-        envelope=lambda z: omega_sq * np.ones_like(z), pattern=lambda y: np.ones_like(y)
-    )
-
-
 def test_constant_drive_accumulates_trapezoid_phase():
     # kinetic off, z-independent drive: n steps of two half kicks apply
     # exactly exp(-i V T / hbar), and the modulus cannot move; so does
@@ -244,16 +239,13 @@ def test_constant_drive_accumulates_trapezoid_phase():
     psi0 = np.exp(-(g.points() ** 2) / 0.02)
     omega_sq = p.rabi_peak**2
     dt, n_steps = 1.0e-6, 128
-    cfg = PropagationConfig(
-        n_steps=1,
-        kinetic_enabled=False,
-        laser_profile=_flat_laser(omega_sq),
-    )
+    cfg = PropagationConfig(n_steps=1, kinetic_enabled=False)
+    flat = (np.ones(128), None)  # a flat pattern and no kinetic phase
     s = WaveState(grid=g, amplitude=psi0.copy())
     for _ in range(n_steps):
-        s = step(s, dt, cfg, p, envelope=np.full(2, omega_sq))
+        s = step(s, dt, cfg, p, flat, envelope=np.full(2, omega_sq))
     stretch = step(
-        WaveState(grid=g, amplitude=psi0.copy()), dt, cfg, p,
+        WaveState(grid=g, amplitude=psi0.copy()), dt, cfg, p, flat,
         envelope=np.full(n_steps + 1, omega_sq),
     )
     v_over_hbar = omega_sq / (4.0 * detuning(p))
@@ -270,7 +262,7 @@ def test_a_step_needs_two_envelope_samples(kinetic):
     # step covers at least one
     p = make_params()
     s = WaveState(grid=_grid(64, 1.0), amplitude=np.ones(64))
-    cfg = PropagationConfig(n_steps=1, kinetic_enabled=kinetic, laser_profile=_flat_laser(1.0))
+    cfg = PropagationConfig(n_steps=1, kinetic_enabled=kinetic)
     for envelope in (np.ones(1), np.ones(0)):
         with pytest.raises(ConfigurationError, match="one or more z-steps"):
             step(s, 1.0e-6, cfg, p, envelope=envelope)
@@ -316,12 +308,11 @@ def test_non_finite_density_is_a_numerics_failure_for_every_gamma(gamma, red, rh
         p = red_detuned(p)
     amp = np.ones(64, dtype=np.complex128)
     amp[5] = np.inf
-    flat = Laser(envelope=lambda z: np.full(np.shape(z), p.rabi_peak**2), pattern=np.ones_like)
-    cfg = PropagationConfig(n_steps=1, kinetic_enabled=False, laser_profile=flat)
+    cfg = PropagationConfig(n_steps=1, kinetic_enabled=False)
     pattern = rf"^non-finite peak density {peak} at t = 0\.0 s"
     with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match=pattern) as err:
         step(
-            WaveState(grid=_grid(64, 1.0), amplitude=amp), 1.0e-9, cfg, p,
+            WaveState(grid=_grid(64, 1.0), amplitude=amp), 1.0e-9, cfg, p, (np.ones(64), None),
             envelope=np.full(2, p.rabi_peak**2),
         )
     assert err.value.last_good is None  # a bare step has no last good state
@@ -352,7 +343,7 @@ class TestPropagateThroughLaser:
         # 8 w_L / v_g overflows to inf for a tiny speed: refused before the
         # envelope is sampled, not left to fail as a numerics error
         p = make_params(v_g=5e-324)
-        monkeypatch.setattr(propagate, "_laser", lambda *a: pytest.fail("envelope sampled"))
+        monkeypatch.setattr(propagate, "_envelope", lambda *a: pytest.fail("envelope sampled"))
         s = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l)
         with pytest.raises(
             ParameterError, match=r"^v_g = 5e-324 is out of range: the transit time "
@@ -377,23 +368,16 @@ class TestPropagateThroughLaser:
             )
             assert seen == expected
 
-    def test_nan_abort_carries_diagnostics(self):
+    def test_nan_abort_carries_diagnostics(self, monkeypatch):
         # kinetic off, observed every 64 steps: the drive of the stretch
         # from 192 to 256 is checked before its exponential, and the error
         # names it
         p = make_params()
         g = _grid(256, 8.0 * p.w_l)
         s = init_gaussian(g, 0.0, p.w_l)
-
-        def poisoned(z):
-            # goes bad after step 208 of 256
-            return np.where(z > 2.5 * p.w_l, np.nan, p.rabi_peak**2)
-
-        cfg = PropagationConfig(
-            n_steps=256,
-            kinetic_enabled=False,
-            laser_profile=Laser(envelope=poisoned, pattern=np.ones_like),
-        )
+        # goes bad after step 208 of 256
+        poison_envelope(monkeypatch, lambda z: z > 2.5 * p.w_l)
+        cfg = PropagationConfig(n_steps=256, kinetic_enabled=False)
         with pytest.raises(
             NumericsError, match=r"^non-finite laser drive over steps 193\.\.256 "
         ) as err:
@@ -401,26 +385,21 @@ class TestPropagateThroughLaser:
         assert err.value.step is not None and err.value.step % 64 == 0
         assert math.isfinite(err.value.time)
 
-    def _tracer_run(self, laser, kinetic, n_steps, state=None, **kwargs):
+    def _tracer_run(self, kinetic, n_steps, state=None, **kwargs):
         p = make_params()
         if state is None:
             state = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l)
-        cfg = PropagationConfig(
-            n_steps=n_steps, kinetic_enabled=kinetic, laser_profile=laser,
-        )
+        cfg = PropagationConfig(n_steps=n_steps, kinetic_enabled=kinetic)
         return propagate_through_laser(state, cfg, p, **kwargs)
 
     def test_scan_failure_carries_the_last_good_state(self, monkeypatch):
         # kinetic off, observed every 64 steps: the stretch from step 192
         # to 256 comes back NaN, so the scan at 256 fails and 192 is the
         # last good
-        p = make_params()
-        flat = Laser(envelope=lambda z: np.full(np.shape(z), p.rabi_peak**2), pattern=np.ones_like)
         observed = {64, 128, 192}
         clean = {}
         self._tracer_run(
-            flat, False, 256, observer=lambda i, st: clean.setdefault(i, st),
-            observe_steps=observed,
+            False, 256, observer=lambda i, st: clean.setdefault(i, st), observe_steps=observed,
         )
         real_step = propagate.step
         calls = []
@@ -434,7 +413,7 @@ class TestPropagateThroughLaser:
 
         monkeypatch.setattr(propagate, "step", poisoned_step)
         with pytest.raises(NumericsError, match="^non-finite amplitude after step 256") as err:
-            self._tracer_run(flat, False, 256, observe_steps=observed)
+            self._tracer_run(False, 256, observe_steps=observed)
         index, good = err.value.last_good
         assert index == 192
         assert np.array_equal(good.amplitude, clean[192].amplitude)
@@ -445,50 +424,42 @@ class TestPropagateThroughLaser:
         # caught by z-step 8's density check inside the step over 6..9,
         # not by a scan
         monkeypatch.setattr(propagate, "_FINITE_CHECK_INTERVAL", 3)
-        laser = standing_wave(make_params())
         clean = {}
-        self._tracer_run(laser, True, 16, observer=lambda i, st: clean.setdefault(i, st))
+        self._tracer_run(True, 16, observer=lambda i, st: clean.setdefault(i, st))
         fields = poison_z_step(monkeypatch, 7, {3, 6, 9, 12, 15, 16})
         with pytest.raises(NumericsError, match="^non-finite peak density nan") as err:
-            self._tracer_run(laser, True, 16)
+            self._tracer_run(True, 16)
         assert sorted(fields) == list(range(1, 8)) and err.value.step is None
         index, good = err.value.last_good
         assert index == 6
         assert np.array_equal(good.amplitude, clean[6].amplitude)
 
-    def test_no_real_state_passed_leaves_the_entry_state(self):
+    def test_no_real_state_passed_leaves_the_entry_state(self, monkeypatch):
         p = make_params()
         entry = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l)
-        poisoned = Laser(envelope=lambda z: np.full(np.shape(z), np.nan), pattern=np.ones_like)
+        poison_envelope(monkeypatch, lambda z: True)
         with pytest.raises(NumericsError, match=r"over steps 1\.\.16 ") as err:
-            self._tracer_run(poisoned, False, 16, state=entry)
+            self._tracer_run(False, 16, state=entry)
         index, good = err.value.last_good
         assert index == 0 and good is entry
 
-    def test_poisoned_drive_leaves_the_last_observed_state(self):
+    def test_poisoned_drive_leaves_the_last_observed_state(self, monkeypatch):
         # kinetic off, the real states are the observed steps and the last:
         # an envelope that turns NaN past z = 0 fails the stretch from step
         # 601 to 2048 before its exponential, and the last good state is
         # the one at observed step 600, as a clean run gives it
-        p = make_params()
-        flat = Laser(envelope=lambda z: np.full(np.shape(z), p.rabi_peak**2), pattern=np.ones_like)
-        poisoned = Laser(
-            envelope=lambda z: np.where(z > 0.0, np.nan, p.rabi_peak**2),
-            pattern=np.ones_like,
-        )
         observed = (300, 600)
         clean = {}
         self._tracer_run(
-            flat, False, 2048, observer=lambda i, st: clean.setdefault(i, st),
-            observe_steps=observed,
+            False, 2048, observer=lambda i, st: clean.setdefault(i, st), observe_steps=observed,
         )
+        poison_envelope(monkeypatch, lambda z: z > 0.0)
         seen = []
         with pytest.raises(
             NumericsError, match=r"^non-finite laser drive over steps 601\.\.2048 "
         ) as err:
             self._tracer_run(
-                poisoned, False, 2048, observer=lambda i, st: seen.append(i),
-                observe_steps=observed,
+                False, 2048, observer=lambda i, st: seen.append(i), observe_steps=observed,
             )
         assert seen == [300, 600] and err.value.step == 2048
         index, good = err.value.last_good
@@ -496,15 +467,17 @@ class TestPropagateThroughLaser:
         assert np.array_equal(good.amplitude, clean[600].amplitude)
         assert good.time == clean[600].time
 
-    def test_non_finite_phase_is_caught_before_the_exponential(self):
+    def test_non_finite_phase_is_caught_before_the_exponential(self, monkeypatch):
         # a finite drive on a NaN pattern: the stretch's phase is checked
         # where its weight is made, and the entry state is the last good
         p = make_params()
         entry = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l)
-        flat = lambda z: np.full(np.shape(z), p.rabi_peak**2)
-        poisoned = Laser(envelope=flat, pattern=lambda y: np.where(y > 0.0, np.nan, 1.0))
+        monkeypatch.setattr(
+            propagate, "standing_wave_pattern",
+            lambda grid, nk: np.where(grid.points() > 0.0, np.nan, 1.0),
+        )
         with pytest.raises(NumericsError, match="^non-finite potential phase nan") as err:
-            self._tracer_run(poisoned, False, 2048, state=entry)
+            self._tracer_run(False, 2048, state=entry)
         index, good = err.value.last_good
         assert index == 0 and good is entry
 
@@ -577,22 +550,11 @@ class TestPropagateThroughLaser:
             assert seen == [3, 20, 30] and all(type(i) is int for i in seen)
 
     def test_kinetic_off_transit_steps_once_per_stretch(self, monkeypatch):
-        # 2048 z-steps: P once, E once at the 2049 endpoint times, and one
-        # step per real state, the two observed steps and the last
+        # 2048 z-steps: one step per real state, the two observed steps and
+        # the last
         p = make_params()
-        g = _grid(256, 8.0 * p.w_l)
-        s = init_gaussian(g, 0.0, p.w_l)
-        laser = standing_wave(p)
-        envelopes, patterns, stretches = [], [], []
-
-        def envelope(z):
-            envelopes.append(z)
-            return laser.envelope(z)
-
-        def pattern(y):
-            patterns.append(y)
-            return laser.pattern(y)
-
+        s = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l)
+        stretches = []
         real_step = propagate.step
 
         def counting_step(state, *args, envelope=None, **kwargs):
@@ -601,16 +563,11 @@ class TestPropagateThroughLaser:
 
         monkeypatch.setattr(propagate, "step", counting_step)
         n_steps, observed = 2048, (100, 1000)
-        cfg = PropagationConfig(
-            n_steps=n_steps, kinetic_enabled=False,
-            laser_profile=Laser(envelope=envelope, pattern=pattern),
-        )
+        cfg = PropagationConfig(n_steps=n_steps, kinetic_enabled=False)
         seen = []
         propagate_through_laser(
             s, cfg, p, observer=lambda i, st: seen.append(i), observe_steps=observed
         )
-        assert len(envelopes) == 1 and envelopes[0].shape == (n_steps + 1,)
-        assert len(patterns) == 1 and np.array_equal(patterns[0], g.points())
         assert seen == [100, 1000, n_steps]
         assert stretches == [100, 900, 1048]
 
@@ -682,21 +639,27 @@ def _area(params):
 
 
 def _transit_setup(config, params):
-    # (dt, laser, entry time, envelope at the N + 1 endpoint times)
+    # (dt, entry time, endpoint z and envelope E = Omega_0^2 exp(-z^2/w_L^2)
+    # at the N + 1 endpoint times), written out in the package's
+    # operation order
     z_half = 4.0 * params.w_l
     dt = 2.0 * z_half / params.v_g / config.n_steps
-    laser = config.laser_profile or standing_wave(params)
     t_entry = -z_half / params.v_g
-    times = t_entry + dt * np.arange(config.n_steps + 1)
-    return dt, laser, t_entry, laser.envelope(params.v_g * times)
+    z = params.v_g * (t_entry + dt * np.arange(config.n_steps + 1))
+    envelope = params.rabi_peak**2 * np.exp(-(z * z) * (1.0 / params.w_l**2))
+    return dt, t_entry, z, envelope
+
+
+def _pattern(grid, params):
+    # the standing wave's pattern P = cos^2(n k_L y) on the grid
+    return np.cos(params.harmonic * params.k_l * grid.points()) ** 2
 
 
 def _bare_step_transit(state, config, params):
     # propagate_through_laser spelled out as bare step() calls over one
-    # z-step each, given the transit's own config, so a laser_profile of
-    # None is the params' standing wave here too; each step builds its own
-    # pattern and kinetic phase
-    dt, _, t_entry, envelope = _transit_setup(config, params)
+    # z-step each, given the transit's own config; each step builds its
+    # own pattern and kinetic phase
+    dt, t_entry, _, envelope = _transit_setup(config, params)
     working = WaveState(grid=state.grid, amplitude=state.amplitude, time=t_entry)
     for index in range(1, config.n_steps + 1):
         working = step(working, dt, config, params, envelope=envelope[index - 1 : index + 1])
@@ -713,12 +676,12 @@ def _textbook_transit(state, config, params):
     # the unmerged Strang scheme written out with no helper from the
     # package: |Omega|^2 = E P is rebuilt for every half-step, and each
     # half-step reads its own |psi|^2
-    dt, laser, _, envelope = _transit_setup(config, params)
+    dt, _, _, envelope = _transit_setup(config, params)
     g = state.grid
 
     def half(psi, e):
         density = np.abs(psi) ** 2 / _area(params)
-        v = effective_potential(config.model, e * laser.pattern(g.points()), density, params)
+        v = effective_potential(config.model, e * _pattern(g, params), density, params)
         return psi * np.exp(-0.5j * dt * (v / HBAR))
 
     psi = state.amplitude
@@ -739,9 +702,9 @@ def _deferred_transit(state, config, params, split_steps):
     # applied around each kinetic stage, a full closing phase merging
     # into the next step's opening half between split steps. Returns the
     # real states after the split steps, by step number.
-    dt, laser, _, envelope = _transit_setup(config, params)
+    dt, _, _, envelope = _transit_setup(config, params)
     g = state.grid
-    pattern = laser.pattern(g.points())
+    pattern = _pattern(g, params)
 
     def weight(psi):
         density = (psi.real**2 + psi.imag**2) / _area(params)
@@ -830,32 +793,29 @@ class TestHoistedTransitIsBitExact:
         )
         self._check(p, s, cfg)
 
-    def test_custom_laser_is_sampled_once_per_transit(self):
+    @pytest.mark.parametrize("kinetic", [True, False])
+    def test_the_laser_is_read_once_per_transit(self, monkeypatch, kinetic):
         # the envelope once, at the N + 1 endpoint z of the z-steps, and the
-        # pattern once, on the grid, whatever the kinetic term does
+        # pattern once, on the transit's grid, with observed steps between
         p, s = self._dense()
-        for kinetic in (True, False):
-            envelopes, patterns = [], []
+        envelopes, patterns = [], []
+        real_envelope, real_pattern = propagate._envelope, propagate.standing_wave_pattern
 
-            def envelope(z):
-                envelopes.append(z.copy())
-                return p.rabi_peak**2 * np.exp(-(z / p.w_l) ** 2)
+        def envelope(params, z):
+            envelopes.append(z.copy())
+            return real_envelope(params, z)
 
-            def pattern(y):
-                patterns.append(y.copy())
-                return np.sin(3.0e4 * y) ** 2
+        def pattern(grid, nk):
+            patterns.append((grid, nk))
+            return real_pattern(grid, nk)
 
-            cfg = PropagationConfig(
-                n_steps=self.N_STEPS, kinetic_enabled=kinetic,
-                laser_profile=Laser(envelope=envelope, pattern=pattern),
-            )
-            propagate_through_laser(s, cfg, p, observe_steps=self.OBSERVED)
-            assert len(envelopes) == 1 and len(patterns) == 1
-            dt, _, t_entry, _ = _transit_setup(cfg, p)
-            z_ends = p.v_g * (t_entry + dt * np.arange(self.N_STEPS + 1))
-            assert np.array_equal(envelopes[0], z_ends)
-            assert np.array_equal(patterns[0], s.grid.points())
-            self._check(p, s, cfg)
+        monkeypatch.setattr(propagate, "_envelope", envelope)
+        monkeypatch.setattr(propagate, "standing_wave_pattern", pattern)
+        cfg = PropagationConfig(n_steps=self.N_STEPS, kinetic_enabled=kinetic)
+        propagate_through_laser(s, cfg, p, observe_steps=self.OBSERVED)
+        _, _, z_ends, _ = _transit_setup(cfg, p)
+        assert len(envelopes) == 1 and np.array_equal(envelopes[0], z_ends)
+        assert patterns == [(s.grid, p.harmonic * p.k_l)]
 
     def test_long_kinetic_off_transit_moves_orders_by_roundoff(self):
         # the beam-splitter transit at benchmark size: all 2048 steps of
@@ -879,7 +839,7 @@ def test_a_kinetic_step_is_the_deferred_transit_over_its_stretch(k):
     p = with_v0rho(make_params(), 0.3)
     entry = init_gaussian(_grid(512, 8.0 * p.w_y), p.rho_0, p.w_y)
     cfg = PropagationConfig(n_steps=k, kinetic_enabled=True)
-    dt, _, t_entry, envelope = _transit_setup(cfg, p)
+    dt, t_entry, _, envelope = _transit_setup(cfg, p)
     out = step(
         WaveState(grid=entry.grid, amplitude=entry.amplitude, time=t_entry), dt, cfg, p,
         envelope=envelope,
@@ -995,28 +955,13 @@ class TestGridMemo:
             np.exp(-(y * y) / (2.0 * p.w_y * p.w_y)).tobytes()
         )
         pattern = propagate.standing_wave_pattern(grid, nk)
-        assert pattern.tobytes() == standing_wave(p).pattern(y).tobytes()
+        assert pattern.tobytes() == (np.cos(nk * y) ** 2).tobytes()
         rn = raman_nath_params(p)
         assert phase_profile(grid, p, rn).tobytes() == phase_profile(y, p, rn).tobytes()
         m, _ = propagate.order_capacity(grid, order_spacing(p))
         bins, q_lo = propagate.order_bins(grid.n_points, m)
         signed = np.fft.fftfreq(grid.n_points, d=1.0 / grid.n_points)
         assert np.array_equal(bins + q_lo, np.floor(signed / m + 0.5))
-
-    def test_a_custom_laser_pattern_is_still_called(self):
-        p = make_params()
-        grid = commensurate_grid(p, 1024, 32.0)
-        seen = []
-
-        def pattern(y):
-            seen.append(y)
-            return np.ones_like(y)
-
-        laser = Laser(envelope=standing_wave(p).envelope, pattern=pattern)
-        config = PropagationConfig(n_steps=4, kinetic_enabled=False, laser_profile=laser)
-        state = init_gaussian(grid, 0.0, with_wy_lambdas(p, 4.0).w_y)
-        propagate_through_laser(state, config, p)
-        assert len(seen) == 1 and np.array_equal(seen[0], grid.points())
 
 
 def test_write_state_csv_shape():

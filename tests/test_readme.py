@@ -92,13 +92,17 @@ def _run_with(field, value, tmp_path, monkeypatch):
         yield argv[1], code, out.getvalue(), message
 
 
+@pytest.mark.parametrize("value", ["1e300", "1e-300", "5e-324"])
 @pytest.mark.parametrize("field", [f.name for f in fields(PhysicalParams)])
-def test_a_huge_field_ends_every_example_with_an_exit_code(field, tmp_path, monkeypatch):
-    # 1e300 is finite, so the file parses; whatever overflows further on
-    # must end in an exit code and at most one line of message
+def test_an_extreme_field_ends_every_example_with_an_exit_code(field, value, tmp_path, monkeypatch):
+    # 1e300, 1e-300 and the smallest subnormal are finite, so the file
+    # parses; whatever overflows or underflows further on must end in an
+    # exit code and at most one line of message. A tiny value must also
+    # raise no numpy warning on the way.
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # numpy's overflow warnings
-        for _ in _run_with(field, "1e300", tmp_path, monkeypatch):
+        # numpy's overflow warnings are expected at 1e300 only
+        warnings.simplefilter("ignore" if value == "1e300" else "error")
+        for _ in _run_with(field, value, tmp_path, monkeypatch):
             pass
 
 

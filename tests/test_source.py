@@ -242,6 +242,21 @@ def test_one_ceiling_on_the_order_count():
     assert package_guard_sites("MAX_ORDERS") == {"diffraction.check_order_count"}
 
 
+def test_one_guard_per_count_ceiling():
+    # each count that sizes an array is refused above its own ceiling in
+    # one place, before the array is made
+    sites = {
+        name: package_guard_sites(name)
+        for name in ("MAX_GRID_POINTS", "MAX_Z_STEPS", "MAX_BLOCH_STEPS", "MAX_SWEEP_POINTS")
+    }
+    assert sites == {
+        "MAX_GRID_POINTS": {"propagate.__post_init__"},
+        "MAX_Z_STEPS": {"propagate.__post_init__"},
+        "MAX_BLOCH_STEPS": {"bloch.integrate"},
+        "MAX_SWEEP_POINTS": {"cli.cmd_sweep"},
+    }
+
+
 def cli_args_reads(source: str) -> set[str]:
     """Every attribute `name` read as args.<name> in the source."""
     return {
