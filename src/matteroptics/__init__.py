@@ -9,7 +9,7 @@ density dependent. Modules:
   optics    polarizability, susceptibility, refractive index, local detuning
   models    effective potentials (full and limiting forms), beam-splitter scalars
   bessel    backward-recurrence Bessel evaluation for the order series
-  propagate split-step spectral evolution of the 1D matter wave
+  propagate split-step spectral evolution of the 1D matter wave, order binning
   diffraction  analytic / phase-mask / propagator diffraction orders
   bloch     two-level coherence and inversion dynamics
   sweep     deterministic one-axis parameter sweeps
@@ -40,7 +40,6 @@ _EXPORTS = {
         "steady_state",
     ),
     "diffraction": (
-        "DiffractionPattern",
         "analytic_orders",
         "commensurate_grid",
         "diffraction_angles",
@@ -83,6 +82,7 @@ _EXPORTS = {
         "susceptibility",
     ),
     "propagate": (
+        "DiffractionPattern",
         "Grid1D",
         "PropagationConfig",
         "WaveState",

@@ -36,7 +36,6 @@ from .diffraction import (
     DEFAULT_BOX_LAMBDAS,
     DEFAULT_GRID_POINTS,
     DEFAULT_Z_STEPS,
-    DiffractionPattern,
     commensurate_grid,
     default_q_max,
     diffraction_angles,
@@ -66,6 +65,7 @@ from .optics import (
     weakest_adiabatic_ratio,
 )
 from .propagate import (
+    DiffractionPattern,
     PropagationConfig,
     check_q_max,
     init_gaussian,
@@ -824,6 +824,10 @@ def cmd_sweep(args) -> int:
             raw: list[float] = [float(s) for s in args.values.split(",") if s.strip()]
         except ValueError as exc:
             raise ParameterError(f"could not parse --values: {exc}") from None
+        if len(raw) > MAX_SWEEP_POINTS:
+            raise ParameterError(
+                f"--values = {len(raw)} sweep points is more than the ceiling of {MAX_SWEEP_POINTS}"
+            )
     elif args.start is not None and args.stop is not None and args.num is not None:
         if args.num < 1:
             raise ParameterError(f"--num must be >= 1, got {args.num}")

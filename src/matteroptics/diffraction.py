@@ -43,8 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +52,7 @@ from .errors import ConfigurationError, MatterOpticsError, ParameterError
 from .models import ModelKind, RamanNathParams, raman_nath_params
 from .optics import check_pole
 from .propagate import (
+    DiffractionPattern,
     Grid1D,
     PropagationConfig,
     WaveState,
@@ -66,8 +66,6 @@ from .propagate import (
     standing_wave_pattern,
 )
 from .units import HBAR, PhysicalParams
-
-_PROB_SLACK = 1e-9  # roundoff headroom on probabilities and their sum
 
 # The routes in canonical order, which patterns, reports and the pairwise
 # discrepancy follow. Each maps to what it needs, the shared "grid" or the
@@ -105,44 +103,6 @@ def select_routes(selection: str | Sequence[str]) -> tuple[str, ...]:
     return tuple(r for r in ROUTES if r in names)
 
 
-@dataclass(frozen=True)
-class DiffractionPattern:
-    """Order populations P_q over q in [-q_max, q_max].
-
-    orders must cover a contiguous symmetric range of integers.
-    """
-
-    orders: Mapping[int, float]
-
-    def __post_init__(self):
-        if not self.orders:
-            raise ConfigurationError("pattern must contain at least order 0")
-        qs = sorted(self.orders)
-        qm = qs[-1]
-        if qs != list(range(-qm, qm + 1)):
-            raise ConfigurationError(
-                f"orders must cover a contiguous range -q_max..q_max, got {qs[0]}..{qs[-1]}"
-            )
-        total = 0.0
-        for q, p in self.orders.items():
-            if not (0.0 <= p <= 1.0 + _PROB_SLACK):
-                raise ConfigurationError(f"P_{q} = {p!r} outside [0, 1]")
-            total += p
-        if total > 1.0 + _PROB_SLACK:
-            raise ConfigurationError(f"order populations sum to {total!r} > 1")
-
-    @property
-    def q_max(self) -> int:
-        return max(self.orders)
-
-    def total(self) -> float:
-        return sum(self.orders.values())
-
-    def folded(self) -> list[float]:
-        """[P_0, P_1, ..., P_qmax] taking the positive-q entries."""
-        return [self.orders[q] for q in range(self.q_max + 1)]
-
-
 def pattern_discrepancy(a: DiffractionPattern, b: DiffractionPattern) -> float:
     """max_q |P_q^a - P_q^b| over the union of orders, absent entries = 0."""
     return max(
@@ -150,37 +110,25 @@ def pattern_discrepancy(a: DiffractionPattern, b: DiffractionPattern) -> float:
     )
 
 
-def phase_profile(y, params: PhysicalParams, rn: RamanNathParams):
-    """Accumulated light-shift phase phi(y) after crossing the laser.
+def phase_profile(grid: Grid1D, params: PhysicalParams, rn: RamanNathParams) -> np.ndarray:
+    """Accumulated light-shift phase phi(y) on the grid after crossing the laser.
 
     phi(y) = 4 g0 cos^2(n k_L y) / (1 + V0 rho0 exp(-y^2/w_y^2))^2.
-    The far-zone field is psi_in(y) * exp(-i phi(y)). Accepts a scalar,
-    an array of positions or a Grid1D; on a grid the density profile and
-    the pattern are the grid's memoized arrays, with the same bits as at
-    its points.
+    The far-zone field is psi_in(y) * exp(-i phi(y)). The density
+    profile and the pattern are the grid's memoized arrays.
     """
     if rn.rho_0 != params.rho_0:
         raise ParameterError(
             f"rn was built for rho_0 = {rn.rho_0!r} but params carry {params.rho_0!r}"
         )
-    nk = params.harmonic * params.k_l
-    w_sq = params.w_y * params.w_y
-    if isinstance(y, Grid1D):
-        scalar_in = False
-        local_density_factor = gaussian_profile(y, w_sq)
-        pattern = standing_wave_pattern(y, nk)
-    else:
-        y = np.asarray(y, dtype=np.float64)
-        scalar_in = y.ndim == 0
-        local_density_factor = np.exp(-(y * y) / w_sq)
-        pattern = np.cos(nk * y) ** 2
+    local_density_factor = gaussian_profile(grid, params.w_y * params.w_y)
     denom = check_pole(
         1.0 + rn.v0 * rn.rho_0 * local_density_factor,
         rn.rho_0 * local_density_factor,
         "phase-profile",
     )
-    phi = 4.0 * rn.g0 * pattern / denom**2
-    return float(phi) if scalar_in else phi
+    pattern = standing_wave_pattern(grid, params.harmonic * params.k_l)
+    return 4.0 * rn.g0 * pattern / denom**2
 
 
 def analytic_orders(tau: float, q_max: int) -> DiffractionPattern:
@@ -270,6 +218,9 @@ def numeric_orders(
     grid, such as a sweep's points or the propagator route beside this
     one, build them once; only phi and what follows are per call.
     """
+    # from 2^14 points numpy runs this product as exp *= envelope; for a
+    # real envelope both operand orders give the same bits on numpy 2.4,
+    # but an out= rewrite keeps this order, as propagate._settle must
     psi = packet_envelope(grid, params.w_y) * np.exp(-1j * phase_profile(grid, params, rn))
     state = WaveState(grid=grid, amplitude=psi, time=0.0)
     return momentum_spectrum(state, order_spacing(params), q_max)

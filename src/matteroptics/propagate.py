@@ -74,6 +74,11 @@ route on the same grid reads the arrays the first one built. The grid
 positions themselves are not kept: only these helpers' misses read them.
 Every entry is read-only, so no caller can change what another reads;
 lru_cache is thread-safe, so sweep workers share entries too.
+
+The order window is order_capacity, check_q_max, order_bins and
+momentum_spectrum: it bins a state's spectral power into the
+DiffractionPattern that every diffraction route reports, so the type
+lives here, beside what fills it, and this module imports no route.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Collection
+from typing import Callable, Collection, Mapping
 
 import numpy as np
 
@@ -409,6 +414,10 @@ def _weight(
 
 def _settle(psi: np.ndarray, drive: float, weight: np.ndarray) -> np.ndarray:
     """psi times exp(-i drive weight): the pending potential phase applied."""
+    # complex multiply is not bitwise commutative on numpy 2.4: from 2^14
+    # points (its 256 KiB temporary-elision threshold) this product runs
+    # as exp *= psi, below it as psi * exp; an out= rewrite must keep
+    # that order at each size, or the transit's bits move
     return psi * np.exp(-1j * (drive * weight))
 
 
@@ -551,6 +560,47 @@ def propagate_through_laser(
     return WaveState._unchecked(working.grid, working.amplitude, state.time + duration)
 
 
+_PROB_SLACK = 1e-9  # roundoff headroom on probabilities and their sum
+
+
+@dataclass(frozen=True)
+class DiffractionPattern:
+    """Order populations P_q over q in [-q_max, q_max].
+
+    orders must cover a contiguous symmetric range of integers.
+    """
+
+    orders: Mapping[int, float]
+
+    def __post_init__(self):
+        if not self.orders:
+            raise ConfigurationError("pattern must contain at least order 0")
+        qs = sorted(self.orders)
+        qm = qs[-1]
+        if qs != list(range(-qm, qm + 1)):
+            raise ConfigurationError(
+                f"orders must cover a contiguous range -q_max..q_max, got {qs[0]}..{qs[-1]}"
+            )
+        total = 0.0
+        for q, p in self.orders.items():
+            if not (0.0 <= p <= 1.0 + _PROB_SLACK):
+                raise ConfigurationError(f"P_{q} = {p!r} outside [0, 1]")
+            total += p
+        if total > 1.0 + _PROB_SLACK:
+            raise ConfigurationError(f"order populations sum to {total!r} > 1")
+
+    @property
+    def q_max(self) -> int:
+        return max(self.orders)
+
+    def total(self) -> float:
+        return sum(self.orders.values())
+
+    def folded(self) -> list[float]:
+        """[P_0, P_1, ..., P_qmax] taking the positive-q entries."""
+        return [self.orders[q] for q in range(self.q_max + 1)]
+
+
 def order_capacity(grid: Grid1D, k_unit: float) -> tuple[int, int]:
     """(M, capacity): spectral modes per order and the highest order that fits.
 
@@ -604,7 +654,7 @@ def order_bins(n_points: int, m: int) -> tuple[np.ndarray, int]:
     return _read_only(assignment - q_lo), q_lo
 
 
-def momentum_spectrum(state: WaveState, k_unit: float, q_max: int):
+def momentum_spectrum(state: WaveState, k_unit: float, q_max: int) -> DiffractionPattern:
     """Diffraction-order probabilities from the spectral power.
 
     Every spectral mode is assigned to its nearest multiple of k_unit
@@ -612,8 +662,6 @@ def momentum_spectrum(state: WaveState, k_unit: float, q_max: int):
     power so the sum over all orders is 1. Returns orders |q| <= q_max,
     which check_q_max must accept.
     """
-    from .diffraction import DiffractionPattern  # deferred: avoids an import cycle
-
     m = check_q_max(state.grid, k_unit, q_max)
     power = np.abs(np.fft.fft(state.amplitude)) ** 2
     total = float(np.sum(power))

@@ -23,7 +23,6 @@ from .diffraction import (
     DEFAULT_BOX_LAMBDAS,
     DEFAULT_GRID_POINTS,
     DEFAULT_Z_STEPS,
-    DiffractionPattern,
     check_order_count,
     default_q_max,
     evaluate_routes,
@@ -37,15 +36,17 @@ from .errors import (
     SweepGuardError,
 )
 from .models import RegimeCheck, regime_checks
+from .propagate import DiffractionPattern
 from .serialize import by_order, csv_num
 from .units import PhysicalParams, params_to_system
 
 
-# The most points a --start/--stop/--num range may hold, checked before
-# its list is built. The largest single allocation the count sizes is
-# the report text, built whole: its JSON takes about 3 KB a point at the
-# README point's default order range, so 2^16 points write about 190
-# MiB. More orders per point are MAX_ORDERS's to bound.
+# The most points a sweep may hold: a --start/--stop/--num range is
+# checked before its list is built, a --values list once it is parsed.
+# The largest single allocation the count sizes is the report text,
+# built whole: its JSON takes about 3 KB a point at the README point's
+# default order range, so 2^16 points write about 190 MiB. More orders
+# per point are MAX_ORDERS's to bound.
 MAX_SWEEP_POINTS = 2**16
 
 

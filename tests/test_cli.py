@@ -1634,6 +1634,21 @@ class TestHugeInputs:
         assert err == f"error: {message}\n"
         assert os.listdir(tmp_path) == ["ref.params"]
 
+    def test_a_values_list_past_the_sweep_ceiling_is_refused(
+        self, capsys, tmp_path, monkeypatch, params_file
+    ):
+        # --values is bounded like --num: six listed points past a ceiling
+        # of 4 are one error line, and no row is evaluated or written
+        monkeypatch.setattr("matteroptics.sweep.MAX_SWEEP_POINTS", 4)
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run(
+            capsys, "sweep", "--params", params_file, "--values", "0,1e15,2e15,3e15,4e15,5e15",
+            "--paths", "analytic", "--q-max", "2", "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --values = 6 sweep points is more than the ceiling of 4\n"
+        assert not out_path.exists()
+
     def test_a_huge_density_override_names_the_beam_splitter_factor(self, capsys, params_file):
         code, _, err = run(capsys, "diffract", "--params", params_file, "--density", "1e200")
         assert code == 1

@@ -16,7 +16,6 @@ import scipy.special
 
 from matteroptics import diffraction
 from matteroptics.diffraction import (
-    DiffractionPattern,
     analytic_orders,
     ROUTES,
     commensurate_grid,
@@ -33,7 +32,13 @@ from matteroptics.diffraction import (
 )
 from matteroptics.errors import ConfigurationError, ParameterError, PoleError
 from matteroptics.models import ModelKind, raman_nath_params
-from matteroptics.propagate import WaveState, momentum_spectrum, order_capacity
+from matteroptics.propagate import (
+    DiffractionPattern,
+    Grid1D,
+    WaveState,
+    momentum_spectrum,
+    order_capacity,
+)
 from matteroptics.sweep import SweepSpec, run_sweep, sweep_report
 from matteroptics.units import HBAR
 
@@ -79,29 +84,29 @@ class TestPhaseProfile:
         p = _reference(g0=2.0)
         rn = raman_nath_params(p)
         nk = p.harmonic * p.k_l
-        y = np.linspace(-3.0 * p.w_y, 3.0 * p.w_y, 101)
-        got = phase_profile(y, p, rn)
-        want = 4.0 * rn.g0 * np.cos(nk * y) ** 2
+        grid = commensurate_grid(p, 1024, 32.0)
+        got = phase_profile(grid, p, rn)
+        want = 4.0 * rn.g0 * np.cos(nk * grid.points()) ** 2
         assert np.max(np.abs(got - want)) < 1e-15 * 4.0 * rn.g0
 
     def test_center_is_twice_tau(self):
         p = _reference(g0=2.0, v0rho=0.3)
         rn = raman_nath_params(p)
-        assert phase_profile(0.0, p, rn) == pytest.approx(2.0 * rn.tau, rel=1e-14)
+        grid = commensurate_grid(p, 1024, 32.0)
+        center = grid.n_points // 2
+        assert grid.points()[center] == 0.0
+        assert phase_profile(grid, p, rn)[center] == pytest.approx(2.0 * rn.tau, rel=1e-14)
 
     def test_standing_wave_node(self):
+        # the box spans 32 wavelengths in 1024 cells, so a node, a quarter
+        # wavelength from the centre, is grid point n/2 + 8, to the few ulp
+        # the grid's positions are rounded to: cos(n k_L y) < 1e-12 there
         p = _reference(g0=2.0)
         rn = raman_nath_params(p)
+        grid = commensurate_grid(p, 1024, 32.0)
         node = math.pi / (2.0 * p.harmonic * p.k_l)
-        assert abs(phase_profile(node, p, rn)) < 1e-30
-
-    def test_scalar_matches_array(self):
-        p = _reference(g0=2.0, v0rho=0.3)
-        rn = raman_nath_params(p)
-        ys = [0.0, 0.3 * p.w_y, -1.7 * p.w_y]
-        arr = phase_profile(np.array(ys), p, rn)
-        for i, y in enumerate(ys):
-            assert phase_profile(y, p, rn) == arr[i]
+        assert grid.points()[512 + 8] == pytest.approx(node, rel=1e-12)
+        assert abs(phase_profile(grid, p, rn)[512 + 8]) < 4.0 * rn.g0 * 1e-24
 
     def test_pole_reports_position_and_density(self):
         # red detuning with V0 rho_0 = -1.2 at the peak: the local
@@ -111,18 +116,19 @@ class TestPhaseProfile:
         rn = raman_nath_params(p)
         y_pole = p.w_y * math.sqrt(math.log(1.2))
         with pytest.raises(PoleError) as err:
-            phase_profile(y_pole, p, rn)
+            phase_profile(Grid1D(16, -2.0 * y_pole, 2.0 * y_pole), p, rn)
         assert err.value.density is not None
         assert err.value.density == pytest.approx(1.0 / abs(rn.v0), rel=1e-6)
-        # off the crossing the profile is finite, if violent
-        assert math.isfinite(phase_profile(1.01 * y_pole, p, rn))
+        # on a grid that stays off the crossing the profile is finite, if violent
+        shoulder = Grid1D(16, 1.01 * y_pole, 3.0 * y_pole)
+        assert np.all(np.isfinite(phase_profile(shoulder, p, rn)))
 
     def test_mismatched_density_rejected(self):
         p = _reference(g0=2.0, v0rho=0.3)
         rn = raman_nath_params(p)
         other = _reference(g0=2.0, v0rho=0.2)
         with pytest.raises(ParameterError, match="rho_0"):
-            phase_profile(0.0, other, rn)
+            phase_profile(commensurate_grid(p, 1024, 32.0), other, rn)
 
 
 class TestAnalyticOrders:

@@ -30,6 +30,7 @@ from matteroptics.optics import (
     susceptibility,
     weakest_adiabatic_ratio,
 )
+from matteroptics.propagate import Grid1D
 from matteroptics.units import HBAR, C_LIGHT, detuning
 
 from conftest import make_params, red_detuned, with_g0, with_v0rho
@@ -290,15 +291,15 @@ def _raman_nath_pole():
     return lambda: raman_nath_params(p), p.rho_0
 
 
-def _phase_profile_pole(samples=None):
+def _phase_profile_pole():
     # V0 rho_0 = -1.2 at the peak: the local denominator crosses zero on
-    # the packet shoulder, where the density has decayed to 1/|V0|;
-    # samples, in units of that position, make y an array
+    # the packet shoulder, where the density has decayed to 1/|V0|, which
+    # lies between two points of a grid over [-2, 2) times that position
     p = with_v0rho(with_g0(red_detuned(make_params()), -1.0), -1.2)
     rn = raman_nath_params(p)
     y_pole = p.w_y * math.sqrt(math.log(1.2))
-    y = y_pole if samples is None else np.array(samples) * y_pole
-    return lambda: phase_profile(y, p, rn), 1.0 / abs(rn.v0)
+    grid = Grid1D(16, -2.0 * y_pole, 2.0 * y_pole)
+    return lambda: phase_profile(grid, p, rn), 1.0 / abs(rn.v0)
 
 
 def _local_rabi_pole():
@@ -322,9 +323,7 @@ POLE_SITES = {
     "screened-model/between-samples":
         lambda: _potential_pole(ModelKind.WALLIS_TYPE, 0.5, STRADDLE),
     "beam-splitter/raman_nath_params": _raman_nath_pole,
-    "phase-profile/scalar": _phase_profile_pole,
-    "phase-profile/array": lambda: _phase_profile_pole([0.0, 0.5, 1.0, 2.0]),
-    "phase-profile/between-samples": lambda: _phase_profile_pole([0.0, 0.7, 1.6, 2.0]),
+    "phase-profile/between-samples": _phase_profile_pole,
     "local-field/local_rabi": _local_rabi_pole,
 }
 

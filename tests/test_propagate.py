@@ -957,7 +957,9 @@ class TestGridMemo:
         pattern = propagate.standing_wave_pattern(grid, nk)
         assert pattern.tobytes() == (np.cos(nk * y) ** 2).tobytes()
         rn = raman_nath_params(p)
-        assert phase_profile(grid, p, rn).tobytes() == phase_profile(y, p, rn).tobytes()
+        density_factor = np.exp(-(y * y) / (p.w_y * p.w_y))
+        phi = 4.0 * rn.g0 * np.cos(nk * y) ** 2 / (1.0 + rn.v0 * rn.rho_0 * density_factor) ** 2
+        assert phase_profile(grid, p, rn).tobytes() == phi.tobytes()
         m, _ = propagate.order_capacity(grid, order_spacing(p))
         bins, q_lo = propagate.order_bins(grid.n_points, m)
         signed = np.fft.fftfreq(grid.n_points, d=1.0 / grid.n_points)

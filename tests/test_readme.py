@@ -10,6 +10,7 @@ lines of a file an earlier example wrote.
 import contextlib
 import io
 import json
+import math
 import re
 import shlex
 import warnings
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from matteroptics import PhysicalParams
+from matteroptics import PhysicalParams, units
 from matteroptics.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -232,3 +233,55 @@ def test_too_many_orders_are_refused_by_the_first_route_to_need_them(
         "--grid-points", "1024", "--box-lambdas", "32",
     ], tmp_path, monkeypatch)
     assert (code, out, err) == (1, "", message)
+
+
+# Small runs of every command that reads the parameter file: (argv, the
+# fields each sets in the README's file before the probed one). The
+# propagate packet is 4 wavelengths wide, so a 32-wavelength box holds it.
+_PROBES = {
+    "optics": (["optics", "--params", "sodium.params"], {}),
+    "validity": (["validity", "--params", "sodium.params", "--saturation", "1"], {}),
+    "diffract": ([
+        "diffract", "--params", "sodium.params", "--paths", "all", "--grid-points", "4096",
+        "--box-lambdas", "128", "--steps", "64", "--q-max", "3",
+    ], {}),
+    "propagate": ([
+        "propagate", "--params", "sodium.params", "--grid-points", "1024",
+        "--box-lambdas", "32", "--steps", "8", "--out", "probe",
+    ], {"w_y": repr(4.0 * 2.0 * math.pi / 1.0667e5)}),
+    "sweep": (["sweep", "--params", "sodium.params", "--axis", "rho_0", "--values", "1e16"], {}),
+    "bloch": ([
+        "bloch", "--params", "sodium.params", "--density", "2e16", "--drive-re", "1e7",
+        "--dt", "1e-11", "--steps", "8",
+    ], {}),
+}
+
+
+@pytest.mark.parametrize("command", list(_PROBES))
+def test_each_probe_command_runs_clean_on_the_readme_file(command, tmp_path, monkeypatch):
+    # the probes below start from a run that works
+    argv, base = _PROBES[command]
+    assert _main_on_the_readme_file(argv, tmp_path, monkeypatch, **base)[::2] == (0, "")
+
+
+@pytest.mark.parametrize("value", ["1e-300", "5e-324"])
+@pytest.mark.parametrize("field", list(units._FIELDS))
+@pytest.mark.parametrize("command", list(_PROBES))
+def test_a_tiny_field_ends_every_command_with_an_exit_code(
+    command, field, value, tmp_path, monkeypatch
+):
+    # every field at a tiny finite value, through a small run of each
+    # command: an exit code, no numpy warning (an exception out of main is
+    # a traceback) and one message line for a failure. A usage error is
+    # one "error: " line; exit 2 is a guard's one line, or a report whose
+    # flags or errors column carry the failure and nothing on stderr
+    argv, base = _PROBES[command]
+    code, out, err = _main_on_the_readme_file(
+        argv, tmp_path, monkeypatch, **{**base, field: value}
+    )
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    elif code == 2:
+        assert (err.count("\n") == 1 and err.endswith("\n")) if err else out

@@ -421,3 +421,72 @@ def test_public_api_has_a_reader_outside_the_tests():
         and not re.search(rf"\b{re.escape(name.rpartition('.')[2])}\b", perfbench)
     ]
     assert unread == []
+
+
+def package_imports(source: str) -> set[tuple[str, str]]:
+    """(enclosing function, module) for each import of a package module.
+
+    A package module is a relative import or one under matteroptics;
+    `from . import x` names x. Module-level code counts as '<module>'.
+    """
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            found.update((where, name.split(".")[0]) for name in names)
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("matteroptics."):
+            found.add((where, node.module.split(".")[1]))
+        elif isinstance(node, ast.Import):
+            found.update(
+                (where, alias.name.split(".")[1])
+                for alias in node.names
+                if alias.name.startswith("matteroptics.")
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_package_imports_checker():
+    source = (
+        "import os\n"
+        "from .a import b\n"
+        "from . import c, d\n"
+        "def f():\n"
+        "    from .e.g import h\n"
+        "    import matteroptics.i\n"
+        "    from concurrent.futures import j\n"
+        "def k():\n"
+        "    from matteroptics.l import m\n"
+    )
+    assert package_imports(source) == {
+        ("<module>", "a"), ("<module>", "c"), ("<module>", "d"),
+        ("f", "e"), ("f", "i"), ("k", "l"),
+    }
+
+
+def test_the_layering_is_one_way():
+    # the grid layer owns the order window and the pattern it fills, so it
+    # imports no route, no sweep, no dynamics and no front end; and no
+    # module defers an import to dodge a cycle, only cli's per-command
+    # imports, which keep the modules one command needs off the others
+    imports = {
+        path.stem: package_imports(path.read_text(encoding="utf-8"))
+        for path in PACKAGE.glob("*.py")
+    }
+    upward = {module for _, module in imports["propagate"]} & {
+        "diffraction", "sweep", "bloch", "cli",
+    }
+    assert upward == set()
+    deferred = {
+        f"{stem}.{where}"
+        for stem, sites in imports.items()
+        for where, _ in sites
+        if where != "<module>"
+    }
+    assert deferred == {"cli.cmd_bloch", "cli.cmd_sweep"}

@@ -1,20 +1,21 @@
 """Print one digest per perfbench operation, to compare two commits' outputs.
 
-Builds each perfbench workload at each seed from the checkout this file
-sits in, under a fixed work directory (outputs embed their own paths,
+Builds each perfbench workload at each seed from this checkout's
+perfbench/, under a fixed work directory (outputs embed their own paths,
 so both sides must use the same one), runs every operation of one round
 through matteroptics.cli.main in this process, and prints one line per
 operation:
 
     <workload> <seed> <index> <sha256 of exit code, stdout, stderr and every file written>
 
-To check that a change keeps every output byte, run it on both trees
-and diff the two listings; for a tree that lacks this file, copy it to
-that tree's tools/ first:
+The package run is the `src` of --tree, this checkout by default. To
+check that a change keeps every output byte, give the other checkout as
+--against: the same workloads and seeds are then run on its `src` too,
+by this file in a subprocess under the same --work directory, and the
+tool prints each operation whose digests differ, then how many differ,
+and exits 1 if any do:
 
-    python3 tools/op_digests.py --work /tmp/op-digests > after.txt
-    python3 <parent tree>/tools/op_digests.py --work /tmp/op-digests > before.txt
-    diff before.txt after.txt
+    python3 tools/op_digests.py --work /tmp/op-digests --against <parent tree>
 
 It reads perfbench/workloads.py and perfbench/checks.py and changes
 nothing under perfbench/.
@@ -26,18 +27,18 @@ import argparse
 import contextlib
 import hashlib
 import io
+import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import checks  # noqa: E402
 import workloads  # noqa: E402
-from matteroptics import cli  # noqa: E402
 
 
-def op_digest(op) -> str:
+def op_digest(cli, op) -> str:
     """Clear the operation's output directory, run it, and hash what it gave."""
     out_dir = checks.output_path(op).parent
     for path in out_dir.iterdir():
@@ -53,18 +54,59 @@ def op_digest(op) -> str:
     return h.hexdigest()
 
 
+def import_cli(tree: Path):
+    """matteroptics.cli from tree's src, and from nowhere else."""
+    src = tree / "src"
+    sys.path.insert(0, str(src))
+    from matteroptics import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"matteroptics was already loaded from {cli.__file__}, not {src}")
+    return cli
+
+
+def listing(args) -> list[str]:
+    """One '<workload> <seed> <index> <digest>' line per operation, on --tree's src."""
+    cli = import_cli(args.tree.resolve())
+    lines = []
+    for name in args.workloads:
+        for seed in args.seeds:
+            ops = workloads.build(name, seed, args.work.resolve() / f"{name}-{seed}").ops
+            for index, op in enumerate(ops):
+                lines.append(f"{name} {seed} {index:03d} {op_digest(cli, op)}")
+    return lines
+
+
+def compare(args) -> int:
+    """Run --against's src in a subprocess, then this one's; print what differs."""
+    theirs = subprocess.run(
+        [sys.executable, __file__, "--tree", str(args.against), "--work", str(args.work),
+         "--seeds", *map(str, args.seeds), "--workloads", *args.workloads],
+        check=True, capture_output=True, text=True,
+    ).stdout.splitlines()
+    ours = listing(args)
+    before = {line.rpartition(" ")[0]: line for line in theirs}
+    after = {line.rpartition(" ")[0]: line for line in ours}
+    differ = [op for op in sorted(before.keys() | after.keys()) if before.get(op) != after.get(op)]
+    for op in differ:
+        print(f"{op} differs")
+    print(f"{len(differ)} of {len(after.keys() | before.keys())} operations differ")
+    return 1 if differ else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--work", type=Path, required=True, help="fixed directory for inputs and outputs")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     ap.add_argument("--workloads", nargs="+", choices=workloads.WORKLOADS,
                     default=list(workloads.WORKLOADS))
+    ap.add_argument("--tree", type=Path, default=ROOT, help="checkout whose src is run")
+    ap.add_argument("--against", type=Path, help="checkout to compare every digest with")
     args = ap.parse_args(argv)
-    for name in args.workloads:
-        for seed in args.seeds:
-            ops = workloads.build(name, seed, args.work.resolve() / f"{name}-{seed}").ops
-            for index, op in enumerate(ops):
-                print(f"{name} {seed} {index:03d} {op_digest(op)}", flush=True)
+    if args.against is not None:
+        return compare(args)
+    for line in listing(args):
+        print(line)
     return 0
 
 
