@@ -15,7 +15,9 @@ command line against that table alone: the command comes from argv[0]
 and each token is looked up in that command's own flag map. It takes
 the forms argparse takes (--flag value, --flag=value, a unique prefix,
 --no-FLAG for a switch, "-" then a digit or "." as a value, the last of
-a repeated flag) and renders -h/--help from the same table.
+a repeated flag). argparse, imported only by _render, formats -h/--help
+and the usage line of a usage error from the same table; it never
+parses.
 
 Each command computes its results once and hands them to _emit, the
 one output path; its docstring states the output contract. Exit codes:
@@ -183,7 +185,8 @@ _DESCRIPTION = (
     "Medium optics, matter-wave diffraction and Bloch dynamics for a dense\n"
     "two-level gas in laser light."
 )
-_HELP = {"help": "show this help message and exit"}
+# the specs of -h/--help, whose help line argparse writes, and --version
+_HELP: dict = {}
 _VERSION = {"help": "show the program's version number and exit"}
 
 
@@ -300,7 +303,7 @@ def _read_command(command: str | None, tokens: list[str]):
             if attached is not None:
                 raise _UsageError(f"argument {name}: ignored explicit argument {attached!r}")
             if spec is _HELP:
-                sys.stdout.write(_help(command))
+                sys.stdout.write(_render(command, "help"))
                 return 0
             if spec is _VERSION:
                 print(f"matteroptics {__version__}")
@@ -344,7 +347,7 @@ def _read_args(argv: list[str]):
             raise _UsageError("the following arguments are required: command")
         return _read_command(None, argv[:1])  # -h, --help or --version answers
     except _UsageError as exc:
-        sys.stderr.write(_usage(command))
+        sys.stderr.write(_render(command, "usage"))
         print(f"{_prog(command)}: error: {exc}", file=sys.stderr)
         return 1
 
@@ -353,62 +356,37 @@ def _prog(command: str | None) -> str:
     return "matteroptics" if command is None else f"matteroptics {command}"
 
 
-def _form(key: str, separator: str) -> str:
-    """How key's flag is written: "--flag METAVAR", or the flag and its
-    --no- form joined by separator."""
-    flag = key.split()[-1]
-    spec = _FLAGS[key]
-    if spec.get("negatable"):
-        return f"{flag}{separator}--no-{flag[2:]}"
-    if "choices" in spec:
-        return f"{flag} {{{','.join(spec['choices'])}}}"
-    return f"{flag} {spec.get('metavar', _dest(flag).upper())}"
+def _render(command: str | None, part: str) -> str:
+    """The "help" or the "usage" text of command, or of the program for
+    None, as argparse formats it from the tables at 78 columns. Only -h
+    and usage errors reach here, so only here is argparse imported; its
+    parser renders text and never reads a command line."""
+    import argparse
 
+    def formatter(prog):
+        return argparse.RawDescriptionHelpFormatter(prog, width=78)
 
-def _usage(command: str | None) -> str:
-    """The usage of command, or of the program for None, wrapped at 78 columns."""
-    if command is None:
-        parts = ["[-h]", "[--version]", f"{{{','.join(_COMMANDS)}}}", "..."]
-    else:
-        parts = ["[-h]"]
-        for key in _flag_keys(command):
-            form = _form(key, " | ")
-            parts.append(form if _FLAGS[key].get("required") else f"[{form}]")
-    lines = [f"usage: {_prog(command)} {parts[0]}"]
-    for part in parts[1:]:
-        if len(lines[-1]) + 1 + len(part) > 78:
-            lines.append(" " * len(f"usage: {_prog(command)} ") + part)
-        else:
-            lines[-1] += f" {part}"
-    return "\n".join(lines) + "\n"
-
-
-def _help(command: str | None) -> str:
-    """-h's text: the usage, what the program or command does, and a row
-    for each command or flag."""
-    rows = {"-h, --help": _HELP["help"]}
-    if command is None:
-        rows["--version"] = _VERSION["help"]
-        sections = {"commands": {name: text for name, (text, *_) in _COMMANDS.items()}}
-        about = _DESCRIPTION
-    else:
-        for key in _flag_keys(command):
+    parsers = {None: argparse.ArgumentParser(
+        prog=_prog(None), description=_DESCRIPTION, formatter_class=formatter
+    )}
+    parsers[None].add_argument("--version", action="store_true", help=_VERSION["help"])
+    commands = parsers[None].add_subparsers(title="commands")
+    for name, (about, *_) in _COMMANDS.items():
+        parser = parsers[name] = commands.add_parser(
+            name, help=about, description=about, formatter_class=formatter
+        )
+        for key in _flag_keys(name):
             spec = _FLAGS[key]
             note = (
                 " (required)" if spec.get("required")
                 else "" if spec.get("default") is None else f" (default: {spec['default']})"
             )
-            rows[_form(key, ", ")] = spec["help"] + note
-        sections = {}
-        about = _COMMANDS[command][0]
-    sections["options"] = rows
-    text = f"{_usage(command)}\n{about}\n"
-    for title, entries in sections.items():
-        text += f"\n{title}:\n"
-        for left, right in entries.items():
-            pad = f"\n{'':26}" if len(left) > 22 else " " * (24 - len(left))
-            text += f"  {left}{pad}{right}\n"
-    return text
+            parser.add_argument(
+                key.split()[-1], help=spec["help"] + note, metavar=spec.get("metavar"),
+                choices=spec.get("choices"), required=spec.get("required", False),
+                action=argparse.BooleanOptionalAction if spec.get("negatable") else "store",
+            )
+    return getattr(parsers[command], f"format_{part}")()
 
 
 # ---------------------------------------------------------------- helpers
@@ -824,24 +802,27 @@ def cmd_sweep(args) -> int:
             raw: list[float] = [float(s) for s in args.values.split(",") if s.strip()]
         except ValueError as exc:
             raise ParameterError(f"could not parse --values: {exc}") from None
-        if len(raw) > MAX_SWEEP_POINTS:
-            raise ParameterError(
-                f"--values = {len(raw)} sweep points is more than the ceiling of {MAX_SWEEP_POINTS}"
-            )
+        flag, count = "--values", len(raw)
     elif args.start is not None and args.stop is not None and args.num is not None:
         if args.num < 1:
             raise ParameterError(f"--num must be >= 1, got {args.num}")
-        if args.num > MAX_SWEEP_POINTS:
-            raise ParameterError(
-                f"--num = {args.num} sweep points is more than the ceiling of {MAX_SWEEP_POINTS}"
-            )
-        if args.num == 1:
-            raw = [args.start]
-        else:
-            step = (args.stop - args.start) / (args.num - 1)
-            raw = [args.start + i * step for i in range(args.num)]
+        flag, count = "--num", args.num
     else:
         raise ParameterError("sweep needs --values or all of --start/--stop/--num")
+    if count > MAX_SWEEP_POINTS:  # before a --num range is built
+        raise ParameterError(
+            f"{flag} = {count} sweep points is more than the ceiling of {MAX_SWEEP_POINTS}"
+        )
+    if flag == "--num":
+        raw = [args.start]
+        if args.num > 1:
+            span = args.stop - args.start
+            if math.isinf(span) and math.isfinite(args.start) and math.isfinite(args.stop):
+                raise ParameterError(
+                    f"the span --stop - --start = {args.stop!r} - {args.start!r} overflows"
+                )
+            step = span / (args.num - 1)
+            raw = [args.start + i * step for i in range(args.num)]
     values = [convert_field(v, args.axis, pf.units, "cgs") for v in raw]
 
     # the selection is checked here so that a bad one is reported before

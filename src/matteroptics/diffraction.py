@@ -56,6 +56,7 @@ from .propagate import (
     Grid1D,
     PropagationConfig,
     WaveState,
+    check_order_count,
     check_q_max,
     gaussian_profile,
     momentum_spectrum,
@@ -155,8 +156,7 @@ def diffraction_angles(params: PhysicalParams, q_max: int) -> dict[int, float]:
     one order, the kick of the cos^2(n k_L y) grating, so order q's angle
     is that of the momenta momentum_spectrum bins into order q.
     """
-    if q_max < 0:
-        raise ConfigurationError(f"q_max must be nonnegative, got {q_max}")
+    check_order_count(q_max)
     unit = HBAR * order_spacing(params) / (params.mass * params.v_g)
     angles = {0: 0.0}
     for q in range(1, q_max + 1):
@@ -253,24 +253,6 @@ def propagator_orders(
     return momentum_spectrum(final, order_spacing(params), q_max)
 
 
-# The most orders a run may ask for. The analytic route's Bessel row
-# reaches past both q_max and |tau|, at 8 bytes and one Python loop turn
-# per order, and a sweep table has q_max + 1 columns per route.
-MAX_ORDERS = 1_000_000
-
-
-def check_order_count(q_max: int, tau: float | None = None) -> None:
-    """Refuse, before any allocation, more than MAX_ORDERS orders: q_max,
-    or with a tau the Bessel row of the analytic route, max(q_max, |tau|)."""
-    needed = q_max if tau is None else max(q_max, math.ceil(abs(tau)))
-    if needed > MAX_ORDERS:
-        at = "" if tau is None else f" at tau = {tau!r}"
-        raise ConfigurationError(
-            f"{needed:.6g} orders needed{at} (q_max = {q_max:.6g}), more than "
-            f"the ceiling of {MAX_ORDERS}"
-        )
-
-
 def default_q_max(
     points: Sequence[PhysicalParams],
     routes: str | Sequence[str],
@@ -284,8 +266,8 @@ def default_q_max(
     grid's capacity (and kept >= 0). The capacity depends on the grid
     alone, so the first point's grid stands for all; a grid that cannot
     be built is left for the run to reject. A range, or with the analytic
-    route a tau, beyond MAX_ORDERS is refused here. routes is any
-    selection select_routes takes.
+    route a tau, beyond propagate.MAX_ORDERS is refused here. routes is
+    any selection select_routes takes.
     """
     tau = 0.0
     for point in points:

@@ -75,10 +75,12 @@ positions themselves are not kept: only these helpers' misses read them.
 Every entry is read-only, so no caller can change what another reads;
 lru_cache is thread-safe, so sweep workers share entries too.
 
-The order window is order_capacity, check_q_max, order_bins and
-momentum_spectrum: it bins a state's spectral power into the
-DiffractionPattern that every diffraction route reports, so the type
-lives here, beside what fills it, and this module imports no route.
+The order window is check_order_count, order_capacity, check_q_max,
+order_bins and momentum_spectrum. It owns the order range, which every
+route and report checks through check_order_count, and bins a state's
+spectral power into the DiffractionPattern that every diffraction route
+reports, so the type lives here, beside what fills it, and this module
+imports no route.
 """
 
 from __future__ import annotations
@@ -623,15 +625,34 @@ def order_capacity(grid: Grid1D, k_unit: float) -> tuple[int, int]:
     return m, (grid.n_points - m) // (2 * m)
 
 
+# The most orders a run may ask for. The analytic route's Bessel row
+# reaches past both q_max and |tau|, at 8 bytes and one Python loop turn
+# per order, and a sweep table has q_max + 1 columns per route.
+MAX_ORDERS = 1_000_000
+
+
+def check_order_count(q_max: int, tau: float | None = None) -> None:
+    """Refuse, before any allocation, a negative q_max or more than
+    MAX_ORDERS orders: q_max, or with a tau the Bessel row of the
+    analytic route, max(q_max, |tau|)."""
+    if q_max < 0:
+        raise ConfigurationError(f"q_max must be nonnegative, got {q_max}")
+    needed = q_max if tau is None else max(q_max, math.ceil(abs(tau)))
+    if needed > MAX_ORDERS:
+        at = "" if tau is None else f" at tau = {tau!r}"
+        raise ConfigurationError(
+            f"{needed:.6g} orders needed{at} (q_max = {q_max:.6g}), more than "
+            f"the ceiling of {MAX_ORDERS}"
+        )
+
+
 def check_q_max(grid: Grid1D, k_unit: float, q_max: int) -> int:
     """Return M of order_capacity once orders |q| <= q_max are known to fit.
 
-    Raises ConfigurationError for a negative q_max or one above the
-    grid's capacity, so a run can reject before any work what
-    momentum_spectrum would reject after it.
+    Raises ConfigurationError for a q_max above the grid's capacity, or
+    one that check_order_count refuses, so a run can reject before any
+    work what momentum_spectrum would reject after it.
     """
-    if q_max < 0:
-        raise ConfigurationError(f"q_max must be nonnegative, got {q_max}")
     m, capacity = order_capacity(grid, k_unit)
     if q_max > capacity:
         supported = f"q_max <= {capacity}" if capacity >= 0 else "no complete order window"
@@ -640,6 +661,7 @@ def check_q_max(grid: Grid1D, k_unit: float, q_max: int) -> int:
             f"(q_max + 1/2)*{m} must be <= {grid.n_points // 2}; this grid supports "
             f"{supported} (use more grid points for more orders)"
         )
+    check_order_count(q_max)
     return m
 
 

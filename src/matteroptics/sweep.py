@@ -23,7 +23,6 @@ from .diffraction import (
     DEFAULT_BOX_LAMBDAS,
     DEFAULT_GRID_POINTS,
     DEFAULT_Z_STEPS,
-    check_order_count,
     default_q_max,
     evaluate_routes,
     select_routes,
@@ -36,7 +35,7 @@ from .errors import (
     SweepGuardError,
 )
 from .models import RegimeCheck, regime_checks
-from .propagate import DiffractionPattern
+from .propagate import DiffractionPattern, check_order_count
 from .serialize import by_order, csv_num
 from .units import PhysicalParams, params_to_system
 
@@ -46,7 +45,7 @@ from .units import PhysicalParams, params_to_system
 # The largest single allocation the count sizes is the report text,
 # built whole: its JSON takes about 3 KB a point at the README point's
 # default order range, so 2^16 points write about 190 MiB. More orders
-# per point are MAX_ORDERS's to bound.
+# per point are propagate.MAX_ORDERS's to bound.
 MAX_SWEEP_POINTS = 2**16
 
 
@@ -87,8 +86,6 @@ class SweepSpec:
                     pass  # an invalid point becomes an error row
             q_max = default_q_max(points, self.paths, self.grid_points, self.box_lambdas)
             object.__setattr__(self, "q_max", q_max)
-        if self.q_max < 0:
-            raise ConfigurationError(f"q_max must be nonnegative, got {self.q_max}")
         check_order_count(self.q_max)  # the table has q_max + 1 columns per route
 
     def point(self, value: float) -> PhysicalParams:

@@ -212,10 +212,14 @@ def argparse_kwargs(spec: dict) -> dict:
 
 
 def oracle_parser(command: str) -> argparse.ArgumentParser:
-    """An argparse parser of one command's flags, built from cli's tables."""
+    """An argparse parser of one command's flags, built from cli's tables,
+    that wraps its usage at 78 columns whatever the terminal's width."""
     from matteroptics import cli
 
-    parser = OracleParser(prog=f"matteroptics {command}")
+    parser = OracleParser(
+        prog=f"matteroptics {command}",
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78),
+    )
     for key in (*cli._COMMON, *cli._COMMANDS[command][1:]):
         parser.add_argument(key.split()[-1], **argparse_kwargs(cli._FLAGS[key]))
     return parser

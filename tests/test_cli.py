@@ -291,10 +291,9 @@ class TestReaderMatchesArgparse:
             code, _, want = _oracle_reply(capsys, oracle.parse_args, tokens)
             assert code == 1, (what, tokens)
             got = run(capsys, command, *tokens)
-            assert got[:2] == (1, ""), (what, tokens)
-            assert got[2].startswith(f"usage: matteroptics {command} [-h] "), what
-            assert got[2].splitlines()[-1] == want.splitlines()[-1], (what, tokens)
-            assert got[2].splitlines()[-1].startswith(f"matteroptics {command}: error: ")
+            assert got == (1, "", want), (what, tokens)
+            assert want.startswith(f"usage: matteroptics {command} [-h] "), what
+            assert want.splitlines()[-1].startswith(f"matteroptics {command}: error: ")
             kinds.add(what.split()[0])
         assert {"unknown", "missing", "bad", "threads"} <= kinds
         assert ("ambiguous" in kinds) == (command not in ("optics", "validity"))
@@ -304,15 +303,27 @@ class TestReaderMatchesArgparse:
         ("sweep", "--params", "x", "--he"), ("propagate", "-hh"),
     ])
     def test_help_is_rendered_from_the_table(self, capsys, argv):
+        # argparse wraps -h at 78 columns, and may break a line after a
+        # hyphen, so the text is compared with all whitespace taken out
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         command = argv[0] if argv[0] in cli._COMMANDS else None
         assert out.startswith(f"usage: {cli._prog(command)} [-h] ")
+        assert max(map(len, out.splitlines())) <= 78
+        squeezed = "".join(out.split())
         if command is None:
-            assert all(f"\n  {name} " in out for name in cli._COMMANDS)
+            rows = [f"{name}{about}" for name, (about, *_) in cli._COMMANDS.items()]
         else:
-            keys = (*cli._COMMON, *cli._COMMANDS[command][1:])
-            assert all(cli._FLAGS[key]["help"] in out for key in keys)
+            rows = []
+            for key in (*cli._COMMON, *cli._COMMANDS[command][1:]):
+                spec = cli._FLAGS[key]
+                note = (
+                    "(required)" if spec.get("required")
+                    else "" if spec.get("default") is None else f"(default:{spec['default']})"
+                )
+                assert f"\n  {key.split()[-1]}" in out, key
+                rows.append(spec["help"] + note)
+        assert all("".join(row.split()) in squeezed for row in rows)
 
     @pytest.mark.parametrize("argv, message", [
         ((), "the following arguments are required: command"),
@@ -324,8 +335,11 @@ class TestReaderMatchesArgparse:
     def test_program_usage_errors(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err.startswith("usage: matteroptics [-h] [--version]\n")
-        assert err.splitlines()[-1] == f"matteroptics: error: {message}"
+        assert err == (
+            "usage: matteroptics [-h] [--version]\n"
+            "                    {optics,validity,diffract,propagate,bloch,sweep} ...\n"
+            f"matteroptics: error: {message}\n"
+        )
 
     @pytest.mark.parametrize("argv", [("--version",), ("--vers",)])
     def test_version(self, capsys, argv):
@@ -1283,6 +1297,34 @@ class TestSweep:
         lines = out.splitlines()
         assert len(lines) == 4
         assert [l.split(",")[0] for l in lines[1:]] == ["0", "2e+13", "4e+13"]
+
+    @pytest.mark.parametrize("start, stop, num", [
+        (0.1, 0.7, 7), (-8e307, 8e307, 3), (1e308, -7e307, 4), (2.5, 2.5, 2), (-3.0, 9.0, 1),
+    ])
+    def test_a_range_with_a_finite_span_keeps_its_bits(
+        self, capsys, params_file, start, stop, num
+    ):
+        # start + i * (stop - start) / (num - 1), as typed, whatever the span
+        code, out, _ = run(
+            capsys, "sweep", "--params", params_file, "--axis", "delta_shift",
+            f"--start={start!r}", f"--stop={stop!r}", "--num", str(num),
+            "--q-max", "1", "--format", "json",
+        )
+        assert code == 0
+        want = [start]
+        if num > 1:
+            want = [start + i * ((stop - start) / (num - 1)) for i in range(num)]
+        assert json.loads(out)["spec"]["values"] == want
+
+    @pytest.mark.parametrize("start, stop", [(-1e308, 1e308), (1.7e308, -1e308)])
+    def test_an_overflowing_span_is_refused_naming_it(self, capsys, params_file, start, stop):
+        # every value of the range would be finite, but stop - start is not
+        code, out, err = run(
+            capsys, "sweep", "--params", params_file, "--axis", "delta_shift",
+            f"--start={start!r}", f"--stop={stop!r}", "--num", "3",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: the span --stop - --start = {stop!r} - {start!r} overflows\n"
 
     def test_flagged_point_exits_two(self, capsys, tmp_path):
         path = write_params(tmp_path, with_wy_lambdas(with_g0(make_params(), 1.0), 5.0))

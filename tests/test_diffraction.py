@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from matteroptics import diffraction
+from matteroptics import diffraction, propagate
 from matteroptics.diffraction import (
     analytic_orders,
     ROUTES,
@@ -36,8 +36,10 @@ from matteroptics.propagate import (
     DiffractionPattern,
     Grid1D,
     WaveState,
+    gaussian_profile,
     momentum_spectrum,
     order_capacity,
+    packet_envelope,
 )
 from matteroptics.sweep import SweepSpec, run_sweep, sweep_report
 from matteroptics.units import HBAR
@@ -156,7 +158,7 @@ class TestAnalyticOrders:
     def test_orders_above_the_ceiling_are_refused_before_the_row(self, monkeypatch):
         # the Bessel row reaches past max(q_max, |tau|); above MAX_ORDERS
         # nothing is allocated
-        monkeypatch.setattr(diffraction, "MAX_ORDERS", 40)
+        monkeypatch.setattr(propagate, "MAX_ORDERS", 40)
         analytic_orders(-40.0, 40)
         rows = []
         monkeypatch.setattr(diffraction, "bessel_j_sequence", rows.append)
@@ -213,8 +215,16 @@ class TestDiffractionAngles:
         angles = diffraction_angles(make_params(), 4)
         for q in range(1, 5):
             assert angles[-q] == -angles[q]
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^q_max must be nonnegative, got -2$"):
             diffraction_angles(make_params(), -2)
+
+    def test_orders_above_the_ceiling_are_refused_before_any_angle(self):
+        # 3e6 orders would take seconds and 6e6 entries to build
+        with pytest.raises(
+            ConfigurationError,
+            match=r"^3e\+06 orders needed \(q_max = 3e\+06\), more than the ceiling of 1000000$",
+        ):
+            diffraction_angles(make_params(), 3_000_000)
 
 
 def test_effective_wavelength():
@@ -329,12 +339,12 @@ class TestDefaultQMax:
         # MAX_ORDERS, as is a tau the series would need too many orders
         # for; a grid route alone is capped by its grid
         p = _reference(g0=2.0)  # tau = 4, so the default range is 34
-        monkeypatch.setattr(diffraction, "MAX_ORDERS", 33)
+        monkeypatch.setattr(propagate, "MAX_ORDERS", 33)
         with pytest.raises(ConfigurationError, match=r"^34 orders needed at tau = 3\.99"):
             default_q_max([p], ("analytic",), 1024, 32.0)
-        monkeypatch.setattr(diffraction, "MAX_ORDERS", 7)
+        monkeypatch.setattr(propagate, "MAX_ORDERS", 7)
         assert default_q_max([p], ("numeric",), 1024, 32.0) == 7  # capacity, no tau
-        monkeypatch.setattr(diffraction, "MAX_ORDERS", 3)
+        monkeypatch.setattr(propagate, "MAX_ORDERS", 3)
         with pytest.raises(ConfigurationError, match=r"^7 orders needed at tau"):
             default_q_max([p], ROUTES, 1024, 32.0)
         with pytest.raises(ConfigurationError, match=r"^7 orders needed \(q_max = 7\)"):
@@ -401,6 +411,30 @@ class TestNumericOrders:
         zero_density = analytic_orders(2.0 * rn.g0, 7)
         assert num.orders[0] > zero_density.orders[0]
         assert num.orders[1] < zero_density.orders[1]
+
+    @pytest.mark.parametrize("v0rho", [0.125, 0.301])
+    def test_a_slow_phase_leaves_every_binned_order(self, v0rho):
+        # the s-wave mean field's phase over the transit, about
+        # 81 exp(-y^2/w_y^2) rad at the README beam (ROADMAP item 19), is
+        # slow on the standing wave: each order's momentum moves inside
+        # its bin, so P_q keeps its value while the box holds the packet.
+        # A box that cuts the packet moves P_q by parts in 1e9.
+        p = with_v0rho(make_params(), v0rho)
+        rn = raman_nath_params(p)
+        gaps = []
+        for n, box in ((32768, 512.0), (8192, 256.0)):
+            grid = commensurate_grid(p, n, box)
+            q_max = order_capacity(grid, order_spacing(p))[1]
+            mask = packet_envelope(grid, p.w_y) * np.exp(-1j * phase_profile(grid, p, rn))
+            psi = mask * np.exp(-81j * gaussian_profile(grid, p.w_y * p.w_y))
+            # no spectator: it moves most of the spectral power (Parseval
+            # sum, at most 2), each mode's within its bin
+            moved = np.abs(np.fft.fft(psi)) ** 2 - np.abs(np.fft.fft(mask)) ** 2
+            assert np.abs(moved).sum() > 1.5 * n * np.sum(np.abs(mask) ** 2)
+            slow = momentum_spectrum(WaveState(grid=grid, amplitude=psi), order_spacing(p), q_max)
+            gaps.append(pattern_discrepancy(numeric_orders(p, rn, grid, q_max), slow))
+        assert gaps[0] < 1e-15  # measured 1.2e-16 and 1.9e-16
+        assert 1e-10 < gaps[1] < 1e-8  # measured 9.0e-10
 
 
 class TestPropagatorOrders:

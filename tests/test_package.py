@@ -65,6 +65,44 @@ def test_each_entry_point_loads_only_what_it_uses(params_file):
     assert stdlib == ["csv"]
 
 
+# Runs each command once in a fresh interpreter, then -h: each one's exit
+# code and whether argparse is loaded after it, as one JSON line.
+_ARGPARSE_PROBE = """
+import contextlib, io, json, sys
+from matteroptics.cli import main
+
+params, out = sys.argv[1:]
+steps = []
+for argv in (
+    ["optics", "--params", params],
+    ["validity", "--params", params, "--saturation", "1"],
+    ["diffract", "--params", params, "--q-max", "3"],
+    ["propagate", "--params", params, "--out", out, "--steps", "4", "--q-max", "2"],
+    ["bloch", "--detuning", "0.1", "--drive-re", "1", "--dt", "0.01", "--steps", "2"],
+    ["sweep", "--params", params, "--values", "0,1e15", "--q-max", "2"],
+    ["-h"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    steps.append([argv[0], code, "argparse" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_no_command_run_loads_argparse(params_file, tmp_path):
+    # argparse only formats -h and usage errors, so a command line read
+    # without fault never pays its import; -h shows the probe can see it
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _ARGPARSE_PROBE, params_file, str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(proc.stdout) == [
+        ["optics", 0, False], ["validity", 0, False], ["diffract", 0, False],
+        ["propagate", 0, False], ["bloch", 0, False], ["sweep", 0, False], ["-h", 0, True],
+    ]
+
+
 def test_every_export_is_its_home_modules_object():
     homes = matteroptics._EXPORTS
     assert sum(map(len, homes.values())) == len(matteroptics._HOME)  # each name under one module

@@ -890,10 +890,21 @@ class TestMomentumSpectrum:
 
     def test_input_guards(self):
         s, k_unit = self._order_state(0)
-        with pytest.raises(ConfigurationError, match="q_max"):
+        with pytest.raises(ConfigurationError, match="^q_max must be nonnegative, got -1$"):
             momentum_spectrum(s, k_unit, -1)
         with pytest.raises(ConfigurationError, match="k_unit"):
             momentum_spectrum(s, -k_unit, 3)
+
+    def test_orders_above_the_ceiling_are_refused_though_the_grid_holds_them(
+        self, monkeypatch
+    ):
+        # check_order_count owns the order range: a q_max the grid holds
+        # is still refused above MAX_ORDERS
+        s, k_unit = self._order_state(0)  # q_max 7 fits
+        monkeypatch.setattr(propagate, "MAX_ORDERS", 6)
+        momentum_spectrum(s, k_unit, 6)
+        with pytest.raises(ConfigurationError, match=r"^7 orders needed \(q_max = 7\), more than"):
+            momentum_spectrum(s, k_unit, 7)
 
 
 class TestGridMemo:

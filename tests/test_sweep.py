@@ -94,7 +94,7 @@ class TestSweepSpec:
         with pytest.raises(ConfigurationError, match="q_max"):
             _spec(_blue(), [0.0], q_max=-1)
         # the table has q_max + 1 columns per route, whatever the points give
-        monkeypatch.setattr("matteroptics.diffraction.MAX_ORDERS", 40)
+        monkeypatch.setattr("matteroptics.propagate.MAX_ORDERS", 40)
         assert _spec(_blue(), [0.0], q_max=40).q_max == 40
         with pytest.raises(
             ConfigurationError, match=r"^41 orders needed \(q_max = 41\), more than the ceiling of 40$"

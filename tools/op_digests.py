@@ -8,12 +8,17 @@ operation:
 
     <workload> <seed> <index> <sha256 of exit code, stdout, stderr and every file written>
 
+It then digests the cold paths that no workload reaches: -h and a
+usage error, for the program and for each command, one line each:
+
+    matteroptics [<command>] [-h | --bogus] <sha256 of exit code, stdout, stderr and files>
+
 The package run is the `src` of --tree, this checkout by default. To
 check that a change keeps every output byte, give the other checkout as
 --against: the same workloads and seeds are then run on its `src` too,
 by this file in a subprocess under the same --work directory, and the
-tool prints each operation whose digests differ, then how many differ,
-and exits 1 if any do:
+tool prints each operation or cold path whose digests differ, then how
+many of each differ, and exits 1 if any do:
 
     python3 tools/op_digests.py --work /tmp/op-digests --against <parent tree>
 
@@ -38,14 +43,21 @@ import checks  # noqa: E402
 import workloads  # noqa: E402
 
 
-def op_digest(cli, op) -> str:
-    """Clear the operation's output directory, run it, and hash what it gave."""
-    out_dir = checks.output_path(op).parent
+# The six commands, named here so that both trees digest the same cold paths.
+COMMANDS = ("optics", "validity", "diffract", "propagate", "bloch", "sweep")
+COLD_ARGVS = (
+    ["-h"], [], *([command, flag] for command in COMMANDS for flag in ("-h", "--bogus"))
+)
+
+
+def digest(cli, argv, out_dir: Path) -> str:
+    """Clear out_dir, run argv, and hash what it gave: its exit code,
+    stdout, stderr and every file it wrote to out_dir."""
     for path in out_dir.iterdir():
         path.unlink()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(op.argv))
+        code = cli.main(list(argv))
     h = hashlib.sha256()
     for chunk in (str(code), out.getvalue(), err.getvalue()):
         h.update(chunk.encode() + b"\0")
@@ -73,7 +85,12 @@ def listing(args) -> list[str]:
         for seed in args.seeds:
             ops = workloads.build(name, seed, args.work.resolve() / f"{name}-{seed}").ops
             for index, op in enumerate(ops):
-                lines.append(f"{name} {seed} {index:03d} {op_digest(cli, op)}")
+                out_dir = checks.output_path(op).parent
+                lines.append(f"{name} {seed} {index:03d} {digest(cli, op.argv, out_dir)}")
+    cold_dir = args.work.resolve() / "cold"  # where a cold path would write, if it did
+    cold_dir.mkdir(parents=True, exist_ok=True)
+    for argv in COLD_ARGVS:
+        lines.append(f"{' '.join(['matteroptics', *argv])} {digest(cli, argv, cold_dir)}")
     return lines
 
 
@@ -87,10 +104,14 @@ def compare(args) -> int:
     ours = listing(args)
     before = {line.rpartition(" ")[0]: line for line in theirs}
     after = {line.rpartition(" ")[0]: line for line in ours}
-    differ = [op for op in sorted(before.keys() | after.keys()) if before.get(op) != after.get(op)]
-    for op in differ:
-        print(f"{op} differs")
-    print(f"{len(differ)} of {len(after.keys() | before.keys())} operations differ")
+    keys = sorted(before.keys() | after.keys())
+    differ = [key for key in keys if before.get(key) != after.get(key)]
+    for key in differ:
+        print(f"{key} differs")
+    for what, cold in (("operations", False), ("cold paths", True)):
+        count = sum(key.startswith("matteroptics") == cold for key in keys)
+        moved = sum(key.startswith("matteroptics") == cold for key in differ)
+        print(f"{moved} of {count} {what} differ")
     return 1 if differ else 0
 
 
