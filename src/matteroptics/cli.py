@@ -15,7 +15,7 @@ command line against that table alone: the command comes from argv[0]
 and each token is looked up in that command's own flag map. It takes
 the forms argparse takes (--flag value, --flag=value, a unique prefix,
 --no-FLAG for a switch, "-" then a digit or "." as a value, the last of
-a repeated flag). argparse, imported only by _render, formats -h/--help
+a repeated flag). argparse, imported only by _parser, formats -h/--help
 and the usage line of a usage error from the same table; it never
 parses.
 
@@ -303,7 +303,7 @@ def _read_command(command: str | None, tokens: list[str]):
             if attached is not None:
                 raise _UsageError(f"argument {name}: ignored explicit argument {attached!r}")
             if spec is _HELP:
-                sys.stdout.write(_render(command, "help"))
+                sys.stdout.write(_parser(command).format_help())
                 return 0
             if spec is _VERSION:
                 print(f"matteroptics {__version__}")
@@ -347,7 +347,7 @@ def _read_args(argv: list[str]):
             raise _UsageError("the following arguments are required: command")
         return _read_command(None, argv[:1])  # -h, --help or --version answers
     except _UsageError as exc:
-        sys.stderr.write(_render(command, "usage"))
+        sys.stderr.write(_parser(command).format_usage())
         print(f"{_prog(command)}: error: {exc}", file=sys.stderr)
         return 1
 
@@ -356,11 +356,11 @@ def _prog(command: str | None) -> str:
     return "matteroptics" if command is None else f"matteroptics {command}"
 
 
-def _render(command: str | None, part: str) -> str:
-    """The "help" or the "usage" text of command, or of the program for
-    None, as argparse formats it from the tables at 78 columns. Only -h
-    and usage errors reach here, so only here is argparse imported; its
-    parser renders text and never reads a command line."""
+def _parser(command: str | None):
+    """An argparse parser of command, or of the program for None, built
+    from the tables to format -h and the usage line at 78 columns. Only
+    -h and usage errors reach here, so only here is argparse imported;
+    its parser renders text and never reads a command line."""
     import argparse
 
     def formatter(prog):
@@ -381,12 +381,14 @@ def _render(command: str | None, part: str) -> str:
                 " (required)" if spec.get("required")
                 else "" if spec.get("default") is None else f" (default: {spec['default']})"
             )
+            # only the keys the spec has: BooleanOptionalAction takes no metavar
+            # or choices (Python 3.14 refuses them, 3.12-3.13 warn even on None)
+            shown = {k: spec[k] for k in ("metavar", "choices", "required") if k in spec}
             parser.add_argument(
-                key.split()[-1], help=spec["help"] + note, metavar=spec.get("metavar"),
-                choices=spec.get("choices"), required=spec.get("required", False),
+                key.split()[-1], help=spec["help"] + note, **shown,
                 action=argparse.BooleanOptionalAction if spec.get("negatable") else "store",
             )
-    return getattr(parsers[command], f"format_{part}")()
+    return parsers[command]
 
 
 # ---------------------------------------------------------------- helpers

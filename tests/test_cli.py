@@ -325,6 +325,26 @@ class TestReaderMatchesArgparse:
                 rows.append(spec["help"] + note)
         assert all("".join(row.split()) in squeezed for row in rows)
 
+    @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+    def test_help_and_usage_render_on_any_argparse(self, monkeypatch, command):
+        # BooleanOptionalAction lost metavar and choices in Python 3.14 (3.12
+        # and 3.13 warn when they are passed at all, even as None): a switch
+        # is built without them, and rendering raises no warning
+        import argparse
+        import warnings
+
+        class Switch(argparse.BooleanOptionalAction):
+            def __init__(self, *args, **kwargs):
+                assert not {"metavar", "choices"} & set(kwargs), kwargs
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(argparse, "BooleanOptionalAction", Switch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parser = cli._parser(command)
+            texts = parser.format_help(), parser.format_usage()
+        assert all(text.startswith(f"usage: {cli._prog(command)} [-h] ") for text in texts)
+
     @pytest.mark.parametrize("argv, message", [
         ((), "the following arguments are required: command"),
         (("--bogus",), "the following arguments are required: command"),

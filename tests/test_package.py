@@ -19,10 +19,18 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 _PROBE = """
 import contextlib, io, json, sys
 
+params, out = sys.argv[1:]
+
 def loaded():
     names = sorted(n for n in sys.modules if n.split(".")[0] == "matteroptics")
-    stdlib = [n for n in ("logging", "csv", "concurrent.futures") if n in sys.modules]
+    stdlib = [n for n in ("logging", "csv", "concurrent.futures", "argparse") if n in sys.modules]
     print(json.dumps([names, stdlib]))
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    assert code == 0, argv
+    loaded()
 
 import matteroptics
 loaded()
@@ -30,26 +38,27 @@ from matteroptics.units import read_param_file
 loaded()
 from matteroptics.cli import main
 loaded()
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["bloch", "--detuning", "0.1", "--drive-re", "1", "--dt", "0.01", "--steps", "2"])
-assert code == 0
-loaded()
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(["sweep", "--params", sys.argv[1], "--axis", "rho_0", "--values", "0,1e15",
-                 "--paths", "analytic", "--q-max", "2", "--threads", "1"])
-assert code == 0
-loaded()
+run("bloch", "--detuning", "0.1", "--drive-re", "1", "--dt", "0.01", "--steps", "2")
+run("sweep", "--params", params, "--axis", "rho_0", "--values", "0,1e15",
+    "--paths", "analytic", "--q-max", "2", "--threads", "1")
+run("optics", "--params", params)
+run("validity", "--params", params, "--saturation", "1")
+run("diffract", "--params", params, "--q-max", "3")
+run("propagate", "--params", params, "--out", out, "--steps", "4", "--q-max", "2")
+run("-h")
 """
 
 
-def test_each_entry_point_loads_only_what_it_uses(params_file):
+def test_each_entry_point_loads_only_what_it_uses(params_file, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, params_file],
+        [sys.executable, "-c", _PROBE, params_file, str(tmp_path / "run")],
         env=env, capture_output=True, text=True, check=True,
     )
     steps = [json.loads(line) for line in proc.stdout.splitlines()]
-    root, read_file, cli, bloch, sweep = [(set(names), stdlib) for names, stdlib in steps]
+    root, read_file, cli, bloch, sweep, *commands, usage = [
+        (set(names), stdlib) for names, stdlib in steps
+    ]
     assert root == ({"matteroptics"}, [])
     assert read_file == ({"matteroptics", "matteroptics.units", "matteroptics.errors"}, [])
     names, stdlib = cli
@@ -63,44 +72,11 @@ def test_each_entry_point_loads_only_what_it_uses(params_file):
     assert "matteroptics.sweep" in names
     # one worker runs in the calling thread: no pool, so no threading or logging
     assert stdlib == ["csv"]
-
-
-# Runs each command once in a fresh interpreter, then -h: each one's exit
-# code and whether argparse is loaded after it, as one JSON line.
-_ARGPARSE_PROBE = """
-import contextlib, io, json, sys
-from matteroptics.cli import main
-
-params, out = sys.argv[1:]
-steps = []
-for argv in (
-    ["optics", "--params", params],
-    ["validity", "--params", params, "--saturation", "1"],
-    ["diffract", "--params", params, "--q-max", "3"],
-    ["propagate", "--params", params, "--out", out, "--steps", "4", "--q-max", "2"],
-    ["bloch", "--detuning", "0.1", "--drive-re", "1", "--dt", "0.01", "--steps", "2"],
-    ["sweep", "--params", params, "--values", "0,1e15", "--q-max", "2"],
-    ["-h"],
-):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-    steps.append([argv[0], code, "argparse" in sys.modules])
-print(json.dumps(steps))
-"""
-
-
-def test_no_command_run_loads_argparse(params_file, tmp_path):
     # argparse only formats -h and usage errors, so a command line read
     # without fault never pays its import; -h shows the probe can see it
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run(
-        [sys.executable, "-c", _ARGPARSE_PROBE, params_file, str(tmp_path / "run")],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert json.loads(proc.stdout) == [
-        ["optics", 0, False], ["validity", 0, False], ["diffract", 0, False],
-        ["propagate", 0, False], ["bloch", 0, False], ["sweep", 0, False], ["-h", 0, True],
-    ]
+    assert len(commands) == 4
+    assert all("argparse" not in stdlib for _, stdlib in commands)
+    assert "argparse" in usage[1]
 
 
 def test_every_export_is_its_home_modules_object():

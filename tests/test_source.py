@@ -318,7 +318,7 @@ def test_imported_modules_checker():
 
 def test_argparse_is_imported_only_by_the_renderer():
     # cli reads every command line against its own flag table; argparse
-    # only formats -h and a usage error's usage line, inside cli._render,
+    # only formats -h and a usage error's usage line, inside cli._parser,
     # so a command line read without fault never imports it
     importers = {
         f"{path.stem}.{getattr(node, 'name', '<module>')}"
@@ -326,7 +326,7 @@ def test_argparse_is_imported_only_by_the_renderer():
         for node in ast.parse(path.read_text(encoding="utf-8")).body
         if "argparse" in imported_modules(ast.unparse(node))
     }
-    assert importers == {"cli._render"}
+    assert importers == {"cli._parser"}
 
 
 def test_one_owner_of_numerics_failures():
