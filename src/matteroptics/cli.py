@@ -10,14 +10,14 @@ One binary, six subcommands:
   sweep      one-axis parameter sweep across the diffraction paths
 
 Every command reads the same flat parameter-file format. Every flag is
-defined once in _FLAGS, and _read_args, the one parser, reads the
-command line against that table alone: the command comes from argv[0]
-and each token is looked up in that command's own flag map. It takes
-the forms argparse takes (--flag value, --flag=value, a unique prefix,
---no-FLAG for a switch, "-" then a digit or "." as a value, the last of
-a repeated flag). argparse, imported only by _parser, formats -h/--help
-and the usage line of a usage error from the same table; it never
-parses.
+defined once in _FLAGS, and _read_args reads a command line in one of
+two ways, both from that table. _read_exact takes a plain line: every
+flag named whole, every value a token of its own that passes its flag's
+type, choices and min, every required flag given. argparse, built and
+imported only in _parser, reads every other line (a unique prefix,
+--flag=value, "--", -h/--help, --version) and words every usage error.
+Both read "-" then a digit or "." as a value, and a repeated flag keeps
+its last value.
 
 Each command computes its results once and hands them to _emit, the
 one output path; its docstring states the output contract. Exit codes:
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import sys
 from dataclasses import replace
 from types import SimpleNamespace
@@ -185,192 +186,131 @@ _DESCRIPTION = (
     "Medium optics, matter-wave diffraction and Bloch dynamics for a dense\n"
     "two-level gas in laser light."
 )
-# the specs of -h/--help, whose help line argparse writes, and --version
-_HELP: dict = {}
-_VERSION = {"help": "show the program's version number and exit"}
-
-
-class _UsageError(Exception):
-    """A command line the reader refuses; the text is the error message."""
+# A token of "-" then a digit or "." is a value, never a flag (argparse
+# alone takes only -N and -N.N): the one rule of both readers.
+_NUMBER = re.compile(r"-[\d.]")
 
 
 def _flag_keys(command: str) -> tuple[str, ...]:
     return (*_COMMON, *_COMMANDS[command][1:])
 
 
-def _dest(flag: str) -> str:
-    return flag[2:].replace("-", "_")
-
-
-def _options(command: str | None) -> dict[str, tuple[str, str | None, dict]]:
-    """Each option string of command -> (name, dest, spec), in argparse's
-    order: -h and --help, then each flag and its --no- form. name is what
-    an error message calls the flag; dest is None for a flag that answers
-    at once. Command None has the program's own flags."""
-    options = {"-h": ("-h/--help", None, _HELP), "--help": ("-h/--help", None, _HELP)}
-    if command is None:
-        options["--version"] = ("--version", None, _VERSION)
-        return options
+def _exact_map(command: str) -> dict[str, tuple[str, dict, bool | None]]:
+    """Each whole option string of command -> (dest, spec, set): set is
+    what a switch stores, None for a flag that takes a value."""
+    options = {}
     for key in _flag_keys(command):
-        flag = key.split()[-1]
-        spec = _FLAGS[key]
+        flag, spec = key.split()[-1], _FLAGS[key]
+        dest = flag[2:].replace("-", "_")
+        options[flag] = (dest, spec, True if spec.get("negatable") else None)
         if spec.get("negatable"):
-            negation = f"--no-{flag[2:]}"
-            options[flag] = options[negation] = (f"{flag}/{negation}", _dest(flag), spec)
-        else:
-            options[flag] = (flag, _dest(flag), spec)
+            options[f"--no-{flag[2:]}"] = (dest, spec, False)
     return options
 
 
-# Built once; a command line is read against its command's map alone.
-_OPTIONS = {command: _options(command) for command in (None, *_COMMANDS)}
+# Built once; _read_exact reads a command line against its command's map alone.
+_EXACT = {command: _exact_map(command) for command in _COMMANDS}
 
 
-def _lookup(token: str, options: dict):
-    """What token is among options, by argparse's rules: None for a value,
-    else (entry, option string, attached value or None), entry None for
-    a flag options lacks.
-
-    A flag is named whole, as FLAG=VALUE, by a unique prefix of a --flag
-    (a shared prefix is an error), or as -h with text attached. "-" then
-    a digit or ".", "-" alone and text holding a space are values; "--"
-    ends the flags and is itself taken as no flag's value.
-    """
-    entry = options.get(token)
-    if entry is not None:
-        return entry, token, None
-    if token[:1] != "-" or token == "-":
-        return None
-    if token == "--":
-        return None, token, None
-    option, eq, attached = token.partition("=")
-    if eq and option in options:
-        return options[option], option, attached
-    if token[1] == "-":
-        matches = [o for o in options if o.startswith(option)]
-        attached = attached if eq else None
-    else:
-        matches = [token[:2]] if token[:2] in options else []
-        attached = token[2:]
-    if len(matches) > 1:
-        raise _UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return options[matches[0]], matches[0], attached
-    if token[1].isdecimal() or token[1] == "." or " " in token:
-        return None
-    return None, token, None
-
-
-def _value(name: str, spec: dict, text: str):
-    """text read by spec's type and checked against its choices and min."""
-    kind = spec.get("type", str)
-    try:
-        value = kind(text)
-    except ValueError:
-        raise _UsageError(f"argument {name}: invalid {kind.__name__} value: {text!r}") from None
-    choices = spec.get("choices")
-    if choices is not None and value not in choices:
-        listed = ", ".join(map(repr, choices))
-        raise _UsageError(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
-    if "min" in spec and value < spec["min"]:
-        raise _UsageError(f"argument {name}: must be >= {spec['min']}, got {value}")
-    return value
-
-
-def _read_command(command: str | None, tokens: list[str]):
-    """command's flags in tokens as a namespace, or 0 once -h/--help or
-    --version has answered."""
-    options = _OPTIONS[command]
-    # every token after the first "--" is a value, so no flag names one;
-    # an ambiguous prefix fails before any value is read
-    cut = tokens.index("--") if "--" in tokens else len(tokens)
-    kinds = [_lookup(token, options) for token in tokens[: cut + 1]]
-    kinds += [None] * (len(tokens) - len(kinds))
-    values = {dest: spec.get("default") for _, dest, spec in options.values() if dest}
-    seen: set[str] = set()
-    extras: list[str] = []
+def _read_exact(command: str, tokens: list[str]):
+    """command's namespace from tokens, or None unless every flag is
+    named whole, every value is a token of its own that reads as no flag
+    and passes its flag's type, choices and min, and every required flag
+    is given. argparse reads the lines this declines, so it gives the
+    namespace argparse gives wherever it gives one."""
+    options = _EXACT[command]
+    values = {dest: spec.get("default") for dest, spec, _ in options.values()}
     i = 0
     while i < len(tokens):
-        kind = kinds[i]
-        i += 1
-        if kind is None or kind[0] is None:  # a value no flag took, or no flag of ours
-            extras.append(tokens[i - 1])
-            continue
-        (name, dest, spec), option, attached = kind
-        if dest is None or spec.get("negatable"):  # takes no value
-            if attached and option == "-h":  # -hh is -h twice
-                attached = attached.lstrip("h") or None
-            if attached is not None:
-                raise _UsageError(f"argument {name}: ignored explicit argument {attached!r}")
-            if spec is _HELP:
-                sys.stdout.write(_parser(command).format_help())
-                return 0
-            if spec is _VERSION:
-                print(f"matteroptics {__version__}")
-                return 0
-            value = not option.startswith("--no-")
-        elif attached is not None:
-            value = _value(name, spec, attached)
-        elif i < len(tokens) and kinds[i] is None:
-            value = _value(name, spec, tokens[i])
+        entry = options.get(tokens[i])
+        if entry is None:
+            return None
+        dest, spec, value = entry
+        if value is None:  # the next token is the value
             i += 1
-        else:
-            raise _UsageError(f"argument {name}: expected one argument")
+            text = tokens[i] if i < len(tokens) else "-"  # none left: declined below
+            if text[:1] == "-" and not _NUMBER.match(text):
+                return None
+            try:
+                value = spec.get("type", str)(text)
+            except ValueError:
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+            if "min" in spec and value < spec["min"]:
+                return None
         values[dest] = value
-        seen.add(name)
-    missing = [
-        name for name, _, spec in options.values() if spec.get("required") and name not in seen
-    ]
-    if missing:
-        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+        i += 1
+    # a required flag has no default, and no value read is None
+    if any(spec.get("required") and values[dest] is None for dest, spec, _ in options.values()):
+        return None
     return SimpleNamespace(command=command, **values)
 
 
 def _read_args(argv: list[str]):
     """The namespace of argv's command and flags, or the exit code once
-    -h/--help, --version or a usage error has been answered. A usage
-    error prints the usage, then "<prog>: error: <message>", and is 1."""
+    -h/--help, --version or a usage error has been answered. argparse
+    reads every line _read_exact declines; a line that opens with no
+    command gives argparse its first token alone, which it can only
+    answer or refuse. A usage error prints the usage, then
+    "<prog>: error: <message>", and is 1."""
     command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if command is not None:
+        args = _read_exact(command, argv[1:])
+        if args is not None:
+            return args
+    tokens = argv[1:] if command else argv[:1]
+    parser = _parser(command)
     try:
-        if command is not None:
-            return _read_command(command, argv[1:])
-        # an empty command line reads as a flag of no program: no command
-        kind = _lookup(argv[0], _OPTIONS[None]) if argv else (None, "", None)
-        if kind is None:
-            listed = ", ".join(map(repr, _COMMANDS))
-            raise _UsageError(
-                f"argument command: invalid choice: {argv[0]!r} (choose from {listed})"
-            )
-        if kind[0] is None:
-            raise _UsageError("the following arguments are required: command")
-        return _read_command(None, argv[:1])  # -h, --help or --version answers
-    except _UsageError as exc:
-        sys.stderr.write(_parser(command).format_usage())
-        print(f"{_prog(command)}: error: {exc}", file=sys.stderr)
-        return 1
-
-
-def _prog(command: str | None) -> str:
-    return "matteroptics" if command is None else f"matteroptics {command}"
+        return parser.parse_args(tokens, SimpleNamespace(command=command))
+    except SystemExit as exc:  # -h, --version or a usage error has answered
+        return exc.code
 
 
 def _parser(command: str | None):
     """An argparse parser of command, or of the program for None, built
-    from the tables to format -h and the usage line at 78 columns. Only
-    -h and usage errors reach here, so only here is argparse imported;
-    its parser renders text and never reads a command line."""
+    from the tables: -h and the usage line at 78 columns, and the reading
+    of every line _read_exact declines. Only here is argparse imported,
+    so a line the exact path reads never loads it."""
     import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = _NUMBER
+
+        def error(self, message):  # a usage error exits 1, not 2
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+        def _get_values(self, action, arg_strings):
+            # Python 3.11 drops the value of --flag=-- and stores []; keep it
+            if arg_strings != ["--"] or action.nargs is not None:
+                return super()._get_values(action, arg_strings)
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
 
     def formatter(prog):
         return argparse.RawDescriptionHelpFormatter(prog, width=78)
 
-    parsers = {None: argparse.ArgumentParser(
-        prog=_prog(None), description=_DESCRIPTION, formatter_class=formatter
-    )}
-    parsers[None].add_argument("--version", action="store_true", help=_VERSION["help"])
-    commands = parsers[None].add_subparsers(title="commands")
+    def at_least(kind, least):
+        def read(text):
+            value = kind(text)
+            if value < least:
+                raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+            return value
+
+        read.__name__ = kind.__name__  # argparse names it in "invalid int value"
+        return read
+
+    program = Parser(prog="matteroptics", description=_DESCRIPTION, formatter_class=formatter)
+    program.add_argument(
+        "--version", action="version", version=f"matteroptics {__version__}",
+        help="show the program's version number and exit",
+    )
+    commands = program.add_subparsers(title="commands", dest="command", required=True)
+    parsers = {None: program}
     for name, (about, *_) in _COMMANDS.items():
         parser = parsers[name] = commands.add_parser(
             name, help=about, description=about, formatter_class=formatter
@@ -383,9 +323,11 @@ def _parser(command: str | None):
             )
             # only the keys the spec has: BooleanOptionalAction takes no metavar
             # or choices (Python 3.14 refuses them, 3.12-3.13 warn even on None)
-            shown = {k: spec[k] for k in ("metavar", "choices", "required") if k in spec}
+            given = {k: v for k, v in spec.items() if k not in ("help", "negatable", "min")}
+            if "min" in spec:
+                given["type"] = at_least(spec["type"], spec["min"])
             parser.add_argument(
-                key.split()[-1], help=spec["help"] + note, **shown,
+                key.split()[-1], help=spec["help"] + note, **given,
                 action=argparse.BooleanOptionalAction if spec.get("negatable") else "store",
             )
     return parsers[command]
@@ -567,7 +509,8 @@ def cmd_validity(args) -> int:
 
 
 def cmd_diffract(args) -> int:
-    p = _params_at_density(args, _load_params(args))
+    pf = _load_params(args)
+    p = _params_at_density(args, pf)
     paths = select_routes(args.paths)
     q_max = args.q_max
     if q_max is None:
@@ -587,7 +530,7 @@ def cmd_diffract(args) -> int:
         lambda: {
             "tau": rn.tau,
             "g0": rn.g0,
-            "v0": rn.v0,
+            "v0": convert_dimension(rn.v0, "volume", "cgs", pf.units),
             "v0_rho0": v0_rho0,
             "q_max": q_max,
             "paths": list(patterns),

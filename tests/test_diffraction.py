@@ -172,6 +172,68 @@ class TestAnalyticOrders:
         assert rows == []
 
 
+def _second_moment(pattern):
+    """Sum of q^2 P_q, in units of (2 hbar k_L)^2."""
+    return sum(q * q * p for q, p in pattern.orders.items())
+
+
+def _profile_second_moment(p):
+    """<tau(y)^2>/2 over |psi|^2 = exp(-y^2/w_y^2), with tau(y) the local
+    phase depth 2 g0 / (1 + V0 rho0 exp(-y^2/w_y^2))^2, by 160-node
+    Gauss-Hermite quadrature: the second moment the mask must give."""
+    rn = raman_nath_params(p)
+    x, w = np.polynomial.hermite.hermgauss(160)
+    tau = 2.0 * rn.g0 / (1.0 + rn.v0 * rn.rho_0 * np.exp(-x * x)) ** 2
+    return float(np.sum(w * tau * tau)) / (2.0 * math.sqrt(math.pi))
+
+
+class TestSecondMoment:
+    """The momentum the lattice imparts, sum q^2 P_q, is tau^2/2 for the
+    series and <tau(y)^2>/2 over the packet for the phase mask: exact
+    where P_0 is not monotone in density."""
+
+    def test_series_gives_half_tau_squared(self):
+        for tau in np.linspace(-12.0, 12.0, 97):
+            pattern = analytic_orders(float(tau), math.ceil(abs(tau)) + 30)
+            moment = _second_moment(pattern)
+            assert math.isclose(moment, tau * tau / 2.0, rel_tol=1e-14), tau
+
+    @staticmethod
+    def _mask(g0, v0rho, points, box):
+        base = red_detuned(make_params()) if g0 < 0 else make_params()
+        p = with_wy_lambdas(with_g0(base, g0), 50.0)
+        p = with_v0rho(p, v0rho) if v0rho else p
+        grid = commensurate_grid(p, points, box)
+        _, capacity = order_capacity(grid, order_spacing(p))
+        moment = _second_moment(numeric_orders(p, raman_nath_params(p), grid, capacity))
+        return moment, moment / _profile_second_moment(p) - 1.0
+
+    # blue (g0 = 2) on 32768 points and red (g0 = -2) on 65536, both in a
+    # 512-wavelength box that holds the packet's profile: residuals read
+    # 1.7e-13 to 7.7e-13 blue and 1.2e-13 to 3.2e-13 red
+    @pytest.mark.parametrize("g0, v0rhos, points", [
+        (2.0, (0.0, 0.125, 0.301, 0.451), 32768),
+        (-2.0, (0.0, -0.1, -0.3), 65536),
+    ])
+    def test_mask_gives_the_profile_average(self, g0, v0rhos, points):
+        moments = []
+        for v0rho in v0rhos:
+            moment, residual = self._mask(g0, v0rho, points, 512.0)
+            assert abs(residual) < 2e-12, v0rho
+            moments.append(moment)
+        assert moments[0] == pytest.approx(8.0, rel=1e-14)  # (2 g0)^2 / 2
+        # the density suppresses the scattering blue of resonance and
+        # enhances it red of it
+        steps = np.diff(moments)
+        assert all(steps < 0.0) if g0 > 0 else all(steps > 0.0)
+
+    def test_a_truncating_box_shows_in_the_residual(self):
+        # 128 wavelengths cut the 50-wavelength packet's density profile
+        # (ROADMAP item 1): the residual reads -6.2e-2, not 1e-13
+        _, residual = self._mask(2.0, 0.301, 4096, 128.0)
+        assert -7e-2 < residual < -5e-2
+
+
 class TestDiffractionAngles:
     def test_momentum_ratio_inverts_exactly(self):
         p = make_params()

@@ -16,20 +16,25 @@ def test_two_runs_list_the_same_digest_for_every_operation(tmp_path):
         subprocess.run(argv, check=True, capture_output=True, text=True).stdout.splitlines()
         for _ in range(2)
     )
-    assert len(first) == 114
+    assert len(first) == 128
     assert first == second
     ops, cold = first[:100], first[100:]
     assert [line.split()[:3] for line in ops] == [
         ["interactive_mix", "1", f"{i:03d}"] for i in range(100)
     ]
     assert len({line.split()[3] for line in ops}) == 100  # each op writes its own path
-    # then -h and a usage error, for the program and for each command
+    # then -h, a usage error and two forms that argparse reads, for the
+    # program and for each command
     commands = ["optics", "validity", "diffract", "propagate", "bloch", "sweep"]
+    rare = ("--threads=--", "--thr 0")
     assert [line.rpartition(" ")[0] for line in cold] == [
-        "matteroptics -h", "matteroptics",
-        *(f"matteroptics {c} {flag}" for c in commands for flag in ("-h", "--bogus")),
+        "matteroptics -h", "matteroptics", *(f"matteroptics {flags}" for flags in rare),
+        *(f"matteroptics {c} {flags}" for c in commands for flags in ("-h", "--bogus", *rare)),
     ]
-    assert len({line.rpartition(" ")[2] for line in cold}) == 14
+    # the program's three lines without a command get one reply
+    digests = [line.rpartition(" ")[2] for line in cold]
+    assert digests[1] == digests[2] == digests[3]
+    assert len(set(digests)) == 26
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.rpartition(" ")[2]) for line in first)
 
 
@@ -54,7 +59,7 @@ def test_against_lists_the_operations_whose_outputs_differ(tmp_path, monkeypatch
 
     same = subprocess.run([*argv, str(src.parent)], capture_output=True, text=True)
     assert (same.returncode, same.stdout) == (
-        0, "0 of 100 operations differ\n0 of 14 cold paths differ\n"
+        0, "0 of 100 operations differ\n0 of 28 cold paths differ\n"
     )
 
     changed = subprocess.run([*argv, str(other)], capture_output=True, text=True)
@@ -68,5 +73,5 @@ def test_against_lists_the_operations_whose_outputs_differ(tmp_path, monkeypatch
     assert changed.returncode == 1
     assert changed.stdout.splitlines() == [
         *validity, "matteroptics -h differs",
-        f"{len(validity)} of 100 operations differ", "1 of 14 cold paths differ",
+        f"{len(validity)} of 100 operations differ", "1 of 28 cold paths differ",
     ]

@@ -72,8 +72,8 @@ def test_each_entry_point_loads_only_what_it_uses(params_file, tmp_path):
     assert "matteroptics.sweep" in names
     # one worker runs in the calling thread: no pool, so no threading or logging
     assert stdlib == ["csv"]
-    # argparse only formats -h and usage errors, so a command line read
-    # without fault never pays its import; -h shows the probe can see it
+    # argparse reads only the lines the exact path declines, so a line
+    # of whole flags never pays its import; -h shows the probe can see it
     assert len(commands) == 4
     assert all("argparse" not in stdlib for _, stdlib in commands)
     assert "argparse" in usage[1]

@@ -316,10 +316,10 @@ def test_imported_modules_checker():
     assert imported_modules(source) == {"os", "json", "argparse"}
 
 
-def test_argparse_is_imported_only_by_the_renderer():
-    # cli reads every command line against its own flag table; argparse
-    # only formats -h and a usage error's usage line, inside cli._parser,
-    # so a command line read without fault never imports it
+def test_argparse_is_imported_only_by_cli_parser():
+    # argparse formats -h and reads every line that cli's exact path
+    # declines, all inside cli._parser, so a line of whole flags and
+    # good values never imports it
     importers = {
         f"{path.stem}.{getattr(node, 'name', '<module>')}"
         for path in PACKAGE.glob("*.py")

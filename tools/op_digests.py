@@ -8,10 +8,12 @@ operation:
 
     <workload> <seed> <index> <sha256 of exit code, stdout, stderr and every file written>
 
-It then digests the cold paths that no workload reaches: -h and a
-usage error, for the program and for each command, one line each:
+It then digests the cold paths that no workload reaches, for the
+program and for each command, one line each: -h, a usage error, and two
+forms that argparse reads, not the exact path (an attached "--" value
+and a prefix):
 
-    matteroptics [<command>] [-h | --bogus] <sha256 of exit code, stdout, stderr and files>
+    matteroptics [<command>] <flags> <sha256 of exit code, stdout, stderr and files>
 
 The package run is the `src` of --tree, this checkout by default. To
 check that a change keeps every output byte, give the other checkout as
@@ -45,8 +47,10 @@ import workloads  # noqa: E402
 
 # The six commands, named here so that both trees digest the same cold paths.
 COMMANDS = ("optics", "validity", "diffract", "propagate", "bloch", "sweep")
+RARE_FORMS = (["--threads=--"], ["--thr", "0"])
 COLD_ARGVS = (
-    ["-h"], [], *([command, flag] for command in COMMANDS for flag in ("-h", "--bogus"))
+    ["-h"], [], *RARE_FORMS,
+    *([command, *flags] for command in COMMANDS for flags in (["-h"], ["--bogus"], *RARE_FORMS)),
 )
 
 
