@@ -775,7 +775,7 @@ def cmd_sweep(args) -> int:
     spec = SweepSpec(
         base=pf.params, axis=args.axis, values=values, paths=select_routes(args.paths),
         q_max=args.q_max, grid_points=args.grid_points, z_steps=args.steps,
-        box_lambdas=args.box_lambdas,
+        box_lambdas=args.box_lambdas, units=pf.units,
     )
     rows = run_sweep(spec, threads=args.threads)
     _emit(args, lambda: sweep_report(spec, rows), lambda: _captured(write_sweep_csv, rows, spec))

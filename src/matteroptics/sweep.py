@@ -37,7 +37,7 @@ from .errors import (
 from .models import RegimeCheck, regime_checks
 from .propagate import DiffractionPattern, check_order_count
 from .serialize import by_order, csv_num
-from .units import PhysicalParams, params_to_system
+from .units import PhysicalParams, convert_field, params_to_system
 
 
 # The most points a sweep may hold: a --start/--stop/--num range is
@@ -52,7 +52,12 @@ MAX_SWEEP_POINTS = 2**16
 @dataclass(frozen=True)
 class SweepSpec:
     """What to sweep: one axis, ordered values, chosen paths (any select_routes
-    selection), and q_max, by default default_q_max over the swept points."""
+    selection), and q_max, by default default_q_max over the swept points.
+
+    The values are CGS, as base is; units names the system ('si' or 'cgs')
+    of the parameter file, in which the CSV table and the message of a
+    sweep whose every point failed print them.
+    """
 
     base: PhysicalParams
     axis: str
@@ -62,6 +67,7 @@ class SweepSpec:
     grid_points: int = DEFAULT_GRID_POINTS
     z_steps: int = DEFAULT_Z_STEPS
     box_lambdas: float = DEFAULT_BOX_LAMBDAS
+    units: str = "cgs"
 
     def __post_init__(self):
         names = {f.name for f in fields(PhysicalParams)}
@@ -70,6 +76,7 @@ class SweepSpec:
                 f"axis {self.axis!r} is not a parameter field; valid axes: "
                 + ", ".join(sorted(names))
             )
+        self.shown(0.0)  # refuses units other than 'si' and 'cgs'
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ConfigurationError("sweep needs at least one value")
@@ -91,6 +98,10 @@ class SweepSpec:
     def point(self, value: float) -> PhysicalParams:
         """The base parameters with the axis set to value."""
         return replace(self.base, **{self.axis: value})
+
+    def shown(self, value: float) -> str:
+        """The CSV text of an axis value in the file's units."""
+        return csv_num(convert_field(value, self.axis, "cgs", self.units))
 
 
 # (regime check, CSV column, JSON flag key) of each flag a sweep row reports
@@ -161,7 +172,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
             rows = [f.result() for f in futures]
     if all(r.error is not None for r in rows):
         reasons = "; ".join(
-            f"{spec.axis}={csv_num(r.value)}: {r.error}" for r in rows
+            f"{spec.axis}={spec.shown(r.value)}: {r.error}" for r in rows
         )
         error = SweepGuardError if all(r.guard for r in rows) else SweepError
         raise error(f"every sweep point failed: {reasons}")
@@ -178,9 +189,9 @@ def write_sweep_csv(rows: Sequence[SweepRow], spec: SweepSpec, fh) -> None:
     writer.writerow(header)
     for row in rows:
         if row.error is not None:  # blank between the value and the error
-            writer.writerow([csv_num(row.value), *[""] * (len(header) - 2), row.error])
+            writer.writerow([spec.shown(row.value), *[""] * (len(header) - 2), row.error])
             continue
-        cells = [csv_num(row.value), csv_num(row.tau)]
+        cells = [spec.shown(row.value), csv_num(row.tau)]
         for path in spec.paths:
             cells.extend(csv_num(p) for p in row.patterns[path].folded())
         cells.append(csv_num(row.discrepancy))

@@ -1412,6 +1412,27 @@ class TestSweep:
         assert len(lines) == 2
         assert ",true,true,true," in lines[1]
 
+    @pytest.mark.parametrize("units, shown", [("si", "1e+21"), ("cgs", "1e+15")])
+    def test_the_axis_is_in_the_files_units(self, capsys, tmp_path, units, shown):
+        # as typed: 1e21 m^-3 is 1e15 cm^-3, and a CGS file takes 1e15 as it is
+        path = write_params(tmp_path, with_g0(make_params(), 1.0), units)
+        code, out, _ = run(
+            capsys, "sweep", "--params", path, "--axis", "rho_0", f"--values=-{shown},{shown}",
+            "--paths", "analytic", "--q-max", "1",
+        )
+        assert code == 2  # the negative density is an error row
+        rows = out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [f"-{shown}", shown]
+        p = make_params()
+        path = write_params(tmp_path, replace(p, omega_l=p.omega_a), units)
+        code, out, err = run(capsys, "sweep", "--params", path, "--values", f"0,{shown}")
+        assert code == 2 and out == ""
+        reason = "characteristic volume undefined at zero detuning"
+        assert err == (
+            f"physics guard: every sweep point failed: rho_0=0: {reason}; "
+            f"rho_0={shown}: {reason}\n"
+        )
+
     def test_linear_range(self, capsys, tmp_path):
         path = write_params(tmp_path, with_g0(make_params(), 1.0))
         code, out, _ = run(

@@ -1018,14 +1018,26 @@ def test_write_state_csv_matches_per_row_csv_num(block_rows, monkeypatch):
     amp[4] = complex(math.inf, -1.0)
     amp[5] = complex(-2.5, -math.inf)
     amp[6] = complex(1.0 / 3.0, -123456789.123)
+    # exact and near decimal ties, rounding up to 1e9, the switch to exponent notation
+    amp[7] = complex(12345678.25, -0.09990234375)
+    amp[8] = complex(999999999.5, 999999999.4)
+    amp[9] = complex(9.9999999949e-5, -9.99999999951e-5)
+    amp[10] = complex(1e-4, 1.7976931348623157e308)  # density overflows to inf
+    # the ends of the range the writer scales by one power of ten
+    amp[11] = complex(np.nextafter(1e-14, 0.0), -np.nextafter(1e-14, 1.0))
+    amp[12] = complex(-np.nextafter(1e30, 0.0), np.nextafter(1e30, math.inf))
+    amp[13] = complex(1e-14, 1e30)
+    # a dyadic grid about 0.1 and one of quarters, which holds exact ties
+    amp[14:46] = (3264 + np.arange(32)) / 32768 - 1j * (12345678 + np.arange(32) / 4)
     finite = amp.copy()
-    finite[4:6] = 1.0  # inf / inf would be a NaN density
+    finite[[4, 5, 10]] = 1.0  # inf / inf would be a NaN density
     cases = [(amp, make_params(rho_0=1.0)), (amp, make_params(rho_0=3.0e14)), (finite, make_params())]
     for values, p in cases:
         s = WaveState(grid=g, amplitude=values)
         buf = io.StringIO()
-        write_state_csv(s, p.rho_0, buf)
-        assert buf.getvalue() == _per_row_csv(s, p)
+        with np.errstate(over="ignore"):  # |amp[10]|^2 is inf
+            write_state_csv(s, p.rho_0, buf)
+            assert buf.getvalue() == _per_row_csv(s, p)
         lines = buf.getvalue().splitlines()
         assert lines[1:4] == ["-0.5,0,0,0", "-0.484375,0,0,0", "-0.46875,0,0,0"]
         assert lines[33].startswith("0,")

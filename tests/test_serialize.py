@@ -1,7 +1,9 @@
 """Serialization contract: digits, sign folding, and byte stability."""
 
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,3 +272,83 @@ class TestRowTemplateMatchesThePerValuePath:
         monkeypatch.setattr(serialize, "_json_scalar", per_value)
         monkeypatch.setitem(serialize._EXACT_SCALARS, float, per_value)
         assert json_dumps(ColumnTable(columns)) == want
+
+
+def _per_cell_table(header: str, columns) -> str:
+    # the cell-at-a-time writer write_float_table must match byte for byte
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return header + "\n" + "".join(",".join(map(csv_num, row)) + "\n" for row in rows)
+
+
+# Finite doubles of any bit pattern, ±inf, and the cells at the kernel's
+# edges: exact and near decimal ties, rounding up to 1e9, the switch from
+# fixed to exponent notation, the ends of the once-scaled range [1e-14, 1e30).
+EDGES = [
+    12345678.25, -0.09990234375, 999999999.5, 999999999.4, 9.9999999949e-5,
+    9.99999999951e-5, 1e-4, 5e-324, 1.7976931348623157e308, 1e-14, 1e30,
+    *np.nextafter([1e-14, 1e-14, 1e30, 1e30], [0.0, 1.0, 0.0, math.inf]).tolist(),
+]
+CELLS = st.one_of(
+    st.floats(allow_nan=False),
+    st.integers(min_value=0, max_value=2**64 - 1)
+    .map(lambda bits: float(np.uint64(bits).view(np.float64)))
+    .filter(lambda x: not math.isnan(x)),
+    st.sampled_from(EDGES + [-x for x in EDGES] + [0.0, -0.0, math.inf, -math.inf]),
+)
+
+
+class TestFloatTable:
+    @pytest.mark.parametrize("block_rows", [1, 5, 2048])
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda width: st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=12)
+        )
+    )
+    def test_same_bytes_as_per_cell_csv_num(self, block_rows, rows):
+        columns = [np.array(c, dtype=float) for c in zip(*rows)] or [np.array([])]
+        buf = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serialize, "_CSV_BLOCK_ROWS", block_rows)
+            serialize.write_float_table("a,b", columns, buf)
+        assert buf.getvalue() == _per_cell_table("a,b", columns)
+
+    def test_nan_is_refused_before_any_byte(self):
+        columns = [np.arange(5000.0), np.ones(5000)]
+        columns[1][4500] = math.nan  # in the third block
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="NaN is not serializable"):
+            serialize.write_float_table("t,x", columns, buf)
+        assert buf.getvalue() == ""
+
+    def test_only_unsafe_cells_fall_back(self):
+        # near a tie, near 1e8 or 1e9 after scaling, outside [1e-14, 1e30), or inf
+        unsafe = [12345678.25, -0.09990234375, 999999999.5, 9.99999999e29, 100000000.4,
+                  1e-4, 1e-14, 1e30, 9.9e-15, 1e300, 5e-324, math.inf, -math.inf]
+        safe = [0.0, -0.0, 1.5e-14, 0.123456789, -1.5, 2.5e-5, 123456789.4, 9.9999999e29]
+        x = np.array([unsafe + safe])
+        _, fallback = serialize._cell_words(x)
+        assert fallback.tolist() == list(range(len(unsafe)))
+        rng = np.random.default_rng(3)
+        shape = (2048, 4)
+        sign = rng.choice([-1.0, 1.0], shape)
+        x = sign * rng.uniform(1.0, 9.9, shape) * 10.0 ** rng.integers(-14, 30, shape)
+        assert serialize._cell_words(x)[1].size == 0
+
+    def test_peak_memory_of_a_snapshot(self):
+        # a 2^16-row, 4-column table is a propagate snapshot; the text goes
+        # to a sink that keeps none of it, so the peak is the writer's own
+        rng = np.random.default_rng(1)
+        columns = [rng.standard_normal(65536) * 10.0 ** rng.uniform(-6, 16) for _ in range(4)]
+
+        class Sink:
+            def write(self, text):
+                pass
+
+        tracemalloc.start()
+        try:
+            serialize.write_float_table("y_cm,re_psi,im_psi,density", columns, Sink())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6

@@ -13,6 +13,7 @@ from matteroptics.cli import main
 from matteroptics.diffraction import ROUTES, default_q_max
 from matteroptics.errors import (
     ConfigurationError,
+    ParameterError,
     PhysicsGuardError,
     SweepError,
     SweepGuardError,
@@ -89,6 +90,15 @@ class TestSweepSpec:
         base = _blue(g0=2.0)
         spec = _spec(base, [-1.0, 0.0], q_max=None)  # rho_0 = -1 is no point
         assert spec.q_max == default_q_max([base], ("analytic",), 4096, 128.0) == 34
+
+    def test_units_name_the_files_system(self):
+        # the values stay CGS; the table shows them in the file's units
+        spec = _spec(_blue(), [1e15], axis="rho_0", units="si")
+        assert spec.values == (1e15,) and spec.shown(1e15) == "1e+21"
+        assert _spec(_blue(), [1e15]).shown(1e15) == "1e+15"
+        assert _spec(_blue(), [2.5], axis="w_y", units="si").shown(2.5) == "0.025"
+        with pytest.raises(ParameterError, match="units must be 'si' or 'cgs', got 'mks'"):
+            _spec(_blue(), [0.0], units="mks")
 
     def test_q_max_guard(self, monkeypatch):
         with pytest.raises(ConfigurationError, match="q_max"):
