@@ -15,8 +15,9 @@ density dependent. Modules:
   sweep     deterministic one-axis parameter sweeps
   cli       command-line front end (`matteroptics`)
 
-All internal numbers are Gaussian-CGS; SI is accepted and echoed at the
-file boundary.
+All internal numbers are Gaussian-CGS. SI is accepted at the file
+boundary, where each typed value is converted once, and an echo of an
+input prints it as typed.
 
 The package root exports every public name, but `import matteroptics`
 loads no module: a name's module is imported the first time the name is
@@ -100,7 +101,6 @@ _EXPORTS = {
         "ParamFile",
         "PhysicalParams",
         "detuning",
-        "params_to_system",
         "parse_param_file",
         "read_param_file",
     ),

@@ -31,7 +31,6 @@ import io
 import math
 import re
 import sys
-from dataclasses import replace
 from types import SimpleNamespace
 
 from . import __version__
@@ -42,8 +41,8 @@ from .diffraction import (
     commensurate_grid,
     default_q_max,
     diffraction_angles,
-    effective_wavelength,
     evaluate_routes,
+    fitted_box_lambdas,
     order_spacing,
     select_routes,
 )
@@ -60,13 +59,7 @@ from .models import (
     regime_checks,
     significant_density,
 )
-from .optics import (
-    contact_interaction_bound,
-    local_detuning,
-    medium_response,
-    polarizability,
-    weakest_adiabatic_ratio,
-)
+from .optics import local_detuning, medium_response, polarizability
 from .propagate import (
     DiffractionPattern,
     PropagationConfig,
@@ -78,15 +71,7 @@ from .propagate import (
     write_state_csv,
 )
 from .serialize import ColumnTable, by_order, csv_num, json_dumps
-from .units import (
-    ParamFile,
-    PhysicalParams,
-    convert_dimension,
-    convert_field,
-    detuning,
-    params_to_system,
-    read_param_file,
-)
+from .units import ParamFile, convert_dimension, detuning, read_param_file
 
 
 # Every flag, defined once. A key is the flag itself, or "command --flag"
@@ -415,19 +400,6 @@ def _load_params(args) -> ParamFile:
     return read_param_file(args.params, units_override=args.units)
 
 
-def _params_at_density(args, pf: ParamFile) -> PhysicalParams:
-    """The file's parameters with --density as rho_0, checked by the rho_0 rule as typed.
-
-    Where the unit conversion leaves the typed value as it is (every CGS
-    file), the typed set is the result, and only one set is built.
-    """
-    if args.density is None:
-        return pf.params
-    typed = replace(pf.params, rho_0=args.density)
-    rho_0 = convert_field(args.density, "rho_0", pf.units, "cgs")
-    return typed if rho_0 == args.density else replace(pf.params, rho_0=rho_0)
-
-
 def _saturation(args) -> float | None:
     """--saturation, refused outside (0, inf): every collision bound would
     pass at an infinite one, and none has a value at NaN or at s <= 0."""
@@ -444,11 +416,17 @@ def _saturation(args) -> float | None:
 def cmd_optics(args) -> int:
     pf = _load_params(args)
     p = pf.params
-    density = _params_at_density(args, pf).rho_0
-    saturation = _saturation(args)
+    typed_density = pf.typed.rho_0 if args.density is None else args.density
+    density = pf.at("rho_0", typed_density).rho_0
+    checks = regime_checks(p, density, _saturation(args))
 
-    inputs = params_to_system(p, pf.units)
-    quantities = {"density": convert_field(density, "rho_0", "cgs", pf.units)}
+    def check(name: str) -> float:
+        if checks[name].error is not None:
+            raise MatterOpticsError(checks[name].error)
+        return checks[name].value
+
+    inputs = dict(vars(pf.typed))  # field order
+    quantities = {"density": typed_density}
     errors: dict[str, str] = {}
     response = _once(medium_response, p, density)  # chi and n_squared read one bundle
     significant = _once(significant_density, p)
@@ -459,9 +437,8 @@ def cmd_optics(args) -> int:
         ("local_detuning", lambda: local_detuning(p, density), "frequency"),
         ("v0", lambda: characteristic_volume(p), "volume"),
         ("v0_rho", lambda: characteristic_volume(p) * density, "dimensionless"),
-        ("adiabatic_ratio", lambda: weakest_adiabatic_ratio(p, density, density)[0],
-         "dimensionless"),
-        ("contact_bound", lambda: contact_interaction_bound(saturation, p), "dimensionless"),
+        ("adiabatic_ratio", lambda: check("adiabatic_ratio"), "dimensionless"),
+        ("contact_bound", lambda: check("collision_bound"), "dimensionless"),
         ("significant_density_exact", lambda: significant().exact, "density"),
         ("significant_density_scaling", lambda: significant().scaling, "density"),
     ):
@@ -489,14 +466,14 @@ def cmd_optics(args) -> int:
 
 def cmd_validity(args) -> int:
     pf = _load_params(args)
-    density = _params_at_density(args, pf).rho_0
-    checks = regime_checks(pf.params, density, _saturation(args))
+    typed_density = pf.typed.rho_0 if args.density is None else args.density
+    checks = regime_checks(pf.params, pf.at("rho_0", typed_density).rho_0, _saturation(args))
     all_ok = all(c.ok for c in checks.values())
     _emit(
         args,
         lambda: {
             "units": pf.units,
-            "density": convert_field(density, "rho_0", "cgs", pf.units),
+            "density": typed_density,
             "checks": [{"name": name, **c._asdict()} for name, c in checks.items()],
             "all_ok": all_ok,
         },
@@ -510,7 +487,7 @@ def cmd_validity(args) -> int:
 
 def cmd_diffract(args) -> int:
     pf = _load_params(args)
-    p = _params_at_density(args, pf)
+    p = pf.params if args.density is None else pf.at("rho_0", args.density)
     paths = select_routes(args.paths)
     q_max = args.q_max
     if q_max is None:
@@ -559,13 +536,9 @@ def cmd_propagate(args) -> int:
     if args.snapshots < 0:
         raise ConfigurationError(f"--snapshots must be >= 0, got {args.snapshots}")
 
-    lam = effective_wavelength(p)
     box = args.box_lambdas
     if box is None:
-        # smallest half-period multiple spanning 6.5 w_y: the packet
-        # clears the w_y < length/6 guard, and |psi|^2 at the box edge
-        # is at most e^-10.6 of its peak
-        box = max(DEFAULT_BOX_LAMBDAS, 0.5 * math.ceil(13.0 * p.w_y / lam))
+        box = fitted_box_lambdas(p, args.grid_points)
     grid = commensurate_grid(p, args.grid_points, box)
 
     state = init_gaussian(grid, p.rho_0, p.w_y)
@@ -678,7 +651,7 @@ def cmd_bloch(args) -> int:
     if args.density is not None:
         if pf is None:
             raise ParameterError("--density needs --params for the medium constants")
-        rho = _params_at_density(args, pf).rho_0
+        rho = pf.at("rho_0", args.density).rho_0
         drive = local_rabi(drive, pf.params, rho, corrected=args.local_field)
 
     rates = BlochRates(gamma_l=args.gamma_l, gamma_t=args.gamma_t)
@@ -768,14 +741,13 @@ def cmd_sweep(args) -> int:
                 )
             step = span / (args.num - 1)
             raw = [args.start + i * step for i in range(args.num)]
-    values = [convert_field(v, args.axis, pf.units, "cgs") for v in raw]
 
     # the selection is checked here so that a bad one is reported before
     # the spec's own checks; the spec sizes the order range when no --q-max
     spec = SweepSpec(
-        base=pf.params, axis=args.axis, values=values, paths=select_routes(args.paths),
+        base=pf, axis=args.axis, values=raw, paths=select_routes(args.paths),
         q_max=args.q_max, grid_points=args.grid_points, z_steps=args.steps,
-        box_lambdas=args.box_lambdas, units=pf.units,
+        box_lambdas=args.box_lambdas,
     )
     rows = run_sweep(spec, threads=args.threads)
     _emit(args, lambda: sweep_report(spec, rows), lambda: _captured(write_sweep_csv, rows, spec))

@@ -196,6 +196,27 @@ def commensurate_grid(params: PhysicalParams, n_points: int, box_lambdas: float)
     return Grid1D(n_points=n_points, y_min=-0.5 * length, y_max=0.5 * length)
 
 
+def fitted_box_lambdas(params: PhysicalParams, n_points: int) -> float:
+    """The box, in effective wavelengths, fitted to the packet.
+
+    The smallest half-wavelength multiple spanning 6.5 w_y (13 w_y / lambda
+    half-wavelengths), never below DEFAULT_BOX_LAMBDAS: the packet clears
+    init_gaussian's w_y < length/6 guard, and |psi|^2 at the box edge is
+    at most e^-10.6 of its peak. A box of more half-wavelengths than the
+    grid has points fits no order (propagate.order_capacity), so a w_y
+    that needs one is refused before any array is built.
+    """
+    half_periods = 13.0 * params.w_y / effective_wavelength(params)
+    if not half_periods <= n_points:
+        Grid1D(n_points, -0.5, 0.5)  # a grid size Grid1D refuses is named as such
+        raise ParameterError(
+            f"w_y is too wide for the grid: its box of 6.5 w_y spans {0.5 * half_periods:.6g} "
+            f"effective wavelengths 2 pi/(n k_L), and {n_points} grid points hold at most "
+            f"{n_points // 2}"
+        )
+    return max(DEFAULT_BOX_LAMBDAS, 0.5 * math.ceil(half_periods))
+
+
 def numeric_orders(
     params: PhysicalParams, rn: RamanNathParams, grid: Grid1D, q_max: int
 ) -> DiffractionPattern:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .diffraction import (
@@ -37,7 +37,7 @@ from .errors import (
 from .models import RegimeCheck, regime_checks
 from .propagate import DiffractionPattern, check_order_count
 from .serialize import by_order, csv_num
-from .units import PhysicalParams, convert_field, params_to_system
+from .units import ParamFile, PhysicalParams, convert_field, field_dimension
 
 
 # The most points a sweep may hold: a --start/--stop/--num range is
@@ -51,15 +51,18 @@ MAX_SWEEP_POINTS = 2**16
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep: one axis, ordered values, chosen paths (any select_routes
-    selection), and q_max, by default default_q_max over the swept points.
+    """What to sweep: one axis of a parameter file, ordered values, chosen
+    paths (any select_routes selection), and q_max, by default
+    default_q_max over the swept points.
 
-    The values are CGS, as base is; units names the system ('si' or 'cgs')
-    of the parameter file, in which the CSV table and the message of a
-    sweep whose every point failed print them.
+    base is the ParamFile whose axis is swept; a bare PhysicalParams is
+    taken as a CGS file. The values are typed in the file's units, as the
+    CSV table and the message of a sweep whose every point failed print
+    them; point(v) takes each through ParamFile.at, the one rule for a
+    typed value, so a point refused by a range rule names v as typed.
     """
 
-    base: PhysicalParams
+    base: ParamFile | PhysicalParams
     axis: str
     values: tuple[float, ...]
     paths: tuple[str, ...]
@@ -67,16 +70,11 @@ class SweepSpec:
     grid_points: int = DEFAULT_GRID_POINTS
     z_steps: int = DEFAULT_Z_STEPS
     box_lambdas: float = DEFAULT_BOX_LAMBDAS
-    units: str = "cgs"
 
     def __post_init__(self):
-        names = {f.name for f in fields(PhysicalParams)}
-        if self.axis not in names:
-            raise ConfigurationError(
-                f"axis {self.axis!r} is not a parameter field; valid axes: "
-                + ", ".join(sorted(names))
-            )
-        self.shown(0.0)  # refuses units other than 'si' and 'cgs'
+        if isinstance(self.base, PhysicalParams):  # a CGS set is its own typed values
+            object.__setattr__(self, "base", ParamFile(self.base, "cgs"))
+        field_dimension(self.axis)  # refuses an axis that is no parameter field
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ConfigurationError("sweep needs at least one value")
@@ -96,12 +94,8 @@ class SweepSpec:
         check_order_count(self.q_max)  # the table has q_max + 1 columns per route
 
     def point(self, value: float) -> PhysicalParams:
-        """The base parameters with the axis set to value."""
-        return replace(self.base, **{self.axis: value})
-
-    def shown(self, value: float) -> str:
-        """The CSV text of an axis value in the file's units."""
-        return csv_num(convert_field(value, self.axis, "cgs", self.units))
+        """The CGS parameter set with the axis typed as value."""
+        return self.base.at(self.axis, value)
 
 
 # (regime check, CSV column, JSON flag key) of each flag a sweep row reports
@@ -172,7 +166,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
             rows = [f.result() for f in futures]
     if all(r.error is not None for r in rows):
         reasons = "; ".join(
-            f"{spec.axis}={spec.shown(r.value)}: {r.error}" for r in rows
+            f"{spec.axis}={csv_num(r.value)}: {r.error}" for r in rows
         )
         error = SweepGuardError if all(r.guard for r in rows) else SweepError
         raise error(f"every sweep point failed: {reasons}")
@@ -189,9 +183,9 @@ def write_sweep_csv(rows: Sequence[SweepRow], spec: SweepSpec, fh) -> None:
     writer.writerow(header)
     for row in rows:
         if row.error is not None:  # blank between the value and the error
-            writer.writerow([spec.shown(row.value), *[""] * (len(header) - 2), row.error])
+            writer.writerow([csv_num(row.value), *[""] * (len(header) - 2), row.error])
             continue
-        cells = [spec.shown(row.value), csv_num(row.tau)]
+        cells = [csv_num(row.value), csv_num(row.tau)]
         for path in spec.paths:
             cells.extend(csv_num(p) for p in row.patterns[path].folded())
         cells.append(csv_num(row.discrepancy))
@@ -201,26 +195,34 @@ def write_sweep_csv(rows: Sequence[SweepRow], spec: SweepSpec, fh) -> None:
 
 
 def sweep_report(spec: SweepSpec, rows: Sequence[SweepRow]) -> dict:
-    """JSON-shaped report: spec echo, per-point rows, summary."""
+    """JSON-shaped report: spec echo, per-point rows, summary.
+
+    The report is CGS throughout: the base set, and the axis values
+    converted from the file's units as each point converts them.
+    """
+
+    def cgs(value: float) -> float:
+        return convert_field(value, spec.axis, spec.base.units, "cgs")
+
     spec_echo = {
         "axis": spec.axis,
-        "values": list(spec.values),
+        "values": [cgs(v) for v in spec.values],
         "paths": list(spec.paths),
         "q_max": spec.q_max,
         "grid_points": spec.grid_points,
         "z_steps": spec.z_steps,
         "box_lambdas": spec.box_lambdas,
         "base_units": "cgs",
-        "base": params_to_system(spec.base, "cgs"),
+        "base": dict(vars(spec.base.params)),  # field order
     }
     row_dicts = []
     for row in rows:
         if row.error is not None:
-            row_dicts.append({"value": row.value, "error": row.error})
+            row_dicts.append({"value": cgs(row.value), "error": row.error})
             continue
         row_dicts.append(
             {
-                "value": row.value,
+                "value": cgs(row.value),
                 "tau": row.tau,
                 "orders": {path: by_order(row.patterns[path].orders) for path in spec.paths},
                 "discrepancy": row.discrepancy,

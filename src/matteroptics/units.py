@@ -9,8 +9,16 @@ dimension, the factor taking an SI value to CGS; convert_dimension is
 the one converter over it. _FIELDS is the parameter schema: it maps
 each PhysicalParams field, in field order, to its dimension and its
 lower bound (strictly positive, nonnegative, or none). The file's known
-keys, the range rules of PhysicalParams and convert_field's dimension
-lookup all read it; the required keys are the fields without a default.
+keys, the range rules of PhysicalParams and field_dimension all read
+it; the required keys are the fields without a default.
+
+One rule takes every typed value in: its field's range rule reads the
+value as typed, then the value is converted to CGS once. ParamFile
+applies it to a whole file, ParamFile.at to one field (a --density
+override, a sweep point). A ParamFile keeps the values as typed beside
+the CGS set, so an echo of an input prints the number the user wrote
+and nothing converts an input back; only derived outputs go from CGS to
+the file's units.
 
 parse_param_file is memoized on the text and the units override
 (functools.lru_cache, PARAM_MEMO_SIZE entries), so a command that
@@ -37,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .errors import ParameterError
 
@@ -104,14 +112,20 @@ def convert_dimension(value: float, dimension: str, from_system: str, to_system:
     return value * factor if from_system == "si" else value * (1.0 / factor)
 
 
-def convert_field(value: float, name: str, from_system: str, to_system: str) -> float:
-    """Convert one named parameter field between the 'si' and 'cgs' systems."""
+def field_dimension(name: str) -> str:
+    """The dimension of parameter field `name`; ParameterError listing the
+    fields for a name that is none."""
     entry = _FIELDS.get(name)
     if entry is None:
         raise ParameterError(
             f"unknown parameter '{name}'; valid names: " + ", ".join(sorted(_FIELDS))
         )
-    return convert_dimension(value, entry[0], from_system, to_system)
+    return entry[0]
+
+
+def convert_field(value: float, name: str, from_system: str, to_system: str) -> float:
+    """Convert one named parameter field between the 'si' and 'cgs' systems."""
+    return convert_dimension(value, field_dimension(name), from_system, to_system)
 
 
 @dataclass(frozen=True)
@@ -212,17 +226,6 @@ def checked_divisor(value: float, exponent: int, quantity: str) -> float:
     return power
 
 
-def params_to_system(params: PhysicalParams, units: str) -> dict[str, float]:
-    """Express a parameter set in the declared unit system ('si' or 'cgs').
-
-    Used to echo inputs back in reports.
-    """
-    return {
-        f.name: convert_field(getattr(params, f.name), f.name, "cgs", units)
-        for f in fields(PhysicalParams)
-    }
-
-
 # Parameter texts whose parse parse_param_file keeps; a text is a few
 # hundred bytes.
 PARAM_MEMO_SIZE = 16
@@ -230,10 +233,31 @@ PARAM_MEMO_SIZE = 16
 
 @dataclass(frozen=True)
 class ParamFile:
-    """A parsed parameter file: the CGS parameter set plus the declared system."""
+    """A parameter set as typed in `units` ('si' or 'cgs'), and its CGS form.
 
-    params: PhysicalParams
+    typed holds the values as written, each checked by its field's range
+    rule as written; params is typed converted to CGS once, and is the
+    same object as typed for a CGS file. Echoes of an input read typed;
+    the physics reads params.
+    """
+
+    typed: PhysicalParams
     units: str
+    params: PhysicalParams = field(init=False)
+
+    def __post_init__(self):
+        _check_system(self.units)
+        params = self.typed
+        if self.units == "si":
+            params = PhysicalParams(
+                **{n: convert_field(getattr(params, n), n, "si", "cgs") for n in _FIELDS}
+            )
+        object.__setattr__(self, "params", params)
+
+    def at(self, name: str, value: float) -> PhysicalParams:
+        """The CGS set with field `name` typed as `value`, by the one rule:
+        the range rule reads value as typed, then it is converted once."""
+        return ParamFile(replace(self.typed, **{name: value}), self.units).params
 
 
 @functools.lru_cache(maxsize=PARAM_MEMO_SIZE)
@@ -287,9 +311,7 @@ def parse_param_file(text: str, units_override: str | None = None) -> ParamFile:
     if missing:
         raise ParameterError(f"missing required parameters: {', '.join(missing)}")
 
-    if units == "si":
-        raw = {name: convert_field(value, name, "si", "cgs") for name, value in raw.items()}
-    return ParamFile(params=PhysicalParams(**raw), units=units)
+    return ParamFile(PhysicalParams(**raw), units)
 
 
 def read_param_file(path: str, units_override: str | None = None) -> ParamFile:

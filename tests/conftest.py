@@ -12,7 +12,7 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,11 +23,11 @@ from matteroptics import (
     characteristic_volume,
     detuning,
     effective_wavelength,
-    params_to_system,
     propagate,
     serialize,
     units,
 )
+from matteroptics.units import convert_field
 
 settings.register_profile(
     "deterministic",
@@ -97,9 +97,11 @@ def with_wy_lambdas(params: PhysicalParams, n_lambdas: float) -> PhysicalParams:
 
 
 def params_file_text(params: PhysicalParams, units: str = "cgs") -> str:
-    vals = params_to_system(params, units)
+    """A parameter file of the CGS set params, written in units."""
     lines = [f"units = {units}"]
-    lines.extend(f"{k} = {format(v, '.17g')}" for k, v in vals.items())
+    for f in fields(params):
+        value = convert_field(getattr(params, f.name), f.name, "cgs", units)
+        lines.append(f"{f.name} = {format(value, '.17g')}")
     return "\n".join(lines) + "\n"
 
 

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import matteroptics
-from matteroptics import characteristic_volume, cli, propagate
+from matteroptics import characteristic_volume, cli, propagate, units
 from matteroptics.cli import main
 from matteroptics.diffraction import (
     DEFAULT_BOX_LAMBDAS,
@@ -539,7 +539,7 @@ class TestOptics:
 
     def test_density_echo_matches_validity(self, capsys, tmp_path):
         # 1.637e22 / m^3 does not survive a multiply by 1e-6 and a divide
-        # by 1e-6 unchanged; both commands echo through the same converter
+        # by 1e-6 unchanged; both commands echo the value as typed
         path = write_params(tmp_path, make_params(), units="si")
         echoes = {}
         for command in ("optics", "validity"):
@@ -549,7 +549,7 @@ class TestOptics:
             )
             report = json.loads(out)
             echoes[command] = report.get("quantities", report)["density"]
-        assert echoes["optics"] == echoes["validity"]
+        assert echoes["optics"] == echoes["validity"] == 1.637e22
 
     def test_zero_detuning_reports_errors(self, capsys, tmp_path):
         path = write_params(tmp_path, make_params(omega_l=3.198e15))
@@ -669,6 +669,84 @@ class TestInvalidOverrides:
         )
         assert (code, out) == (1, "")
         assert err == f"error: --saturation must be {rule}, got {float(value)!r}\n"
+
+
+def _main(*argv):
+    """(exit code, stdout, stderr) of main(argv), captured without a fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+# The README point written in SI, the numbers a user would type.
+_SI_BASE = {
+    f: convert_field(getattr(make_params(), f), f, "cgs", "si")
+    for f in units._FIELDS
+}
+
+
+class TestTypedInputs:
+    """On an SI file every echo of an input, and every message naming one,
+    gives the double the user typed; the physics reads each converted once."""
+
+    @staticmethod
+    def _write(directory, typed, name="typed.params") -> str:
+        path = directory / name
+        path.write_text(
+            "units = si\n" + "".join(f"{k} = {v!r}\n" for k, v in typed.items()),
+            encoding="utf-8",
+        )
+        return str(path)
+
+    @given(
+        scales=st.fixed_dictionaries(
+            {f: st.floats(0.5, 2.0) for f in ("mass", "dipole", "w_l", "w_y", "v_g")}
+        ),
+        density=st.floats(1e18, 1e22),
+        axis=st.sampled_from(list(units._FIELDS)),
+        factor=st.floats(0.5, 2.0),
+    )
+    def test_echoes_and_messages_carry_the_typed_values(
+        self, tmp_path_factory, scales, density, axis, factor
+    ):
+        typed = {f: v * scales.get(f, 1.0) for f, v in _SI_BASE.items()}
+        directory = tmp_path_factory.mktemp("typed")
+        path = self._write(directory, typed)
+
+        # the optics input block is the file's doubles, bit for bit
+        _, out, _ = _main("optics", "--params", path, "--format", "json")
+        assert {k: float(v).hex() for k, v in json.loads(out)["input"].items()} == {
+            k: float(v).hex() for k, v in typed.items()
+        }
+        # the density echoes are --density as typed
+        for command in ("optics", "validity"):
+            _, out, _ = _main(
+                command, "--params", path, "--format", "json", "--density", repr(density)
+            )
+            report = json.loads(out)
+            assert report.get("quantities", report)["density"] == density
+        # the sweep table's axis and error cells carry the typed value
+        _, out, _ = _main(
+            "sweep", "--params", path, "--axis", "rho_0", f"--values={-density!r},{density!r}",
+            "--paths", "analytic", "--q-max", "1",
+        )
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[1][0] == csv_num(-density) and rows[2][0] == csv_num(density)
+        assert rows[1][-1] == f"rho_0 must be nonnegative, got {-density!r}"
+        # a file's own out-of-range value is named as typed
+        bad = self._write(directory, {**typed, "rho_0": -density}, "bad.params")
+        assert _main("optics", "--params", bad) == (
+            1, "", f"error: rho_0 must be nonnegative, got {-density!r}\n"
+        )
+        # a sweep point is the CGS set with one field converted, on any
+        # axis, omega_l's identity conversion included
+        pf = units.read_param_file(path)
+        value = factor * (typed[axis] or 1.0)
+        spec = SweepSpec(base=pf, axis=axis, values=(value,), paths="analytic", q_max=1)
+        assert spec.point(value) == replace(
+            pf.params, **{axis: convert_field(value, axis, "si", "cgs")}
+        )
 
 
 class TestPacketRange:
@@ -1794,6 +1872,20 @@ class TestHugeInputs:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_packet_no_grid_box_holds_is_refused_before_any_array(self, capsys, tmp_path):
+        # the fitted box of 6.5 w_y: at w_y = 1e300 the grid's y*y would overflow
+        path = self._path(tmp_path, w_y=1e300)
+        code, out, err = run(
+            capsys, "propagate", "--params", path, "--out", str(tmp_path / "r"), "--steps", "8"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: w_y is too wide for the grid: its box of 6.5 w_y spans 1.10351e+305 "
+            "effective wavelengths 2 pi/(n k_L), and 4096 grid points hold at most 2048\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["p.params"]
 
     @pytest.mark.parametrize("module, ceiling, argv, message", [
         ("propagate", "MAX_GRID_POINTS", ("diffract", "--paths", "numeric", "--grid-points", "32"),

@@ -16,6 +16,7 @@ import scipy.special
 
 from matteroptics import diffraction, propagate
 from matteroptics.diffraction import (
+    DEFAULT_BOX_LAMBDAS,
     analytic_orders,
     ROUTES,
     commensurate_grid,
@@ -23,6 +24,7 @@ from matteroptics.diffraction import (
     diffraction_angles,
     effective_wavelength,
     evaluate_routes,
+    fitted_box_lambdas,
     numeric_orders,
     order_spacing,
     pattern_discrepancy,
@@ -318,6 +320,33 @@ class TestCommensurateGrid:
             commensurate_grid(make_params(), 1024, 32.3)
         with pytest.raises(ConfigurationError, match="box_lambdas"):
             commensurate_grid(make_params(), 1024, -4.0)
+
+
+class TestFittedBox:
+    """propagate's default box: the smallest half-wavelength multiple
+    spanning 6.5 w_y, never below the 128-wavelength default."""
+
+    def test_smallest_half_wavelength_multiple_spanning_the_packet(self):
+        p = make_params()  # 13 w_y = 650.01 half-wavelengths
+        assert fitted_box_lambdas(p, 4096) == 325.5
+        assert p.w_y < commensurate_grid(p, 4096, 325.5).length / 6.0
+        assert fitted_box_lambdas(with_wy_lambdas(p, 1.0), 4096) == DEFAULT_BOX_LAMBDAS
+
+    def test_refused_where_the_grid_fits_no_order(self):
+        p = make_params()
+        _, capacity = order_capacity(commensurate_grid(p, 1024, 325.5), order_spacing(p))
+        assert fitted_box_lambdas(p, 1024) == 325.5 and capacity == 0
+        with pytest.raises(ParameterError) as err:
+            fitted_box_lambdas(p, 512)
+        assert str(err.value) == (
+            "w_y is too wide for the grid: its box of 6.5 w_y spans 325.005 effective "
+            "wavelengths 2 pi/(n k_L), and 512 grid points hold at most 256"
+        )
+        with pytest.raises(ParameterError, match=r"^w_y is too wide .* 1\.10351e\+305 "):
+            fitted_box_lambdas(replace(p, w_y=1e300), 4096)
+        # a grid size Grid1D refuses is named as such, not as a w_y too wide for it
+        with pytest.raises(ConfigurationError, match="power of two >= 16, got 100"):
+            fitted_box_lambdas(p, 100)
 
 
 class TestOrderCapacity:

@@ -353,6 +353,71 @@ def test_one_table_holds_the_parameter_schema():
     assert units._REQUIRED_FIELDS == required == set(names) - {"delta_shift"}
 
 
+def backward_conversions(source: str, names: set[str]) -> list[str]:
+    """Calls that may convert an input toward the file's units, as
+    'function (line N)': a convert_field call whose target system is not
+    the literal "cgs", and a convert_dimension call from "cgs" to another
+    system whose value reads a field in `names` (p.rho_0, or a bare rho_0)."""
+    found = []
+
+    def system(call, index, keyword):
+        node = next((k.value for k in call.keywords if k.arg == keyword), None)
+        if node is None and len(call.args) > index:
+            node = call.args[index]
+        return node.value if isinstance(node, ast.Constant) else None
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            to_system = system(node, 3, "to_system")
+            reads_field = bool(node.args) and any(
+                (getattr(n, "attr", None) or getattr(n, "id", None)) in names
+                for n in ast.walk(node.args[0])
+            )
+            if (callee == "convert_field" and to_system != "cgs") or (
+                callee == "convert_dimension" and system(node, 2, "from_system") == "cgs"
+                and to_system != "cgs" and reads_field
+            ):
+                found.append(f"{where} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_backward_conversion_checker():
+    source = (
+        "def typed(v, pf):\n"
+        "    return convert_field(v, 'rho_0', pf.units, 'cgs')\n"
+        "def echo(pf, density):\n"
+        "    return convert_field(density, 'rho_0', 'cgs', pf.units)\n"
+        "def derived(rn, p, pf):\n"
+        "    a = convert_dimension(rn.v0, 'volume', 'cgs', pf.units)\n"
+        "    b = convert_dimension(p.rho_0, 'density', 'cgs', pf.units)\n"
+        "    c = convert_dimension(rho_0 * 2.0, 'density', 'cgs', to_system=pf.units)\n"
+        "    return units.convert_field(p.w_y, 'w_y', from_system='cgs', to_system='si')\n"
+    )
+    assert backward_conversions(source, {"rho_0", "w_y"}) == [
+        "echo (line 4)", "derived (line 7)", "derived (line 8)", "derived (line 9)",
+    ]
+
+
+def test_no_input_is_converted_back():
+    # an echo of an input reads ParamFile.typed, the value as typed; only
+    # derived outputs (v0, alpha, ...) go from CGS to the file's units, so
+    # no lossy round trip can reach a report or a message
+    names = set(units._FIELDS)
+    found = [
+        f"{path.name}: {site}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in backward_conversions(path.read_text(encoding="utf-8"), names)
+    ]
+    assert found == []
+
+
 def test_each_float_format_has_one_owner():
     # CSV's 9 digits and JSON's 17 are serialize's contract; a writer that
     # formats its own floats could drift from it (sign folding, inf, NaN)

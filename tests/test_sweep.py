@@ -20,6 +20,7 @@ from matteroptics.errors import (
 )
 from matteroptics.models import RegimeCheck, raman_nath_params
 from matteroptics.sweep import SweepRow, SweepSpec, run_sweep, sweep_report, write_sweep_csv
+from matteroptics.units import ParamFile, parse_param_file
 
 from conftest import (
     MEMOS,
@@ -48,7 +49,7 @@ def _spec(base, values, paths=("analytic",), **kw):
 
 class TestSweepSpec:
     def test_axis_must_be_a_parameter(self):
-        with pytest.raises(ConfigurationError, match="not a parameter field"):
+        with pytest.raises(ParameterError, match="unknown parameter 'bogus'; valid names"):
             _spec(_blue(), [0.0], axis="bogus")
 
     def test_values_guards(self):
@@ -92,13 +93,15 @@ class TestSweepSpec:
         assert spec.q_max == default_q_max([base], ("analytic",), 4096, 128.0) == 34
 
     def test_units_name_the_files_system(self):
-        # the values stay CGS; the table shows them in the file's units
-        spec = _spec(_blue(), [1e15], axis="rho_0", units="si")
-        assert spec.values == (1e15,) and spec.shown(1e15) == "1e+21"
-        assert _spec(_blue(), [1e15]).shown(1e15) == "1e+15"
-        assert _spec(_blue(), [2.5], axis="w_y", units="si").shown(2.5) == "0.025"
-        with pytest.raises(ParameterError, match="units must be 'si' or 'cgs', got 'mks'"):
-            _spec(_blue(), [0.0], units="mks")
+        # the values stay as typed; each point converts its value once
+        si = parse_param_file(params_file_text(_blue(), "si"))
+        spec = _spec(si, [1e21], axis="rho_0")
+        assert spec.values == (1e21,) and spec.base is si
+        assert spec.point(1e21) == replace(si.params, rho_0=1e21 * 1e-6)
+        assert _spec(si, [2.5], axis="w_y").point(2.5).w_y == 250.0
+        # a bare parameter set is a CGS file
+        assert _spec(_blue(), [1e15]).base == ParamFile(_blue(), "cgs")
+        assert _spec(_blue(), [1e15]).point(1e15) == replace(_blue(), rho_0=1e15)
 
     def test_q_max_guard(self, monkeypatch):
         with pytest.raises(ConfigurationError, match="q_max"):

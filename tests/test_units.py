@@ -20,7 +20,6 @@ from matteroptics.units import (
     convert_dimension,
     convert_field,
     detuning,
-    params_to_system,
     parse_param_file,
     read_param_file,
 )
@@ -122,14 +121,24 @@ def test_detuning_sign_and_shift():
 
 
 def test_si_param_file_matches_field_conversions():
+    # the file's values are kept as typed, and each is converted once
     cgs = make_params()
-    si_values = params_to_system(cgs, "si")
     pf = parse_param_file(params_file_text(cgs, "si"))
     assert pf.units == "si"
-    for name, si_value in si_values.items():
-        got = getattr(pf.params, name)
-        assert got == convert_field(si_value, name, "si", "cgs"), name
+    for name in units._FIELDS:
+        typed, got = getattr(pf.typed, name), getattr(pf.params, name)
+        assert got == convert_field(typed, name, "si", "cgs"), name
         assert got == pytest.approx(getattr(cgs, name), rel=1e-14), name
+
+
+class TestParamFile:
+    def test_a_cgs_file_is_its_own_typed_set(self):
+        pf = parse_param_file(params_file_text(make_params(), "cgs"))
+        assert pf.params is pf.typed
+
+    def test_refuses_a_system_other_than_si_and_cgs(self):
+        with pytest.raises(ParameterError, match="units must be 'si' or 'cgs', got 'mks'"):
+            units.ParamFile(make_params(), "mks")
 
 
 def test_checked_power_names_what_overflows():
@@ -154,18 +163,14 @@ def test_checked_divisor_names_what_underflows():
         checked_divisor(1e300, 2, "w_l")
 
 
-def test_params_to_system_factors():
+def test_convert_field_factors():
     p = make_params()
-    si = params_to_system(p, "si")
-    assert si["mass"] == pytest.approx(p.mass / 1e3, rel=1e-15)
-    assert si["w_y"] == pytest.approx(p.w_y / 1e2, rel=1e-15)
-    assert si["k_l"] == pytest.approx(p.k_l * 1e2, rel=1e-15)
-    assert si["rho_0"] == p.rho_0 * 1e6
-    assert si["harmonic"] == p.harmonic  # dimensionless rides through
-    cgs = params_to_system(p, "cgs")
-    assert cgs["dipole"] == p.dipole
-    with pytest.raises(ParameterError, match="units"):
-        params_to_system(p, "natural")
+    assert convert_field(p.mass, "mass", "cgs", "si") == pytest.approx(p.mass / 1e3, rel=1e-15)
+    assert convert_field(p.w_y, "w_y", "cgs", "si") == pytest.approx(p.w_y / 1e2, rel=1e-15)
+    assert convert_field(p.k_l, "k_l", "cgs", "si") == pytest.approx(p.k_l * 1e2, rel=1e-15)
+    assert convert_field(p.rho_0, "rho_0", "cgs", "si") == p.rho_0 * 1e6
+    assert convert_field(p.harmonic, "harmonic", "cgs", "si") == p.harmonic
+    assert convert_field(p.dipole, "dipole", "cgs", "cgs") == p.dipole
 
 
 def test_convert_field():
