@@ -63,6 +63,7 @@ from .propagate import (
     order_capacity,
     packet_envelope,
     packet_normalization,
+    phase_factor,
     propagate_through_laser,
     standing_wave_pattern,
 )
@@ -239,10 +240,10 @@ def numeric_orders(
     grid, such as a sweep's points or the propagator route beside this
     one, build them once; only phi and what follows are per call.
     """
-    # from 2^14 points numpy runs this product as exp *= envelope; for a
-    # real envelope both operand orders give the same bits on numpy 2.4,
+    # from 2^14 points numpy runs this product as factor *= envelope; for
+    # a real envelope both operand orders give the same bits on numpy 2.4,
     # but an out= rewrite keeps this order, as propagate._settle must
-    psi = packet_envelope(grid, params.w_y) * np.exp(-1j * phase_profile(grid, params, rn))
+    psi = packet_envelope(grid, params.w_y) * phase_factor(phase_profile(grid, params, rn))
     state = WaveState(grid=grid, amplitude=psi, time=0.0)
     return momentum_spectrum(state, order_spacing(params), q_max)
 

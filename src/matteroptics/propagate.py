@@ -50,6 +50,17 @@ phase mask takes the exact integral sqrt(pi) w_L, so for the full model
 the two differ by that quadrature, truncated tails included, and
 nothing else.
 
+Every pure phase factor of the package, exp(-i theta) for a real theta,
+comes from phase_factor: the potential phase of each stretch, the
+kinetic phase and the phase mask of diffraction.numeric_orders. It
+writes cos(theta) and -sin(theta) into one complex array. numpy's
+complex exp of a purely imaginary argument is libm's cexp, which is
+sincos times exp(0) = 1, so the bits are the same, but for a z-step's
+phase, under about 1 rad, cos and sin take half the time: on 2^16
+points a z-step's phase costs about 0.85 ms in a transit, against
+1.62 ms through the complex exp and 4-4.5 ms for the FFT pair (2-core
+Xeon host, numpy 2.4).
+
 The stretch transit differs from step-by-step Strang by roundoff only,
 which grows with the step count: over the four models, kinetic on and
 off, dense and dilute, max|difference| / max|psi| measured at most
@@ -344,6 +355,21 @@ def norm(state: WaveState) -> float:
     return float(np.sum(np.abs(state.amplitude) ** 2)) * state.grid.spacing
 
 
+def phase_factor(theta: np.ndarray) -> np.ndarray:
+    """exp(-i theta) of a real array, as a new complex128 array.
+
+    cos(theta) goes into the real part and -sin(theta) into the imaginary
+    part: the bits of np.exp(-1j * theta), signed zeros included, which
+    goes through libm's cexp and, for a phase under 1 rad, takes about
+    twice as long.
+    """
+    factor = np.empty(theta.shape, np.complex128)
+    np.cos(theta, out=factor.real)
+    np.sin(theta, out=factor.imag)
+    np.negative(factor.imag, out=factor.imag)
+    return factor
+
+
 def _step_invariants(
     grid: Grid1D, dt: float, config: PropagationConfig, params: PhysicalParams
 ):
@@ -356,7 +382,12 @@ def _step_invariants(
     kinetic_phase = None
     if config.kinetic_enabled:
         k = grid.wavenumbers()
-        kinetic_phase = np.exp(-0.5j * HBAR * dt / params.mass * k * k)
+        theta = (0.5 * HBAR * dt / params.mass * k) * k
+        # phase_factor(+0.0) is 1 - 0j, but exp(-0.5j hbar dt k^2/m) taken in
+        # complex arithmetic is 1 + 0j at k = 0; a zero phase taken as -0.0
+        # keeps that sign, and with it the transit's bits
+        theta[theta == 0.0] = -0.0
+        kinetic_phase = phase_factor(theta)
     return pattern, kinetic_phase
 
 
@@ -418,9 +449,9 @@ def _settle(psi: np.ndarray, drive: float, weight: np.ndarray) -> np.ndarray:
     """psi times exp(-i drive weight): the pending potential phase applied."""
     # complex multiply is not bitwise commutative on numpy 2.4: from 2^14
     # points (its 256 KiB temporary-elision threshold) this product runs
-    # as exp *= psi, below it as psi * exp; an out= rewrite must keep
-    # that order at each size, or the transit's bits move
-    return psi * np.exp(-1j * (drive * weight))
+    # as factor *= psi, below it as psi * factor; an out= rewrite must
+    # keep that order at each size, or the transit's bits move
+    return psi * phase_factor(drive * weight)
 
 
 def step(

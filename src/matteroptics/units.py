@@ -237,8 +237,9 @@ class ParamFile:
 
     typed holds the values as written, each checked by its field's range
     rule as written; params is typed converted to CGS once, and is the
-    same object as typed for a CGS file. Echoes of an input read typed;
-    the physics reads params.
+    same object as typed for a CGS file. A finite, nonzero SI value whose
+    conversion overflows or underflows to 0 is refused, named as typed.
+    Echoes of an input read typed; the physics reads params.
     """
 
     typed: PhysicalParams
@@ -249,9 +250,17 @@ class ParamFile:
         _check_system(self.units)
         params = self.typed
         if self.units == "si":
-            params = PhysicalParams(
-                **{n: convert_field(getattr(params, n), n, "si", "cgs") for n in _FIELDS}
-            )
+            cgs = {}
+            for name in _FIELDS:
+                value = getattr(params, name)
+                cgs[name] = convert_field(value, name, "si", "cgs")
+                if value != 0.0 and (cgs[name] == 0.0 or math.isinf(cgs[name])):
+                    change = "underflows to 0" if cgs[name] == 0.0 else "overflows"
+                    raise ParameterError(
+                        f"{name} = {value!r} in an SI file is out of range: "
+                        f"converted to CGS it {change}"
+                    )
+            params = PhysicalParams(**cgs)
         object.__setattr__(self, "params", params)
 
     def at(self, name: str, value: float) -> PhysicalParams:

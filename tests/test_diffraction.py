@@ -201,13 +201,19 @@ class TestSecondMoment:
             assert math.isclose(moment, tau * tau / 2.0, rel_tol=1e-14), tau
 
     @staticmethod
-    def _mask(g0, v0rho, points, box):
+    def _mask(g0, v0rho, points, box, z_steps=None):
+        # the phase mask's (moment, residual), or with z_steps the
+        # kinetic-off propagator's over that many steps
         base = red_detuned(make_params()) if g0 < 0 else make_params()
         p = with_wy_lambdas(with_g0(base, g0), 50.0)
         p = with_v0rho(p, v0rho) if v0rho else p
         grid = commensurate_grid(p, points, box)
         _, capacity = order_capacity(grid, order_spacing(p))
-        moment = _second_moment(numeric_orders(p, raman_nath_params(p), grid, capacity))
+        if z_steps is None:
+            pattern = numeric_orders(p, raman_nath_params(p), grid, capacity)
+        else:
+            pattern = propagator_orders(p, grid, capacity, z_steps)
+        moment = _second_moment(pattern)
         return moment, moment / _profile_second_moment(p) - 1.0
 
     # blue (g0 = 2) on 32768 points and red (g0 = -2) on 65536, both in a
@@ -228,6 +234,17 @@ class TestSecondMoment:
         # enhances it red of it
         steps = np.diff(moments)
         assert all(steps < 0.0) if g0 > 0 else all(steps > 0.0)
+
+    # the propagator integrates the envelope over its window [-4 w_L, 4 w_L]
+    # only, so its tau is erf(4) times the mask's and its residual is the
+    # window's truncation, erf(4)^2 - 1 = -3.08e-8; the trapezoid over 2048
+    # steps adds about -2.6e-12 (read: -2.3e-12 to -3.1e-12 from it)
+    @pytest.mark.parametrize("g0, v0rho, points", [
+        (2.0, 0.125, 32768), (2.0, 0.301, 32768), (-2.0, -0.3, 65536),
+    ])
+    def test_propagator_residual_is_the_windows_truncation(self, g0, v0rho, points):
+        _, residual = self._mask(g0, v0rho, points, 512.0, z_steps=2048)
+        assert residual == pytest.approx(math.erf(4.0) ** 2 - 1.0, abs=1e-11)
 
     def test_a_truncating_box_shows_in_the_residual(self):
         # 128 wavelengths cut the 50-wavelength packet's density profile

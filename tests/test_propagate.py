@@ -27,7 +27,12 @@ from matteroptics.propagate import (
     step,
     write_state_csv,
 )
-from matteroptics.diffraction import commensurate_grid, order_spacing, phase_profile
+from matteroptics.diffraction import (
+    commensurate_grid,
+    numeric_orders,
+    order_spacing,
+    phase_profile,
+)
 from matteroptics.models import ModelKind, effective_potential, raman_nath_params
 from matteroptics.serialize import csv_num
 from matteroptics.units import HBAR, detuning
@@ -830,6 +835,68 @@ class TestHoistedTransitIsBitExact:
         merged = momentum_spectrum(out, order_spacing(p), 7).orders
         unmerged = momentum_spectrum(strang, order_spacing(p), 7).orders
         assert max(abs(merged[q] - unmerged[q]) for q in merged) <= 1e-14
+
+
+def _words(array):
+    """The 64-bit words of a complex128 array: real, imaginary, real, ..."""
+    return np.ascontiguousarray(array, dtype=np.complex128).view(np.uint64)
+
+
+class TestPhaseFactor:
+    """phase_factor's cos and -sin are the bits of the complex exponential
+    each of its callers took before, signed zeros included; on a libm where
+    they are not, these fail."""
+
+    def test_bits_of_the_complex_exponential(self):
+        rng = np.random.default_rng(34)
+        ceiling = propagate.MAX_EXPONENT_PHASE
+        special = np.array([
+            0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.5e-8,
+            math.pi / 4, math.pi / 2, math.pi, 2 * math.pi, 1e6 * math.pi, ceiling,
+        ])
+        magnitudes = np.concatenate([
+            special,
+            10.0 ** rng.uniform(-323.0, math.log10(ceiling), 200_000),
+            rng.uniform(0.0, 1.0, 100_000),  # a z-step's phase
+            rng.uniform(1.0, 64.0, 100_000),  # a mask's phase
+            rng.uniform(0.0, ceiling, 100_000),
+        ])
+        theta = np.concatenate([magnitudes, -magnitudes])
+        assert np.signbit(theta[len(magnitudes)])  # -0.0 is drawn
+        factor = propagate.phase_factor(theta)
+        assert factor.dtype == np.complex128 and factor.shape == theta.shape
+        assert np.array_equal(_words(factor), _words(np.exp(-1j * theta)))
+
+    @pytest.mark.parametrize("n", [2**13, 2**14, 2**16])
+    def test_settle_keeps_the_bits_of_each_operand_order(self, n):
+        # numpy 2.4 runs the product as factor *= psi from 2^14 points,
+        # and complex multiply is not bitwise commutative
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        weight = rng.normal(scale=3e-3, size=n)
+        for drive in (0.5, 17.25, 2048.0):
+            old = psi * np.exp(-1j * (drive * weight))
+            assert np.array_equal(_words(propagate._settle(psi, drive, weight)), _words(old))
+
+    @pytest.mark.parametrize("n, length", [(16, 1e-3), (512, 8.0e-3), (2**16, 0.06)])
+    @pytest.mark.parametrize("dt", [1e-9, 4.0e-6, 1e-3])
+    def test_kinetic_phase_keeps_the_complex_chains_bits(self, n, length, dt):
+        p = make_params()
+        g = _grid(n, length)
+        _, kinetic = propagate._step_invariants(g, dt, PropagationConfig(n_steps=1), p)
+        k = g.wavenumbers()
+        old = np.exp(-0.5j * HBAR * dt / p.mass * k * k)
+        assert np.array_equal(_words(kinetic), _words(old))
+        assert kinetic[0] == 1.0 and not np.signbit(kinetic[0].imag)  # k = 0: 1 + 0j
+
+    def test_mask_keeps_the_bits_of_the_complex_exponential(self):
+        p = with_v0rho(with_wy_lambdas(make_params(), 20.0), 0.3)
+        for points in (4096, 2**14):
+            g = commensurate_grid(p, points, 128.0)
+            rn = raman_nath_params(p)
+            old = propagate.packet_envelope(g, p.w_y) * np.exp(-1j * phase_profile(g, p, rn))
+            expected = momentum_spectrum(WaveState(grid=g, amplitude=old), order_spacing(p), 7)
+            assert numeric_orders(p, rn, g, 7) == expected
 
 
 @pytest.mark.parametrize("k", [1, 3, 24])

@@ -418,6 +418,62 @@ def test_no_input_is_converted_back():
     assert found == []
 
 
+def imaginary_exponentials(source: str) -> list[str]:
+    """Calls of an `exp` (np.exp, cmath.exp, a bare exp) whose argument holds
+    an imaginary literal, as 'function (line N)', outside phase_factor.
+    Module-level code counts as '<module>'."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (
+            isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "exp"
+            and where != "phase_factor"
+            and any(
+                isinstance(n, ast.Constant) and isinstance(n.value, complex)
+                for arg in node.args
+                for n in ast.walk(arg)
+            )
+        ):
+            found.append(f"{where} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_imaginary_exponential_checker():
+    source = (
+        "def phase_factor(theta):\n"
+        "    return np.exp(-1j * theta)\n"
+        "def settle(psi, drive, w):\n"
+        "    return psi * np.exp(-1j * (drive * w))\n"
+        "def kinetic(c, k):\n"
+        "    return cmath.exp(-0.5j * c * k * k) + exp(2j)\n"
+        "def envelope(z):\n"
+        "    return np.exp(-(z * z)) * np.exp(x)\n"
+        "mask = numpy.exp(1j * phi)\n"
+    )
+    assert imaginary_exponentials(source) == [
+        "settle (line 4)", "kinetic (line 6)", "kinetic (line 6)", "<module> (line 9)",
+    ]
+
+
+def test_every_pure_phase_factor_comes_from_phase_factor():
+    # propagate.phase_factor takes exp(-i theta) from cos and sin, with the
+    # bits of the complex exponential in about half its time; a phase taken
+    # through np.exp would pay for libm's cexp again
+    found = [
+        f"{path.name}: {site}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in imaginary_exponentials(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
 def test_each_float_format_has_one_owner():
     # CSV's 9 digits and JSON's 17 are serialize's contract; a writer that
     # formats its own floats could drift from it (sign folding, inf, NaN)

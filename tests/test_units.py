@@ -2,7 +2,7 @@
 
 import math
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -139,6 +139,33 @@ class TestParamFile:
     def test_refuses_a_system_other_than_si_and_cgs(self):
         with pytest.raises(ParameterError, match="units must be 'si' or 'cgs', got 'mks'"):
             units.ParamFile(make_params(), "mks")
+
+    @pytest.mark.parametrize(
+        ("name", "value", "change"),
+        [
+            ("dipole", 1e300, "overflows"),
+            ("w_y", 1e307, "overflows"),
+            ("scattering_length", -1e307, "overflows"),
+            ("rho_0", 1e-320, "underflows to 0"),
+        ],
+    )
+    def test_an_si_value_no_cgs_double_holds_is_named_as_typed(self, name, value, change):
+        # the value passes its range rule as typed, so only the conversion
+        # can refuse it, and it names the number the file holds
+        typed = parse_param_file(params_file_text(make_params(), "si")).typed
+        message = f"{name} = {value!r} in an SI file is out of range: converted to CGS it {change}"
+        with pytest.raises(ParameterError) as err:
+            units.ParamFile(replace(typed, **{name: value}), "si")
+        assert str(err.value) == message
+        # a one-field override (--density, a sweep point) takes the same rule
+        with pytest.raises(ParameterError) as err:
+            units.ParamFile(typed, "si").at(name, value)
+        assert str(err.value) == message
+
+    def test_an_si_zero_or_subnormal_result_is_kept(self):
+        pf = parse_param_file(params_file_text(make_params(), "si"))
+        assert pf.at("rho_0", 0.0).rho_0 == 0.0
+        assert pf.at("mass", 5e-324).mass == 5e-324 * 1e3  # 4.94e-321 g
 
 
 def test_checked_power_names_what_overflows():
