@@ -247,17 +247,16 @@ def steady_state(drive: complex, detuning: float, rates: BlochRates) -> BlochSta
     return BlochState(coherence=r, inversion=w, time=0.0)
 
 
-def local_rabi(
-    drive_mac: complex, params: PhysicalParams, density: float, corrected: bool = True
-) -> complex:
+def local_rabi(drive_mac: complex, params: PhysicalParams, density: float) -> complex:
     """Rabi amplitude seen by an atom inside the medium.
 
     The microscopic field exceeds the macroscopic one by the dipole
     back-action of the surrounding medium, which closes to the factor
-    1/(1 + V0 rho): Omega_loc = Omega_mac / (1 + V0 rho). corrected =
-    False returns the macroscopic drive unchanged (dilute treatment).
+    1/(1 + V0 rho): Omega_loc = Omega_mac / (1 + V0 rho). At density 0
+    (the dilute treatment, and bloch without --density) the macroscopic
+    drive is returned unchanged.
     """
-    if not corrected or density == 0.0:
+    if density == 0.0:
         return complex(drive_mac)
     denom = 1.0 + characteristic_volume(params) * density
     return complex(drive_mac) / check_pole(denom, density, "local-field")

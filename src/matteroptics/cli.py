@@ -6,7 +6,8 @@ One binary, six subcommands:
   validity   pass/fail table of the regime checks
   diffract   diffraction orders via any of the three paths
   propagate  full split-step run with state snapshots
-  bloch      two-level coherence/inversion trajectory
+  bloch      two-level coherence/inversion trajectory, at the local-field
+             drive when --density is given
   sweep      one-axis parameter sweep across the diffraction paths
 
 Every command reads the same flat parameter-file format. Every flag is
@@ -17,7 +18,9 @@ type, choices and min, every required flag given. argparse, built and
 imported only in _parser, reads every other line (a unique prefix,
 --flag=value, "--", -h/--help, --version) and words every usage error.
 Both read "-" then a digit or "." as a value, and a repeated flag keeps
-its last value.
+its last value. A value below its flag's min is a usage error (the
+exact path declines the line and argparse words it), so no command
+checks a least value again.
 
 Each command computes its results once and hands them to _emit, the
 one output path; its docstring states the output contract. Exit codes:
@@ -70,7 +73,7 @@ from .propagate import (
     propagate_through_laser,
     write_state_csv,
 )
-from .serialize import ColumnTable, by_order, csv_num, json_dumps
+from .serialize import ColumnTable, by_order, csv_cell, csv_num, json_dumps
 from .units import ParamFile, convert_dimension, detuning, read_param_file
 
 
@@ -114,7 +117,9 @@ _FLAGS = {
         negatable=True, default=True,
         help="include the kinetic term (disable for the beam-splitter regime)",
     ),
-    "--snapshots": dict(type=int, default=0, help="number of evenly spaced state snapshots"),
+    "--snapshots": dict(
+        type=int, default=0, min=0, help="number of evenly spaced state snapshots"
+    ),
     "--drive-re": dict(type=float, default=0.0, help="Re(Omega), rad/s"),
     "--drive-im": dict(type=float, default=0.0, help="Im(Omega), rad/s"),
     "--detuning": dict(type=float, help="rad/s (default: from the parameter file)"),
@@ -126,15 +131,11 @@ _FLAGS = {
     "--r0-re": dict(type=float, default=0.0, help="initial Re(R)"),
     "--r0-im": dict(type=float, default=0.0, help="initial Im(R)"),
     "bloch --density": dict(type=float, help="medium density for the local-field correction"),
-    "--local-field": dict(
-        negatable=True, default=True,
-        help="apply the local-field drive correction when --density is set",
-    ),
     "--axis": dict(default="rho_0", help="parameter field to sweep"),
     "--values": dict(help="comma-separated axis values in the declared units"),
     "--start": dict(type=float, help="linear range start (with --stop/--num)"),
     "--stop": dict(type=float, help="linear range stop"),
-    "--num": dict(type=int, help="number of points in the linear range"),
+    "--num": dict(type=int, min=1, help="number of points in the linear range"),
 }
 
 # Each command: its help line, then its flags in usage order after the
@@ -156,7 +157,7 @@ _COMMANDS = {
     "bloch": (
         "two-level coherence/inversion trajectory",
         "--drive-re", "--drive-im", "--detuning", "--gamma-l", "--gamma-t", "--dt",
-        "bloch --steps", "--w0", "--r0-re", "--r0-im", "bloch --density", "--local-field",
+        "bloch --steps", "--w0", "--r0-re", "--r0-im", "bloch --density",
     ),
     "sweep": (
         "one-axis sweep across diffraction paths",
@@ -356,13 +357,6 @@ def _csv(*lines: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cell(value) -> str:
-    """One CSV cell: csv_num for a number, empty for None, quoted text."""
-    if isinstance(value, str):
-        return '"' + value.replace('"', '""') + '"'
-    return "" if value is None else csv_num(value)
-
-
 def _captured(write, *data) -> str:
     """The text that write(*data, fh) writes to fh."""
     buf = io.StringIO()
@@ -456,9 +450,9 @@ def cmd_optics(args) -> int:
         lambda: {"units": pf.units, "input": inputs, "quantities": quantities, "errors": errors},
         lambda: _csv(
             "quantity,value,error",
-            *(f"input_{name},{_cell(value)}," for name, value in inputs.items()),
-            *(f"{name},{_cell(value)}," for name, value in quantities.items()),
-            *(f"{name},,{_cell(message)}" for name, message in errors.items()),
+            *(f"input_{name},{csv_cell(value)}," for name, value in inputs.items()),
+            *(f"{name},{csv_cell(value)}," for name, value in quantities.items()),
+            *(f"{name},,{csv_cell(message)}" for name, message in errors.items()),
         ),
     )
     return 2 if errors else 0
@@ -479,7 +473,7 @@ def cmd_validity(args) -> int:
         },
         lambda: _csv(
             "check,value,threshold,ok,error",
-            *(",".join([name, *map(_cell, c)]) for name, c in checks.items()),
+            *(",".join([name, *map(csv_cell, c)]) for name, c in checks.items()),
         ),
     )
     return 0 if all_ok else 2
@@ -533,8 +527,6 @@ def cmd_propagate(args) -> int:
     p = pf.params
     if args.out is None:
         raise ConfigurationError("propagate requires --out PREFIX for its output files")
-    if args.snapshots < 0:
-        raise ConfigurationError(f"--snapshots must be >= 0, got {args.snapshots}")
 
     box = args.box_lambdas
     if box is None:
@@ -544,9 +536,7 @@ def cmd_propagate(args) -> int:
     state = init_gaussian(grid, p.rho_0, p.w_y)
     initial_norm = norm(state)
     if initial_norm == 0.0:  # the drift is relative to it
-        raise ParameterError(
-            f"rho_0 = {p.rho_0!r} is out of range: the packet's norm underflows to 0"
-        )
+        raise ParameterError("rho_0 is out of range: the packet's norm underflows to 0")
 
     model = ModelKind(args.model)
     config = PropagationConfig(n_steps=args.steps, kinetic_enabled=args.kinetic, model=model)
@@ -652,7 +642,7 @@ def cmd_bloch(args) -> int:
         if pf is None:
             raise ParameterError("--density needs --params for the medium constants")
         rho = pf.at("rho_0", args.density).rho_0
-        drive = local_rabi(drive, pf.params, rho, corrected=args.local_field)
+        drive = local_rabi(drive, pf.params, rho)
 
     rates = BlochRates(gamma_l=args.gamma_l, gamma_t=args.gamma_t)
     # the state's own checks cannot name the flags: check each value for
@@ -722,8 +712,6 @@ def cmd_sweep(args) -> int:
             raise ParameterError(f"could not parse --values: {exc}") from None
         flag, count = "--values", len(raw)
     elif args.start is not None and args.stop is not None and args.num is not None:
-        if args.num < 1:
-            raise ParameterError(f"--num must be >= 1, got {args.num}")
         flag, count = "--num", args.num
     else:
         raise ParameterError("sweep needs --values or all of --start/--stop/--num")

@@ -107,8 +107,7 @@ def effective_potential(kind: ModelKind, rabi_sq, density, params: PhysicalParam
                 denom_sq = check_pole(1.0 + v0 * rho, rho, "full-model") ** 2
         except FloatingPointError:
             raise ParameterError(
-                f"rho_0 = {params.rho_0!r} is out of range: the full model's "
-                "(1 + V0 rho)^2 overflows"
+                "rho_0 is out of range: the full model's (1 + V0 rho)^2 overflows"
             ) from None
         out = HBAR * rabi / (4.0 * delta * denom_sq)
     elif kind is ModelKind.GROSS_PITAEVSKII_TYPE:
@@ -155,7 +154,7 @@ def significant_density(params: PhysicalParams) -> SignificantDensity:
     v0 = characteristic_volume(params)
     if v0 == 0.0:
         raise ParameterError(
-            f"dipole = {params.dipole!r} is out of range: V0 underflows to 0, "
+            "dipole is out of range: V0 underflows to 0, "
             "so the significant density 1/|V0| overflows"
         )
     exact = 1.0 / abs(v0)

@@ -41,14 +41,14 @@ Bao, Jin & Markowich, J. Comput. Phys. 187, 2003), and the closing half
 at the end. With it off, |psi| is frozen over the stretch: one density,
 one potential evaluation, one slice sum of E and one complex
 exponential. A transit with no observer is then a single step. Its
-drive and its phase drive * weight are checked for non-finite values
-before the exponential. In both modes each stretch checks, once, at its
-entry density, that the largest phase one exponential takes stays
-within MAX_EXPONENT_PHASE. The sum over E samples keeps a kinetic-free
-transit a z-trapezoid of the envelope over the window; the closed-form
-phase mask takes the exact integral sqrt(pi) w_L, so for the full model
-the two differ by that quadrature, truncated tails included, and
-nothing else.
+phase drive * weight is checked for non-finite values before the
+exponential, which also refuses a non-finite drive. In both modes each
+stretch checks, once, at its entry density, that the largest phase one
+exponential takes stays within MAX_EXPONENT_PHASE. The sum over E
+samples keeps a kinetic-free transit a z-trapezoid of the envelope over
+the window; the closed-form phase mask takes the exact integral
+sqrt(pi) w_L, so for the full model the two differ by that quadrature,
+truncated tails included, and nothing else.
 
 Every pure phase factor of the package, exp(-i theta) for a real theta,
 comes from phase_factor: the potential phase of each stretch, the
@@ -116,7 +116,7 @@ from .units import HBAR, PhysicalParams, checked_divisor, checked_power
 # stretch runs longer unscanned; every real state is scanned for
 # non-finite values. With it off there is no such interval: |psi| is
 # frozen, a stretch costs one exponential however long it is, and its
-# drive and phase are checked before that.
+# phase is checked before that.
 _FINITE_CHECK_INTERVAL = 64
 
 # The fewest grid cells the packet's width w_y may span. At 4 cells its
@@ -321,7 +321,7 @@ def packet_envelope(grid: Grid1D, w_y: float) -> np.ndarray:
     """
     width_sq = 2.0 * w_y * w_y
     if width_sq == 0.0:
-        raise ParameterError(f"w_y = {w_y!r} is out of range: its square underflows to 0")
+        raise ParameterError("w_y is out of range: its square underflows to 0")
     cells = w_y / grid.spacing
     if not cells >= MIN_PACKET_CELLS:
         raise ConfigurationError(
@@ -410,10 +410,11 @@ def _weight(
     Given a drive (a kinetic-off stretch's whole sum, or a kinetic-on
     stretch's largest per-z-step drive), the largest phase that one
     exponential of the stretch takes, drive * max|weight|, is checked
-    here, before it: a non-finite one is a NumericsError, reported here
-    and not only by the scan of the state after it, and one past
-    MAX_EXPONENT_PHASE, which no double resolves, a ParameterError that
-    names rho_0 and the model.
+    here, before it: a non-finite one (a non-finite drive gives one) is
+    a NumericsError, reported here and not only by the scan of the state
+    after it, and one past MAX_EXPONENT_PHASE, which no double resolves,
+    a ParameterError that names the model and the inputs the phase
+    grows with.
     """
     density = (psi.real**2 + psi.imag**2) * packet_normalization(params.rho_0)[1]
     rho_hi = float(np.max(density))
@@ -438,9 +439,10 @@ def _weight(
             )
         if abs(phase) > MAX_EXPONENT_PHASE:
             raise ParameterError(
-                f"rho_0 = {params.rho_0!r} is out of range for the {config.model.value} "
-                f"model: a potential phase of {phase:.3g} rad in one exponential exceeds "
-                f"the {MAX_EXPONENT_PHASE:.0e} rad a double resolves"
+                f"out of range for the {config.model.value} model: a potential phase of "
+                f"{phase:.3g} rad in one exponential exceeds the {MAX_EXPONENT_PHASE:.0e} rad "
+                "a double resolves; it grows as rabi_peak^2 w_l / (|detuning| v_g), and "
+                "with rho_0 through the model's density factor"
             )
     return weight
 
@@ -531,14 +533,15 @@ def propagate_through_laser(
     real state over the stretch to the next, in both modes. Each real
     state is scanned for non-finite values, then `observer` is called
     with (step_index, state), in order; it never sees a non-finite
-    state. With the kinetic term off, a stretch's drive is checked here
-    and its phase in _weight, both before its one exponential. The real
-    states, not the observer, decide the arithmetic: the same
-    observe_steps give the same bits with or without an observer. A
-    NumericsError leaves with last_good = (step_index, state), the last
-    real state that passed the scan, or (0, the entry state); with the
-    kinetic term off that is the last observed state before the failing
-    stretch, or the entry state.
+    state. With the kinetic term off, _weight checks a stretch's phase,
+    and with it its drive, before its one exponential. The real states,
+    not the observer, decide the arithmetic: the same observe_steps give
+    the same bits with or without an observer. A NumericsError leaves
+    with last_good = (step_index, state), the last real state that
+    passed the scan, or (0, the entry state); with the kinetic term off
+    that is the last observed state before the failing stretch, or the
+    entry state, and a stretch that fails before its exponential sets
+    the error's step to the stretch's last step.
     """
     last = config.n_steps
     observed = {operator.index(i) for i in observe_steps}  # TypeError for a non-integer
@@ -548,10 +551,7 @@ def propagate_through_laser(
     z_half = 4.0 * params.w_l
     duration = 2.0 * z_half / params.v_g
     if not math.isfinite(duration):  # before any envelope sample
-        raise ParameterError(
-            f"v_g = {params.v_g!r} is out of range: the transit time 8 w_L / v_g "
-            f"overflows at w_L = {params.w_l!r}"
-        )
+        raise ParameterError("v_g is out of range: the transit time 8 w_L / v_g overflows")
     dt = duration / last
     invariants = _step_invariants(state.grid, dt, config, params)
     t_entry = -z_half / params.v_g
@@ -566,15 +566,6 @@ def propagate_through_laser(
     try:
         for index in sorted(real):
             stretch = envelope[start : index + 1]
-            if not config.kinetic_enabled and not math.isfinite(float(np.sum(stretch))):
-                # the stretch's phases go into one exponential: check its
-                # drive before it, not only the state after it
-                raise NumericsError(
-                    f"non-finite laser drive over steps {start + 1}..{index} "
-                    f"(from t = {working.time!r} s, z = {params.v_g * working.time!r} cm)",
-                    step=index,
-                    time=working.time,
-                )
             working = step(working, dt, config, params, invariants, envelope=stretch)
             start = index
             if not np.all(np.isfinite(working.amplitude.view(np.float64))):
@@ -588,6 +579,8 @@ def propagate_through_laser(
             if observer is not None:
                 observer(index, working)
     except NumericsError as exc:
+        if exc.step is None and not config.kinetic_enabled:
+            exc.step = index  # a kinetic-off stretch fails as a whole, before its exponential
         exc.last_good = last_good
         raise
     return WaveState._unchecked(working.grid, working.amplitude, state.time + duration)

@@ -71,6 +71,14 @@ def csv_num(x: float) -> str:
     return format(x, ".9g")
 
 
+def csv_cell(value) -> str:
+    """One CSV cell of any kind: csv_num for a number or a bool, empty for
+    None, and text always quoted, its quotes doubled."""
+    if isinstance(value, str):
+        return '"' + value.replace('"', '""') + '"'
+    return "" if value is None else csv_num(value)
+
+
 def by_order(values: dict[int, float]) -> dict[str, float]:
     """A q-keyed mapping in JSON form: string keys, q ascending."""
     return {str(q): values[q] for q in sorted(values)}

@@ -13,7 +13,6 @@ byte-identical regardless of thread count.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from .errors import (
 )
 from .models import RegimeCheck, regime_checks
 from .propagate import DiffractionPattern, check_order_count
-from .serialize import by_order, csv_num
+from .serialize import by_order, csv_cell, csv_num
 from .units import ParamFile, PhysicalParams, convert_field, field_dimension
 
 
@@ -175,23 +174,21 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
 
 def write_sweep_csv(rows: Sequence[SweepRow], spec: SweepSpec, fh) -> None:
     """Flattened rows: axis value, tau, per-path folded orders, checks."""
-    writer = csv.writer(fh, lineterminator="\n")
     header = [spec.axis, "tau"]
     for path in spec.paths:
         header.extend(f"{path}_P_{q}" for q in range(spec.q_max + 1))
     header.extend(["discrepancy", *(column for _, column, _ in _FLAGS), "error"])
-    writer.writerow(header)
+    table = [header]
     for row in rows:
         if row.error is not None:  # blank between the value and the error
-            writer.writerow([csv_num(row.value), *[""] * (len(header) - 2), row.error])
-            continue
-        cells = [csv_num(row.value), csv_num(row.tau)]
-        for path in spec.paths:
-            cells.extend(csv_num(p) for p in row.patterns[path].folded())
-        cells.append(csv_num(row.discrepancy))
-        cells.extend("true" if ok else "false" for ok in row.flags())
-        cells.append("")
-        writer.writerow(cells)
+            cells = [csv_num(row.value), *[""] * (len(header) - 2), csv_cell(row.error)]
+        else:
+            cells = [csv_num(row.value), csv_num(row.tau)]
+            for path in spec.paths:
+                cells.extend(csv_num(p) for p in row.patterns[path].folded())
+            cells.extend([csv_num(row.discrepancy), *map(csv_num, row.flags()), ""])
+        table.append(cells)
+    fh.write("".join(",".join(cells) + "\n" for cells in table))
 
 
 def sweep_report(spec: SweepSpec, rows: Sequence[SweepRow]) -> dict:

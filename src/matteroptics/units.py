@@ -89,8 +89,6 @@ _FIELDS: dict[str, tuple[str, str | None]] = {
     "w_y": ("length", "positive"),
     "delta_shift": ("frequency", None),
 }
-_POSITIVE_FIELDS = tuple(name for name, (_, bound) in _FIELDS.items() if bound == "positive")
-_NONNEGATIVE_FIELDS = tuple(n for n, (_, bound) in _FIELDS.items() if bound == "nonnegative")
 
 
 def _check_system(units: str) -> None:
@@ -168,22 +166,16 @@ class PhysicalParams:
     delta_shift: float = 0.0
 
     def __post_init__(self):
-        for name in _FIELDS:
+        for name, (_, bound) in _FIELDS.items():
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ParameterError(f"{name} must be a real number, got {v!r}")
             if not math.isfinite(v):
                 raise ParameterError(f"{name} must be finite, got {v!r}")
-        for name in _POSITIVE_FIELDS:
-            if getattr(self, name) <= 0.0:
-                raise ParameterError(
-                    f"{name} must be strictly positive, got {getattr(self, name)!r}"
-                )
-        for name in _NONNEGATIVE_FIELDS:
-            if getattr(self, name) < 0.0:
-                raise ParameterError(
-                    f"{name} must be nonnegative, got {getattr(self, name)!r}"
-                )
+            if bound == "positive" and v <= 0.0:
+                raise ParameterError(f"{name} must be strictly positive, got {v!r}")
+            if bound == "nonnegative" and v < 0.0:
+                raise ParameterError(f"{name} must be nonnegative, got {v!r}")
 
 
 # The parameter file's required keys: the fields without a default.
@@ -205,14 +197,14 @@ def checked_power(value: float, exponent: int, quantity: str) -> float:
     A float power beyond the double range raises OverflowError, where a
     product would give inf; an array power gives inf and never raises.
     The power is not rewritten as a product, which can differ from it in
-    the last bit.
+    the last bit. The message names the quantity and the rule, not the
+    value: a CGS value is not the number an SI file holds.
     """
     try:
         return value**exponent
     except OverflowError:
-        raise ParameterError(
-            f"{quantity} = {value!r} is out of range: its power {exponent} overflows"
-        ) from None
+        message = f"{quantity} is out of range: its power {exponent} overflows"
+        raise ParameterError(message) from None
 
 
 def checked_divisor(value: float, exponent: int, quantity: str) -> float:
@@ -220,9 +212,7 @@ def checked_divisor(value: float, exponent: int, quantity: str) -> float:
     naming `quantity` also where the power underflows to 0."""
     power = checked_power(value, exponent, quantity)
     if power == 0.0:
-        raise ParameterError(
-            f"{quantity} = {value!r} is out of range: its power {exponent} underflows to 0"
-        )
+        raise ParameterError(f"{quantity} is out of range: its power {exponent} underflows to 0")
     return power
 
 

@@ -357,7 +357,8 @@ class TestLocalRabi:
     def test_dilute_and_uncorrected_passthrough(self):
         p = make_params()
         assert local_rabi(0.3 + 0.4j, p, 0.0) == 0.3 + 0.4j
-        assert local_rabi(0.3 + 0.4j, p, 1.0e14, corrected=False) == 0.3 + 0.4j
+        # a density of 0 is the uncorrected drive, returned as a complex
+        assert type(local_rabi(2.0, p, 0.0)) is complex
 
     def test_screening_factor(self):
         p = with_v0rho(make_params(), 0.5)

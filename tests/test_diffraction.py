@@ -235,6 +235,23 @@ class TestSecondMoment:
         steps = np.diff(moments)
         assert all(steps < 0.0) if g0 > 0 else all(steps > 0.0)
 
+    # criterion 04's points, which it reads off the series' tau and P_0:
+    # on the converged grid the mask's second moment falls blue of
+    # resonance (g0 = 1, V0 rho_0 from 0 to 1) and rises red of it
+    # (g0 = -0.25, V0 rho_0 from 0 to -0.45) at every step, by 0.02 or
+    # more. Residuals read up to -2.2e-12 blue and 3.3e-11 red (at -0.45),
+    # the same on twice the points or twice the box
+    @pytest.mark.parametrize("g0, last, count", [(1.0, 1.0, 11), (-0.25, -0.45, 10)])
+    def test_mask_moment_is_monotone_at_criterion_04s_points(self, g0, last, count):
+        moments = []
+        for v0rho in np.linspace(0.0, last, count):
+            moment, residual = self._mask(g0, float(v0rho), 32768, 512.0)
+            assert abs(residual) < 1e-10, v0rho
+            moments.append(moment)
+        assert moments[0] == pytest.approx(2.0 * g0 * g0, rel=1e-14)  # (2 g0)^2 / 2
+        steps = np.diff(moments)
+        assert all(steps < 0.0) if g0 > 0 else all(steps > 0.0)
+
     # the propagator integrates the envelope over its window [-4 w_L, 4 w_L]
     # only, so its tau is erf(4) times the mask's and its residual is the
     # window's truncation, erf(4)^2 - 1 = -3.08e-8; the trapezoid over 2048

@@ -32,20 +32,20 @@ def test_model_kind_names():
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: characteristic_volume(make_params(dipole=1e300)), "dipole = 1e\\+300 "),
-    (lambda: raman_nath_params(make_params(rabi_peak=1e300)), "rabi_peak = 1e\\+300 "),
-    (lambda: RamanNathParams(v0=1.0, g0=1.0, rho_0=1e200), "1 \\+ V0 rho_0 = 1e\\+200 "),
-    (lambda: significant_density(make_params(k_l=1e300)), "k_l = 1e\\+300 .* power 3 "),
+    (lambda: characteristic_volume(make_params(dipole=1e300)), "^dipole is out of range: "),
+    (lambda: raman_nath_params(make_params(rabi_peak=1e300)), "^rabi_peak is out of range: "),
+    (lambda: RamanNathParams(v0=1.0, g0=1.0, rho_0=1e200), "^1 \\+ V0 rho_0 is out of range: "),
+    (lambda: significant_density(make_params(k_l=1e300)), "^k_l is out of range: its power 3 "),
     (
         lambda: effective_potential(
             ModelKind.GROSS_PITAEVSKII_TYPE, 1.0, 0.0, make_params(dipole=1e300)
         ),
-        "dipole = 1e\\+300 ",
+        "^dipole is out of range: its power 2 overflows$",
     ),
     (lambda: raman_nath_params(make_params(w_l=1e300)), "tau = .* not finite: g0 = inf"),
     (
         lambda: significant_density(make_params(dipole=1e-300)),
-        "^dipole = 1e-300 is out of range: V0 underflows to 0, so the significant "
+        "^dipole is out of range: V0 underflows to 0, so the significant "
         "density 1/\\|V0\\| overflows$",
     ),
 ])
@@ -63,7 +63,7 @@ def test_the_full_models_overflow_is_a_parameter_error_naming_rho_0(density):
     params = make_params(rho_0=1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        message = r"^rho_0 = 1e\+300 is out of range: the full model's \(1 \+ V0 rho\)\^2"
+        message = r"^rho_0 is out of range: the full model's \(1 \+ V0 rho\)\^2"
         with pytest.raises(ParameterError, match=message + " overflows$"):
             effective_potential(ModelKind.FULL, 1.0, density, params)
         # a density whose square is finite is untouched
@@ -74,7 +74,7 @@ def test_regime_checks_report_an_overflow_as_an_error_entry():
     checks = regime_checks(make_params(dipole=1e300), 0.0, saturation=1.0)
     for name in ("adiabatic_ratio", "pole_distance"):
         assert checks[name].value is None and not checks[name].ok
-        assert checks[name].error == "dipole = 1e+300 is out of range: its power 2 overflows"
+        assert checks[name].error == "dipole is out of range: its power 2 overflows"
     assert checks["packet_broadness"].ok
 
 

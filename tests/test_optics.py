@@ -124,7 +124,7 @@ def test_local_field_closes_to_screening_factor():
     ),
 ])
 def test_an_overflowing_square_is_a_parameter_error(call, match):
-    with pytest.raises(ParameterError, match=f"^{match} = .* its power 2 overflows$"):
+    with pytest.raises(ParameterError, match=f"^{match} is out of range: its power 2 overflows$"):
         call()
 
 
@@ -173,8 +173,7 @@ def test_an_underflowing_default_saturation_names_its_ratio():
     ratio = 1e-300 / detuning(make_params())
     with pytest.raises(
         ParameterError,
-        match=rf"^rabi_peak / detuning = {re.escape(repr(ratio))} is out of range: "
-        r"its power 2 underflows to 0$",
+        match=r"^rabi_peak / detuning is out of range: its power 2 underflows to 0$",
     ):
         contact_interaction_bound(None, make_params(rabi_peak=1e-300))
     assert contact_interaction_bound(ratio, make_params()) > 0.0  # as --saturation it is fine

@@ -70,8 +70,9 @@ def test_each_entry_point_loads_only_what_it_uses(params_file, tmp_path):
     assert stdlib == []
     names, stdlib = sweep
     assert "matteroptics.sweep" in names
-    # one worker runs in the calling thread: no pool, so no threading or logging
-    assert stdlib == ["csv"]
+    # one worker runs in the calling thread: no pool, so no threading or
+    # logging; serialize.csv_cell writes the table, so no csv module
+    assert stdlib == []
     # argparse reads only the lines the exact path declines, so a line
     # of whole flags never pays its import; -h shows the probe can see it
     assert len(commands) == 4

@@ -113,28 +113,29 @@ def test_an_extreme_field_ends_every_example_with_an_exit_code(field, value, tmp
 # column, exit 2.
 _TINY = {
     ("w_l", "1e-300"): (
-        "propagate", 1, "error: w_l = 1e-300 is out of range: its power 2 underflows to 0"
+        "propagate", 1, "error: w_l is out of range: its power 2 underflows to 0"
     ),
-    ("dipole", "1e-300"): ("optics", 2, '"dipole = 1e-300 is out of range: V0 underflows to 0'),
+    ("dipole", "1e-300"): ("optics", 2, '"dipole is out of range: V0 underflows to 0'),
     ("w_y", "1e-300"): (
-        "propagate", 1, "error: w_y = 1e-300 is out of range: its square underflows to 0"
+        "propagate", 1, "error: w_y is out of range: its square underflows to 0"
     ),
     ("v_g", "1e-300"): (
         "diffract", 1, "orders needed at tau = 1.7751062741615415e+302 (q_max = 3)"
     ),
     ("omega_a", "5e-324"): ("optics", 2, '"a_s k_a underflows to 0: scattering_length = '),
     ("v_g", "5e-324"): (
-        "propagate", 1, "error: v_g = 5e-324 is out of range: the transit time 8 w_L / v_g "
-        "overflows"
+        "propagate", 1, "error: v_g is out of range: the transit time 8 w_L / v_g overflows"
     ),
-    ("rabi_peak", "1e-300"): ("optics", 2, '"rabi_peak / detuning = 1.59'),
+    ("rabi_peak", "1e-300"): (
+        "optics", 2, '"rabi_peak / detuning is out of range: its power 2 underflows to 0'
+    ),
     # the standing-wave period outgrows the box, and its grid's cells the packet
     ("k_l", "1e-300"): ("propagate", 1, "error: packet too narrow for the grid: w_y = 0.0029452"),
     ("harmonic", "1e-300"): (
         "propagate", 1, "error: packet too narrow for the grid: w_y = 0.0029452"
     ),
     ("rho_0", "5e-324"): (
-        "propagate", 1, "error: rho_0 = 5e-324 is out of range: the packet's norm underflows"
+        "propagate", 1, "error: rho_0 is out of range: the packet's norm underflows to 0"
     ),
 }
 
@@ -155,10 +156,25 @@ def test_a_tiny_field_ends_every_example_without_a_warning(field, value, tmp_pat
     assert seen == [expected_code]
 
 
-def _main_on_the_readme_file(argv, tmp_path, monkeypatch, **fields):
+def _si_copy(ini):
+    """The README's CGS file written in SI: each value converted once."""
+
+    def line(m):
+        key, value = m[1], m[2]
+        if key == "units":
+            return "units = si"
+        return f"{key} = {units.convert_field(float(value), key, 'cgs', 'si')!r}"
+
+    return re.sub(r"^(\w+) = (.*)$", line, ini, flags=re.M)
+
+
+def _main_on_the_readme_file(argv, tmp_path, monkeypatch, si=False, **fields):
     """(exit code, stdout, stderr) of main(argv) beside the README's file,
-    with `fields` set in it; a numpy warning is a traceback here."""
+    or its SI copy, with `fields` set in it as typed; a numpy warning is a
+    traceback here."""
     (ini,) = _blocks("ini")
+    if si:
+        ini = _si_copy(ini)
     for field, value in fields.items():
         ini = re.sub(rf"^{field} = .*$", f"{field} = {value}", ini, flags=re.M)
     (tmp_path / "sodium.params").write_text(ini, encoding="utf-8")
@@ -171,6 +187,32 @@ def _main_on_the_readme_file(argv, tmp_path, monkeypatch, **fields):
     return code, out.getvalue(), err.getvalue()
 
 
+# A field typed in an SI file that passes its range rule and its
+# conversion, but whose CGS value overflows or underflows further on: the
+# message names the field and the rule, never the converted number.
+_SI_REFUSALS = {
+    "dipole": ("1e160", "diffract", "dipole is out of range: its power 2 overflows"),
+    "w_l": ("1e-300", "propagate", "w_l is out of range: its power 2 underflows to 0"),
+    "w_y": ("1e-300", "propagate", "w_y is out of range: its square underflows to 0"),
+    "rho_0": (
+        "1e300", "propagate", "rho_0 is out of range: the full model's (1 + V0 rho)^2 overflows"
+    ),
+}
+
+
+@pytest.mark.parametrize("field", list(_SI_REFUSALS))
+def test_an_si_refusal_prints_no_converted_number(field, tmp_path, monkeypatch):
+    value, command, message = _SI_REFUSALS[field]
+    argv, base = _PROBES[command]
+    base = {k: repr(units.convert_field(float(v), k, "cgs", "si")) for k, v in base.items()}
+    code, out, err = _main_on_the_readme_file(
+        argv, tmp_path, monkeypatch, si=True, **{**base, field: value}
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    # the conversion moves the number, so a message that printed one would show it
+    assert units.convert_field(float(value), field, "si", "cgs") != float(value)
+
+
 @pytest.mark.parametrize("kinetic", ["--kinetic", "--no-kinetic"])
 def test_a_huge_density_is_refused_by_the_full_model(kinetic, tmp_path, monkeypatch):
     # at rho_0 = 1e300, (1 + V0 rho)^2 overflows: the potential would be
@@ -181,7 +223,7 @@ def test_a_huge_density_is_refused_by_the_full_model(kinetic, tmp_path, monkeypa
     ], tmp_path, monkeypatch, rho_0="1e300")
     assert (code, out) == (1, "")
     assert err == (
-        "error: rho_0 = 1e+300 is out of range: the full model's (1 + V0 rho)^2 overflows\n"
+        "error: rho_0 is out of range: the full model's (1 + V0 rho)^2 overflows\n"
     )
     assert list(tmp_path.glob("dense*")) == []
 
@@ -197,10 +239,34 @@ def test_a_huge_density_is_refused_by_the_gp_model(kinetic, phase, tmp_path, mon
     ], tmp_path, monkeypatch, rho_0="1e300")
     assert (code, out) == (1, "")
     assert err == (
-        f"error: rho_0 = 1e+300 is out of range for the gp model: a potential phase of "
-        f"{phase} rad in one exponential exceeds the 4e+09 rad a double resolves\n"
+        f"error: out of range for the gp model: a potential phase of {phase} rad in one "
+        "exponential exceeds the 4e+09 rad a double resolves; it grows as rabi_peak^2 w_l / "
+        "(|detuning| v_g), and with rho_0 through the model's density factor\n"
     )
     assert list(tmp_path.glob("dense*")) == []
+
+
+@pytest.mark.parametrize("argv, fields, phase", [
+    (["propagate", "--no-kinetic", "--out", "slow"], {"v_g": "1e-8"}, "8e+10"),
+    (["diffract", "--paths", "propagator"], {"v_g": "1e-8"}, "8e+10"),
+    (["propagate", "--no-kinetic", "--out", "slow"], {"rabi_peak": "1e13"}, "1.41e+11"),
+])
+def test_a_phase_past_the_ceiling_names_what_it_grows_with(
+    argv, fields, phase, tmp_path, monkeypatch
+):
+    # the README point is dilute (rho_0 = 0): a slow beam or a strong drive
+    # makes the phase, so the message names the beam and the drive, and
+    # rho_0 only through the model's factor
+    code, out, err = _main_on_the_readme_file(
+        [*argv, "--params", "sodium.params"], tmp_path, monkeypatch, **fields
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: out of range for the full model: a potential phase of {phase} rad in one "
+        "exponential exceeds the 4e+09 rad a double resolves; it grows as rabi_peak^2 w_l / "
+        "(|detuning| v_g), and with rho_0 through the model's density factor\n"
+    )
+    assert list(tmp_path.glob("slow*")) == []
 
 
 @pytest.mark.parametrize("kinetic", ["--kinetic", "--no-kinetic"])

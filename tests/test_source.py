@@ -6,13 +6,14 @@ import importlib
 import inspect
 import pkgutil
 import re
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
 
 import matteroptics
 from matteroptics import units
+from matteroptics.errors import ParameterError
 
 from conftest import MEMOS, argparse_kwargs
 
@@ -347,8 +348,17 @@ def test_one_table_holds_the_parameter_schema():
     assert {dim for dim, _ in units._FIELDS.values()} <= set(units._SI_TO_CGS)
     bounds = {name: bound for name, (_, bound) in units._FIELDS.items()}
     assert set(bounds.values()) == {"positive", "nonnegative", None}
-    assert units._POSITIVE_FIELDS == tuple(n for n in names if bounds[n] == "positive")
-    assert units._NONNEGATIVE_FIELDS == tuple(n for n in names if bounds[n] == "nonnegative")
+    # PhysicalParams' range rules read the bound column itself: each field
+    # alone at 0 and at -1 is refused exactly where its bound says
+    ok = units.PhysicalParams(**{name: 1.0 for name in names})
+    for name, bound in bounds.items():
+        for value, refused in ((0.0, bound == "positive"), (-1.0, bound is not None)):
+            try:
+                replace(ok, **{name: value})
+            except ParameterError as exc:
+                assert refused and str(exc).startswith(f"{name} must be "), (name, value)
+            else:
+                assert not refused, (name, value)
     required = {f.name for f in fields(units.PhysicalParams) if f.default is MISSING}
     assert units._REQUIRED_FIELDS == required == set(names) - {"delta_shift"}
 
@@ -484,6 +494,52 @@ def test_each_float_format_has_one_owner():
         if literal in path.read_text(encoding="utf-8")
     }
     assert owners == {(".17g", "serialize.py"), (".9g", "serialize.py")}
+
+
+def csv_text_cell_sites(source: str) -> list[str]:
+    """Where a module writes CSV text cells its own way, as 'what (line N)':
+    an import of the csv module, or a quote doubled by .replace('"', '""')."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+            sites.append(f"import csv (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            sites.append(f"import csv (line {node.lineno})")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "replace"
+            and [getattr(a, "value", None) for a in node.args] == ['"', '""']
+        ):
+            sites.append(f"quote doubling (line {node.lineno})")
+    return sites
+
+
+def test_csv_text_cell_checker():
+    source = (
+        "import csv\n"
+        "from csv import writer\n"
+        "import io, csv as c\n"
+        "cell = '\"' + text.replace('\"', '\"\"') + '\"'\n"
+        "other = text.replace('a', 'b')\n"
+        "import csvkit\n"
+    )
+    assert csv_text_cell_sites(source) == [
+        "import csv (line 1)", "import csv (line 2)", "import csv (line 3)",
+        "quote doubling (line 4)",
+    ]
+
+
+def test_each_csv_text_cell_has_one_owner():
+    # serialize.csv_cell is the one rule for a text cell (always quoted,
+    # its quotes doubled); a writer with its own quoting, or the csv
+    # module's quote-when-needed, would give the same text two spellings
+    owners = {
+        path.name: [site.split(" (")[0] for site in sites]
+        for path in PACKAGE.glob("*.py")
+        if (sites := csv_text_cell_sites(path.read_text(encoding="utf-8")))
+    }
+    assert owners == {"serialize.py": ["quote doubling"]}
 
 
 def test_every_memo_of_the_package_is_listed():

@@ -140,8 +140,7 @@ class TestRunSweep:
         rows = run_sweep(_spec(_blue(), [0.0, 1.0e200]))
         assert rows[0].error is None and rows[0].valid()
         assert rows[0].tau == raman_nath_params(_blue()).tau
-        assert rows[1].error.startswith("1 + V0 rho_0 = ")
-        assert rows[1].error.endswith("is out of range: its power 2 overflows")
+        assert rows[1].error == "1 + V0 rho_0 is out of range: its power 2 overflows"
         assert not rows[1].guard
 
     def test_all_points_failing_raises(self):

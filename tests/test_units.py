@@ -173,7 +173,7 @@ def test_checked_power_names_what_overflows():
     assert checked_power(-2.0, 3, "x") == -8.0
     with pytest.raises(ParameterError) as err:
         checked_power(1e300, 2, "dipole")
-    assert str(err.value) == "dipole = 1e+300 is out of range: its power 2 overflows"
+    assert str(err.value) == "dipole is out of range: its power 2 overflows"
     with np.errstate(over="ignore"):  # an array power gives inf and does not raise
         assert checked_power(np.array([1e300]), 2, "dipole")[0] == math.inf
 
@@ -185,7 +185,7 @@ def test_checked_divisor_names_what_underflows():
         assert checked_divisor(value, 2, "w_l") == checked_power(value, 2, "w_l")
     with pytest.raises(ParameterError) as err:
         checked_divisor(1e-300, 2, "w_l")
-    assert str(err.value) == "w_l = 1e-300 is out of range: its power 2 underflows to 0"
+    assert str(err.value) == "w_l is out of range: its power 2 underflows to 0"
     with pytest.raises(ParameterError, match="overflows"):
         checked_divisor(1e300, 2, "w_l")
 
