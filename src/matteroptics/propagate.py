@@ -78,11 +78,13 @@ The arrays that depend on the grid and a scalar or two, not on the
 density, are memoized per key (functools.lru_cache, GRID_MEMO_SIZE
 entries each): the Gaussians exp(-y^2/width_sq) of the packet envelope
 and of the phase mask's density profile, the standing wave's pattern
-cos^2(n k_L y), and momentum_spectrum's mode-to-order bins. The keys are
-the frozen Grid1D and hashable scalars, so equal grids built apart share
-an entry, and a sweep point, a repeated diffract run or the other grid
-route on the same grid reads the arrays the first one built. The grid
-positions themselves are not kept: only these helpers' misses read them.
+cos^2(n k_L y), momentum_spectrum's mode-to-order bins, and
+position_words, the snapshot's y_cm column as serialize's cell words.
+The keys are the frozen Grid1D and hashable scalars, so equal grids
+built apart share an entry, and a sweep point, a repeated diffract run,
+the other grid route or the next snapshot on the same grid reads the
+arrays the first one built. The grid positions themselves are not kept:
+only these helpers' misses read them.
 Every entry is read-only, so no caller can change what another reads;
 lru_cache is thread-safe, so sweep workers share entries too.
 
@@ -107,7 +109,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericsError, ParameterError
 from .models import ModelKind, effective_potential
 from .optics import check_adiabatic
-from .serialize import write_float_table
+from .serialize import float_column_words, write_float_table
 from .units import HBAR, PhysicalParams, checked_divisor, checked_power
 
 
@@ -126,9 +128,10 @@ _FINITE_CHECK_INTERVAL = 64
 MIN_PACKET_CELLS = 4
 
 # Entries each memoized grid helper keeps (see the module docstring). An
-# entry on the routes' default 4096-point grid is 32 KiB; a sweep along
-# an axis that changes the key (w_y, k_l, harmonic) misses at every
-# point and holds at most this many.
+# entry on the routes' default 4096-point grid is 32 KiB, and 96 KiB for
+# position_words, which holds 24 B a point (1.5 MiB at 2^16 points); a
+# sweep along an axis that changes the key (w_y, k_l, harmonic) misses
+# at every point and holds at most this many.
 GRID_MEMO_SIZE = 8
 
 # The largest potential phase, in rad, that one exponential may take. A
@@ -214,6 +217,13 @@ def standing_wave_pattern(grid: Grid1D, nk: float) -> np.ndarray:
     """cos^2(nk y) on the grid, nk = n k_L: the standing wave's transverse
     pattern P, memoized per key and read-only."""
     return _read_only(np.cos(nk * grid.points()) ** 2)
+
+
+@functools.lru_cache(maxsize=GRID_MEMO_SIZE)
+def position_words(grid: Grid1D) -> np.ndarray:
+    """The grid's points as serialize.float_column_words lays them out:
+    write_state_csv's y_cm column, memoized per grid and read-only."""
+    return _read_only(float_column_words(grid.points()))
 
 
 @dataclass
@@ -317,16 +327,16 @@ def packet_envelope(grid: Grid1D, w_y: float) -> np.ndarray:
     ParameterError where 2 w_y^2 underflows to 0 and would divide the
     exponent by zero; ConfigurationError where w_y spans fewer than
     MIN_PACKET_CELLS grid cells, which the grid cannot resolve. Both are
-    decided before any sample is taken.
+    decided before any sample is taken, and name w_y and the rule but no
+    number, which on an SI file would be the converted one.
     """
     width_sq = 2.0 * w_y * w_y
     if width_sq == 0.0:
         raise ParameterError("w_y is out of range: its square underflows to 0")
-    cells = w_y / grid.spacing
-    if not cells >= MIN_PACKET_CELLS:
+    if not w_y / grid.spacing >= MIN_PACKET_CELLS:
         raise ConfigurationError(
-            f"packet too narrow for the grid: w_y = {w_y!r} cm spans {cells:.3g} cells "
-            f"of {grid.spacing:.3g} cm; need at least {MIN_PACKET_CELLS}"
+            "packet too narrow for the grid: w_y spans too few of its cells; "
+            f"need at least {MIN_PACKET_CELLS}"
         )
     return gaussian_profile(grid, width_sq)
 
@@ -343,8 +353,7 @@ def init_gaussian(grid: Grid1D, rho0: float, w_y: float) -> WaveState:
         raise ConfigurationError(f"w_y must be positive, got {w_y!r}")
     if not w_y < grid.length / 6.0:
         raise ConfigurationError(
-            f"packet too wide for the grid: w_y = {w_y!r} but the grid "
-            f"spans {grid.length!r}; need w_y < length/6"
+            "packet too wide for the grid: w_y spans too much of its length; need w_y < length/6"
         )
     peak, _ = packet_normalization(rho0)
     return WaveState(grid=grid, amplitude=peak * packet_envelope(grid, w_y), time=0.0)
@@ -410,11 +419,12 @@ def _weight(
     Given a drive (a kinetic-off stretch's whole sum, or a kinetic-on
     stretch's largest per-z-step drive), the largest phase that one
     exponential of the stretch takes, drive * max|weight|, is checked
-    here, before it: a non-finite one (a non-finite drive gives one) is
-    a NumericsError, reported here and not only by the scan of the state
-    after it, and one past MAX_EXPONENT_PHASE, which no double resolves,
-    a ParameterError that names the model and the inputs the phase
-    grows with.
+    here, before it. A NaN phase or a non-finite drive is a
+    NumericsError, reported here and not only by the scan of the state
+    after it. A phase past MAX_EXPONENT_PHASE, which no double resolves,
+    is a ParameterError that names the model and the inputs the phase
+    grows with; so is an infinite one from a finite density and drive,
+    where dt V / hbar or its product with the drive overflows.
     """
     density = (psi.real**2 + psi.imag**2) * packet_normalization(params.rho_0)[1]
     rho_hi = float(np.max(density))
@@ -431,7 +441,7 @@ def _weight(
     weight = effective_potential(config.model, pattern, density, params) * (dt / HBAR)
     if drive is not None:
         phase = float(drive * np.max(np.abs(weight)))
-        if not math.isfinite(phase):
+        if not math.isfinite(drive) or math.isnan(phase):
             raise NumericsError(
                 f"non-finite potential phase {phase!r} over the stretch from "
                 f"t = {t!r} s (z = {params.v_g * t!r} cm)",
@@ -726,10 +736,11 @@ def write_state_csv(state: WaveState, rho_0: float, fh) -> None:
     The density is packet_normalization's for a packet of peak density
     rho_0: |psi|^2, or 0 for the dilute tracer. Cells follow
     serialize.write_float_table; NaN raises ValueError before anything
-    is written.
+    is written. y_cm, the grid's points, is the same column in every
+    snapshot on a grid, so its cells are formatted once per grid: they
+    are position_words' memoized words, written as the first column.
     """
     amp = state.amplitude
     density = np.abs(amp) ** 2 * packet_normalization(rho_0)[1]
-    write_float_table(
-        "y_cm,re_psi,im_psi,density", (state.grid.points(), amp.real, amp.imag, density), fh
-    )
+    columns = (amp.real, amp.imag, density)
+    write_float_table("y_cm,re_psi,im_psi,density", columns, fh, position_words(state.grid))

@@ -22,17 +22,17 @@ time. A cell x with decimal exponent X (from log10, clipped) becomes the
 integer mantissa round(|x| 10^(8-X)) of 9 digits d0..d8; the scaling is
 one multiply or divide by an exact power of ten (10^0 to 10^22, enough
 for 1e-14 <= |x| < 1e30), so it is correctly rounded and off by at most
-2^-24 < 6e-8. The digits d1..d8 go to ASCII at once by SWAR arithmetic
-in one uint64 (two 4-digit lanes, then four 2-digit lanes, then bytes),
-and each cell is laid out as four 8-byte words padded with NULs: sign,
-lead zeros and d0; the digits before an interior dot; the dot and the
-digits after it, trailing zeros cut by a table of 4-digit halves; the
-exponent and the separator. Removing the NULs leaves the row text. A
-cell whose rounding the scaled value cannot settle falls back to "%.9g"
-alone, in its place: a scaled value within 2.5e-7 of a half-integer
-(over four times the scaling error), or within 1 of 1e8 or 1e9 (which
-also catches an exponent that log10 got wrong), |x| outside
-[1e-14, 1e30), and the infinities. Zero is the kernel's own.
+2^-24 < 6e-8. The digits d1..d8 go to ASCII through two tables of the
+10^4 four-digit numbers, and each cell becomes three NUL-padded 8-byte
+words (see _cell_words): 24 bytes, which hold the longest cell, 16 bytes
+and its separator. Removing the NULs leaves the row text. A cell whose
+rounding the scaled value cannot settle falls back to "%.9g" alone, in
+its place: a scaled value within 2.5e-7 of a half-integer (over four
+times the scaling error), or within 1 of 1e8 or 1e9 (which also catches
+an exponent that log10 got wrong), |x| outside [1e-14, 1e30), and the
+infinities. Zero is the kernel's own. A column shared by many tables,
+such as a snapshot's positions, can be laid out once, by
+float_column_words.
 """
 
 from __future__ import annotations
@@ -90,15 +90,21 @@ def _words(*byte_strings: bytes) -> np.ndarray:
     return np.array([int.from_bytes(b, "little") for b in byte_strings], dtype=np.uint64)
 
 
+def _u(x: int) -> np.uint64:
+    # numpy 1.x promotes uint64 with a Python or int64 integer to float64
+    return np.uint64(x)
+
+
 def _cell_tables():
     """The tables of write_float_table's kernel.
 
     A cell's row r is its decimal exponent X = r - 15 clipped to
     [-15, 29]; row 0 holds zero (and cells below 1e-14, which fall
     back). _BEFORE and _EXPONENT are indexed by r; _WORD0, _AFTER and
-    _WORD2 by 9 r + s, s the count of significant digits after d0.
+    _DOT by 9 r + s, s the count of significant digits after d0;
+    _TRAILING_ZEROS and the digit tables by a 4-digit number.
     """
-    mul, div, before, word0, after, word2, exponent = [], [], [], [], [], [], []
+    mul, div, before, word0, after, dot_at, exponent = [], [], [], [], [], [], []
     for x in range(-15, 30):
         zero = x == -15
         mul.append(1.0 if zero else 10.0 ** max(8 - x, 0))
@@ -106,33 +112,42 @@ def _cell_tables():
         fixed = zero or -4 <= x <= 8
         split = x if 1 <= x <= 8 else 0  # d1..d<split> go before the dot
         before.append(b"\xff" * split)
-        exponent.append(b"" if fixed else b"e%+03d" % x)
+        exponent.append(b"" if fixed else b"\0e%+03d" % x)
         for sig in range(9):
             dot = sig > split
             # word 0: bytes 1-5 the lead of 0.000ddd, byte 7 the dot after d0
             lead = b"\0" + b"0." + b"0" * (-x - 1) if fixed and x < 0 and not zero else b""
             word0.append(lead or (b"\0" * 7 + b"." if dot and (x == 0 or not fixed) else b""))
             after.append(b"\0" * split + b"\xff" * (sig - split))
-            word2.append(b"\0" * (split - 1) + b"." if dot and split else b"")
-    tz4 = sum((np.arange(10_000) % 10**d == 0).astype(np.int8) for d in range(1, 5))
-    words = (_words(*t) for t in (before, word0, after, word2, exponent))
-    return (np.array(mul), np.array(div), tz4, *words)
+            dot_at.append(b"\0" * split + b"." if dot and split else b"")
+    # n = 1000 i + 100 j + 10 k + l on a (10, 10, 10, 10) grid, with no
+    # division: its trailing zeros, and the ASCII of its digits, i in byte 0
+    z = (np.arange(10) == 0).astype(np.int8)
+    tz4 = z * (1 + z[:, None] * (1 + z[:, None, None] * (1 + z[:, None, None, None])))
+    c = np.arange(ord("0"), ord("9") + 1, dtype=np.uint64)
+    kl = c[:, None] << _u(16) | c << _u(24)
+    digits = (c[:, None, None, None] | c[:, None, None] << _u(8) | kl).ravel()
+    words = (_words(*t) for t in (before, word0, after, dot_at, exponent))
+    return (np.array(mul), np.array(div), tz4.ravel(), digits, digits << _u(32), *words)
 
 
-# 10^(8 - X) as a factor and a divisor, one of them 1; the trailing zeros
-# of a 4-digit number (4 for 0); and the word tables (see _cell_words)
-_MUL, _DIV, _TRAILING_ZEROS, _BEFORE, _WORD0, _AFTER, _WORD2, _EXPONENT = _cell_tables()
+# 10^(8 - X) as a factor and a divisor, one of them 1; a 4-digit number's
+# trailing zeros (4 for 0) and digits, in a word's low or high half; and
+# the word tables (see _cell_words)
+(_MUL, _DIV, _TRAILING_ZEROS, _DIGITS_LO, _DIGITS_HI,
+ _BEFORE, _WORD0, _AFTER, _DOT, _EXPONENT) = _cell_tables()
 
 
-def _u(x: int) -> np.uint64:
-    # numpy 1.x promotes uint64 with a Python or int64 integer to float64
-    return np.uint64(x)
+def _cell_words(x: np.ndarray, words: np.ndarray, last: bytes = b"\n") -> np.ndarray:
+    """Fill words (rows, columns, 3) with the cells of x (rows, columns);
+    return the flat indices of the cells that "%.9g" filled.
 
-
-def _cell_words(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The text of each cell of x (rows, columns) as four NUL-padded words,
-    with ',' or, in the last column, '\\n' after it, and the flat indices
-    of the cells whose words are left for "%.9g" to fill."""
+    Word 0 holds the sign, the lead of 0.000ddd, d0 and the dot after d0;
+    word 1 d1..d<split>, an interior dot, then the digits after it; word 2
+    the ninth digit, the exponent and the separator, ',' or, in the last
+    column, `last`. The longest cell, a negative "%.9g" with a three-digit
+    exponent such as -1.23456789e-100, is 16 bytes and its separator.
+    """
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):  # log10(0); casts of inf
         row = np.clip(np.floor(np.log10(a)), -15.0, 29.0).astype(np.intp) + 15
@@ -145,46 +160,55 @@ def _cell_words(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # significant digits after d0: 8 less the trailing zeros of d1..d8
     sig = 8 - _TRAILING_ZEROS.take(lo) - (lo == 0) * _TRAILING_ZEROS.take(hi)
     at = row * 9 + sig
-    # SWAR: 4+4 digits in two 32-bit lanes, then 2-digit 16-bit lanes, then bytes
-    v = hi.view(np.uint64) | lo.view(np.uint64) << _u(32)
-    q = (v * _u(5243)) >> _u(19) & _u(0x0000007F0000007F)  # v // 100 in each lane
-    v = q | (v - q * _u(100)) << _u(16)
-    q = (v * _u(103)) >> _u(10) & _u(0x000F000F000F000F)  # v // 10 in each lane
-    digits = q | (v - q * _u(10)) << _u(8) | _u(0x3030303030303030)
-    words = np.empty(x.shape + (4,), dtype=np.uint64)
+    digits = _DIGITS_LO.take(hi) | _DIGITS_HI.take(lo)  # d1..d8 in bytes 0..7
+    after = digits & _AFTER.take(at)
     sign_d0 = (x < 0) * _u(ord("-")) | (d0.view(np.uint64) | _u(ord("0"))) << _u(48)
     words[..., 0] = _WORD0.take(at) | sign_d0
-    words[..., 1] = digits & _BEFORE.take(row)
-    words[..., 2] = digits & _AFTER.take(at) | _WORD2.take(at)
-    seps = _words(*[b"\0" * 7 + b","] * (x.shape[1] - 1), b"\0" * 7 + b"\n")
-    words[..., 3] = _EXPONENT.take(row) | seps
-    return words, np.flatnonzero(~(safe | (a == 0.0)))
+    words[..., 1] = digits & _BEFORE.take(row) | _DOT.take(at) | after << _u(8)
+    seps = _words(*[b"\0" * 7 + b","] * (x.shape[1] - 1), b"\0" * 7 + last)
+    words[..., 2] = after >> _u(56) | _EXPONENT.take(row) | seps
+    fallback = np.flatnonzero(~(safe | (a == 0.0)))
+    if fallback.size:
+        texts = ["%.9g" % v for v in x.ravel()[fallback].tolist()]
+        cells = np.unravel_index(fallback, x.shape)
+        words[cells + (slice(0, 2),)] = np.array(texts, dtype="S16").view("<u8").reshape(-1, 2)
+        words[cells + (2,)] &= _u(0xFF << 56)  # the separator alone
+    return fallback
 
 
-def write_float_table(header: str, columns: Sequence[np.ndarray], fh) -> None:
+def float_column_words(column: np.ndarray) -> np.ndarray:
+    """The words (rows, 3) of a float64 column without NaN, with ',' after
+    each cell: write_float_table's preformatted first column."""
+    words = np.empty((len(column), 1, 3), dtype=np.uint64)
+    for lo in range(0, len(column), _CSV_BLOCK_ROWS):
+        block = slice(lo, lo + _CSV_BLOCK_ROWS)
+        _cell_words(column[block, None], words[block], b",")
+    return words[:, 0]
+
+
+def write_float_table(header: str, columns: Sequence[np.ndarray], fh, first=None) -> None:
     """Write a header line, then one CSV row per index of the float64 columns.
 
     Cells read exactly as csv_num writes them: 9 significant digits,
     -0.0 as 0, infinities as inf/-inf; NaN raises ValueError before
     anything is written. Each block of _CSV_BLOCK_ROWS rows is formatted
-    by the numpy kernel of _cell_words (see the module docstring); a
-    cell within 2.5e-7 of a rounding tie after scaling, within 1 of the
-    mantissa's ends 1e8 and 1e9, outside [1e-14, 1e30) or infinite is
-    formatted by "%.9g" alone, in its place.
+    by the numpy kernel of _cell_words, and a cell it cannot round safely
+    by "%.9g" alone (see the module docstring). `first`, the words of a
+    column from float_column_words, is written before `columns`.
     """
     if any(np.isnan(c).any() for c in columns):
         raise ValueError("NaN is not serializable")
     fh.write(header + "\n")
+    lead = 0 if first is None else 1
+    words = np.empty((min(len(columns[0]), _CSV_BLOCK_ROWS), lead + len(columns), 3), np.uint64)
     for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         hi = lo + _CSV_BLOCK_ROWS
         x = np.stack([c[lo:hi] for c in columns], axis=1)
-        words, fallback = _cell_words(x)
-        if fallback.size:
-            texts = ["%.9g" % v for v in x.ravel()[fallback].tolist()]
-            cells = words.reshape(-1, 4)
-            cells[fallback, :3] = np.array(texts, dtype="S24").view("<u8").reshape(-1, 3)
-            cells[fallback, 3] &= _u(0xFF << 56)  # the separator alone
-        fh.write(words.astype("<u8", copy=False).tobytes().translate(None, b"\0").decode("ascii"))
+        block = words[: len(x)]
+        if lead:
+            block[:, 0] = first[lo:hi]
+        _cell_words(x, block[:, lead:])
+        fh.write(block.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _json_float(x: float) -> str:

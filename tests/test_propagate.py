@@ -13,7 +13,7 @@ from matteroptics.errors import (
     ParameterError,
     PhysicsGuardError,
 )
-from matteroptics import propagate
+from matteroptics import propagate, serialize
 from matteroptics.propagate import (
     Grid1D,
     PropagationConfig,
@@ -541,6 +541,46 @@ class TestPropagateThroughLaser:
         ):
             self._ceiling_run(kinetic)
 
+    @pytest.mark.parametrize("kinetic", [True, False])
+    def test_an_overflowing_phase_is_an_input_out_of_range(self, kinetic):
+        # at v_g = 1e-300 a transit's dt is about 1e296 s and dt V / hbar
+        # overflows to inf: the phase of a finite density and drive is the
+        # input's, not a numerics failure
+        p = make_params(v_g=1e-300)
+        state = init_gaussian(_grid(256, 8.0 * p.w_l), 0.0, p.w_l)
+        cfg = PropagationConfig(n_steps=16, kinetic_enabled=kinetic)
+        with pytest.raises(
+            ParameterError,
+            match=r"^out of range for the full model: a potential phase of inf rad in one "
+            r"exponential exceeds the 4e\+09 rad a double resolves; it grows as rabi_peak\^2 ",
+        ):
+            propagate_through_laser(state, cfg, p)
+
+    @pytest.mark.parametrize("poison", ["inf drive", "nan weight"])
+    def test_a_poisoned_phase_stays_a_numerics_failure(self, monkeypatch, poison):
+        # an infinite drive (its phase is inf too) or a NaN in the weight
+        # of a finite drive is the numerics', refused before the exponential
+        if poison == "inf drive":
+            real_envelope = propagate._envelope
+
+            def envelope(params, z):
+                return np.where(z > 0.0, math.inf, real_envelope(params, z))
+
+            monkeypatch.setattr(propagate, "_envelope", envelope)
+        else:
+            real_potential = propagate.effective_potential
+
+            def potential(*args):
+                # NaN where the pattern args[1] is near its peak
+                return np.where(args[1] > 0.9, math.nan, real_potential(*args))
+
+            monkeypatch.setattr(propagate, "effective_potential", potential)
+        settled = spy_settle(monkeypatch)
+        with pytest.raises(NumericsError, match=r"^non-finite potential phase (inf|nan) ") as err:
+            self._ceiling_run(False, observe={16, 32})
+        assert err.value.step == (64 if poison == "inf drive" else 16)
+        assert len(settled) == (2 if poison == "inf drive" else 0)
+
     def test_the_ceiling_keeps_a_phase_resolved_to_a_microradian(self):
         ceiling = propagate.MAX_EXPONENT_PHASE
         assert np.spacing(ceiling) < 1e-6 < np.spacing(1e3 * ceiling)
@@ -1040,6 +1080,7 @@ class TestGridMemo:
     def test_each_cache_holds_the_named_number_of_entries(self):
         # GRID_MEMOS, which the tests clear, lists every cache of the module
         assert {f for f in vars(propagate).values() if hasattr(f, "cache_info")} == set(GRID_MEMOS)
+        assert propagate.position_words in GRID_MEMOS
         for memo in GRID_MEMOS:
             assert memo.cache_parameters()["maxsize"] == propagate.GRID_MEMO_SIZE, memo
 
@@ -1075,6 +1116,36 @@ def test_write_state_csv_shape():
     cells = lines[1].split(",")
     assert len(cells) == 4
     assert float(cells[0]) == -0.5
+
+
+@pytest.mark.parametrize(
+    "n, y_min, y_max",
+    # dyadic points; points of 9 or more digits; and quarters about 1.2e7,
+    # whose decimal ties fall back to "%.9g" inside the memo
+    [(64, -0.5, 0.5), (4096, -0.0123456789, 0.0123456789), (256, 12345600.0, 12345664.0)],
+)
+def test_write_state_csv_formats_y_once_per_grid(n, y_min, y_max, monkeypatch):
+    # the memoized y_cm column gives the bytes of the column formatted with
+    # the others, is read-only, and equal grids built apart share it
+    propagate.position_words.cache_clear()
+    monkeypatch.setattr("matteroptics.serialize._CSV_BLOCK_ROWS", 100)  # blocks of both kinds
+    g = Grid1D(n_points=n, y_min=y_min, y_max=y_max)
+    rng = np.random.default_rng(n)
+    s = WaveState(grid=g, amplitude=rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    buf = io.StringIO()
+    write_state_csv(s, 1.0, buf)
+    amp, y = s.amplitude, g.points()
+    unmemoized = io.StringIO()
+    columns = (y, amp.real, amp.imag, np.abs(amp) ** 2)
+    serialize.write_float_table("y_cm,re_psi,im_psi,density", columns, unmemoized)
+    assert buf.getvalue() == unmemoized.getvalue()
+    words = propagate.position_words(g)
+    assert not words.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        words[0, 0] = 0
+    assert propagate.position_words(Grid1D(n_points=n, y_min=y_min, y_max=y_max)) is words
+    write_state_csv(WaveState(grid=Grid1D(n, y_min, y_max), amplitude=amp), 1.0, io.StringIO())
+    assert propagate.position_words.cache_info().misses == 1
 
 
 def _per_row_csv(state, params):

@@ -107,6 +107,9 @@ def test_an_extreme_field_ends_every_example_with_an_exit_code(field, value, tmp
             pass
 
 
+_NARROW = "packet too narrow for the grid: w_y spans too few of its cells; need at least 4"
+_WIDE = "packet too wide for the grid: w_y spans too much of its length; need w_y < length/6"
+
 # How a field at a tiny value ends the example that divides by it, or by
 # a power or product of it that underflows to 0: (command, exit code,
 # text the message holds). optics reports its failures in the errors
@@ -130,10 +133,8 @@ _TINY = {
         "optics", 2, '"rabi_peak / detuning is out of range: its power 2 underflows to 0'
     ),
     # the standing-wave period outgrows the box, and its grid's cells the packet
-    ("k_l", "1e-300"): ("propagate", 1, "error: packet too narrow for the grid: w_y = 0.0029452"),
-    ("harmonic", "1e-300"): (
-        "propagate", 1, "error: packet too narrow for the grid: w_y = 0.0029452"
-    ),
+    ("k_l", "1e-300"): ("propagate", 1, f"error: {_NARROW}"),
+    ("harmonic", "1e-300"): ("propagate", 1, f"error: {_NARROW}"),
     ("rho_0", "5e-324"): (
         "propagate", 1, "error: rho_0 is out of range: the packet's norm underflows to 0"
     ),
@@ -200,6 +201,22 @@ _SI_REFUSALS = {
 }
 
 
+@pytest.mark.parametrize(
+    "fields, message", [({"w_y": "1.0"}, _WIDE), ({"k_l": "1e-300"}, _NARROW)]
+)
+def test_an_si_grid_fit_refusal_prints_no_converted_number(
+    fields, message, tmp_path, monkeypatch
+):
+    # the grid's length and cells are CGS numbers; the message names w_y
+    # and the rule, so an SI file sees no converted number
+    code, out, err = _main_on_the_readme_file([
+        "propagate", "--params", "sodium.params", "--grid-points", "4096",
+        "--box-lambdas", "128", "--out", "wide",
+    ], tmp_path, monkeypatch, si=True, **fields)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert list(tmp_path.glob("wide*")) == []
+
+
 @pytest.mark.parametrize("field", list(_SI_REFUSALS))
 def test_an_si_refusal_prints_no_converted_number(field, tmp_path, monkeypatch):
     value, command, message = _SI_REFUSALS[field]
@@ -250,6 +267,10 @@ def test_a_huge_density_is_refused_by_the_gp_model(kinetic, phase, tmp_path, mon
     (["propagate", "--no-kinetic", "--out", "slow"], {"v_g": "1e-8"}, "8e+10"),
     (["diffract", "--paths", "propagator"], {"v_g": "1e-8"}, "8e+10"),
     (["propagate", "--no-kinetic", "--out", "slow"], {"rabi_peak": "1e13"}, "1.41e+11"),
+    # so slow a beam that the weight dt V / hbar itself overflows
+    (["propagate", "--no-kinetic", "--out", "slow"], {"v_g": "1e-300"}, "inf"),
+    (["propagate", "--kinetic", "--out", "slow"], {"v_g": "1e-300"}, "inf"),
+    (["diffract", "--paths", "propagator"], {"v_g": "1e-300"}, "inf"),
 ])
 def test_a_phase_past_the_ceiling_names_what_it_grows_with(
     argv, fields, phase, tmp_path, monkeypatch

@@ -282,11 +282,17 @@ def _per_cell_table(header: str, columns) -> str:
 
 # Finite doubles of any bit pattern, ±inf, and the cells at the kernel's
 # edges: exact and near decimal ties, rounding up to 1e9, the switch from
-# fixed to exponent notation, the ends of the once-scaled range [1e-14, 1e30).
+# fixed to exponent notation, the ends of the once-scaled range [1e-14, 1e30);
+# an interior dot with eight digits after d0, whose ninth byte is in the
+# cell's last word; one cell at each decimal exponent the kernel takes; and
+# the longest cells, a "%.9g" fallback with a three-digit exponent.
 EDGES = [
     12345678.25, -0.09990234375, 999999999.5, 999999999.4, 9.9999999949e-5,
     9.99999999951e-5, 1e-4, 5e-324, 1.7976931348623157e308, 1e-14, 1e30,
     *np.nextafter([1e-14, 1e-14, 1e30, 1e30], [0.0, 1.0, 0.0, math.inf]).tolist(),
+    12.3456789, -1234567.89,
+    *(1.23456789 * 10.0**e for e in range(-15, 30)),
+    -1.23456789e-100, -1e100,
 ]
 CELLS = st.one_of(
     st.floats(allow_nan=False),
@@ -327,13 +333,36 @@ class TestFloatTable:
                   1e-4, 1e-14, 1e30, 9.9e-15, 1e300, 5e-324, math.inf, -math.inf]
         safe = [0.0, -0.0, 1.5e-14, 0.123456789, -1.5, 2.5e-5, 123456789.4, 9.9999999e29]
         x = np.array([unsafe + safe])
-        _, fallback = serialize._cell_words(x)
+        fallback = serialize._cell_words(x, np.empty(x.shape + (3,), np.uint64))
         assert fallback.tolist() == list(range(len(unsafe)))
         rng = np.random.default_rng(3)
         shape = (2048, 4)
         sign = rng.choice([-1.0, 1.0], shape)
         x = sign * rng.uniform(1.0, 9.9, shape) * 10.0 ** rng.integers(-14, 30, shape)
-        assert serialize._cell_words(x)[1].size == 0
+        assert serialize._cell_words(x, np.empty(shape + (3,), np.uint64)).size == 0
+
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    def test_the_longest_cells_in_every_column(self, width):
+        # 16 bytes and a separator: the most that a cell's three words hold
+        longest = [-1.23456789e-100, -1e100, -4.94065646e-324, 1.23456789e-100]
+        for column in range(width):
+            columns = [np.full(len(longest), 0.5) for _ in range(width)]
+            columns[column] = np.array(longest)
+            buf = io.StringIO()
+            serialize.write_float_table("t", columns, buf)
+            assert buf.getvalue() == _per_cell_table("t", columns)
+            assert max(map(len, buf.getvalue().replace("\n", ",").split(","))) == 16
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 2048])
+    def test_a_preformatted_first_column(self, block_rows, monkeypatch):
+        # float_column_words' words as the first column give the bytes of
+        # the same column formatted with the others, whatever the blocks
+        monkeypatch.setattr(serialize, "_CSV_BLOCK_ROWS", block_rows)
+        cells = np.array(EDGES + [-x for x in EDGES] + [0.0, -0.0, math.inf, -math.inf])
+        rest = [np.roll(cells, 1), np.roll(cells, 2)]
+        buf = io.StringIO()
+        serialize.write_float_table("a,b,c", rest, buf, serialize.float_column_words(cells))
+        assert buf.getvalue() == _per_cell_table("a,b,c", [cells, *rest])
 
     def test_peak_memory_of_a_snapshot(self):
         # a 2^16-row, 4-column table is a propagate snapshot; the text goes
