@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -581,6 +582,10 @@ def cmd_propagate(args) -> int:
             file=sys.stderr,
         )
         return 2
+    except MatterOpticsError:  # a refused input leaves no file, as one refused before it
+        for path in written:
+            os.remove(path)
+        raise
 
     final_norm = norm(final)
     pattern = momentum_spectrum(final, order_spacing(p), q_max)

@@ -78,13 +78,11 @@ The arrays that depend on the grid and a scalar or two, not on the
 density, are memoized per key (functools.lru_cache, GRID_MEMO_SIZE
 entries each): the Gaussians exp(-y^2/width_sq) of the packet envelope
 and of the phase mask's density profile, the standing wave's pattern
-cos^2(n k_L y), momentum_spectrum's mode-to-order bins, and
-position_words, the snapshot's y_cm column as serialize's cell words.
-The keys are the frozen Grid1D and hashable scalars, so equal grids
-built apart share an entry, and a sweep point, a repeated diffract run,
-the other grid route or the next snapshot on the same grid reads the
-arrays the first one built. The grid positions themselves are not kept:
-only these helpers' misses read them.
+cos^2(n k_L y), and momentum_spectrum's mode-to-order bins. The keys are
+the frozen Grid1D and hashable scalars, so equal grids built apart share
+an entry, and a sweep point, a repeated diffract run or the other grid
+route on the same grid reads the arrays the first one built. The grid
+positions themselves are not kept: only these helpers' misses read them.
 Every entry is read-only, so no caller can change what another reads;
 lru_cache is thread-safe, so sweep workers share entries too.
 
@@ -109,7 +107,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericsError, ParameterError
 from .models import ModelKind, effective_potential
 from .optics import check_adiabatic
-from .serialize import float_column_words, write_float_table
+from .serialize import write_float_table
 from .units import HBAR, PhysicalParams, checked_divisor, checked_power
 
 
@@ -128,10 +126,9 @@ _FINITE_CHECK_INTERVAL = 64
 MIN_PACKET_CELLS = 4
 
 # Entries each memoized grid helper keeps (see the module docstring). An
-# entry on the routes' default 4096-point grid is 32 KiB, and 96 KiB for
-# position_words, which holds 24 B a point (1.5 MiB at 2^16 points); a
-# sweep along an axis that changes the key (w_y, k_l, harmonic) misses
-# at every point and holds at most this many.
+# entry on the routes' default 4096-point grid is 32 KiB; a sweep along
+# an axis that changes the key (w_y, k_l, harmonic) misses at every
+# point and holds at most this many.
 GRID_MEMO_SIZE = 8
 
 # The largest potential phase, in rad, that one exponential may take. A
@@ -217,13 +214,6 @@ def standing_wave_pattern(grid: Grid1D, nk: float) -> np.ndarray:
     """cos^2(nk y) on the grid, nk = n k_L: the standing wave's transverse
     pattern P, memoized per key and read-only."""
     return _read_only(np.cos(nk * grid.points()) ** 2)
-
-
-@functools.lru_cache(maxsize=GRID_MEMO_SIZE)
-def position_words(grid: Grid1D) -> np.ndarray:
-    """The grid's points as serialize.float_column_words lays them out:
-    write_state_csv's y_cm column, memoized per grid and read-only."""
-    return _read_only(float_column_words(grid.points()))
 
 
 @dataclass
@@ -736,11 +726,10 @@ def write_state_csv(state: WaveState, rho_0: float, fh) -> None:
     The density is packet_normalization's for a packet of peak density
     rho_0: |psi|^2, or 0 for the dilute tracer. Cells follow
     serialize.write_float_table; NaN raises ValueError before anything
-    is written. y_cm, the grid's points, is the same column in every
-    snapshot on a grid, so its cells are formatted once per grid: they
-    are position_words' memoized words, written as the first column.
+    is written.
     """
     amp = state.amplitude
     density = np.abs(amp) ** 2 * packet_normalization(rho_0)[1]
-    columns = (amp.real, amp.imag, density)
-    write_float_table("y_cm,re_psi,im_psi,density", columns, fh, position_words(state.grid))
+    write_float_table(
+        "y_cm,re_psi,im_psi,density", (state.grid.points(), amp.real, amp.imag, density), fh
+    )

@@ -30,9 +30,7 @@ rounding the scaled value cannot settle falls back to "%.9g" alone, in
 its place: a scaled value within 2.5e-7 of a half-integer (over four
 times the scaling error), or within 1 of 1e8 or 1e9 (which also catches
 an exponent that log10 got wrong), |x| outside [1e-14, 1e30), and the
-infinities. Zero is the kernel's own. A column shared by many tables,
-such as a snapshot's positions, can be laid out once, by
-float_column_words.
+infinities. Zero is the kernel's own.
 """
 
 from __future__ import annotations
@@ -138,14 +136,14 @@ def _cell_tables():
  _BEFORE, _WORD0, _AFTER, _DOT, _EXPONENT) = _cell_tables()
 
 
-def _cell_words(x: np.ndarray, words: np.ndarray, last: bytes = b"\n") -> np.ndarray:
+def _cell_words(x: np.ndarray, words: np.ndarray) -> np.ndarray:
     """Fill words (rows, columns, 3) with the cells of x (rows, columns);
     return the flat indices of the cells that "%.9g" filled.
 
     Word 0 holds the sign, the lead of 0.000ddd, d0 and the dot after d0;
     word 1 d1..d<split>, an interior dot, then the digits after it; word 2
     the ninth digit, the exponent and the separator, ',' or, in the last
-    column, `last`. The longest cell, a negative "%.9g" with a three-digit
+    column, '\\n'. The longest cell, a negative "%.9g" with a three-digit
     exponent such as -1.23456789e-100, is 16 bytes and its separator.
     """
     a = np.abs(x)
@@ -165,7 +163,7 @@ def _cell_words(x: np.ndarray, words: np.ndarray, last: bytes = b"\n") -> np.nda
     sign_d0 = (x < 0) * _u(ord("-")) | (d0.view(np.uint64) | _u(ord("0"))) << _u(48)
     words[..., 0] = _WORD0.take(at) | sign_d0
     words[..., 1] = digits & _BEFORE.take(row) | _DOT.take(at) | after << _u(8)
-    seps = _words(*[b"\0" * 7 + b","] * (x.shape[1] - 1), b"\0" * 7 + last)
+    seps = _words(*[b"\0" * 7 + b","] * (x.shape[1] - 1), b"\0" * 7 + b"\n")
     words[..., 2] = after >> _u(56) | _EXPONENT.take(row) | seps
     fallback = np.flatnonzero(~(safe | (a == 0.0)))
     if fallback.size:
@@ -176,39 +174,25 @@ def _cell_words(x: np.ndarray, words: np.ndarray, last: bytes = b"\n") -> np.nda
     return fallback
 
 
-def float_column_words(column: np.ndarray) -> np.ndarray:
-    """The words (rows, 3) of a float64 column without NaN, with ',' after
-    each cell: write_float_table's preformatted first column."""
-    words = np.empty((len(column), 1, 3), dtype=np.uint64)
-    for lo in range(0, len(column), _CSV_BLOCK_ROWS):
-        block = slice(lo, lo + _CSV_BLOCK_ROWS)
-        _cell_words(column[block, None], words[block], b",")
-    return words[:, 0]
-
-
-def write_float_table(header: str, columns: Sequence[np.ndarray], fh, first=None) -> None:
+def write_float_table(header: str, columns: Sequence[np.ndarray], fh) -> None:
     """Write a header line, then one CSV row per index of the float64 columns.
 
     Cells read exactly as csv_num writes them: 9 significant digits,
     -0.0 as 0, infinities as inf/-inf; NaN raises ValueError before
     anything is written. Each block of _CSV_BLOCK_ROWS rows is formatted
     by the numpy kernel of _cell_words, and a cell it cannot round safely
-    by "%.9g" alone (see the module docstring). `first`, the words of a
-    column from float_column_words, is written before `columns`.
+    by "%.9g" alone (see the module docstring).
     """
     if any(np.isnan(c).any() for c in columns):
         raise ValueError("NaN is not serializable")
     fh.write(header + "\n")
-    lead = 0 if first is None else 1
-    words = np.empty((min(len(columns[0]), _CSV_BLOCK_ROWS), lead + len(columns), 3), np.uint64)
+    words = np.empty((min(len(columns[0]), _CSV_BLOCK_ROWS), len(columns), 3), np.uint64)
     for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         hi = lo + _CSV_BLOCK_ROWS
         x = np.stack([c[lo:hi] for c in columns], axis=1)
         block = words[: len(x)]
-        if lead:
-            block[:, 0] = first[lo:hi]
-        _cell_words(x, block[:, lead:])
-        fh.write(block.tobytes().translate(None, b"\0").decode("ascii"))
+        _cell_words(x, block)
+        fh.write(block.astype("<u8", copy=False).tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _json_float(x: float) -> str:

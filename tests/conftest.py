@@ -106,12 +106,7 @@ def params_file_text(params: PhysicalParams, units: str = "cgs") -> str:
 
 
 # Every memoized grid helper of propagate (see its module docstring).
-GRID_MEMOS = (
-    propagate.gaussian_profile,
-    propagate.standing_wave_pattern,
-    propagate.order_bins,
-    propagate.position_words,
-)
+GRID_MEMOS = (propagate.gaussian_profile, propagate.standing_wave_pattern, propagate.order_bins)
 # Every memo of the package: the grid helpers, the parameter parse of
 # units and the key quoting of serialize; a test that starts cold, as a
 # one-shot process does, clears them all.

@@ -13,7 +13,7 @@ from matteroptics.errors import (
     ParameterError,
     PhysicsGuardError,
 )
-from matteroptics import propagate, serialize
+from matteroptics import propagate
 from matteroptics.propagate import (
     Grid1D,
     PropagationConfig,
@@ -1080,7 +1080,6 @@ class TestGridMemo:
     def test_each_cache_holds_the_named_number_of_entries(self):
         # GRID_MEMOS, which the tests clear, lists every cache of the module
         assert {f for f in vars(propagate).values() if hasattr(f, "cache_info")} == set(GRID_MEMOS)
-        assert propagate.position_words in GRID_MEMOS
         for memo in GRID_MEMOS:
             assert memo.cache_parameters()["maxsize"] == propagate.GRID_MEMO_SIZE, memo
 
@@ -1116,36 +1115,6 @@ def test_write_state_csv_shape():
     cells = lines[1].split(",")
     assert len(cells) == 4
     assert float(cells[0]) == -0.5
-
-
-@pytest.mark.parametrize(
-    "n, y_min, y_max",
-    # dyadic points; points of 9 or more digits; and quarters about 1.2e7,
-    # whose decimal ties fall back to "%.9g" inside the memo
-    [(64, -0.5, 0.5), (4096, -0.0123456789, 0.0123456789), (256, 12345600.0, 12345664.0)],
-)
-def test_write_state_csv_formats_y_once_per_grid(n, y_min, y_max, monkeypatch):
-    # the memoized y_cm column gives the bytes of the column formatted with
-    # the others, is read-only, and equal grids built apart share it
-    propagate.position_words.cache_clear()
-    monkeypatch.setattr("matteroptics.serialize._CSV_BLOCK_ROWS", 100)  # blocks of both kinds
-    g = Grid1D(n_points=n, y_min=y_min, y_max=y_max)
-    rng = np.random.default_rng(n)
-    s = WaveState(grid=g, amplitude=rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    buf = io.StringIO()
-    write_state_csv(s, 1.0, buf)
-    amp, y = s.amplitude, g.points()
-    unmemoized = io.StringIO()
-    columns = (y, amp.real, amp.imag, np.abs(amp) ** 2)
-    serialize.write_float_table("y_cm,re_psi,im_psi,density", columns, unmemoized)
-    assert buf.getvalue() == unmemoized.getvalue()
-    words = propagate.position_words(g)
-    assert not words.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        words[0, 0] = 0
-    assert propagate.position_words(Grid1D(n_points=n, y_min=y_min, y_max=y_max)) is words
-    write_state_csv(WaveState(grid=Grid1D(n, y_min, y_max), amplitude=amp), 1.0, io.StringIO())
-    assert propagate.position_words.cache_info().misses == 1
 
 
 def _per_row_csv(state, params):

@@ -290,6 +290,26 @@ def test_a_phase_past_the_ceiling_names_what_it_grows_with(
     assert list(tmp_path.glob("slow*")) == []
 
 
+@pytest.mark.parametrize("kinetic, v_g, phase", [
+    ("--kinetic", "1e-8", "1.76e+10"),
+    ("--no-kinetic", "1e-8", "3.97e+10"),
+    ("--kinetic", "1e-300", "inf"),
+    ("--no-kinetic", "1e-300", "inf"),
+])
+def test_a_transit_refused_with_snapshots_leaves_no_file(
+    kinetic, v_g, phase, tmp_path, monkeypatch
+):
+    # the refusal comes after the entry snapshot, and at v_g = 1e-8 after
+    # the one at step 4 too; a refused input leaves no file all the same
+    code, out, err = _main_on_the_readme_file([
+        "propagate", "--params", "sodium.params", "--grid-points", "4096", kinetic,
+        "--steps", "16", "--q-max", "2", "--snapshots", "4", "--out", "slow",
+    ], tmp_path, monkeypatch, v_g=v_g)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: out of range for the full model: a potential phase of {phase} ")
+    assert list(tmp_path.glob("slow*")) == []
+
+
 @pytest.mark.parametrize("kinetic", ["--kinetic", "--no-kinetic"])
 def test_the_wallis_model_keeps_its_own_limit_at_a_huge_density(kinetic, tmp_path, monkeypatch):
     # its screened potential falls as 1/rho: a phase of about 1e-284 rad

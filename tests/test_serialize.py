@@ -353,17 +353,6 @@ class TestFloatTable:
             assert buf.getvalue() == _per_cell_table("t", columns)
             assert max(map(len, buf.getvalue().replace("\n", ",").split(","))) == 16
 
-    @pytest.mark.parametrize("block_rows", [1, 3, 2048])
-    def test_a_preformatted_first_column(self, block_rows, monkeypatch):
-        # float_column_words' words as the first column give the bytes of
-        # the same column formatted with the others, whatever the blocks
-        monkeypatch.setattr(serialize, "_CSV_BLOCK_ROWS", block_rows)
-        cells = np.array(EDGES + [-x for x in EDGES] + [0.0, -0.0, math.inf, -math.inf])
-        rest = [np.roll(cells, 1), np.roll(cells, 2)]
-        buf = io.StringIO()
-        serialize.write_float_table("a,b,c", rest, buf, serialize.float_column_words(cells))
-        assert buf.getvalue() == _per_cell_table("a,b,c", [cells, *rest])
-
     def test_peak_memory_of_a_snapshot(self):
         # a 2^16-row, 4-column table is a propagate snapshot; the text goes
         # to a sink that keeps none of it, so the peak is the writer's own
