@@ -711,10 +711,14 @@ def cmd_sweep(args) -> int:
     if args.values is not None:
         if args.start is not None or args.stop is not None or args.num is not None:
             raise ParameterError("give either --values or --start/--stop/--num, not both")
-        try:
-            raw: list[float] = [float(s) for s in args.values.split(",") if s.strip()]
-        except ValueError as exc:
-            raise ParameterError(f"could not parse --values: {exc}") from None
+        raw: list[float] = []
+        for i, item in enumerate(args.values.split(","), 1):
+            if not item.strip():
+                raise ParameterError(f"could not parse --values: item {i} is empty")
+            try:
+                raw.append(float(item))
+            except ValueError as exc:
+                raise ParameterError(f"could not parse --values: {exc}") from None
         flag, count = "--values", len(raw)
     elif args.start is not None and args.stop is not None and args.num is not None:
         flag, count = "--num", args.num

@@ -24,8 +24,14 @@ one multiply or divide by an exact power of ten (10^0 to 10^22, enough
 for 1e-14 <= |x| < 1e30), so it is correctly rounded and off by at most
 2^-24 < 6e-8. The digits d1..d8 go to ASCII through two tables of the
 10^4 four-digit numbers, and each cell becomes three NUL-padded 8-byte
-words (see _cell_words): 24 bytes, which hold the longest cell, 16 bytes
-and its separator. Removing the NULs leaves the row text. A cell whose
+words (see _cell_words): 24 bytes, which hold the longest cell, 16 bytes,
+and a three-byte separator field. Removing the NULs leaves the row text.
+A column whose cells are all +0.0 or -0.0 prints "0" on every row; when
+the column before it is formatted, it is not formatted at all, and that
+column's separator becomes ",0," (",0\n" in the last column). A zero
+column after such a folded one is formatted, so a run of them
+alternates. The folded columns and the separator words are found once
+per table (see _layout), and nothing is kept between tables. A cell whose
 rounding the scaled value cannot settle falls back to "%.9g" alone, in
 its place: a scaled value within 2.5e-7 of a half-integer (over four
 times the scaling error), or within 1 of 1e8 or 1e9 (which also catches
@@ -136,15 +142,41 @@ def _cell_tables():
  _BEFORE, _WORD0, _AFTER, _DOT, _EXPONENT) = _cell_tables()
 
 
-def _cell_words(x: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Fill words (rows, columns, 3) with the cells of x (rows, columns);
+def _layout(zero: Sequence[bool]) -> tuple[list[int], np.ndarray]:
+    """The columns write_float_table formats, given which columns are all
+    zero, and the separator word of each.
+
+    A zero column whose left neighbour is formatted is not formatted: its
+    "0" rides in that neighbour's separator, ",0," or, in the last
+    column, ",0\\n". A zero column after a folded one is formatted, since
+    ",0,0," does not fit in the three-byte separator field, so a run of
+    zero columns alternates; column 0 is always formatted.
+    """
+    formatted: list[int] = []
+    seps: list[bytes] = []
+    for j, z in enumerate(zero):
+        if z and formatted and formatted[-1] == j - 1:
+            seps[-1] += b"0,"
+        else:
+            formatted.append(j)
+            seps.append(b",")
+    seps[-1] = seps[-1][:-1] + b"\n"
+    return formatted, _words(*(sep.rjust(8, b"\0") for sep in seps))
+
+
+def _cell_words(x: np.ndarray, seps: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Fill words (rows, columns, 3) with the cells of x (rows, columns),
+    each column followed by its separator word from seps (see _layout);
     return the flat indices of the cells that "%.9g" filled.
 
     Word 0 holds the sign, the lead of 0.000ddd, d0 and the dot after d0;
     word 1 d1..d<split>, an interior dot, then the digits after it; word 2
-    the ninth digit, the exponent and the separator, ',' or, in the last
-    column, '\\n'. The longest cell, a negative "%.9g" with a three-digit
-    exponent such as -1.23456789e-100, is 16 bytes and its separator.
+    the ninth digit in byte 0, the exponent in bytes 1-4 and, in bytes
+    5-7, the separator field: ',', '\\n', ',0,' or ',0\\n'. The kernel
+    writes only two-digit exponents, so bytes 5 and 6 are NUL but for the
+    separator. The longest cell, a negative "%.9g" with a three-digit
+    exponent such as -1.23456789e-100, is 16 bytes, in words 0 and 1, and
+    keeps word 2's separator field alone.
     """
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):  # log10(0); casts of inf
@@ -163,14 +195,13 @@ def _cell_words(x: np.ndarray, words: np.ndarray) -> np.ndarray:
     sign_d0 = (x < 0) * _u(ord("-")) | (d0.view(np.uint64) | _u(ord("0"))) << _u(48)
     words[..., 0] = _WORD0.take(at) | sign_d0
     words[..., 1] = digits & _BEFORE.take(row) | _DOT.take(at) | after << _u(8)
-    seps = _words(*[b"\0" * 7 + b","] * (x.shape[1] - 1), b"\0" * 7 + b"\n")
     words[..., 2] = after >> _u(56) | _EXPONENT.take(row) | seps
     fallback = np.flatnonzero(~(safe | (a == 0.0)))
     if fallback.size:
         texts = ["%.9g" % v for v in x.ravel()[fallback].tolist()]
         cells = np.unravel_index(fallback, x.shape)
         words[cells + (slice(0, 2),)] = np.array(texts, dtype="S16").view("<u8").reshape(-1, 2)
-        words[cells + (2,)] &= _u(0xFF << 56)  # the separator alone
+        words[cells + (2,)] &= _u(0xFFFFFF << 40)  # the separator field alone
     return fallback
 
 
@@ -179,19 +210,23 @@ def write_float_table(header: str, columns: Sequence[np.ndarray], fh) -> None:
 
     Cells read exactly as csv_num writes them: 9 significant digits,
     -0.0 as 0, infinities as inf/-inf; NaN raises ValueError before
-    anything is written. Each block of _CSV_BLOCK_ROWS rows is formatted
-    by the numpy kernel of _cell_words, and a cell it cannot round safely
-    by "%.9g" alone (see the module docstring).
+    anything is written. The columns to format and their separators are
+    found once per table (see _layout); each block of _CSV_BLOCK_ROWS
+    rows of those columns is formatted by the numpy kernel of
+    _cell_words, and a cell it cannot round safely by "%.9g" alone (see
+    the module docstring).
     """
     if any(np.isnan(c).any() for c in columns):
         raise ValueError("NaN is not serializable")
     fh.write(header + "\n")
+    formatted, seps = _layout([not c.any() for c in columns])
+    columns = [columns[j] for j in formatted]
     words = np.empty((min(len(columns[0]), _CSV_BLOCK_ROWS), len(columns), 3), np.uint64)
     for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         hi = lo + _CSV_BLOCK_ROWS
         x = np.stack([c[lo:hi] for c in columns], axis=1)
         block = words[: len(x)]
-        _cell_words(x, block)
+        _cell_words(x, seps, block)
         fh.write(block.astype("<u8", copy=False).tobytes().translate(None, b"\0").decode("ascii"))
 
 

@@ -395,11 +395,15 @@ def test_trajectory_csv_matches_per_row_csv_num():
     times = np.concatenate([[-0.0, 1], run.times])
     coherence = np.concatenate([[complex(-0.0, -0.0), 1e-300 - 1.0 / 3.0j], run.coherence])
     inversion = np.concatenate([[-0.0, 5e-324], run.inversion])
-    traj = BlochTrajectory(times, coherence, inversion, run.final)
-    buf = io.StringIO()
-    write_trajectory_csv(traj, buf)
-    want = "t_s,re_R,im_R,W\n" + "".join(
-        f"{csv_num(t)},{csv_num(r.real)},{csv_num(r.imag)},{csv_num(w)}\n"
-        for t, r, w in zip(times, coherence, inversion)
-    )
-    assert buf.getvalue() == want
+    edges = BlochTrajectory(times, coherence, inversion, run.final)
+    # on resonance with a real drive from R = 0, re_R is 0 on every row
+    resonant = integrate(GROUND, 1.0, 0.0, NO_DAMPING, dt=0.01, n_steps=40)
+    assert not resonant.coherence.real.any()
+    for traj in (edges, resonant):
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        want = "t_s,re_R,im_R,W\n" + "".join(
+            f"{csv_num(t)},{csv_num(r.real)},{csv_num(r.imag)},{csv_num(w)}\n"
+            for t, r, w in zip(traj.times, traj.coherence, traj.inversion)
+        )
+        assert buf.getvalue() == want

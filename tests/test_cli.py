@@ -1460,12 +1460,24 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--params", params_file)
         assert code == 1
 
-    def test_unparseable_values(self, capsys, params_file):
-        code, _, err = run(
-            capsys, "sweep", "--params", params_file, "--values", "a,b"
+    @pytest.mark.parametrize(
+        "values, cause",
+        [
+            ("a,b", "could not convert string to float: 'a'"),
+            ("1e15,,2e15", "item 2 is empty"),
+            ("1e15,2e15,", "item 3 is empty"),
+            (" ,1e15", "item 1 is empty"),
+            ("", "item 1 is empty"),
+        ],
+    )
+    def test_unparseable_values(self, capsys, params_file, values, cause):
+        # an empty item is refused, not dropped
+        code, out, err = run(
+            capsys, "sweep", "--params", params_file, "--values", values,
+            "--paths", "analytic", "--q-max", "1",
         )
-        assert code == 1
-        assert "could not parse" in err
+        assert (code, out) == (1, "")
+        assert f"could not parse --values: {cause}" in err
 
     def test_unknown_axis_names_the_valid_ones(self, capsys, params_file):
         code, _, err = run(

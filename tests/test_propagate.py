@@ -1168,6 +1168,17 @@ def test_write_state_csv_matches_per_row_csv_num(block_rows, monkeypatch):
         assert lines[1:4] == ["-0.5,0,0,0", "-0.484375,0,0,0", "-0.46875,0,0,0"]
         assert lines[33].startswith("0,")
         assert ",-0," not in buf.getvalue()
+    # real snapshots with all-zero columns: the entry packet's im_psi (and a
+    # tracer's density after it, formatted as the second zero of a run),
+    # and a tracer's density after a kinetic-off transit
+    tracer = make_params()
+    entry = init_gaussian(_grid(64, 8.0 * tracer.w_y), 0.0, tracer.w_y)
+    final = propagate_through_laser(entry, PropagationConfig(n_steps=8, kinetic_enabled=False), tracer)
+    assert not entry.amplitude.imag.any() and final.amplitude.imag.any()
+    for s, p in [(entry, tracer), (entry, make_params(rho_0=3.0e14)), (final, tracer)]:
+        buf = io.StringIO()
+        write_state_csv(s, p.rho_0, buf)
+        assert buf.getvalue() == _per_row_csv(s, p)
 
 
 def test_write_state_csv_rejects_nan():

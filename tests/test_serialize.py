@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matteroptics import serialize
@@ -301,16 +301,31 @@ CELLS = st.one_of(
     .filter(lambda x: not math.isnan(x)),
     st.sampled_from(EDGES + [-x for x in EDGES] + [0.0, -0.0, math.inf, -math.inf]),
 )
+# Rows of any cells, or rows with whole columns of ±0.0 at any position:
+# first, last, alone, and in runs, which the writer folds every other one
+# of into the separator before it.
+ROWS = st.one_of(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda width: st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=12)
+    ),
+    st.lists(st.booleans(), min_size=1, max_size=5).flatmap(
+        lambda zero: st.lists(
+            st.tuples(*(st.sampled_from([0.0, -0.0]) if z else CELLS for z in zero)).map(list),
+            min_size=1, max_size=12,
+        )
+    ),
+)
 
 
 class TestFloatTable:
     @pytest.mark.parametrize("block_rows", [1, 5, 2048])
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(min_value=1, max_value=4).flatmap(
-            lambda width: st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=12)
-        )
-    )
+    @given(ROWS)
+    # a zero column alone, first, last, and in runs of two and three
+    @example([[-0.0], [0.0]])
+    @example([[0.0, 1.5, -0.0], [-0.0, -1e-120, 0.0]])
+    @example([[1.5, -0.0, 0.0, 2.5, 0.0], [-1e-120, 0.0, 0.0, math.inf, -0.0]])
+    @example([[1.5, -0.0, 0.0, -0.0, 2.5]])
     def test_same_bytes_as_per_cell_csv_num(self, block_rows, rows):
         columns = [np.array(c, dtype=float) for c in zip(*rows)] or [np.array([])]
         buf = io.StringIO()
@@ -333,21 +348,58 @@ class TestFloatTable:
                   1e-4, 1e-14, 1e30, 9.9e-15, 1e300, 5e-324, math.inf, -math.inf]
         safe = [0.0, -0.0, 1.5e-14, 0.123456789, -1.5, 2.5e-5, 123456789.4, 9.9999999e29]
         x = np.array([unsafe + safe])
-        fallback = serialize._cell_words(x, np.empty(x.shape + (3,), np.uint64))
+        _, seps = serialize._layout([False] * x.shape[1])
+        fallback = serialize._cell_words(x, seps, np.empty(x.shape + (3,), np.uint64))
         assert fallback.tolist() == list(range(len(unsafe)))
         rng = np.random.default_rng(3)
         shape = (2048, 4)
         sign = rng.choice([-1.0, 1.0], shape)
         x = sign * rng.uniform(1.0, 9.9, shape) * 10.0 ** rng.integers(-14, 30, shape)
-        assert serialize._cell_words(x, np.empty(shape + (3,), np.uint64)).size == 0
+        _, seps = serialize._layout([False] * shape[1])
+        assert serialize._cell_words(x, seps, np.empty(shape + (3,), np.uint64)).size == 0
 
+    @pytest.mark.parametrize(
+        "zero, formatted, row",
+        [
+            ([False, True], [0], "1,0"),
+            ([True, True], [0], "0,0"),
+            ([False, True, True], [0, 2], "1,0,0"),
+            ([False, True, True, True, False], [0, 2, 4], "1,0,0,0,1"),
+            ([True], [0], "0"),
+        ],
+    )
+    def test_a_zero_column_after_a_formatted_one_is_folded(
+        self, monkeypatch, zero, formatted, row
+    ):
+        # the bytes match with no fold at all; here the kernel is shown to
+        # format only the columns the fold leaves, alternating along a run
+        assert serialize._layout(zero)[0] == formatted
+        widths = []
+        real = serialize._cell_words
+
+        def spy(x, seps, words):
+            widths.append(x.shape[1])
+            return real(x, seps, words)
+
+        monkeypatch.setattr(serialize, "_cell_words", spy)
+        columns = [np.full(3, -0.0 if z else 1.0) for z in zero]
+        buf = io.StringIO()
+        serialize.write_float_table("t", columns, buf)
+        assert buf.getvalue() == "t\n" + (row + "\n") * 3
+        assert widths == [len(formatted)]
+
+    @pytest.mark.parametrize("fold", [False, True])
     @pytest.mark.parametrize("width", [1, 3, 5])
-    def test_the_longest_cells_in_every_column(self, width):
-        # 16 bytes and a separator: the most that a cell's three words hold
+    def test_the_longest_cells_in_every_column(self, width, fold):
+        # 16 bytes and a separator: the most that a cell's three words hold;
+        # with fold, a zero column follows, whose ",0," or ",0\n" the
+        # "%.9g" fallback keeps in its separator field
         longest = [-1.23456789e-100, -1e100, -4.94065646e-324, 1.23456789e-100]
         for column in range(width):
             columns = [np.full(len(longest), 0.5) for _ in range(width)]
             columns[column] = np.array(longest)
+            if fold and column + 1 < width:
+                columns[column + 1] = np.full(len(longest), -0.0)
             buf = io.StringIO()
             serialize.write_float_table("t", columns, buf)
             assert buf.getvalue() == _per_cell_table("t", columns)
